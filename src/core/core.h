@@ -273,12 +273,11 @@ class Core final : private lsq::PresentBitClearer {
 
   /// Runs until `max_insts` instructions commit (or the trace ends).
   /// Equivalent to begin(max_insts); while (step(...)) {}; finish() —
-  /// the stepped decomposition exists for the LaneEngine, which
-  /// interleaves many cores in one loop; results are bit-identical by
-  /// construction (the cycle loop body is shared).
+  /// the stepped decomposition is what sim::Lane drives; results are
+  /// bit-identical by construction (the cycle loop body is shared).
   CoreResult run(std::uint64_t max_insts);
 
-  // -- resumable stepping (lane mode) ----------------------------------------
+  // -- resumable stepping (sim::Lane) ----------------------------------------
   /// Arms a run targeting `max_insts` committed instructions.
   void begin(std::uint64_t max_insts);
   /// Advances up to `max_cycles` stepped cycles. Returns false once the
@@ -302,16 +301,6 @@ class Core final : private lsq::PresentBitClearer {
   [[nodiscard]] std::uint32_t wake_ledger() const noexcept {
     return wake_ledger_;
   }
-  /// The earliest cycle at which this core can next change architectural
-  /// state: the current cycle when any wake bit is set (or in always-step
-  /// mode, which never fast-forwards), else the fast-forward horizon —
-  /// min over the calendar wheel's next event, the hierarchy's pending
-  /// completion, the fetch re-enable and the watchdog, clamped to never
-  /// run backwards (right after a jump the wheel can hold an event due
-  /// *now* with the ledger still clear). A pure scheduling hint for the
-  /// LaneEngine's earliest-wake heap: it never mutates state, and lane
-  /// results do not depend on it.
-  [[nodiscard]] Cycle next_wake_cycle() const;
   /// The shared dependence-ref arena (leak/reuse regression hooks).
   [[nodiscard]] const DepSlab& dep_slab() const noexcept { return dep_slab_; }
 
@@ -526,8 +515,6 @@ class Core final : private lsq::PresentBitClearer {
   /// skipped span through the observer in one batched call.
   void try_fast_forward();
   /// The fast-forward jump target: earliest cycle any wake source fires.
-  /// Shared by try_fast_forward() and the next_wake_cycle() hint so the
-  /// two can never drift.
   [[nodiscard]] Cycle wake_horizon() const;
   /// lsq::PresentBitClearer — the queue tells us a cached L1D location
   /// was released; clear the cache-side presentBit.

@@ -1034,12 +1034,6 @@ Cycle Core<LsqT, ObserverT>::wake_horizon() const {
 }
 
 template <typename LsqT, typename ObserverT>
-Cycle Core<LsqT, ObserverT>::next_wake_cycle() const {
-  if (cfg_.always_step || wake_ledger_ != 0) return cycle_;
-  return std::max(cycle_, wake_horizon());
-}
-
-template <typename LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::try_fast_forward() {
   if (wake_ledger_ != 0) return;
   const Cycle wake = wake_horizon();
@@ -1066,8 +1060,7 @@ void Core<LsqT, ObserverT>::begin(std::uint64_t max_insts) {
 template <typename LsqT, typename ObserverT>
 bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
   // One iteration here is one iteration of the legacy run() loop — the
-  // body is verbatim, so stepping in blocks of any size (the LaneEngine
-  // round-robins lanes in ~kilocycle turns) commits the same
+  // body is verbatim, so stepping in blocks of any size commits the same
   // instructions at the same cycles as one uninterrupted run.
   for (std::uint64_t stepped = 0; stepped < max_cycles; ++stepped) {
     if (res_.committed >= target_) return false;

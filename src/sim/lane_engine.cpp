@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "src/branch/predictor.h"
 #include "src/core/core.h"
@@ -98,10 +97,6 @@ class LaneImpl final : public Lane {
     return core_.step(max_cycles);
   }
 
-  [[nodiscard]] std::uint64_t next_wake_cycle() const override {
-    return core_.next_wake_cycle();
-  }
-
   [[nodiscard]] SimResult finish() override {
     SimResult r;
     r.core = core_.finish();
@@ -176,11 +171,6 @@ class ShardLane final : public Lane {
     return whole_->step(max_cycles);
   }
 
-  [[nodiscard]] std::uint64_t next_wake_cycle() const override {
-    return base_ ? base_->next_wake_cycle()
-                 : (whole_ ? whole_->next_wake_cycle() : 0);
-  }
-
   [[nodiscard]] SimResult finish() override {
     return subtract_measured(whole_->finish(), base_result_, cfg_);
   }
@@ -212,46 +202,6 @@ std::unique_ptr<Lane> make_lane(const SimConfig& cfg,
       return std::make_unique<LaneImpl<SamieBundle>>(cfg, trace);
   }
   throw std::logic_error("make_lane: unknown LsqChoice");
-}
-
-LaneEngine::LaneEngine(std::uint64_t cycles_per_turn)
-    : cycles_per_turn_(cycles_per_turn) {
-  if (cycles_per_turn == 0) {
-    throw std::invalid_argument("LaneEngine: cycles_per_turn must be >= 1");
-  }
-}
-
-void LaneEngine::add(std::uint64_t key, std::unique_ptr<Lane> lane) {
-  const std::uint64_t wake = lane->next_wake_cycle();
-  heap_.push_back(Slot{key, std::move(lane), wake, admitted_++});
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-std::optional<LaneEngine::Event> LaneEngine::run_until_event() {
-  while (!heap_.empty()) {
-    // Pop the lane whose next event is soonest on its own clock. Fresh
-    // lanes enter at wake 0, so admission order is the first pass's
-    // order, exactly as the old round-robin stepped them.
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    Slot& slot = heap_.back();
-    Event ev;
-    ev.key = slot.key;
-    try {
-      if (slot.lane->step(cycles_per_turn_)) {
-        slot.wake = slot.lane->next_wake_cycle();
-        std::push_heap(heap_.begin(), heap_.end(), later);
-        continue;
-      }
-      ev.ok = true;
-      ev.result = slot.lane->finish();
-    } catch (...) {
-      ev.ok = false;
-      ev.error = std::current_exception();
-    }
-    heap_.pop_back();
-    return ev;
-  }
-  return std::nullopt;
 }
 
 }  // namespace samie::sim

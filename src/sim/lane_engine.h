@@ -1,42 +1,20 @@
-// Batched-lane execution: many independent (core, trace) simulations
-// stepped through one interleaved loop.
-//
 // A Lane is one fully built machine — queue, ledgers, memory hierarchy,
-// predictor, collector, Core — behind a two-method interface. The
-// concrete LaneImpl<LsqT> keeps Core statically dispatched over the
-// queue and observer exactly as run_simulation does; the only virtual
-// boundary is one step() call per multi-kilocycle turn, so lane
-// interleaving costs nothing measurable per cycle.
+// predictor, collector, Core — behind a two-method interface: step it,
+// then finish it. The concrete LaneImpl<LsqT> keeps Core statically
+// dispatched over the queue and observer; the only virtual boundary is
+// one step() call per turn, so stepping costs nothing measurable per
+// cycle.
 //
-// Lane results are bit-identical to run_simulation by construction:
-// run_simulation *is* a single lane stepped to completion (see
-// simulator.cpp), and Core::step() shares the run() loop body verbatim,
-// so slicing a run into turns cannot change any statistic. The per-lane
-// energy fold is the integer-event ledger fold (src/energy/ledger.h) —
-// O(1) per lane regardless of event count.
-//
-// LaneEngine is the earliest-wake driver: it owns up to K live lanes on
-// a min-heap keyed by each lane's next_wake_cycle() hint (the lane's
-// own virtual clock — Core's quiescence ledger / fast-forward horizon)
-// and always steps the lane whose next event is soonest. Turns are
-// budgeted in *stepped* cycles — Core::step() counts loop iterations,
-// so a fast-forward through a megacycle quiescent span costs one unit
-// of the turn, not the whole turn — and any turn size N ≥ 1 yields
-// bit-identical results (lanes are independent machines; the hint and
-// the schedule built on it never feed back into simulation state). A
-// lane retires by finishing (result event) or throwing (error event —
-// watchdog, quiescence cross-check, cancellation); the engine surfaces
-// one retirement at a time so callers (the sweep's lane executor,
-// samie_sim --lanes) can refill the slot, retry, or journal in job
-// order. docs/ENERGY_LEDGER.md describes the execution model.
+// run_simulation *is* a single lane stepped to completion in one turn
+// (see simulator.cpp), and Core::step() shares the run() loop body
+// verbatim, so slicing a run into turns of any size cannot change a
+// statistic. The per-lane energy fold is the integer-event ledger fold
+// (src/energy/ledger.h) — O(1) regardless of event count.
+// docs/ENERGY_LEDGER.md gives the bit-identity argument.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
-#include <optional>
-#include <vector>
 
 #include "src/sim/simulator.h"
 #include "src/trace/trace_view.h"
@@ -52,11 +30,6 @@ class Lane {
   /// Advances up to `max_cycles` stepped cycles; false when the run is
   /// complete and finish() may be called.
   virtual bool step(std::uint64_t max_cycles) = 0;
-  /// Scheduling hint: the earliest cycle (on this lane's own clock) at
-  /// which the machine can next change architectural state. Pure — the
-  /// engine's wake heap orders lanes by it, and results never depend on
-  /// the value.
-  [[nodiscard]] virtual std::uint64_t next_wake_cycle() const = 0;
   /// Seals the run and folds the statistics. Call once.
   [[nodiscard]] virtual SimResult finish() = 0;
 };
@@ -66,56 +39,5 @@ class Lane {
 /// run_simulation; cfg is copied into the lane.
 [[nodiscard]] std::unique_ptr<Lane> make_lane(const SimConfig& cfg,
                                               trace::TraceView trace);
-
-/// Earliest-wake stepper over a set of live lanes.
-class LaneEngine {
- public:
-  /// A retired lane: `key` is the caller's identifier from add().
-  /// Exactly one of {ok, error} holds: on ok the folded result, else the
-  /// exception that ended the lane.
-  struct Event {
-    std::uint64_t key = 0;
-    bool ok = false;
-    SimResult result;
-    std::exception_ptr error;
-  };
-
-  /// Throws std::invalid_argument on a zero turn — a lane stepped zero
-  /// cycles per turn would never retire.
-  explicit LaneEngine(std::uint64_t cycles_per_turn = kDefaultCyclesPerTurn);
-
-  /// Admits a lane under the caller's key (e.g. a sweep job index).
-  void add(std::uint64_t key, std::unique_ptr<Lane> lane);
-  [[nodiscard]] std::size_t active() const { return heap_.size(); }
-
-  /// Steps the live lanes until one retires; returns its event, or
-  /// nullopt when no lanes are live. Each turn goes to the lane whose
-  /// next_wake_cycle() hint is smallest (admission order breaks ties),
-  /// so deeply-quiescent lanes — whose virtual clocks race ahead on
-  /// fast-forwards — are not polled every pass. Any schedule yields
-  /// bit-identical per-lane results; the heap only changes which lane's
-  /// wall-clock work happens when.
-  std::optional<Event> run_until_event();
-
-  static constexpr std::uint64_t kDefaultCyclesPerTurn = 4096;
-
- private:
-  struct Slot {
-    std::uint64_t key;
-    std::unique_ptr<Lane> lane;
-    std::uint64_t wake;   ///< cached next_wake_cycle() hint
-    std::uint64_t order;  ///< admission sequence, the deterministic tie-break
-  };
-  /// Min-heap comparator (std::push_heap/pop_heap are max-heaps, so the
-  /// "less" relation is inverted): earliest wake wins, first-admitted
-  /// wins a tie.
-  static bool later(const Slot& a, const Slot& b) noexcept {
-    if (a.wake != b.wake) return a.wake > b.wake;
-    return a.order > b.order;
-  }
-  std::uint64_t cycles_per_turn_;
-  std::uint64_t admitted_ = 0;  ///< admission counter feeding Slot::order
-  std::vector<Slot> heap_;      ///< binary heap ordered by later()
-};
 
 }  // namespace samie::sim

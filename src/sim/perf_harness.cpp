@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -14,7 +13,6 @@
 #include <sstream>
 
 #include "src/sim/checkpoint.h"
-#include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
@@ -120,11 +118,6 @@ HotpathReport run_hotpath_measurement(const HotpathOptions& opt) {
   report.seed = opt.seed;
   report.repeats = opt.repeats == 0 ? 1 : opt.repeats;
   report.no_skip = opt.always_step;
-  report.lanes = opt.lanes;
-  if (opt.lanes != 0) {
-    report.lane_shards =
-        opt.lane_shards != 0 ? opt.lane_shards : bench_threads();
-  }
 
   const std::vector<LsqChoice> lsqs =
       opt.lsqs.empty()
@@ -275,49 +268,6 @@ HotpathReport run_hotpath_measurement(const HotpathOptions& opt) {
             ? static_cast<double>(lr.total_sim_cycles) / lr.total_wall_seconds
             : 0.0;
 
-    // Schema v2: whole-suite sweep walls through both executors. The
-    // identical job list runs end to end through run_sweep (trace-cache
-    // builds inside the timed region for both), best of `repeats`; a
-    // sweep that did not fully complete is discarded rather than timed.
-    if (opt.lanes != 0) {
-      std::vector<Job> jobs;
-      jobs.reserve(programs.size());
-      for (std::size_t i = 0; i < programs.size(); ++i) {
-        Job job;
-        job.program = programs[i];
-        job.config = cfg;
-        if (!opt.trace_dir.empty()) {
-          job.config.trace_path = trace_files[i];
-          job.config.instructions =
-              trace::read_samt_header(trace_files[i]).count;
-        } else {
-          job.config.instructions = opt.instructions;
-        }
-        job.tag = lsq_choice_name(lsq);
-        jobs.push_back(std::move(job));
-      }
-      auto timed_sweep = [&](const SweepOptions& sw) {
-        double best = std::numeric_limits<double>::infinity();
-        for (std::uint32_t r = 0; r < report.repeats; ++r) {
-          const auto t0 = Clock::now();
-          const SweepReport sr = run_sweep(jobs, sw);
-          const double wall = seconds_since(t0);
-          if (sr.all_completed() && wall < best) best = wall;
-        }
-        return std::isfinite(best) ? best : 0.0;
-      };
-      SweepOptions pool;
-      SweepOptions lane;
-      lane.lanes = opt.lanes;
-      lane.lane_shards = 1;  // pinned: this field is the one-shard wall
-      lane.lane_turn = opt.lane_turn;
-      SweepOptions sharded = lane;
-      sharded.lane_shards = report.lane_shards;
-      lr.pool_sweep_wall_seconds = timed_sweep(pool);
-      lr.lane_sweep_wall_seconds = timed_sweep(lane);
-      lr.sharded_sweep_wall_seconds = timed_sweep(sharded);
-    }
-
     lr.peak_rss_kb = peak_rss_kb();
     report.lsqs.push_back(std::move(lr));
   }
@@ -326,15 +276,11 @@ HotpathReport run_hotpath_measurement(const HotpathOptions& opt) {
 
 void write_hotpath_json(std::ostream& os, const HotpathReport& report) {
   os << "{\n";
-  os << "  \"schema\": \"samie-bench-hotpath-v2\",\n";
+  os << "  \"schema\": \"samie-bench-hotpath-v3\",\n";
   os << "  \"instructions\": " << report.instructions << ",\n";
   os << "  \"seed\": " << report.seed << ",\n";
   os << "  \"repeats\": " << report.repeats << ",\n";
   os << "  \"no_skip\": " << (report.no_skip ? "true" : "false") << ",\n";
-  os << "  \"lanes\": " << report.lanes << ",\n";
-  // Additive to schema v2: shards of the sharded_sweep measurement
-  // (timing-only, excluded from bit-identity diffs like the walls).
-  os << "  \"lane_shards\": " << report.lane_shards << ",\n";
   // Additive to schema v1: measurements that threw (absent from their
   // LSQ's programs/totals). Always emitted so a resumed report stays
   // byte-identical to the uninterrupted one.
@@ -360,15 +306,6 @@ void write_hotpath_json(std::ostream& os, const HotpathReport& report) {
     json_number(os, lr.total_wall_seconds);
     os << ",\n      \"sim_cycles_per_second\": ";
     json_number(os, lr.sim_cycles_per_second);
-    // Schema v2 (timing fields, excluded from bit-identity diffs like
-    // the walls): whole-suite sweep seconds per executor, 0 when the
-    // sweep measurement was disabled.
-    os << ",\n      \"pool_sweep_wall_seconds\": ";
-    json_number(os, lr.pool_sweep_wall_seconds);
-    os << ",\n      \"lane_sweep_wall_seconds\": ";
-    json_number(os, lr.lane_sweep_wall_seconds);
-    os << ",\n      \"sharded_sweep_wall_seconds\": ";
-    json_number(os, lr.sharded_sweep_wall_seconds);
     os << ",\n      \"peak_rss_kb\": " << lr.peak_rss_kb << ",\n";
     os << "      \"programs\": [\n";
     for (std::size_t pi = 0; pi < lr.programs.size(); ++pi) {

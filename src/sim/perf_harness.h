@@ -44,17 +44,6 @@ struct HotpathLsqResult {
   std::uint64_t total_skipped_cycles = 0;
   double total_wall_seconds = 0.0;  ///< sum of per-program best walls
   double sim_cycles_per_second = 0.0;
-  /// Schema v2 (HotpathOptions::lanes != 0): wall seconds for one
-  /// whole-suite sweep of this LSQ's job list, best of `repeats`, run
-  /// through the per-job worker pool, through the batched-lane executor
-  /// at one shard, and through the sharded lane executor at
-  /// HotpathReport::lane_shards shards. Unlike the per-program walls,
-  /// these time run_sweep end to end (trace-cache builds included) —
-  /// identically for all executors, so pool/lane is the lane-mode
-  /// speedup and lane/sharded the shard scaling. 0.0 when disabled.
-  double pool_sweep_wall_seconds = 0.0;
-  double lane_sweep_wall_seconds = 0.0;
-  double sharded_sweep_wall_seconds = 0.0;
   /// Process peak RSS (VmHWM) after this LSQ's runs, in kB. Monotonic
   /// across the whole process: meaningful as "peak so far".
   std::uint64_t peak_rss_kb = 0;
@@ -67,13 +56,6 @@ struct HotpathReport {
   /// The measurement ran the always-step loop (--no-skip): skip metrics
   /// are definitionally zero and consumers suppress them.
   bool no_skip = false;
-  /// Lane count of the sweep measurement (0 = sweep timing disabled and
-  /// the schema-v2 sweep fields read 0).
-  unsigned lanes = 0;
-  /// Shard count of the sharded_sweep measurement (the resolved T — an
-  /// explicit HotpathOptions::lane_shards or the host's bench
-  /// parallelism; 0 when sweep timing is disabled).
-  unsigned lane_shards = 0;
   std::vector<HotpathLsqResult> lsqs;
   /// One "lsq=K program=P error=..." line per measurement that threw
   /// (e.g. a corrupt trace in --trace-dir). Failed programs are absent
@@ -100,19 +82,6 @@ struct HotpathOptions {
   /// the measured statistics are identical, only throughput and the
   /// skipped_cycles fields change.
   bool always_step = false;
-  /// When nonzero, additionally measure whole-suite *sweep* throughput
-  /// per LSQ: the same job list timed through the per-job worker pool,
-  /// the batched-lane executor with this many lanes at one shard, and
-  /// the sharded lane executor at `lane_shards` shards (SweepOptions::
-  /// lanes/lane_shards), best of `repeats` each. Results land in the
-  /// schema-v2 pool_sweep/lane_sweep/sharded_sweep fields and are never
-  /// journaled (they are timings, re-measured every run).
-  unsigned lanes = 0;
-  /// Shards for the sharded_sweep measurement; 0 picks bench_threads().
-  unsigned lane_shards = 0;
-  /// Stepped cycles per lane turn for both lane sweeps; 0 picks
-  /// LaneEngine::kDefaultCyclesPerTurn.
-  std::uint64_t lane_turn = 0;
   /// Checkpoint journal (src/sim/checkpoint.h): when non-empty, every
   /// finished (lsq, program) measurement — statistics *and* walls — is
   /// appended crash-safely, and an existing journal for the same
@@ -134,7 +103,7 @@ struct HotpathOptions {
 /// Runs the measurement (single-threaded, deterministic job order).
 [[nodiscard]] HotpathReport run_hotpath_measurement(const HotpathOptions& opt);
 
-/// Serializes the report as BENCH_hotpath.json (schema v1). Simulation
+/// Serializes the report as BENCH_hotpath.json (schema v3). Simulation
 /// statistics are printed with max_digits10, so comparing two reports
 /// with the timing/engine fields (wall_seconds, total_wall_seconds,
 /// sim_cycles_per_second, peak_rss_kb, skipped_cycles, skip_ratio,

@@ -3,16 +3,16 @@
 // (src/sim/proc_frame.h).
 //
 // This is the containment layer under `samie_sim --isolate` /
-// SweepOptions::isolate_procs. The in-process executors survive
+// SweepOptions::isolate_procs. The in-thread runner survives
 // anything a job can *throw*; this one survives anything a job can *do
 // to the process* — SIGSEGV, a glibc abort, an allocation bomb, a
 // runaway loop that never reaches the cooperative cancel check. The
 // child is fork() without exec: it inherits the parent's mappings (the
 // trace view stays valid, and crash backtrace addresses symbolize in
-// the parent), runs exactly the run_simulation the in-process executors
-// run, serializes the result through the same hexfloat text as the
+// the parent), runs exactly the run_simulation the in-thread runner
+// runs, serializes the result through the same hexfloat text as the
 // checkpoint journal, and _exit()s. That round trip is bit-exact, which
-// is what makes isolated sweeps byte-identical to pool/lane sweeps.
+// is what makes isolated sweeps byte-identical to in-thread sweeps.
 //
 // Child lifecycle:
 //   1. install async-signal-safe crash handlers (SIGSEGV/SIGBUS/SIGILL/
@@ -28,8 +28,8 @@
 // must only be used from a single-threaded parent: fork() in a
 // multi-threaded process clones only the calling thread, so a child
 // forked while another thread holds (say) the malloc lock can deadlock.
-// The sweep scheduler guarantees this by not starting the deadline
-// supervisor thread in isolate mode.
+// The sweep scheduler guarantees this: its forked-child runner starts
+// no thread, the deadline supervisor included.
 #pragma once
 
 #include <sys/types.h>

@@ -11,10 +11,10 @@
 namespace samie::sim {
 
 SimResult run_simulation(const SimConfig& cfg, trace::TraceView trace) {
-  // One lane, stepped to completion in a single turn: the LaneEngine
-  // path and this path share the machine construction, the cycle loop
-  // and the integer-ledger fold, so lane-mode statistics are
-  // bit-identical to single-run statistics by construction.
+  // One lane, stepped to completion in a single turn: every caller that
+  // steps a lane shares this machine construction, cycle loop and
+  // integer-ledger fold, so a stepped lane's statistics are
+  // bit-identical to this run's by construction.
   const std::unique_ptr<Lane> lane = make_lane(cfg, trace);
   while (lane->step(std::numeric_limits<std::uint64_t>::max())) {
   }

@@ -1,5 +1,5 @@
-// Per-cycle occupancy-statistics collector, shared by the two machine
-// drivers (run_simulation's single lane and the LaneEngine's many).
+// Per-cycle occupancy-statistics collector, built into every sim::Lane
+// (run_simulation drives one lane to completion).
 //
 // Integrates occupancy-dependent statistics once per cycle: the paper's
 // active-area policy (Section 4.2) and the Figure 3/4 occupancy series.

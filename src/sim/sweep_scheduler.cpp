@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <condition_variable>
@@ -16,11 +17,9 @@
 #include <ostream>
 #include <sstream>
 #include <thread>
-#include <tuple>
 
 #include "src/core/core.h"
 #include "src/sim/checkpoint.h"
-#include "src/sim/lane_engine.h"
 #include "src/sim/proc_frame.h"
 #include "src/sim/process_executor.h"
 #include "src/sim/trace_cache.h"
@@ -129,193 +128,196 @@ class DeadlineSupervisor {
   return buf;
 }
 
-/// Checkpoint record payload for one completed job (TAB-separated):
-///   index, program, tag, attempts, wall, serialized SimResult
-[[nodiscard]] std::string encode_record(std::size_t index, const Job& job,
-                                        const JobOutcome& oc,
-                                        const SimResult& result) {
+// -- journal payloads ----------------------------------------------------------
+//
+// Every payload is TAB-separated and starts with the same prefix:
+//   index, program, tag, attempts, wall (hexfloat)
+// followed by the fields of its line kind:
+//   R (Completed):    serialized SimResult
+//   Q (Crashed):      signal, fault_addr (hex), backtrace frames joined by
+//                     '\x1f' (the crash decoder scrubbed tabs and newlines
+//                     from the frames, so the grammar holds)
+//   D (TraceDamaged): damage kind name, block (decimal;
+//                     TraceCorruptError::kNoBlock when unattributable),
+//                     byte offset
+
+/// Appends the journal line a sealed job leaves behind, if its ending
+/// has one: other endings are not journaled, so a resume re-runs them.
+void append_journal_line(CheckpointWriter& journal, std::size_t index,
+                         const Job& job, const JobOutcome& oc,
+                         const SimResult& result) {
   std::ostringstream os;
   os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << hex_double(oc.wall_seconds) << '\t'
-     << serialize_sim_result(result);
-  return os.str();
+     << '\t' << hex_double(oc.wall_seconds) << '\t';
+  switch (oc.status) {
+    case JobStatus::kCompleted:
+      os << serialize_sim_result(result);
+      journal.append_record(os.str());
+      return;
+    case JobStatus::kCrashed:
+      os << oc.crash.signal << '\t' << std::hex << oc.crash.fault_addr
+         << std::dec << '\t';
+      for (std::size_t i = 0; i < oc.crash.frames.size(); ++i) {
+        if (i != 0) os << '\x1f';
+        os << oc.crash.frames[i];
+      }
+      journal.append_quarantine(os.str());
+      return;
+    case JobStatus::kTraceDamaged:
+      os << trace::trace_damage_name(oc.damage) << '\t' << oc.damage_block
+         << '\t' << oc.damage_offset;
+      journal.append_damaged(os.str());
+      return;
+    default:
+      return;
+  }
 }
 
-struct DecodedRecord {
+/// One decoded journal payload: the shared prefix, then its line kind's
+/// fields (the last of which takes the rest of the payload).
+struct JournalLine {
   std::size_t index = 0;
   std::string program;
   std::string tag;
   std::uint32_t attempts = 0;
   double wall_seconds = 0.0;
-  SimResult result;
+  std::vector<std::string> fields;
 };
 
-[[nodiscard]] bool decode_record(const std::string& payload,
-                                 DecodedRecord& out) {
-  std::vector<std::string> fields;
-  std::size_t at = 0;
-  while (fields.size() < 5) {
-    const std::size_t tab = payload.find('\t', at);
-    if (tab == std::string::npos) return false;
-    fields.push_back(payload.substr(at, tab - at));
-    at = tab + 1;
-  }
-  char* end = nullptr;
-  errno = 0;
-  out.index = std::strtoull(fields[0].c_str(), &end, 10);
-  if (errno != 0 || end != fields[0].c_str() + fields[0].size()) return false;
-  out.program = fields[1];
-  out.tag = fields[2];
-  out.attempts =
-      static_cast<std::uint32_t>(std::strtoul(fields[3].c_str(), &end, 10));
-  if (end != fields[3].c_str() + fields[3].size()) return false;
-  out.wall_seconds = std::strtod(fields[4].c_str(), &end);
-  if (end != fields[4].c_str() + fields[4].size()) return false;
-  return parse_sim_result(payload.substr(at), out.result);
+[[nodiscard]] bool parsed_whole(const std::string& s, const char* end) {
+  return end == s.c_str() + s.size();
 }
 
-/// Quarantine payload for a job that crashed its isolated child
-/// (TAB-separated):
-///   index, program, tag, attempts, wall, signal, fault_addr (hex),
-///   backtrace frames joined by '\x1f'
-/// Frames were scrubbed of tabs/newlines by the crash decoder, so the
-/// grammar holds.
-[[nodiscard]] std::string encode_quarantine(std::size_t index, const Job& job,
-                                            const JobOutcome& oc) {
-  std::ostringstream os;
-  os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << hex_double(oc.wall_seconds) << '\t' << oc.crash.signal << '\t'
-     << std::hex << oc.crash.fault_addr << std::dec << '\t';
-  for (std::size_t i = 0; i < oc.crash.frames.size(); ++i) {
-    if (i != 0) os << '\x1f';
-    os << oc.crash.frames[i];
-  }
-  return os.str();
-}
-
-struct DecodedQuarantine {
-  std::size_t index = 0;
-  std::string program;
-  std::string tag;
-  std::uint32_t attempts = 0;
-  double wall_seconds = 0.0;
-  CrashRecord crash;
-};
-
-[[nodiscard]] bool decode_quarantine(const std::string& payload,
-                                     DecodedQuarantine& out) {
-  std::vector<std::string> fields;
+/// Splits `payload` into the prefix and `nfields` kind fields. False when
+/// the line is torn or a prefix number does not parse.
+[[nodiscard]] bool decode_journal_line(const std::string& payload,
+                                       std::size_t nfields, JournalLine& out) {
+  std::vector<std::string> f;
   std::size_t at = 0;
-  while (fields.size() < 7) {
+  while (f.size() < 4 + nfields) {
     const std::size_t tab = payload.find('\t', at);
     if (tab == std::string::npos) return false;
-    fields.push_back(payload.substr(at, tab - at));
+    f.push_back(payload.substr(at, tab - at));
     at = tab + 1;
   }
+  f.push_back(payload.substr(at));
   char* end = nullptr;
   errno = 0;
-  out.index = std::strtoull(fields[0].c_str(), &end, 10);
-  if (errno != 0 || end != fields[0].c_str() + fields[0].size()) return false;
-  out.program = fields[1];
-  out.tag = fields[2];
+  out.index = std::strtoull(f[0].c_str(), &end, 10);
+  if (errno != 0 || !parsed_whole(f[0], end)) return false;
+  out.program = f[1];
+  out.tag = f[2];
   out.attempts =
-      static_cast<std::uint32_t>(std::strtoul(fields[3].c_str(), &end, 10));
-  if (end != fields[3].c_str() + fields[3].size()) return false;
-  out.wall_seconds = std::strtod(fields[4].c_str(), &end);
-  if (end != fields[4].c_str() + fields[4].size()) return false;
-  out.crash.signal = static_cast<int>(std::strtol(fields[5].c_str(), &end, 10));
-  if (end != fields[5].c_str() + fields[5].size() || out.crash.signal == 0) {
-    return false;
-  }
-  out.crash.fault_addr = std::strtoull(fields[6].c_str(), &end, 16);
-  if (end != fields[6].c_str() + fields[6].size()) return false;
-  const std::string frames = payload.substr(at);
-  for (std::size_t from = 0; from <= frames.size() && !frames.empty();) {
-    std::size_t sep = frames.find('\x1f', from);
-    if (sep == std::string::npos) sep = frames.size();
-    if (sep > from) out.crash.frames.push_back(frames.substr(from, sep - from));
-    from = sep + 1;
-    if (sep == frames.size()) break;
-  }
+      static_cast<std::uint32_t>(std::strtoul(f[3].c_str(), &end, 10));
+  if (!parsed_whole(f[3], end)) return false;
+  out.wall_seconds = std::strtod(f[4].c_str(), &end);
+  if (!parsed_whole(f[4], end)) return false;
+  out.fields.assign(f.begin() + 5, f.end());
   return true;
 }
 
-/// Trace-damage payload for a job whose replay range touched corrupt
-/// blocks (TAB-separated):
-///   index, program, tag, attempts, wall, damage kind name, block
-///   (decimal; TraceCorruptError::kNoBlock when unattributable), offset
-[[nodiscard]] std::string encode_damaged(std::size_t index, const Job& job,
-                                         const JobOutcome& oc) {
-  std::ostringstream os;
-  os << index << '\t' << job.program << '\t' << job.tag << '\t' << oc.attempts
-     << '\t' << hex_double(oc.wall_seconds) << '\t'
-     << trace::trace_damage_name(oc.damage) << '\t' << oc.damage_block << '\t'
-     << oc.damage_offset;
-  return os.str();
+/// The identity check every journal line passes before it may seal a
+/// job: it names a job of this sweep (index in range, program and tag
+/// match) whose slot no earlier line sealed.
+[[nodiscard]] bool names_unsealed_job(const JournalLine& l,
+                                      const std::vector<Job>& jobs,
+                                      const std::vector<bool>& done) {
+  return l.index < jobs.size() && l.program == jobs[l.index].program &&
+         l.tag == jobs[l.index].tag && !done[l.index];
 }
 
-struct DecodedDamage {
-  std::size_t index = 0;
-  std::string program;
-  std::string tag;
-  std::uint32_t attempts = 0;
-  double wall_seconds = 0.0;
-  trace::TraceDamage damage = trace::TraceDamage::kNone;
-  std::uint64_t block = trace::TraceCorruptError::kNoBlock;
-  std::uint64_t offset = 0;
-};
+[[nodiscard]] bool decode_result_fields(const JournalLine& l, JobOutcome&,
+                                        SimResult& result) {
+  return parse_sim_result(l.fields[0], result);
+}
 
-[[nodiscard]] bool decode_damaged(const std::string& payload,
-                                  DecodedDamage& out) {
-  std::vector<std::string> fields;
-  std::size_t at = 0;
-  while (fields.size() < 7) {
-    const std::size_t tab = payload.find('\t', at);
-    if (tab == std::string::npos) return false;
-    fields.push_back(payload.substr(at, tab - at));
-    at = tab + 1;
-  }
-  fields.push_back(payload.substr(at));
+[[nodiscard]] bool decode_crash_fields(const JournalLine& l, JobOutcome& oc,
+                                       SimResult&) {
   char* end = nullptr;
-  errno = 0;
-  out.index = std::strtoull(fields[0].c_str(), &end, 10);
-  if (errno != 0 || end != fields[0].c_str() + fields[0].size()) return false;
-  out.program = fields[1];
-  out.tag = fields[2];
-  out.attempts =
-      static_cast<std::uint32_t>(std::strtoul(fields[3].c_str(), &end, 10));
-  if (end != fields[3].c_str() + fields[3].size()) return false;
-  out.wall_seconds = std::strtod(fields[4].c_str(), &end);
-  if (end != fields[4].c_str() + fields[4].size()) return false;
+  oc.crash.signal = static_cast<int>(std::strtol(l.fields[0].c_str(), &end, 10));
+  if (!parsed_whole(l.fields[0], end) || oc.crash.signal == 0) return false;
+  oc.crash.fault_addr = std::strtoull(l.fields[1].c_str(), &end, 16);
+  if (!parsed_whole(l.fields[1], end)) return false;
+  const std::string& frames = l.fields[2];
+  for (std::size_t from = 0; from <= frames.size() && !frames.empty();) {
+    std::size_t sep = frames.find('\x1f', from);
+    if (sep == std::string::npos) sep = frames.size();
+    if (sep > from) oc.crash.frames.push_back(frames.substr(from, sep - from));
+    from = sep + 1;
+    if (sep == frames.size()) break;
+  }
+  oc.term_signal = oc.crash.signal;
+  oc.what = "child crashed with " + signal_name(oc.crash.signal) +
+            " (quarantined by a previous run)";
+  return true;
+}
+
+[[nodiscard]] bool decode_damage_fields(const JournalLine& l, JobOutcome& oc,
+                                        SimResult&) {
   bool known = false;
   for (const trace::TraceDamage d :
        {trace::TraceDamage::kTornTail, trace::TraceDamage::kInteriorCorrupt,
         trace::TraceDamage::kBadIndex}) {
-    if (fields[5] == trace::trace_damage_name(d)) {
-      out.damage = d;
+    if (l.fields[0] == trace::trace_damage_name(d)) {
+      oc.damage = d;
       known = true;
       break;
     }
   }
   if (!known) return false;
-  out.block = std::strtoull(fields[6].c_str(), &end, 10);
-  if (end != fields[6].c_str() + fields[6].size()) return false;
-  out.offset = std::strtoull(fields[7].c_str(), &end, 10);
-  return end == fields[7].c_str() + fields[7].size();
+  char* end = nullptr;
+  oc.damage_block = std::strtoull(l.fields[1].c_str(), &end, 10);
+  if (!parsed_whole(l.fields[1], end)) return false;
+  oc.damage_offset = std::strtoull(l.fields[2].c_str(), &end, 10);
+  if (!parsed_whole(l.fields[2], end)) return false;
+  oc.what = std::string("trace damage (") + trace::trace_damage_name(oc.damage) +
+            ") quarantined by a previous run";
+  return true;
 }
 
-/// Seals a TraceCorruptError into the outcome's damage fields.
-void fill_damage(JobOutcome& oc, const trace::TraceCorruptError& e) {
-  oc.status = JobStatus::kTraceDamaged;
-  oc.failure = FailureClass::kDeterministic;
-  oc.what = e.what();
-  oc.damage = e.damage;
-  oc.damage_block = e.block;
-  oc.damage_offset = e.offset;
+/// Seals the jobs a previous run's journal finished: R lines as
+/// Completed, Q lines as Crashed, D lines as TraceDamaged. Crashes and
+/// trace damage are deterministic — re-running replays the crash or
+/// rereads the same bad bytes — so a resume seals them instead of
+/// re-attempting them, whichever runner it uses. A line that is torn,
+/// fails the identity check, or carries unparseable kind fields is
+/// counted as ignored.
+void seal_from_journal(const CheckpointContents& c,
+                       const std::vector<Job>& jobs, SweepReport& rep,
+                       std::vector<bool>& done) {
+  rep.checkpoint_lines_ignored = c.ignored_lines;
+  using Decode = bool (*)(const JournalLine&, JobOutcome&, SimResult&);
+  const auto seal = [&](const std::vector<std::string>& lines,
+                        std::size_t nfields, JobStatus status,
+                        Decode decode) {
+    for (const std::string& payload : lines) {
+      JournalLine l;
+      JobOutcome oc;
+      SimResult result;
+      if (!decode_journal_line(payload, nfields, l) ||
+          !names_unsealed_job(l, jobs, done) || !decode(l, oc, result)) {
+        ++rep.checkpoint_lines_ignored;
+        continue;
+      }
+      oc.status = status;
+      if (status != JobStatus::kCompleted) {
+        oc.failure = FailureClass::kDeterministic;
+      }
+      oc.attempts = l.attempts;
+      oc.wall_seconds = l.wall_seconds;
+      oc.from_checkpoint = true;
+      rep.jobs[l.index].outcome = std::move(oc);
+      rep.jobs[l.index].result = result;
+      done[l.index] = true;
+    }
+  };
+  seal(c.records, 1, JobStatus::kCompleted, decode_result_fields);
+  seal(c.quarantined, 3, JobStatus::kCrashed, decode_crash_fields);
+  seal(c.damaged, 3, JobStatus::kTraceDamaged, decode_damage_fields);
 }
 
 /// Arms an I/O fault kind on the job's trace path; the next open of
-/// that path (this attempt's traces_.get) consumes it.
+/// that path (this attempt's trace acquisition) consumes it.
 void arm_io_fault(const Job& job, const SweepFault& f) {
   trace::IoFault io;
   io.param = f.param;
@@ -376,677 +378,445 @@ void tally(SweepReport& rep) {
   }
 }
 
-/// Sharded batched-lane executor (SweepOptions::lanes x lane_shards):
-/// T worker shards, each owning a *private* LaneEngine of up to K
-/// lanes, pull jobs from a shared cursor + due-time retry queue and
-/// publish retirements into the per-index report slots. The job
-/// lifecycle mirrors the worker pool exactly — the same pre-run fault
-/// hooks, transient-retry policy with backoff (a retried job goes back
-/// on the shared queue, so the next attempt lands on whichever shard
-/// has a free lane first), cooperative deadline tokens (supervisor slot
-/// = shard x K + local lane), drain-to-Skipped past the failure budget
-/// and checkpoint journaling — and completed results are bit-identical
-/// (a lane *is* run_simulation sliced into turns, and lanes never share
-/// mutable simulation state), so the CSV a sharded lane sweep emits
-/// matches the threaded sweep byte for byte at any T. T=1 runs on the
-/// calling thread with no pool. Retry backoff never sleeps a shard:
-/// due-times sit on the queue while live lanes keep stepping, and an
-/// idle shard waits on the queue's condition variable with a deadline
-/// at the earliest due retry. Injected delay faults sleep only the
-/// shard running the faulted attempt; sibling shards keep stepping.
-class LaneExecutor {
+// -- the job lifecycle ---------------------------------------------------------
+
+/// One job on its way through the lifecycle: handed out by the queue,
+/// carried across retries, sealed exactly once.
+struct Ticket {
+  std::size_t index = 0;
+  std::uint32_t attempts = 0;  ///< attempts started, the current one included
+  Clock::time_point t0{};      ///< first attempt's start
+  Clock::time_point due{};     ///< a queued retry's earliest start
+};
+
+/// How one attempt ended: the outcome the job seals with if this was its
+/// last attempt, the failure behind it, and the result when it completed.
+struct Ending {
+  JobOutcome oc;
+  std::exception_ptr error;
+  SimResult result;
+};
+
+[[nodiscard]] Ending completed(SimResult result) {
+  Ending e;
+  e.oc.status = JobStatus::kCompleted;
+  e.result = std::move(result);
+  return e;
+}
+
+/// An ending whose status the runner observed directly (a process
+/// boundary fate) rather than through a thrown exception.
+[[nodiscard]] Ending observed(JobStatus status, FailureClass cls,
+                             const std::string& what) {
+  Ending e;
+  e.oc.status = status;
+  e.oc.failure = cls;
+  e.oc.what = what;
+  e.error = std::make_exception_ptr(std::runtime_error(what));
+  return e;
+}
+
+/// A thrown failure as the attempt's ending. Only the deadline sets a
+/// job's cancellation token, so a cooperative abort is a deadline
+/// expiry; verified trace damage seals as TraceDamaged with its
+/// location; anything else is Failed with its failure class.
+[[nodiscard]] Ending failed(const std::exception_ptr& error) {
+  Ending e;
+  e.error = error;
+  try {
+    std::rethrow_exception(error);
+  } catch (const core::SimulationAborted& x) {
+    e.oc.status = JobStatus::kTimedOut;
+    e.oc.what = x.what();
+    return e;
+  } catch (const trace::TraceCorruptError& x) {
+    e.oc.status = JobStatus::kTraceDamaged;
+    e.oc.failure = FailureClass::kDeterministic;
+    e.oc.what = x.what();
+    e.oc.damage = x.damage;
+    e.oc.damage_block = x.block;
+    e.oc.damage_offset = x.offset;
+    return e;
+  } catch (...) {
+  }
+  e.oc.status = JobStatus::kFailed;
+  e.oc.failure = classify_failure(error);
+  e.oc.what = what_of(error);
+  return e;
+}
+
+/// The lifecycle's one decision: a transient failure with attempts left
+/// retries once its backoff has passed; every other ending seals.
+[[nodiscard]] std::optional<Clock::time_point> retry_due(
+    const Ending& e, std::uint32_t attempts, const RetryPolicy& retry,
+    Clock::time_point now) {
+  if (e.oc.status != JobStatus::kFailed ||
+      e.oc.failure != FailureClass::kTransient ||
+      attempts >= retry.max_attempts) {
+    return std::nullopt;
+  }
+  return now + retry.backoff_for(attempts + 1);
+}
+
+/// The job lifecycle both runners drive. A due-time queue hands out
+/// attempts — due retries ahead of fresh jobs, fresh jobs in `todo`
+/// order, fresh jobs past the failure budget drained to Skipped — the
+/// runner performs each attempt, and end_attempt() applies the decision:
+/// queue the retry at its due time, or seal. Thread-safe: the in-thread
+/// runner's workers share one lifecycle, and the forked-child runner
+/// drives it from its single thread through the non-blocking try_take().
+class Lifecycle {
  public:
-  LaneExecutor(const std::vector<Job>& jobs,
-               const std::vector<std::size_t>& todo, const SweepOptions& opt,
-               SweepReport& rep, TraceCache& traces,
-               std::optional<DeadlineSupervisor>& supervisor,
-               std::optional<CheckpointWriter>& journal, unsigned shards)
+  Lifecycle(const std::vector<Job>& jobs, std::vector<std::size_t> todo,
+            const SweepOptions& opt, SweepReport& rep, TraceCache& traces,
+            CheckpointWriter* journal)
       : jobs_(jobs),
-        todo_(todo),
+        todo_(std::move(todo)),
         opt_(opt),
         rep_(rep),
         traces_(traces),
-        supervisor_(supervisor),
-        journal_(journal),
-        lanes_per_shard_(std::max(1U, opt.lanes)),
-        shards_(std::max(1U, shards)),
-        turn_(opt.lane_turn != 0 ? opt.lane_turn
-                                 : LaneEngine::kDefaultCyclesPerTurn) {}
+        journal_(journal) {}
 
-  void run() {
-    if (shards_ == 1) {
-      shard_main(0);
-    } else {
-      std::vector<std::thread> pool;
-      pool.reserve(shards_);
-      for (unsigned s = 0; s < shards_; ++s) {
-        pool.emplace_back([this, s] {
-          try {
-            shard_main(s);
-          } catch (...) {
-            // Defensive: per-job failures are outcomes, so only
-            // infrastructure (journal I/O, bad_alloc in bookkeeping)
-            // lands here. First exception wins; siblings drain out.
-            std::scoped_lock lock(mu_);
-            if (!panic_) panic_ = std::current_exception();
-            cv_.notify_all();
-          }
-        });
+  [[nodiscard]] const Job& job(const Ticket& t) const { return jobs_[t.index]; }
+  [[nodiscard]] TraceCache& traces() { return traces_; }
+
+  /// The next attempt ready to start, or nullopt when none is yet.
+  [[nodiscard]] std::optional<Ticket> try_take() {
+    std::scoped_lock lock(mu_);
+    return take_locked();
+  }
+
+  /// Blocks until an attempt is ready to start; nullopt once every job
+  /// has sealed or the sweep was aborted.
+  [[nodiscard]] std::optional<Ticket> take() {
+    std::unique_lock lock(mu_);
+    for (;;) {
+      if (panic_) return std::nullopt;
+      if (std::optional<Ticket> t = take_locked()) return t;
+      if (done_locked()) return std::nullopt;
+      Clock::time_point due = Clock::time_point::max();
+      for (const Ticket& r : retries_) due = std::min(due, r.due);
+      if (due == Clock::time_point::max()) {
+        cv_.wait(lock);
+      } else {
+        cv_.wait_until(lock, due);
       }
-      for (auto& th : pool) th.join();
     }
+  }
+
+  /// True once every job has sealed.
+  [[nodiscard]] bool done() const {
+    std::scoped_lock lock(mu_);
+    return done_locked();
+  }
+
+  /// The pre-run fault hook: looks up the fault planned for this
+  /// attempt, arms an I/O kind on the job's trace path (both runners
+  /// acquire the trace in this process, which consumes it) and returns
+  /// any other kind for the runner to perform where the attempt runs —
+  /// on the worker thread, or inside the forked child.
+  [[nodiscard]] const SweepFault* pre_run(const Ticket& t) const {
+    const SweepFault* f =
+        opt_.faults != nullptr ? opt_.faults->find(t.index, t.attempts)
+                               : nullptr;
+    if (f == nullptr || !SweepFault::is_io_fault(f->kind)) return f;
+    arm_io_fault(jobs_[t.index], *f);
+    return nullptr;
+  }
+
+  /// Applies the lifecycle decision to a finished attempt.
+  void end_attempt(Ticket t, Ending e) {
+    if (const std::optional<Clock::time_point> due =
+            retry_due(e, t.attempts, opt_.retry, Clock::now())) {
+      t.due = *due;
+      {
+        std::scoped_lock lock(mu_);
+        retries_.push_back(t);
+        --active_;
+      }
+      cv_.notify_all();
+      return;
+    }
+    seal(t, std::move(e));
+  }
+
+  /// Stops the sweep after an infrastructure failure on a worker thread
+  /// (journal I/O, bad_alloc in bookkeeping — per-job failures are
+  /// outcomes and never land here). The first failure wins; take()
+  /// returns nullopt to every worker, and rethrow_if_aborted() raises it
+  /// after the join.
+  void abort(std::exception_ptr error) {
+    {
+      std::scoped_lock lock(mu_);
+      if (!panic_) panic_ = std::move(error);
+    }
+    cv_.notify_all();
+  }
+
+  void rethrow_if_aborted() const {
     if (panic_) std::rethrow_exception(panic_);
   }
 
  private:
-  struct InFlight {
-    std::size_t index = 0;
-    unsigned slot = 0;  ///< global supervisor slot (shard x K + lane)
-    JobOutcome oc;
-    /// Stable address for the core's cooperative cancellation poll.
-    std::unique_ptr<std::atomic<bool>> cancel;
-    /// Keeps the mmapped/generated trace alive while the lane runs.
-    std::shared_ptr<const trace::TraceSource> trace;
-    Clock::time_point t0;  ///< first attempt start, carried across retries
-  };
-
-  /// A job waiting out its retry backoff on the shared queue. Only the
-  /// outcome-so-far travels — the next attempt rebuilds its cancel
-  /// token and trace reference on whichever shard picks it up.
-  struct PendingRetry {
-    std::size_t index = 0;
-    JobOutcome oc;
-    Clock::time_point t0;
-    Clock::time_point due;
-  };
-
-  /// One shard: a private engine stepping up to K lanes, refilled from
-  /// the shared queue. Returns when the sweep is complete (or a sibling
-  /// panicked).
-  void shard_main(unsigned shard) {
-    LaneEngine engine(turn_);
-    std::map<std::uint64_t, InFlight> inflight;
-    std::vector<unsigned> free_slots;
-    for (unsigned l = 0; l < lanes_per_shard_; ++l) {
-      free_slots.push_back(shard * lanes_per_shard_ + l);
+  [[nodiscard]] std::optional<Ticket> take_locked() {
+    const Clock::time_point now = Clock::now();
+    const auto due = std::find_if(retries_.begin(), retries_.end(),
+                                  [now](const Ticket& r) { return r.due <= now; });
+    if (due != retries_.end()) {
+      Ticket t = *due;
+      retries_.erase(due);
+      return start_locked(t);
     }
-    for (;;) {
-      refill(engine, inflight, free_slots);
-      if (engine.active() == 0) {
-        // Nothing runnable here. Either the sweep is done, or the only
-        // work left is a not-yet-due retry / jobs owned by other shards
-        // (which may still spawn retries) — wait for the earliest due
-        // time or a queue change.
-        std::unique_lock lock(mu_);
-        if (panic_ || done_locked()) return;
-        const Clock::time_point due = earliest_due_locked();
-        if (due == Clock::time_point::max()) {
-          cv_.wait(lock);
-        } else {
-          cv_.wait_until(lock, due);
-        }
+    while (cursor_ < todo_.size()) {
+      const std::size_t i = todo_[cursor_++];
+      if (opt_.max_failures != 0 && failures_ >= opt_.max_failures) {
+        // Drained: an explicit Skipped outcome, never a zero-stat row.
+        rep_.jobs[i].outcome.status = JobStatus::kSkipped;
+        rep_.jobs[i].outcome.attempts = 0;
+        traces_.finished(jobs_[i]);
         continue;
       }
-      auto ev = engine.run_until_event();
-      if (!ev) continue;
-      auto node = inflight.extract(ev->key);
-      InFlight& st = node.mapped();
-      if (supervisor_) supervisor_->disarm(st.slot);
-      free_slots.push_back(st.slot);
-      if (ev->ok) {
-        st.oc.status = JobStatus::kCompleted;
-        finalize(st, nullptr, &ev->result);
-      } else {
-        retry_or_finalize(st, ev->error);
-      }
+      Ticket t;
+      t.index = i;
+      t.t0 = now;
+      return start_locked(t);
     }
+    return std::nullopt;
   }
 
-  /// Admits work until this shard's lanes are full or the queue has
-  /// nothing runnable: due retries first (a backed-off job re-enters
-  /// ahead of fresh work), then fresh jobs off the shared cursor. Jobs
-  /// drained past the failure budget seal as Skipped here.
-  void refill(LaneEngine& engine, std::map<std::uint64_t, InFlight>& inflight,
-              std::vector<unsigned>& free_slots) {
-    while (!free_slots.empty()) {
-      InFlight st;
-      bool have = false;
-      std::vector<std::size_t> drained;
-      {
-        std::scoped_lock lock(mu_);
-        if (panic_) return;
-        const Clock::time_point now = Clock::now();
-        for (std::size_t k = 0; k < retries_.size(); ++k) {
-          if (retries_[k].due > now) continue;
-          PendingRetry r = std::move(retries_[k]);
-          retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(k));
-          st.index = r.index;
-          st.oc = std::move(r.oc);
-          st.t0 = r.t0;
-          ++active_jobs_;
-          have = true;
-          break;
-        }
-        while (!have && cursor_ < todo_.size()) {
-          const std::size_t i = todo_[cursor_++];
-          if (opt_.max_failures != 0 &&
-              failures_.load(std::memory_order_relaxed) >= opt_.max_failures) {
-            drained.push_back(i);
-            continue;
-          }
-          st.index = i;
-          st.t0 = Clock::now();
-          ++active_jobs_;
-          have = true;
-        }
-      }
-      for (const std::size_t i : drained) {
-        SweepJobResult& out = rep_.jobs[i];
-        out.outcome.status = JobStatus::kSkipped;
-        out.outcome.attempts = 0;
-        traces_.finished(jobs_[i]);
-      }
-      if (!have) return;
-      st.slot = free_slots.back();
-      free_slots.pop_back();
-      st.cancel = std::make_unique<std::atomic<bool>>(false);
-      const unsigned slot = st.slot;
-      if (start_attempt(engine, st)) {
-        inflight.emplace(st.index, std::move(st));
-      } else {
-        free_slots.push_back(slot);
-      }
-    }
-  }
-
-  /// Starts the job's next attempt on this shard: pre-run fault hook,
-  /// deadline arm, trace acquisition, lane admission. Pre-run failures
-  /// are classified; transient ones with budget left go back on the
-  /// shared retry queue (no shard ever sleeps out a backoff), terminal
-  /// ones seal the job. Returns true when the lane was admitted.
-  bool start_attempt(LaneEngine& engine, InFlight& st) {
-    const Job& job = jobs_[st.index];
-    const std::uint32_t attempt = ++st.oc.attempts;
-    st.cancel->store(false, std::memory_order_relaxed);
-    const SweepFault* fault =
-        opt_.faults != nullptr ? opt_.faults->find(st.index, attempt) : nullptr;
-    try {
-      if (supervisor_ && opt_.job_deadline.count() > 0) {
-        supervisor_->arm(st.slot, st.cancel.get(),
-                         Clock::now() + opt_.job_deadline);
-      }
-      if (fault != nullptr) {
-        switch (fault->kind) {
-          case SweepFault::Kind::kThrowTransient:
-            throw TransientFault("injected transient fault (job " +
-                                 std::to_string(st.index) + ", attempt " +
-                                 std::to_string(attempt) + ")");
-          case SweepFault::Kind::kThrowDeterministic:
-            throw std::logic_error("injected deterministic fault (job " +
-                                   std::to_string(st.index) + ", attempt " +
-                                   std::to_string(attempt) + ")");
-          case SweepFault::Kind::kDelay:
-            std::this_thread::sleep_for(fault->delay);
-            break;
-          case SweepFault::Kind::kSpuriousWake:
-            if (supervisor_) supervisor_->spurious_wake();
-            break;
-          case SweepFault::Kind::kShortRead:
-          case SweepFault::Kind::kBitFlipBlock:
-            // Armed on the trace path; the traces_.get below consumes
-            // it and surfaces the damage as TraceCorruptError.
-            arm_io_fault(job, *fault);
-            break;
-          case SweepFault::Kind::kCrash:
-          case SweepFault::Kind::kOom:
-          case SweepFault::Kind::kSpin:
-          case SweepFault::Kind::kTornFrame:
-          case SweepFault::Kind::kEnospcOnImport:
-          case SweepFault::Kind::kTornImport:
-            // Unreachable: run_sweep rejects isolation-only and
-            // import-only kinds before any executor starts.
-            break;
-        }
-      }
-      st.trace = traces_.get(job);
-      SimConfig cfg = job.config;
-      cfg.core.should_abort = st.cancel.get();
-      engine.add(st.index, make_lane(cfg, st.trace->view()));
-      return true;
-    } catch (const trace::TraceCorruptError& e) {
-      if (supervisor_) supervisor_->disarm(st.slot);
-      fill_damage(st.oc, e);
-      finalize(st, std::current_exception(), nullptr);
-      return false;
-    } catch (...) {
-      if (supervisor_) supervisor_->disarm(st.slot);
-      const std::exception_ptr error = std::current_exception();
-      const FailureClass cls = classify_failure(error);
-      if (cls == FailureClass::kTransient &&
-          attempt < opt_.retry.max_attempts) {
-        requeue(st);
-        return false;
-      }
-      st.oc.status = JobStatus::kFailed;
-      st.oc.failure = cls;
-      st.oc.what = what_of(error);
-      finalize(st, error, nullptr);
-      return false;
-    }
-  }
-
-  /// Handles a lane that retired by throwing: a cooperative abort is a
-  /// deadline expiry (terminal), a transient failure with attempts left
-  /// goes back on the shared retry queue, anything else is Failed.
-  void retry_or_finalize(InFlight& st, const std::exception_ptr& error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const core::SimulationAborted& e) {
-      st.oc.status = JobStatus::kTimedOut;
-      st.oc.what = e.what();
-      finalize(st, error, nullptr);
-      return;
-    } catch (const trace::TraceCorruptError& e) {
-      fill_damage(st.oc, e);
-      finalize(st, error, nullptr);
-      return;
-    } catch (...) {
-    }
-    const FailureClass cls = classify_failure(error);
-    if (cls == FailureClass::kTransient &&
-        st.oc.attempts < opt_.retry.max_attempts) {
-      st.trace.reset();  // dropped across the backoff; re-acquired on retry
-      requeue(st);
-      return;
-    }
-    st.oc.status = JobStatus::kFailed;
-    st.oc.failure = cls;
-    st.oc.what = what_of(error);
-    finalize(st, error, nullptr);
-  }
-
-  /// Queues the job's next attempt after backoff. Any shard may pick it
-  /// up; idle shards are woken so the earliest-due wait re-anchors.
-  void requeue(InFlight& st) {
-    PendingRetry r;
-    r.index = st.index;
-    r.oc = st.oc;
-    r.t0 = st.t0;
-    r.due = Clock::now() + opt_.retry.backoff_for(st.oc.attempts + 1);
-    {
-      std::scoped_lock lock(mu_);
-      retries_.push_back(std::move(r));
-      --active_jobs_;
-    }
-    cv_.notify_all();
-  }
-
-  /// Seals the job's slot in the report: wall clock, trace release,
-  /// journal append (completed only) and the failure tally for drain.
-  /// Each index is sealed by exactly one shard, so the report slot
-  /// needs no lock; the journal does.
-  void finalize(InFlight& st, const std::exception_ptr& error,
-                const SimResult* result) {
-    st.oc.wall_seconds = seconds_since(st.t0);
-    traces_.finished(jobs_[st.index]);
-    SweepJobResult& out = rep_.jobs[st.index];
-    out.outcome = st.oc;
-    out.error = error;
-    if (st.oc.status == JobStatus::kCompleted) {
-      out.result = *result;
-      if (journal_) {
-        std::scoped_lock lock(journal_mu_);
-        journal_->append_record(
-            encode_record(st.index, jobs_[st.index], st.oc, *result));
-      }
-    } else {
-      failures_.fetch_add(1, std::memory_order_relaxed);
-      if (st.oc.status == JobStatus::kTraceDamaged && journal_) {
-        std::scoped_lock lock(journal_mu_);
-        journal_->append_damaged(
-            encode_damaged(st.index, jobs_[st.index], st.oc));
-      }
-    }
-    {
-      std::scoped_lock lock(mu_);
-      --active_jobs_;
-    }
-    cv_.notify_all();
+  [[nodiscard]] Ticket start_locked(Ticket t) {
+    ++t.attempts;
+    ++active_;
+    return t;
   }
 
   [[nodiscard]] bool done_locked() const {
-    return cursor_ >= todo_.size() && retries_.empty() && active_jobs_ == 0;
+    return cursor_ >= todo_.size() && retries_.empty() && active_ == 0;
   }
 
-  [[nodiscard]] Clock::time_point earliest_due_locked() const {
-    Clock::time_point due = Clock::time_point::max();
-    for (const PendingRetry& r : retries_) due = std::min(due, r.due);
-    return due;
+  /// Seals the job: wall clock from its first attempt, trace release,
+  /// its journal line, the report slot and the failure count the drain
+  /// reads. Each index is sealed exactly once, so the report slot needs
+  /// no lock; the journal does.
+  void seal(const Ticket& t, Ending e) {
+    e.oc.attempts = t.attempts;
+    e.oc.wall_seconds = seconds_since(t.t0);
+    traces_.finished(jobs_[t.index]);
+    if (journal_ != nullptr) {
+      std::scoped_lock lock(journal_mu_);
+      append_journal_line(*journal_, t.index, jobs_[t.index], e.oc, e.result);
+    }
+    const bool failure = e.oc.status != JobStatus::kCompleted;
+    SweepJobResult& out = rep_.jobs[t.index];
+    out.outcome = std::move(e.oc);
+    out.error = std::move(e.error);
+    if (!failure) out.result = std::move(e.result);
+    {
+      std::scoped_lock lock(mu_);
+      --active_;
+      if (failure) ++failures_;
+    }
+    cv_.notify_all();
   }
 
   const std::vector<Job>& jobs_;
-  const std::vector<std::size_t>& todo_;
+  const std::vector<std::size_t> todo_;
   const SweepOptions& opt_;
   SweepReport& rep_;
   TraceCache& traces_;
-  std::optional<DeadlineSupervisor>& supervisor_;
-  std::optional<CheckpointWriter>& journal_;
-  const unsigned lanes_per_shard_;
-  const unsigned shards_;
-  const std::uint64_t turn_;
-
-  std::mutex mu_;  ///< guards cursor_, retries_, active_jobs_, panic_
-  std::condition_variable cv_;
-  std::size_t cursor_ = 0;      ///< next index into todo_
-  std::vector<PendingRetry> retries_;
-  std::size_t active_jobs_ = 0;  ///< jobs currently owned by a shard
-  std::exception_ptr panic_;
+  CheckpointWriter* journal_;
   std::mutex journal_mu_;
-  std::atomic<std::size_t> failures_{0};
+
+  mutable std::mutex mu_;  ///< guards the queue state below
+  std::condition_variable cv_;
+  std::size_t cursor_ = 0;       ///< next fresh job, as an index into todo_
+  std::vector<Ticket> retries_;  ///< failed attempts waiting out their backoff
+  std::size_t active_ = 0;       ///< tickets handed out, not yet sealed or requeued
+  std::size_t failures_ = 0;     ///< sealed jobs that did not complete
+  std::exception_ptr panic_;
 };
 
-/// Process-isolated executor (SweepOptions::isolate_procs): each job
-/// runs in a forked child under rlimit jails, supervised by this
-/// single-threaded policy loop. The job lifecycle mirrors the other
-/// executors — same fault hooks (isolation-only kinds execute inside
-/// the child), same transient-retry policy (retries wait non-blocking
-/// on a due list so live children keep getting reaped), same drain and
-/// journal semantics — plus the outcomes only a process boundary can
-/// produce: Crashed (fatal signal, quarantined in the journal with its
-/// forensics record), ResourceExceeded (rlimit jail or OOM kill), and
-/// hard-kill TimedOut for children that ignore the SIGTERM grace.
-/// Deadlines are enforced right here by escalation (SIGTERM → grace →
-/// SIGKILL), not by the DeadlineSupervisor thread: the parent stays
-/// single-threaded so fork() is safe, and a stuck child needs signals,
-/// not a token it will never poll. Completed results round-trip through
-/// the hexfloat frame codec and are bit-identical to the pool's.
-class IsolateExecutor {
- public:
-  IsolateExecutor(const std::vector<Job>& jobs,
-                  const std::vector<std::size_t>& todo,
-                  const SweepOptions& opt, SweepReport& rep,
-                  TraceCache& traces,
-                  std::optional<CheckpointWriter>& journal)
-      : jobs_(jobs),
-        todo_(todo),
-        opt_(opt),
-        rep_(rep),
-        traces_(traces),
-        journal_(journal),
-        procs_(std::max(1U, opt.isolate_procs)) {}
+// -- runners -------------------------------------------------------------------
 
-  void run() {
-    for (;;) {
-      start_due_retries();
-      refill();
-      if (inflight_.empty() && retries_.empty() && cursor_ >= todo_.size()) {
-        return;
-      }
-      enforce_deadlines();
-      if (auto ev = exec_.poll()) {
-        handle(*ev);
-        continue;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
+/// Performs an in-thread attempt's injected fault. run_sweep rejects the
+/// isolation-only and import-only kinds before any runner starts, and
+/// the pre-run hook already armed the I/O kinds.
+void perform_fault(const SweepFault& f, const Ticket& t,
+                   DeadlineSupervisor* supervisor) {
+  const std::string where = "(job " + std::to_string(t.index) + ", attempt " +
+                            std::to_string(t.attempts) + ")";
+  switch (f.kind) {
+    case SweepFault::Kind::kThrowTransient:
+      throw TransientFault("injected transient fault " + where);
+    case SweepFault::Kind::kThrowDeterministic:
+      throw std::logic_error("injected deterministic fault " + where);
+    case SweepFault::Kind::kDelay:
+      std::this_thread::sleep_for(f.delay);
+      return;
+    case SweepFault::Kind::kSpuriousWake:
+      if (supervisor != nullptr) supervisor->spurious_wake();
+      return;
+    default:
+      return;
   }
+}
 
- private:
+/// The in-thread runner: `threads` workers, each running one attempt at
+/// a time under the shared DeadlineSupervisor (slot = worker index). A
+/// worker never sleeps out a retry backoff: the retry waits on the queue
+/// while the worker takes the next ready job.
+void run_in_threads(Lifecycle& life, const SweepOptions& opt,
+                    unsigned threads, DeadlineSupervisor* supervisor) {
+  const auto worker = [&life, &opt, supervisor](unsigned slot) {
+    std::atomic<bool> cancel{false};
+    while (std::optional<Ticket> t = life.take()) {
+      const Job& job = life.job(*t);
+      cancel.store(false, std::memory_order_relaxed);
+      Ending end;
+      try {
+        if (supervisor != nullptr && opt.job_deadline.count() > 0) {
+          supervisor->arm(slot, &cancel, Clock::now() + opt.job_deadline);
+        }
+        if (const SweepFault* f = life.pre_run(*t)) {
+          perform_fault(*f, *t, supervisor);
+        }
+        const auto trace = life.traces().get(job);
+        SimConfig cfg = job.config;
+        cfg.core.should_abort = &cancel;
+        end = completed(run_simulation(cfg, trace->view()));
+      } catch (...) {
+        end = failed(std::current_exception());
+      }
+      if (supervisor != nullptr) supervisor->disarm(slot);
+      life.end_attempt(*t, std::move(end));
+    }
+  };
+  std::vector<std::thread> pool;
+  pool.reserve(threads);
+  try {
+    for (unsigned s = 0; s < threads; ++s) {
+      pool.emplace_back([&life, &worker, s] {
+        try {
+          worker(s);
+        } catch (...) {
+          life.abort(std::current_exception());
+        }
+      });
+    }
+  } catch (...) {
+    // A thread that failed to start: stop the ones that did, then join.
+    life.abort(std::current_exception());
+  }
+  for (auto& th : pool) th.join();
+  life.rethrow_if_aborted();
+}
+
+/// A reaped child's fate as the attempt's ending. An error frame names
+/// the child's failure class; it is rebuilt here as the exception that
+/// class stands for, so both runners' endings go through failed().
+[[nodiscard]] Ending ending_of(const ProcessExecutor::Event& ev) {
+  using Fate = ProcessExecutor::FateKind;
+  Ending e;
+  switch (ev.fate) {
+    case Fate::kResult:
+      e = completed(ev.result);
+      break;
+    case Fate::kError:
+      if (ev.error_class == kErrResource) {
+        e = observed(JobStatus::kResourceExceeded,
+                     FailureClass::kDeterministic, ev.what);
+      } else if (ev.error_class == kErrAborted) {
+        // Only the deadline SIGTERM flips the child's token, so an
+        // aborted frame is a deadline expiry that unwound cleanly.
+        e = failed(std::make_exception_ptr(core::SimulationAborted(ev.what)));
+      } else if (ev.error_class == kErrTransient) {
+        e = failed(std::make_exception_ptr(TransientFault(ev.what)));
+      } else {
+        e = failed(std::make_exception_ptr(std::runtime_error(ev.what)));
+      }
+      break;
+    case Fate::kKilled:
+      e = observed(JobStatus::kTimedOut, FailureClass::kNone, ev.what);
+      break;
+    case Fate::kCrashed:
+      e = observed(JobStatus::kCrashed, FailureClass::kDeterministic, ev.what);
+      e.oc.crash = ev.crash;
+      break;
+    case Fate::kResourceExceeded:
+      e = observed(JobStatus::kResourceExceeded, FailureClass::kDeterministic,
+                   ev.what);
+      break;
+    case Fate::kBadFrame:
+    case Fate::kBadExit:
+      e = observed(JobStatus::kFailed, FailureClass::kDeterministic, ev.what);
+      break;
+  }
+  e.oc.term_signal = ev.signal;
+  return e;
+}
+
+/// The forked-child runner: each attempt runs in a forked child under
+/// rlimit jails (src/sim/process_executor.h), at most `isolate_procs`
+/// alive at once, supervised by this single-threaded loop — the parent
+/// starts no thread, so fork() stays safe. That is also why deadlines
+/// are enforced here by escalation (SIGTERM at the deadline, SIGKILL
+/// once the grace expires) instead of by the DeadlineSupervisor: a stuck
+/// child needs signals, not a token it will never poll. The parent
+/// acquires each trace before forking (the child reads the inherited
+/// mapping), so trace damage is found parent-side without forking, and
+/// it drops its reference when it reaps the child, so a job that
+/// crashes or is killed cannot pin its mapping.
+void run_forked(Lifecycle& life, const SweepOptions& opt) {
   struct InFlight {
-    std::size_t index = 0;
-    JobOutcome oc;
-    /// Keeps the trace mapping alive in the parent while the child
-    /// reads the inherited copy; released on reap via finalize().
+    Ticket ticket;
     std::shared_ptr<const trace::TraceSource> trace;
-    Clock::time_point job_t0;                        ///< first attempt start
     Clock::time_point deadline = Clock::time_point::max();
     Clock::time_point kill_at = Clock::time_point::max();
     bool termed = false;
   };
-
-  struct PendingRetry {
-    std::size_t index = 0;
-    JobOutcome oc;  ///< attempts so far carried across the backoff
-    Clock::time_point job_t0;
-    Clock::time_point due;
-  };
-
-  /// Admits fresh jobs until the process slots are full.
-  void refill() {
-    while (inflight_.size() < procs_ && cursor_ < todo_.size()) {
-      const std::size_t i = todo_[cursor_++];
-      if (opt_.max_failures != 0 && failures_ >= opt_.max_failures) {
-        SweepJobResult& out = rep_.jobs[i];
-        out.outcome.status = JobStatus::kSkipped;
-        out.outcome.attempts = 0;
-        traces_.finished(jobs_[i]);
+  ProcessExecutor exec;
+  std::map<std::uint64_t, InFlight> inflight;
+  const std::size_t procs = std::max(1U, opt.isolate_procs);
+  for (;;) {
+    while (inflight.size() < procs) {
+      const std::optional<Ticket> t = life.try_take();
+      if (!t) break;
+      const Job& job = life.job(*t);
+      InFlight st;
+      st.ticket = *t;
+      try {
+        const SweepFault* fault = life.pre_run(*t);
+        st.trace = life.traces().get(job);
+        exec.spawn(t->index, job.config, st.trace->view(), fault,
+                   ChildLimits{opt.job_mem_mb, opt.job_cpu_s});
+      } catch (...) {
+        life.end_attempt(*t, failed(std::current_exception()));
         continue;
       }
-      InFlight st;
-      st.index = i;
-      st.job_t0 = Clock::now();
-      spawn_attempt(std::move(st));
+      if (opt.job_deadline.count() > 0) {
+        st.deadline = Clock::now() + opt.job_deadline;
+      }
+      inflight.emplace(t->index, std::move(st));
     }
-  }
-
-  void start_due_retries() {
+    if (inflight.empty() && life.done()) return;
     const Clock::time_point now = Clock::now();
-    for (std::size_t k = 0; k < retries_.size();) {
-      if (inflight_.size() >= procs_ || retries_[k].due > now) {
-        ++k;
-        continue;
-      }
-      PendingRetry r = std::move(retries_[k]);
-      retries_.erase(retries_.begin() + static_cast<std::ptrdiff_t>(k));
-      InFlight st;
-      st.index = r.index;
-      st.oc = std::move(r.oc);
-      st.job_t0 = r.job_t0;
-      spawn_attempt(std::move(st));
-    }
-  }
-
-  /// Starts the next attempt for `st` (its attempts count is the number
-  /// already made). Parent-side failures — trace build, pipe, fork —
-  /// are classified like any job failure: transient ones go on the
-  /// retry list, terminal ones seal the slot.
-  void spawn_attempt(InFlight st) {
-    const std::size_t i = st.index;
-    const Job& job = jobs_[i];
-    const std::uint32_t attempt = ++st.oc.attempts;
-    const SweepFault* fault =
-        opt_.faults != nullptr ? opt_.faults->find(i, attempt) : nullptr;
-    try {
-      // I/O faults fire against the parent-side trace open (the parent
-      // acquires the trace and the child inherits the mapping), so
-      // damage is detected here and never even forks a child.
-      if (fault != nullptr && SweepFault::is_io_fault(fault->kind)) {
-        arm_io_fault(job, *fault);
-        fault = nullptr;  // nothing left for the child to perform
-      }
-      st.trace = traces_.get(job);
-      exec_.spawn(i, job.config, st.trace->view(), fault,
-                  ChildLimits{opt_.job_mem_mb, opt_.job_cpu_s});
-    } catch (const trace::TraceCorruptError& e) {
-      fill_damage(st.oc, e);
-      finalize(st, std::current_exception(), nullptr);
-      return;
-    } catch (...) {
-      const std::exception_ptr error = std::current_exception();
-      if (!retry_later(st, classify_failure(error))) {
-        st.oc.status = JobStatus::kFailed;
-        st.oc.failure = classify_failure(error);
-        st.oc.what = what_of(error);
-        finalize(st, error, nullptr);
-      }
-      return;
-    }
-    if (opt_.job_deadline.count() > 0) {
-      st.deadline = Clock::now() + opt_.job_deadline;
-    }
-    inflight_.emplace(i, std::move(st));
-  }
-
-  /// Queues another attempt after backoff when the failure was
-  /// transient and the budget allows; returns false when terminal.
-  bool retry_later(InFlight& st, FailureClass cls) {
-    if (cls != FailureClass::kTransient ||
-        st.oc.attempts >= opt_.retry.max_attempts) {
-      return false;
-    }
-    PendingRetry r;
-    r.index = st.index;
-    r.oc = st.oc;
-    r.job_t0 = st.job_t0;
-    r.due = Clock::now() + opt_.retry.backoff_for(st.oc.attempts + 1);
-    retries_.push_back(std::move(r));
-    return true;
-  }
-
-  /// Deadline escalation: SIGTERM at the deadline (the child's handler
-  /// flips its cancel token; a cooperative child unwinds into an
-  /// "aborted" frame), SIGKILL once the grace expires.
-  void enforce_deadlines() {
-    const Clock::time_point now = Clock::now();
-    for (auto& [key, st] : inflight_) {
+    for (auto& [key, st] : inflight) {
       if (!st.termed && now >= st.deadline) {
         st.termed = true;
-        st.kill_at = now + opt_.kill_grace;
-        exec_.term(key);
+        st.kill_at = now + opt.kill_grace;
+        exec.term(key);
       } else if (st.termed && now >= st.kill_at) {
-        exec_.kill(key);
+        exec.kill(key);
       }
     }
-  }
-
-  /// Maps a reaped child's fate into the outcome taxonomy.
-  void handle(const ProcessExecutor::Event& ev) {
-    auto node = inflight_.extract(ev.key);
-    InFlight& st = node.mapped();
-    using Fate = ProcessExecutor::FateKind;
-    st.oc.term_signal = ev.signal;
-    switch (ev.fate) {
-      case Fate::kResult:
-        st.oc.status = JobStatus::kCompleted;
-        finalize(st, nullptr, &ev.result);
-        return;
-      case Fate::kError:
-        if (ev.error_class == kErrAborted) {
-          // Only the deadline SIGTERM flips the child's token, so an
-          // aborted frame is a deadline expiry that unwound cleanly.
-          st.oc.status = JobStatus::kTimedOut;
-          st.oc.what = ev.what;
-          finalize(st,
-                   std::make_exception_ptr(core::SimulationAborted(ev.what)),
-                   nullptr);
-          return;
-        }
-        if (ev.error_class == kErrResource) {
-          st.oc.status = JobStatus::kResourceExceeded;
-          st.oc.failure = FailureClass::kDeterministic;
-          st.oc.what = ev.what;
-          finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                   nullptr);
-          return;
-        }
-        if (ev.error_class == kErrTransient &&
-            retry_later(st, FailureClass::kTransient)) {
-          traces_release_only(st);
-          return;
-        }
-        st.oc.status = JobStatus::kFailed;
-        st.oc.failure = ev.error_class == kErrTransient
-                            ? FailureClass::kTransient
-                            : FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        finalize(st,
-                 ev.error_class == kErrTransient
-                     ? std::make_exception_ptr(TransientFault(ev.what))
-                     : std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kKilled:
-        st.oc.status = JobStatus::kTimedOut;
-        st.oc.what = ev.what;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kCrashed:
-        st.oc.status = JobStatus::kCrashed;
-        st.oc.failure = FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        st.oc.crash = ev.crash;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kResourceExceeded:
-        st.oc.status = JobStatus::kResourceExceeded;
-        st.oc.failure = FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
-      case Fate::kBadFrame:
-      case Fate::kBadExit:
-        st.oc.status = JobStatus::kFailed;
-        st.oc.failure = FailureClass::kDeterministic;
-        st.oc.what = ev.what;
-        finalize(st, std::make_exception_ptr(std::runtime_error(ev.what)),
-                 nullptr);
-        return;
+    if (const std::optional<ProcessExecutor::Event> ev = exec.poll()) {
+      const auto node = inflight.extract(ev->key);
+      life.end_attempt(node.mapped().ticket, ending_of(*ev));
+      continue;
     }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-
-  /// A retried job drops its trace reference across the backoff (the
-  /// cache keeps the source; the next attempt re-acquires it) without
-  /// decrementing the cache's pending count — that happens exactly once
-  /// per job, in finalize().
-  void traces_release_only(InFlight& st) { st.trace.reset(); }
-
-  /// Seals the job's report slot. This is the residency-leak fix for
-  /// child-failure paths: the *parent* releases the trace when it reaps
-  /// the child, so a job that SIGSEGVs or gets SIGKILLed cannot pin its
-  /// mapping for the rest of the sweep. Crashed jobs are quarantined in
-  /// the journal so a resume skips the known-poison job.
-  void finalize(InFlight& st, const std::exception_ptr& error,
-                const SimResult* result) {
-    st.oc.wall_seconds = seconds_since(st.job_t0);
-    traces_.finished(jobs_[st.index]);
-    SweepJobResult& out = rep_.jobs[st.index];
-    out.outcome = st.oc;
-    out.error = error;
-    if (st.oc.status == JobStatus::kCompleted) {
-      out.result = *result;
-      if (journal_) {
-        journal_->append_record(
-            encode_record(st.index, jobs_[st.index], st.oc, *result));
-      }
-    } else {
-      ++failures_;
-      if (st.oc.status == JobStatus::kCrashed && journal_) {
-        journal_->append_quarantine(
-            encode_quarantine(st.index, jobs_[st.index], st.oc));
-      }
-      if (st.oc.status == JobStatus::kTraceDamaged && journal_) {
-        journal_->append_damaged(
-            encode_damaged(st.index, jobs_[st.index], st.oc));
-      }
-    }
-  }
-
-  const std::vector<Job>& jobs_;
-  const std::vector<std::size_t>& todo_;
-  const SweepOptions& opt_;
-  SweepReport& rep_;
-  TraceCache& traces_;
-  std::optional<CheckpointWriter>& journal_;
-  ProcessExecutor exec_;
-  std::map<std::uint64_t, InFlight> inflight_;
-  std::vector<PendingRetry> retries_;
-  std::size_t procs_;
-  std::size_t cursor_ = 0;   ///< next index into todo_
-  std::size_t failures_ = 0;
-};
+}
 
 }  // namespace
 
@@ -1142,18 +912,6 @@ std::uint64_t sweep_fingerprint(const std::vector<Job>& jobs) {
 }
 
 SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
-  if (opt.lanes != 0 && opt.isolate_procs != 0) {
-    throw std::invalid_argument(
-        "lanes and isolate_procs are mutually exclusive executors");
-  }
-  if (opt.lane_shards != 0 && opt.lanes == 0) {
-    throw std::invalid_argument(
-        "lane_shards requires the batched-lane executor (lanes)");
-  }
-  if (opt.lane_turn != 0 && opt.lanes == 0) {
-    throw std::invalid_argument(
-        "lane_turn requires the batched-lane executor (lanes)");
-  }
   if (opt.faults != nullptr) {
     for (const SweepFault& f : opt.faults->faults) {
       if (SweepFault::needs_isolation(f.kind) && opt.isolate_procs == 0) {
@@ -1191,86 +949,21 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   rep.jobs.resize(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) rep.jobs[i].job = jobs[i];
 
-  // -- checkpoint: load finished jobs, open the journal --------------------
+  // -- checkpoint: seal journaled jobs, open the journal -------------------
   std::vector<bool> done(jobs.size(), false);
   std::optional<CheckpointWriter> journal;
   if (!opt.checkpoint_path.empty()) {
     require_journalable(jobs);
     const std::uint64_t fingerprint = sweep_fingerprint(jobs);
     if (opt.resume && std::filesystem::exists(opt.checkpoint_path)) {
-      CheckpointContents c = load_checkpoint(opt.checkpoint_path);
+      const CheckpointContents c = load_checkpoint(opt.checkpoint_path);
       if (c.njobs != jobs.size() || c.fingerprint != fingerprint) {
         throw CheckpointError(
             opt.checkpoint_path +
             ": checkpoint belongs to a different sweep (job list or "
             "configuration changed) — delete it or fix the command line");
       }
-      rep.checkpoint_lines_ignored = c.ignored_lines;
-      for (const std::string& payload : c.records) {
-        DecodedRecord rec;
-        if (!decode_record(payload, rec) || rec.index >= jobs.size() ||
-            rec.program != jobs[rec.index].program ||
-            rec.tag != jobs[rec.index].tag) {
-          ++rep.checkpoint_lines_ignored;
-          continue;
-        }
-        SweepJobResult& out = rep.jobs[rec.index];
-        out.result = rec.result;
-        out.outcome.status = JobStatus::kCompleted;
-        out.outcome.attempts = rec.attempts;
-        out.outcome.wall_seconds = rec.wall_seconds;
-        out.outcome.from_checkpoint = true;
-        done[rec.index] = true;
-      }
-      // Quarantine records: a previous run's child crashed on this job.
-      // Deterministic by definition — re-running replays the crash — so
-      // the job is sealed as Crashed instead of re-attempted, whichever
-      // executor the resume uses.
-      for (const std::string& payload : c.quarantined) {
-        DecodedQuarantine q;
-        if (!decode_quarantine(payload, q) || q.index >= jobs.size() ||
-            q.program != jobs[q.index].program ||
-            q.tag != jobs[q.index].tag || done[q.index]) {
-          ++rep.checkpoint_lines_ignored;
-          continue;
-        }
-        SweepJobResult& out = rep.jobs[q.index];
-        out.outcome.status = JobStatus::kCrashed;
-        out.outcome.failure = FailureClass::kDeterministic;
-        out.outcome.attempts = q.attempts;
-        out.outcome.wall_seconds = q.wall_seconds;
-        out.outcome.from_checkpoint = true;
-        out.outcome.term_signal = q.crash.signal;
-        out.outcome.what = "child crashed with " + signal_name(q.crash.signal) +
-                           " (quarantined by a previous run)";
-        out.outcome.crash = std::move(q.crash);
-        done[q.index] = true;
-      }
-      // Trace-damage records: a previous run verified that this job's
-      // replay range touches corrupt blocks. Deterministic — the file
-      // doesn't heal — so the job seals as TraceDamaged, not re-run.
-      for (const std::string& payload : c.damaged) {
-        DecodedDamage d;
-        if (!decode_damaged(payload, d) || d.index >= jobs.size() ||
-            d.program != jobs[d.index].program ||
-            d.tag != jobs[d.index].tag || done[d.index]) {
-          ++rep.checkpoint_lines_ignored;
-          continue;
-        }
-        SweepJobResult& out = rep.jobs[d.index];
-        out.outcome.status = JobStatus::kTraceDamaged;
-        out.outcome.failure = FailureClass::kDeterministic;
-        out.outcome.attempts = d.attempts;
-        out.outcome.wall_seconds = d.wall_seconds;
-        out.outcome.from_checkpoint = true;
-        out.outcome.damage = d.damage;
-        out.outcome.damage_block = d.block;
-        out.outcome.damage_offset = d.offset;
-        out.outcome.what =
-            std::string("trace damage (") + trace::trace_damage_name(d.damage) +
-            ") quarantined by a previous run";
-        done[d.index] = true;
-      }
+      seal_from_journal(c, jobs, rep, done);
       journal = CheckpointWriter::append_to(opt.checkpoint_path);
     } else {
       journal = CheckpointWriter::create(opt.checkpoint_path, jobs.size(),
@@ -1284,177 +977,23 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   }
 
   TraceCache traces(jobs, done);
-  // Shard count for the lane executor: explicit lane_shards, else the
-  // host's bench parallelism, clamped to the runnable job count (a
-  // shard with nothing to ever run is pure thread-spawn overhead).
-  unsigned lane_shards = 0;
-  if (opt.lanes != 0) {
-    lane_shards = opt.lane_shards != 0 ? opt.lane_shards : bench_threads();
-    lane_shards = std::max(
-        1U, std::min<unsigned>(lane_shards,
-                               static_cast<unsigned>(std::max<std::size_t>(
-                                   1, todo.size()))));
-  }
-  const bool wants_wake_faults =
-      opt.faults != nullptr &&
-      std::any_of(opt.faults->faults.begin(), opt.faults->faults.end(),
-                  [](const SweepFault& f) {
-                    return f.kind == SweepFault::Kind::kSpuriousWake;
-                  });
-  // Isolate mode enforces deadlines by signal escalation in the parent
-  // loop, and the parent must stay single-threaded so fork() is safe —
-  // no supervisor thread.
-  std::optional<DeadlineSupervisor> supervisor;
-  if (opt.isolate_procs == 0 &&
-      (opt.job_deadline.count() > 0 || wants_wake_faults)) {
-    supervisor.emplace(opt.lanes != 0 ? lane_shards * std::max(1U, opt.lanes)
-                                      : threads);
-  }
-
+  Lifecycle life(jobs, std::move(todo), opt, rep, traces,
+                 journal ? &*journal : nullptr);
   if (opt.isolate_procs != 0) {
-    IsolateExecutor(jobs, todo, opt, rep, traces, journal).run();
-    rep.trace_resident_high_water = traces.resident_high_water();
-    tally(rep);
-    return rep;
-  }
-
-  if (opt.lanes != 0) {
-    LaneExecutor(jobs, todo, opt, rep, traces, supervisor, journal,
-                 lane_shards)
-        .run();
-    rep.trace_resident_high_water = traces.resident_high_water();
-    tally(rep);
-    return rep;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::atomic<std::size_t> failures{0};
-  std::mutex journal_mu;
-
-  auto worker = [&](unsigned slot) {
-    std::atomic<bool> cancel{false};
-    for (;;) {
-      const std::size_t k = next.fetch_add(1);
-      if (k >= todo.size()) return;
-      const std::size_t i = todo[k];
-      const Job& job = jobs[i];
-      SweepJobResult& out = rep.jobs[i];
-
-      // Drain semantics: past the failure budget, remaining jobs are
-      // reported Skipped — an explicit outcome, never a zero-stat row.
-      if (opt.max_failures != 0 &&
-          failures.load(std::memory_order_relaxed) >= opt.max_failures) {
-        out.outcome.status = JobStatus::kSkipped;
-        out.outcome.attempts = 0;
-        traces.finished(job);
-        continue;
-      }
-
-      JobOutcome oc;
-      std::exception_ptr error;
-      SimResult result;
-      const auto job_t0 = Clock::now();
-      for (std::uint32_t attempt = 1;; ++attempt) {
-        oc.attempts = attempt;
-        cancel.store(false, std::memory_order_relaxed);
-        const SweepFault* fault =
-            opt.faults != nullptr ? opt.faults->find(i, attempt) : nullptr;
-        try {
-          if (supervisor && opt.job_deadline.count() > 0) {
-            supervisor->arm(slot, &cancel, Clock::now() + opt.job_deadline);
-          }
-          if (fault != nullptr) {
-            switch (fault->kind) {
-              case SweepFault::Kind::kThrowTransient:
-                throw TransientFault("injected transient fault (job " +
-                                     std::to_string(i) + ", attempt " +
-                                     std::to_string(attempt) + ")");
-              case SweepFault::Kind::kThrowDeterministic:
-                throw std::logic_error("injected deterministic fault (job " +
-                                       std::to_string(i) + ", attempt " +
-                                       std::to_string(attempt) + ")");
-              case SweepFault::Kind::kDelay:
-                std::this_thread::sleep_for(fault->delay);
-                break;
-              case SweepFault::Kind::kSpuriousWake:
-                if (supervisor) supervisor->spurious_wake();
-                break;
-              case SweepFault::Kind::kShortRead:
-              case SweepFault::Kind::kBitFlipBlock:
-                arm_io_fault(job, *fault);
-                break;
-              case SweepFault::Kind::kCrash:
-              case SweepFault::Kind::kOom:
-              case SweepFault::Kind::kSpin:
-              case SweepFault::Kind::kTornFrame:
-              case SweepFault::Kind::kEnospcOnImport:
-              case SweepFault::Kind::kTornImport:
-                // Unreachable: run_sweep rejects isolation-only and
-                // import-only kinds before any executor starts.
-                break;
-            }
-          }
-          const auto t = traces.get(job);
-          SimConfig cfg = job.config;
-          cfg.core.should_abort = &cancel;
-          result = run_simulation(cfg, t->view());
-          if (supervisor) supervisor->disarm(slot);
-          oc.status = JobStatus::kCompleted;
-          break;
-        } catch (const core::SimulationAborted& e) {
-          // Only the deadline supervisor sets this job's token, so an
-          // abort is by definition a deadline expiry. Terminal: the
-          // same job would spend the same wall clock again.
-          if (supervisor) supervisor->disarm(slot);
-          oc.status = JobStatus::kTimedOut;
-          oc.what = e.what();
-          error = std::current_exception();
-          break;
-        } catch (const trace::TraceCorruptError& e) {
-          if (supervisor) supervisor->disarm(slot);
-          fill_damage(oc, e);
-          error = std::current_exception();
-          break;
-        } catch (...) {
-          if (supervisor) supervisor->disarm(slot);
-          error = std::current_exception();
-          const FailureClass cls = classify_failure(error);
-          if (cls == FailureClass::kTransient &&
-              attempt < opt.retry.max_attempts) {
-            std::this_thread::sleep_for(opt.retry.backoff_for(attempt + 1));
-            continue;
-          }
-          oc.status = JobStatus::kFailed;
-          oc.failure = cls;
-          oc.what = what_of(error);
-          break;
-        }
-      }
-      oc.wall_seconds = seconds_since(job_t0);
-      traces.finished(job);
-
-      out.outcome = oc;
-      out.error = error;
-      if (oc.status == JobStatus::kCompleted) {
-        out.result = result;
-        if (journal) {
-          std::scoped_lock lock(journal_mu);
-          journal->append_record(encode_record(i, job, oc, result));
-        }
-      } else {
-        failures.fetch_add(1, std::memory_order_relaxed);
-        if (oc.status == JobStatus::kTraceDamaged && journal) {
-          std::scoped_lock lock(journal_mu);
-          journal->append_damaged(encode_damaged(i, job, oc));
-        }
-      }
+    run_forked(life, opt);
+  } else {
+    const bool wants_wake_faults =
+        opt.faults != nullptr &&
+        std::any_of(opt.faults->faults.begin(), opt.faults->faults.end(),
+                    [](const SweepFault& f) {
+                      return f.kind == SweepFault::Kind::kSpuriousWake;
+                    });
+    std::optional<DeadlineSupervisor> supervisor;
+    if (opt.job_deadline.count() > 0 || wants_wake_faults) {
+      supervisor.emplace(threads);
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (unsigned s = 0; s < threads; ++s) pool.emplace_back(worker, s);
-  for (auto& th : pool) th.join();
+    run_in_threads(life, opt, threads, supervisor ? &*supervisor : nullptr);
+  }
 
   rep.trace_resident_high_water = traces.resident_high_water();
   tally(rep);

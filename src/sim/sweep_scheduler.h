@@ -1,5 +1,5 @@
-// Supervised sweep scheduler: runs (config, trace) jobs over a worker
-// pool where a failing job is an *outcome*, not a poison pill.
+// Supervised sweep scheduler: runs (config, trace) jobs through one job
+// lifecycle where a failing job is an *outcome*, not a poison pill.
 //
 // The fail-fast pool this replaces (run_jobs pre-PR 6) parked the first
 // exception, stopped handing out work and rethrew after join — one
@@ -35,11 +35,15 @@
 // a trace still being written or an I/O flake — and the fault-injection
 // TransientFault) or deterministic (logic_error, watchdog throws,
 // everything else). Transient failures retry up to RetryPolicy::
-// max_attempts with capped exponential backoff; deterministic ones fail
-// immediately. Deadlines are enforced cooperatively: a supervisor thread
-// sets a per-job atomic token when the deadline passes, and the core's
-// cycle loop polls it on stepped cycles (off the fast-forward path —
-// statistics stay bit-identical whether or not a token is wired).
+// max_attempts with capped exponential backoff — the retry waits on the
+// sweep's due-time queue, never on a worker, which takes the next ready
+// job meanwhile; deterministic ones fail immediately. Two runners drive
+// the lifecycle: in-thread workers (SweepOptions::threads) and forked
+// children (SweepOptions::isolate_procs). In-thread deadlines are
+// cooperative: a supervisor thread sets a per-job atomic token when the
+// deadline passes, and the core's cycle loop polls it on stepped cycles
+// (off the fast-forward path — statistics stay bit-identical whether or
+// not a token is wired).
 //
 // Completed jobs are journaled incrementally to a crash-safe checkpoint
 // (src/sim/checkpoint.h) so an interrupted sweep resumes with
@@ -165,8 +169,8 @@ struct SweepFault {
     kThrowDeterministic,  ///< throw std::logic_error (not retried)
     kDelay,               ///< sleep `delay` first (drives deadline tests)
     kSpuriousWake,        ///< wake the deadline supervisor for no reason
-    // The kinds below run inside an isolated child and are rejected by
-    // the in-process executors (they would take the whole sweep down —
+    // The kinds below run inside a forked child and are rejected by
+    // the in-thread runner (they would take the whole sweep down —
     // which is exactly the failure mode isolation exists to contain).
     kCrash,      ///< dereference a poisoned pointer (SIGSEGV + forensics)
     kOom,        ///< allocation bomb into the RLIMIT_AS jail
@@ -192,7 +196,7 @@ struct SweepFault {
            k == Kind::kTornFrame;
   }
   /// True for kinds that arm a trace::set_io_fault on the job's trace
-  /// path instead of acting inside the executor.
+  /// path instead of acting inside the runner.
   [[nodiscard]] static constexpr bool is_io_fault(Kind k) noexcept {
     return k == Kind::kShortRead || k == Kind::kBitFlipBlock ||
            k == Kind::kEnospcOnImport || k == Kind::kTornImport;
@@ -221,38 +225,15 @@ struct SweepFaultPlan {
 };
 
 struct SweepOptions {
-  /// Worker threads; 0 picks bench_threads().
+  /// In-thread runner's worker threads; 0 picks bench_threads().
   unsigned threads = 0;
-  /// Batched-lane executor: when nonzero, jobs run as interleaved
-  /// machines stepped by earliest-wake LaneEngines (src/sim/
-  /// lane_engine.h) — up to `lanes` lanes per shard — instead of one
-  /// thread per job. Outcome semantics — retries, deadlines, fault
-  /// hooks, drain, checkpointing — are identical, and completed results
-  /// are bit-identical to the worker pool's, so the CSV a lane sweep
-  /// emits matches byte for byte. `threads` is ignored in lane mode
-  /// (`lane_shards` is the parallelism knob).
-  unsigned lanes = 0;
-  /// Lane mode only: worker shards, each owning a private LaneEngine of
-  /// up to `lanes` lanes and pulling jobs from the shared due-time
-  /// queue. 0 picks bench_threads(); 1 runs the sweep on the calling
-  /// thread. Results are independent of the shard count by construction
-  /// (lanes never share mutable state), so any T emits the same CSV.
-  /// Rejected when `lanes` is 0.
-  unsigned lane_shards = 0;
-  /// Lane mode only: stepped cycles per lane turn; 0 picks
-  /// LaneEngine::kDefaultCyclesPerTurn (4096). Any N >= 1 is
-  /// outcome-identical — the turn size slices each lane's cycle loop
-  /// without reordering it — so this is purely a scheduling-granularity
-  /// / cache-locality knob. Rejected when `lanes` is 0.
-  std::uint64_t lane_turn = 0;
-  /// Process-isolated executor: when nonzero, each job runs in a forked
+  /// Forked-child runner: when nonzero, each attempt runs in a forked
   /// child under resource jails (src/sim/process_executor.h) with up to
-  /// `isolate_procs` children alive at once — the first true multi-core
-  /// sweep parallelism, and the only executor that survives a job that
-  /// SIGSEGVs, aborts, or spins past the cooperative cancel check.
-  /// Results come back over a guarded pipe frame and are bit-identical
-  /// to the in-process executors. Mutually exclusive with `lanes`;
-  /// `threads` is ignored (the parent supervisor is single-threaded).
+  /// `isolate_procs` children alive at once — the only runner that
+  /// survives a job that SIGSEGVs, aborts, or spins past the cooperative
+  /// cancel check. Results come back over a guarded pipe frame and are
+  /// bit-identical to the in-thread runner's. `threads` is ignored (the
+  /// parent supervisor is single-threaded).
   unsigned isolate_procs = 0;
   /// RLIMIT_AS cap per child, in MiB (0 = no cap). The cap covers the
   /// whole child address space, inherited image included. Allocation
@@ -269,8 +250,8 @@ struct SweepOptions {
   RetryPolicy retry;
   /// Per-job wall-clock deadline; zero disables the supervisor.
   std::chrono::milliseconds job_deadline{0};
-  /// Drain after this many Failed/TimedOut jobs (0 = never): workers
-  /// stop starting new jobs, which then report Skipped.
+  /// Drain after this many jobs sealed without completing (0 = never):
+  /// the queue stops starting fresh jobs, which then report Skipped.
   std::size_t max_failures = 0;
   /// Journal completed jobs here (empty = no checkpointing). With
   /// `resume`, an existing journal is validated against the job list
@@ -300,8 +281,8 @@ struct SweepReport {
   /// High-water mark of trace sources resident in the sweep's cache —
   /// the residency-release regression probe: with release-on-last-
   /// consumer working, this tracks the traces concurrently in flight
-  /// (<= threads / lanes x shards / isolate_procs, plus build overlap),
-  /// not the total number of distinct traces the sweep touched.
+  /// (<= threads / isolate_procs, plus build overlap) and the traces
+  /// later jobs still share, not every distinct trace the sweep touched.
   std::size_t trace_resident_high_water = 0;
 
   [[nodiscard]] bool all_completed() const noexcept {
@@ -318,8 +299,7 @@ struct SweepReport {
 
 /// Runs the sweep. Never throws for per-job failures — those are
 /// outcomes. Throws CheckpointError (bad/mismatched journal on resume)
-/// and std::invalid_argument (unjournalable job names, `lanes` combined
-/// with `isolate_procs`, `lane_shards`/`lane_turn` without `lanes`, an
+/// and std::invalid_argument (unjournalable job names, an
 /// isolation-only fault kind without `isolate_procs`, an oom fault
 /// without a `job_mem_mb` jail, an import-only I/O fault kind, or an
 /// I/O fault aimed at a job with no trace file) before any job has

@@ -16,11 +16,11 @@
 // (resume-skipped jobs excluded), and finished() counts them back down.
 // When a key's last consumer finishes, the cache drops its own
 // shared_ptr — so a generated trace's buffer frees, and a mapped SAMT
-// file unmaps, the moment the last lane/worker/child over it lets go of
-// its reference. This is what keeps a K-lane sweep's peak RSS
-// proportional to the K traces in flight rather than to every trace the
-// sweep ever touched; resident_high_water() is the regression probe for
-// exactly that.
+// file unmaps, the moment the last worker/child over it lets go of its
+// reference. This is what keeps a sweep's peak RSS proportional to the
+// traces in flight (and those later jobs still share) rather than to
+// every trace the sweep ever touched; resident_high_water() is the
+// regression probe for exactly that.
 #pragma once
 
 #include <condition_variable>

@@ -3,7 +3,7 @@
 //
 // The v2 footer index makes block boundaries addressable, so a single
 // long recording can run as N block-aligned shard jobs — each an
-// ordinary sweep job (pool, lanes or an isolated child), each decoding
+// ordinary sweep job (a worker thread or a forked child), each decoding
 // only its own blocks. Every shard replays a warm-up prefix ahead of its
 // measured range and reports *measured-region* statistics as the
 // difference of two complete runs (ShardLane in lane_engine.cpp):

@@ -55,6 +55,10 @@ struct MicroOp {
   RegId dst = kNoReg;
   /// Branches: actual direction.
   bool taken = false;
+  /// The two bytes that would otherwise be padding, made a real
+  /// zero-initialized field: every byte of a record then has a defined
+  /// value, so records compare with memcmp and serialize byte-stably.
+  std::uint8_t pad_[2] = {0, 0};
 };
 
 static_assert(sizeof(MicroOp) <= 48, "MicroOp should stay compact");

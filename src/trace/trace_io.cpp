@@ -5,7 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -23,28 +22,6 @@ namespace samie::trace {
 namespace {
 
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/// Writes the record into `dst` in canonical form: the MicroOp fields
-/// copied one by one into a zeroed staging object whose full object
-/// representation is then memcpy'd, so padding bytes are
-/// deterministically zero and the same trace always produces
-/// byte-identical files (copy *assignment* would not do — it need not
-/// preserve padding).
-void canonical_record(const MicroOp& op, MicroOp* dst) noexcept {
-  MicroOp r;
-  std::memset(static_cast<void*>(&r), 0, sizeof r);
-  r.pc = op.pc;
-  r.mem_addr = op.mem_addr;
-  r.br_target = op.br_target;
-  r.value = op.value;
-  r.op = op.op;
-  r.mem_size = op.mem_size;
-  r.src1 = op.src1;
-  r.src2 = op.src2;
-  r.dst = op.dst;
-  r.taken = op.taken;
-  std::memcpy(static_cast<void*>(dst), &r, sizeof r);
-}
 
 [[noreturn]] void fail(const std::string& path, const std::string& what) {
   throw TraceFormatError(path + ": " + what);
@@ -226,18 +203,15 @@ void TraceWriter::append(const MicroOp& op) {
 
 void TraceWriter::append(TraceView ops) {
   if (file_ == nullptr) fail(path_, "append after finish()");
-  std::array<MicroOp, 256> chunk;
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    const std::size_t n = std::min(ops.size() - i, chunk.size());
-    for (std::size_t j = 0; j < n; ++j) canonical_record(ops[i + j], &chunk[j]);
-    checksum_ = fnv1a_64(chunk.data(), n * sizeof(MicroOp), checksum_);
-    if (std::fwrite(chunk.data(), sizeof(MicroOp), n, file_) != n) {
-      fail(path_, "short write");
-    }
-    header_.count += n;
-    i += n;
+  if (ops.empty()) return;  // an empty view may carry a null data()
+  // Records are written as they are: MicroOp has no padding bytes, so
+  // its object representation is already the canonical record.
+  checksum_ = fnv1a_64(ops.data(), ops.size() * sizeof(MicroOp), checksum_);
+  if (std::fwrite(ops.data(), sizeof(MicroOp), ops.size(), file_) !=
+      ops.size()) {
+    fail(path_, "short write");
   }
+  header_.count += ops.size();
 }
 
 void TraceWriter::finish() {
@@ -855,9 +829,7 @@ void TraceWriterV2::append(const MicroOp& op) {
 void TraceWriterV2::append(TraceView ops) {
   if (file_ == nullptr) fail(path_, "append after finish()");
   for (const MicroOp& op : ops) {
-    MicroOp canon;
-    canonical_record(op, &canon);
-    pending_.push_back(canon);
+    pending_.push_back(op);
     if (pending_.size() == block_records_) flush_block();
   }
 }

@@ -105,6 +105,7 @@ static_assert(offsetof(MicroOp, src1) == 34);
 static_assert(offsetof(MicroOp, src2) == 35);
 static_assert(offsetof(MicroOp, dst) == 36);
 static_assert(offsetof(MicroOp, taken) == 37);
+static_assert(offsetof(MicroOp, pad_) == 38);
 
 /// FNV-1a 64-bit over `n` bytes, continuing from `h` (pass the offset
 /// basis for a fresh hash).

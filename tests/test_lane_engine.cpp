@@ -1,30 +1,17 @@
-// Differential tests for the batched-lane execution path (src/sim/
-// lane_engine.h) and the sweep's sharded lane executor (SweepOptions::
-// lanes / lane_shards / lane_turn): a lane stepped in arbitrary turn
-// sizes must reproduce run_simulation bit for bit, the earliest-wake
-// engine must retire every lane with bit-identical results, and a
-// lane-mode sweep must match the threaded sweep exactly across all LSQ
-// kinds and every shard count — including under injected transient
-// faults (retried, possibly onto a different shard), deterministic
-// faults (isolated), deadline cancellation and the max-failures drain.
-// All faults are deterministic via SweepFaultPlan.
+// Tests for sim::Lane (src/sim/lane_engine.h), the resumable machine
+// run_simulation drives: a lane stepped in arbitrary turn sizes must
+// reproduce run_simulation bit for bit, and a turn must budget stepped
+// cycles, so a quiescent fast-forward costs one unit of it.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
-#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
 #include "src/sim/lane_engine.h"
 #include "src/sim/simulator.h"
-#include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_source.h"
 
@@ -48,7 +35,7 @@ const sim::LsqChoice kAllLsqs[] = {
     sim::LsqChoice::kConventional, sim::LsqChoice::kUnbounded,
     sim::LsqChoice::kArb, sim::LsqChoice::kSamie};
 
-TEST(LaneEngine, SteppedLaneIsBitIdenticalToRunSimulation) {
+TEST(Lane, SteppedLaneIsBitIdenticalToRunSimulation) {
   // Slicing the cycle loop into turns of any size must not change a
   // single statistic: step() shares run()'s loop body verbatim.
   for (const sim::LsqChoice lsq : kAllLsqs) {
@@ -67,179 +54,12 @@ TEST(LaneEngine, SteppedLaneIsBitIdenticalToRunSimulation) {
   }
 }
 
-TEST(LaneEngine, RoundRobinRetiresEveryLaneBitIdentically) {
-  // Many interleaved machines, one thread: each retirement must carry
-  // the same result as its program run in isolation.
-  const char* programs[] = {"gcc", "ammp", "mcf", "crafty", "art"};
-  const sim::SimConfig cfg = small_config(sim::LsqChoice::kSamie);
-  std::vector<trace::TraceSource> traces;
-  std::vector<std::string> expected;
-  for (const char* p : programs) {
-    traces.push_back(trace_for(cfg, p));
-    expected.push_back(
-        sim::serialize_sim_result(sim::run_simulation(cfg, traces.back().view())));
-  }
-  sim::LaneEngine engine(/*cycles_per_turn=*/512);
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    engine.add(i, sim::make_lane(cfg, traces[i].view()));
-  }
-  std::vector<bool> seen(traces.size(), false);
-  while (auto ev = engine.run_until_event()) {
-    ASSERT_TRUE(ev->ok);
-    ASSERT_LT(ev->key, traces.size());
-    EXPECT_FALSE(seen[ev->key]);
-    seen[ev->key] = true;
-    EXPECT_EQ(sim::serialize_sim_result(ev->result), expected[ev->key])
-        << programs[ev->key];
-  }
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_TRUE(seen[i]) << programs[i];
-  }
-  EXPECT_EQ(engine.active(), 0U);
-}
-
-/// Sweep over three programs for one LSQ kind; `mutate` tweaks options.
-[[nodiscard]] sim::SweepReport sweep_three(
-    sim::LsqChoice lsq, const sim::SweepOptions& opt) {
-  const sim::SimConfig cfg = small_config(lsq, 3000);
-  std::vector<sim::Job> jobs;
-  for (const char* p : {"gcc", "ammp", "mcf"}) {
-    jobs.push_back(sim::Job{p, cfg, sim::lsq_choice_name(lsq)});
-  }
-  return sim::run_sweep(jobs, opt);
-}
-
-TEST(LaneSweep, MatchesThreadedSweepAcrossAllLsqKinds) {
-  for (const sim::LsqChoice lsq :
-       {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
-        sim::LsqChoice::kSamie}) {
-    sim::SweepOptions threaded;
-    threaded.threads = 2;
-    const sim::SweepReport a = sweep_three(lsq, threaded);
-    sim::SweepOptions laned;
-    laned.lanes = 2;
-    const sim::SweepReport b = sweep_three(lsq, laned);
-    ASSERT_TRUE(a.all_completed());
-    ASSERT_TRUE(b.all_completed());
-    ASSERT_EQ(a.jobs.size(), b.jobs.size());
-    for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-      EXPECT_EQ(sim::serialize_sim_result(a.jobs[i].result),
-                sim::serialize_sim_result(b.jobs[i].result))
-          << sim::lsq_choice_name(lsq) << " job " << i;
-    }
-  }
-}
-
-TEST(LaneSweep, TransientFaultsAreRetriedToTheSameResults) {
-  // Inject transient throws at several (job, attempt) points; the lane
-  // executor must retry through them and still produce results equal to
-  // the clean threaded sweep.
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({0, 1, sim::SweepFault::Kind::kThrowTransient, {}});
-  plan.faults.push_back({2, 1, sim::SweepFault::Kind::kThrowTransient, {}});
-  plan.faults.push_back({2, 2, sim::SweepFault::Kind::kThrowTransient, {}});
-
-  sim::SweepOptions clean;
-  clean.threads = 2;
-  const sim::SweepReport want = sweep_three(sim::LsqChoice::kSamie, clean);
-
-  sim::SweepOptions laned;
-  laned.lanes = 3;
-  laned.retry.max_attempts = 3;
-  laned.retry.backoff_base = std::chrono::milliseconds(1);
-  laned.faults = &plan;
-  const sim::SweepReport got = sweep_three(sim::LsqChoice::kSamie, laned);
-
-  ASSERT_TRUE(got.all_completed());
-  EXPECT_EQ(got.jobs[0].outcome.attempts, 2U);
-  EXPECT_EQ(got.jobs[1].outcome.attempts, 1U);
-  EXPECT_EQ(got.jobs[2].outcome.attempts, 3U);
-  for (std::size_t i = 0; i < want.jobs.size(); ++i) {
-    EXPECT_EQ(sim::serialize_sim_result(got.jobs[i].result),
-              sim::serialize_sim_result(want.jobs[i].result))
-        << "job " << i;
-  }
-}
-
-TEST(LaneSweep, DeterministicFaultIsolatesOnlyThatJob) {
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({1, 1, sim::SweepFault::Kind::kThrowDeterministic, {}});
-  sim::SweepOptions laned;
-  laned.lanes = 2;
-  laned.faults = &plan;
-  const sim::SweepReport rep = sweep_three(sim::LsqChoice::kSamie, laned);
-  EXPECT_EQ(rep.completed, 2U);
-  EXPECT_EQ(rep.failed, 1U);
-  EXPECT_EQ(rep.jobs[1].outcome.status, sim::JobStatus::kFailed);
-  EXPECT_EQ(rep.jobs[1].outcome.failure, sim::FailureClass::kDeterministic);
-  EXPECT_EQ(rep.jobs[1].outcome.attempts, 1U);
-  EXPECT_TRUE(rep.jobs[0].completed());
-  EXPECT_TRUE(rep.jobs[2].completed());
-}
-
-TEST(LaneSweep, MaxFailuresDrainsUnstartedJobsToSkipped) {
-  // One lane, so jobs start strictly in order: job 0 fails, and the
-  // failure budget (1) drains jobs 1 and 2 to Skipped.
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({0, 1, sim::SweepFault::Kind::kThrowDeterministic, {}});
-  sim::SweepOptions laned;
-  laned.lanes = 1;
-  laned.max_failures = 1;
-  laned.faults = &plan;
-  const sim::SweepReport rep = sweep_three(sim::LsqChoice::kSamie, laned);
-  EXPECT_EQ(rep.failed, 1U);
-  EXPECT_EQ(rep.skipped, 2U);
-  EXPECT_EQ(rep.jobs[1].outcome.status, sim::JobStatus::kSkipped);
-  EXPECT_EQ(rep.jobs[2].outcome.status, sim::JobStatus::kSkipped);
-}
-
-TEST(LaneSweep, LaneCheckpointResumesIntoThreadedSweepBitIdentically) {
-  // A lane sweep journals like the threaded one: fail one job under a
-  // checkpoint, resume with the *threaded* executor, and the combined
-  // results must equal a clean run — executors share one journal format.
-  const std::string ckpt =
-      (std::filesystem::temp_directory_path() /
-       ("samie_lane_ckpt_" + std::to_string(::getpid()) + ".ckpt"))
-          .string();
-  std::filesystem::remove(ckpt);
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({1, 1, sim::SweepFault::Kind::kThrowDeterministic, {}});
-  sim::SweepOptions first;
-  first.lanes = 2;
-  first.faults = &plan;
-  first.checkpoint_path = ckpt;
-  const sim::SweepReport partial = sweep_three(sim::LsqChoice::kSamie, first);
-  ASSERT_EQ(partial.completed, 2U);
-
-  sim::SweepOptions second;
-  second.threads = 2;
-  second.checkpoint_path = ckpt;
-  second.resume = true;
-  const sim::SweepReport resumed = sweep_three(sim::LsqChoice::kSamie, second);
-  EXPECT_TRUE(resumed.all_completed());
-  EXPECT_EQ(resumed.resumed, 2U);
-
-  sim::SweepOptions clean;
-  clean.threads = 2;
-  const sim::SweepReport want = sweep_three(sim::LsqChoice::kSamie, clean);
-  for (std::size_t i = 0; i < want.jobs.size(); ++i) {
-    EXPECT_EQ(sim::serialize_sim_result(resumed.jobs[i].result),
-              sim::serialize_sim_result(want.jobs[i].result))
-        << "job " << i;
-  }
-  std::filesystem::remove(ckpt);
-}
-
-TEST(LaneEngine, RejectsZeroCyclesPerTurn) {
-  EXPECT_THROW(sim::LaneEngine engine(0), std::invalid_argument);
-}
-
-TEST(LaneEngine, QuiescentFastForwardReducesTurnCount) {
-  // The wake-aware contract: a turn budgets *stepped* cycles, and a
-  // quiescent-cycle fast-forward consumes one budget unit regardless of
-  // jump width. A lane over the same trace must therefore need strictly
-  // fewer step() calls with the fast-forward on than with always_step —
-  // while producing bit-identical statistics.
+TEST(Lane, QuiescentFastForwardReducesTurnCount) {
+  // A turn budgets *stepped* cycles, and a quiescent-cycle fast-forward
+  // consumes one budget unit regardless of jump width. A lane over the
+  // same trace must therefore need strictly fewer step() calls with the
+  // fast-forward on than with always_step — while producing
+  // bit-identical statistics.
   sim::SimConfig skip_cfg = small_config(sim::LsqChoice::kSamie);
   sim::SimConfig step_cfg = skip_cfg;
   step_cfg.core.always_step = true;
@@ -260,184 +80,6 @@ TEST(LaneEngine, QuiescentFastForwardReducesTurnCount) {
   EXPECT_LT(skip_turns, step_turns);
   EXPECT_EQ(skipped.core.cycles, walked.core.cycles);
   EXPECT_EQ(skipped.core.committed, walked.core.committed);
-}
-
-TEST(LaneEngine, WakeHintNeverPrecedesTheCurrentCycle) {
-  // next_wake_cycle() is a pure scheduling hint: it must be safe for
-  // the engine to sort on at any point of a lane's life, including
-  // before the first step and right after a fast-forward jump.
-  const sim::SimConfig cfg = small_config(sim::LsqChoice::kSamie);
-  const trace::TraceSource src = trace_for(cfg, "mcf");
-  std::unique_ptr<sim::Lane> lane = sim::make_lane(cfg, src.view());
-  std::uint64_t stepped_floor = 0;
-  (void)lane->next_wake_cycle();  // must not throw pre-step
-  while (lane->step(64)) {
-    // The hint names an absolute cycle at or beyond everything already
-    // simulated; with 64 stepped cycles per turn the simulated clock is
-    // at least the turn count, so the hint may never fall below it.
-    EXPECT_GE(lane->next_wake_cycle(), stepped_floor);
-    ++stepped_floor;
-  }
-}
-
-/// Serializes every job result of a completed sweep for whole-report
-/// equality checks (outcome-order sensitive on purpose).
-[[nodiscard]] std::string sweep_digest(const sim::SweepReport& rep) {
-  std::string out;
-  for (const auto& jr : rep.jobs) {
-    out += sim::serialize_sim_result(jr.result);
-    out += '\n';
-  }
-  return out;
-}
-
-TEST(ShardedLaneSweep, ByteIdenticalAcrossShardCountsAndToPool) {
-  // The whole point of the sharded executor: T is a throughput knob,
-  // never an outcome knob. Every shard count — including more shards
-  // than jobs — must reproduce the worker pool bit for bit.
-  for (const sim::LsqChoice lsq :
-       {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
-        sim::LsqChoice::kSamie}) {
-    sim::SweepOptions pool;
-    pool.threads = 2;
-    const std::string want = sweep_digest(sweep_three(lsq, pool));
-    for (const unsigned shards : {1U, 2U, 8U}) {
-      sim::SweepOptions laned;
-      laned.lanes = 2;
-      laned.lane_shards = shards;
-      const sim::SweepReport rep = sweep_three(lsq, laned);
-      ASSERT_TRUE(rep.all_completed())
-          << sim::lsq_choice_name(lsq) << " shards=" << shards;
-      EXPECT_EQ(sweep_digest(rep), want)
-          << sim::lsq_choice_name(lsq) << " shards=" << shards;
-    }
-  }
-}
-
-TEST(ShardedLaneSweep, TurnSizeIsOutcomeInvariantAcrossShards) {
-  sim::SweepOptions base;
-  base.lanes = 2;
-  base.lane_shards = 1;
-  const std::string want = sweep_digest(sweep_three(sim::LsqChoice::kSamie, base));
-  for (const std::uint64_t turn : {1ULL, 37ULL, 1ULL << 20}) {
-    sim::SweepOptions laned = base;
-    laned.lane_shards = 2;
-    laned.lane_turn = turn;
-    EXPECT_EQ(sweep_digest(sweep_three(sim::LsqChoice::kSamie, laned)), want)
-        << "turn=" << turn;
-  }
-}
-
-TEST(ShardedLaneSweep, RejectsShardAndTurnKnobsWithoutLanes) {
-  sim::SweepOptions shards_only;
-  shards_only.lane_shards = 2;
-  EXPECT_THROW(sweep_three(sim::LsqChoice::kSamie, shards_only),
-               std::invalid_argument);
-  sim::SweepOptions turn_only;
-  turn_only.lane_turn = 512;
-  EXPECT_THROW(sweep_three(sim::LsqChoice::kSamie, turn_only),
-               std::invalid_argument);
-}
-
-TEST(ShardedLaneSweep, TransientFaultsRetryAcrossShardsToTheSameResults) {
-  // Retries go back to the shared due-time queue, so a retried job may
-  // land on a different shard than its first attempt. Attempt counts
-  // and results must match the single-shard run regardless.
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({0, 1, sim::SweepFault::Kind::kThrowTransient, {}});
-  plan.faults.push_back({2, 1, sim::SweepFault::Kind::kThrowTransient, {}});
-  plan.faults.push_back({2, 2, sim::SweepFault::Kind::kThrowTransient, {}});
-
-  sim::SweepOptions clean;
-  clean.threads = 2;
-  const sim::SweepReport want = sweep_three(sim::LsqChoice::kSamie, clean);
-
-  sim::SweepOptions laned;
-  laned.lanes = 2;
-  laned.lane_shards = 2;
-  laned.retry.max_attempts = 3;
-  laned.retry.backoff_base = std::chrono::milliseconds(1);
-  laned.faults = &plan;
-  const sim::SweepReport got = sweep_three(sim::LsqChoice::kSamie, laned);
-
-  ASSERT_TRUE(got.all_completed());
-  EXPECT_EQ(got.jobs[0].outcome.attempts, 2U);
-  EXPECT_EQ(got.jobs[1].outcome.attempts, 1U);
-  EXPECT_EQ(got.jobs[2].outcome.attempts, 3U);
-  EXPECT_EQ(sweep_digest(got), sweep_digest(want));
-}
-
-TEST(ShardedLaneSweep, DeadlineCancelDoesNotStallSiblingJobs) {
-  // Job 1 sleeps through its deadline; its cancellation must be
-  // contained — the other shard's jobs complete normally and the sweep
-  // itself terminates (no shard waits forever on the cancelled job).
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({1, 1, sim::SweepFault::Kind::kDelay,
-                         std::chrono::milliseconds(300)});
-  sim::SweepOptions laned;
-  laned.lanes = 1;
-  laned.lane_shards = 2;
-  laned.retry.max_attempts = 1;
-  laned.job_deadline = std::chrono::milliseconds(50);
-  laned.faults = &plan;
-  const sim::SweepReport rep = sweep_three(sim::LsqChoice::kSamie, laned);
-  EXPECT_EQ(rep.jobs[1].outcome.status, sim::JobStatus::kTimedOut);
-  EXPECT_TRUE(rep.jobs[0].completed());
-  EXPECT_TRUE(rep.jobs[2].completed());
-  EXPECT_EQ(rep.completed, 2U);
-  EXPECT_EQ(rep.timed_out, 1U);
-}
-
-TEST(ShardedLaneSweep, CheckpointInterchangesWithPoolInBothDirections) {
-  // Scheduling topology is excluded from the sweep fingerprint by
-  // design: a journal written by the sharded executor must resume under
-  // the pool, and vice versa, to the clean run's exact results.
-  const std::string ckpt =
-      (std::filesystem::temp_directory_path() /
-       ("samie_shard_ckpt_" + std::to_string(::getpid()) + ".ckpt"))
-          .string();
-  sim::SweepOptions clean;
-  clean.threads = 2;
-  const std::string want = sweep_digest(sweep_three(sim::LsqChoice::kSamie, clean));
-
-  sim::SweepFaultPlan plan;
-  plan.faults.push_back({1, 1, sim::SweepFault::Kind::kThrowDeterministic, {}});
-
-  struct Leg {
-    bool sharded_first;
-  };
-  for (const Leg leg : {Leg{true}, Leg{false}}) {
-    std::filesystem::remove(ckpt);
-    sim::SweepOptions first;
-    if (leg.sharded_first) {
-      first.lanes = 2;
-      first.lane_shards = 2;
-    } else {
-      first.threads = 2;
-    }
-    first.faults = &plan;
-    first.checkpoint_path = ckpt;
-    const sim::SweepReport partial =
-        sweep_three(sim::LsqChoice::kSamie, first);
-    ASSERT_EQ(partial.completed, 2U) << "sharded_first=" << leg.sharded_first;
-
-    sim::SweepOptions second;
-    if (leg.sharded_first) {
-      second.threads = 2;
-    } else {
-      second.lanes = 2;
-      second.lane_shards = 2;
-    }
-    second.checkpoint_path = ckpt;
-    second.resume = true;
-    const sim::SweepReport resumed =
-        sweep_three(sim::LsqChoice::kSamie, second);
-    EXPECT_TRUE(resumed.all_completed());
-    EXPECT_EQ(resumed.resumed, 2U);
-    EXPECT_EQ(sweep_digest(resumed), want)
-        << "sharded_first=" << leg.sharded_first;
-  }
-  std::filesystem::remove(ckpt);
 }
 
 }  // namespace

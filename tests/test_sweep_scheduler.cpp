@@ -144,6 +144,35 @@ TEST_F(SweepSchedulerTest, TransientFaultIsRetriedToSuccess) {
   expect_results_identical(rep.jobs[1].result, clean[1].result);
 }
 
+TEST_F(SweepSchedulerTest, BackoffDoesNotBlockTheWorker) {
+  // One worker, and job 0's first attempt fails transiently: its retry
+  // waits out the backoff on the queue while the worker runs job 1, so
+  // the journal's first record is job 1's. No timing is asserted — the
+  // order holds however long job 1 runs; the backoff only has to outlast
+  // the worker's step from requeueing job 0 to taking job 1.
+  const auto jobs = three_jobs();
+  const std::string ck = path("sweep.ckpt");
+  sim::SweepFaultPlan plan;
+  plan.faults = {{0, 1, sim::SweepFault::Kind::kThrowTransient, 0ms}};
+  sim::SweepOptions opt;
+  opt.threads = 1;
+  opt.retry.backoff_base = 250ms;
+  opt.checkpoint_path = ck;
+  opt.faults = &plan;
+  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+  ASSERT_TRUE(rep.all_completed());
+  EXPECT_EQ(rep.jobs[0].outcome.attempts, 2u);
+
+  const sim::CheckpointContents c = sim::load_checkpoint(ck);
+  ASSERT_EQ(c.records.size(), 3u);
+  EXPECT_EQ(c.records[0].substr(0, c.records[0].find('\t')), "1");
+
+  const auto clean = sim::run_jobs(jobs, 1);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    expect_results_identical(rep.jobs[i].result, clean[i].result);
+  }
+}
+
 TEST_F(SweepSchedulerTest, TransientExhaustionReportsFailedTransient) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
@@ -517,35 +546,25 @@ TEST_F(TraceDamageSweepTest, DamageIsJournaledAndSealedOnResume) {
   ASSERT_EQ(c.damaged.size(), 1u);
   EXPECT_NE(c.damaged[0].find("mcf"), std::string::npos);
 
-  // Resume with no faults: the damaged job is sealed from the journal,
-  // not re-run (the trace is clean now — a resume must still not trust
-  // it, because the damage decision was already journaled).
-  sim::SweepOptions opt;
-  opt.threads = 1;
-  opt.checkpoint_path = ckpt;
-  opt.resume = true;
-  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
-  EXPECT_EQ(rep.completed, 2u);
-  EXPECT_EQ(rep.resumed, 2u);
-  EXPECT_EQ(rep.trace_damaged, 1u);
-  EXPECT_EQ(rep.damage_sealed, 1u);
-  EXPECT_TRUE(rep.jobs[2].outcome.from_checkpoint);
-  EXPECT_EQ(rep.jobs[2].outcome.status, sim::JobStatus::kTraceDamaged);
-  EXPECT_EQ(sim::sweep_exit_code(rep), 3);
-}
-
-TEST_F(TraceDamageSweepTest, LaneExecutorClassifiesDamageToo) {
-  const auto jobs = trace_jobs();
-  sim::SweepFaultPlan plan;
-  plan.faults = {{1, 1, sim::SweepFault::Kind::kShortRead, 0ms, 0}};
-  sim::SweepOptions opt;
-  opt.lanes = 2;
-  opt.lane_shards = 1;
-  opt.faults = &plan;
-  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
-  EXPECT_EQ(rep.jobs[1].outcome.status, sim::JobStatus::kTraceDamaged);
-  EXPECT_EQ(rep.completed, 2u);
-  EXPECT_EQ(sim::sweep_exit_code(rep), 3);
+  // Resume with no faults, under each runner: the damaged job is sealed
+  // from the journal, not re-run (the trace is clean now — a resume must
+  // still not trust it, because the damage decision was already
+  // journaled).
+  for (const unsigned isolate_procs : {0u, 1u}) {
+    sim::SweepOptions opt;
+    opt.threads = 1;
+    opt.isolate_procs = isolate_procs;
+    opt.checkpoint_path = ckpt;
+    opt.resume = true;
+    const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+    EXPECT_EQ(rep.completed, 2u) << "isolate_procs=" << isolate_procs;
+    EXPECT_EQ(rep.resumed, 2u);
+    EXPECT_EQ(rep.trace_damaged, 1u);
+    EXPECT_EQ(rep.damage_sealed, 1u);
+    EXPECT_TRUE(rep.jobs[2].outcome.from_checkpoint);
+    EXPECT_EQ(rep.jobs[2].outcome.status, sim::JobStatus::kTraceDamaged);
+    EXPECT_EQ(sim::sweep_exit_code(rep), 3);
+  }
 }
 
 TEST_F(TraceDamageSweepTest, RejectsImportOnlyAndTracelessIoFaults) {

@@ -1,10 +1,10 @@
 // Residency tests for the sweep's trace cache (src/sim/trace_cache.h):
 // the per-consumer release discipline must drop each source the moment
 // its *last* consumer finishes — not at cache destruction — and a
-// lane-mode sweep's resident high-water mark must track the lanes in
-// flight, not every trace the sweep ever touched. This is the
-// regression fence for the 458 MB lane-suite RSS leak: before the fix
-// the cache pinned every generated workload until the sweep returned.
+// sweep's resident high-water mark must track the workers in flight,
+// not every trace the sweep ever touched. This is the regression fence
+// for the 458 MB suite RSS leak: before the fix the cache pinned every
+// generated workload until the sweep returned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -79,32 +79,23 @@ TEST(TraceCache, ResumeSkippedJobsNeverRegisterAsConsumers) {
   EXPECT_EQ(cache.resident_sources(), 0U);
 }
 
-TEST(TraceCache, LaneSweepHighWaterTracksLanesNotSuiteSize) {
-  // Six distinct traces through K=2 lanes at one shard: with the
-  // release discipline at most lanes-per-shard + 1 sources are ever
-  // resident (the +1 is the refill window where the next trace is
-  // built before the retired lane's finished() lands). Before the fix
-  // this read 6.
+TEST(TraceCache, PoolSweepHighWaterTracksWorkersNotSuiteSize) {
+  // Six distinct traces through two workers: with the release
+  // discipline each worker pins only the trace it is running (a job
+  // releases its trace when it seals, before its worker takes the next
+  // one). Jobs long enough that both workers overlap make the lower
+  // bound hold. Before the fix this read 6.
   std::vector<sim::Job> jobs;
   for (const char* p : {"gcc", "mcf", "ammp", "art", "crafty", "gzip"}) {
-    jobs.push_back(job_for(p));
+    jobs.push_back(job_for(p, 20'000));
   }
-  sim::SweepOptions laned;
-  laned.lanes = 2;
-  laned.lane_shards = 1;
-  const sim::SweepReport rep = sim::run_sweep(jobs, laned);
+  sim::SweepOptions pool;
+  pool.threads = 2;
+  const sim::SweepReport rep = sim::run_sweep(jobs, pool);
   ASSERT_TRUE(rep.all_completed());
   EXPECT_GE(rep.trace_resident_high_water, 2U);
   EXPECT_LE(rep.trace_resident_high_water, 3U)
-      << "lane sweep pinned more traces than lanes in flight";
-
-  // The pool keeps one trace per worker in flight; with 2 threads the
-  // high water must likewise stay far below the suite size.
-  sim::SweepOptions pool;
-  pool.threads = 2;
-  const sim::SweepReport pooled = sim::run_sweep(jobs, pool);
-  ASSERT_TRUE(pooled.all_completed());
-  EXPECT_LE(pooled.trace_resident_high_water, 3U);
+      << "sweep pinned more traces than workers in flight";
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -216,6 +217,7 @@ TEST_F(TraceV2FuzzTest, IntactFileDecodesBitIdentically) {
   const std::string p = write_mutant(valid_v2_);
   const trace::Trace t = trace::TraceV2Reader(p).read_all();
   ASSERT_EQ(t.ops.size(), ops_.size());
+  static_assert(std::has_unique_object_representations_v<trace::MicroOp>);
   EXPECT_EQ(std::memcmp(t.ops.data(), ops_.data(),
                         ops_.size() * sizeof(trace::MicroOp)),
             0);

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -25,6 +26,7 @@ namespace fs = std::filesystem;
 
 [[nodiscard]] bool same_ops(const std::vector<trace::MicroOp>& a,
                             const std::vector<trace::MicroOp>& b) {
+  static_assert(std::has_unique_object_representations_v<trace::MicroOp>);
   return a.size() == b.size() &&
          (a.empty() || std::memcmp(a.data(), b.data(),
                                    a.size() * sizeof(trace::MicroOp)) == 0);

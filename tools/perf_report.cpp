@@ -13,18 +13,6 @@
 //   --trace-dir=D   sweep the recorded *.samt traces in D (mmap replay)
 //                   instead of generating synthetic workloads; replays
 //                   each trace in full (--insts/--seed are ignored)
-//   --lanes=K       additionally time one whole-suite *sweep* per LSQ
-//                   through the per-job worker pool, through the
-//                   batched-lane executor with K lanes at one shard,
-//                   and through the sharded lane executor (best of
-//                   --repeats each; schema-v2 pool_sweep/lane_sweep/
-//                   sharded_sweep fields). 0 (default) disables the
-//                   sweep timing
-//   --lane-shards=T worker threads for the sharded sweep measurement
-//                   (requires --lanes; default: host parallelism)
-//   --lane-turn=N   stepped cycles per lane turn for both lane sweeps
-//                   (requires --lanes; default:
-//                   LaneEngine::kDefaultCyclesPerTurn)
 //   --no-skip       measure the always-step cycle loop (disables the
 //                   quiescent-cycle fast-forward; statistics identical,
 //                   skip_ratio reads 0)
@@ -42,7 +30,8 @@
 // BENCH_hotpath.json: simulated-cycles/second, per-program wall time, and
 // peak RSS, plus the full deterministic statistics of every run so two
 // reports can be diffed for bit-identical simulation results. Schema:
-// docs/BENCH_hotpath.md.
+// docs/BENCH_hotpath.md. Whole-sweep wall time is perfbench's
+// figure_sweep workload (perfbench/README.md), not this tool's.
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
@@ -84,14 +73,6 @@ int main(int argc, char** argv) {
       opt.seed = v;
     } else if (parse_u64(arg, "--repeats", v)) {
       opt.repeats = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--lanes", v)) {
-      opt.lanes = static_cast<unsigned>(v);
-    } else if (parse_u64(arg, "--lane-shards", v)) {
-      if (v == 0) usage_error("--lane-shards must be at least 1");
-      opt.lane_shards = static_cast<unsigned>(v);
-    } else if (parse_u64(arg, "--lane-turn", v)) {
-      if (v == 0) usage_error("--lane-turn must be at least 1");
-      opt.lane_turn = v;
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--programs=", 0) == 0) {
@@ -121,12 +102,6 @@ int main(int argc, char** argv) {
   }
   if (!opt.trace_dir.empty() && !opt.programs.empty()) {
     usage_error("--trace-dir and --programs are mutually exclusive");
-  }
-  if (opt.lanes == 0 && opt.lane_shards != 0) {
-    usage_error("--lane-shards requires --lanes");
-  }
-  if (opt.lanes == 0 && opt.lane_turn != 0) {
-    usage_error("--lane-turn requires --lanes");
   }
   for (const auto& p : opt.programs) {
     try {
@@ -164,14 +139,6 @@ int main(int argc, char** argv) {
       std::cout << skip << "% quiescent-skipped";
     }
     std::cout << ", peak RSS " << lr.peak_rss_kb << " kB)\n";
-    if (report.lanes != 0) {
-      std::cout << sim::lsq_choice_name(lr.lsq) << " sweep: pool "
-                << lr.pool_sweep_wall_seconds << " s, " << report.lanes
-                << " lanes " << lr.lane_sweep_wall_seconds << " s, "
-                << report.lane_shards << " shard"
-                << (report.lane_shards == 1 ? "" : "s") << " "
-                << lr.sharded_sweep_wall_seconds << " s\n";
-    }
   }
   if (report.resumed != 0) {
     std::cout << report.resumed << " measurement"

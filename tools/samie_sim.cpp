@@ -20,27 +20,17 @@
 //   --derived-energy   account with the analytical surrogate, not the
 //                      paper's published constants
 //   --csv              machine-readable output (one row per program)
-//   --threads=N        parallel jobs (default: all hardware threads)
-//   --lanes=K          batched-lane executor: run the sweep as
-//                      interleaved machines — up to K per shard —
-//                      stepped earliest-wake-first by per-shard
-//                      LaneEngines (docs/ENERGY_LEDGER.md). Results and
-//                      the CSV are byte-identical to the threaded sweep
-//   --lane-shards=T    lane mode only: worker shards, each a private
-//                      LaneEngine of up to K lanes pulling from the
-//                      shared job queue (default: all hardware
-//                      threads). Any T emits the identical CSV
-//   --lane-turn=N      lane mode only: stepped cycles per lane turn
-//                      (default 4096). Any N >= 1 is outcome-identical;
-//                      this is a scheduling-granularity knob
+//   --threads=N        worker threads of the in-thread runner (default:
+//                      all hardware threads). Any N emits the identical
+//                      CSV, rows in job order
 //
 // Sweep robustness (docs/SWEEP_ROBUSTNESS.md):
-//   --isolate[=N]          process-isolated executor: each job runs in a
+//   --isolate[=N]          forked-child runner: each attempt runs in a
 //                          forked child (up to N alive at once; default:
 //                          all hardware threads) so a job that crashes,
 //                          OOMs or spins cannot take the sweep down.
-//                          Results are byte-identical to the other
-//                          executors. Mutually exclusive with --lanes
+//                          Results are byte-identical to the in-thread
+//                          runner's
 //   --job-mem-mb=N         RLIMIT_AS jail per child, MiB (isolation only)
 //   --job-cpu-s=N          RLIMIT_CPU backstop per child, seconds
 //   --kill-grace-ms=N      grace between the deadline SIGTERM and the
@@ -332,15 +322,6 @@ int main(int argc, char** argv) {
       csv = true;
     } else if (parse_u64(arg, "--threads", v)) {
       sweep.threads = static_cast<unsigned>(v);
-    } else if (parse_u64(arg, "--lanes", v)) {
-      if (v == 0) usage_error("--lanes must be at least 1");
-      sweep.lanes = static_cast<unsigned>(v);
-    } else if (parse_u64(arg, "--lane-shards", v)) {
-      if (v == 0) usage_error("--lane-shards must be at least 1");
-      sweep.lane_shards = static_cast<unsigned>(v);
-    } else if (parse_u64(arg, "--lane-turn", v)) {
-      if (v == 0) usage_error("--lane-turn must be at least 1");
-      sweep.lane_turn = v;
     } else if (arg == "--isolate") {
       sweep.isolate_procs = sim::bench_threads();
     } else if (parse_u64(arg, "--isolate", v)) {
@@ -373,15 +354,6 @@ int main(int argc, char** argv) {
   }
   if (!import_path.empty() && !sweep.checkpoint_path.empty()) {
     usage_error("--checkpoint/--resume apply to sweep modes, not --import-trace");
-  }
-  if (sweep.isolate_procs != 0 && sweep.lanes != 0) {
-    usage_error("--isolate and --lanes are mutually exclusive executors");
-  }
-  if (sweep.lane_shards != 0 && sweep.lanes == 0) {
-    usage_error("--lane-shards requires --lanes");
-  }
-  if (sweep.lane_turn != 0 && sweep.lanes == 0) {
-    usage_error("--lane-turn requires --lanes");
   }
   if (sweep.isolate_procs != 0 && !import_path.empty()) {
     usage_error("--isolate applies to sweep modes, not --import-trace");

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/trace/trace_io.h"
@@ -104,6 +105,8 @@ int main(int argc, char** argv) {
     if (verify_output) {
       std::uint32_t out_version = 0;
       const trace::Trace back = read_verified(out_path, out_version);
+      static_assert(
+          std::has_unique_object_representations_v<trace::MicroOp>);
       const bool same =
           out_version == to_version && back.name == t.name &&
           back.seed == t.seed && back.ops.size() == t.ops.size() &&
