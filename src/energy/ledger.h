@@ -9,8 +9,7 @@
 //   sum over N searches of (base + per * n_i)  ==  N*base + (sum n_i)*per
 //
 // Energy is computed once, at fold time, as `count * pj` from the
-// constants in lsq_model.h; the fold is O(1) in the number of events and
-// merging two ledgers is an associative integer add (see merge()).
+// constants in lsq_model.h; the fold is O(1) in the number of events.
 // docs/ENERGY_LEDGER.md documents the fold semantics and why the golden
 // statistics were re-frozen when this scheme replaced per-event FP
 // accumulation.
@@ -50,30 +49,13 @@ class ConvLsqLedger {
   [[nodiscard]] std::uint64_t addr_accesses() const { return addr_rw_; }
   [[nodiscard]] std::uint64_t datum_accesses() const { return datum_rw_; }
 
-  /// Integer-add the counts of `o` into this ledger. Associative and
-  /// commutative: merging per-shard ledgers in any order yields the same
-  /// counts, hence bit-identical folded energy.
-  void merge(const ConvLsqLedger& o) {
-    searches_ += o.searches_;
-    addrs_compared_ += o.addrs_compared_;
-    addr_rw_ += o.addr_rw_;
-    datum_rw_ += o.datum_rw_;
-  }
-
   static constexpr std::size_t kSavedCounts = 4;
-  /// Raw counts out to / in from a flat array (SimResult carries them so
-  /// sharded replay can re-fold energy from exactly-merged integers).
+  /// Raw counts out to a flat array (SimResult::ledgers carries them).
   void save(std::uint64_t* out) const {
     out[0] = searches_;
     out[1] = addrs_compared_;
     out[2] = addr_rw_;
     out[3] = datum_rw_;
-  }
-  void load(const std::uint64_t* in) {
-    searches_ = in[0];
-    addrs_compared_ = in[1];
-    addr_rw_ = in[2];
-    datum_rw_ = in[3];
   }
 
  private:
@@ -186,29 +168,6 @@ class SamieLsqLedger {
   [[nodiscard]] std::uint64_t shared_searches() const { return s_addr_searches_; }
   [[nodiscard]] std::uint64_t addrbuf_accesses() const { return addrbuf_accesses_; }
 
-  void merge(const SamieLsqLedger& o) {
-    bus_sends_ += o.bus_sends_;
-    d_addr_searches_ += o.d_addr_searches_;
-    d_addrs_compared_ += o.d_addrs_compared_;
-    d_age_searches_ += o.d_age_searches_;
-    d_age_ids_compared_ += o.d_age_ids_compared_;
-    d_addr_rw_ += o.d_addr_rw_;
-    d_age_rw_ += o.d_age_rw_;
-    d_datum_rw_ += o.d_datum_rw_;
-    d_translation_rw_ += o.d_translation_rw_;
-    d_line_id_rw_ += o.d_line_id_rw_;
-    s_addr_searches_ += o.s_addr_searches_;
-    s_addrs_compared_ += o.s_addrs_compared_;
-    s_age_searches_ += o.s_age_searches_;
-    s_age_ids_compared_ += o.s_age_ids_compared_;
-    s_addr_rw_ += o.s_addr_rw_;
-    s_age_rw_ += o.s_age_rw_;
-    s_datum_rw_ += o.s_datum_rw_;
-    s_translation_rw_ += o.s_translation_rw_;
-    s_line_id_rw_ += o.s_line_id_rw_;
-    addrbuf_accesses_ += o.addrbuf_accesses_;
-  }
-
   static constexpr std::size_t kSavedCounts = 20;
   void save(std::uint64_t* out) const {
     const std::uint64_t counts[kSavedCounts] = {
@@ -220,28 +179,6 @@ class SamieLsqLedger {
         s_age_rw_,         s_datum_rw_,      s_translation_rw_,
         s_line_id_rw_,     addrbuf_accesses_};
     for (std::size_t i = 0; i < kSavedCounts; ++i) out[i] = counts[i];
-  }
-  void load(const std::uint64_t* in) {
-    bus_sends_ = in[0];
-    d_addr_searches_ = in[1];
-    d_addrs_compared_ = in[2];
-    d_age_searches_ = in[3];
-    d_age_ids_compared_ = in[4];
-    d_addr_rw_ = in[5];
-    d_age_rw_ = in[6];
-    d_datum_rw_ = in[7];
-    d_translation_rw_ = in[8];
-    d_line_id_rw_ = in[9];
-    s_addr_searches_ = in[10];
-    s_addrs_compared_ = in[11];
-    s_age_searches_ = in[12];
-    s_age_ids_compared_ = in[13];
-    s_addr_rw_ = in[14];
-    s_age_rw_ = in[15];
-    s_datum_rw_ = in[16];
-    s_translation_rw_ = in[17];
-    s_line_id_rw_ = in[18];
-    addrbuf_accesses_ = in[19];
   }
 
  private:
@@ -283,19 +220,10 @@ class DcacheLedger {
   [[nodiscard]] std::uint64_t full_accesses() const { return full_; }
   [[nodiscard]] std::uint64_t way_known_accesses() const { return known_; }
 
-  void merge(const DcacheLedger& o) {
-    full_ += o.full_;
-    known_ += o.known_;
-  }
-
   static constexpr std::size_t kSavedCounts = 2;
   void save(std::uint64_t* out) const {
     out[0] = full_;
     out[1] = known_;
-  }
-  void load(const std::uint64_t* in) {
-    full_ = in[0];
-    known_ = in[1];
   }
 
  private:
@@ -319,19 +247,10 @@ class DtlbLedger {
   [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
   [[nodiscard]] std::uint64_t cached_translations() const { return cached_; }
 
-  void merge(const DtlbLedger& o) {
-    accesses_ += o.accesses_;
-    cached_ += o.cached_;
-  }
-
   static constexpr std::size_t kSavedCounts = 2;
   void save(std::uint64_t* out) const {
     out[0] = accesses_;
     out[1] = cached_;
-  }
-  void load(const std::uint64_t* in) {
-    accesses_ = in[0];
-    cached_ = in[1];
   }
 
  private:

@@ -101,13 +101,12 @@ class SlotFlags {
   }
 
  private:
-  enum : std::uint8_t {
-    kValid = 1U << 0,
-    kIsLoad = 1U << 1,
-    kDataReady = 1U << 2,
-    kFwdFull = 1U << 3,
-    kAddrKnown = 1U << 4,  ///< conventional LSQ (address at dispatch+agen)
-  };
+  static constexpr std::uint8_t kValid = 1U << 0;
+  static constexpr std::uint8_t kIsLoad = 1U << 1;
+  static constexpr std::uint8_t kDataReady = 1U << 2;
+  static constexpr std::uint8_t kFwdFull = 1U << 3;
+  /// Conventional LSQ only (address at dispatch+agen).
+  static constexpr std::uint8_t kAddrKnown = 1U << 4;
   [[nodiscard]] bool get(std::uint8_t bit) const noexcept {
     return (bits_ & bit) != 0;
   }

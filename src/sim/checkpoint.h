@@ -136,7 +136,7 @@ struct CheckpointContents {
 /// Number of tokens serialize_sim_result emits; bumped in lockstep with
 /// SimResult so a stale checkpoint from an older build parses as torn
 /// instead of silently misassigning fields (38 legacy fields plus the
-/// 28 raw ledger counts sharded replay reconciles from).
+/// 28 raw ledger counts of SimResult::ledgers).
 inline constexpr std::size_t kSimResultFields = 66;
 
 }  // namespace samie::sim

@@ -1,6 +1,6 @@
 // Parallel experiment runner: fans (program, config) jobs out over worker
 // threads. Traces are materialized once per (program, length, seed) — or
-// mmapped once per recorded trace file when `config.trace_path` is set —
+// opened once per recorded trace file when `config.trace_path` is set —
 // and shared read-only between workers (Core Guidelines CP.1: workers
 // share only immutable traces and write disjoint result slots).
 //

@@ -1,6 +1,5 @@
 #include "src/sim/lane_engine.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/branch/predictor.h"
@@ -10,7 +9,6 @@
 #include "src/lsq/conventional_lsq.h"
 #include "src/lsq/samie_lsq.h"
 #include "src/sim/stats_collector.h"
-#include "src/sim/trace_shard.h"
 
 namespace samie::sim {
 
@@ -131,66 +129,10 @@ class LaneImpl final : public Lane {
   core::Core<typename Bundle::Queue, StatsCollector> core_;
 };
 
-/// Warm-up-excluding lane for one shard of a sharded trace replay: two
-/// complete runs of the same machine over the same view, stepped
-/// sequentially — first the warm-up prefix alone (the "base" run), then
-/// prefix plus measured range (the "whole" run) — and finish() reports
-/// whole minus base (trace_shard.h). Two complete runs, rather than one
-/// run with a stats reset, keep the subtraction exact: under full
-/// warm-up, shard i's base run is bit-identical to shard i-1's whole
-/// run, so the per-shard differences telescope to the unsharded totals.
-class ShardLane final : public Lane {
- public:
-  ShardLane(const SimConfig& cfg, trace::TraceView trace) : cfg_(cfg) {
-    const std::uint64_t total =
-        std::min<std::uint64_t>(cfg_.instructions, trace.size());
-    const std::uint64_t warm =
-        std::min<std::uint64_t>(effective_trace_warmup(cfg_), total);
-    // Sub-lanes replay plain prefixes: shard fields zeroed so make_lane
-    // builds ordinary LaneImpls (no recursion) and the runs are
-    // bit-identical to standalone runs over the same records.
-    SimConfig sub = cfg_;
-    sub.trace_measure_begin = 0;
-    sub.trace_measure_end = 0;
-    sub.trace_warmup = 0;
-    sub.instructions = warm;
-    base_ = make_lane(sub, trace.subview(0, warm));
-    sub.instructions = total;
-    whole_cfg_ = sub;
-    whole_view_ = trace.subview(0, total);
-  }
-
-  bool step(std::uint64_t max_cycles) override {
-    if (base_) {
-      if (base_->step(max_cycles)) return true;
-      base_result_ = base_->finish();
-      base_.reset();
-      whole_ = make_lane(whole_cfg_, whole_view_);
-      return true;  // boundary turn: the whole run starts next step
-    }
-    return whole_->step(max_cycles);
-  }
-
-  [[nodiscard]] SimResult finish() override {
-    return subtract_measured(whole_->finish(), base_result_, cfg_);
-  }
-
- private:
-  SimConfig cfg_;
-  std::unique_ptr<Lane> base_;
-  std::unique_ptr<Lane> whole_;
-  SimResult base_result_;
-  SimConfig whole_cfg_;
-  trace::TraceView whole_view_;
-};
-
 }  // namespace
 
 std::unique_ptr<Lane> make_lane(const SimConfig& cfg,
                                 trace::TraceView trace) {
-  if (effective_trace_warmup(cfg) > 0) {
-    return std::make_unique<ShardLane>(cfg, trace);
-  }
   switch (cfg.lsq) {
     case LsqChoice::kConventional:
       return std::make_unique<LaneImpl<ConvBundle>>(cfg, trace);

@@ -128,11 +128,12 @@ HotpathReport run_hotpath_measurement(const HotpathOptions& opt) {
   // Workloads stream: a generated trace is materialized right before
   // its timed repeats (outside the timed region — allocation and RNG
   // never land in a wall measurement) and freed right after, and a
-  // canned trace is mmapped and unmapped the same way, so the suite's
+  // canned trace is opened and released the same way, so the suite's
   // peak RSS tracks one trace at a time instead of all 26 — the probe
   // the per-consumer TraceCache release discipline is measured against.
-  // For canned traces the checksum verification at open faults the
-  // pages in, keeping the timed replay on a warm page cache.
+  // For canned traces the verification at open reads every record (v2
+  // decodes its blocks, v1 checksums the mapping), so the timed replay
+  // never waits on the disk.
   std::vector<std::string> trace_files;
   std::vector<std::string> programs;
   if (!opt.trace_dir.empty()) {

@@ -74,7 +74,7 @@ struct HotpathOptions {
   /// LSQs to measure; empty = conventional, arb, samie.
   std::vector<LsqChoice> lsqs;
   /// When non-empty: sweep the *.samt traces in this directory (sorted by
-  /// filename, mmap-replayed) instead of generating `programs`. Program
+  /// filename, replayed from disk) instead of generating `programs`. Program
   /// labels come from the SAMT headers; `instructions` and `seed` are
   /// ignored (each trace replays in full).
   std::string trace_dir;

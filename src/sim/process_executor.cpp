@@ -178,6 +178,11 @@ void run_child_fault(const SweepFault& f) {
       for (volatile std::uint64_t n = 0;;) n = n + 1;
     case SweepFault::Kind::kTornFrame:
       break;  // handled in child_main (needs the result fd)
+    case SweepFault::Kind::kShortRead:
+    case SweepFault::Kind::kBitFlipBlock:
+    case SweepFault::Kind::kEnospcOnImport:
+    case SweepFault::Kind::kTornImport:
+      break;  // I/O kinds: the pre-run hook consumed them before the fork
   }
 }
 

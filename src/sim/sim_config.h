@@ -35,36 +35,15 @@ struct SimConfig {
   std::uint64_t instructions = 300'000;
   std::uint64_t seed = 42;
   /// When non-empty, the workload is the recorded SAMT trace at this path
-  /// (replayed via mmap) instead of a (profile, seed, length) triple;
-  /// `instructions` then caps how much of the trace is replayed.
+  /// instead of a (profile, seed, length) triple; `instructions` then
+  /// caps how much of the trace is replayed.
   std::string trace_path;
-  /// Verify the SAMT FNV-1a checksum when opening `trace_path` (touches
-  /// every page once). `samie_sim --no-verify-checksum` clears it for
-  /// mmap replay hot paths re-opening an already-verified trace.
+  /// Verify the v1 FNV-1a checksum when opening `trace_path` (touches
+  /// every page once; v2 block guards are always verified). `samie_sim
+  /// --no-verify-checksum` clears it for re-opening an already-verified
+  /// trace.
   bool verify_trace_checksum = true;
-
-  // -- sharded long-trace replay (docs/SWEEP_ROBUSTNESS.md) --------------------
-  /// Measured record range [trace_measure_begin, trace_measure_end) of
-  /// `trace_path`; trace_measure_end == 0 means "to the end of the
-  /// trace". The defaults (0, 0) replay the whole trace: the classic
-  /// single-job path, bit-identical to before these fields existed.
-  std::uint64_t trace_measure_begin = 0;
-  std::uint64_t trace_measure_end = 0;
-  /// Warm-up records replayed ahead of trace_measure_begin and excluded
-  /// from the statistics by the two-run subtraction (trace_shard.h).
-  /// Clamped to trace_measure_begin; UINT64_MAX means "the whole prefix"
-  /// — the exact-reconciliation mode, where sharded stats telescope to
-  /// the unsharded run's bit for bit.
-  std::uint64_t trace_warmup = 0;
 };
-
-/// Warm-up records actually replayed ahead of the measured range: the
-/// prefix cannot extend before record 0.
-[[nodiscard]] inline std::uint64_t effective_trace_warmup(
-    const SimConfig& cfg) noexcept {
-  return cfg.trace_warmup < cfg.trace_measure_begin ? cfg.trace_warmup
-                                                    : cfg.trace_measure_begin;
-}
 
 /// The paper's evaluation configuration with the given LSQ choice.
 [[nodiscard]] SimConfig paper_config(LsqChoice lsq);

@@ -32,17 +32,8 @@ SimResult run_trace_file(const SimConfig& cfg) {
   if (cfg.trace_path.empty()) {
     throw std::invalid_argument("run_trace_file: cfg.trace_path is empty");
   }
-  const bool whole =
-      cfg.trace_measure_begin == 0 && cfg.trace_measure_end == 0;
-  const trace::TraceSource source =
-      whole ? trace::TraceSource::open_samt(cfg.trace_path,
-                                            cfg.verify_trace_checksum)
-            : trace::TraceSource::open_samt_range(
-                  cfg.trace_path,
-                  cfg.trace_measure_begin - effective_trace_warmup(cfg),
-                  cfg.trace_measure_end != 0 ? cfg.trace_measure_end
-                                             : ~std::uint64_t{0},
-                  cfg.verify_trace_checksum);
+  const trace::TraceSource source = trace::TraceSource::open_samt(
+      cfg.trace_path, cfg.verify_trace_checksum);
   return run_simulation(cfg, source.view());
 }
 

@@ -13,12 +13,11 @@
 
 namespace samie::sim {
 
-/// Raw integer event counts of every energy ledger, in one flat array.
-/// Carrying them beside the folded energies is what makes sharded-replay
-/// reconciliation exact: per-shard counts subtract and merge as integers
-/// (associative, order-independent), and the merged counts re-fold to
-/// energy through the same constants — bit-identical to an unsharded
-/// run's fold. Layout: [kConv..) ConvLsqLedger, [kSamie..) SamieLsqLedger,
+/// Raw integer event counts of every energy ledger, in one flat array,
+/// carried beside the folded energies: the checkpoint journal
+/// round-trips them with the rest of the result, and work-count
+/// reporting (placement searches, addresses compared) reads them.
+/// Layout: [kConv..) ConvLsqLedger, [kSamie..) SamieLsqLedger,
 /// [kDcache..) DcacheLedger, [kDtlb..) DtlbLedger.
 struct LedgerCounts {
   static constexpr std::size_t kConv = 0;     ///< 4 counts
@@ -62,7 +61,7 @@ struct SimResult {
   std::uint64_t branch_mispredicts = 0;
   std::uint64_t branch_lookups = 0;
 
-  // -- raw ledger counts (shard reconciliation; see LedgerCounts) ---------------
+  // -- raw ledger counts (see LedgerCounts) -------------------------------------
   LedgerCounts ledgers;
 
   /// Deadlock-avoidance flushes per million cycles (Figure 6).
@@ -84,9 +83,12 @@ struct SimResult {
 [[nodiscard]] SimResult run_program(const SimConfig& cfg,
                                     const std::string& program);
 
-/// Convenience: replays the recorded SAMT trace at `cfg.trace_path`
-/// (mmap, zero-copy). Throws trace::TraceFormatError on malformed files
-/// and std::invalid_argument when `cfg.trace_path` is empty.
+/// Convenience: replays the whole recorded SAMT trace at
+/// `cfg.trace_path` (v1 mmapped zero-copy, v2 block-decoded; version
+/// autodetected), capped at `cfg.instructions` records. Throws
+/// trace::TraceFormatError on malformed files (TraceCorruptError for
+/// damaged v2 files) and std::invalid_argument when `cfg.trace_path` is
+/// empty.
 [[nodiscard]] SimResult run_trace_file(const SimConfig& cfg);
 
 }  // namespace samie::sim

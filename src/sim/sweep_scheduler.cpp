@@ -896,8 +896,10 @@ std::uint64_t sweep_fingerprint(const std::vector<Job>& jobs) {
     os << job.program << '\x1f' << job.tag << '\x1f'
        << lsq_choice_name(c.lsq) << '\x1f' << c.instructions << '\x1f'
        << c.seed << '\x1f' << c.trace_path << '\x1f'
-       << c.trace_measure_begin << '\x1f' << c.trace_measure_end << '\x1f'
-       << c.trace_warmup << '\x1f'
+       // Three sharded-replay fields, since removed, were hashed here
+       // (always 0 outside shard jobs); hashing the same bytes keeps
+       // journals written before their removal resumable.
+       << "0\x1f" "0\x1f" "0\x1f"
        << c.paper_energy_constants << '\x1f'
        << c.core.exploit_known_line_latency << '\x1f'
        << c.conventional.entries << '\x1f' << c.samie.banks << '\x1f'

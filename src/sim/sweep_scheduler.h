@@ -23,13 +23,15 @@
 //   ResourceExceeded — process isolation only: the child hit its
 //               resource jail (RLIMIT_AS allocation failure, RLIMIT_CPU
 //               SIGXCPU, or a kernel OOM kill)
-//   TraceDamaged — the job's replay range touched corrupt trace blocks
-//               (trace::TraceCorruptError: torn tail, interior
-//               corruption or a bad index). Deterministic by definition
-//               — the bytes on disk don't heal on retry — so the job is
-//               journaled with a 'D' record and a resume seals it
-//               instead of re-running it. Jobs whose ranges avoid the
-//               damage complete normally with bit-identical results.
+//   TraceDamaged — the job's trace file failed its guards when the job
+//               decoded it (trace::TraceCorruptError: torn tail,
+//               interior corruption or a bad index). Deterministic by
+//               definition — the bytes on disk don't heal on retry — so
+//               the job is journaled with a 'D' record and a resume
+//               seals it instead of re-running it. Every job decodes its
+//               whole file, so damage anywhere in a file quarantines
+//               every job over that file; jobs over other files complete
+//               normally with bit-identical results.
 //
 // Failures are classified transient (bad_alloc, TraceFormatError — e.g.
 // a trace still being written or an I/O flake — and the fault-injection
@@ -83,7 +85,7 @@ enum class JobStatus : std::uint8_t {
   kSkipped,
   kCrashed,           ///< child died on a fatal signal (isolation only)
   kResourceExceeded,  ///< child hit its rlimit jail (isolation only)
-  kTraceDamaged,      ///< replay range touched corrupt trace blocks
+  kTraceDamaged,      ///< the job's trace file failed its guards
 };
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
 
@@ -183,7 +185,7 @@ struct SweepFault {
     // on disk.
     kShortRead,      ///< hide the last `param` bytes (0 = 64) of the file
     kBitFlipBlock,   ///< flip one payload bit of v2 block `param` in memory
-    // Import-only kinds (consumed by TraceWriter*::finish, not by a
+    // Import-only kinds (consumed by TraceWriterV2::finish, not by a
     // read): rejected by run_sweep — a sweep replays traces, it never
     // imports one. samie_sim --import-trace arms them directly.
     kEnospcOnImport,  ///< importer finalize fails as if the disk filled
@@ -270,7 +272,7 @@ struct SweepReport {
   std::size_t skipped = 0;
   std::size_t crashed = 0;            ///< child died on a fatal signal
   std::size_t resource_exceeded = 0;  ///< child hit its rlimit jail
-  std::size_t trace_damaged = 0;      ///< replay range touched corrupt blocks
+  std::size_t trace_damaged = 0;      ///< trace file failed its guards
   std::size_t resumed = 0;  ///< subset of `completed` loaded from journal
   /// Subset of `crashed` skipped on resume via a quarantine record.
   std::size_t quarantined = 0;

@@ -38,23 +38,10 @@ std::shared_ptr<const trace::TraceSource> TraceCache::get(const Job& job) {
           trace::TraceSource::generate(trace::spec2000_profile(job.program),
                                        job.config.seed,
                                        job.config.instructions));
-    } else if (job.config.trace_measure_begin == 0 &&
-               job.config.trace_measure_end == 0) {
+    } else {
       built = std::make_shared<const trace::TraceSource>(
           trace::TraceSource::open_samt(path,
                                         job.config.verify_trace_checksum));
-    } else {
-      // Shard job: open only [measure_begin - warm-up, measure_end) —
-      // the point of sharding is that no single consumer decodes the
-      // whole long trace.
-      built = std::make_shared<const trace::TraceSource>(
-          trace::TraceSource::open_samt_range(
-              path,
-              job.config.trace_measure_begin - effective_trace_warmup(
-                                                   job.config),
-              job.config.trace_measure_end != 0 ? job.config.trace_measure_end
-                                                : ~std::uint64_t{0},
-              job.config.verify_trace_checksum));
     }
   } catch (...) {
     std::scoped_lock lock(mu_);
@@ -113,12 +100,7 @@ TraceCache::Key TraceCache::key_of(const Job& job) {
   if (path.empty()) {
     return Key{job.program, job.config.instructions, job.config.seed};
   }
-  // Shard jobs over the same file open different record ranges, so the
-  // range is part of the key; plain whole-file jobs keep the historical
-  // (path, 0, 0) key.
-  const std::uint64_t begin =
-      job.config.trace_measure_begin - effective_trace_warmup(job.config);
-  return Key{"file:" + path, begin, job.config.trace_measure_end};
+  return Key{"file:" + path, 0, 0};
 }
 
 }  // namespace samie::sim

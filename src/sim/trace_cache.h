@@ -2,15 +2,12 @@
 // and per-consumer release discipline.
 //
 // Generated workloads are keyed by (program, length, seed); recorded
-// SAMT files by (path, opened record range) — whole-file jobs keep the
-// historical (path, 0, 0) key, shard jobs over the same file get
-// distinct keys per range so each materializes only its own blocks.
-// The first worker to request a key builds it
-// *outside* the cache lock (distinct keys materialize concurrently)
-// while later requesters wait on the latch instead of generating or
-// mmapping the same multi-MB workload a second time. A failed build
-// releases the latch so a retry attempt rebuilds rather than being
-// poisoned forever.
+// SAMT files by (path, 0, 0), since every job over a file opens all of
+// it. The first worker to request a key builds it *outside* the cache
+// lock (distinct keys materialize concurrently) while later requesters
+// wait on the latch instead of generating or opening the same multi-MB
+// workload a second time. A failed build releases the latch so a retry
+// attempt rebuilds rather than being poisoned forever.
 //
 // Residency: the constructor registers every job that will actually run
 // (resume-skipped jobs excluded), and finished() counts them back down.

@@ -121,16 +121,6 @@ void fsync_parent_dir(const std::string& path) noexcept {
   (void)ec;
 }
 
-void fill_header(SamtHeader& h, std::uint32_t version, const std::string& name,
-                 std::uint64_t seed) {
-  std::memcpy(h.magic, kSamtMagic, sizeof kSamtMagic);
-  h.version = version;
-  h.record_bytes = sizeof(MicroOp);
-  h.seed = seed;
-  std::memset(h.name, 0, sizeof h.name);
-  std::memcpy(h.name, name.data(), std::min(name.size(), sizeof h.name - 1));
-}
-
 }  // namespace
 
 std::uint64_t fnv1a_64(const void* bytes, std::size_t n,
@@ -169,80 +159,6 @@ void set_io_fault(const std::string& path, IoFault fault) {
 void clear_io_faults() {
   const std::lock_guard<std::mutex> lock(g_io_fault_mu);
   g_io_faults.clear();
-}
-
-// ----------------------------------------------------------- TraceWriter --
-
-TraceWriter::TraceWriter(const std::string& path, const std::string& name,
-                         std::uint64_t seed)
-    : path_(path),
-      tmp_path_(path + ".tmp"),
-      file_(std::fopen(tmp_path_.c_str(), "wb")) {
-  if (file_ == nullptr) {
-    fail(path, std::string("cannot open for writing: ") + std::strerror(errno));
-  }
-  fill_header(header_, kSamtVersion, name, seed);
-  if (std::fwrite(&header_, sizeof header_, 1, file_) != 1) {
-    std::fclose(file_);
-    file_ = nullptr;
-    std::remove(tmp_path_.c_str());
-    fail(path, "cannot write header");
-  }
-}
-
-TraceWriter::~TraceWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    std::remove(tmp_path_.c_str());  // unfinished: don't leave a torso
-  }
-}
-
-void TraceWriter::append(const MicroOp& op) {
-  append(TraceView{&op, 1});
-}
-
-void TraceWriter::append(TraceView ops) {
-  if (file_ == nullptr) fail(path_, "append after finish()");
-  if (ops.empty()) return;  // an empty view may carry a null data()
-  // Records are written as they are: MicroOp has no padding bytes, so
-  // its object representation is already the canonical record.
-  checksum_ = fnv1a_64(ops.data(), ops.size() * sizeof(MicroOp), checksum_);
-  if (std::fwrite(ops.data(), sizeof(MicroOp), ops.size(), file_) !=
-      ops.size()) {
-    fail(path_, "short write");
-  }
-  header_.count += ops.size();
-}
-
-void TraceWriter::finish() {
-  if (file_ == nullptr) fail(path_, "finish() called twice");
-  const IoFault fault = take_io_fault(path_);
-  if (fault.kind == IoFault::Kind::kEnospcOnImport ||
-      fault.kind == IoFault::Kind::kTornImport) {
-    std::fclose(file_);
-    file_ = nullptr;
-    std::remove(tmp_path_.c_str());
-    fail(path_, "injected import fault: no space left on device");
-  }
-  header_.checksum = checksum_;
-  const bool ok = std::fseek(file_, 0, SEEK_SET) == 0 &&
-                  std::fwrite(&header_, sizeof header_, 1, file_) == 1 &&
-                  std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
-  const bool closed = std::fclose(file_) == 0;
-  file_ = nullptr;
-  if (!ok || !closed ||
-      std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp_path_.c_str());
-    fail(path_, "cannot finalize trace");
-  }
-  fsync_parent_dir(path_);
-}
-
-void write_samt(const std::string& path, TraceView ops,
-                const std::string& name, std::uint64_t seed) {
-  TraceWriter w(path, name, seed);
-  w.append(ops);
-  w.finish();
 }
 
 // ----------------------------------------------------------- TraceReader --
@@ -749,7 +665,12 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
       tmp_path_(tmp_path_for(path)),
       block_records_(block_records != 0 ? block_records
                                         : kDefaultBlockRecords) {
-  fill_header(header_, kSamtVersion2, name, seed);
+  std::memcpy(header_.magic, kSamtMagic, sizeof kSamtMagic);
+  header_.version = kSamtVersion2;
+  header_.record_bytes = sizeof(MicroOp);
+  header_.seed = seed;
+  std::memcpy(header_.name, name.data(),
+              std::min(name.size(), sizeof header_.name - 1));
   pending_.reserve(block_records_);
 
   if (mode == Mode::kResume) {
@@ -813,8 +734,8 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
 }
 
 TraceWriterV2::~TraceWriterV2() {
-  // Unlike v1, an unfinished tmp is deliberately KEPT: its flushed blocks
-  // are intact, and Mode::kResume picks them back up.
+  // An unfinished tmp is deliberately KEPT: its flushed blocks are
+  // intact, and Mode::kResume picks them back up.
   if (file_ != nullptr) std::fclose(file_);
 }
 

@@ -1,20 +1,24 @@
 // SAMT — the repo's versioned binary trace format — plus a plain-text
 // import path for traces recorded by external simulators.
 //
-// Layout (all fields little-endian):
+// Both versions start with the same 64-byte SamtHeader, and readers
+// autodetect the version from it. Version 2 (block-guarded,
+// delta-encoded and indexed; layout further down) is the only version
+// this build writes. Version 1 is read-only: the header followed by the
+// records verbatim, under one whole-file checksum (all fields
+// little-endian):
 //
 //   [SamtHeader: 64 bytes]  magic "SAMTRACE", version, record size,
 //                           record count, generator seed, FNV-1a checksum
 //                           of the record bytes, NUL-padded profile name
-//   [count x MicroOp: 40 bytes each]  the in-memory record, verbatim,
-//                           with padding bytes zeroed by the writer
+//   [count x MicroOp: 40 bytes each]  the in-memory record, verbatim
 //
-// Because the on-disk record *is* the in-memory `MicroOp` (layout pinned
-// by static_asserts below), a reader can either copy the array out
+// Because a v1 record *is* the in-memory `MicroOp` (layout pinned by
+// static_asserts below), a reader can either copy the array out
 // (TraceReader) or map the file and replay straight from the page cache
 // (MappedTrace) — zero copies, and one physical mapping shared by every
-// worker replaying the same file. docs/TRACE_FORMAT.md specifies the
-// format and its versioning rules.
+// worker replaying the same file. docs/TRACE_FORMAT.md specifies both
+// versions and the versioning rules.
 #pragma once
 
 #include <bit>
@@ -91,7 +95,7 @@ static_assert(sizeof(SamtHeader) == 64, "SAMT header is 64 bytes");
 
 // The on-disk record is the in-memory MicroOp; pin the layout so a build
 // whose MicroOp drifted cannot silently read or write garbage. A layout
-// change requires bumping kSamtVersion (see docs/TRACE_FORMAT.md).
+// change requires a new SAMT version (see docs/TRACE_FORMAT.md).
 static_assert(std::endian::native == std::endian::little,
               "SAMT I/O assumes a little-endian host");
 static_assert(sizeof(MicroOp) == 40);
@@ -112,41 +116,6 @@ static_assert(offsetof(MicroOp, pad_) == 38);
 inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 [[nodiscard]] std::uint64_t fnv1a_64(const void* bytes, std::size_t n,
                                      std::uint64_t h = kFnvBasis) noexcept;
-
-/// Streaming SAMT writer. Records are appended in canonical form (padding
-/// bytes zeroed, so identical traces produce byte-identical files);
-/// `finish()` patches count + checksum into the header and atomically
-/// renames the file into place. All writes go to `path + ".tmp"`, so a
-/// writer that dies — exception, SIGKILL, full disk — never leaves a
-/// partial file at `path`.
-class TraceWriter {
- public:
-  /// Opens `path + ".tmp"` for writing and emits a provisional header.
-  /// Throws TraceFormatError if the file cannot be created.
-  TraceWriter(const std::string& path, const std::string& name,
-              std::uint64_t seed);
-  TraceWriter(const TraceWriter&) = delete;
-  TraceWriter& operator=(const TraceWriter&) = delete;
-  /// Removes the tmp file if finish() was never called.
-  ~TraceWriter();
-
-  void append(const MicroOp& op);
-  void append(TraceView ops);
-  /// Patches the final header, fsyncs and renames the tmp into place.
-  /// Throws on I/O error (the tmp is removed, `path` untouched).
-  void finish();
-
- private:
-  std::string path_;
-  std::string tmp_path_;
-  std::FILE* file_ = nullptr;
-  SamtHeader header_{};
-  std::uint64_t checksum_ = kFnvBasis;
-};
-
-/// Convenience: writes a whole trace in one call.
-void write_samt(const std::string& path, TraceView ops,
-                const std::string& name, std::uint64_t seed);
 
 /// Reads and validates only the 64-byte header (magic, version, record
 /// size, file length vs count). Cheap: does not touch the records.
@@ -225,16 +194,15 @@ class MappedTrace {
 //
 // Delta state (previous pc, previous memory address) resets at every
 // block boundary, so any block decodes independently of its neighbors —
-// that is what makes O(1) random seeks and block-aligned sharded replay
-// possible. Full layout and damage taxonomy: docs/TRACE_FORMAT.md.
+// that is what makes O(1) random seeks possible and keeps damage local
+// to one block. Full layout and damage taxonomy: docs/TRACE_FORMAT.md.
 
 inline constexpr std::uint32_t kBlockMagic = 0x4B4C4253;   // "SBLK" (LE)
 inline constexpr std::uint32_t kIndexMagic = 0x58444953;   // "SIDX" (LE)
 inline constexpr char kFooterMagic[8] = {'S', 'A', 'M', 'T',
                                          'I', 'D', 'X', '2'};
 /// Default records per block: big enough to amortize headers and let the
-/// deltas compress, small enough that damage costs little and shard
-/// boundaries stay fine-grained.
+/// deltas compress, small enough that damage costs little.
 inline constexpr std::uint32_t kDefaultBlockRecords = 4096;
 
 #pragma pack(push, 1)
@@ -283,8 +251,7 @@ struct IoFault {
     /// interior corruption without touching the media.
     kBitFlipBlock,
     /// Writer finish() fails as if the disk filled before the trace was
-    /// sealed. The final path is untouched (v1 removes its tmp; v2 keeps
-    /// its tmp for resume).
+    /// sealed. The final path is untouched; the tmp is kept for resume.
     kEnospcOnImport,
     /// Writer finish() dies mid-block: a torn tmp file survives (no
     /// index, no rename) exactly as a SIGKILLed import would leave it.
@@ -310,9 +277,7 @@ struct BlockHealth {
   bool ok = false;
 };
 
-/// Full-file damage report: what trace_inspector --verify prints and what
-/// the sweep scheduler uses to quarantine only the jobs whose replay
-/// range touches a bad block.
+/// Full-file damage report: what trace_inspector --verify prints.
 struct TraceHealth {
   std::uint32_t version = 0;
   TraceDamage damage = TraceDamage::kNone;

@@ -28,29 +28,6 @@ TraceSource TraceSource::open_samt(const std::string& path,
   return TraceSource(std::move(mapped), std::move(name), seed);
 }
 
-TraceSource TraceSource::open_samt_range(const std::string& path,
-                                         std::uint64_t begin,
-                                         std::uint64_t end,
-                                         bool verify_checksum) {
-  if (read_samt_header(path).version == kSamtVersion2) {
-    const TraceV2Reader reader(path);
-    Trace t;
-    t.name = reader.name();
-    t.seed = reader.header().seed;
-    t.ops = reader.read_range(begin, end);
-    return from_trace(std::move(t));
-  }
-  MappedTrace mapped(path, verify_checksum);
-  std::string name = mapped.name();
-  const std::uint64_t seed = mapped.header().seed;
-  TraceSource src(std::move(mapped), std::move(name), seed);
-  if (end > src.size()) end = src.size();
-  if (begin > end) begin = end;
-  src.view_offset_ = static_cast<std::size_t>(begin);
-  src.view_len_ = static_cast<std::size_t>(end - begin);
-  return src;
-}
-
 TraceSource TraceSource::read_samt(const std::string& path) {
   if (read_samt_header(path).version == kSamtVersion2) {
     return from_trace(TraceV2Reader(path).read_all());
@@ -63,13 +40,8 @@ TraceSource TraceSource::import_text(const std::string& path) {
 }
 
 TraceView TraceSource::view() const noexcept {
-  TraceView base;
-  if (const auto* owned = std::get_if<Trace>(&storage_)) {
-    base = *owned;
-  } else {
-    base = std::get<MappedTrace>(storage_).view();
-  }
-  return base.subview(view_offset_, view_len_);
+  if (const auto* owned = std::get_if<Trace>(&storage_)) return *owned;
+  return std::get<MappedTrace>(storage_).view();
 }
 
 }  // namespace samie::trace

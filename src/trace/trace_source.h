@@ -36,14 +36,6 @@ class TraceSource {
   /// their guards are checked as a side effect of decoding).
   [[nodiscard]] static TraceSource open_samt(const std::string& path,
                                              bool verify_checksum = true);
-  /// Opens records [begin, end) of a SAMT file (clamped to the trace):
-  /// the shard-replay entry point. v1 windows the mapping; v2 decodes
-  /// only the covering blocks, so damage outside the range is never
-  /// touched.
-  [[nodiscard]] static TraceSource open_samt_range(const std::string& path,
-                                                   std::uint64_t begin,
-                                                   std::uint64_t end,
-                                                   bool verify_checksum = true);
   /// Reads a SAMT file into an owned in-RAM copy (TraceReader path).
   [[nodiscard]] static TraceSource read_samt(const std::string& path);
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).
@@ -75,10 +67,6 @@ class TraceSource {
   std::variant<Trace, MappedTrace> storage_;
   std::string name_;
   std::uint64_t seed_ = 0;
-  /// Range-opened sources expose a window of the backing storage; the
-  /// defaults expose all of it.
-  std::size_t view_offset_ = 0;
-  std::size_t view_len_ = ~std::size_t{0};
 };
 
 }  // namespace samie::trace

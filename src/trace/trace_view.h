@@ -35,13 +35,6 @@ class TraceView {
   [[nodiscard]] constexpr const MicroOp* end() const noexcept {
     return data_ + count_;
   }
-  /// Sub-window [first, first + n), clamped to the view.
-  [[nodiscard]] constexpr TraceView subview(std::size_t first,
-                                            std::size_t n) const noexcept {
-    if (first > count_) first = count_;
-    if (n > count_ - first) n = count_ - first;
-    return TraceView{data_ + first, n};
-  }
 
  private:
   const MicroOp* data_ = nullptr;

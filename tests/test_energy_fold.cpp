@@ -1,10 +1,7 @@
 // Property tests for the integer-event energy ledger (src/energy/
 // ledger.h): the O(1) count*pj fold must agree with legacy per-event FP
 // accumulation on randomized event streams, the fused placement hook
-// must be count-identical to the per-event hook sequence it batches,
-// and ledger merging must be exactly associative (integer counts make
-// the folded energy of merged shards bit-identical to one ledger fed
-// the concatenated stream).
+// must be count-identical to the per-event hook sequence it batches.
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -188,72 +185,6 @@ TEST(EnergyFold, FusedPlacementHookEqualsPerEventHooks) {
   EXPECT_EQ(fused.distrib_pj(), unfused.distrib_pj());
   EXPECT_EQ(fused.shared_pj(), unfused.shared_pj());
   EXPECT_EQ(fused.bus_pj(), unfused.bus_pj());
-}
-
-TEST(EnergyFold, MergeIsExactlyAssociative) {
-  // fold(A merge B) == fold(A concat B), bitwise: merged integer counts
-  // equal the concatenated stream's counts, and identical counts run the
-  // identical fold arithmetic.
-  const LsqEnergyConstants k = paper_constants();
-  const std::vector<SamieEvent> a = random_stream(11, 7'000);
-  const std::vector<SamieEvent> b = random_stream(22, 13'000);
-
-  SamieLsqLedger la(k);
-  SamieLsqLedger lb(k);
-  SamieLsqLedger lab(k);
-  for (const SamieEvent& e : a) {
-    charge_ledger(la, e);
-    charge_ledger(lab, e);
-  }
-  for (const SamieEvent& e : b) {
-    charge_ledger(lb, e);
-    charge_ledger(lab, e);
-  }
-  SamieLsqLedger merged(k);
-  merged.merge(lb);  // order must not matter
-  merged.merge(la);
-  EXPECT_EQ(merged.energy_pj(), lab.energy_pj());
-  EXPECT_EQ(merged.distrib_pj(), lab.distrib_pj());
-  EXPECT_EQ(merged.shared_pj(), lab.shared_pj());
-  EXPECT_EQ(merged.addrbuf_pj(), lab.addrbuf_pj());
-  EXPECT_EQ(merged.bus_pj(), lab.bus_pj());
-
-  ConvLsqLedger ca(k);
-  ConvLsqLedger cb(k);
-  ConvLsqLedger cab(k);
-  std::mt19937_64 rng(3);
-  std::uniform_int_distribution<std::uint64_t> compared(0, 128);
-  for (int i = 0; i < 5'000; ++i) {
-    const std::uint64_t n = compared(rng);
-    ConvLsqLedger& half = i % 2 == 0 ? ca : cb;
-    half.on_addr_search(n);
-    half.on_datum_write();
-    cab.on_addr_search(n);
-    cab.on_datum_write();
-  }
-  ca.merge(cb);
-  EXPECT_EQ(ca.energy_pj(), cab.energy_pj());
-
-  DcacheLedger da(k), db(k), dab(k);
-  da.on_full_access();
-  db.on_way_known_access();
-  db.on_way_known_access();
-  dab.on_full_access();
-  dab.on_way_known_access();
-  dab.on_way_known_access();
-  da.merge(db);
-  EXPECT_EQ(da.energy_pj(), dab.energy_pj());
-
-  DtlbLedger ta(k), tb(k), tab(k);
-  ta.on_access();
-  tb.on_access();
-  tb.on_cached_translation();
-  tab.on_access();
-  tab.on_access();
-  tab.on_cached_translation();
-  ta.merge(tb);
-  EXPECT_EQ(ta.energy_pj(), tab.energy_pj());
-  EXPECT_EQ(ta.cached_translations(), tab.cached_translations());
 }
 
 }  // namespace

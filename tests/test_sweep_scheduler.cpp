@@ -342,6 +342,14 @@ TEST_F(SweepSchedulerTest, ResumeRefusesADifferentSweep) {
   EXPECT_THROW((void)sim::run_sweep(fewer, res), sim::CheckpointError);
 }
 
+TEST_F(SweepSchedulerTest, MiniSuiteFingerprintIsPinned) {
+  // The CI mini-suite (samie_sim --insts=20000 gcc ammp mcf): this value
+  // is in the H line of every journal such a sweep has written, so any
+  // change to what sweep_fingerprint hashes makes those journals fail
+  // --resume with "different sweep".
+  EXPECT_EQ(sim::sweep_fingerprint(three_jobs(20'000)), 0x17566cd02aec9d23ULL);
+}
+
 TEST_F(SweepSchedulerTest, CancellationTokenAbortsASimulationDirectly) {
   sim::SimConfig cfg = sim::paper_config(sim::LsqChoice::kSamie);
   cfg.instructions = 50'000;

@@ -31,6 +31,7 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/workload.h"
+#include "tests/samt_v1_fixture.h"
 
 namespace samie {
 namespace {
@@ -51,8 +52,7 @@ class TraceFuzzTest : public ::testing::Test {
     t.name = "gcc";
     t.seed = 11;
     const std::string p = path("seedfile.samt");
-    trace::write_samt(p, trace::TraceView(t.ops.data(), t.ops.size()), t.name,
-                      t.seed);
+    fixture::write_samt_v1(p, t, t.name, t.seed);
     std::ifstream in(p, std::ios::binary);
     valid_.assign(std::istreambuf_iterator<char>(in),
                   std::istreambuf_iterator<char>());

@@ -1,8 +1,9 @@
 // Tests for the SAMT binary trace format and the trace-source layer:
-// write→read round-trips are byte-stable, mmap and copying replays are
-// bit-identical to in-memory simulation for every LSQ kind, malformed
-// files are rejected with clear errors, and the text importer builds
-// traces that satisfy the generator's invariants.
+// v2 writes are byte-stable, v1 files (written by the test-only fixture
+// in samt_v1_fixture.h) read back exactly and replay through mmap and
+// the copying reader bit-identically to in-memory simulation for every
+// LSQ kind, malformed files are rejected with clear errors, and the
+// text importer builds traces that satisfy the generator's invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -19,6 +20,7 @@
 #include "src/trace/trace_source.h"
 #include "src/trace/trace_view.h"
 #include "src/trace/workload.h"
+#include "tests/samt_v1_fixture.h"
 
 namespace samie {
 namespace {
@@ -121,7 +123,7 @@ void expect_results_identical(const sim::SimResult& a, const sim::SimResult& b) 
 
 TEST_F(TraceIoTest, WriteReadRoundTripPreservesEverything) {
   const trace::Trace t = small_trace();
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
 
   trace::TraceReader reader(path("t.samt"));
   EXPECT_EQ(reader.name(), "gcc");
@@ -138,28 +140,19 @@ TEST_F(TraceIoTest, WriteReadRoundTripPreservesEverything) {
 
 TEST_F(TraceIoTest, RoundTripIsByteStable) {
   const trace::Trace t = small_trace();
-  trace::write_samt(path("a.samt"), t, t.name, t.seed);
-  // Same trace written again: byte-identical (canonical records).
-  trace::write_samt(path("b.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("a.samt"), t, t.name, t.seed);
+  // Same trace written again: byte-identical.
+  trace::write_samt_v2(path("b.samt"), t, t.name, t.seed);
   EXPECT_EQ(slurp(path("a.samt")), slurp(path("b.samt")));
   // Read back and re-written: still byte-identical.
-  const trace::Trace back = trace::TraceReader(path("a.samt")).read_all();
-  trace::write_samt(path("c.samt"), back, back.name, back.seed);
+  const trace::Trace back = trace::TraceV2Reader(path("a.samt")).read_all();
+  trace::write_samt_v2(path("c.samt"), back, back.name, back.seed);
   EXPECT_EQ(slurp(path("a.samt")), slurp(path("c.samt")));
-}
-
-TEST_F(TraceIoTest, StreamingWriterMatchesOneShot) {
-  const trace::Trace t = small_trace(1000);
-  trace::write_samt(path("oneshot.samt"), t, t.name, t.seed);
-  trace::TraceWriter w(path("streamed.samt"), t.name, t.seed);
-  for (const auto& op : t.ops) w.append(op);
-  w.finish();
-  EXPECT_EQ(slurp(path("oneshot.samt")), slurp(path("streamed.samt")));
 }
 
 TEST_F(TraceIoTest, MappedTraceIsZeroCopyView) {
   const trace::Trace t = small_trace();
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
   trace::MappedTrace mapped(path("t.samt"));
   EXPECT_EQ(mapped.name(), "gcc");
   EXPECT_EQ(mapped.size(), t.size());
@@ -168,7 +161,7 @@ TEST_F(TraceIoTest, MappedTraceIsZeroCopyView) {
 
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
   const trace::Trace empty{.name = "void", .seed = 3, .ops = {}};
-  trace::write_samt(path("e.samt"), empty, empty.name, empty.seed);
+  fixture::write_samt_v1(path("e.samt"), empty, empty.name, empty.seed);
   EXPECT_EQ(trace::TraceReader(path("e.samt")).read_all().size(), 0U);
   trace::MappedTrace mapped(path("e.samt"));
   EXPECT_EQ(mapped.size(), 0U);
@@ -179,7 +172,7 @@ TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
 
 TEST_F(TraceIoTest, RejectsBadMagic) {
   const trace::Trace t = small_trace(100);
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes[0] = 'X';
   std::ofstream(path("bad.samt"), std::ios::binary)
@@ -195,7 +188,7 @@ TEST_F(TraceIoTest, RejectsBadMagic) {
 
 TEST_F(TraceIoTest, RejectsWrongVersion) {
   const trace::Trace t = small_trace(100);
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes[8] = 99;  // version field (offset 8, little-endian u32)
   std::ofstream(path("v99.samt"), std::ios::binary)
@@ -210,7 +203,7 @@ TEST_F(TraceIoTest, RejectsWrongVersion) {
 
 TEST_F(TraceIoTest, RejectsTruncatedFile) {
   const trace::Trace t = small_trace(100);
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes.resize(bytes.size() - 13);
   std::ofstream(path("trunc.samt"), std::ios::binary)
@@ -227,7 +220,7 @@ TEST_F(TraceIoTest, RejectsTruncatedFile) {
 
 TEST_F(TraceIoTest, RejectsHeaderOnlyStub) {
   std::ofstream(path("stub.samt"), std::ios::binary).write("SAMT", 4);
-  EXPECT_THROW(trace::read_samt_header(path("stub.samt")),
+  EXPECT_THROW((void)trace::read_samt_header(path("stub.samt")),
                trace::TraceFormatError);
   EXPECT_THROW(trace::MappedTrace m(path("stub.samt")),
                trace::TraceFormatError);
@@ -235,13 +228,13 @@ TEST_F(TraceIoTest, RejectsHeaderOnlyStub) {
 
 TEST_F(TraceIoTest, RejectsChecksumMismatch) {
   const trace::Trace t = small_trace(100);
-  trace::write_samt(path("t.samt"), t, t.name, t.seed);
+  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes[sizeof(trace::SamtHeader) + 5] ^= 0x40;  // flip a record bit
   std::ofstream(path("flip.samt"), std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // The header itself is fine...
-  EXPECT_NO_THROW(trace::read_samt_header(path("flip.samt")));
+  EXPECT_NO_THROW((void)trace::read_samt_header(path("flip.samt")));
   // ...but both record readers notice.
   EXPECT_THROW((void)trace::TraceReader(path("flip.samt")).read_all(),
                trace::TraceFormatError);
@@ -250,7 +243,7 @@ TEST_F(TraceIoTest, RejectsChecksumMismatch) {
 }
 
 TEST_F(TraceIoTest, RejectsMissingFile) {
-  EXPECT_THROW(trace::read_samt_header(path("absent.samt")),
+  EXPECT_THROW((void)trace::read_samt_header(path("absent.samt")),
                trace::TraceFormatError);
 }
 
@@ -259,7 +252,7 @@ TEST_F(TraceIoTest, RejectsMissingFile) {
 TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("ammp"), 42);
   const trace::Trace t = gen.generate(30000);
-  trace::write_samt(path("ammp.samt"), t, "ammp", 42);
+  fixture::write_samt_v1(path("ammp.samt"), t, "ammp", 42);
 
   const trace::MappedTrace mapped(path("ammp.samt"));
   const trace::Trace copied = trace::TraceReader(path("ammp.samt")).read_all();
@@ -284,7 +277,7 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
 TEST_F(TraceIoTest, RunJobsSharesOneMappingAcrossLsqSweep) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("swim"), 9);
   const trace::Trace t = gen.generate(20000);
-  trace::write_samt(path("swim.samt"), t, "swim", 9);
+  fixture::write_samt_v1(path("swim.samt"), t, "swim", 9);
 
   std::vector<sim::Job> jobs;
   for (const auto lsq : {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
@@ -323,8 +316,8 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   EXPECT_EQ(generated.size(), 1000U);
   EXPECT_FALSE(generated.is_mapped());
 
-  trace::write_samt(path("g.samt"), generated.view(), generated.name(),
-                    generated.seed());
+  fixture::write_samt_v1(path("g.samt"), generated.view(), generated.name(),
+                         generated.seed());
   const trace::TraceSource mapped = trace::TraceSource::open_samt(path("g.samt"));
   EXPECT_TRUE(mapped.is_mapped());
   EXPECT_EQ(mapped.name(), "gcc");

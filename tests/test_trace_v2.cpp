@@ -2,8 +2,8 @@
 // injected-I/O-fault behavior (src/trace/trace_io.h). The fuzz matrix
 // for mutated files lives in test_trace_fuzz.cpp; this file covers the
 // *intended* v2 behaviors: exact decode, O(1) range reads off the
-// index, the v1<->v2 converter invariants, resumable atomic import, and
-// the enospc/torn import faults leaving a tmp but never a final file.
+// index, resumable atomic import, and the enospc/torn import faults
+// leaving a tmp but never a final file.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -96,7 +96,7 @@ TEST_F(TraceV2Test, RoundTripsGeneratedWorkload) {
   const trace::Trace t = r.read_all();
   EXPECT_TRUE(same_ops(t.ops, ops));
   // read_samt_header works on v2 files too (version sniffing for
-  // replay autodetect and the sharder).
+  // replay autodetect).
   EXPECT_EQ(trace::read_samt_header(p).version, trace::kSamtVersion2);
   EXPECT_EQ(trace::read_samt_header(p).count, ops.size());
 }
@@ -229,19 +229,6 @@ TEST_F(TraceV2Test, EnospcFaultKeepsTmpNeverFinal) {
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
                        256);
   EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
-}
-
-TEST_F(TraceV2Test, V1ImportFaultIsAtomicToo) {
-  // The v1 writer consumes the same import faults; it removes its tmp
-  // (v1 has no resume) and never publishes the final file.
-  const std::vector<trace::MicroOp> ops = workload(300);
-  const std::string p = path("v1.samt");
-  trace::set_io_fault(p, {trace::IoFault::Kind::kEnospcOnImport, 0});
-  EXPECT_THROW(
-      trace::write_samt(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23),
-      trace::TraceFormatError);
-  EXPECT_FALSE(fs::exists(p));
-  EXPECT_FALSE(fs::exists(p + ".tmp"));
 }
 
 TEST_F(TraceV2Test, ShortReadFaultReadsAsTornTail) {

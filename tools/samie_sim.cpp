@@ -43,8 +43,9 @@
 //   --checkpoint=FILE      journal each completed job to FILE (crash-safe)
 //   --resume=FILE          resume an interrupted sweep from FILE: finished
 //                          jobs are loaded bit-identically, the rest run
-//   --no-verify-checksum   skip the SAMT FNV-1a checksum pass on replay
-//                          (for re-opening an already-verified trace)
+//   --no-verify-checksum   skip the SAMT v1 FNV-1a checksum pass on
+//                          replay (for re-opening an already-verified
+//                          trace; v2 block guards are always checked)
 //   --inject-fault=J:A:KIND[:ARG]  test/CI hook: inject a fault at job J
 //                          (0-based) attempt A (1-based); KIND is flaky
 //                          (transient throw), fail (deterministic throw),
@@ -65,27 +66,13 @@
 //
 // Trace modes (SAMT format: docs/TRACE_FORMAT.md):
 //   --record-trace=DIR   additionally write each program's generated
-//                        trace to DIR/<program>.samt (DIR is created);
-//                        combined with --import-trace this converts the
-//                        imported text traces to SAMT
-//   --trace-format=V     SAMT version written by --record-trace: v1
-//                        (default; flat mmap-able records) or v2
-//                        (block-guarded + indexed; shardable)
+//                        trace to DIR/<program>.samt as SAMT v2 (DIR is
+//                        created); combined with --import-trace this
+//                        converts the imported text traces to SAMT v2
 //   --replay-trace=PATH  replay a recorded .samt file — or every .samt
-//                        in a directory — (v1: mmap zero-copy; v2:
-//                        block-decoded). Replays the full trace unless
-//                        --insts is given
-//   --trace-shards=N     split each replayed v2 trace into N
-//                        block-aligned shard jobs and emit one
-//                        reconciled row per trace (only when every
-//                        shard completed — never a partial row).
-//                        Requires --replay-trace with v2 traces
-//   --shard-warmup=W     warm-up records each shard replays ahead of
-//                        its measured range, excluded from its stats;
-//                        "full" (default) replays the whole prefix —
-//                        the exact mode, where reconciled integer
-//                        stats and energies match the unsharded run
-//                        bit for bit (docs/SWEEP_ROBUSTNESS.md)
+//                        in a directory — of either version (v1: mmap
+//                        zero-copy; v2: block-decoded). Replays the full
+//                        trace unless --insts is given
 //   --import-trace=PATH  import a plain-text trace file (or directory of
 //                        .txt/.trace files; one op per line) and run it
 //
@@ -115,7 +102,6 @@
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_scheduler.h"
-#include "src/sim/trace_shard.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
@@ -230,10 +216,6 @@ int main(int argc, char** argv) {
   cfg.instructions = 200'000;
   bool csv = false;
   bool insts_given = false;
-  bool record_v2 = false;
-  std::uint64_t trace_shards = 0;
-  std::uint64_t shard_warmup = UINT64_MAX;  // "full": the exact mode
-  bool shard_warmup_given = false;
   std::string record_dir;
   std::string replay_path;
   std::string import_path;
@@ -259,20 +241,6 @@ int main(int argc, char** argv) {
       fault_plan.faults.push_back(parse_fault(arg.substr(15)));
     } else if (arg == "--no-verify-checksum") {
       cfg.verify_trace_checksum = false;
-    } else if (arg.rfind("--trace-format=", 0) == 0) {
-      const std::string fmt = arg.substr(15);
-      if (fmt == "v1") record_v2 = false;
-      else if (fmt == "v2") record_v2 = true;
-      else usage_error("unknown --trace-format '" + fmt + "' (v1 or v2)");
-    } else if (parse_u64(arg, "--trace-shards", v)) {
-      if (v == 0) usage_error("--trace-shards must be at least 1");
-      trace_shards = v;
-    } else if (arg == "--shard-warmup=full") {
-      shard_warmup = UINT64_MAX;
-      shard_warmup_given = true;
-    } else if (parse_u64(arg, "--shard-warmup", v)) {
-      shard_warmup = v;
-      shard_warmup_given = true;
     } else if (parse_u64(arg, "--retries", v)) {
       if (v == 0) usage_error("--retries must be at least 1");
       sweep.retry.max_attempts = static_cast<std::uint32_t>(v);
@@ -358,15 +326,6 @@ int main(int argc, char** argv) {
   if (sweep.isolate_procs != 0 && !import_path.empty()) {
     usage_error("--isolate applies to sweep modes, not --import-trace");
   }
-  if (trace_shards != 0 && replay_path.empty()) {
-    usage_error("--trace-shards requires --replay-trace (v2 traces)");
-  }
-  if (shard_warmup_given && trace_shards == 0) {
-    usage_error("--shard-warmup requires --trace-shards");
-  }
-  if (record_v2 && record_dir.empty()) {
-    usage_error("--trace-format applies to --record-trace");
-  }
   if (!record_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(record_dir, ec);
@@ -377,20 +336,12 @@ int main(int argc, char** argv) {
   std::vector<sim::JobResult> results;
   sim::SweepReport report;
   bool ran_sweep = false;
-  /// Sharded replay bookkeeping: one group per replayed trace, covering
-  /// `count` consecutive shard jobs starting at job index `begin`.
-  struct ShardGroup {
-    sim::Job base;
-    std::size_t begin = 0;
-    std::size_t count = 0;
-  };
-  std::vector<ShardGroup> shard_groups;
   const std::string tag = sim::lsq_choice_name(cfg.lsq);
 
   try {
   if (!replay_path.empty()) {
     // Replay recorded SAMT traces through the supervised sweep: workers
-    // sweeping one file share a single mmap via the trace cache.
+    // sweeping one file share a single source via the trace cache.
     std::vector<sim::Job> jobs;
     for (const auto& file : collect_files(replay_path, {".samt"})) {
       const trace::SamtHeader header = trace::read_samt_header(file);
@@ -403,27 +354,13 @@ int main(int argc, char** argv) {
       job.config.trace_path = file;
       if (!insts_given) job.config.instructions = header.count;
       job.tag = tag;
-      if (trace_shards != 0) {
-        // Block-aligned shard jobs; the reconciled row is assembled
-        // after the sweep, and only when every shard completed.
-        ShardGroup g;
-        g.base = job;
-        g.begin = jobs.size();
-        for (auto& sj : sim::make_trace_shard_jobs(
-                 job, static_cast<std::uint32_t>(trace_shards), shard_warmup)) {
-          jobs.push_back(std::move(sj.job));
-        }
-        g.count = jobs.size() - g.begin;
-        shard_groups.push_back(std::move(g));
-      } else {
-        jobs.push_back(std::move(job));
-      }
+      jobs.push_back(std::move(job));
     }
     report = sim::run_sweep(jobs, sweep);
     ran_sweep = true;
   } else if (!import_path.empty()) {
     // Text import: materialize each trace once, optionally convert it to
-    // SAMT, and run it in place. Fail-fast: a malformed text trace is a
+    // SAMT v2, and run it in place. Fail-fast: a malformed text trace is a
     // fatal (exit 1) error, not a sweep outcome.
     std::uint64_t file_idx = 0;
     for (const auto& file : collect_files(import_path, {".txt", ".trace"})) {
@@ -439,11 +376,7 @@ int main(int argc, char** argv) {
             arm_import_fault(out.string(), f);
           }
         }
-        if (record_v2) {
-          trace::write_samt_v2(out.string(), src.view(), src.name(), src.seed());
-        } else {
-          trace::write_samt(out.string(), src.view(), src.name(), src.seed());
-        }
+        trace::write_samt_v2(out.string(), src.view(), src.name(), src.seed());
         std::cerr << "recorded " << out.string() << " (" << src.size()
                   << " ops)\n";
       }
@@ -474,11 +407,7 @@ int main(int argc, char** argv) {
         const trace::TraceSource src = trace::TraceSource::generate(
             trace::spec2000_profile(p), cfg.seed, cfg.instructions);
         const auto out = std::filesystem::path(record_dir) / (p + ".samt");
-        if (record_v2) {
-          trace::write_samt_v2(out.string(), src.view(), p, cfg.seed);
-        } else {
-          trace::write_samt(out.string(), src.view(), p, cfg.seed);
-        }
+        trace::write_samt_v2(out.string(), src.view(), p, cfg.seed);
         std::cerr << "recorded " << out.string() << " (" << src.size()
                   << " ops)\n";
       }
@@ -505,32 +434,11 @@ int main(int argc, char** argv) {
   }
 
   if (ran_sweep) {
-    if (!shard_groups.empty()) {
-      // Sharded replay: per-shard rows are internal. Emit one
-      // reconciled row per trace, and only when every one of its
-      // shards completed — a trace with a damaged/failed shard gets
-      // no row at all, never a partial one.
-      for (const ShardGroup& g : shard_groups) {
-        std::vector<sim::SimResult> parts;
-        parts.reserve(g.count);
-        bool all = g.count != 0;
-        for (std::size_t i = 0; i < g.count && all; ++i) {
-          const sim::SweepJobResult& jr = report.jobs[g.begin + i];
-          if (jr.completed()) parts.push_back(jr.result);
-          else all = false;
-        }
-        if (all) {
-          results.push_back(sim::JobResult{
-              g.base, sim::merge_shard_results(parts, g.base.config)});
-        }
-      }
-    } else {
-      // Completed jobs only, in job order: a failed/timed-out/skipped
-      // job never fabricates an output row.
-      for (sim::SweepJobResult& jr : report.jobs) {
-        if (jr.completed()) {
-          results.push_back(sim::JobResult{std::move(jr.job), jr.result});
-        }
+    // Completed jobs only, in job order: a failed/timed-out/skipped job
+    // never fabricates an output row.
+    for (sim::SweepJobResult& jr : report.jobs) {
+      if (jr.completed()) {
+        results.push_back(sim::JobResult{std::move(jr.job), jr.result});
       }
     }
     if (!report.all_completed() || report.resumed != 0 ||

@@ -1,12 +1,11 @@
-// samt_convert: converts SAMT traces between v1 (flat mmap-able record
-// array) and v2 (block-guarded, delta-encoded, indexed) in either
-// direction, with integrity verification on both ends.
+// samt_convert: converts a SAMT trace of either version to SAMT v2
+// (block-guarded, delta-encoded, indexed) — the only version this build
+// writes — with integrity verification on both ends. A v1 input (flat
+// mmap-able record array) is upgraded; a v2 input is re-blocked.
 //
 //   samt_convert [options] <in.samt> <out.samt>
 //
-//   --to=v1|v2         target version (default: the opposite of the
-//                      input's version)
-//   --block-records=N  records per v2 block (default 4096; v2 output only)
+//   --block-records=N  records per output block (default 4096)
 //   --no-verify        skip the post-write re-read of the output
 //
 // The input is fully decoded through its version's verifying reader
@@ -15,9 +14,9 @@
 // error instead of laundering corruption into a clean-looking output.
 // After writing, the output is re-opened and verified the same way and
 // its record stream compared byte-for-byte against the input's, so a
-// conversion can never silently drop or alter records. Both writers
-// publish atomically (tmp + fsync + rename): a failed conversion leaves
-// no partial file at the output path.
+// conversion can never silently drop or alter records. The writer
+// publishes atomically (tmp + fsync + rename): a failed conversion
+// leaves no final file at the output path.
 //
 // Exit status: 0 on success, 1 on any error (usage, unreadable or
 // damaged input, write failure, post-write verification mismatch).
@@ -36,8 +35,8 @@ using namespace samie;
 
 [[noreturn]] void usage_error(const std::string& what) {
   std::cerr << "samt_convert: " << what
-            << "\nusage: samt_convert [--to=v1|v2] [--block-records=N]"
-               " [--no-verify] <in.samt> <out.samt>\n";
+            << "\nusage: samt_convert [--block-records=N] [--no-verify]"
+               " <in.samt> <out.samt>\n";
   std::exit(1);
 }
 
@@ -54,21 +53,14 @@ trace::Trace read_verified(const std::string& path, std::uint32_t& version) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint32_t to_version = 0;  // 0: opposite of the input
   std::uint64_t block_records = trace::kDefaultBlockRecords;
   bool verify_output = true;
   std::vector<std::string> paths;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--to=v1") {
-      to_version = trace::kSamtVersion;
-    } else if (arg == "--to=v2") {
-      to_version = trace::kSamtVersion2;
-    } else if (arg.rfind("--to=", 0) == 0) {
-      usage_error("unknown --to target '" + arg.substr(5) + "' (v1 or v2)");
-    } else if (tools::parse_u64(arg, "--block-records", block_records,
-                                [](const std::string& w) { usage_error(w); })) {
+    if (tools::parse_u64(arg, "--block-records", block_records,
+                         [](const std::string& w) { usage_error(w); })) {
       if (block_records == 0 || block_records > (1u << 24)) {
         usage_error("--block-records must be in [1, 2^24]");
       }
@@ -90,17 +82,8 @@ int main(int argc, char** argv) {
   try {
     std::uint32_t in_version = 0;
     const trace::Trace t = read_verified(in_path, in_version);
-    if (to_version == 0) {
-      to_version = in_version == trace::kSamtVersion2 ? trace::kSamtVersion
-                                                      : trace::kSamtVersion2;
-    }
-    const trace::TraceView view{t.ops.data(), t.ops.size()};
-    if (to_version == trace::kSamtVersion2) {
-      trace::write_samt_v2(out_path, view, t.name, t.seed,
-                           static_cast<std::uint32_t>(block_records));
-    } else {
-      trace::write_samt(out_path, view, t.name, t.seed);
-    }
+    trace::write_samt_v2(out_path, t, t.name, t.seed,
+                         static_cast<std::uint32_t>(block_records));
 
     if (verify_output) {
       std::uint32_t out_version = 0;
@@ -108,7 +91,7 @@ int main(int argc, char** argv) {
       static_assert(
           std::has_unique_object_representations_v<trace::MicroOp>);
       const bool same =
-          out_version == to_version && back.name == t.name &&
+          out_version == trace::kSamtVersion2 && back.name == t.name &&
           back.seed == t.seed && back.ops.size() == t.ops.size() &&
           (t.ops.empty() ||
            std::memcmp(back.ops.data(), t.ops.data(),
@@ -121,7 +104,7 @@ int main(int argc, char** argv) {
       }
     }
     std::cerr << "converted " << in_path << " (v" << in_version << ") -> "
-              << out_path << " (v" << to_version << "), " << t.ops.size()
+              << out_path << " (v2), " << t.ops.size()
               << " records" << (verify_output ? ", verified" : "") << "\n";
   } catch (const trace::TraceFormatError& e) {
     std::cerr << "samt_convert: " << e.what() << "\n";
