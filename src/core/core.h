@@ -41,9 +41,9 @@
 #include "src/common/calendar_wheel.h"
 #include "src/common/ring_deque.h"
 #include "src/common/seq_set.h"
+#include "src/common/sparse_memory.h"
 #include "src/core/dep_slab.h"
 #include "src/core/fu_pool.h"
-#include "src/core/main_memory.h"
 #include "src/energy/ledger.h"
 #include "src/lsq/lsq_interface.h"
 #include "src/mem/hierarchy.h"
@@ -529,7 +529,12 @@ class Core final : private lsq::PresentBitClearer {
   energy::DcacheLedger* dcache_ledger_;
   energy::DtlbLedger* dtlb_ledger_;
   ObserverT* observer_;
-  MainMemory memory_state_;
+  /// Committed architectural memory: stores write it at commit, loads
+  /// that reach the cache read it. Checked against the trace's oracle
+  /// load values (`value_mismatches`), it closes the loop that proves the
+  /// LSQ's disambiguation and forwarding return program-order-correct
+  /// data for every load.
+  SparseMemory memory_state_;
 
   // Pipeline state.
   Cycle cycle_ = 0;

@@ -2,7 +2,7 @@
 // per-line `presentBit` the SAMIE-LSQ extension relies on (paper §3.4).
 //
 // This is a *timing/occupancy* model: no data bytes are stored (values
-// live in the simulator's MainMemory); the cache tracks which lines are
+// live in the core's SparseMemory image); the cache tracks which lines are
 // resident, where (set/way), and which of them have their physical
 // location cached in some LSQ entry.
 #pragma once

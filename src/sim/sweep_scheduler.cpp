@@ -460,11 +460,14 @@ struct Ending {
 
 /// The job lifecycle both runners drive. A due-time queue hands out
 /// attempts — due retries ahead of fresh jobs, fresh jobs in `todo`
-/// order, fresh jobs past the failure budget drained to Skipped — the
-/// runner performs each attempt, and end_attempt() applies the decision:
-/// queue the retry at its due time, or seal. Thread-safe: the in-thread
-/// runner's workers share one lifecycle, and the forked-child runner
-/// drives it from its single thread through the non-blocking try_take().
+/// order (the trace cache's dispatch order: grouped by trace, so each
+/// trace is released before the next ones are built), fresh jobs past
+/// the failure budget drained to Skipped — the runner performs each
+/// attempt, and end_attempt() applies the decision: queue the retry at
+/// its due time, or seal. Results land in the report's job-order slots
+/// whatever order they run in. Thread-safe: the in-thread runner's
+/// workers share one lifecycle, and the forked-child runner drives it
+/// from its single thread through the non-blocking try_take().
 class Lifecycle {
  public:
   Lifecycle(const std::vector<Job>& jobs, std::vector<std::size_t> todo,
@@ -558,6 +561,9 @@ class Lifecycle {
   }
 
  private:
+  /// A due retry if there is one, else the next fresh job in `todo_`
+  /// order (grouped by trace). Once the failure budget is spent, fresh
+  /// jobs drain to Skipped in that same order.
   [[nodiscard]] std::optional<Ticket> take_locked() {
     const Clock::time_point now = Clock::now();
     const auto due = std::find_if(retries_.begin(), retries_.end(),
@@ -620,7 +626,7 @@ class Lifecycle {
   }
 
   const std::vector<Job>& jobs_;
-  const std::vector<std::size_t> todo_;
+  const std::vector<std::size_t> todo_;  ///< fresh jobs, in dispatch order
   const SweepOptions& opt_;
   SweepReport& rep_;
   TraceCache& traces_;
@@ -973,13 +979,8 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
     }
   }
 
-  std::vector<std::size_t> todo;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!done[i]) todo.push_back(i);
-  }
-
   TraceCache traces(jobs, done);
-  Lifecycle life(jobs, std::move(todo), opt, rep, traces,
+  Lifecycle life(jobs, traces.dispatch_order(), opt, rep, traces,
                  journal ? &*journal : nullptr);
   if (opt.isolate_procs != 0) {
     run_forked(life, opt);

@@ -23,9 +23,10 @@
 //   ResourceExceeded — process isolation only: the child hit its
 //               resource jail (RLIMIT_AS allocation failure, RLIMIT_CPU
 //               SIGXCPU, or a kernel OOM kill)
-//   TraceDamaged — the job's trace file failed its guards when the job
-//               decoded it (trace::TraceCorruptError: torn tail,
-//               interior corruption or a bad index). Deterministic by
+//   TraceDamaged — the job's trace file failed its guards, or held a
+//               record outside the record domain, when the job opened
+//               it (trace::TraceCorruptError: torn tail, interior
+//               corruption or a bad index). Deterministic by
 //               definition — the bytes on disk don't heal on retry — so
 //               the job is journaled with a 'D' record and a resume
 //               seals it instead of re-running it. Every job decodes its
@@ -85,7 +86,7 @@ enum class JobStatus : std::uint8_t {
   kSkipped,
   kCrashed,           ///< child died on a fatal signal (isolation only)
   kResourceExceeded,  ///< child hit its rlimit jail (isolation only)
-  kTraceDamaged,      ///< the job's trace file failed its guards
+  kTraceDamaged,      ///< the job's trace file failed its guards or domain
 };
 [[nodiscard]] const char* job_status_name(JobStatus s) noexcept;
 
@@ -272,7 +273,7 @@ struct SweepReport {
   std::size_t skipped = 0;
   std::size_t crashed = 0;            ///< child died on a fatal signal
   std::size_t resource_exceeded = 0;  ///< child hit its rlimit jail
-  std::size_t trace_damaged = 0;      ///< trace file failed its guards
+  std::size_t trace_damaged = 0;      ///< trace file failed guards or domain
   std::size_t resumed = 0;  ///< subset of `completed` loaded from journal
   /// Subset of `crashed` skipped on resume via a quarantine record.
   std::size_t quarantined = 0;
@@ -281,10 +282,11 @@ struct SweepReport {
   /// Torn checkpoint lines ignored on resume (a kill mid-append).
   std::size_t checkpoint_lines_ignored = 0;
   /// High-water mark of trace sources resident in the sweep's cache —
-  /// the residency-release regression probe: with release-on-last-
-  /// consumer working, this tracks the traces concurrently in flight
-  /// (<= threads / isolate_procs, plus build overlap) and the traces
-  /// later jobs still share, not every distinct trace the sweep touched.
+  /// the residency regression probe. Fresh jobs are dispatched grouped by
+  /// trace and each trace is released when its last job seals, so this
+  /// tracks the workers — one trace per job in flight (<= threads or
+  /// isolate_procs) or waiting out a retry backoff — not the number of
+  /// distinct traces, whatever order the job list interleaves them in.
   std::size_t trace_resident_high_water = 0;
 
   [[nodiscard]] bool all_completed() const noexcept {

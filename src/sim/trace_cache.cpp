@@ -9,9 +9,17 @@ namespace samie::sim {
 
 TraceCache::TraceCache(const std::vector<Job>& jobs,
                        const std::vector<bool>& resumed) {
+  std::map<Key, std::size_t> rank;  // a trace's place in first-job order
+  std::vector<std::pair<std::size_t, std::size_t>> by_trace;  // (rank, job)
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!resumed[i]) ++pending_[key_of(jobs[i])];
+    if (resumed[i]) continue;
+    const Key key = key_of(jobs[i]);
+    ++pending_[key];
+    by_trace.emplace_back(rank.try_emplace(key, rank.size()).first->second, i);
   }
+  std::sort(by_trace.begin(), by_trace.end());
+  order_.reserve(by_trace.size());
+  for (const auto& entry : by_trace) order_.push_back(entry.second);
 }
 
 std::shared_ptr<const trace::TraceSource> TraceCache::get(const Job& job) {

@@ -14,10 +14,15 @@
 // When a key's last consumer finishes, the cache drops its own
 // shared_ptr — so a generated trace's buffer frees, and a mapped SAMT
 // file unmaps, the moment the last worker/child over it lets go of its
-// reference. This is what keeps a sweep's peak RSS proportional to the
-// traces in flight (and those later jobs still share) rather than to
-// every trace the sweep ever touched; resident_high_water() is the
-// regression probe for exactly that.
+// reference. Release alone bounds residency only by the traces whose
+// jobs are spread over the job list: a suite x LSQ sweep submitted
+// LSQ-major would keep every program's trace until its last LSQ runs.
+// So the cache also hands the sweep its dispatch order, dispatch_order():
+// the registered jobs grouped by this same key, so a trace's jobs run
+// back to back and it is released before the next traces are built.
+// Residency then tracks the workers (at most one trace per job in
+// flight), not the suite size; resident_high_water() is the regression
+// probe for exactly that.
 #pragma once
 
 #include <condition_variable>
@@ -41,6 +46,15 @@ class TraceCache {
   /// excluded) so finished() can release the source the moment a
   /// trace's last consumer completes.
   TraceCache(const std::vector<Job>& jobs, const std::vector<bool>& resumed);
+
+  /// The registered jobs' indices grouped by trace: all jobs of one trace
+  /// back to back, traces in the order of their first job, job order
+  /// kept within a trace. A job list whose traces are already contiguous
+  /// (or all distinct) comes back in job order.
+  [[nodiscard]] const std::vector<std::size_t>& dispatch_order()
+      const noexcept {
+    return order_;
+  }
 
   /// Returns the (built-once) source for the job's trace. The returned
   /// shared_ptr keeps the storage alive even after the cache releases
@@ -77,6 +91,7 @@ class TraceCache {
   std::condition_variable cv_;
   std::map<Key, Slot> slots_;
   std::map<Key, std::size_t> pending_;
+  std::vector<std::size_t> order_;  ///< dispatch_order(); immutable
   std::size_t high_water_ = 0;
 };
 

@@ -7,7 +7,9 @@
 // generator's oracle memory).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -62,6 +64,42 @@ struct MicroOp {
 };
 
 static_assert(sizeof(MicroOp) <= 48, "MicroOp should stay compact");
+
+/// The record domain: the records the timing model can simulate. A
+/// record is inside it when its op class is a known OpClass; src1, src2
+/// and dst each name an architectural register (below kNumArchRegs) or
+/// are kNoReg; a load or store accesses 4 or 8 bytes at an address that
+/// is a multiple of its size; and its `taken` byte is 0 or 1. Generated
+/// traces are inside it by construction; trace files are checked where
+/// they enter (TraceSource::open_samt and read_samt), and the text
+/// importer checks every line. Returns nullptr for a record inside the
+/// domain, else the first rule the record breaks.
+[[nodiscard]] inline const char* record_domain_violation(
+    const MicroOp& op) noexcept {
+  if (static_cast<std::uint8_t>(op.op) >
+      static_cast<std::uint8_t>(OpClass::kNop)) {
+    return "op class out of range";
+  }
+  for (const RegId r : {op.src1, op.src2, op.dst}) {
+    if (r != kNoReg && r >= kNumArchRegs) return "register out of range";
+  }
+  if (is_mem(op.op)) {
+    if (op.mem_size != 4 && op.mem_size != 8) {
+      return "access size must be 4 or 8";
+    }
+    if (op.mem_addr % op.mem_size != 0) {
+      return "address is not naturally aligned";
+    }
+  }
+  // A v1 record is the file's bytes, so `taken` can hold any byte; read
+  // it raw, since loading a bool that holds neither 0 nor 1 is undefined.
+  unsigned char taken = 0;
+  std::memcpy(&taken,
+              reinterpret_cast<const unsigned char*>(&op) +
+                  offsetof(MicroOp, taken),
+              1);
+  return taken > 1 ? "taken flag must be 0 or 1" : nullptr;
+}
 
 /// An immutable dynamic instruction stream plus its provenance.
 struct Trace {

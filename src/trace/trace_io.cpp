@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +17,8 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "src/common/sparse_memory.h"
 
 namespace samie::trace {
 
@@ -1033,29 +1036,6 @@ TraceHealth trace_health(const std::string& path) {
 
 namespace {
 
-/// Oracle memory for the importer: program-order byte store, same
-/// semantics as WorkloadGenerator's page map.
-class OracleMemory {
- public:
-  void store(Addr addr, std::uint32_t bytes, std::uint64_t value) {
-    for (std::uint32_t i = 0; i < bytes; ++i) {
-      bytes_[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
-    }
-  }
-  [[nodiscard]] std::uint64_t load(Addr addr, std::uint32_t bytes) const {
-    std::uint64_t v = 0;
-    for (std::uint32_t i = 0; i < bytes; ++i) {
-      const auto it = bytes_.find(addr + i);
-      const std::uint8_t b = it == bytes_.end() ? 0 : it->second;
-      v |= static_cast<std::uint64_t>(b) << (8 * i);
-    }
-    return v;
-  }
-
- private:
-  std::unordered_map<Addr, std::uint8_t> bytes_;
-};
-
 [[nodiscard]] bool parse_op_class(const std::string& tok, OpClass& out) {
   for (const OpClass c :
        {OpClass::kIntAlu, OpClass::kIntMul, OpClass::kIntDiv, OpClass::kFpAlu,
@@ -1101,7 +1081,7 @@ Trace import_text_trace_from_string(const std::string& text,
   Trace t;
   t.name = origin;
   t.seed = 0;
-  OracleMemory oracle;
+  SparseMemory oracle;  // program-order stores, read back for load values
   Addr pc = 0x00400000;
   std::uint32_t next_int_dst = 0;
   std::uint32_t next_fp_dst = 0;
@@ -1148,18 +1128,10 @@ Trace import_text_trace_from_string(const std::string& text,
 
     if (is_mem(cls)) {
       op.mem_addr = number_at(f++, "an address");
-      const std::uint64_t size = number_at(f++, "an access size");
-      if (size != 4 && size != 8) {
-        throw bad("access size must be 4 or 8, got " + std::to_string(size));
-      }
-      if (op.mem_addr % size != 0) {
-        throw bad("address 0x" + [&] {
-          std::ostringstream os;
-          os << std::hex << op.mem_addr;
-          return os.str();
-        }() + " is not " + std::to_string(size) + "-byte aligned");
-      }
-      op.mem_size = static_cast<std::uint8_t>(size);
+      // A size past one byte is as far outside the record domain as
+      // 0xFF, which the domain check below rejects.
+      op.mem_size = static_cast<std::uint8_t>(
+          std::min<std::uint64_t>(number_at(f++, "an access size"), 0xFF));
     } else if (cls == OpClass::kBranch) {
       if (f < tok.size()) {
         const std::uint64_t taken = number_at(f++, "a taken flag (0/1)");
@@ -1194,13 +1166,17 @@ Trace import_text_trace_from_string(const std::string& text,
       op.dst = static_cast<RegId>(kNumIntRegs + next_fp_dst++ % kNumFpRegs);
     }
 
+    if (const char* why = record_domain_violation(op)) {
+      throw bad(std::string(why) + " in '" + line + "'");
+    }
+
     // Oracle values: stores write a deterministic token, loads record the
     // program-order-correct value (so the core's value check still runs).
     if (cls == OpClass::kStore) {
       op.value = 0x9E3779B97F4A7C15ULL * ++store_counter;
-      oracle.store(op.mem_addr, op.mem_size, op.value);
+      oracle.write(op.mem_addr, op.mem_size, op.value);
     } else if (cls == OpClass::kLoad) {
-      op.value = oracle.load(op.mem_addr, op.mem_size);
+      op.value = oracle.read(op.mem_addr, op.mem_size);
     }
 
     t.ops.push_back(op);

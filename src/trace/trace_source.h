@@ -33,10 +33,16 @@ class TraceSource {
   /// v2 files). For v1 the checksum pass touches every page once;
   /// `verify_checksum = false` skips it for replay hot paths that
   /// re-open an already-verified trace (v2 blocks are always verified —
-  /// their guards are checked as a side effect of decoding).
+  /// their guards are checked as a side effect of decoding). Either
+  /// way, every record is then checked against the record domain
+  /// (record_domain_violation in instruction.h): a record the model
+  /// cannot simulate throws TraceCorruptError(kInteriorCorrupt) naming
+  /// it — with its block and the block's offset for v2, kNoBlock and
+  /// its own offset for v1.
   [[nodiscard]] static TraceSource open_samt(const std::string& path,
                                              bool verify_checksum = true);
-  /// Reads a SAMT file into an owned in-RAM copy (TraceReader path).
+  /// Reads a SAMT file into an owned in-RAM copy (TraceReader path),
+  /// with open_samt's record-domain check.
   [[nodiscard]] static TraceSource read_samt(const std::string& path);
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).
   [[nodiscard]] static TraceSource import_text(const std::string& path);

@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace samie::trace {
 
 namespace {
-constexpr Addr kPageMask = ~0xFFFULL;
 constexpr std::uint32_t kLineBytes = 32;
 constexpr std::size_t kRecentRing = 64;
 }  // namespace
@@ -32,7 +33,15 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
     : profile_(profile), rng_(derive_seed(seed, 0x7ace)) {
   streams_.resize(profile_.streams.size());
   double total = 0.0;
-  for (const auto& s : profile_.streams) total += s.weight;
+  for (const auto& s : profile_.streams) {
+    if (s.access_bytes != 4 && s.access_bytes != 8) {
+      throw std::invalid_argument(
+          "profile '" + profile_.name +
+          "': stream access_bytes must be 4 or 8, got " +
+          std::to_string(s.access_bytes));
+    }
+    total += s.weight;
+  }
   double acc = 0.0;
   for (const auto& s : profile_.streams) {
     acc += s.weight / (total > 0.0 ? total : 1.0);
@@ -45,32 +54,6 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
     streams_[i].cursor_line = rng_.below(
         std::max<std::uint64_t>(1, profile_.streams[i].footprint_lines));
   }
-}
-
-std::vector<std::uint8_t>& WorkloadGenerator::page_for(Addr addr) {
-  const Addr base = addr & kPageMask;
-  auto [it, inserted] = pages_.try_emplace(base);
-  if (inserted) it->second.assign(4096, 0);
-  return it->second;
-}
-
-void WorkloadGenerator::oracle_store(Addr addr, std::uint32_t bytes,
-                                     std::uint64_t value) {
-  auto& page = page_for(addr);
-  const std::size_t off = static_cast<std::size_t>(addr & 0xFFFULL);
-  for (std::uint32_t i = 0; i < bytes; ++i) {
-    page[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
-  }
-}
-
-std::uint64_t WorkloadGenerator::oracle_load(Addr addr, std::uint32_t bytes) {
-  auto& page = page_for(addr);
-  const std::size_t off = static_cast<std::size_t>(addr & 0xFFFULL);
-  std::uint64_t v = 0;
-  for (std::uint32_t i = 0; i < bytes; ++i) {
-    v |= static_cast<std::uint64_t>(page[off + i]) << (8 * i);
-  }
-  return v;
 }
 
 Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t bytes) {
@@ -173,12 +156,12 @@ MicroOp WorkloadGenerator::next_op() {
     if (is_load) {
       op.op = OpClass::kLoad;
       op.dst = pick_dest(false);
-      op.value = oracle_load(addr, bytes);
+      op.value = oracle_.read(addr, bytes);
     } else {
       op.op = OpClass::kStore;
       op.src2 = pick_source(false);  // data register
       op.value = rng_();
-      oracle_store(addr, bytes, op.value);
+      oracle_.write(addr, bytes, op.value);
     }
   } else if (roll < mem_frac + profile_.branch_frac) {
     // Data-dependent branch (entropy) or a forward, mostly-not-taken one.

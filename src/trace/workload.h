@@ -22,10 +22,10 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/sparse_memory.h"
 #include "src/common/types.h"
 #include "src/trace/instruction.h"
 
@@ -42,7 +42,8 @@ struct StreamComponent {
   std::uint64_t line_stride_bytes = 32;
   /// Consecutive accesses falling in a line before the walk advances.
   std::uint32_t accesses_per_line = 1;
-  /// Bytes per access (4 or 8; accesses are naturally aligned).
+  /// Bytes per access: 4 or 8 (the generator throws otherwise); accesses
+  /// are naturally aligned.
   std::uint32_t access_bytes = 8;
   /// Probability of abandoning the walk for a random line in the region
   /// (models pointer chasing / hash lookups).
@@ -105,8 +106,6 @@ class WorkloadGenerator {
   [[nodiscard]] Addr next_mem_addr(std::size_t stream_idx, std::uint32_t bytes);
   [[nodiscard]] RegId pick_source(bool fp);
   [[nodiscard]] RegId pick_dest(bool fp);
-  void oracle_store(Addr addr, std::uint32_t bytes, std::uint64_t value);
-  [[nodiscard]] std::uint64_t oracle_load(Addr addr, std::uint32_t bytes);
 
   const WorkloadProfile profile_;
   Xoshiro256 rng_;
@@ -124,9 +123,8 @@ class WorkloadGenerator {
   std::vector<RegId> recent_int_;
   std::vector<RegId> recent_fp_;
 
-  // Oracle memory: 4KB pages of bytes, program-order semantics.
-  std::unordered_map<Addr, std::vector<std::uint8_t>> pages_;
-  [[nodiscard]] std::vector<std::uint8_t>& page_for(Addr addr);
+  /// Oracle memory: program-order stores, read back for load values.
+  SparseMemory oracle_;
 };
 
 /// Region base addresses handed to streams, spaced far apart so streams

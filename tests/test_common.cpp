@@ -1,14 +1,18 @@
 // Unit tests for src/common: RNG determinism and distributions,
-// FixedVector semantics, statistics primitives, table rendering.
+// FixedVector semantics, the sparse memory image, statistics primitives,
+// table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "src/common/fixed_vector.h"
 #include "src/common/rng.h"
+#include "src/common/sparse_memory.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/types.h"
@@ -152,6 +156,67 @@ TEST(FixedVector, IterationMatchesContents) {
     ++idx;
   }
   EXPECT_EQ(idx, 10);
+}
+
+// -------------------------------------------------------- sparse_memory ---
+TEST(SparseMemory, MatchesAByteReferenceAcrossTableGrowth) {
+  // Differential: every read must equal what a plain byte map holding
+  // the same stores returns, never-written words (0) included. Three
+  // address shapes: a dense 64 KB region, a 2 KB-strided one (one line
+  // per DistribLSQ bank period, the ammp/art pathology) and random
+  // 48-bit addresses, which also drive the table through several growths.
+  SparseMemory mem;
+  std::map<Addr, std::uint8_t> ref;
+  const auto ref_write = [&ref](Addr a, std::uint32_t n, std::uint64_t v) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ref[a + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  };
+  const auto ref_read = [&ref](Addr a, std::uint32_t n) {
+    std::uint64_t v = 0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (const auto it = ref.find(a + i); it != ref.end()) {
+        v |= static_cast<std::uint64_t>(it->second) << (8 * i);
+      }
+    }
+    return v;
+  };
+
+  const std::size_t initial_capacity = mem.capacity();
+  Xoshiro256 rng(0x5a77e1ULL);
+  std::vector<Addr> random_written;
+  std::size_t zero_reads = 0;
+  for (int op = 0; op < 200'000; ++op) {
+    const std::uint32_t bytes = rng.below(2) == 0 ? 4 : 8;
+    const std::uint64_t shape = rng.below(3);
+    Addr a = 0;
+    if (shape == 0) {
+      a = 0x10000000 + rng.below(64 * 1024);
+    } else if (shape == 1) {
+      a = 0x20000000 + rng.below(4096) * 2048 + rng.below(32);
+    } else {
+      // Half fresh addresses, half revisits of written ones.
+      a = random_written.empty() || rng.below(2) == 0
+              ? rng() & ((Addr{1} << 48) - 1)
+              : random_written[rng.below(random_written.size())];
+    }
+    a &= ~Addr{bytes - 1};
+    if (rng.below(2) == 0) {
+      const std::uint64_t v = rng();
+      mem.write(a, bytes, v);
+      ref_write(a, bytes, v);
+      if (shape == 2) random_written.push_back(a);
+    } else {
+      const std::uint64_t want = ref_read(a, bytes);
+      ASSERT_EQ(mem.read(a, bytes), want)
+          << "op " << op << ": " << bytes << "-byte read at 0x" << std::hex
+          << a;
+      if (want == 0) ++zero_reads;
+    }
+  }
+  EXPECT_GT(zero_reads, 10'000U) << "too few reads of never-written words";
+  EXPECT_GE(mem.capacity(), initial_capacity * 16)
+      << "the run must force several table growths";
 }
 
 // ---------------------------------------------------------------- stats ---

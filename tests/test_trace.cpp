@@ -4,6 +4,7 @@
 // profiles.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_map>
 
 #include "src/trace/analysis.h"
@@ -71,6 +72,10 @@ TEST(Workload, MemOpsAreAlignedAndSized) {
     // Accesses never straddle a 32-byte line.
     EXPECT_EQ(op.mem_addr >> 5, (op.mem_addr + op.mem_size - 1) >> 5);
   }
+  // Any other access size is outside the record domain: refused up front.
+  WorkloadProfile bad = simple_profile();
+  bad.streams[0].access_bytes = 2;
+  EXPECT_THROW((void)WorkloadGenerator(bad, 3), std::invalid_argument);
 }
 
 // The embedded oracle: replaying stores in program order must make every

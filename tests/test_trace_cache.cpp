@@ -2,9 +2,10 @@
 // the per-consumer release discipline must drop each source the moment
 // its *last* consumer finishes — not at cache destruction — and a
 // sweep's resident high-water mark must track the workers in flight,
-// not every trace the sweep ever touched. This is the regression fence
-// for the 458 MB suite RSS leak: before the fix the cache pinned every
-// generated workload until the sweep returned.
+// not every trace the sweep ever touched, also when the job list
+// interleaves traces (the sweep dispatches it grouped by trace). This
+// is the regression fence for the 458 MB suite RSS leak: before the fix
+// the cache pinned every generated workload until the sweep returned.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/sim/trace_cache.h"
@@ -21,10 +23,11 @@ namespace samie {
 namespace {
 
 [[nodiscard]] sim::Job job_for(const std::string& program,
-                               std::uint64_t insts = 2000) {
+                               std::uint64_t insts = 2000,
+                               sim::LsqChoice lsq = sim::LsqChoice::kSamie) {
   sim::Job j;
   j.program = program;
-  j.config = sim::paper_config(sim::LsqChoice::kSamie);
+  j.config = sim::paper_config(lsq);
   j.config.instructions = insts;
   j.tag = "cache-test";
   return j;
@@ -96,6 +99,67 @@ TEST(TraceCache, PoolSweepHighWaterTracksWorkersNotSuiteSize) {
   EXPECT_GE(rep.trace_resident_high_water, 2U);
   EXPECT_LE(rep.trace_resident_high_water, 3U)
       << "sweep pinned more traces than workers in flight";
+}
+
+TEST(TraceCache, DispatchOrderGroupsJobsByTrace) {
+  // Traces in the order of their first job, job order within a trace;
+  // resumed jobs are not dispatched at all.
+  const std::vector<sim::Job> jobs = {
+      job_for("gcc"),
+      job_for("mcf"),
+      job_for("gcc", 2000, sim::LsqChoice::kArb),
+      job_for("art"),
+      job_for("mcf", 2000, sim::LsqChoice::kArb),
+      job_for("gcc", 3000)};
+  const sim::TraceCache cache(jobs, std::vector<bool>(jobs.size(), false));
+  EXPECT_EQ(cache.dispatch_order(),
+            (std::vector<std::size_t>{0, 2, 1, 4, 3, 5}));
+  const sim::TraceCache resumed(jobs,
+                                {false, true, false, false, false, false});
+  EXPECT_EQ(resumed.dispatch_order(),
+            (std::vector<std::size_t>{0, 2, 3, 4, 5}));
+}
+
+TEST(TraceCache, LsqMajorSweepHighWaterTracksWorkersNotSuiteSize) {
+  // The paper's figure sweeps submit suite x LSQ LSQ-major: each
+  // program's trace serves three jobs six apart. Dispatched in job
+  // order, every trace stayed resident until its samie job ran (this
+  // read 6); grouped by trace, a trace is released before the next ones
+  // are built, under either runner. Rows still come back in job order,
+  // bit-identical to a one-worker run.
+  std::vector<sim::Job> jobs;
+  for (const sim::LsqChoice lsq : {sim::LsqChoice::kConventional,
+                                   sim::LsqChoice::kArb,
+                                   sim::LsqChoice::kSamie}) {
+    for (const char* p : {"gcc", "mcf", "ammp", "art", "crafty", "gzip"}) {
+      jobs.push_back(job_for(p, 20'000, lsq));
+      jobs.back().tag = sim::lsq_choice_name(lsq);
+    }
+  }
+  sim::SweepOptions serial;
+  serial.threads = 1;
+  const sim::SweepReport ref = sim::run_sweep(jobs, serial);
+  ASSERT_TRUE(ref.all_completed());
+
+  sim::SweepOptions pool;
+  pool.threads = 2;
+  sim::SweepOptions forked;
+  forked.isolate_procs = 2;
+  for (const sim::SweepOptions& opt : {pool, forked}) {
+    SCOPED_TRACE(opt.isolate_procs != 0 ? "isolate_procs=2" : "threads=2");
+    const sim::SweepReport rep = sim::run_sweep(jobs, opt);
+    ASSERT_TRUE(rep.all_completed());
+    EXPECT_LE(rep.trace_resident_high_water, 3U)
+        << "an interleaved job list pinned traces beyond the workers";
+    ASSERT_EQ(rep.jobs.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(rep.jobs[i].job.program, jobs[i].program) << "job " << i;
+      EXPECT_EQ(rep.jobs[i].job.tag, jobs[i].tag) << "job " << i;
+      EXPECT_EQ(sim::serialize_sim_result(rep.jobs[i].result),
+                sim::serialize_sim_result(ref.jobs[i].result))
+          << "job " << i;
+    }
+  }
 }
 
 }  // namespace

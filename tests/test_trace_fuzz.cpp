@@ -18,6 +18,7 @@
 // check and MUST throw.
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -27,6 +28,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/sim/checkpoint.h"
+#include "src/sim/experiment.h"
+#include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
@@ -331,6 +335,146 @@ TEST_F(TraceV2FuzzTest, RandomGarbageNeverCrashesV2Reader) {
     try {
       (void)trace::trace_health(p);
     } catch (const trace::TraceFormatError&) {
+    }
+  }
+}
+
+// ---------------------------------------------------------- record domain --
+//
+// Guards prove the bytes are the ones written, not that the model can
+// simulate them: a guard-intact file can still carry a record that would
+// corrupt the heap (an 8-byte store straddling a page edge, a register
+// past the 64-entry rename table, an access size that overflows a
+// shift). open_samt and read_samt reject every record outside the record
+// domain (trace::record_domain_violation) as interior corruption, in
+// every build and with or without v1's checksum pass, while the codecs
+// stay format-level and round-trip such records.
+
+/// A record the model cannot simulate, planted at kBadRecord.
+struct BadRecord {
+  const char* what;
+  void (*plant)(trace::MicroOp&);
+};
+
+constexpr std::size_t kBadRecord = 700;  // block 2 at 256 records a block
+
+const BadRecord kBadRecords[] = {
+    {"8-byte store across a page edge",
+     [](trace::MicroOp& op) {
+       op.op = trace::OpClass::kStore;
+       op.mem_addr = 0x10000FFC;
+       op.mem_size = 8;
+       op.dst = kNoReg;
+     }},
+    {"destination register 200", [](trace::MicroOp& op) { op.dst = 200; }},
+    {"access size 255",
+     [](trace::MicroOp& op) {
+       op.op = trace::OpClass::kStore;
+       op.mem_addr = 0x10000000;
+       op.mem_size = 255;
+       op.dst = kNoReg;
+     }},
+};
+
+[[nodiscard]] std::vector<trace::MicroOp> generated_ops() {
+  trace::WorkloadGenerator gen(trace::spec2000_profile("gcc"), 11);
+  return gen.generate(1500).ops;
+}
+
+/// Asserts that both TraceSource entry points reject `p` as interior
+/// corruption at (block, offset), naming the bad record.
+void expect_domain_rejected(const std::string& p, std::uint64_t block,
+                            std::uint64_t offset, bool verify_checksum) {
+  const auto check = [&](const auto& open) {
+    try {
+      (void)open();
+      ADD_FAILURE() << p << " opened despite an out-of-domain record";
+    } catch (const trace::TraceCorruptError& e) {
+      EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+      EXPECT_EQ(e.block, block);
+      EXPECT_EQ(e.offset, offset);
+      EXPECT_NE(std::string(e.what()).find("record " +
+                                           std::to_string(kBadRecord)),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  check([&] { return trace::TraceSource::open_samt(p, verify_checksum); });
+  check([&] { return trace::TraceSource::read_samt(p); });
+}
+
+TEST_F(TraceV2FuzzTest, OpenRejectsRecordsOutsideTheDomain) {
+  for (const BadRecord& bad : kBadRecords) {
+    SCOPED_TRACE(bad.what);
+    std::vector<trace::MicroOp> ops = generated_ops();
+    bad.plant(ops[kBadRecord]);
+    const std::string p = path("bad.samt");
+    trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                         11, /*block_records=*/256);
+    // The codec is format-level: the guards hold and the record decodes.
+    const trace::TraceV2Reader r(p);
+    const trace::Trace decoded = r.read_all();
+    ASSERT_EQ(decoded.ops.size(), ops.size());
+    EXPECT_EQ(std::memcmp(&decoded.ops[kBadRecord], &ops[kBadRecord],
+                          sizeof(trace::MicroOp)),
+              0);
+    const std::uint64_t block = kBadRecord / 256;
+    expect_domain_rejected(p, block, r.index()[block].file_offset, true);
+    expect_domain_rejected(p, block, r.index()[block].file_offset, false);
+  }
+}
+
+TEST_F(TraceFuzzTest, OpenRejectsV1RecordsOutsideTheDomain) {
+  std::vector<BadRecord> cases(std::begin(kBadRecords), std::end(kBadRecords));
+  // v1 records are the file's bytes, so a bool can hold anything.
+  cases.push_back({"taken byte 2", [](trace::MicroOp& op) {
+                     reinterpret_cast<unsigned char*>(&op)[offsetof(
+                         trace::MicroOp, taken)] = 2;
+                   }});
+  for (const BadRecord& bad : cases) {
+    SCOPED_TRACE(bad.what);
+    std::vector<trace::MicroOp> ops = generated_ops();
+    bad.plant(ops[kBadRecord]);
+    const std::string p = path("bad_v1.samt");
+    fixture::write_samt_v1(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                           11);
+    const std::uint64_t offset =
+        sizeof(trace::SamtHeader) + kBadRecord * sizeof(trace::MicroOp);
+    // --no-verify-checksum skips only the checksum pass, never this check.
+    for (const bool verify : {true, false}) {
+      expect_domain_rejected(p, trace::TraceCorruptError::kNoBlock, offset,
+                             verify);
+    }
+  }
+}
+
+TEST_F(TraceV2FuzzTest, SweepOverAnOutOfDomainTraceSealsTraceDamaged) {
+  for (const BadRecord& bad : kBadRecords) {
+    SCOPED_TRACE(bad.what);
+    std::vector<trace::MicroOp> ops = generated_ops();
+    bad.plant(ops[kBadRecord]);
+    const std::string p = path("bad.samt");
+    trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                         11, /*block_records=*/256);
+    sim::Job job{"gcc", sim::paper_config(sim::LsqChoice::kSamie), "samie"};
+    job.config.instructions = ops.size();
+    job.config.trace_path = p;
+    for (const unsigned procs : {0U, 1U}) {
+      SCOPED_TRACE(procs != 0 ? "isolate_procs=1" : "threads=1");
+      const std::string ckpt = path("sweep" + std::to_string(procs) + ".ckpt");
+      std::filesystem::remove(ckpt);
+      sim::SweepOptions opt;
+      opt.threads = 1;
+      opt.isolate_procs = procs;
+      opt.checkpoint_path = ckpt;
+      const sim::SweepReport rep = sim::run_sweep({job}, opt);
+      const sim::JobOutcome& oc = rep.jobs[0].outcome;
+      EXPECT_EQ(oc.status, sim::JobStatus::kTraceDamaged) << oc.what;
+      EXPECT_EQ(oc.damage, trace::TraceDamage::kInteriorCorrupt);
+      EXPECT_EQ(oc.damage_block, kBadRecord / 256);
+      EXPECT_EQ(oc.attempts, 1U);
+      EXPECT_EQ(sim::load_checkpoint(ckpt).damaged.size(), 1U)
+          << "the damaged job must leave a 'D' line";
     }
   }
 }
