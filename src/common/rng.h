@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 namespace samie {
@@ -77,14 +78,29 @@ class Xoshiro256 {
   /// Bernoulli trial with probability p.
   constexpr bool chance(double p) noexcept { return uniform() < p; }
 
+  /// For p < 1, the raw draw x makes chance(p) hold exactly when
+  /// x < chance_threshold(p): uniform() < p compares (x >> 11) * 2^-53
+  /// with p, both scalings are exact, so it holds iff
+  /// (x >> 11) < ceil(p * 2^53), i.e. iff x < ceil(p * 2^53) << 11.
+  [[nodiscard]] static std::uint64_t chance_threshold(double p) noexcept {
+    return p > 0.0 ? static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53))
+                         << 11U
+                   : 0;
+  }
+
   /// Geometric-ish positive integer with mean approximately `mean` (>= 1).
   /// Used for dependency distances and run lengths.
   std::uint64_t geometric(double mean) noexcept {
     if (mean <= 1.0) return 1;
-    const double p = 1.0 / mean;
+    return geometric_below(chance_threshold(1.0 / mean));
+  }
+
+  /// geometric(mean) for mean > 1, given chance_threshold(1 / mean)
+  /// computed once: the same draws, each tested by one integer compare.
+  std::uint64_t geometric_below(std::uint64_t threshold) noexcept {
     std::uint64_t n = 1;
     // Cap the tail so a pathological parameter cannot stall generation.
-    while (n < 4096 && !chance(p)) ++n;
+    while (n < 4096 && operator()() >= threshold) ++n;
     return n;
   }
 

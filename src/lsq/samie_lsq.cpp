@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 #include "src/common/bit_scan.h"
@@ -486,10 +487,11 @@ void SamieLsq::squash_from(InstSeq seq) {
 void SamieLsq::on_cache_line_replaced(std::uint32_t set) {
   // Reset the presentBit of every entry that could hold a line mapping to
   // `set` (paper §3.4: "resetting the presentBit flag of all entries that
-  // can be potentially affected"). Bank index and set index are both
-  // low-order line-address bits, so the affected banks are:
-  //   banks >= sets: banks b with b % sets == set;
-  //   banks <  sets: the single bank set % banks.
+  // can be potentially affected"). A line L sits in bank L % banks and set
+  // L % sets, so a line of `set` can sit in exactly the banks b with
+  // b == set (mod gcd(banks, sets)). For power-of-two geometries that is
+  // the single bank set % banks when banks < sets, and the banks
+  // set, set + sets, ... otherwise.
   auto reset_entry = [&](Entry& e) {
     if (e.present) {
       e.present = false;
@@ -501,12 +503,9 @@ void SamieLsq::on_cache_line_replaced(std::uint32_t set) {
       reset_entry(bank.entries[ctz(m)]);
     }
   };
-  if (cfg_.banks >= cfg_.l1d_sets) {
-    for (std::uint32_t b = set; b < cfg_.banks; b += cfg_.l1d_sets) {
-      reset_bank(banks_[b]);
-    }
-  } else {
-    reset_bank(banks_[set % cfg_.banks]);
+  const std::uint32_t g = std::gcd(cfg_.banks, cfg_.l1d_sets);
+  for (std::uint32_t b = set % g; b < cfg_.banks; b += g) {
+    reset_bank(banks_[b]);
   }
   for_each_valid_shared([&](std::uint32_t, Entry& e) { reset_entry(e); });
 }

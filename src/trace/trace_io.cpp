@@ -6,12 +6,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <cstddef>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -71,22 +72,44 @@ void validate_header(const std::string& path, const SamtHeader& h,
   return std::string(h.name, len);
 }
 
-[[nodiscard]] std::uint64_t file_size_of(const std::string& path,
-                                         std::FILE* f) {
-  if (std::fseek(f, 0, SEEK_END) != 0) fail(path, "seek failed");
-  const long n = std::ftell(f);
-  if (n < 0) fail(path, "tell failed");
-  if (std::fseek(f, 0, SEEK_SET) != 0) fail(path, "seek failed");
-  return static_cast<std::uint64_t>(n);
+[[nodiscard]] FileHandle open_file(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags | O_CLOEXEC);
+  if (fd < 0) fail(path, std::string("cannot open: ") + std::strerror(errno));
+  return FileHandle(fd);
 }
 
-/// Closes a FILE* on scope exit (exception-safe read paths).
-struct FileCloser {
-  void operator()(std::FILE* f) const noexcept {
-    if (f != nullptr) std::fclose(f);
+[[nodiscard]] std::uint64_t file_size_of(const std::string& path, int fd) {
+  struct stat st{};
+  if (::fstat(fd, &st) != 0) fail(path, "stat failed");
+  return static_cast<std::uint64_t>(st.st_size);
+}
+
+/// Reads exactly `n` bytes at `offset` (pread: the descriptor's file
+/// position is left alone). False on a short read.
+[[nodiscard]] bool read_at(int fd, std::uint64_t offset, void* dst,
+                           std::size_t n) noexcept {
+  auto* p = static_cast<unsigned char*>(dst);
+  while (n != 0) {
+    const ssize_t got = ::pread(fd, p, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    p += got;
+    n -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
   }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
+  return true;
+}
+
+/// read_samt_header's checks on an open file.
+[[nodiscard]] SamtHeader read_header(const std::string& path, int fd) {
+  const std::uint64_t bytes = file_size_of(path, fd);
+  SamtHeader h{};
+  if (bytes < sizeof h || !read_at(fd, 0, &h, sizeof h)) {
+    fail(path, "too short for a SAMT header");
+  }
+  validate_header(path, h, bytes);
+  return h;
+}
 
 // Armed I/O faults, keyed by path. Consumed (erased) by the first reader
 // open / writer finish that looks its path up.
@@ -125,6 +148,10 @@ void fsync_parent_dir(const std::string& path) noexcept {
 }
 
 }  // namespace
+
+FileHandle::~FileHandle() {
+  if (fd_ >= 0) ::close(fd_);
+}
 
 std::uint64_t fnv1a_64(const void* bytes, std::size_t n,
                        std::uint64_t h) noexcept {
@@ -167,19 +194,8 @@ void clear_io_faults() {
 // ----------------------------------------------------------- TraceReader --
 
 SamtHeader read_samt_header(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    fail(path, std::string("cannot open: ") + std::strerror(errno));
-  }
-  const std::uint64_t bytes = file_size_of(path, f);
-  SamtHeader h{};
-  if (bytes < sizeof h || std::fread(&h, sizeof h, 1, f) != 1) {
-    std::fclose(f);
-    fail(path, "too short for a SAMT header");
-  }
-  std::fclose(f);
-  validate_header(path, h, bytes);
-  return h;
+  const FileHandle f = open_file(path, O_RDONLY);
+  return read_header(path, f.get());
 }
 
 TraceReader::TraceReader(const std::string& path)
@@ -312,19 +328,58 @@ namespace {
   return (u >> 1) ^ (~(u & 1) + 1);
 }
 
-void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<unsigned char>(v) | 0x80);
-    v >>= 7;
-  }
-  out.push_back(static_cast<unsigned char>(v));
+// Values below 2^56 take at most eight LEB128 bytes, which one 64-bit
+// word holds: byte k carries bits 7k..7k+6 in its low seven bits and a
+// continuation flag in its top bit. spread7 and pack7 move the 7-bit
+// groups between a value and such a word, so the common lengths encode
+// and decode without a loop (words are little-endian, like the raw
+// headers of the format).
+
+constexpr std::uint64_t kVarintFlags = 0x8080808080808080ULL;
+
+/// The 7-bit groups of `v` (< 2^56) in the low bits of bytes 0..7.
+[[nodiscard]] constexpr std::uint64_t spread7(std::uint64_t v) noexcept {
+  v = (v & 0x000000000FFFFFFFULL) | ((v & 0x00FFFFFFF0000000ULL) << 4);
+  v = (v & 0x00003FFF00003FFFULL) | ((v & 0x0FFFC0000FFFC000ULL) << 2);
+  return (v & 0x007F007F007F007FULL) | ((v & 0x3F803F803F803F80ULL) << 1);
 }
 
-/// Strict LEB128: bounds-checked, at most 10 bytes, the 10th byte may
-/// only carry the top bit of a 64-bit value. Returns false on any
-/// malformed input instead of reading past `n` or wrapping.
-[[nodiscard]] bool get_varint(const unsigned char* p, std::size_t n,
-                              std::size_t& pos, std::uint64_t& out) {
+/// Inverse of spread7: the low seven bits of bytes 0..7 of `w`, packed.
+[[nodiscard]] constexpr std::uint64_t pack7(std::uint64_t w) noexcept {
+  w &= ~kVarintFlags;
+  w = (w & 0x007F007F007F007FULL) | ((w & 0x7F007F007F007F00ULL) >> 1);
+  w = (w & 0x00003FFF00003FFFULL) | ((w & 0x3FFF00003FFF0000ULL) >> 2);
+  return (w & 0x000000000FFFFFFFULL) | ((w & 0x0FFFFFFF00000000ULL) >> 4);
+}
+
+/// Writes `v` as LEB128 at `p` and advances `p`. Always stores eight
+/// bytes at `p`, of which the encoding (at most 10 bytes) is a prefix,
+/// so `p` needs room for max(8, encoded length) bytes.
+[[gnu::always_inline]] inline void put_varint(unsigned char*& p,
+                                              std::uint64_t v) noexcept {
+  if (v < (std::uint64_t{1} << 56)) {
+    const auto len =
+        static_cast<unsigned>(std::bit_width(v | 1) + 6) / 7;  // 1..8
+    const std::uint64_t flags =
+        kVarintFlags & ((std::uint64_t{1} << (8 * (len - 1))) - 1);
+    const std::uint64_t w = spread7(v) | flags;
+    std::memcpy(p, &w, sizeof w);
+    p += len;
+    return;
+  }
+  while (v >= 0x80) {
+    *p++ = static_cast<unsigned char>(v) | 0x80;
+    v >>= 7;
+  }
+  *p++ = static_cast<unsigned char>(v);
+}
+
+/// Strict LEB128: at most 10 bytes, the 10th byte may only carry the top
+/// bit of a 64-bit value. Returns false on any malformed input instead
+/// of wrapping, and never reads past `n`.
+[[nodiscard]] bool get_varint_checked(const unsigned char* p, std::size_t n,
+                                      std::size_t& pos,
+                                      std::uint64_t& out) noexcept {
   std::uint64_t v = 0;
   for (unsigned shift = 0; shift < 70; shift += 7) {
     if (pos >= n) return false;
@@ -337,6 +392,45 @@ void put_varint(std::vector<unsigned char>& out, std::uint64_t v) {
     }
   }
   return false;
+}
+
+/// get_varint_checked for a caller that has proved at least ten bytes
+/// remain at `pos`: accepts and returns exactly what the checked form
+/// does there, reading the first eight bytes as one word.
+[[nodiscard, gnu::always_inline]] inline bool get_varint_unchecked(
+    const unsigned char* p, std::size_t& pos, std::uint64_t& out) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p + pos, sizeof w);
+  const std::uint64_t stops = ~w & kVarintFlags;
+  if (stops != 0) {  // ends within the word: keep bytes up to the stop
+    out = pack7(w & (stops ^ (stops - 1)));
+    pos += static_cast<std::size_t>(std::countr_zero(stops) / 8 + 1);
+    return true;
+  }
+  const unsigned char b8 = p[pos + 8];
+  const std::uint64_t v = pack7(w) | static_cast<std::uint64_t>(b8 & 0x7F)
+                                         << 56;
+  if ((b8 & 0x80) == 0) {
+    out = v;
+    pos += 9;
+    return true;
+  }
+  const unsigned char b9 = p[pos + 9];
+  if ((b9 & 0xFE) != 0) return false;  // overflow / junk
+  out = v | static_cast<std::uint64_t>(b9) << 63;
+  pos += 10;
+  return true;
+}
+
+/// The checked or the unchecked varint read, chosen at compile time.
+template <bool kChecked>
+[[nodiscard]] bool get_varint(const unsigned char* p, std::size_t n,
+                              std::size_t& pos, std::uint64_t& out) noexcept {
+  if constexpr (kChecked) {
+    return get_varint_checked(p, n, pos, out);
+  } else {
+    return get_varint_unchecked(p, pos, out);
+  }
 }
 
 // --- record codec ---------------------------------------------------------
@@ -354,14 +448,17 @@ constexpr unsigned char kHasMemBit = 0x20;
 constexpr unsigned char kHasBrBit = 0x40;
 constexpr unsigned char kHasValueBit = 0x80;
 constexpr std::uint8_t kMaxOpClass = static_cast<std::uint8_t>(OpClass::kNop);
+/// The largest encoded record: five raw bytes and four 10-byte varints.
+constexpr std::size_t kMaxRecordBytes = 5 + 4 * 10;
 
 struct DeltaState {
   std::uint64_t prev_pc = 0;
   std::uint64_t prev_mem = 0;
 };
 
+/// Encodes `op` at `p` (room for kMaxRecordBytes) and advances `p`.
 void encode_record(const MicroOp& op, DeltaState& st,
-                   std::vector<unsigned char>& out) {
+                   unsigned char*& p) noexcept {
   const bool has_mem = op.mem_addr != 0;
   const bool has_br = op.br_target != 0;
   const bool has_value = op.value != 0;
@@ -370,25 +467,26 @@ void encode_record(const MicroOp& op, DeltaState& st,
   if (has_mem) b0 |= kHasMemBit;
   if (has_br) b0 |= kHasBrBit;
   if (has_value) b0 |= kHasValueBit;
-  out.push_back(b0);
-  out.push_back(op.mem_size);
-  out.push_back(op.src1);
-  out.push_back(op.src2);
-  out.push_back(op.dst);
-  put_varint(out, zigzag_encode(op.pc - st.prev_pc));
+  *p++ = b0;
+  *p++ = op.mem_size;
+  *p++ = op.src1;
+  *p++ = op.src2;
+  *p++ = op.dst;
+  put_varint(p, zigzag_encode(op.pc - st.prev_pc));
   st.prev_pc = op.pc;
   if (has_mem) {
-    put_varint(out, zigzag_encode(op.mem_addr - st.prev_mem));
+    put_varint(p, zigzag_encode(op.mem_addr - st.prev_mem));
     st.prev_mem = op.mem_addr;
   }
-  if (has_br) put_varint(out, zigzag_encode(op.br_target - op.pc));
-  if (has_value) put_varint(out, op.value);
+  if (has_br) put_varint(p, zigzag_encode(op.br_target - op.pc));
+  if (has_value) put_varint(p, op.value);
 }
 
+template <bool kChecked>
 [[nodiscard]] bool decode_record(const unsigned char* p, std::size_t n,
                                  std::size_t& pos, DeltaState& st,
-                                 MicroOp& out) {
-  if (pos + 5 > n) return false;
+                                 MicroOp& out) noexcept {
+  if (kChecked && pos + 5 > n) return false;
   const unsigned char b0 = p[pos++];
   if ((b0 & 0x0F) > kMaxOpClass) return false;
   MicroOp op;
@@ -399,23 +497,20 @@ void encode_record(const MicroOp& op, DeltaState& st,
   op.src2 = p[pos++];
   op.dst = p[pos++];
   std::uint64_t u = 0;
-  if (!get_varint(p, n, pos, u)) return false;
+  if (!get_varint<kChecked>(p, n, pos, u)) return false;
   op.pc = st.prev_pc + zigzag_decode(u);
   st.prev_pc = op.pc;
-  op.mem_addr = 0;
   if ((b0 & kHasMemBit) != 0) {
-    if (!get_varint(p, n, pos, u)) return false;
+    if (!get_varint<kChecked>(p, n, pos, u)) return false;
     op.mem_addr = st.prev_mem + zigzag_decode(u);
     st.prev_mem = op.mem_addr;
   }
-  op.br_target = 0;
   if ((b0 & kHasBrBit) != 0) {
-    if (!get_varint(p, n, pos, u)) return false;
+    if (!get_varint<kChecked>(p, n, pos, u)) return false;
     op.br_target = op.pc + zigzag_decode(u);
   }
-  op.value = 0;
   if ((b0 & kHasValueBit) != 0) {
-    if (!get_varint(p, n, pos, op.value)) return false;
+    if (!get_varint<kChecked>(p, n, pos, op.value)) return false;
   }
   out = op;
   return true;
@@ -433,33 +528,94 @@ constexpr std::size_t kBlockGuardedHeaderBytes =
   return fnv1a_64(payload, payload_bytes, g);
 }
 
-struct EncodedBlock {
-  SamtBlockHeader header{};
-  std::vector<unsigned char> payload;
-};
-
-[[nodiscard]] EncodedBlock encode_block(const MicroOp* ops, std::uint32_t n,
-                                        std::uint64_t first_record) {
-  EncodedBlock b;
-  b.payload.reserve(static_cast<std::size_t>(n) * 12);
-  DeltaState st;
-  for (std::uint32_t i = 0; i < n; ++i) encode_record(ops[i], st, b.payload);
-  b.header.magic = kBlockMagic;
-  b.header.record_count = n;
-  b.header.first_record = first_record;
-  b.header.payload_bytes = static_cast<std::uint32_t>(b.payload.size());
-  b.header.reserved = 0;
-  b.header.guard = block_guard(b.header, b.payload.data(), b.payload.size());
-  return b;
+/// Bytes encode_block may write for a block of `n` records.
+[[nodiscard]] constexpr std::size_t max_block_bytes(std::size_t n) noexcept {
+  return sizeof(SamtBlockHeader) + n * kMaxRecordBytes;
 }
 
+/// Guard bytes hashed per record coded, so a guard's multiply chain
+/// overlaps the record codec instead of running after it.
+constexpr std::size_t kGuardBytesPerRecord = 12;
+
+/// Continues FNV-1a hash `g` over the kGuardBytesPerRecord bytes at `p`.
+[[nodiscard, gnu::always_inline]] inline std::uint64_t hash_guard_chunk(
+    std::uint64_t g, const unsigned char* p) noexcept {
+  for (std::size_t k = 0; k < kGuardBytesPerRecord; ++k) {
+    g = (g ^ p[k]) * kFnvPrime;
+  }
+  return g;
+}
+
+/// An encoded block whose guard is being hashed: `guard` covers its
+/// guarded header bytes and payload bytes [0, hashed).
+struct PendingGuard {
+  unsigned char* block = nullptr;  ///< header + payload; nullptr: none
+  std::size_t payload_bytes = 0;
+  std::size_t hashed = 0;
+  std::uint64_t guard = 0;
+
+  /// Hashes the next kGuardBytesPerRecord payload bytes, if that many
+  /// remain.
+  void step() noexcept {
+    if (payload_bytes - hashed < kGuardBytesPerRecord) return;
+    guard = hash_guard_chunk(guard, block + sizeof(SamtBlockHeader) + hashed);
+    hashed += kGuardBytesPerRecord;
+  }
+
+  /// Hashes the rest of the payload and stores the guard in the header.
+  void finish() noexcept {
+    guard = fnv1a_64(block + sizeof(SamtBlockHeader) + hashed,
+                     payload_bytes - hashed, guard);
+    std::memcpy(block + offsetof(SamtBlockHeader, guard), &guard,
+                sizeof guard);
+  }
+};
+
+/// Encodes `n` records starting at global record `first_record` as one
+/// block (header, then payload) at `out`, which has room for
+/// max_block_bytes(n), and leaves its guard pending in `pending`. A
+/// block already pending there is hashed a fixed number of bytes per
+/// record encoded, so its multiply chain overlaps the encode, and then
+/// finished: its guard is in its header when this returns.
+void encode_block(const MicroOp* ops, std::uint32_t n,
+                  std::uint64_t first_record, unsigned char* out,
+                  PendingGuard& pending) noexcept {
+  unsigned char* p = out + sizeof(SamtBlockHeader);
+  DeltaState st;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    encode_record(ops[i], st, p);
+    pending.step();
+  }
+  if (pending.block != nullptr) pending.finish();
+  SamtBlockHeader h;
+  h.magic = kBlockMagic;
+  h.record_count = n;
+  h.first_record = first_record;
+  h.payload_bytes =
+      static_cast<std::uint32_t>(p - out - sizeof(SamtBlockHeader));
+  h.reserved = 0;
+  std::memcpy(out, &h, sizeof h);
+  pending = PendingGuard{out, h.payload_bytes, 0,
+                         fnv1a_64(&h, kBlockGuardedHeaderBytes)};
+}
+
+/// No record index: no record outside the record domain.
+constexpr std::uint64_t kNoRecord = ~std::uint64_t{0};
+
 /// Verifies one raw block (header + payload as read from the file)
-/// against its index entry and its own guard, then decodes it into `out`.
-/// Any mismatch throws TraceCorruptError(kInteriorCorrupt): the footer
-/// and index were already validated, so a bad block is interior damage.
-void decode_block(const std::string& path, const unsigned char* raw,
-                  std::size_t raw_bytes, const SamtIndexEntry& entry,
-                  std::uint64_t block_idx, std::vector<MicroOp>& out) {
+/// against its index entry and its own guard, and decodes it, appending
+/// its records [lo, hi) to `out`. Any mismatch throws
+/// TraceCorruptError(kInteriorCorrupt): the footer and index were
+/// already validated, so a bad block is interior damage. A payload that
+/// fails its guard throws the guard mismatch, never a decode error, as
+/// if the guard were checked first; what `out` then holds is unspecified.
+/// With `check_domain`, returns the block-relative index of the first
+/// stored record outside the record domain (kNoRecord if none).
+std::uint64_t decode_block(const std::string& path, const unsigned char* raw,
+                           std::size_t raw_bytes, const SamtIndexEntry& entry,
+                           std::uint64_t block_idx, std::uint32_t lo,
+                           std::uint32_t hi, std::vector<MicroOp>& out,
+                           bool check_domain) {
   auto corrupt = [&](const std::string& what) -> TraceCorruptError {
     return TraceCorruptError(
         path + ": block " + std::to_string(block_idx) + " at offset " +
@@ -475,19 +631,107 @@ void decode_block(const std::string& path, const unsigned char* raw,
       h.payload_bytes != entry.payload_bytes || h.guard != entry.guard) {
     throw corrupt("block header disagrees with the index");
   }
-  if (block_guard(h, payload, h.payload_bytes) != h.guard) {
-    throw corrupt("guard mismatch (corrupt payload)");
-  }
+  const std::size_t n = h.payload_bytes;
+  // The guard is hashed kGuardBytesPerRecord bytes per decoded record
+  // and finished after the last one.
+  std::uint64_t guard = fnv1a_64(&h, kBlockGuardedHeaderBytes);
+  std::size_t hashed = 0;
   DeltaState st;
   std::size_t pos = 0;
   MicroOp op;
-  for (std::uint32_t i = 0; i < h.record_count; ++i) {
-    if (!decode_record(payload, h.payload_bytes, pos, st, op)) {
-      throw corrupt("undecodable record " + std::to_string(i));
-    }
+  std::uint64_t bad = kNoRecord;
+  auto keep = [&](std::uint32_t i) {
+    if (i < lo || i >= hi) return;
     out.push_back(op);
+    if (check_domain && bad == kNoRecord &&
+        record_domain_violation(op) != nullptr) {
+      bad = i;
+    }
+  };
+  bool decoded = true;
+  std::uint32_t i = 0;
+  // While a whole record's worth of bytes remains, no read can overrun.
+  for (; i < h.record_count && n - pos >= kMaxRecordBytes; ++i) {
+    if (!decode_record<false>(payload, n, pos, st, op)) {
+      decoded = false;
+      break;
+    }
+    keep(i);
+    if (n - hashed >= kGuardBytesPerRecord) {
+      guard = hash_guard_chunk(guard, payload + hashed);
+      hashed += kGuardBytesPerRecord;
+    }
   }
+  for (; decoded && i < h.record_count; ++i) {
+    if (!decode_record<true>(payload, n, pos, st, op)) {
+      decoded = false;
+      break;
+    }
+    keep(i);
+  }
+  if (fnv1a_64(payload + hashed, n - hashed, guard) != h.guard) {
+    throw corrupt("guard mismatch (corrupt payload)");
+  }
+  if (!decoded) throw corrupt("undecodable record " + std::to_string(i));
   if (pos != h.payload_bytes) throw corrupt("trailing payload bytes");
+  return bad;
+}
+
+/// Reads one raw block (header + payload) into `raw` with one pread,
+/// applies an armed bit-flip fault to the in-memory copy, and decodes it
+/// via decode_block.
+std::uint64_t read_block(const std::string& path, int fd,
+                         const SamtIndexEntry& entry, std::uint64_t block_idx,
+                         const IoFault& fault, unsigned char* raw,
+                         std::uint32_t lo, std::uint32_t hi,
+                         std::vector<MicroOp>& out, bool check_domain) {
+  const std::size_t bytes = sizeof(SamtBlockHeader) + entry.payload_bytes;
+  if (!read_at(fd, entry.file_offset, raw, bytes)) {
+    throw TraceCorruptError(
+        path + ": block " + std::to_string(block_idx) + " unreadable",
+        TraceDamage::kTornTail, block_idx, entry.file_offset);
+  }
+  if (fault.kind == IoFault::Kind::kBitFlipBlock &&
+      fault.param == block_idx) {
+    raw[bytes > sizeof(SamtBlockHeader) ? sizeof(SamtBlockHeader)
+                                        : bytes - 1] ^= 0x01;
+  }
+  return decode_block(path, raw, bytes, entry, block_idx, lo, hi, out,
+                      check_domain);
+}
+
+/// Reads, verifies and decodes blocks [b0, b1) of `index` through `fd`
+/// in index order, through one raw-block buffer, appending records
+/// [begin, end) of the trace to `out`. The first damaged block throws.
+/// With `check_domain`, returns the lowest index of a record outside the
+/// record domain (kNoRecord if none) — only once every block verified,
+/// so block damage anywhere wins.
+std::uint64_t decode_blocks(const std::string& path, int fd,
+                            const std::vector<SamtIndexEntry>& index,
+                            std::size_t b0, std::size_t b1,
+                            const IoFault& fault, std::uint64_t begin,
+                            std::uint64_t end, std::vector<MicroOp>& out,
+                            bool check_domain) {
+  std::size_t raw_bytes = 0;
+  for (std::size_t b = b0; b < b1; ++b) {
+    raw_bytes = std::max<std::size_t>(
+        raw_bytes, sizeof(SamtBlockHeader) + index[b].payload_bytes);
+  }
+  std::vector<unsigned char> raw(raw_bytes);
+  out.reserve(out.size() + static_cast<std::size_t>(end - begin));
+  std::uint64_t bad_record = kNoRecord;
+  for (std::size_t b = b0; b < b1; ++b) {
+    const SamtIndexEntry& e = index[b];
+    const std::uint64_t lo = std::max(begin, e.first_record);
+    const std::uint64_t hi = std::min(end, e.first_record + e.record_count);
+    const std::uint64_t bad = read_block(
+        path, fd, e, b, fault, raw.data(),
+        static_cast<std::uint32_t>(lo - e.first_record),
+        static_cast<std::uint32_t>(hi - e.first_record), out,
+        check_domain && bad_record == kNoRecord);
+    if (bad != kNoRecord) bad_record = e.first_record + bad;
+  }
+  return bad_record;
 }
 
 // --- layout (header + footer + index) validation --------------------------
@@ -503,29 +747,20 @@ struct V2Layout {
   std::string note;
 };
 
-[[nodiscard]] bool read_at(std::FILE* f, std::uint64_t offset, void* dst,
-                           std::size_t n) {
-  return std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
-         (n == 0 || std::fread(dst, 1, n, f) == n);
-}
-
-/// Opens a v2 file and validates header, footer and index. Throws
-/// TraceFormatError for files that are not SAMT v2 at all; classifies
-/// damage (torn tail / bad index) into the returned struct otherwise.
-/// `cut` simulates a short read: the last `cut` bytes are invisible.
-[[nodiscard]] V2Layout load_v2_layout(const std::string& path,
+/// Validates the header, footer and index of the v2 file open as `fd`.
+/// Throws TraceFormatError for files that are not SAMT v2 at all;
+/// classifies damage (torn tail / bad index) into the returned struct
+/// otherwise. `cut` simulates a short read: the last `cut` bytes are
+/// invisible.
+[[nodiscard]] V2Layout load_v2_layout(const std::string& path, int fd,
                                       std::uint64_t cut) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    fail(path, std::string("cannot open: ") + std::strerror(errno));
-  }
-  std::uint64_t bytes = file_size_of(path, f.get());
+  std::uint64_t bytes = file_size_of(path, fd);
   bytes = bytes > cut ? bytes - cut : 0;
 
   V2Layout L;
   L.file_bytes = bytes;
   if (bytes < sizeof(SamtHeader) ||
-      !read_at(f.get(), 0, &L.header, sizeof L.header)) {
+      !read_at(fd, 0, &L.header, sizeof L.header)) {
     fail(path, "too short for a SAMT header");
   }
   if (std::memcmp(L.header.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
@@ -556,7 +791,7 @@ struct V2Layout {
                    "file too short for an index and footer (torn tail)");
   }
   SamtFooter footer{};
-  if (!read_at(f.get(), bytes - sizeof footer, &footer, sizeof footer)) {
+  if (!read_at(fd, bytes - sizeof footer, &footer, sizeof footer)) {
     return damaged(TraceDamage::kTornTail, bytes - sizeof footer,
                    "unreadable footer (torn tail)");
   }
@@ -581,7 +816,7 @@ struct V2Layout {
   }
   std::vector<unsigned char> region(
       static_cast<std::size_t>(footer.index_bytes));
-  if (!read_at(f.get(), footer.index_offset, region.data(), region.size())) {
+  if (!read_at(fd, footer.index_offset, region.data(), region.size())) {
     return damaged(TraceDamage::kBadIndex, footer.index_offset,
                    "unreadable index region");
   }
@@ -636,27 +871,6 @@ struct V2Layout {
   return L;
 }
 
-/// Reads one raw block (header + payload), applying an armed bit-flip
-/// fault to the in-memory copy, and decodes it via decode_block.
-void read_and_decode_block(const std::string& path, std::FILE* f,
-                           const SamtIndexEntry& entry,
-                           std::uint64_t block_idx, const IoFault& fault,
-                           std::vector<MicroOp>& out) {
-  std::vector<unsigned char> raw(sizeof(SamtBlockHeader) +
-                                 entry.payload_bytes);
-  if (!read_at(f, entry.file_offset, raw.data(), raw.size())) {
-    throw TraceCorruptError(
-        path + ": block " + std::to_string(block_idx) + " unreadable",
-        TraceDamage::kTornTail, block_idx, entry.file_offset);
-  }
-  if (fault.kind == IoFault::Kind::kBitFlipBlock &&
-      fault.param == block_idx) {
-    raw[raw.size() > sizeof(SamtBlockHeader) ? sizeof(SamtBlockHeader)
-                                             : raw.size() - 1] ^= 0x01;
-  }
-  decode_block(path, raw.data(), raw.size(), entry, block_idx, out);
-}
-
 }  // namespace
 
 // --------------------------------------------------------- TraceWriterV2 --
@@ -674,16 +888,18 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
   header_.seed = seed;
   std::memcpy(header_.name, name.data(),
               std::min(name.size(), sizeof header_.name - 1));
-  pending_.reserve(block_records_);
 
   if (mode == Mode::kResume) {
     // Keep the intact leading blocks of an existing tmp: scan forward
     // verifying every guard, truncate at the first break, append there.
     std::FILE* f = std::fopen(tmp_path_.c_str(), "r+b");
     if (f != nullptr) {
+      const int fd = ::fileno(f);
       SamtHeader h{};
-      const std::uint64_t bytes = file_size_of(tmp_path_, f);
-      bool usable = bytes >= sizeof h && read_at(f, 0, &h, sizeof h) &&
+      struct stat st{};
+      const std::uint64_t bytes =
+          ::fstat(fd, &st) == 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
+      bool usable = bytes >= sizeof h && read_at(fd, 0, &h, sizeof h) &&
                     std::memcmp(h.magic, kSamtMagic, sizeof kSamtMagic) == 0 &&
                     h.version == kSamtVersion2 &&
                     h.record_bytes == sizeof(MicroOp);
@@ -692,13 +908,13 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
         std::vector<unsigned char> raw;
         while (off + sizeof(SamtBlockHeader) <= bytes) {
           SamtBlockHeader bh{};
-          if (!read_at(f, off, &bh, sizeof bh) || bh.magic != kBlockMagic ||
+          if (!read_at(fd, off, &bh, sizeof bh) || bh.magic != kBlockMagic ||
               bh.first_record != durable_records_ || bh.record_count == 0 ||
               bh.payload_bytes > bytes - off - sizeof bh) {
             break;
           }
           raw.resize(bh.payload_bytes);
-          if (!read_at(f, off + sizeof bh, raw.data(), raw.size()) ||
+          if (!read_at(fd, off + sizeof bh, raw.data(), raw.size()) ||
               block_guard(bh, raw.data(), raw.size()) != bh.guard) {
             break;
           }
@@ -708,7 +924,7 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
           durable_records_ += bh.record_count;
           off += sizeof bh + bh.payload_bytes;
         }
-        usable = ::ftruncate(::fileno(f), static_cast<off_t>(off)) == 0 &&
+        usable = ::ftruncate(fd, static_cast<off_t>(off)) == 0 &&
                  std::fseek(f, static_cast<long>(off), SEEK_SET) == 0;
         if (usable) {
           file_ = f;
@@ -752,31 +968,61 @@ void TraceWriterV2::append(const MicroOp& op) {
 
 void TraceWriterV2::append(TraceView ops) {
   if (file_ == nullptr) fail(path_, "append after finish()");
-  for (const MicroOp& op : ops) {
-    pending_.push_back(op);
+  const MicroOp* p = ops.data();
+  std::size_t n = ops.size();
+  if (!pending_.empty()) {
+    const std::size_t take = std::min(n, block_records_ - pending_.size());
+    pending_.insert(pending_.end(), p, p + take);
+    p += take;
+    n -= take;
     if (pending_.size() == block_records_) flush_block();
   }
+  const std::size_t whole = n - n % block_records_;
+  if (whole != 0) write_blocks(p, whole);
+  pending_.insert(pending_.end(), p + whole, p + n);
 }
 
 void TraceWriterV2::flush_block() {
   if (pending_.empty()) return;
-  const EncodedBlock b =
-      encode_block(pending_.data(), static_cast<std::uint32_t>(pending_.size()),
-                   durable_records_);
-  if (std::fwrite(&b.header, sizeof b.header, 1, file_) != 1 ||
-      (b.payload.empty()
-           ? false
-           : std::fwrite(b.payload.data(), 1, b.payload.size(), file_) !=
-                 b.payload.size()) ||
-      std::fflush(file_) != 0) {
-    fail(path_, "short write");
-  }
-  index_.push_back(SamtIndexEntry{write_offset_, b.header.first_record,
-                                  b.header.record_count,
-                                  b.header.payload_bytes, b.header.guard});
-  durable_records_ += pending_.size();
-  write_offset_ += sizeof b.header + b.payload.size();
+  write_blocks(pending_.data(), pending_.size());
   pending_.clear();
+}
+
+void TraceWriterV2::write_blocks(const MicroOp* ops, std::size_t count) {
+  // Two buffers: block k is encoded while block k - 1's guard finishes,
+  // then block k - 1 is written.
+  const std::size_t cap =
+      max_block_bytes(std::min<std::size_t>(count, block_records_));
+  std::vector<unsigned char> buffers(2 * cap);
+  const std::uint64_t base = durable_records_;  // write() advances it
+  PendingGuard pending;
+  auto write = [&](const unsigned char* block) {
+    SamtBlockHeader h{};
+    std::memcpy(&h, block, sizeof h);
+    const std::size_t bytes = sizeof h + h.payload_bytes;
+    if (std::fwrite(block, 1, bytes, file_) != bytes ||
+        std::fflush(file_) != 0) {
+      fail(path_, "short write");
+    }
+    index_.push_back(SamtIndexEntry{write_offset_, h.first_record,
+                                    h.record_count, h.payload_bytes,
+                                    h.guard});
+    durable_records_ += h.record_count;
+    write_offset_ += bytes;
+  };
+  for (std::size_t first = 0, k = 0; first < count;
+       first += block_records_, ++k) {
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::size_t>(block_records_, count - first));
+    const unsigned char* previous = pending.block;
+    encode_block(ops + first, n, base + first,
+                 buffers.data() + (k % 2) * cap, pending);
+    if (previous != nullptr) write(previous);
+  }
+  if (pending.block != nullptr) {
+    pending.finish();
+    write(pending.block);
+  }
 }
 
 void TraceWriterV2::finish() {
@@ -857,11 +1103,31 @@ void write_samt_v2(const std::string& path, TraceView ops,
 
 // --------------------------------------------------------- TraceV2Reader --
 
-TraceV2Reader::TraceV2Reader(const std::string& path) : path_(path) {
-  fault_ = take_io_fault(path);
-  V2Layout L = load_v2_layout(path, short_read_cut(fault_));
+TraceV2Reader::TraceV2Reader(const std::string& path)
+    : path_(path),
+      fault_(take_io_fault(path)),
+      file_(open_file(path, O_RDONLY)) {
+  load_layout();
+}
+
+TraceV2Reader::TraceV2Reader(const std::string& path, FileHandle file)
+    : path_(path), fault_(take_io_fault(path)), file_(std::move(file)) {
+  load_layout();
+}
+
+std::optional<TraceV2Reader> TraceV2Reader::open_if_v2(
+    const std::string& path) {
+  FileHandle file = open_file(path, O_RDONLY);
+  if (read_header(path, file.get()).version != kSamtVersion2) {
+    return std::nullopt;
+  }
+  return TraceV2Reader(path, std::move(file));
+}
+
+void TraceV2Reader::load_layout() {
+  V2Layout L = load_v2_layout(path_, file_.get(), short_read_cut(fault_));
   if (L.damage != TraceDamage::kNone) {
-    throw TraceCorruptError(path + ": " + L.note, L.damage,
+    throw TraceCorruptError(path_ + ": " + L.note, L.damage,
                             TraceCorruptError::kNoBlock, L.bad_offset);
   }
   header_ = L.header;
@@ -870,48 +1136,30 @@ TraceV2Reader::TraceV2Reader(const std::string& path) : path_(path) {
 
 std::string TraceV2Reader::name() const { return header_name(header_); }
 
+std::uint64_t TraceV2Reader::decode(std::uint64_t begin, std::uint64_t end,
+                                    std::vector<MicroOp>& out,
+                                    bool check_domain) const {
+  // First block whose record range reaches `begin`, and the first past
+  // `end` (index entries carry contiguous first_record values).
+  const auto first = std::partition_point(
+      index_.begin(), index_.end(), [begin](const SamtIndexEntry& e) {
+        return e.first_record + e.record_count <= begin;
+      });
+  const auto last = std::partition_point(
+      first, index_.end(),
+      [end](const SamtIndexEntry& e) { return e.first_record < end; });
+  return decode_blocks(path_, file_.get(), index_,
+                       static_cast<std::size_t>(first - index_.begin()),
+                       static_cast<std::size_t>(last - index_.begin()),
+                       fault_, begin, end, out, check_domain);
+}
+
 std::vector<MicroOp> TraceV2Reader::read_range(std::uint64_t begin,
                                                std::uint64_t end) const {
   if (end > header_.count) end = header_.count;
   if (begin > end) begin = end;
   std::vector<MicroOp> out;
-  if (begin == end) return out;
-  out.reserve(static_cast<std::size_t>(end - begin));
-
-  // First block whose record range reaches `begin` (index entries carry
-  // contiguous first_record values, so this is a binary search).
-  std::size_t bi = 0;
-  {
-    std::size_t lo = 0;
-    std::size_t hi = index_.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (index_[mid].first_record + index_[mid].record_count <= begin) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    bi = lo;
-  }
-
-  FilePtr f(std::fopen(path_.c_str(), "rb"));
-  if (f == nullptr) {
-    fail(path_, std::string("cannot open: ") + std::strerror(errno));
-  }
-  std::vector<MicroOp> decoded;
-  for (; bi < index_.size() && index_[bi].first_record < end; ++bi) {
-    const SamtIndexEntry& e = index_[bi];
-    decoded.clear();
-    read_and_decode_block(path_, f.get(), e, bi, fault_, decoded);
-    const std::uint64_t lo = std::max(begin, e.first_record);
-    const std::uint64_t hi = std::min(end, e.first_record + e.record_count);
-    out.insert(out.end(),
-               decoded.begin() + static_cast<std::ptrdiff_t>(lo -
-                                                             e.first_record),
-               decoded.begin() + static_cast<std::ptrdiff_t>(hi -
-                                                             e.first_record));
-  }
+  if (begin != end) (void)decode(begin, end, out, false);
   return out;
 }
 
@@ -923,6 +1171,26 @@ Trace TraceV2Reader::read_all() const {
   return t;
 }
 
+Trace TraceV2Reader::read_all_in_domain() const {
+  Trace t;
+  t.name = name();
+  t.seed = header_.seed;
+  if (header_.count == 0) return t;
+  const std::uint64_t bad = decode(0, header_.count, t.ops, true);
+  if (bad == kNoRecord) return t;
+  const auto block = std::partition_point(
+      index_.begin(), index_.end(), [bad](const SamtIndexEntry& e) {
+        return e.first_record + e.record_count <= bad;
+      });
+  const auto b = static_cast<std::uint64_t>(block - index_.begin());
+  throw TraceCorruptError(
+      path_ + ": block " + std::to_string(b) + " at offset " +
+          std::to_string(block->file_offset) + ": record " +
+          std::to_string(bad) + ": " +
+          record_domain_violation(t.ops[static_cast<std::size_t>(bad)]),
+      TraceDamage::kInteriorCorrupt, b, block->file_offset);
+}
+
 // ---------------------------------------------------------- trace_health --
 
 TraceHealth trace_health(const std::string& path) {
@@ -930,12 +1198,9 @@ TraceHealth trace_health(const std::string& path) {
   const std::uint64_t cut = short_read_cut(fault);
 
   // Sniff the version first; v1 and v2 walk differently.
+  const FileHandle f = open_file(path, O_RDONLY);
   SamtHeader sniff{};
   {
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (f == nullptr) {
-      fail(path, std::string("cannot open: ") + std::strerror(errno));
-    }
     const std::uint64_t bytes = file_size_of(path, f.get());
     if (bytes < sizeof sniff || !read_at(f.get(), 0, &sniff, sizeof sniff)) {
       fail(path, "too short for a SAMT header");
@@ -960,10 +1225,6 @@ TraceHealth trace_health(const std::string& path) {
 
   if (sniff.version == kSamtVersion) {
     // v1 is one whole-file checksum: report it as a single pseudo-block.
-    FilePtr f(std::fopen(path.c_str(), "rb"));
-    if (f == nullptr) {
-      fail(path, std::string("cannot open: ") + std::strerror(errno));
-    }
     std::uint64_t bytes = file_size_of(path, f.get());
     bytes = bytes > cut ? bytes - cut : 0;
     BlockHealth blk{sizeof(SamtHeader), 0,
@@ -1000,25 +1261,24 @@ TraceHealth trace_health(const std::string& path) {
     return h;
   }
 
-  V2Layout L = load_v2_layout(path, cut);
+  V2Layout L = load_v2_layout(path, f.get(), cut);
   h.record_count = L.header.count;
   if (L.damage != TraceDamage::kNone) {
     h.damage = L.damage;
     h.first_bad_offset = L.bad_offset;
     return h;
   }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    fail(path, std::string("cannot open: ") + std::strerror(errno));
-  }
+  std::vector<unsigned char> raw;
   std::vector<MicroOp> scratch;
   h.blocks.reserve(L.index.size());
   for (std::size_t i = 0; i < L.index.size(); ++i) {
     const SamtIndexEntry& e = L.index[i];
     BlockHealth blk{e.file_offset, e.first_record, e.record_count, true};
+    raw.resize(sizeof(SamtBlockHeader) + e.payload_bytes);
     scratch.clear();
     try {
-      read_and_decode_block(path, f.get(), e, i, fault, scratch);
+      (void)read_block(path, f.get(), e, i, fault, raw.data(), 0,
+                       e.record_count, scratch, false);
     } catch (const TraceCorruptError&) {
       blk.ok = false;
       ++h.bad_blocks;

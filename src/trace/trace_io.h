@@ -25,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -301,11 +302,14 @@ struct TraceHealth {
 // ------------------------------------------------------------ v2 writer --
 
 /// Streaming SAMT v2 writer with atomic, resumable publication. All
-/// writes go to `path + ".tmp"`; every completed block is flushed so a
-/// killed import loses at most the block in flight; `finish()` writes
-/// index + footer, patches the header, fsyncs and renames into place
-/// (readers never observe a partial file at `path`). An unfinished tmp
-/// is *kept* on destruction — kResume picks its intact blocks back up.
+/// writes go to `path + ".tmp"`. Blocks are written and flushed strictly
+/// in index order, each as soon as the next one is encoded (its guard
+/// is hashed alongside that encode), so a killed import loses at most
+/// the two blocks in flight and kResume keeps the intact prefix;
+/// `finish()` writes index + footer, patches the header, fsyncs and
+/// renames into place (readers never observe a partial file at `path`).
+/// An unfinished tmp is *kept* on destruction — kResume picks its intact
+/// blocks back up.
 class TraceWriterV2 {
  public:
   enum class Mode : std::uint8_t {
@@ -327,6 +331,7 @@ class TraceWriterV2 {
   [[nodiscard]] std::uint64_t durable_records() const noexcept;
 
   void append(const MicroOp& op);
+  /// Whole blocks are encoded straight from `ops`, without a copy.
   void append(TraceView ops);
   /// Flushes the final block, writes index + footer, patches the header,
   /// fsyncs and atomically renames the tmp into place.
@@ -340,6 +345,9 @@ class TraceWriterV2 {
 
  private:
   void flush_block();
+  /// Encodes `count` records as consecutive blocks of block_records_
+  /// (the last may be short) and writes them in index order.
+  void write_blocks(const MicroOp* ops, std::size_t count);
 
   std::string path_;
   std::string tmp_path_;
@@ -359,13 +367,38 @@ void write_samt_v2(const std::string& path, TraceView ops,
 
 // ------------------------------------------------------------ v2 reader --
 
-/// SAMT v2 reader. Construction validates header, footer and index
-/// eagerly (classifying damage into TraceCorruptError); block payloads
-/// are read and guard-verified lazily, on the first read that touches
-/// them — a corrupt block only fails the reads whose range covers it.
+/// A read-only file descriptor, closed on destruction. Move-only.
+class FileHandle {
+ public:
+  explicit FileHandle(int fd) noexcept : fd_(fd) {}
+  FileHandle(FileHandle&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
+  FileHandle& operator=(FileHandle&&) = delete;
+  FileHandle(const FileHandle&) = delete;
+  FileHandle& operator=(const FileHandle&) = delete;
+  ~FileHandle();
+
+  [[nodiscard]] int get() const noexcept { return fd_; }
+
+ private:
+  int fd_;
+};
+
+/// SAMT v2 reader. Construction opens the file once and validates
+/// header, footer and index eagerly (classifying damage into
+/// TraceCorruptError); every later read goes through that descriptor.
+/// Block payloads are read and guard-verified lazily, on the first read
+/// that touches them — a corrupt block only fails the reads whose range
+/// covers it. A read that spans several blocks walks them in index order
+/// and reports the lowest-index damaged block.
 class TraceV2Reader {
  public:
   explicit TraceV2Reader(const std::string& path);
+  /// Opens `path` once and validates its header exactly as
+  /// read_samt_header does (same checks, same errors). Returns a reader
+  /// over that descriptor for a v2 file, and nullopt for a v1 file,
+  /// whose records the caller reads its own way.
+  [[nodiscard]] static std::optional<TraceV2Reader> open_if_v2(
+      const std::string& path);
 
   [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
   [[nodiscard]] std::string name() const;
@@ -385,12 +418,27 @@ class TraceV2Reader {
                                                 std::uint64_t end) const;
   /// Decodes the whole trace.
   [[nodiscard]] Trace read_all() const;
+  /// read_all, also checking every record against the record domain
+  /// (record_domain_violation) while its block is decoded. Block damage
+  /// anywhere wins over a domain violation; otherwise the lowest-index
+  /// record outside the domain throws TraceCorruptError(kInteriorCorrupt)
+  /// naming the record, its block and the block's file offset.
+  [[nodiscard]] Trace read_all_in_domain() const;
 
  private:
+  TraceV2Reader(const std::string& path, FileHandle file);
+  /// Validates header, footer and index through file_ (constructors).
+  void load_layout();
+  /// Appends records [begin, end) to `out`; see decode_blocks.
+  [[nodiscard]] std::uint64_t decode(std::uint64_t begin, std::uint64_t end,
+                                     std::vector<MicroOp>& out,
+                                     bool check_domain) const;
+
   std::string path_;
+  IoFault fault_;  ///< armed fault consumed at open, applied on reads
+  FileHandle file_;
   SamtHeader header_{};
   std::vector<SamtIndexEntry> index_;
-  IoFault fault_{};  ///< armed fault consumed at open, applied on reads
 };
 
 /// Imports a plain-text trace (one op per line: class, addr, size, dep

@@ -28,17 +28,18 @@ class TraceSource {
   [[nodiscard]] static TraceSource from_trace(Trace t);
   /// Opens a SAMT file, autodetecting the version by its header. v1
   /// mmaps (zero-copy, shared page cache across processes and workers);
-  /// v2 decodes its guarded blocks into an owned Trace. Throws
+  /// v2 decodes its guarded blocks into an owned Trace through the
+  /// descriptor that read the header. Throws
   /// TraceFormatError on malformed files (TraceCorruptError for damaged
   /// v2 files). For v1 the checksum pass touches every page once;
   /// `verify_checksum = false` skips it for replay hot paths that
   /// re-open an already-verified trace (v2 blocks are always verified —
   /// their guards are checked as a side effect of decoding). Either
-  /// way, every record is then checked against the record domain
-  /// (record_domain_violation in instruction.h): a record the model
-  /// cannot simulate throws TraceCorruptError(kInteriorCorrupt) naming
-  /// it — with its block and the block's offset for v2, kNoBlock and
-  /// its own offset for v1.
+  /// way, every record is checked against the record domain
+  /// (record_domain_violation in instruction.h; v2 while each block
+  /// decodes): a record the model cannot simulate throws
+  /// TraceCorruptError(kInteriorCorrupt) naming it — with its block and
+  /// the block's offset for v2, kNoBlock and its own offset for v1.
   [[nodiscard]] static TraceSource open_samt(const std::string& path,
                                              bool verify_checksum = true);
   /// Reads a SAMT file into an owned in-RAM copy (TraceReader path),

@@ -9,7 +9,6 @@ namespace samie::trace {
 
 namespace {
 constexpr std::uint32_t kLineBytes = 32;
-constexpr std::size_t kRecentRing = 64;
 }  // namespace
 
 const char* op_class_name(OpClass op) noexcept {
@@ -47,8 +46,13 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
     acc += s.weight / (total > 0.0 ? total : 1.0);
     stream_cdf_.push_back(acc);
   }
-  recent_int_.assign(kRecentRing, RegId{1});
-  recent_fp_.assign(kRecentRing, RegId{kNumIntRegs});
+  mem_frac_ = profile_.load_frac + profile_.store_frac;
+  load_share_ = profile_.load_frac / (mem_frac_ > 0.0 ? mem_frac_ : 1.0);
+  if (profile_.dep_mean > 1.0) {
+    dep_threshold_ = Xoshiro256::chance_threshold(1.0 / profile_.dep_mean);
+  }
+  recent_int_.regs.fill(RegId{1});
+  recent_fp_.regs.fill(RegId{kNumIntRegs});
   // Decorrelate stream starting points.
   for (std::size_t i = 0; i < streams_.size(); ++i) {
     streams_[i].cursor_line = rng_.below(
@@ -65,8 +69,8 @@ Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t byte
     // Advance the walk to the next line.
     if (sc.jump_p > 0.0 && rng_.chance(sc.jump_p)) {
       st.cursor_line = rng_.below(footprint);
-    } else {
-      ++st.cursor_line;
+    } else if (++st.cursor_line == footprint) {
+      st.cursor_line = 0;
     }
     st.line_left = std::max<std::uint32_t>(1, sc.accesses_per_line);
     st.offset = 0;
@@ -76,8 +80,8 @@ Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t byte
   // Walk step k touches byte address base + k*line_stride; the footprint
   // wraps in *line-index* space so the region stays bounded while the
   // stride pattern (and hence the bank mapping) is preserved.
-  const std::uint64_t step = st.cursor_line % footprint;
-  const Addr line_base = stream_region_base(stream_idx) + step * sc.line_stride_bytes;
+  const Addr line_base =
+      stream_region_base(stream_idx) + st.cursor_line * sc.line_stride_bytes;
   const Addr line_aligned = line_base & ~static_cast<Addr>(kLineBytes - 1);
 
   Addr addr = line_aligned + st.offset;
@@ -87,19 +91,20 @@ Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t byte
 }
 
 RegId WorkloadGenerator::pick_source(bool fp) {
-  auto& ring = fp ? recent_fp_ : recent_int_;
-  const std::uint64_t dist = rng_.geometric(profile_.dep_mean);
-  const std::size_t idx = (dist - 1) % ring.size();
-  return ring[idx];
+  const RecentRing& ring = fp ? recent_fp_ : recent_int_;
+  // rng_.geometric(profile_.dep_mean), without its per-call division.
+  const std::uint64_t dist =
+      profile_.dep_mean > 1.0 ? rng_.geometric_below(dep_threshold_) : 1;
+  return ring.regs[(ring.head + dist - 1) % RecentRing::kSize];
 }
 
 RegId WorkloadGenerator::pick_dest(bool fp) {
   // Avoid register 0 (hardwired zero in most ISAs) for realism.
   const RegId base = fp ? static_cast<RegId>(kNumIntRegs) : RegId{0};
   const RegId r = static_cast<RegId>(base + 1 + rng_.below(kNumIntRegs - 1));
-  auto& ring = fp ? recent_fp_ : recent_int_;
-  ring.pop_back();
-  ring.insert(ring.begin(), r);
+  RecentRing& ring = fp ? recent_fp_ : recent_int_;
+  ring.head = (ring.head + RecentRing::kSize - 1) % RecentRing::kSize;
+  ring.regs[ring.head] = r;
   return r;
 }
 
@@ -138,11 +143,9 @@ MicroOp WorkloadGenerator::next_op() {
   --loop_body_left_;
 
   const double roll = rng_.uniform();
-  const double mem_frac = profile_.load_frac + profile_.store_frac;
 
-  if (roll < mem_frac && !profile_.streams.empty()) {
-    const bool is_load =
-        rng_.uniform() < profile_.load_frac / (mem_frac > 0.0 ? mem_frac : 1.0);
+  if (roll < mem_frac_ && !profile_.streams.empty()) {
+    const bool is_load = rng_.uniform() < load_share_;
     const double pick = rng_.uniform();
     std::size_t si = 0;
     while (si + 1 < stream_cdf_.size() && pick > stream_cdf_[si]) ++si;
@@ -163,7 +166,7 @@ MicroOp WorkloadGenerator::next_op() {
       op.value = rng_();
       oracle_.write(addr, bytes, op.value);
     }
-  } else if (roll < mem_frac + profile_.branch_frac) {
+  } else if (roll < mem_frac_ + profile_.branch_frac) {
     // Data-dependent branch (entropy) or a forward, mostly-not-taken one.
     // Direction bits train the predictor; the trace's PC flow stays linear
     // so loop-branch PCs remain stable across iterations (trace-driven

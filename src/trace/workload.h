@@ -20,6 +20,7 @@
 // ILP is tunable per program.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -97,9 +98,17 @@ class WorkloadGenerator {
 
  private:
   struct StreamState {
-    std::uint64_t cursor_line = 0;  ///< line index within the walk sequence
+    std::uint64_t cursor_line = 0;  ///< walk step, wrapped into the footprint
     std::uint32_t line_left = 0;    ///< accesses remaining in current line
     std::uint64_t offset = 0;       ///< next offset within the line
+  };
+
+  /// The last kSize destination registers of one class, newest at
+  /// `head`; older ones follow it circularly.
+  struct RecentRing {
+    static constexpr std::size_t kSize = 64;
+    std::array<RegId, kSize> regs{};
+    std::size_t head = 0;
   };
 
   [[nodiscard]] MicroOp next_op();
@@ -111,6 +120,11 @@ class WorkloadGenerator {
   Xoshiro256 rng_;
   std::vector<StreamState> streams_;
   std::vector<double> stream_cdf_;
+  // Fixed by the profile, computed once.
+  double mem_frac_ = 0.0;    ///< load_frac + store_frac
+  double load_share_ = 0.0;  ///< of memory ops, the share that are loads
+  /// Xoshiro256::chance_threshold(1 / dep_mean) when dep_mean > 1.
+  std::uint64_t dep_threshold_ = 0;
 
   // Loop state machine for the control stream.
   Addr pc_ = 0x00400000;
@@ -120,8 +134,8 @@ class WorkloadGenerator {
   std::uint64_t loop_body_len_ = 0;
 
   // Recent destination registers, for dependency-distance sampling.
-  std::vector<RegId> recent_int_;
-  std::vector<RegId> recent_fp_;
+  RecentRing recent_int_;
+  RecentRing recent_fp_;
 
   /// Oracle memory: program-order stores, read back for load values.
   SparseMemory oracle_;

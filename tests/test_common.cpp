@@ -113,6 +113,33 @@ TEST(Rng, GeometricNeverBelowOne) {
 }
 
 // --------------------------------------------------------- fixed_vector ---
+TEST(Rng, ChanceThresholdSplitsDrawsExactlyLikeChance) {
+  // chance(p) on a raw draw x is uniform() < p; the threshold must put
+  // every x on the same side, so check the draws either side of it.
+  const auto chance_of = [](std::uint64_t x, double p) {
+    return static_cast<double>(x >> 11U) * 0x1.0p-53 < p;
+  };
+  for (const double p : {1.0 / 5.0, 1.0 / 16.0, 1.0 / 24.0, 0.3, 1e-300,
+                         0x1.0p-60, 1.0 - 0x1.0p-53, 0.0}) {
+    SCOPED_TRACE(p);
+    const std::uint64_t t = Xoshiro256::chance_threshold(p);
+    if (t != 0) {
+      EXPECT_TRUE(chance_of(t - 1, p));
+      EXPECT_TRUE(chance_of(0, p));
+    }
+    EXPECT_FALSE(chance_of(t, p));
+    EXPECT_FALSE(chance_of(~std::uint64_t{0}, p));
+  }
+  // Same draws as the division-per-call form it replaces.
+  Xoshiro256 a(99);
+  Xoshiro256 b(99);
+  for (int i = 0; i < 10'000; ++i) {
+    std::uint64_t n = 1;
+    while (n < 4096 && !a.chance(1.0 / 5.0)) ++n;
+    ASSERT_EQ(b.geometric(5.0), n);
+  }
+}
+
 TEST(FixedVector, PushPopAndCapacity) {
   FixedVector<int, 4> v;
   EXPECT_TRUE(v.empty());

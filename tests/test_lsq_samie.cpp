@@ -202,6 +202,42 @@ TEST_F(SamieTest, ReplacementResetsPresentBitInAffectedBankOnly) {
   EXPECT_GE(lsq_.present_bit_resets(), 1U);
 }
 
+TEST(SamieReplacement, ResetsEveryBankThatCanHoldALineOfTheSet) {
+  // A line L sits in bank L % banks and set L % sets, so when banks and
+  // sets do not divide one another a set's lines spread over several
+  // banks (every bank b == set mod gcd(banks, sets)). Each must lose its
+  // presentBit, or a later access trusts a way the cache has refilled.
+  constexpr std::uint32_t kSets = 64;
+  for (const std::uint32_t banks : {3U, 48U, 64U, 128U}) {
+    for (const std::uint32_t set : {0U, 5U, 63U}) {
+      SCOPED_TRACE("banks=" + std::to_string(banks) +
+                   " set=" + std::to_string(set));
+      SamieLsq lsq(SamieConfig{.banks = banks,
+                               .entries_per_bank = 64,
+                               .slots_per_entry = 1,
+                               .shared_entries = 0,
+                               .addr_buffer_slots = 1,
+                               .line_bytes = 32,
+                               .l1d_sets = kSets},
+                   nullptr);
+      constexpr Addr kLines = 3 * kSets;
+      for (Addr l = 0; l < kLines; ++l) {
+        const InstSeq seq = l + 1;
+        ASSERT_EQ(lsq.on_address_ready(load(seq, at(l))).status,
+                  Status::kPlaced);
+        lsq.on_cache_access_complete(seq, static_cast<std::uint32_t>(l % kSets),
+                                     0);
+      }
+      lsq.on_cache_line_replaced(set);
+      for (Addr l = set; l < kLines; l += kSets) {
+        EXPECT_FALSE(lsq.cache_hints(l + 1).way_known)
+            << "line " << l << " in bank " << l % banks
+            << " kept a stale presentBit";
+      }
+    }
+  }
+}
+
 TEST_F(SamieTest, ReplacementResetsAllSharedEntries) {
   lsq_.on_address_ready(load(1, at(0)));
   lsq_.on_address_ready(load(2, at(4)));   // shared (bank 0 full)

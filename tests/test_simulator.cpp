@@ -51,6 +51,17 @@ TEST(Config, LsqChoiceNames) {
   EXPECT_STREQ(lsq_choice_name(LsqChoice::kUnbounded), "unbounded");
 }
 
+TEST(Simulator, SamieWithBanksNotDividingTheSetsRunsClean) {
+  // 3 banks against 64 L1D sets: a set's lines sit in all three banks,
+  // and every one must drop its presentBit when the set replaces a line.
+  SimConfig cfg = paper_config(LsqChoice::kSamie);
+  cfg.samie.banks = 3;
+  cfg.instructions = 20'000;
+  const SimResult r = run_program(cfg, "ammp");
+  EXPECT_EQ(r.core.committed, 20'000U);
+  EXPECT_EQ(r.core.value_mismatches, 0U);
+}
+
 TEST(Simulator, RunsAndIsDeterministic) {
   SimConfig cfg = paper_config(LsqChoice::kSamie);
   cfg.instructions = 20'000;

@@ -25,6 +25,7 @@
 #include <fstream>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -36,6 +37,7 @@
 #include "src/trace/trace_source.h"
 #include "src/trace/workload.h"
 #include "tests/samt_v1_fixture.h"
+#include "tests/trace_thrown.h"
 
 namespace samie {
 namespace {
@@ -421,6 +423,153 @@ TEST_F(TraceV2FuzzTest, OpenRejectsRecordsOutsideTheDomain) {
     const std::uint64_t block = kBadRecord / 256;
     expect_domain_rejected(p, block, r.index()[block].file_offset, true);
     expect_domain_rejected(p, block, r.index()[block].file_offset, false);
+  }
+}
+
+TEST_F(TraceV2FuzzTest, ErrorPrecedenceIsLowestBlockThenRecordDomain) {
+  // An open throws for the lowest-index damaged block, and block damage
+  // anywhere wins over a record outside the domain (which is checked
+  // while its block decodes, before later blocks are verified).
+  const trace::TraceV2Reader pristine(write_mutant(valid_v2_));
+  ASSERT_GE(pristine.block_count(), 5u);
+  const auto flip_payload = [&](std::vector<char>& bytes, std::size_t block) {
+    const std::size_t off =
+        static_cast<std::size_t>(pristine.index()[block].file_offset) +
+        sizeof(trace::SamtBlockHeader) + 2;
+    bytes[off] = static_cast<char>(bytes[off] ^ 0x08);
+  };
+  const auto expect_error = [&](const std::string& p, std::uint64_t block) {
+    const fixture::Thrown opened =
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+    EXPECT_EQ(opened.type, "TraceCorruptError");
+    EXPECT_EQ(opened.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(opened.block, block);
+    EXPECT_EQ(opened.offset, pristine.index()[block].file_offset);
+    EXPECT_EQ(fixture::thrown_by([&] { return trace::TraceSource::read_samt(p); }),
+              opened);
+  };
+  {
+    SCOPED_TRACE("two interior-corrupt blocks: the lower one is reported");
+    std::vector<char> bytes = valid_v2_;
+    flip_payload(bytes, 4);
+    flip_payload(bytes, 1);
+    expect_error(write_mutant(bytes), 1);
+  }
+  {
+    SCOPED_TRACE("out-of-domain record in block 0, corrupt block 3");
+    std::vector<trace::MicroOp> ops = ops_;
+    ops[10].dst = 200;
+    const std::string p = path("domain_and_damage.samt");
+    trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                         11, /*block_records=*/256);
+    std::ifstream in(p, std::ios::binary);
+    std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    in.close();
+    flip_payload(bytes, 3);
+    expect_error(write_mutant(bytes), 3);
+  }
+  {
+    SCOPED_TRACE("a corrupt payload that no longer decodes fails its guard");
+    std::vector<char> bytes = valid_v2_;
+    const std::size_t presence =
+        static_cast<std::size_t>(pristine.index()[2].file_offset) +
+        sizeof(trace::SamtBlockHeader);
+    bytes[presence] = static_cast<char>(bytes[presence] | 0x0F);  // op 15
+    const std::string p = write_mutant(bytes);
+    expect_error(p, 2);
+    const fixture::Thrown e =
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+    EXPECT_NE(e.what.find("guard mismatch"), std::string::npos) << e.what;
+  }
+}
+
+/// Re-seals a one-block v2 file after its payload was edited: the block
+/// guard, its index copy, the index guard and the header checksum.
+void reseal_one_block(std::vector<char>& bytes) {
+  auto u64_at = [&](std::size_t off) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + off, sizeof v);
+    return v;
+  };
+  auto put_u64 = [&](std::size_t off, std::uint64_t v) {
+    std::memcpy(bytes.data() + off, &v, sizeof v);
+  };
+  constexpr std::size_t kBlock = sizeof(trace::SamtHeader);
+  trace::SamtBlockHeader h{};
+  std::memcpy(&h, bytes.data() + kBlock, sizeof h);
+  const std::uint64_t guard = trace::fnv1a_64(
+      bytes.data() + kBlock + sizeof h, h.payload_bytes,
+      trace::fnv1a_64(&h, sizeof h - sizeof h.guard));
+  put_u64(kBlock + offsetof(trace::SamtBlockHeader, guard), guard);
+  const std::size_t footer = bytes.size() - sizeof(trace::SamtFooter);
+  const auto region =
+      static_cast<std::size_t>(u64_at(footer + offsetof(trace::SamtFooter,
+                                                        index_offset)));
+  const auto region_bytes = static_cast<std::size_t>(
+      u64_at(footer + offsetof(trace::SamtFooter, index_bytes)));
+  put_u64(region + 8 + offsetof(trace::SamtIndexEntry, guard), guard);
+  put_u64(region + region_bytes - 8,
+          trace::fnv1a_64(bytes.data() + region, region_bytes - 8));
+  put_u64(offsetof(trace::SamtHeader, checksum),
+          trace::fnv1a_64(bytes.data() + region, region_bytes));
+}
+
+TEST_F(TraceV2FuzzTest, VarintTenthByteIsJudgedAlikeOnBothDecodePaths) {
+  // A value of 2^64 - 1 encodes as nine 0xFF bytes and a 10th byte 0x01,
+  // which may only carry the value's top bit. With that byte rewritten
+  // and every guard re-sealed, the record must decode or fail the same
+  // way as the first record of a block (decoded while a whole record's
+  // bytes remain) and as the last (the bounds-checked tail).
+  trace::MicroOp big;
+  big.op = trace::OpClass::kLoad;
+  big.mem_size = 8;
+  big.mem_addr = 8;
+  big.value = ~std::uint64_t{0};
+  std::vector<trace::MicroOp> ops(8);
+  for (std::size_t i = 0; i < ops.size(); ++i) ops[i].pc = 4 * i;
+  ops.front() = big;
+  ops.back() = big;
+  const std::string p = path("tenth.samt");
+  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 11,
+                       /*block_records=*/8);
+  std::vector<char> pristine;
+  {
+    std::ifstream in(p, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  trace::SamtBlockHeader h{};
+  std::memcpy(&h, pristine.data() + sizeof(trace::SamtHeader), sizeof h);
+  ASSERT_EQ(h.record_count, 8u);
+  const std::size_t payload = sizeof(trace::SamtHeader) + sizeof h;
+  // Record 0: five raw bytes, one-byte pc and mem deltas, then the value;
+  // record 7 ends the payload with its value.
+  const std::size_t first_tenth = payload + 5 + 1 + 1 + 9;
+  const std::size_t last_tenth = payload + h.payload_bytes - 1;
+  ASSERT_EQ(static_cast<unsigned char>(pristine[first_tenth]), 0x01);
+  ASSERT_EQ(static_cast<unsigned char>(pristine[last_tenth]), 0x01);
+  for (const unsigned tenth : {0x00u, 0x01u, 0x02u, 0x7Fu, 0x80u, 0x81u}) {
+    SCOPED_TRACE("10th byte " + std::to_string(tenth));
+    for (const auto& [at, record] :
+         {std::pair{first_tenth, 0u}, std::pair{last_tenth, 7u}}) {
+      std::vector<char> bytes = pristine;
+      bytes[at] = static_cast<char>(tenth);
+      reseal_one_block(bytes);
+      const std::string q = write_mutant(bytes);
+      if (tenth <= 1) {
+        const trace::Trace t = trace::TraceV2Reader(q).read_all();
+        EXPECT_EQ(t.ops[record].value,
+                  (std::uint64_t{tenth} << 63) | (~std::uint64_t{0} >> 1));
+      } else {
+        const fixture::Thrown e =
+            fixture::thrown_by([&] { return trace::TraceV2Reader(q).read_all(); });
+        EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+        EXPECT_NE(e.what.find("undecodable record " + std::to_string(record)),
+                  std::string::npos)
+            << e.what;
+      }
+    }
   }
 }
 

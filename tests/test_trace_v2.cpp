@@ -2,8 +2,9 @@
 // injected-I/O-fault behavior (src/trace/trace_io.h). The fuzz matrix
 // for mutated files lives in test_trace_fuzz.cpp; this file covers the
 // *intended* v2 behaviors: exact decode, O(1) range reads off the
-// index, resumable atomic import, and the enospc/torn import faults
-// leaving a tmp but never a final file.
+// index, resumable atomic import, the enospc/torn import faults leaving
+// a tmp but never a final file, and bytes that do not depend on how the
+// records were handed to the writer.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -17,7 +18,9 @@
 #include "src/trace/instruction.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
+#include "src/trace/trace_source.h"
 #include "src/trace/workload.h"
+#include "tests/trace_thrown.h"
 
 namespace samie {
 namespace {
@@ -50,6 +53,12 @@ class TraceV2Test : public ::testing::Test {
 
   [[nodiscard]] std::string path(const std::string& file) const {
     return (dir_ / file).string();
+  }
+
+  [[nodiscard]] static std::string slurp(const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
   }
 
   /// A generated workload: realistic op mix, excellent delta locality.
@@ -157,10 +166,7 @@ TEST_F(TraceV2Test, IndexSeeksAreBlockLocal) {
     const std::size_t off =
         static_cast<std::size_t>(pristine.index()[5].file_offset) +
         sizeof(trace::SamtBlockHeader) + 1;
-    std::ifstream in(p, std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-    in.close();
+    std::string bytes = slurp(p);
     bytes[off] = static_cast<char>(bytes[off] ^ 0x40);
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -168,15 +174,70 @@ TEST_F(TraceV2Test, IndexSeeksAreBlockLocal) {
   const trace::TraceV2Reader r(p);  // index intact: construction succeeds
   EXPECT_TRUE(same_ops(r.read_range(0, 5 * 512),
                        {ops.begin(), ops.begin() + 5 * 512}));
-  EXPECT_TRUE(same_ops(r.read_range(6 * 512, 4'096),
-                       {ops.begin() + 6 * 512, ops.end()}));
-  try {
-    (void)r.read_range(5 * 512, 5 * 512 + 1);
-    FAIL() << "read over the corrupt block was accepted";
-  } catch (const trace::TraceCorruptError& e) {
-    EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
-    EXPECT_EQ(e.block, 5u);
+  EXPECT_TRUE(same_ops(r.read_range(6 * 512 + 7, 4'096),
+                       {ops.begin() + 6 * 512 + 7, ops.end()}));
+  const fixture::Thrown bad =
+      fixture::thrown_by([&] { return r.read_range(3 * 512, 8 * 512); });
+  EXPECT_EQ(bad.type, "TraceCorruptError");
+  EXPECT_EQ(bad.damage, trace::TraceDamage::kInteriorCorrupt);
+  EXPECT_EQ(bad.block, 5u);
+}
+
+TEST_F(TraceV2Test, BytesDoNotDependOnHowRecordsAreAppended) {
+  // 39 blocks of 512 plus a short one, written from one view, in chunks
+  // that straddle blocks, and record by record.
+  const std::vector<trace::MicroOp> ops = workload(20'000);
+  const std::string p = path("whole.samt");
+  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
+                       512);
+  const std::string whole = slurp(p);
+  {
+    const std::string q = path("chunks.samt");
+    trace::TraceWriterV2 w(q, "gcc", 23, 512);
+    for (std::size_t at = 0; at < ops.size(); at += 1'700) {
+      w.append(trace::TraceView(ops.data() + at,
+                                std::min<std::size_t>(1'700, ops.size() - at)));
+    }
+    w.finish();
+    EXPECT_EQ(slurp(q), whole);
   }
+  {
+    const std::string q = path("singles.samt");
+    trace::TraceWriterV2 w(q, "gcc", 23, 512);
+    for (const trace::MicroOp& op : ops) w.append(op);
+    w.finish();
+    EXPECT_EQ(slurp(q), whole);
+  }
+  EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
+  const trace::TraceSource s = trace::TraceSource::open_samt(p);
+  EXPECT_TRUE(same_ops({s.view().begin(), s.view().end()}, ops));
+}
+
+TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
+  // Field values at both edges of every LEB128 length (1..10 bytes),
+  // decoded both while a whole record's bytes remain and in the
+  // bounds-checked tail of the block.
+  std::vector<std::uint64_t> values{0, ~std::uint64_t{0}};
+  for (unsigned k = 1; k < 10; ++k) {
+    const std::uint64_t edge = std::uint64_t{1} << (7 * k);
+    values.insert(values.end(), {edge - 1, edge, edge + 1});
+  }
+  std::vector<trace::MicroOp> ops;
+  for (const std::uint64_t v : values) {
+    for (const std::uint64_t w : values) {
+      trace::MicroOp op;
+      op.op = trace::OpClass::kLoad;
+      op.pc = v;
+      op.mem_addr = w;
+      op.br_target = v ^ w;
+      op.value = w;
+      ops.push_back(op);
+    }
+  }
+  const std::string p = path("varints.samt");
+  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "v", 1,
+                       97);
+  EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
 }
 
 TEST_F(TraceV2Test, ResumePicksUpIntactBlocksOfATornTmp) {
@@ -237,12 +298,10 @@ TEST_F(TraceV2Test, ShortReadFaultReadsAsTornTail) {
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
                        256);
   trace::set_io_fault(p, {trace::IoFault::Kind::kShortRead, 100});
-  try {
-    const trace::TraceV2Reader r(p);
-    FAIL() << "short read was accepted";
-  } catch (const trace::TraceCorruptError& e) {
-    EXPECT_EQ(e.damage, trace::TraceDamage::kTornTail);
-  }
+  const fixture::Thrown short_read =
+      fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+  EXPECT_EQ(short_read.type, "TraceCorruptError");
+  EXPECT_EQ(short_read.damage, trace::TraceDamage::kTornTail);
   // Consumed: the next open sees the intact file.
   EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
 }
@@ -253,13 +312,11 @@ TEST_F(TraceV2Test, BitFlipFaultReadsAsInteriorCorruption) {
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
                        256);
   trace::set_io_fault(p, {trace::IoFault::Kind::kBitFlipBlock, 2});
-  try {
-    (void)trace::TraceV2Reader(p).read_all();
-    FAIL() << "bit flip was accepted";
-  } catch (const trace::TraceCorruptError& e) {
-    EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
-    EXPECT_EQ(e.block, 2u);
-  }
+  const fixture::Thrown flip =
+      fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+  EXPECT_EQ(flip.type, "TraceCorruptError");
+  EXPECT_EQ(flip.damage, trace::TraceDamage::kInteriorCorrupt);
+  EXPECT_EQ(flip.block, 2u);
   // In-memory flip only: the file on disk is still clean.
   EXPECT_TRUE(trace::trace_health(p).ok());
 }
