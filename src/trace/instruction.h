@@ -63,7 +63,13 @@ struct MicroOp {
   std::uint8_t pad_[2] = {0, 0};
 };
 
-static_assert(sizeof(MicroOp) <= 48, "MicroOp should stay compact");
+// The record size is part of the SAMT v2 header binding: every v2
+// reader rejects a file whose `record_bytes` differs from
+// sizeof(MicroOp), so resizing this struct makes every existing v2 file
+// unopenable, even though the v2 codec encodes fields, not bytes. Decide
+// what `record_bytes` binds (docs/TRACE_FORMAT.md) before resizing it.
+static_assert(sizeof(MicroOp) == 40,
+              "SAMT v2 headers bind record_bytes to sizeof(MicroOp)");
 
 /// The record domain: the records the timing model can simulate. A
 /// record is inside it when its op class is a known OpClass; src1, src2

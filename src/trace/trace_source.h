@@ -1,13 +1,14 @@
 // TraceSource: one owner type for trace storage of any provenance.
 //
 // The simulator, tools and benches all consume TraceView; a TraceSource
-// pairs such a view with whatever keeps it alive — an owned in-RAM Trace
-// (generated or imported) or an mmap-backed MappedTrace (zero-copy
-// replay). Sweep infrastructure holds `shared_ptr<const TraceSource>` so
-// N workers replaying one program share a single mapping instead of N
-// ~70 MB heap copies.
+// pairs such a view with whatever keeps it alive — a generated trace's
+// own anonymous page mapping, an owned in-RAM Trace (decoded or
+// imported) or an mmap-backed MappedTrace (zero-copy v1 replay). Sweep
+// infrastructure holds `shared_ptr<const TraceSource>` so N workers
+// replaying one program share one copy of its records instead of N.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -20,7 +21,13 @@ namespace samie::trace {
 
 class TraceSource {
  public:
-  /// Generates `n` instructions of the given profile in RAM.
+  /// Generates `n` instructions of the given profile (the records
+  /// WorkloadGenerator(profile, seed).generate(n) returns) into an
+  /// anonymous page mapping of the source's own, unmapped when the
+  /// source is destroyed. A sweep builds and drops one trace after
+  /// another on its workers; freed heap buffers that size would stay
+  /// mapped in the workers' malloc arenas, these pages go back to the
+  /// OS. Throws std::bad_alloc when the mapping fails.
   [[nodiscard]] static TraceSource generate(const WorkloadProfile& profile,
                                             std::uint64_t seed,
                                             std::uint64_t n);
@@ -52,12 +59,12 @@ class TraceSource {
   [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// True when backed by a file mapping rather than heap memory.
+  /// True when backed by a file mapping (a v1 SAMT file).
   [[nodiscard]] bool is_mapped() const noexcept {
     return std::holds_alternative<MappedTrace>(storage_);
   }
   /// For mapped sources: drop resident pages now (MADV_DONTNEED; see
-  /// MappedTrace::advise_dontneed). No-op for in-RAM traces. Call when
+  /// MappedTrace::advise_dontneed). No-op for any other source. Call when
   /// the last consumer of this source is done but the object itself
   /// lives on (e.g. in a sweep's trace cache).
   void advise_dontneed() const noexcept {
@@ -67,11 +74,39 @@ class TraceSource {
   }
 
  private:
-  TraceSource(std::variant<Trace, MappedTrace> storage, std::string name,
-              std::uint64_t seed)
+  /// `count` records in a private anonymous mapping, 2 MiB-aligned and
+  /// rounded up to 2 MiB so transparent huge pages can back all of it;
+  /// munmapped on destruction.
+  class PageRecords {
+   public:
+    explicit PageRecords(std::uint64_t count);
+    PageRecords(PageRecords&& other) noexcept;
+    PageRecords& operator=(PageRecords&& other) noexcept;
+    PageRecords(const PageRecords&) = delete;
+    PageRecords& operator=(const PageRecords&) = delete;
+    ~PageRecords();
+
+    [[nodiscard]] MicroOp* data() noexcept {
+      return static_cast<MicroOp*>(map_);
+    }
+    [[nodiscard]] TraceView view() const noexcept {
+      return {static_cast<const MicroOp*>(map_), count_};
+    }
+
+   private:
+    void unmap() noexcept;
+
+    void* map_ = nullptr;  ///< nullptr for an empty trace
+    std::size_t map_len_ = 0;
+    std::size_t count_ = 0;
+  };
+
+  using Storage = std::variant<Trace, MappedTrace, PageRecords>;
+
+  TraceSource(Storage storage, std::string name, std::uint64_t seed)
       : storage_(std::move(storage)), name_(std::move(name)), seed_(seed) {}
 
-  std::variant<Trace, MappedTrace> storage_;
+  Storage storage_;
   std::string name_;
   std::uint64_t seed_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -201,13 +202,24 @@ MicroOp WorkloadGenerator::next_op() {
   return op;
 }
 
+template <class OutputIt>
+void WorkloadGenerator::emit(OutputIt out, std::uint64_t n) {
+  for (std::uint64_t i = 0; i < n; ++i) *out++ = next_op();
+}
+
 Trace WorkloadGenerator::generate(std::uint64_t n) {
   Trace t;
   t.name = profile_.name;
   t.seed = 0;  // provenance filled by callers that know the original seed
+  // Appending, not resize-then-overwrite: value-initialising the buffer
+  // first is a second pass over every record's memory.
   t.ops.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) t.ops.push_back(next_op());
+  emit(std::back_inserter(t.ops), n);
   return t;
+}
+
+void WorkloadGenerator::generate_into(MicroOp* out, std::uint64_t n) {
+  emit(out, n);
 }
 
 }  // namespace samie::trace

@@ -95,6 +95,9 @@ class WorkloadGenerator {
   /// Generates `n` instructions. The returned trace embeds oracle values:
   /// each load's `value` is the program-order-correct loaded value.
   [[nodiscard]] Trace generate(std::uint64_t n);
+  /// Writes the next `n` instructions to out[0, n): the records
+  /// generate(n) would return, into storage the caller owns.
+  void generate_into(MicroOp* out, std::uint64_t n);
 
  private:
   struct StreamState {
@@ -111,6 +114,9 @@ class WorkloadGenerator {
     std::size_t head = 0;
   };
 
+  /// The one generation loop: the next `n` ops, in order, through `out`.
+  template <class OutputIt>
+  void emit(OutputIt out, std::uint64_t n);
   [[nodiscard]] MicroOp next_op();
   [[nodiscard]] Addr next_mem_addr(std::size_t stream_idx, std::uint32_t bytes);
   [[nodiscard]] RegId pick_source(bool fp);

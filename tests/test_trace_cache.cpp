@@ -6,7 +6,11 @@
 // interleaves traces (the sweep dispatches it grouped by trace). This
 // is the regression fence for the 458 MB suite RSS leak: before the fix
 // the cache pinned every generated workload until the sweep returned.
+// A dropped generated trace must also leave the address space, not
+// linger in a malloc arena.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <memory>
@@ -31,6 +35,23 @@ namespace {
   j.config.instructions = insts;
   j.tag = "cache-test";
   return j;
+}
+
+/// True when the pages holding the first and the last byte of `v`'s
+/// records are mapped into this process (mincore fails with ENOMEM on
+/// an unmapped page).
+[[nodiscard]] bool records_mapped(trace::TraceView v) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  unsigned char resident = 0;
+  for (const auto* byte : {reinterpret_cast<const char*>(v.begin()),
+                           reinterpret_cast<const char*>(v.end()) - 1}) {
+    const std::uintptr_t start =
+        reinterpret_cast<std::uintptr_t>(byte) & ~(page - 1);
+    if (::mincore(reinterpret_cast<void*>(start), page, &resident) != 0) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(TraceCache, ReleasesEachSourceWhenItsLastConsumerFinishes) {
@@ -67,6 +88,31 @@ TEST(TraceCache, ReleasesEachSourceWhenItsLastConsumerFinishes) {
   EXPECT_NE(shared->view().size(), 0U);
   EXPECT_NE(lone->view().size(), 0U);
   EXPECT_EQ(cache.resident_high_water(), 2U);
+}
+
+TEST(TraceCache, ReleasedGeneratedTraceLeavesTheAddressSpace) {
+  // A 100k-instruction trace is a 4 MB record buffer. glibc serves the
+  // first buffer that large with mmap and unmaps it on free, but then
+  // raises its mmap threshold: later ones come from a malloc arena,
+  // which keeps them mapped after free. So each of several traces
+  // built and dropped in turn must leave the address space once its
+  // last holder (here, after the cache) lets go.
+  const std::vector<sim::Job> jobs = {job_for("gcc", 100'000),
+                                      job_for("mcf", 100'000),
+                                      job_for("art", 100'000)};
+  sim::TraceCache cache(jobs, std::vector<bool>(jobs.size(), false));
+  for (const sim::Job& job : jobs) {
+    SCOPED_TRACE(job.program);
+    std::shared_ptr<const trace::TraceSource> src = cache.get(job);
+    const trace::TraceView records = src->view();
+    ASSERT_EQ(records.size(), 100'000U);
+    ASSERT_TRUE(records_mapped(records));
+    cache.finished(job);
+    EXPECT_TRUE(records_mapped(records)) << "a holder still reads them";
+    src.reset();
+    EXPECT_FALSE(records_mapped(records))
+        << "the records stayed mapped after their last holder let go";
+  }
 }
 
 TEST(TraceCache, ResumeSkippedJobsNeverRegisterAsConsumers) {

@@ -2,14 +2,18 @@
 // v2 writes are byte-stable, v1 files (written by the test-only fixture
 // in samt_v1_fixture.h) read back exactly and replay through mmap and
 // the copying reader bit-identically to in-memory simulation for every
-// LSQ kind, malformed files are rejected with clear errors, and the
-// text importer builds traces that satisfy the generator's invariants.
+// LSQ kind, generated sources hold the generator's records byte for
+// byte, malformed files are rejected with clear errors, and the text
+// importer builds traces that satisfy the generator's invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/experiment.h"
@@ -313,6 +317,7 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   const trace::TraceSource generated = trace::TraceSource::generate(
       trace::spec2000_profile("gcc"), 7, 1000);
   EXPECT_EQ(generated.name(), "gcc");
+  EXPECT_EQ(generated.seed(), 7U);
   EXPECT_EQ(generated.size(), 1000U);
   EXPECT_FALSE(generated.is_mapped());
 
@@ -326,6 +331,38 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   const trace::TraceSource copied = trace::TraceSource::read_samt(path("g.samt"));
   EXPECT_FALSE(copied.is_mapped());
   expect_ops_equal(generated.view(), copied.view());
+}
+
+TEST_F(TraceIoTest, GeneratedSourceIsByteIdenticalToGenerator) {
+  // TracePins pins WorkloadGenerator::generate. TraceSource::generate
+  // writes into pages of its own through generate_into, and must produce
+  // the very same bytes for every program at more than one seed.
+  static_assert(std::has_unique_object_representations_v<trace::MicroOp>);
+  constexpr std::uint64_t kRecords = 20'000;
+  for (const std::uint64_t seed : {std::uint64_t{42}, std::uint64_t{7}}) {
+    for (const std::string& name : trace::spec2000_names()) {
+      SCOPED_TRACE(name + " seed " + std::to_string(seed));
+      const trace::WorkloadProfile profile = trace::spec2000_profile(name);
+      const trace::Trace ref =
+          trace::WorkloadGenerator(profile, seed).generate(kRecords);
+      const trace::TraceSource src =
+          trace::TraceSource::generate(profile, seed, kRecords);
+      EXPECT_EQ(src.name(), name);
+      EXPECT_EQ(src.seed(), seed);
+      ASSERT_EQ(src.size(), ref.size());
+      EXPECT_EQ(std::memcmp(src.view().data(), ref.ops.data(),
+                            kRecords * sizeof(trace::MicroOp)),
+                0);
+    }
+  }
+  EXPECT_EQ(trace::TraceSource::generate(trace::spec2000_profile("gcc"), 7, 0)
+                .size(),
+            0U);
+  // A length no address space holds fails before anything is mapped,
+  // as WorkloadGenerator::generate's reserve does.
+  EXPECT_THROW((void)trace::TraceSource::generate(
+                   trace::spec2000_profile("gcc"), 7, ~std::uint64_t{0}),
+               std::length_error);
 }
 
 // ------------------------------------------------------------ text import --
