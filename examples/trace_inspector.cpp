@@ -7,8 +7,8 @@
 //
 // Arguments naming a file are opened as recorded SAMT traces: the header
 // (version, record count, provenance, checksum) is dumped and the same
-// statistics are computed over the records (v1 mmapped without a heap
-// copy, v2 block-decoded). Other arguments are SPEC2000 profile names.
+// statistics are computed over the records (v2 block-decoded, v1
+// converted as read). Other arguments are SPEC2000 profile names.
 //
 // --verify mode instead deep-walks each named SAMT file checking every
 // integrity guard (v1: whole-file checksum; v2: footer, index and every

@@ -359,7 +359,7 @@ class Core final : private lsq::PresentBitClearer {
   /// A fetched instruction plus the decode facts dispatch's resource
   /// checks need. dispatch_blocked() runs for every dispatch attempt
   /// *and* closes the quiescence ledger's dispatch clause, so it reads
-  /// this hot 16-byte ring entry instead of the 40-byte trace record.
+  /// this hot 16-byte ring entry instead of the 32-byte trace record.
   struct Fetched {
     InstSeq seq = kNoInst;
     RegId dst = kNoReg;

@@ -121,7 +121,7 @@ void Core<LsqT, ObserverT>::clear_present_bit(std::uint32_t set, std::uint32_t w
 template <typename LsqT, typename ObserverT>
 std::uint64_t Core<LsqT, ObserverT>::forwarded_value(const trace::MicroOp& load,
                                           const trace::MicroOp& store) const {
-  const std::uint64_t shift = (load.mem_addr - store.mem_addr) * 8;
+  const std::uint64_t shift = (load.addr - store.addr) * 8;
   return (store.value >> shift) & detail::value_mask(load.mem_size);
 }
 
@@ -269,7 +269,7 @@ void Core<LsqT, ObserverT>::on_agen_complete(InstSeq seq) {
   const bool is_load = f.op_class() == trace::OpClass::kLoad;
   lsq::MemOpDesc desc;
   desc.seq = seq;
-  desc.addr = op.mem_addr;
+  desc.addr = op.addr;
   desc.size = op.mem_size;
   desc.is_load = is_load;
   // Store data is reported through on_store_data_ready after placement so
@@ -325,7 +325,7 @@ void Core<LsqT, ObserverT>::execute_load_access(InstSeq seq) {
     return;
   }
   ++dcache_ports_used_;
-  const Addr addr = op.mem_addr;
+  const Addr addr = op.addr;
   const lsq::CacheHints hints = lsq_.cache_hints(seq);
   Cycle lat = 0;
   if (hints.translation_known) {
@@ -708,7 +708,7 @@ void Core<LsqT, ObserverT>::fetch_stage() {
       if (op.op == trace::OpClass::kBranch) {
         const bool pred = predictor_.predict_and_update(op.pc, op.taken);
         const branch::Btb::Result target = btb_.lookup(op.pc);
-        if (op.taken) btb_.update(op.pc, op.br_target);
+        if (op.taken) btb_.update(op.pc, op.addr);
         fr.mispredicted = (pred != op.taken) || (pred && op.taken && !target.hit);
         fetch_queue_.push_back(fr);
         ++fetch_seq_;
@@ -893,7 +893,7 @@ void Core<LsqT, ObserverT>::commit_stage() {
       }
       ++dcache_ports_used_;
       const trace::MicroOp& op = *rob_op_[idx];
-      const Addr addr = op.mem_addr;
+      const Addr addr = op.addr;
       const lsq::CacheHints hints = lsq_.cache_hints(head_);
       if (hints.translation_known) {
         ++res_.dtlb_cached;

@@ -38,10 +38,10 @@ struct SimConfig {
   /// instead of a (profile, seed, length) triple; `instructions` then
   /// caps how much of the trace is replayed.
   std::string trace_path;
-  /// Verify the v1 FNV-1a checksum when opening `trace_path` (touches
-  /// every page once; v2 block guards are always verified). `samie_sim
-  /// --no-verify-checksum` clears it for re-opening an already-verified
-  /// trace.
+  /// Verify the v1 FNV-1a checksum when opening `trace_path` (one more
+  /// pass over the record bytes; v2 block guards are always verified).
+  /// `samie_sim --no-verify-checksum` clears it for re-opening an
+  /// already-verified trace.
   bool verify_trace_checksum = true;
 };
 

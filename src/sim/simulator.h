@@ -84,8 +84,8 @@ struct SimResult {
                                     const std::string& program);
 
 /// Convenience: replays the whole recorded SAMT trace at
-/// `cfg.trace_path` (v1 mmapped zero-copy, v2 block-decoded; version
-/// autodetected), capped at `cfg.instructions` records. Throws
+/// `cfg.trace_path` (v2 block-decoded, v1 converted record by record;
+/// version autodetected), capped at `cfg.instructions` records. Throws
 /// trace::TraceFormatError on malformed files (TraceCorruptError for
 /// damaged v2 files) and std::invalid_argument when `cfg.trace_path` is
 /// empty.

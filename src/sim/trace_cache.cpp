@@ -76,15 +76,14 @@ void TraceCache::finished(const Job& job) {
     pending_.erase(p);
     if (auto it = slots_.find(key); it != slots_.end()) {
       done = std::move(it->second.src);
-      // Drop the slot: releasing the cache's reference is what lets a
-      // generated or decoded trace free at all (advise_dontneed is a
-      // no-op for them — there is no file to fault back in from). No
-      // consumer of this key can arrive later: every job was registered
-      // up front, and this was the last one.
+      // Drop the slot: releasing the cache's reference is what lets the
+      // trace free at all. No consumer of this key can arrive later:
+      // every job was registered up front, and this was the last one.
       slots_.erase(it);
     }
   }
-  if (done != nullptr) done->advise_dontneed();
+  // `done` goes out of scope here, outside the lock: a generated trace
+  // is unmapped, a decoded one freed, once its last worker drops it.
 }
 
 std::size_t TraceCache::resident_sources() const {

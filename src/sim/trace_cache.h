@@ -63,10 +63,9 @@ class TraceCache {
   std::shared_ptr<const trace::TraceSource> get(const Job& job);
 
   /// A job is done with its trace (success, failure or skip) — called
-  /// exactly once per job. When it was the last consumer, mapped traces
-  /// drop their resident pages (MADV_DONTNEED) and the cache drops its
-  /// reference, so the source is destroyed as soon as the caller's own
-  /// shared_ptr goes.
+  /// exactly once per job. When it was the last consumer, the cache drops
+  /// its reference, so the source is destroyed as soon as the caller's
+  /// own shared_ptr goes.
   void finished(const Job& job);
 
   // -- residency probes (regression tests; all O(log keys)) ------------------

@@ -43,7 +43,7 @@ SharingStats compute_sharing(TraceView t, std::size_t window,
 
   for (const auto& op : t) {
     if (!is_mem(op.op)) continue;
-    const Addr line = op.mem_addr & line_mask;
+    const Addr line = op.addr & line_mask;
     if (auto it = line_count.find(line); it != line_count.end() && it->second > 0) {
       ++reuse;
     }
@@ -85,7 +85,7 @@ BankSpreadStats compute_bank_spread(TraceView t, std::size_t window,
   std::uint64_t mem_seen = 0;
   for (const auto& op : t) {
     if (!is_mem(op.op)) continue;
-    const Addr line = op.mem_addr >> line_shift;
+    const Addr line = op.addr >> line_shift;
     in_window.push_back(line);
     ++line_count[line];
     ++mem_seen;

@@ -1,7 +1,6 @@
 #include "src/trace/trace_io.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -31,6 +30,13 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
   throw TraceFormatError(path + ": " + what);
 }
 
+[[noreturn]] void fail_record_bytes(const std::string& path,
+                                   const SamtHeader& h) {
+  fail(path, "record size " + std::to_string(h.record_bytes) +
+                 " is not SAMT's " + std::to_string(kSamtRecordBytes) +
+                 " bytes");
+}
+
 void validate_header(const std::string& path, const SamtHeader& h,
                      std::uint64_t file_bytes) {
   if (std::memcmp(h.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
@@ -40,25 +46,22 @@ void validate_header(const std::string& path, const SamtHeader& h,
     fail(path, "unsupported SAMT version " + std::to_string(h.version) +
                    " (this build reads versions 1 and 2)");
   }
-  if (h.record_bytes != sizeof(MicroOp)) {
-    fail(path, "record size " + std::to_string(h.record_bytes) +
-                   " does not match this build's MicroOp (" +
-                   std::to_string(sizeof(MicroOp)) + " bytes)");
-  }
+  if (h.record_bytes != kSamtRecordBytes) fail_record_bytes(path, h);
   // v2 payloads are block-encoded; count-vs-size consistency is enforced
   // by the guarded index, not by header arithmetic.
   if (h.version != kSamtVersion) return;
-  // Divide, never multiply: `h.count * sizeof(MicroOp)` can wrap
+  // Divide, never multiply: `h.count * kSamtRecordBytes` can wrap
   // (count += 2^61 makes the product overflow to the exact valid size,
   // and the checksum length wraps identically — the corrupt-trace fuzz
   // suite found the file being *accepted*). Comparing against the
   // record count the payload actually holds is overflow-free.
   const std::uint64_t payload = file_bytes - sizeof(SamtHeader);
-  if (payload % sizeof(MicroOp) != 0 || h.count != payload / sizeof(MicroOp)) {
+  if (payload % kSamtRecordBytes != 0 ||
+      h.count != payload / kSamtRecordBytes) {
     fail(path, "truncated or oversized: header promises " +
                    std::to_string(h.count) + " records, file payload is " +
                    std::to_string(payload) + " bytes (" +
-                   std::to_string(payload / sizeof(MicroOp)) + " records)");
+                   std::to_string(payload / kSamtRecordBytes) + " records)");
   }
 }
 
@@ -205,111 +208,75 @@ TraceReader::TraceReader(const std::string& path)
 
 std::string TraceReader::name() const { return header_name(header_); }
 
-Trace TraceReader::read_all() const {
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  if (f == nullptr) {
-    fail(path_, std::string("cannot open: ") + std::strerror(errno));
+namespace {
+
+/// v1 records read per pread: bounds the raw buffer, not the result.
+constexpr std::size_t kV1ChunkRecords = 4096;
+
+/// Converts v1 record `r` to `out`. Returns the record-domain rule `r`
+/// breaks (the two only a v1 record can break first), or nullptr.
+[[nodiscard]] const char* convert_v1_record(const SamtV1Record& r,
+                                            MicroOp& out) noexcept {
+  if (r.mem_addr != 0 && r.br_target != 0) {
+    return "memory address and branch target both set";
   }
+  if (r.taken > 1) return "taken flag must be 0 or 1";
+  out.pc = r.pc;
+  out.addr = r.mem_addr | r.br_target;
+  out.value = r.value;
+  out.op = static_cast<OpClass>(r.op);
+  out.mem_size = r.mem_size;
+  out.src1 = r.src1;
+  out.src2 = r.src2;
+  out.dst = r.dst;
+  out.taken = r.taken != 0;
+  return record_domain_violation(out);
+}
+
+}  // namespace
+
+Trace TraceReader::read_all(bool verify_checksum) const {
+  const FileHandle f = open_file(path_, O_RDONLY);
   Trace t;
   t.name = name();
   t.seed = header_.seed;
-  bool ok = std::fseek(f, sizeof(SamtHeader), SEEK_SET) == 0;
-  if (ok) {
-    t.ops.resize(static_cast<std::size_t>(header_.count));
-    ok = header_.count == 0 ||
-         std::fread(t.ops.data(), sizeof(MicroOp),
-                    static_cast<std::size_t>(header_.count),
-                    f) == header_.count;
-  }
-  std::fclose(f);
-  if (!ok) fail(path_, "truncated record array");
-  const std::uint64_t sum =
-      fnv1a_64(t.ops.data(), t.ops.size() * sizeof(MicroOp));
-  if (sum != header_.checksum) fail(path_, "record checksum mismatch");
-  return t;
-}
-
-// ----------------------------------------------------------- MappedTrace --
-
-MappedTrace::MappedTrace(const std::string& path, bool verify_checksum) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    fail(path, std::string("cannot open: ") + std::strerror(errno));
-  }
-  struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    fail(path, "stat failed");
-  }
-  const auto bytes = static_cast<std::uint64_t>(st.st_size);
-  if (bytes < sizeof(SamtHeader)) {
-    ::close(fd);
-    fail(path, "too short for a SAMT header");
-  }
-  void* map = ::mmap(nullptr, static_cast<std::size_t>(bytes), PROT_READ,
-                     MAP_SHARED, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    fail(path, std::string("mmap failed: ") + std::strerror(errno));
-  }
-  map_ = map;
-  map_len_ = static_cast<std::size_t>(bytes);
-  std::memcpy(&header_, map_, sizeof header_);
-  try {
-    validate_header(path, header_, bytes);
-    if (header_.version != kSamtVersion) fail_v1_only(path, "MappedTrace");
-  } catch (...) {
-    unmap();
-    throw;
-  }
-  records_ = reinterpret_cast<const MicroOp*>(
-      static_cast<const char*>(map_) + sizeof(SamtHeader));
-  // Sequential replay: tell the kernel to read ahead aggressively.
-  ::madvise(map_, map_len_, MADV_SEQUENTIAL);
-  if (verify_checksum) {
-    const std::uint64_t sum =
-        fnv1a_64(records_, static_cast<std::size_t>(header_.count) *
-                               sizeof(MicroOp));
-    if (sum != header_.checksum) {
-      unmap();
-      fail(path, "record checksum mismatch");
+  const auto count = static_cast<std::size_t>(header_.count);
+  t.ops.reserve(count);
+  std::vector<SamtV1Record> raw(std::min(count, kV1ChunkRecords));
+  std::uint64_t sum = kFnvBasis;
+  std::size_t bad = 0;
+  const char* why = nullptr;
+  for (std::size_t first = 0; first < count; first += raw.size()) {
+    const std::size_t n = std::min(raw.size(), count - first);
+    if (!read_at(f.get(), sizeof(SamtHeader) + first * kSamtRecordBytes,
+                 raw.data(), n * kSamtRecordBytes)) {
+      fail(path_, "truncated record array");
+    }
+    if (verify_checksum) sum = fnv1a_64(raw.data(), n * kSamtRecordBytes, sum);
+    for (std::size_t i = 0; i < n; ++i) {
+      MicroOp op;
+      const char* rule = convert_v1_record(raw[i], op);
+      if (rule != nullptr && why == nullptr) {
+        why = rule;
+        bad = first + i;
+      }
+      t.ops.push_back(op);
     }
   }
-}
-
-MappedTrace::MappedTrace(MappedTrace&& other) noexcept
-    : header_(other.header_),
-      map_(std::exchange(other.map_, nullptr)),
-      map_len_(std::exchange(other.map_len_, 0)),
-      records_(std::exchange(other.records_, nullptr)) {}
-
-MappedTrace& MappedTrace::operator=(MappedTrace&& other) noexcept {
-  if (this != &other) {
-    unmap();
-    header_ = other.header_;
-    map_ = std::exchange(other.map_, nullptr);
-    map_len_ = std::exchange(other.map_len_, 0);
-    records_ = std::exchange(other.records_, nullptr);
+  if (verify_checksum && sum != header_.checksum) {
+    fail(path_, "record checksum mismatch");
   }
-  return *this;
-}
-
-MappedTrace::~MappedTrace() { unmap(); }
-
-void MappedTrace::advise_dontneed() const noexcept {
-  if (map_ != nullptr) ::madvise(map_, map_len_, MADV_DONTNEED);
-}
-
-void MappedTrace::unmap() noexcept {
-  if (map_ != nullptr) {
-    ::munmap(map_, map_len_);
-    map_ = nullptr;
-    map_len_ = 0;
-    records_ = nullptr;
+  if (why != nullptr) {
+    const std::uint64_t offset =
+        sizeof(SamtHeader) + std::uint64_t{bad} * kSamtRecordBytes;
+    throw TraceCorruptError(path_ + ": record " + std::to_string(bad) +
+                                " at offset " + std::to_string(offset) +
+                                ": " + why,
+                            TraceDamage::kInteriorCorrupt,
+                            TraceCorruptError::kNoBlock, offset);
   }
+  return t;
 }
-
-std::string MappedTrace::name() const { return header_name(header_); }
 
 // ----------------------------------------------------------- SAMT v2 -----
 
@@ -439,17 +406,21 @@ template <bool kChecked>
 // and has-mem/has-br/has-value bits — "absent" means the field is zero,
 // which is exactly what canonical records hold for inapplicable fields),
 // four raw bytes (mem_size, src1, src2, dst), then varints: zigzag pc
-// delta vs the previous record, zigzag mem_addr delta vs the previous
-// *memory* record, zigzag br_target delta vs this record's pc, and the
-// raw value. Delta state resets per block, so blocks decode independently.
+// delta vs the previous record; a branch's `addr` as a zigzag delta vs
+// its own pc (has-br), any other record's as a zigzag delta vs the
+// previous *memory* address (has-mem); and the raw value. The two
+// address bits are v1's two address fields, so a record sets at most
+// one of them. Delta state resets per block, so blocks decode
+// independently.
 
 constexpr unsigned char kTakenBit = 0x10;
 constexpr unsigned char kHasMemBit = 0x20;
 constexpr unsigned char kHasBrBit = 0x40;
 constexpr unsigned char kHasValueBit = 0x80;
 constexpr std::uint8_t kMaxOpClass = static_cast<std::uint8_t>(OpClass::kNop);
-/// The largest encoded record: five raw bytes and four 10-byte varints.
-constexpr std::size_t kMaxRecordBytes = 5 + 4 * 10;
+/// The largest encoded record: five raw bytes and three 10-byte varints
+/// (pc, one address, value).
+constexpr std::size_t kMaxRecordBytes = 5 + 3 * 10;
 
 struct DeltaState {
   std::uint64_t prev_pc = 0;
@@ -459,13 +430,12 @@ struct DeltaState {
 /// Encodes `op` at `p` (room for kMaxRecordBytes) and advances `p`.
 void encode_record(const MicroOp& op, DeltaState& st,
                    unsigned char*& p) noexcept {
-  const bool has_mem = op.mem_addr != 0;
-  const bool has_br = op.br_target != 0;
+  const bool is_branch = op.op == OpClass::kBranch;
+  const bool has_addr = op.addr != 0;
   const bool has_value = op.value != 0;
   unsigned char b0 = static_cast<unsigned char>(op.op) & 0x0F;
   if (op.taken) b0 |= kTakenBit;
-  if (has_mem) b0 |= kHasMemBit;
-  if (has_br) b0 |= kHasBrBit;
+  if (has_addr) b0 |= is_branch ? kHasBrBit : kHasMemBit;
   if (has_value) b0 |= kHasValueBit;
   *p++ = b0;
   *p++ = op.mem_size;
@@ -474,14 +444,20 @@ void encode_record(const MicroOp& op, DeltaState& st,
   *p++ = op.dst;
   put_varint(p, zigzag_encode(op.pc - st.prev_pc));
   st.prev_pc = op.pc;
-  if (has_mem) {
-    put_varint(p, zigzag_encode(op.mem_addr - st.prev_mem));
-    st.prev_mem = op.mem_addr;
+  if (has_addr) {
+    if (is_branch) {
+      put_varint(p, zigzag_encode(op.addr - op.pc));
+    } else {
+      put_varint(p, zigzag_encode(op.addr - st.prev_mem));
+      st.prev_mem = op.addr;
+    }
   }
-  if (has_br) put_varint(p, zigzag_encode(op.br_target - op.pc));
   if (has_value) put_varint(p, op.value);
 }
 
+/// Decodes one record. False for bytes no record encodes: an op class
+/// past kNop, both address bits (a MicroOp holds one address), or a
+/// malformed varint.
 template <bool kChecked>
 [[nodiscard]] bool decode_record(const unsigned char* p, std::size_t n,
                                  std::size_t& pos, DeltaState& st,
@@ -489,6 +465,7 @@ template <bool kChecked>
   if (kChecked && pos + 5 > n) return false;
   const unsigned char b0 = p[pos++];
   if ((b0 & 0x0F) > kMaxOpClass) return false;
+  if ((b0 & kHasMemBit) != 0 && (b0 & kHasBrBit) != 0) return false;
   MicroOp op;
   op.op = static_cast<OpClass>(b0 & 0x0F);
   op.taken = (b0 & kTakenBit) != 0;
@@ -502,12 +479,11 @@ template <bool kChecked>
   st.prev_pc = op.pc;
   if ((b0 & kHasMemBit) != 0) {
     if (!get_varint<kChecked>(p, n, pos, u)) return false;
-    op.mem_addr = st.prev_mem + zigzag_decode(u);
-    st.prev_mem = op.mem_addr;
-  }
-  if ((b0 & kHasBrBit) != 0) {
+    op.addr = st.prev_mem + zigzag_decode(u);
+    st.prev_mem = op.addr;
+  } else if ((b0 & kHasBrBit) != 0) {
     if (!get_varint<kChecked>(p, n, pos, u)) return false;
-    op.br_target = op.pc + zigzag_decode(u);
+    op.addr = op.pc + zigzag_decode(u);
   }
   if ((b0 & kHasValueBit) != 0) {
     if (!get_varint<kChecked>(p, n, pos, op.value)) return false;
@@ -770,10 +746,8 @@ struct V2Layout {
     fail(path, "not a SAMT v2 trace (version " +
                    std::to_string(L.header.version) + ")");
   }
-  if (L.header.record_bytes != sizeof(MicroOp)) {
-    fail(path, "record size " + std::to_string(L.header.record_bytes) +
-                   " does not match this build's MicroOp (" +
-                   std::to_string(sizeof(MicroOp)) + " bytes)");
+  if (L.header.record_bytes != kSamtRecordBytes) {
+    fail_record_bytes(path, L.header);
   }
 
   auto damaged = [&](TraceDamage d, std::uint64_t off, std::string note) {
@@ -884,7 +858,7 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
                                         : kDefaultBlockRecords) {
   std::memcpy(header_.magic, kSamtMagic, sizeof kSamtMagic);
   header_.version = kSamtVersion2;
-  header_.record_bytes = sizeof(MicroOp);
+  header_.record_bytes = kSamtRecordBytes;
   header_.seed = seed;
   std::memcpy(header_.name, name.data(),
               std::min(name.size(), sizeof header_.name - 1));
@@ -902,7 +876,7 @@ TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
       bool usable = bytes >= sizeof h && read_at(fd, 0, &h, sizeof h) &&
                     std::memcmp(h.magic, kSamtMagic, sizeof kSamtMagic) == 0 &&
                     h.version == kSamtVersion2 &&
-                    h.record_bytes == sizeof(MicroOp);
+                    h.record_bytes == kSamtRecordBytes;
       if (usable) {
         std::uint64_t off = sizeof h;
         std::vector<unsigned char> raw;
@@ -1212,11 +1186,7 @@ TraceHealth trace_health(const std::string& path) {
       fail(path, "unsupported SAMT version " + std::to_string(sniff.version) +
                      " (this build reads versions 1 and 2)");
     }
-    if (sniff.record_bytes != sizeof(MicroOp)) {
-      fail(path, "record size " + std::to_string(sniff.record_bytes) +
-                     " does not match this build's MicroOp (" +
-                     std::to_string(sizeof(MicroOp)) + " bytes)");
-    }
+    if (sniff.record_bytes != kSamtRecordBytes) fail_record_bytes(path, sniff);
   }
 
   TraceHealth h;
@@ -1233,17 +1203,17 @@ TraceHealth trace_health(const std::string& path) {
                     false};
     const std::uint64_t payload =
         bytes >= sizeof(SamtHeader) ? bytes - sizeof(SamtHeader) : 0;
-    if (payload % sizeof(MicroOp) != 0 ||
-        sniff.count != payload / sizeof(MicroOp)) {
+    if (payload % kSamtRecordBytes != 0 ||
+        sniff.count != payload / kSamtRecordBytes) {
       h.damage = TraceDamage::kTornTail;
       h.first_bad_offset = bytes;
       h.bad_blocks = 1;
       h.blocks.push_back(blk);
       return h;
     }
-    std::vector<MicroOp> recs(static_cast<std::size_t>(sniff.count));
+    std::vector<SamtV1Record> recs(static_cast<std::size_t>(sniff.count));
     if (!read_at(f.get(), sizeof(SamtHeader), recs.data(),
-                 recs.size() * sizeof(MicroOp))) {
+                 recs.size() * kSamtRecordBytes)) {
       h.damage = TraceDamage::kTornTail;
       h.first_bad_offset = bytes;
       h.bad_blocks = 1;
@@ -1251,7 +1221,7 @@ TraceHealth trace_health(const std::string& path) {
       return h;
     }
     blk.ok =
-        fnv1a_64(recs.data(), recs.size() * sizeof(MicroOp)) == sniff.checksum;
+        fnv1a_64(recs.data(), recs.size() * kSamtRecordBytes) == sniff.checksum;
     if (!blk.ok) {
       h.damage = TraceDamage::kInteriorCorrupt;
       h.first_bad_offset = sizeof(SamtHeader);
@@ -1387,7 +1357,7 @@ Trace import_text_trace_from_string(const std::string& text,
     };
 
     if (is_mem(cls)) {
-      op.mem_addr = number_at(f++, "an address");
+      op.addr = number_at(f++, "an address");
       // A size past one byte is as far outside the record domain as
       // 0xFF, which the domain check below rejects.
       op.mem_size = static_cast<std::uint8_t>(
@@ -1399,11 +1369,11 @@ Trace import_text_trace_from_string(const std::string& text,
         op.taken = taken != 0;
       }
       if (f < tok.size()) {
-        op.br_target = number_at(f++, "a branch target");
+        op.addr = number_at(f++, "a branch target");
       } else {
         // Synthesized control flow: taken branches close a short backward
         // loop, not-taken ones skip ahead (both deterministic).
-        op.br_target = op.taken && pc >= 64 ? pc - 64 : pc + 8;
+        op.addr = op.taken && pc >= 64 ? pc - 64 : pc + 8;
       }
     }
 
@@ -1434,9 +1404,9 @@ Trace import_text_trace_from_string(const std::string& text,
     // program-order-correct value (so the core's value check still runs).
     if (cls == OpClass::kStore) {
       op.value = 0x9E3779B97F4A7C15ULL * ++store_counter;
-      oracle.write(op.mem_addr, op.mem_size, op.value);
+      oracle.write(op.addr, op.mem_size, op.value);
     } else if (cls == OpClass::kLoad) {
-      op.value = oracle.read(op.mem_addr, op.mem_size);
+      op.value = oracle.read(op.addr, op.mem_size);
     }
 
     t.ops.push_back(op);

@@ -4,21 +4,19 @@
 // Both versions start with the same 64-byte SamtHeader, and readers
 // autodetect the version from it. Version 2 (block-guarded,
 // delta-encoded and indexed; layout further down) is the only version
-// this build writes. Version 1 is read-only: the header followed by the
-// records verbatim, under one whole-file checksum (all fields
-// little-endian):
+// this build writes. Version 1 is read-only: the header followed by
+// 40-byte records (SamtV1Record) under one whole-file checksum (all
+// fields little-endian):
 //
 //   [SamtHeader: 64 bytes]  magic "SAMTRACE", version, record size,
 //                           record count, generator seed, FNV-1a checksum
 //                           of the record bytes, NUL-padded profile name
-//   [count x MicroOp: 40 bytes each]  the in-memory record, verbatim
+//   [count x SamtV1Record: 40 bytes each]
 //
-// Because a v1 record *is* the in-memory `MicroOp` (layout pinned by
-// static_asserts below), a reader can either copy the array out
-// (TraceReader) or map the file and replay straight from the page cache
-// (MappedTrace) — zero copies, and one physical mapping shared by every
-// worker replaying the same file. docs/TRACE_FORMAT.md specifies both
-// versions and the versioning rules.
+// A v1 record carries a memory address and a branch target in separate
+// fields; the 32-byte in-memory MicroOp holds one address, so
+// TraceReader converts each record as it reads it.
+// docs/TRACE_FORMAT.md specifies both versions and the versioning rules.
 #pragma once
 
 #include <bit>
@@ -80,13 +78,18 @@ class TraceCorruptError : public TraceFormatError {
 inline constexpr std::uint32_t kSamtVersion = 1;
 inline constexpr std::uint32_t kSamtVersion2 = 2;
 inline constexpr char kSamtMagic[8] = {'S', 'A', 'M', 'T', 'R', 'A', 'C', 'E'};
+/// The `record_bytes` of every SAMT header: the size of v1's on-disk
+/// record, which for v2 names the field set each encoded record carries.
+/// It is a format constant, not sizeof(MicroOp): readers reject any other
+/// value, so a record layout change is a version change.
+inline constexpr std::uint32_t kSamtRecordBytes = 40;
 
 #pragma pack(push, 1)
 struct SamtHeader {
   char magic[8];                ///< "SAMTRACE" (not NUL-terminated)
   std::uint32_t version = kSamtVersion;
-  std::uint32_t record_bytes = 0;  ///< sizeof(MicroOp); rejects layout drift
-  std::uint64_t count = 0;         ///< MicroOp records after the header
+  std::uint32_t record_bytes = 0;  ///< kSamtRecordBytes; rejects drift
+  std::uint64_t count = 0;         ///< records after the header
   std::uint64_t seed = 0;          ///< provenance (generator seed, or 0)
   std::uint64_t checksum = 0;      ///< FNV-1a 64 over all record bytes
   char name[24] = {};              ///< profile/program name, NUL-padded
@@ -94,23 +97,40 @@ struct SamtHeader {
 #pragma pack(pop)
 static_assert(sizeof(SamtHeader) == 64, "SAMT header is 64 bytes");
 
-// The on-disk record is the in-memory MicroOp; pin the layout so a build
-// whose MicroOp drifted cannot silently read or write garbage. A layout
-// change requires a new SAMT version (see docs/TRACE_FORMAT.md).
+/// One SAMT v1 record as it lies on disk. Every byte is a plain integer,
+/// so any file content reads without undefined behaviour. A MicroOp's
+/// `addr` is whichever of `mem_addr` and `br_target` is set; a record
+/// that sets both, or whose `taken` byte is above 1, is outside the
+/// record domain.
+struct SamtV1Record {
+  std::uint64_t pc = 0;
+  std::uint64_t mem_addr = 0;   ///< loads/stores, else 0
+  std::uint64_t br_target = 0;  ///< branches, else 0
+  std::uint64_t value = 0;
+  std::uint8_t op = 0;  ///< OpClass
+  std::uint8_t mem_size = 0;
+  std::uint8_t src1 = kNoReg;
+  std::uint8_t src2 = kNoReg;
+  std::uint8_t dst = kNoReg;
+  std::uint8_t taken = 0;
+  std::uint8_t pad[2] = {0, 0};  ///< zero
+};
+
+// Pin v1's layout: a build whose SamtV1Record drifted must not compile.
 static_assert(std::endian::native == std::endian::little,
               "SAMT I/O assumes a little-endian host");
-static_assert(sizeof(MicroOp) == 40);
-static_assert(offsetof(MicroOp, pc) == 0);
-static_assert(offsetof(MicroOp, mem_addr) == 8);
-static_assert(offsetof(MicroOp, br_target) == 16);
-static_assert(offsetof(MicroOp, value) == 24);
-static_assert(offsetof(MicroOp, op) == 32);
-static_assert(offsetof(MicroOp, mem_size) == 33);
-static_assert(offsetof(MicroOp, src1) == 34);
-static_assert(offsetof(MicroOp, src2) == 35);
-static_assert(offsetof(MicroOp, dst) == 36);
-static_assert(offsetof(MicroOp, taken) == 37);
-static_assert(offsetof(MicroOp, pad_) == 38);
+static_assert(sizeof(SamtV1Record) == kSamtRecordBytes);
+static_assert(offsetof(SamtV1Record, pc) == 0);
+static_assert(offsetof(SamtV1Record, mem_addr) == 8);
+static_assert(offsetof(SamtV1Record, br_target) == 16);
+static_assert(offsetof(SamtV1Record, value) == 24);
+static_assert(offsetof(SamtV1Record, op) == 32);
+static_assert(offsetof(SamtV1Record, mem_size) == 33);
+static_assert(offsetof(SamtV1Record, src1) == 34);
+static_assert(offsetof(SamtV1Record, src2) == 35);
+static_assert(offsetof(SamtV1Record, dst) == 36);
+static_assert(offsetof(SamtV1Record, taken) == 37);
+static_assert(offsetof(SamtV1Record, pad) == 38);
 
 /// FNV-1a 64-bit over `n` bytes, continuing from `h` (pass the offset
 /// basis for a fresh hash).
@@ -122,61 +142,25 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 /// size, file length vs count). Cheap: does not touch the records.
 [[nodiscard]] SamtHeader read_samt_header(const std::string& path);
 
-/// Copying reader: validates the header, reads the record array into an
-/// owned Trace and verifies the checksum.
+/// SAMT v1 reader: validates the header, then reads the records and
+/// converts each to a MicroOp.
 class TraceReader {
  public:
   explicit TraceReader(const std::string& path);
 
   [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
   [[nodiscard]] std::string name() const;
-  /// Reads all records; throws TraceFormatError on truncation or
-  /// checksum mismatch.
-  [[nodiscard]] Trace read_all() const;
+  /// Reads and converts all records. Throws TraceFormatError on
+  /// truncation or checksum mismatch (`verify_checksum = false` skips
+  /// the checksum pass, nothing else), then
+  /// TraceCorruptError(kInteriorCorrupt) for the first record outside
+  /// the record domain, naming it, with kNoBlock and the record's own
+  /// file offset.
+  [[nodiscard]] Trace read_all(bool verify_checksum = true) const;
 
  private:
   std::string path_;
   SamtHeader header_{};
-};
-
-/// mmap-backed zero-copy trace. The record array is replayed directly
-/// from the page cache; N workers opening the same file share one
-/// physical mapping instead of N heap copies.
-class MappedTrace {
- public:
-  /// Maps `path` read-only and validates header + checksum (the checksum
-  /// pass touches every page once; pass verify_checksum=false to defer
-  /// faulting to replay).
-  explicit MappedTrace(const std::string& path, bool verify_checksum = true);
-  MappedTrace(MappedTrace&& other) noexcept;
-  MappedTrace& operator=(MappedTrace&& other) noexcept;
-  MappedTrace(const MappedTrace&) = delete;
-  MappedTrace& operator=(const MappedTrace&) = delete;
-  ~MappedTrace();
-
-  [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
-  [[nodiscard]] std::string name() const;
-  [[nodiscard]] std::size_t size() const noexcept {
-    return static_cast<std::size_t>(header_.count);
-  }
-  [[nodiscard]] TraceView view() const noexcept {
-    return TraceView{records_, static_cast<std::size_t>(header_.count)};
-  }
-
-  /// Tells the kernel this mapping's pages are no longer needed
-  /// (MADV_DONTNEED): resident pages are dropped immediately instead of
-  /// lingering until munmap, so long multi-trace sweeps shed page-cache
-  /// residency as soon as each trace finishes. Re-reading afterwards is
-  /// still valid (pages fault back in from the page cache / file).
-  void advise_dontneed() const noexcept;
-
- private:
-  void unmap() noexcept;
-
-  SamtHeader header_{};
-  void* map_ = nullptr;        ///< whole-file mapping (header + records)
-  std::size_t map_len_ = 0;
-  const MicroOp* records_ = nullptr;
 };
 
 // ------------------------------------------------------------- SAMT v2 --

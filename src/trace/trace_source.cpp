@@ -1,6 +1,7 @@
 #include "src/trace/trace_source.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <new>
@@ -15,23 +16,6 @@ namespace {
 /// The transparent huge page size (x86-64 and arm64 with 4 KiB pages).
 constexpr std::size_t kHugePage = std::size_t{2} << 20;
 
-/// Throws TraceCorruptError(kInteriorCorrupt) naming the first record of
-/// a v1 file's `ops` outside the record domain (record_domain_violation),
-/// with kNoBlock and the record's own offset. (A v2 file's records are
-/// checked while their blocks decode: TraceV2Reader::read_all_in_domain.)
-void require_record_domain(const std::string& path, TraceView ops) {
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const char* why = record_domain_violation(ops[i]);
-    if (why == nullptr) continue;
-    const std::uint64_t offset = sizeof(SamtHeader) + i * sizeof(MicroOp);
-    throw TraceCorruptError(path + ": record " + std::to_string(i) +
-                                " at offset " + std::to_string(offset) +
-                                ": " + why,
-                            TraceDamage::kInteriorCorrupt,
-                            TraceCorruptError::kNoBlock, offset);
-  }
-}
-
 }  // namespace
 
 TraceSource::PageRecords::PageRecords(std::uint64_t count) {
@@ -40,9 +24,10 @@ TraceSource::PageRecords::PageRecords(std::uint64_t count) {
     throw std::length_error("trace of " + std::to_string(count) +
                             " records exceeds the address space");
   }
-  const std::size_t len =
-      (count * sizeof(MicroOp) + kHugePage - 1) & ~(kHugePage - 1);
-  // Map one huge page extra, then trim both ends to a 2 MiB boundary.
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t len = (count * sizeof(MicroOp) + page - 1) & ~(page - 1);
+  // Map one huge page extra, then trim the head to a 2 MiB boundary and
+  // the tail to `len`.
   const std::size_t span = len + kHugePage;
   void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -55,8 +40,9 @@ TraceSource::PageRecords::PageRecords(std::uint64_t count) {
   map_ = reinterpret_cast<void*>(aligned);
   map_len_ = len;
   count_ = static_cast<std::size_t>(count);
-  // Fewer page faults and TLB misses. A kernel without transparent huge
-  // pages refuses the advice, which leaves ordinary pages; no error.
+  // Fewer page faults and TLB misses for the whole 2 MiB extents. A
+  // kernel without transparent huge pages refuses the advice, which
+  // leaves ordinary pages; no error.
   (void)::madvise(map_, map_len_, MADV_HUGEPAGE);
 }
 
@@ -103,20 +89,7 @@ TraceSource TraceSource::open_samt(const std::string& path,
   if (const std::optional<TraceV2Reader> v2 = TraceV2Reader::open_if_v2(path)) {
     return from_trace(v2->read_all_in_domain());
   }
-  MappedTrace mapped(path, verify_checksum);
-  require_record_domain(path, mapped.view());
-  std::string name = mapped.name();
-  const std::uint64_t seed = mapped.header().seed;
-  return TraceSource(std::move(mapped), std::move(name), seed);
-}
-
-TraceSource TraceSource::read_samt(const std::string& path) {
-  if (const std::optional<TraceV2Reader> v2 = TraceV2Reader::open_if_v2(path)) {
-    return from_trace(v2->read_all_in_domain());
-  }
-  Trace t = TraceReader(path).read_all();
-  require_record_domain(path, t);
-  return from_trace(std::move(t));
+  return from_trace(TraceReader(path).read_all(verify_checksum));
 }
 
 TraceSource TraceSource::import_text(const std::string& path) {
@@ -127,8 +100,7 @@ TraceView TraceSource::view() const noexcept {
   if (const auto* pages = std::get_if<PageRecords>(&storage_)) {
     return pages->view();
   }
-  if (const auto* owned = std::get_if<Trace>(&storage_)) return *owned;
-  return std::get<MappedTrace>(storage_).view();
+  return std::get<Trace>(storage_);
 }
 
 }  // namespace samie::trace

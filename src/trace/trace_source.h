@@ -2,10 +2,10 @@
 //
 // The simulator, tools and benches all consume TraceView; a TraceSource
 // pairs such a view with whatever keeps it alive — a generated trace's
-// own anonymous page mapping, an owned in-RAM Trace (decoded or
-// imported) or an mmap-backed MappedTrace (zero-copy v1 replay). Sweep
-// infrastructure holds `shared_ptr<const TraceSource>` so N workers
-// replaying one program share one copy of its records instead of N.
+// own anonymous page mapping, or an owned in-RAM Trace (decoded from a
+// SAMT file of either version, or imported). Sweep infrastructure holds
+// `shared_ptr<const TraceSource>` so N workers replaying one program
+// share one copy of its records instead of N.
 #pragma once
 
 #include <cstddef>
@@ -33,25 +33,22 @@ class TraceSource {
                                             std::uint64_t n);
   /// Takes ownership of an existing trace.
   [[nodiscard]] static TraceSource from_trace(Trace t);
-  /// Opens a SAMT file, autodetecting the version by its header. v1
-  /// mmaps (zero-copy, shared page cache across processes and workers);
-  /// v2 decodes its guarded blocks into an owned Trace through the
-  /// descriptor that read the header. Throws
-  /// TraceFormatError on malformed files (TraceCorruptError for damaged
-  /// v2 files). For v1 the checksum pass touches every page once;
-  /// `verify_checksum = false` skips it for replay hot paths that
+  /// Opens a SAMT file, autodetecting the version by its header, into
+  /// an owned Trace: v2 decodes its guarded blocks through the
+  /// descriptor that read the header (TraceV2Reader::read_all_in_domain),
+  /// v1 converts its 40-byte records as it reads them
+  /// (TraceReader::read_all). Throws TraceFormatError on malformed files
+  /// (TraceCorruptError for damaged v2 files). `verify_checksum = false`
+  /// skips v1's whole-file checksum pass, for replay hot paths that
   /// re-open an already-verified trace (v2 blocks are always verified —
   /// their guards are checked as a side effect of decoding). Either
   /// way, every record is checked against the record domain
-  /// (record_domain_violation in instruction.h; v2 while each block
-  /// decodes): a record the model cannot simulate throws
+  /// (record_domain_violation in instruction.h, and for v1 the records
+  /// no MicroOp can hold): a record outside it throws
   /// TraceCorruptError(kInteriorCorrupt) naming it — with its block and
   /// the block's offset for v2, kNoBlock and its own offset for v1.
   [[nodiscard]] static TraceSource open_samt(const std::string& path,
                                              bool verify_checksum = true);
-  /// Reads a SAMT file into an owned in-RAM copy (TraceReader path),
-  /// with open_samt's record-domain check.
-  [[nodiscard]] static TraceSource read_samt(const std::string& path);
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).
   [[nodiscard]] static TraceSource import_text(const std::string& path);
 
@@ -59,24 +56,12 @@ class TraceSource {
   [[nodiscard]] std::size_t size() const noexcept { return view().size(); }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
-  /// True when backed by a file mapping (a v1 SAMT file).
-  [[nodiscard]] bool is_mapped() const noexcept {
-    return std::holds_alternative<MappedTrace>(storage_);
-  }
-  /// For mapped sources: drop resident pages now (MADV_DONTNEED; see
-  /// MappedTrace::advise_dontneed). No-op for any other source. Call when
-  /// the last consumer of this source is done but the object itself
-  /// lives on (e.g. in a sweep's trace cache).
-  void advise_dontneed() const noexcept {
-    if (const auto* m = std::get_if<MappedTrace>(&storage_)) {
-      m->advise_dontneed();
-    }
-  }
 
  private:
-  /// `count` records in a private anonymous mapping, 2 MiB-aligned and
-  /// rounded up to 2 MiB so transparent huge pages can back all of it;
-  /// munmapped on destruction.
+  /// `count` records in a private anonymous mapping of their bytes
+  /// rounded up to whole pages, from a 2 MiB-aligned start: transparent
+  /// huge pages can back every whole 2 MiB extent, and 4 KiB pages the
+  /// tail. Munmapped on destruction.
   class PageRecords {
    public:
     explicit PageRecords(std::uint64_t count);
@@ -101,7 +86,7 @@ class TraceSource {
     std::size_t count_ = 0;
   };
 
-  using Storage = std::variant<Trace, MappedTrace, PageRecords>;
+  using Storage = std::variant<Trace, PageRecords>;
 
   TraceSource(Storage storage, std::string name, std::uint64_t seed)
       : storage_(std::move(storage)), name_(std::move(name)), seed_(seed) {}

@@ -120,7 +120,7 @@ MicroOp WorkloadGenerator::next_op() {
     // Loop-closing branch: tests the induction variable, which is ready
     // early in real codes — no deep data dependency.
     op.op = OpClass::kBranch;
-    op.br_target = loop_start_pc_;
+    op.addr = loop_start_pc_;
     if (loop_iters_left_ > 1) {
       --loop_iters_left_;
       loop_body_left_ = loop_body_len_;
@@ -152,7 +152,7 @@ MicroOp WorkloadGenerator::next_op() {
     while (si + 1 < stream_cdf_.size() && pick > stream_cdf_[si]) ++si;
     const std::uint32_t bytes = profile_.streams[si].access_bytes;
     const Addr addr = next_mem_addr(si, bytes);
-    op.mem_addr = addr;
+    op.addr = addr;
     op.mem_size = static_cast<std::uint8_t>(bytes);
     // Address base register: early-ready induction variable unless this
     // profile chases pointers.
@@ -175,7 +175,7 @@ MicroOp WorkloadGenerator::next_op() {
     // squashes based on predicted-vs-actual direction).
     op.op = OpClass::kBranch;
     op.src1 = pick_source(false);
-    op.br_target = pc_ + 4 + 4 * (1 + (op.pc >> 2) % 16);
+    op.addr = pc_ + 4 + 4 * (1 + (op.pc >> 2) % 16);
     if (rng_.chance(profile_.branch_entropy)) {
       op.taken = rng_.chance(0.5);
     } else {

@@ -47,7 +47,7 @@ class TraceBuilder {
   MicroOp& load(Addr addr, std::uint64_t expected, RegId dst = kNoReg,
                 std::uint8_t size = 8, RegId addr_src = kNoReg) {
     MicroOp& o = add(OpClass::kLoad);
-    o.mem_addr = addr;
+    o.addr = addr;
     o.mem_size = size;
     o.value = expected;
     o.dst = dst;
@@ -57,7 +57,7 @@ class TraceBuilder {
   MicroOp& store(Addr addr, std::uint64_t value, std::uint8_t size = 8,
                  RegId addr_src = kNoReg, RegId data_src = kNoReg) {
     MicroOp& o = add(OpClass::kStore);
-    o.mem_addr = addr;
+    o.addr = addr;
     o.mem_size = size;
     o.value = value;
     o.src1 = addr_src;
@@ -67,7 +67,7 @@ class TraceBuilder {
   MicroOp& branch(bool taken) {
     MicroOp& o = add(OpClass::kBranch);
     o.taken = taken;
-    o.br_target = pc_ + 16;
+    o.addr = pc_ + 16;
     return o;
   }
   Trace take() { return std::move(t_); }

@@ -132,7 +132,7 @@ TEST(DepSlabIntegration, CoreReclaimsEveryRefAfterSquashHeavyRun) {
         break;
       case 1:  // store whose address and data both depend on the chain
         op.op = trace::OpClass::kStore;
-        op.mem_addr = mem_base + (i % 64) * 8;
+        op.addr = mem_base + (i % 64) * 8;
         op.mem_size = 8;
         op.value = static_cast<std::uint64_t>(i);
         op.src1 = 1;
@@ -140,7 +140,7 @@ TEST(DepSlabIntegration, CoreReclaimsEveryRefAfterSquashHeavyRun) {
         break;
       case 2:  // load of the previous op's store: forwarding paths
         op.op = trace::OpClass::kLoad;
-        op.mem_addr = mem_base + ((i - 1) % 64) * 8;
+        op.addr = mem_base + ((i - 1) % 64) * 8;
         op.mem_size = 8;
         op.value = static_cast<std::uint64_t>(i - 1);  // what that store wrote
         op.dst = 2;
@@ -155,7 +155,7 @@ TEST(DepSlabIntegration, CoreReclaimsEveryRefAfterSquashHeavyRun) {
       default:  // taken branch every 5th op: constant squash pressure
         op.op = trace::OpClass::kBranch;
         op.taken = (i % 2) == 0;
-        op.br_target = pc + 16;
+        op.addr = pc + 16;
         break;
     }
     t.ops.push_back(op);

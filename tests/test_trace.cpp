@@ -33,7 +33,7 @@ TEST(Workload, DeterministicForSameSeed) {
   ASSERT_EQ(ta.size(), tb.size());
   for (std::size_t i = 0; i < ta.size(); ++i) {
     EXPECT_EQ(ta[i].pc, tb[i].pc);
-    EXPECT_EQ(ta[i].mem_addr, tb[i].mem_addr);
+    EXPECT_EQ(ta[i].addr, tb[i].addr);
     EXPECT_EQ(ta[i].value, tb[i].value);
     EXPECT_EQ(static_cast<int>(ta[i].op), static_cast<int>(tb[i].op));
   }
@@ -68,9 +68,9 @@ TEST(Workload, MemOpsAreAlignedAndSized) {
   for (const auto& op : t.ops) {
     if (!is_mem(op.op)) continue;
     ASSERT_TRUE(op.mem_size == 4 || op.mem_size == 8);
-    EXPECT_EQ(op.mem_addr % op.mem_size, 0U) << "unaligned access";
+    EXPECT_EQ(op.addr % op.mem_size, 0U) << "unaligned access";
     // Accesses never straddle a 32-byte line.
-    EXPECT_EQ(op.mem_addr >> 5, (op.mem_addr + op.mem_size - 1) >> 5);
+    EXPECT_EQ(op.addr >> 5, (op.addr + op.mem_size - 1) >> 5);
   }
   // Any other access size is outside the record domain: refused up front.
   WorkloadProfile bad = simple_profile();
@@ -87,12 +87,12 @@ TEST(Workload, OracleValuesAreProgramOrderConsistent) {
   for (const auto& op : t.ops) {
     if (op.op == OpClass::kStore) {
       for (std::uint32_t i = 0; i < op.mem_size; ++i) {
-        memory[op.mem_addr + i] = static_cast<std::uint8_t>(op.value >> (8 * i));
+        memory[op.addr + i] = static_cast<std::uint8_t>(op.value >> (8 * i));
       }
     } else if (op.op == OpClass::kLoad) {
       std::uint64_t v = 0;
       for (std::uint32_t i = 0; i < op.mem_size; ++i) {
-        auto it = memory.find(op.mem_addr + i);
+        auto it = memory.find(op.addr + i);
         const std::uint8_t byte = it == memory.end() ? 0 : it->second;
         v |= static_cast<std::uint64_t>(byte) << (8 * i);
       }
@@ -107,7 +107,7 @@ TEST(Workload, LoopBranchesHaveStablePcsAndBackwardTargets) {
   std::uint64_t taken_back = 0;
   for (const auto& op : t.ops) {
     if (op.op != OpClass::kBranch || !op.taken) continue;
-    if (op.br_target < op.pc) ++taken_back;
+    if (op.addr < op.pc) ++taken_back;
   }
   EXPECT_GT(taken_back, 200U) << "expected loop structure";
 }
@@ -164,8 +164,8 @@ TEST(StreamModel, FootprintBoundsAddressRange) {
   Addr lo = ~0ULL, hi = 0;
   for (const auto& op : t.ops) {
     if (!is_mem(op.op)) continue;
-    lo = std::min(lo, op.mem_addr);
-    hi = std::max(hi, op.mem_addr);
+    lo = std::min(lo, op.addr);
+    hi = std::max(hi, op.addr);
   }
   EXPECT_LE(hi - lo, 128U * 32U + 32U);
 }

@@ -7,12 +7,15 @@
 // is the regression fence for the 458 MB suite RSS leak: before the fix
 // the cache pinned every generated workload until the sweep returned.
 // A dropped generated trace must also leave the address space, not
-// linger in a malloc arena.
+// linger in a malloc arena, and a live one keeps no more than its
+// records' pages resident.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <cinttypes>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "src/sim/experiment.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/sim/trace_cache.h"
+#include "src/trace/spec2000.h"
 #include "src/trace/trace_source.h"
 
 namespace samie {
@@ -91,7 +95,7 @@ TEST(TraceCache, ReleasesEachSourceWhenItsLastConsumerFinishes) {
 }
 
 TEST(TraceCache, ReleasedGeneratedTraceLeavesTheAddressSpace) {
-  // A 100k-instruction trace is a 4 MB record buffer. glibc serves the
+  // A 100k-instruction trace is a 3.2 MB record buffer. glibc serves the
   // first buffer that large with mmap and unmaps it on free, but then
   // raises its mmap threshold: later ones come from a malloc arena,
   // which keeps them mapped after free. So each of several traces
@@ -113,6 +117,51 @@ TEST(TraceCache, ReleasedGeneratedTraceLeavesTheAddressSpace) {
     EXPECT_FALSE(records_mapped(records))
         << "the records stayed mapped after their last holder let go";
   }
+}
+
+/// End of the mapping (per /proc/self/maps) that holds `addr`; 0 if none.
+[[nodiscard]] std::uintptr_t mapping_end(std::uintptr_t addr) {
+  std::FILE* maps = std::fopen("/proc/self/maps", "r");
+  if (maps == nullptr) return 0;
+  std::uintptr_t end = 0;
+  char line[512];
+  while (end == 0 && std::fgets(line, sizeof line, maps) != nullptr) {
+    std::uintptr_t lo = 0;
+    std::uintptr_t hi = 0;
+    if (std::sscanf(line, "%" SCNxPTR "-%" SCNxPTR, &lo, &hi) == 2 &&
+        lo <= addr && addr < hi) {
+      end = hi;
+    }
+  }
+  std::fclose(maps);
+  return end;
+}
+
+TEST(TraceCache, GeneratedTraceKeepsOnlyItsRecordPagesResident) {
+  // A generated trace's mapping ends at the page holding its last record
+  // byte: transparent huge pages back its whole 2 MiB extents and 4 KiB
+  // pages the rest. A 100k-record trace is 3,200,000 bytes, so at most
+  // 782 pages (3.05 MiB) are resident — not the 4 MiB a mapping rounded
+  // up to whole huge pages keeps.
+  constexpr std::uint64_t kRecords = 100'000;
+  const trace::TraceSource src = trace::TraceSource::generate(
+      trace::spec2000_profile("gcc"), 42, kRecords);
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto start = reinterpret_cast<std::uintptr_t>(src.view().data());
+  const std::uintptr_t record_pages =
+      (kRecords * sizeof(trace::MicroOp) + page - 1) & ~(page - 1);
+  EXPECT_EQ(start % (std::uintptr_t{2} << 20), 0U)
+      << "the records start on a 2 MiB boundary";
+  const std::uintptr_t end = mapping_end(start);
+  ASSERT_GT(end, start);
+  std::vector<unsigned char> in_core((end - start) / page);
+  ASSERT_EQ(::mincore(reinterpret_cast<void*>(start), end - start,
+                      in_core.data()),
+            0);
+  std::uintptr_t resident = 0;
+  for (const unsigned char c : in_core) resident += (c & 1) != 0 ? page : 0;
+  EXPECT_GT(resident, 0U) << "the generator wrote every record";
+  EXPECT_LE(resident, record_pages);
 }
 
 TEST(TraceCache, ResumeSkippedJobsNeverRegisterAsConsumers) {

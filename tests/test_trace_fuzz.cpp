@@ -347,10 +347,11 @@ TEST_F(TraceV2FuzzTest, RandomGarbageNeverCrashesV2Reader) {
 // simulate them: a guard-intact file can still carry a record that would
 // corrupt the heap (an 8-byte store straddling a page edge, a register
 // past the 64-entry rename table, an access size that overflows a
-// shift). open_samt and read_samt reject every record outside the record
-// domain (trace::record_domain_violation) as interior corruption, in
-// every build and with or without v1's checksum pass, while the codecs
-// stay format-level and round-trip such records.
+// shift). open_samt rejects every record outside the record domain
+// (trace::record_domain_violation, and for v1 the records no MicroOp can
+// hold) as interior corruption, in every build and with or without v1's
+// checksum pass, while the v2 codec stays format-level and round-trips
+// such records.
 
 /// A record the model cannot simulate, planted at kBadRecord.
 struct BadRecord {
@@ -364,7 +365,7 @@ const BadRecord kBadRecords[] = {
     {"8-byte store across a page edge",
      [](trace::MicroOp& op) {
        op.op = trace::OpClass::kStore;
-       op.mem_addr = 0x10000FFC;
+       op.addr = 0x10000FFC;
        op.mem_size = 8;
        op.dst = kNoReg;
      }},
@@ -372,7 +373,7 @@ const BadRecord kBadRecords[] = {
     {"access size 255",
      [](trace::MicroOp& op) {
        op.op = trace::OpClass::kStore;
-       op.mem_addr = 0x10000000;
+       op.addr = 0x10000000;
        op.mem_size = 255;
        op.dst = kNoReg;
      }},
@@ -383,26 +384,24 @@ const BadRecord kBadRecords[] = {
   return gen.generate(1500).ops;
 }
 
-/// Asserts that both TraceSource entry points reject `p` as interior
-/// corruption at (block, offset), naming the bad record.
+/// Asserts that TraceSource::open_samt rejects `p` as interior
+/// corruption at (block, offset), naming the bad record and `rule`.
 void expect_domain_rejected(const std::string& p, std::uint64_t block,
-                            std::uint64_t offset, bool verify_checksum) {
-  const auto check = [&](const auto& open) {
-    try {
-      (void)open();
-      ADD_FAILURE() << p << " opened despite an out-of-domain record";
-    } catch (const trace::TraceCorruptError& e) {
-      EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
-      EXPECT_EQ(e.block, block);
-      EXPECT_EQ(e.offset, offset);
-      EXPECT_NE(std::string(e.what()).find("record " +
-                                           std::to_string(kBadRecord)),
-                std::string::npos)
-          << e.what();
-    }
-  };
-  check([&] { return trace::TraceSource::open_samt(p, verify_checksum); });
-  check([&] { return trace::TraceSource::read_samt(p); });
+                            std::uint64_t offset, bool verify_checksum,
+                            const std::string& rule = "") {
+  try {
+    (void)trace::TraceSource::open_samt(p, verify_checksum);
+    ADD_FAILURE() << p << " opened despite an out-of-domain record";
+  } catch (const trace::TraceCorruptError& e) {
+    EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(e.block, block);
+    EXPECT_EQ(e.offset, offset);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("record " + std::to_string(kBadRecord)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(rule), std::string::npos) << what;
+  }
 }
 
 TEST_F(TraceV2FuzzTest, OpenRejectsRecordsOutsideTheDomain) {
@@ -445,8 +444,6 @@ TEST_F(TraceV2FuzzTest, ErrorPrecedenceIsLowestBlockThenRecordDomain) {
     EXPECT_EQ(opened.damage, trace::TraceDamage::kInteriorCorrupt);
     EXPECT_EQ(opened.block, block);
     EXPECT_EQ(opened.offset, pristine.index()[block].file_offset);
-    EXPECT_EQ(fixture::thrown_by([&] { return trace::TraceSource::read_samt(p); }),
-              opened);
   };
   {
     SCOPED_TRACE("two interior-corrupt blocks: the lower one is reported");
@@ -524,7 +521,7 @@ TEST_F(TraceV2FuzzTest, VarintTenthByteIsJudgedAlikeOnBothDecodePaths) {
   trace::MicroOp big;
   big.op = trace::OpClass::kLoad;
   big.mem_size = 8;
-  big.mem_addr = 8;
+  big.addr = 8;
   big.value = ~std::uint64_t{0};
   std::vector<trace::MicroOp> ops(8);
   for (std::size_t i = 0; i < ops.size(); ++i) ops[i].pc = 4 * i;
@@ -574,25 +571,42 @@ TEST_F(TraceV2FuzzTest, VarintTenthByteIsJudgedAlikeOnBothDecodePaths) {
 }
 
 TEST_F(TraceFuzzTest, OpenRejectsV1RecordsOutsideTheDomain) {
-  std::vector<BadRecord> cases(std::begin(kBadRecords), std::end(kBadRecords));
-  // v1 records are the file's bytes, so a bool can hold anything.
-  cases.push_back({"taken byte 2", [](trace::MicroOp& op) {
-                     reinterpret_cast<unsigned char*>(&op)[offsetof(
-                         trace::MicroOp, taken)] = 2;
+  struct V1BadRecord {
+    const char* what;
+    const char* rule;
+    void (*plant_op)(trace::MicroOp&);
+    void (*plant_record)(trace::SamtV1Record&);
+  };
+  std::vector<V1BadRecord> cases;
+  for (const BadRecord& bad : kBadRecords) {
+    cases.push_back({bad.what, "", bad.plant, nullptr});
+  }
+  // Two records a v1 file can hold and a MicroOp cannot.
+  cases.push_back({"taken byte 2", "taken flag must be 0 or 1", nullptr,
+                   [](trace::SamtV1Record& r) { r.taken = 2; }});
+  cases.push_back({"memory address and branch target",
+                   "memory address and branch target both set", nullptr,
+                   [](trace::SamtV1Record& r) {
+                     r.op = static_cast<std::uint8_t>(trace::OpClass::kLoad);
+                     r.mem_size = 8;
+                     r.mem_addr = 0x10000000;
+                     r.br_target = 0x00400000;
                    }});
-  for (const BadRecord& bad : cases) {
+  for (const V1BadRecord& bad : cases) {
     SCOPED_TRACE(bad.what);
     std::vector<trace::MicroOp> ops = generated_ops();
-    bad.plant(ops[kBadRecord]);
+    if (bad.plant_op != nullptr) bad.plant_op(ops[kBadRecord]);
+    std::vector<trace::SamtV1Record> records = fixture::v1_records(
+        trace::TraceView(ops.data(), ops.size()));
+    if (bad.plant_record != nullptr) bad.plant_record(records[kBadRecord]);
     const std::string p = path("bad_v1.samt");
-    fixture::write_samt_v1(p, trace::TraceView(ops.data(), ops.size()), "gcc",
-                           11);
+    fixture::write_samt_v1(p, records, "gcc", 11);
     const std::uint64_t offset =
-        sizeof(trace::SamtHeader) + kBadRecord * sizeof(trace::MicroOp);
+        sizeof(trace::SamtHeader) + kBadRecord * trace::kSamtRecordBytes;
     // --no-verify-checksum skips only the checksum pass, never this check.
     for (const bool verify : {true, false}) {
       expect_domain_rejected(p, trace::TraceCorruptError::kNoBlock, offset,
-                             verify);
+                             verify, bad.rule);
     }
   }
 }
@@ -624,6 +638,111 @@ TEST_F(TraceV2FuzzTest, SweepOverAnOutOfDomainTraceSealsTraceDamaged) {
       EXPECT_EQ(oc.attempts, 1U);
       EXPECT_EQ(sim::load_checkpoint(ckpt).damaged.size(), 1U)
           << "the damaged job must leave a 'D' line";
+    }
+  }
+}
+
+TEST_F(TraceV2FuzzTest, BothAddressBitsAreAnUndecodableRecord) {
+  // A MicroOp holds one address, so a presence byte with both has-mem and
+  // has-br set names a record no reader can hold. A load with a value is
+  // rewritten in place (has-value off, has-br on: its value's varint now
+  // reads as a branch target) with every guard resealed, as the first
+  // record of a block (decoded while a whole record's bytes remain) and
+  // as the last (the bounds-checked tail). Either way open_samt throws
+  // interior corruption, and a sweep job over the file seals
+  // trace-damaged.
+  trace::MicroOp load;
+  load.op = trace::OpClass::kLoad;
+  load.mem_size = 8;
+  load.addr = 0x10000000;
+  load.value = 77;
+  load.dst = 3;
+  std::vector<trace::MicroOp> ops(8);
+  for (std::size_t i = 0; i < ops.size(); ++i) ops[i].pc = 4 * i;
+  ops.front() = load;
+  ops.back() = load;
+  const auto file_bytes = [&](std::size_t records) {
+    const std::string p = path("both.samt");
+    trace::write_samt_v2(p, trace::TraceView(ops.data(), records), "gcc", 11,
+                         /*block_records=*/8);
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::vector<char> pristine = file_bytes(ops.size());
+  // Records encode one after another, so the last record starts where
+  // a block of the first seven ends.
+  trace::SamtBlockHeader first_seven{};
+  std::memcpy(&first_seven, file_bytes(7).data() + sizeof(trace::SamtHeader),
+              sizeof first_seven);
+  const std::size_t payload =
+      sizeof(trace::SamtHeader) + sizeof(trace::SamtBlockHeader);
+  constexpr unsigned char kLoadMemValue = 0x06 | 0x20 | 0x80;
+  constexpr unsigned char kLoadMemBr = 0x06 | 0x20 | 0x40;
+  for (const auto& [at, record] :
+       {std::pair{payload, 0u},
+        std::pair{payload + first_seven.payload_bytes, 7u}}) {
+    SCOPED_TRACE("record " + std::to_string(record));
+    std::vector<char> bytes = pristine;
+    ASSERT_EQ(static_cast<unsigned char>(bytes[at]), kLoadMemValue);
+    bytes[at] = static_cast<char>(kLoadMemBr);
+    reseal_one_block(bytes);
+    const std::string q = write_mutant(bytes);
+    const fixture::Thrown e =
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(q); });
+    EXPECT_EQ(e.type, "TraceCorruptError");
+    EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(e.block, 0u);
+    EXPECT_EQ(e.offset, sizeof(trace::SamtHeader));
+    EXPECT_NE(e.what.find("undecodable record " + std::to_string(record)),
+              std::string::npos)
+        << e.what;
+
+    sim::Job job{"gcc", sim::paper_config(sim::LsqChoice::kSamie), "samie"};
+    job.config.instructions = ops.size();
+    job.config.trace_path = q;
+    for (const unsigned procs : {0U, 1U}) {
+      SCOPED_TRACE(procs != 0 ? "isolate_procs=1" : "threads=1");
+      const std::string ckpt = path("both" + std::to_string(procs) + ".ckpt");
+      std::filesystem::remove(ckpt);
+      sim::SweepOptions opt;
+      opt.threads = 1;
+      opt.isolate_procs = procs;
+      opt.checkpoint_path = ckpt;
+      const sim::SweepReport rep = sim::run_sweep({job}, opt);
+      const sim::JobOutcome& oc = rep.jobs[0].outcome;
+      EXPECT_EQ(oc.status, sim::JobStatus::kTraceDamaged) << oc.what;
+      EXPECT_EQ(oc.damage, trace::TraceDamage::kInteriorCorrupt);
+      EXPECT_EQ(oc.damage_block, 0u);
+      EXPECT_EQ(sim::load_checkpoint(ckpt).damaged.size(), 1U);
+    }
+  }
+}
+
+TEST_F(TraceV2FuzzTest, FooterFieldFlipsReadAsTornTail) {
+  // The footer guard covers the 24 footer bytes after the magic (index
+  // offset, index size and the guard itself) and is checked before those
+  // fields are used, so flipping any of them reads as a torn tail at the
+  // footer's offset — through the reader and the damage walk alike.
+  const std::size_t footer = valid_v2_.size() - sizeof(trace::SamtFooter);
+  for (std::size_t at = footer + sizeof(trace::kFooterMagic);
+       at < valid_v2_.size(); ++at) {
+    for (const unsigned mask : {0x01u, 0x80u, 0xFFu}) {
+      SCOPED_TRACE("footer byte " + std::to_string(at - footer) + " ^ " +
+                   std::to_string(mask));
+      std::vector<char> bytes = valid_v2_;
+      bytes[at] = static_cast<char>(bytes[at] ^ mask);
+      const std::string p = write_mutant(bytes);
+      const fixture::Thrown e =
+          fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+      EXPECT_EQ(e.type, "TraceCorruptError");
+      EXPECT_EQ(e.damage, trace::TraceDamage::kTornTail);
+      EXPECT_EQ(e.offset, footer);
+      EXPECT_NE(e.what.find("footer guard mismatch"), std::string::npos)
+          << e.what;
+      const trace::TraceHealth h = trace::trace_health(p);
+      EXPECT_EQ(h.damage, trace::TraceDamage::kTornTail);
+      EXPECT_EQ(h.first_bad_offset, footer);
     }
   }
 }

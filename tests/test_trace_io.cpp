@@ -1,10 +1,10 @@
 // Tests for the SAMT binary trace format and the trace-source layer:
 // v2 writes are byte-stable, v1 files (written by the test-only fixture
-// in samt_v1_fixture.h) read back exactly and replay through mmap and
-// the copying reader bit-identically to in-memory simulation for every
-// LSQ kind, generated sources hold the generator's records byte for
-// byte, malformed files are rejected with clear errors, and the text
-// importer builds traces that satisfy the generator's invariants.
+// in samt_v1_fixture.h) read back exactly through the converting reader
+// and replay bit-identically to in-memory simulation for every LSQ
+// kind, generated sources hold the generator's records byte for byte,
+// malformed files are rejected with clear errors, and the text importer
+// builds traces that satisfy the generator's invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -70,8 +70,7 @@ void expect_ops_equal(trace::TraceView a, trace::TraceView b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].pc, b[i].pc) << "op " << i;
-    ASSERT_EQ(a[i].mem_addr, b[i].mem_addr) << "op " << i;
-    ASSERT_EQ(a[i].br_target, b[i].br_target) << "op " << i;
+    ASSERT_EQ(a[i].addr, b[i].addr) << "op " << i;
     ASSERT_EQ(a[i].value, b[i].value) << "op " << i;
     ASSERT_EQ(static_cast<int>(a[i].op), static_cast<int>(b[i].op)) << "op " << i;
     ASSERT_EQ(a[i].mem_size, b[i].mem_size) << "op " << i;
@@ -134,7 +133,7 @@ TEST_F(TraceIoTest, WriteReadRoundTripPreservesEverything) {
   EXPECT_EQ(reader.header().seed, 7U);
   EXPECT_EQ(reader.header().count, t.size());
   EXPECT_EQ(reader.header().version, trace::kSamtVersion);
-  EXPECT_EQ(reader.header().record_bytes, sizeof(trace::MicroOp));
+  EXPECT_EQ(reader.header().record_bytes, trace::kSamtRecordBytes);
 
   const trace::Trace back = reader.read_all();
   EXPECT_EQ(back.name, "gcc");
@@ -154,22 +153,13 @@ TEST_F(TraceIoTest, RoundTripIsByteStable) {
   EXPECT_EQ(slurp(path("a.samt")), slurp(path("c.samt")));
 }
 
-TEST_F(TraceIoTest, MappedTraceIsZeroCopyView) {
-  const trace::Trace t = small_trace();
-  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
-  trace::MappedTrace mapped(path("t.samt"));
-  EXPECT_EQ(mapped.name(), "gcc");
-  EXPECT_EQ(mapped.size(), t.size());
-  expect_ops_equal(t, mapped.view());
-}
-
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
   const trace::Trace empty{.name = "void", .seed = 3, .ops = {}};
   fixture::write_samt_v1(path("e.samt"), empty, empty.name, empty.seed);
   EXPECT_EQ(trace::TraceReader(path("e.samt")).read_all().size(), 0U);
-  trace::MappedTrace mapped(path("e.samt"));
-  EXPECT_EQ(mapped.size(), 0U);
-  EXPECT_TRUE(mapped.view().empty());
+  const trace::TraceSource opened = trace::TraceSource::open_samt(path("e.samt"));
+  EXPECT_EQ(opened.size(), 0U);
+  EXPECT_TRUE(opened.view().empty());
 }
 
 // -------------------------------------------------------- reject corrupt --
@@ -187,7 +177,8 @@ TEST_F(TraceIoTest, RejectsBadMagic) {
         throw;
       },
       trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("bad.samt")), trace::TraceFormatError);
+  EXPECT_THROW((void)trace::TraceSource::open_samt(path("bad.samt")),
+               trace::TraceFormatError);
 }
 
 TEST_F(TraceIoTest, RejectsWrongVersion) {
@@ -218,7 +209,7 @@ TEST_F(TraceIoTest, RejectsTruncatedFile) {
         throw;
       },
       trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("trunc.samt")),
+  EXPECT_THROW((void)trace::TraceSource::open_samt(path("trunc.samt")),
                trace::TraceFormatError);
 }
 
@@ -226,7 +217,7 @@ TEST_F(TraceIoTest, RejectsHeaderOnlyStub) {
   std::ofstream(path("stub.samt"), std::ios::binary).write("SAMT", 4);
   EXPECT_THROW((void)trace::read_samt_header(path("stub.samt")),
                trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("stub.samt")),
+  EXPECT_THROW((void)trace::TraceSource::open_samt(path("stub.samt")),
                trace::TraceFormatError);
 }
 
@@ -239,11 +230,13 @@ TEST_F(TraceIoTest, RejectsChecksumMismatch) {
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   // The header itself is fine...
   EXPECT_NO_THROW((void)trace::read_samt_header(path("flip.samt")));
-  // ...but both record readers notice.
+  // ...but reading the records notices, unless the pass is skipped.
   EXPECT_THROW((void)trace::TraceReader(path("flip.samt")).read_all(),
                trace::TraceFormatError);
-  EXPECT_THROW(trace::MappedTrace m(path("flip.samt")),
+  EXPECT_THROW((void)trace::TraceSource::open_samt(path("flip.samt")),
                trace::TraceFormatError);
+  EXPECT_NO_THROW((void)trace::TraceSource::open_samt(path("flip.samt"),
+                                                      /*verify_checksum=*/false));
 }
 
 TEST_F(TraceIoTest, RejectsMissingFile) {
@@ -258,7 +251,6 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
   const trace::Trace t = gen.generate(30000);
   fixture::write_samt_v1(path("ammp.samt"), t, "ammp", 42);
 
-  const trace::MappedTrace mapped(path("ammp.samt"));
   const trace::Trace copied = trace::TraceReader(path("ammp.samt")).read_all();
 
   for (const auto lsq : {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
@@ -267,9 +259,7 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
     sim::SimConfig cfg = sim::paper_config(lsq);
     cfg.instructions = t.size();
     const sim::SimResult in_memory = sim::run_simulation(cfg, t);
-    const sim::SimResult via_mmap = sim::run_simulation(cfg, mapped.view());
     const sim::SimResult via_reader = sim::run_simulation(cfg, copied);
-    expect_results_identical(in_memory, via_mmap);
     expect_results_identical(in_memory, via_reader);
     // And through the cfg.trace_path front door.
     sim::SimConfig replay_cfg = cfg;
@@ -278,7 +268,7 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
   }
 }
 
-TEST_F(TraceIoTest, RunJobsSharesOneMappingAcrossLsqSweep) {
+TEST_F(TraceIoTest, RunJobsSharesOneSourceAcrossLsqSweep) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("swim"), 9);
   const trace::Trace t = gen.generate(20000);
   fixture::write_samt_v1(path("swim.samt"), t, "swim", 9);
@@ -319,18 +309,20 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   EXPECT_EQ(generated.name(), "gcc");
   EXPECT_EQ(generated.seed(), 7U);
   EXPECT_EQ(generated.size(), 1000U);
-  EXPECT_FALSE(generated.is_mapped());
 
   fixture::write_samt_v1(path("g.samt"), generated.view(), generated.name(),
                          generated.seed());
-  const trace::TraceSource mapped = trace::TraceSource::open_samt(path("g.samt"));
-  EXPECT_TRUE(mapped.is_mapped());
-  EXPECT_EQ(mapped.name(), "gcc");
-  expect_ops_equal(generated.view(), mapped.view());
+  const trace::TraceSource v1 = trace::TraceSource::open_samt(path("g.samt"));
+  EXPECT_EQ(v1.name(), "gcc");
+  EXPECT_EQ(v1.seed(), 7U);
+  expect_ops_equal(generated.view(), v1.view());
 
-  const trace::TraceSource copied = trace::TraceSource::read_samt(path("g.samt"));
-  EXPECT_FALSE(copied.is_mapped());
-  expect_ops_equal(generated.view(), copied.view());
+  trace::write_samt_v2(path("g2.samt"), generated.view(), generated.name(),
+                       generated.seed());
+  const trace::TraceSource v2 = trace::TraceSource::open_samt(path("g2.samt"));
+  EXPECT_EQ(v2.name(), "gcc");
+  EXPECT_EQ(v2.seed(), 7U);
+  expect_ops_equal(generated.view(), v2.view());
 }
 
 TEST_F(TraceIoTest, GeneratedSourceIsByteIdenticalToGenerator) {
@@ -383,7 +375,7 @@ TEST_F(TraceIoTest, ImportTextBuildsValidTrace) {
   ASSERT_EQ(t.size(), 8U);
   EXPECT_EQ(t[0].op, trace::OpClass::kIntAlu);
   EXPECT_EQ(t[1].op, trace::OpClass::kStore);
-  EXPECT_EQ(t[1].mem_addr, 0x1000U);
+  EXPECT_EQ(t[1].addr, 0x1000U);
   EXPECT_EQ(t[1].mem_size, 8U);
   EXPECT_EQ(t[2].op, trace::OpClass::kLoad);
   // The load must observe the store's oracle value.
@@ -396,7 +388,7 @@ TEST_F(TraceIoTest, ImportTextBuildsValidTrace) {
   EXPECT_TRUE(is_fp_reg(t[4].dst));
   EXPECT_EQ(t[5].op, trace::OpClass::kBranch);
   EXPECT_TRUE(t[5].taken);
-  EXPECT_LT(t[5].br_target, t[5].pc);
+  EXPECT_LT(t[5].addr, t[5].pc);
   // Untouched memory loads as zero.
   EXPECT_EQ(t[6].value, 0U);
   // PCs are sequential.

@@ -22,6 +22,7 @@
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload.h"
+#include "tests/samt_v1_fixture.h"
 
 namespace samie {
 namespace {
@@ -31,8 +32,10 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kSeed = 42;
 constexpr std::uint64_t kRecords = 20'000;
 
-/// FNV-1a 64 of, per program: the generated records, and the
-/// write_samt_v2 file at the default block size and at 512 records.
+/// FNV-1a 64 of, per program: the generated records in their 40-byte
+/// SAMT v1 serialization (the layout the records had in memory when
+/// these were pinned), and the write_samt_v2 file at the default block
+/// size and at 512 records.
 struct Pin {
   const char* program;
   std::uint64_t records;
@@ -103,7 +106,8 @@ const Pin kPins[] = {
 }
 
 TEST(TracePins, GeneratedRecordsAndV2BytesMatchPinnedHashes) {
-  static_assert(std::has_unique_object_representations_v<trace::MicroOp>);
+  static_assert(
+      std::has_unique_object_representations_v<trace::SamtV1Record>);
   const fs::path dir =
       fs::temp_directory_path() /
       ("samie_pins_" + std::to_string(static_cast<unsigned long>(::getpid())));
@@ -115,8 +119,9 @@ TEST(TracePins, GeneratedRecordsAndV2BytesMatchPinnedHashes) {
   for (const std::string& name : trace::spec2000_names()) {
     trace::WorkloadGenerator gen(trace::spec2000_profile(name), kSeed);
     const trace::Trace t = gen.generate(kRecords);
+    const std::vector<trace::SamtV1Record> v1 = fixture::v1_records(t);
     Pin pin{nullptr,
-            trace::fnv1a_64(t.ops.data(), t.ops.size() * sizeof(trace::MicroOp)),
+            trace::fnv1a_64(v1.data(), v1.size() * trace::kSamtRecordBytes),
             0, 0};
     trace::write_samt_v2(p, t, name, kSeed);
     pin.v2_default = file_hash(p);

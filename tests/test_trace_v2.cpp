@@ -68,7 +68,8 @@ class TraceV2Test : public ::testing::Test {
   }
 
   /// Adversarial records: maximal deltas (sign flips across the whole
-  /// address space), all op kinds, extreme field values — the varint
+  /// address space), all op kinds — so `addr` is coded as a branch target
+  /// and as a memory address — and extreme field values: the varint
   /// encoder's worst case.
   [[nodiscard]] static std::vector<trace::MicroOp> adversarial(std::size_t n) {
     std::vector<trace::MicroOp> ops(n);
@@ -76,8 +77,7 @@ class TraceV2Test : public ::testing::Test {
     for (std::size_t i = 0; i < n; ++i) {
       trace::MicroOp& op = ops[i];
       op.pc = (i % 2 != 0) ? ~std::uint64_t{0} - rng.below(7) : rng();
-      op.mem_addr = rng();
-      op.br_target = rng();
+      op.addr = rng();
       op.value = rng();
       op.op = static_cast<trace::OpClass>(rng.below(10));  // every OpClass
       op.mem_size = static_cast<std::uint8_t>(1u << rng.below(4));
@@ -214,7 +214,8 @@ TEST_F(TraceV2Test, BytesDoNotDependOnHowRecordsAreAppended) {
 }
 
 TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
-  // Field values at both edges of every LEB128 length (1..10 bytes),
+  // Field values at both edges of every LEB128 length (1..10 bytes), in
+  // pc, addr (a load's memory address and a branch's target) and value,
   // decoded both while a whole record's bytes remain and in the
   // bounds-checked tail of the block.
   std::vector<std::uint64_t> values{0, ~std::uint64_t{0}};
@@ -225,13 +226,18 @@ TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
   std::vector<trace::MicroOp> ops;
   for (const std::uint64_t v : values) {
     for (const std::uint64_t w : values) {
-      trace::MicroOp op;
-      op.op = trace::OpClass::kLoad;
-      op.pc = v;
-      op.mem_addr = w;
-      op.br_target = v ^ w;
-      op.value = w;
-      ops.push_back(op);
+      trace::MicroOp load;
+      load.op = trace::OpClass::kLoad;
+      load.pc = v;
+      load.addr = w;
+      load.value = w;
+      ops.push_back(load);
+      trace::MicroOp branch;
+      branch.op = trace::OpClass::kBranch;
+      branch.pc = v;
+      branch.addr = v ^ w;
+      branch.value = v;
+      ops.push_back(branch);
     }
   }
   const std::string p = path("varints.samt");

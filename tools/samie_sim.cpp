@@ -70,9 +70,9 @@
 //                        created); combined with --import-trace this
 //                        converts the imported text traces to SAMT v2
 //   --replay-trace=PATH  replay a recorded .samt file — or every .samt
-//                        in a directory — of either version (v1: mmap
-//                        zero-copy; v2: block-decoded). Replays the full
-//                        trace unless --insts is given
+//                        in a directory — of either version (v2:
+//                        block-decoded; v1: converted as read). Replays
+//                        the full trace unless --insts is given
 //   --import-trace=PATH  import a plain-text trace file (or directory of
 //                        .txt/.trace files; one op per line) and run it
 //

@@ -1,7 +1,7 @@
 // samt_convert: converts a SAMT trace of either version to SAMT v2
 // (block-guarded, delta-encoded, indexed) — the only version this build
 // writes — with integrity verification on both ends. A v1 input (flat
-// mmap-able record array) is upgraded; a v2 input is re-blocked.
+// 40-byte record array) is upgraded; a v2 input is re-blocked.
 //
 //   samt_convert [options] <in.samt> <out.samt>
 //
