@@ -5,17 +5,18 @@
 //
 //   ./trace_inspector [--verify] [program | trace.samt ...]
 //
-// Arguments naming a file are opened as recorded SAMT traces: the header
-// (version, record count, provenance, checksum) is dumped and the same
-// statistics are computed over the records (v2 block-decoded, v1
-// converted as read). Other arguments are SPEC2000 profile names.
+// Arguments naming a file are opened as recorded SAMT v2 traces: the
+// header (version, record count, provenance, index checksum) is dumped
+// and the same statistics are computed over the block-decoded records.
+// Other arguments are SPEC2000 profile names.
 //
 // --verify mode instead deep-walks each named SAMT file checking every
-// integrity guard (v1: whole-file checksum; v2: footer, index and every
-// block guard) and prints a per-block status line plus, on damage, the
-// damage class and the file offset of the first corrupt byte. Exit
-// status: 0 when every file verified clean, 2 when any file is damaged,
-// 1 on usage errors or files that are not SAMT traces at all.
+// integrity guard (footer, index and every block guard) and prints a
+// per-block status line plus, on damage, the damage class and the file
+// offset of the first corrupt byte. Exit status: 0 when every file
+// verified clean, 2 when any file is damaged, 1 on usage errors or files
+// that are not SAMT v2 traces at all (a version-1 file is refused with
+// the commit whose samt_convert upgrades it).
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
@@ -49,13 +50,13 @@ void dump_samt_header(const std::string& path, const trace::SamtHeader& h) {
 }
 
 /// --verify: full integrity walk of one SAMT file. Returns 0 (clean) or
-/// 2 (damaged); exits 1 if the file is not a SAMT trace at all.
+/// 2 (damaged); exits 1 if the file is not a SAMT v2 trace at all.
 int verify_file(const std::string& path) {
   trace::TraceHealth h;
   try {
     h = trace::trace_health(path);
   } catch (const trace::TraceFormatError& e) {
-    std::cerr << "trace_inspector: " << path << ": " << e.what() << "\n";
+    std::cerr << "trace_inspector: " << e.what() << "\n";
     std::exit(1);
   }
   std::cout << path << ": v" << h.version << ", " << h.record_count

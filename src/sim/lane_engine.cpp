@@ -33,7 +33,7 @@ struct ConvBundle {
 };
 
 struct UnboundedBundle {
-  using Queue = lsq::LoadStoreQueue;
+  using Queue = lsq::ConventionalLsq;
   std::unique_ptr<Queue> queue;
   UnboundedBundle(const SimConfig& cfg, const energy::LsqEnergyConstants&)
       : queue(lsq::make_unbounded_lsq(cfg.core.rob_size)) {}

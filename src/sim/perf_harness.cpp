@@ -131,9 +131,8 @@ HotpathReport run_hotpath_measurement(const HotpathOptions& opt) {
   // canned trace is opened and released the same way, so the suite's
   // peak RSS tracks one trace at a time instead of all 26 — the probe
   // the per-consumer TraceCache release discipline is measured against.
-  // For canned traces the verification at open reads every record (v2
-  // decodes its blocks, v1 checksums the mapping), so the timed replay
-  // never waits on the disk.
+  // For canned traces the open decodes and verifies every block, so
+  // the timed replay never waits on the disk.
   std::vector<std::string> trace_files;
   std::vector<std::string> programs;
   if (!opt.trace_dir.empty()) {

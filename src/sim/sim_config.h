@@ -38,10 +38,9 @@ struct SimConfig {
   /// instead of a (profile, seed, length) triple; `instructions` then
   /// caps how much of the trace is replayed.
   std::string trace_path;
-  /// Verify the v1 FNV-1a checksum when opening `trace_path` (one more
-  /// pass over the record bytes; v2 block guards are always verified).
-  /// `samie_sim --no-verify-checksum` clears it for re-opening an
-  /// already-verified trace.
+  /// Has no effect: it switched the retired SAMT v1 checksum pass, and
+  /// stays only because the benchmark harness passes it to
+  /// TraceSource::open_samt. Nothing in the simulator reads it.
   bool verify_trace_checksum = true;
 };
 

@@ -32,8 +32,8 @@ SimResult run_trace_file(const SimConfig& cfg) {
   if (cfg.trace_path.empty()) {
     throw std::invalid_argument("run_trace_file: cfg.trace_path is empty");
   }
-  const trace::TraceSource source = trace::TraceSource::open_samt(
-      cfg.trace_path, cfg.verify_trace_checksum);
+  const trace::TraceSource source =
+      trace::TraceSource::open_samt(cfg.trace_path);
   return run_simulation(cfg, source.view());
 }
 

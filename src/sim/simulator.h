@@ -84,11 +84,10 @@ struct SimResult {
                                     const std::string& program);
 
 /// Convenience: replays the whole recorded SAMT trace at
-/// `cfg.trace_path` (v2 block-decoded, v1 converted record by record;
-/// version autodetected), capped at `cfg.instructions` records. Throws
-/// trace::TraceFormatError on malformed files (TraceCorruptError for
-/// damaged v2 files) and std::invalid_argument when `cfg.trace_path` is
-/// empty.
+/// `cfg.trace_path` (TraceSource::open_samt), capped at
+/// `cfg.instructions` records. Throws trace::TraceFormatError on
+/// malformed files (TraceCorruptError for damaged ones) and
+/// std::invalid_argument when `cfg.trace_path` is empty.
 [[nodiscard]] SimResult run_trace_file(const SimConfig& cfg);
 
 }  // namespace samie::sim

@@ -48,8 +48,7 @@ std::shared_ptr<const trace::TraceSource> TraceCache::get(const Job& job) {
                                        job.config.instructions));
     } else {
       built = std::make_shared<const trace::TraceSource>(
-          trace::TraceSource::open_samt(path,
-                                        job.config.verify_trace_checksum));
+          trace::TraceSource::open_samt(path));
     }
   } catch (...) {
     std::scoped_lock lock(mu_);

@@ -60,9 +60,9 @@ struct MicroOp {
   std::uint8_t pad_[2] = {0, 0};
 };
 
-// The in-memory record is not an on-disk layout: SAMT v1 records are
-// converted as they are read, and v2 encodes fields. Every SAMT header
-// carries kSamtRecordBytes (trace_io.h), whatever this size is.
+// The in-memory record is not an on-disk layout: SAMT encodes fields,
+// and every SAMT header carries kSamtRecordBytes (trace_io.h), whatever
+// this size is.
 static_assert(sizeof(MicroOp) == 32, "one record is four 8-byte words");
 
 /// The record domain: the records the timing model can simulate. A
@@ -71,8 +71,7 @@ static_assert(sizeof(MicroOp) == 32, "one record is four 8-byte words");
 /// are kNoReg; and a load or store accesses 4 or 8 bytes at an address
 /// that is a multiple of its size. Generated traces are inside it by
 /// construction; trace files are checked where they enter
-/// (TraceSource::open_samt, which also rejects the v1 records no MicroOp
-/// can hold), and the text importer checks every line. Returns nullptr
+/// (TraceSource::open_samt), and the text importer checks every line. Returns nullptr
 /// for a record inside the domain, else the first rule the record breaks.
 [[nodiscard]] inline const char* record_domain_violation(
     const MicroOp& op) noexcept {

@@ -37,37 +37,21 @@ constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
                  " bytes");
 }
 
-void validate_header(const std::string& path, const SamtHeader& h,
-                     std::uint64_t file_bytes) {
+void validate_header(const std::string& path, const SamtHeader& h) {
   if (std::memcmp(h.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
     fail(path, "not a SAMT trace (bad magic)");
   }
-  if (h.version != kSamtVersion && h.version != kSamtVersion2) {
+  if (h.version == kSamtVersion1) {
+    fail(path, std::string("SAMT version 1 is no longer read; convert the "
+                           "file to version 2 with samt_convert built at "
+                           "commit ") +
+                   kSamtV1ConvertCommit + ", the last that reads version 1");
+  }
+  if (h.version != kSamtVersion2) {
     fail(path, "unsupported SAMT version " + std::to_string(h.version) +
-                   " (this build reads versions 1 and 2)");
+                   " (this build reads version 2)");
   }
   if (h.record_bytes != kSamtRecordBytes) fail_record_bytes(path, h);
-  // v2 payloads are block-encoded; count-vs-size consistency is enforced
-  // by the guarded index, not by header arithmetic.
-  if (h.version != kSamtVersion) return;
-  // Divide, never multiply: `h.count * kSamtRecordBytes` can wrap
-  // (count += 2^61 makes the product overflow to the exact valid size,
-  // and the checksum length wraps identically — the corrupt-trace fuzz
-  // suite found the file being *accepted*). Comparing against the
-  // record count the payload actually holds is overflow-free.
-  const std::uint64_t payload = file_bytes - sizeof(SamtHeader);
-  if (payload % kSamtRecordBytes != 0 ||
-      h.count != payload / kSamtRecordBytes) {
-    fail(path, "truncated or oversized: header promises " +
-                   std::to_string(h.count) + " records, file payload is " +
-                   std::to_string(payload) + " bytes (" +
-                   std::to_string(payload / kSamtRecordBytes) + " records)");
-  }
-}
-
-[[noreturn]] void fail_v1_only(const std::string& path, const char* reader) {
-  fail(path, std::string("SAMT v2 traces are block-encoded; ") + reader +
-                 " reads only v1 — open via TraceSource or TraceV2Reader");
 }
 
 [[nodiscard]] std::string header_name(const SamtHeader& h) {
@@ -103,14 +87,15 @@ void validate_header(const std::string& path, const SamtHeader& h,
   return true;
 }
 
-/// read_samt_header's checks on an open file.
-[[nodiscard]] SamtHeader read_header(const std::string& path, int fd) {
-  const std::uint64_t bytes = file_size_of(path, fd);
+/// read_samt_header's checks on an open file of which the first `bytes`
+/// are visible.
+[[nodiscard]] SamtHeader read_header(const std::string& path, int fd,
+                                     std::uint64_t bytes) {
   SamtHeader h{};
   if (bytes < sizeof h || !read_at(fd, 0, &h, sizeof h)) {
     fail(path, "too short for a SAMT header");
   }
-  validate_header(path, h, bytes);
+  validate_header(path, h);
   return h;
 }
 
@@ -194,88 +179,11 @@ void clear_io_faults() {
   g_io_faults.clear();
 }
 
-// ----------------------------------------------------------- TraceReader --
+// ------------------------------------------------------------ SAMT header --
 
 SamtHeader read_samt_header(const std::string& path) {
   const FileHandle f = open_file(path, O_RDONLY);
-  return read_header(path, f.get());
-}
-
-TraceReader::TraceReader(const std::string& path)
-    : path_(path), header_(read_samt_header(path)) {
-  if (header_.version != kSamtVersion) fail_v1_only(path, "TraceReader");
-}
-
-std::string TraceReader::name() const { return header_name(header_); }
-
-namespace {
-
-/// v1 records read per pread: bounds the raw buffer, not the result.
-constexpr std::size_t kV1ChunkRecords = 4096;
-
-/// Converts v1 record `r` to `out`. Returns the record-domain rule `r`
-/// breaks (the two only a v1 record can break first), or nullptr.
-[[nodiscard]] const char* convert_v1_record(const SamtV1Record& r,
-                                            MicroOp& out) noexcept {
-  if (r.mem_addr != 0 && r.br_target != 0) {
-    return "memory address and branch target both set";
-  }
-  if (r.taken > 1) return "taken flag must be 0 or 1";
-  out.pc = r.pc;
-  out.addr = r.mem_addr | r.br_target;
-  out.value = r.value;
-  out.op = static_cast<OpClass>(r.op);
-  out.mem_size = r.mem_size;
-  out.src1 = r.src1;
-  out.src2 = r.src2;
-  out.dst = r.dst;
-  out.taken = r.taken != 0;
-  return record_domain_violation(out);
-}
-
-}  // namespace
-
-Trace TraceReader::read_all(bool verify_checksum) const {
-  const FileHandle f = open_file(path_, O_RDONLY);
-  Trace t;
-  t.name = name();
-  t.seed = header_.seed;
-  const auto count = static_cast<std::size_t>(header_.count);
-  t.ops.reserve(count);
-  std::vector<SamtV1Record> raw(std::min(count, kV1ChunkRecords));
-  std::uint64_t sum = kFnvBasis;
-  std::size_t bad = 0;
-  const char* why = nullptr;
-  for (std::size_t first = 0; first < count; first += raw.size()) {
-    const std::size_t n = std::min(raw.size(), count - first);
-    if (!read_at(f.get(), sizeof(SamtHeader) + first * kSamtRecordBytes,
-                 raw.data(), n * kSamtRecordBytes)) {
-      fail(path_, "truncated record array");
-    }
-    if (verify_checksum) sum = fnv1a_64(raw.data(), n * kSamtRecordBytes, sum);
-    for (std::size_t i = 0; i < n; ++i) {
-      MicroOp op;
-      const char* rule = convert_v1_record(raw[i], op);
-      if (rule != nullptr && why == nullptr) {
-        why = rule;
-        bad = first + i;
-      }
-      t.ops.push_back(op);
-    }
-  }
-  if (verify_checksum && sum != header_.checksum) {
-    fail(path_, "record checksum mismatch");
-  }
-  if (why != nullptr) {
-    const std::uint64_t offset =
-        sizeof(SamtHeader) + std::uint64_t{bad} * kSamtRecordBytes;
-    throw TraceCorruptError(path_ + ": record " + std::to_string(bad) +
-                                " at offset " + std::to_string(offset) +
-                                ": " + why,
-                            TraceDamage::kInteriorCorrupt,
-                            TraceCorruptError::kNoBlock, offset);
-  }
-  return t;
+  return read_header(path, f.get(), file_size_of(path, f.get()));
 }
 
 // ----------------------------------------------------------- SAMT v2 -----
@@ -408,10 +316,9 @@ template <bool kChecked>
 // four raw bytes (mem_size, src1, src2, dst), then varints: zigzag pc
 // delta vs the previous record; a branch's `addr` as a zigzag delta vs
 // its own pc (has-br), any other record's as a zigzag delta vs the
-// previous *memory* address (has-mem); and the raw value. The two
-// address bits are v1's two address fields, so a record sets at most
-// one of them. Delta state resets per block, so blocks decode
-// independently.
+// previous *memory* address (has-mem); and the raw value. A MicroOp
+// holds one address, so a record sets at most one of the two address
+// bits. Delta state resets per block, so blocks decode independently.
 
 constexpr unsigned char kTakenBit = 0x10;
 constexpr unsigned char kHasMemBit = 0x20;
@@ -717,38 +624,23 @@ std::uint64_t decode_blocks(const std::string& path, int fd,
 struct V2Layout {
   SamtHeader header{};
   std::vector<SamtIndexEntry> index;
-  std::uint64_t file_bytes = 0;
   TraceDamage damage = TraceDamage::kNone;
   std::uint64_t bad_offset = 0;
   std::string note;
 };
 
-/// Validates the header, footer and index of the v2 file open as `fd`.
-/// Throws TraceFormatError for files that are not SAMT v2 at all;
-/// classifies damage (torn tail / bad index) into the returned struct
-/// otherwise. `cut` simulates a short read: the last `cut` bytes are
-/// invisible.
+/// Validates the header, footer and index of the file open as `fd`.
+/// Throws read_header's TraceFormatError for files that are not SAMT v2
+/// at all; classifies damage (torn tail / bad index) into the returned
+/// struct otherwise. `cut` simulates a short read: the last `cut` bytes
+/// are invisible.
 [[nodiscard]] V2Layout load_v2_layout(const std::string& path, int fd,
                                       std::uint64_t cut) {
   std::uint64_t bytes = file_size_of(path, fd);
   bytes = bytes > cut ? bytes - cut : 0;
 
   V2Layout L;
-  L.file_bytes = bytes;
-  if (bytes < sizeof(SamtHeader) ||
-      !read_at(fd, 0, &L.header, sizeof L.header)) {
-    fail(path, "too short for a SAMT header");
-  }
-  if (std::memcmp(L.header.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
-    fail(path, "not a SAMT trace (bad magic)");
-  }
-  if (L.header.version != kSamtVersion2) {
-    fail(path, "not a SAMT v2 trace (version " +
-                   std::to_string(L.header.version) + ")");
-  }
-  if (L.header.record_bytes != kSamtRecordBytes) {
-    fail_record_bytes(path, L.header);
-  }
+  L.header = read_header(path, fd, bytes);
 
   auto damaged = [&](TraceDamage d, std::uint64_t off, std::string note) {
     L.damage = d;
@@ -765,6 +657,7 @@ struct V2Layout {
                    "file too short for an index and footer (torn tail)");
   }
   SamtFooter footer{};
+  // A failing pread: no test reaches this or "unreadable index region".
   if (!read_at(fd, bytes - sizeof footer, &footer, sizeof footer)) {
     return damaged(TraceDamage::kTornTail, bytes - sizeof footer,
                    "unreadable footer (torn tail)");
@@ -791,6 +684,7 @@ struct V2Layout {
   std::vector<unsigned char> region(
       static_cast<std::size_t>(footer.index_bytes));
   if (!read_at(fd, footer.index_offset, region.data(), region.size())) {
+    // A failing pread (see "unreadable footer").
     return damaged(TraceDamage::kBadIndex, footer.index_offset,
                    "unreadable index region");
   }
@@ -1081,24 +975,6 @@ TraceV2Reader::TraceV2Reader(const std::string& path)
     : path_(path),
       fault_(take_io_fault(path)),
       file_(open_file(path, O_RDONLY)) {
-  load_layout();
-}
-
-TraceV2Reader::TraceV2Reader(const std::string& path, FileHandle file)
-    : path_(path), fault_(take_io_fault(path)), file_(std::move(file)) {
-  load_layout();
-}
-
-std::optional<TraceV2Reader> TraceV2Reader::open_if_v2(
-    const std::string& path) {
-  FileHandle file = open_file(path, O_RDONLY);
-  if (read_header(path, file.get()).version != kSamtVersion2) {
-    return std::nullopt;
-  }
-  return TraceV2Reader(path, std::move(file));
-}
-
-void TraceV2Reader::load_layout() {
   V2Layout L = load_v2_layout(path_, file_.get(), short_read_cut(fault_));
   if (L.damage != TraceDamage::kNone) {
     throw TraceCorruptError(path_ + ": " + L.note, L.damage,
@@ -1171,71 +1047,15 @@ TraceHealth trace_health(const std::string& path) {
   const IoFault fault = take_io_fault(path);
   const std::uint64_t cut = short_read_cut(fault);
 
-  // Sniff the version first; v1 and v2 walk differently.
   const FileHandle f = open_file(path, O_RDONLY);
-  SamtHeader sniff{};
-  {
-    const std::uint64_t bytes = file_size_of(path, f.get());
-    if (bytes < sizeof sniff || !read_at(f.get(), 0, &sniff, sizeof sniff)) {
-      fail(path, "too short for a SAMT header");
-    }
-    if (std::memcmp(sniff.magic, kSamtMagic, sizeof kSamtMagic) != 0) {
-      fail(path, "not a SAMT trace (bad magic)");
-    }
-    if (sniff.version != kSamtVersion && sniff.version != kSamtVersion2) {
-      fail(path, "unsupported SAMT version " + std::to_string(sniff.version) +
-                     " (this build reads versions 1 and 2)");
-    }
-    if (sniff.record_bytes != kSamtRecordBytes) fail_record_bytes(path, sniff);
-  }
-
+  const V2Layout L = load_v2_layout(path, f.get(), cut);
   TraceHealth h;
-  h.version = sniff.version;
-  h.record_count = sniff.count;
-
-  if (sniff.version == kSamtVersion) {
-    // v1 is one whole-file checksum: report it as a single pseudo-block.
-    std::uint64_t bytes = file_size_of(path, f.get());
-    bytes = bytes > cut ? bytes - cut : 0;
-    BlockHealth blk{sizeof(SamtHeader), 0,
-                    static_cast<std::uint32_t>(
-                        std::min<std::uint64_t>(sniff.count, ~std::uint32_t{0})),
-                    false};
-    const std::uint64_t payload =
-        bytes >= sizeof(SamtHeader) ? bytes - sizeof(SamtHeader) : 0;
-    if (payload % kSamtRecordBytes != 0 ||
-        sniff.count != payload / kSamtRecordBytes) {
-      h.damage = TraceDamage::kTornTail;
-      h.first_bad_offset = bytes;
-      h.bad_blocks = 1;
-      h.blocks.push_back(blk);
-      return h;
-    }
-    std::vector<SamtV1Record> recs(static_cast<std::size_t>(sniff.count));
-    if (!read_at(f.get(), sizeof(SamtHeader), recs.data(),
-                 recs.size() * kSamtRecordBytes)) {
-      h.damage = TraceDamage::kTornTail;
-      h.first_bad_offset = bytes;
-      h.bad_blocks = 1;
-      h.blocks.push_back(blk);
-      return h;
-    }
-    blk.ok =
-        fnv1a_64(recs.data(), recs.size() * kSamtRecordBytes) == sniff.checksum;
-    if (!blk.ok) {
-      h.damage = TraceDamage::kInteriorCorrupt;
-      h.first_bad_offset = sizeof(SamtHeader);
-      h.bad_blocks = 1;
-    }
-    h.blocks.push_back(blk);
-    return h;
-  }
-
-  V2Layout L = load_v2_layout(path, f.get(), cut);
+  h.version = L.header.version;
   h.record_count = L.header.count;
   if (L.damage != TraceDamage::kNone) {
     h.damage = L.damage;
     h.first_bad_offset = L.bad_offset;
+    h.note = L.note;
     return h;
   }
   std::vector<unsigned char> raw;

@@ -1,29 +1,19 @@
 // SAMT — the repo's versioned binary trace format — plus a plain-text
 // import path for traces recorded by external simulators.
 //
-// Both versions start with the same 64-byte SamtHeader, and readers
-// autodetect the version from it. Version 2 (block-guarded,
-// delta-encoded and indexed; layout further down) is the only version
-// this build writes. Version 1 is read-only: the header followed by
-// 40-byte records (SamtV1Record) under one whole-file checksum (all
-// fields little-endian):
-//
-//   [SamtHeader: 64 bytes]  magic "SAMTRACE", version, record size,
-//                           record count, generator seed, FNV-1a checksum
-//                           of the record bytes, NUL-padded profile name
-//   [count x SamtV1Record: 40 bytes each]
-//
-// A v1 record carries a memory address and a branch target in separate
-// fields; the 32-byte in-memory MicroOp holds one address, so
-// TraceReader converts each record as it reads it.
-// docs/TRACE_FORMAT.md specifies both versions and the versioning rules.
+// A SAMT file is a 64-byte SamtHeader followed by guarded,
+// delta-encoded blocks, an index and a footer (layout further down).
+// Version 2 is the only version this build reads or writes. A version-1
+// file (the retired flat record array) is recognised by its header and
+// refused by every reader with one TraceFormatError naming the last
+// commit whose samt_convert upgrades it (kSamtV1ConvertCommit).
+// docs/TRACE_FORMAT.md specifies the format and the versioning rules.
 #pragma once
 
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -75,11 +65,19 @@ class TraceCorruptError : public TraceFormatError {
   static constexpr std::uint64_t kNoBlock = ~std::uint64_t{0};
 };
 
-inline constexpr std::uint32_t kSamtVersion = 1;
+/// The SAMT version this build reads and writes.
 inline constexpr std::uint32_t kSamtVersion2 = 2;
+/// The retired version 1, a flat array of 40-byte records under one
+/// whole-file checksum. Its header is still recognised, so that every
+/// reader refuses it with the same message: convert the file with
+/// samt_convert as built at kSamtV1ConvertCommit.
+inline constexpr std::uint32_t kSamtVersion1 = 1;
+/// The last commit whose readers accept SAMT v1 and whose samt_convert
+/// upgrades a v1 file to v2.
+inline constexpr char kSamtV1ConvertCommit[] = "0771f2e17176";
 inline constexpr char kSamtMagic[8] = {'S', 'A', 'M', 'T', 'R', 'A', 'C', 'E'};
-/// The `record_bytes` of every SAMT header: the size of v1's on-disk
-/// record, which for v2 names the field set each encoded record carries.
+/// The `record_bytes` of every SAMT header. For v2 it names the field
+/// set each encoded record carries (it was v1's on-disk record size).
 /// It is a format constant, not sizeof(MicroOp): readers reject any other
 /// value, so a record layout change is a version change.
 inline constexpr std::uint32_t kSamtRecordBytes = 40;
@@ -87,50 +85,17 @@ inline constexpr std::uint32_t kSamtRecordBytes = 40;
 #pragma pack(push, 1)
 struct SamtHeader {
   char magic[8];                ///< "SAMTRACE" (not NUL-terminated)
-  std::uint32_t version = kSamtVersion;
+  std::uint32_t version = kSamtVersion2;
   std::uint32_t record_bytes = 0;  ///< kSamtRecordBytes; rejects drift
-  std::uint64_t count = 0;         ///< records after the header
+  std::uint64_t count = 0;         ///< records in the file
   std::uint64_t seed = 0;          ///< provenance (generator seed, or 0)
-  std::uint64_t checksum = 0;      ///< FNV-1a 64 over all record bytes
+  std::uint64_t checksum = 0;      ///< FNV-1a 64 over the index region
   char name[24] = {};              ///< profile/program name, NUL-padded
 };
 #pragma pack(pop)
 static_assert(sizeof(SamtHeader) == 64, "SAMT header is 64 bytes");
-
-/// One SAMT v1 record as it lies on disk. Every byte is a plain integer,
-/// so any file content reads without undefined behaviour. A MicroOp's
-/// `addr` is whichever of `mem_addr` and `br_target` is set; a record
-/// that sets both, or whose `taken` byte is above 1, is outside the
-/// record domain.
-struct SamtV1Record {
-  std::uint64_t pc = 0;
-  std::uint64_t mem_addr = 0;   ///< loads/stores, else 0
-  std::uint64_t br_target = 0;  ///< branches, else 0
-  std::uint64_t value = 0;
-  std::uint8_t op = 0;  ///< OpClass
-  std::uint8_t mem_size = 0;
-  std::uint8_t src1 = kNoReg;
-  std::uint8_t src2 = kNoReg;
-  std::uint8_t dst = kNoReg;
-  std::uint8_t taken = 0;
-  std::uint8_t pad[2] = {0, 0};  ///< zero
-};
-
-// Pin v1's layout: a build whose SamtV1Record drifted must not compile.
 static_assert(std::endian::native == std::endian::little,
               "SAMT I/O assumes a little-endian host");
-static_assert(sizeof(SamtV1Record) == kSamtRecordBytes);
-static_assert(offsetof(SamtV1Record, pc) == 0);
-static_assert(offsetof(SamtV1Record, mem_addr) == 8);
-static_assert(offsetof(SamtV1Record, br_target) == 16);
-static_assert(offsetof(SamtV1Record, value) == 24);
-static_assert(offsetof(SamtV1Record, op) == 32);
-static_assert(offsetof(SamtV1Record, mem_size) == 33);
-static_assert(offsetof(SamtV1Record, src1) == 34);
-static_assert(offsetof(SamtV1Record, src2) == 35);
-static_assert(offsetof(SamtV1Record, dst) == 36);
-static_assert(offsetof(SamtV1Record, taken) == 37);
-static_assert(offsetof(SamtV1Record, pad) == 38);
 
 /// FNV-1a 64-bit over `n` bytes, continuing from `h` (pass the offset
 /// basis for a fresh hash).
@@ -139,34 +104,13 @@ inline constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
                                      std::uint64_t h = kFnvBasis) noexcept;
 
 /// Reads and validates only the 64-byte header (magic, version, record
-/// size, file length vs count). Cheap: does not touch the records.
+/// size). Cheap: does not touch the blocks.
 [[nodiscard]] SamtHeader read_samt_header(const std::string& path);
 
-/// SAMT v1 reader: validates the header, then reads the records and
-/// converts each to a MicroOp.
-class TraceReader {
- public:
-  explicit TraceReader(const std::string& path);
-
-  [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
-  [[nodiscard]] std::string name() const;
-  /// Reads and converts all records. Throws TraceFormatError on
-  /// truncation or checksum mismatch (`verify_checksum = false` skips
-  /// the checksum pass, nothing else), then
-  /// TraceCorruptError(kInteriorCorrupt) for the first record outside
-  /// the record domain, naming it, with kNoBlock and the record's own
-  /// file offset.
-  [[nodiscard]] Trace read_all(bool verify_checksum = true) const;
-
- private:
-  std::string path_;
-  SamtHeader header_{};
-};
-
-// ------------------------------------------------------------- SAMT v2 --
+// ---------------------------------------------------------------- layout --
 //
-// Version 2 keeps the 64-byte SamtHeader but replaces the raw record
-// array with guarded, delta-encoded blocks plus a footer index:
+// After the 64-byte SamtHeader come guarded, delta-encoded blocks and a
+// footer index:
 //
 //   [SamtHeader]            version = 2; `checksum` is FNV-1a over the
 //                           whole index region (binds header <-> index)
@@ -271,16 +215,20 @@ struct TraceHealth {
   /// File offset of the first damaged region (block-granular for block
   /// damage); ~0 when clean.
   std::uint64_t first_bad_offset = ~std::uint64_t{0};
-  std::vector<BlockHealth> blocks;  ///< empty for kBadIndex / v1
+  /// A torn tail's or bad index's verdict, as a reader's
+  /// TraceCorruptError states it after the path; empty otherwise.
+  std::string note;
+  std::vector<BlockHealth> blocks;  ///< empty for kTornTail / kBadIndex
 
   [[nodiscard]] bool ok() const noexcept {
     return damage == TraceDamage::kNone;
   }
 };
 
-/// Walks the whole file (v1 or v2) verifying every guard, and reports
-/// damage instead of throwing for it. Throws TraceFormatError only when
-/// the file is not a SAMT trace at all (unopenable, bad magic/version).
+/// Walks the whole file verifying every guard, and reports damage
+/// instead of throwing for it. Throws TraceFormatError only when the
+/// file is not a SAMT v2 trace at all (unopenable, bad magic, version or
+/// record size), with read_samt_header's message.
 [[nodiscard]] TraceHealth trace_health(const std::string& path);
 
 // ------------------------------------------------------------ v2 writer --
@@ -351,12 +299,10 @@ void write_samt_v2(const std::string& path, TraceView ops,
 
 // ------------------------------------------------------------ v2 reader --
 
-/// A read-only file descriptor, closed on destruction. Move-only.
+/// A read-only file descriptor, closed on destruction.
 class FileHandle {
  public:
   explicit FileHandle(int fd) noexcept : fd_(fd) {}
-  FileHandle(FileHandle&& other) noexcept : fd_(other.fd_) { other.fd_ = -1; }
-  FileHandle& operator=(FileHandle&&) = delete;
   FileHandle(const FileHandle&) = delete;
   FileHandle& operator=(const FileHandle&) = delete;
   ~FileHandle();
@@ -376,13 +322,9 @@ class FileHandle {
 /// and reports the lowest-index damaged block.
 class TraceV2Reader {
  public:
+  /// Validates the header exactly as read_samt_header does (same
+  /// checks, same errors), then the footer and index.
   explicit TraceV2Reader(const std::string& path);
-  /// Opens `path` once and validates its header exactly as
-  /// read_samt_header does (same checks, same errors). Returns a reader
-  /// over that descriptor for a v2 file, and nullopt for a v1 file,
-  /// whose records the caller reads its own way.
-  [[nodiscard]] static std::optional<TraceV2Reader> open_if_v2(
-      const std::string& path);
 
   [[nodiscard]] const SamtHeader& header() const noexcept { return header_; }
   [[nodiscard]] std::string name() const;
@@ -410,9 +352,6 @@ class TraceV2Reader {
   [[nodiscard]] Trace read_all_in_domain() const;
 
  private:
-  TraceV2Reader(const std::string& path, FileHandle file);
-  /// Validates header, footer and index through file_ (constructors).
-  void load_layout();
   /// Appends records [begin, end) to `out`; see decode_blocks.
   [[nodiscard]] std::uint64_t decode(std::uint64_t begin, std::uint64_t end,
                                      std::vector<MicroOp>& out,

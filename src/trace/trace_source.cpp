@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <new>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -85,11 +84,8 @@ TraceSource TraceSource::from_trace(Trace t) {
 }
 
 TraceSource TraceSource::open_samt(const std::string& path,
-                                   bool verify_checksum) {
-  if (const std::optional<TraceV2Reader> v2 = TraceV2Reader::open_if_v2(path)) {
-    return from_trace(v2->read_all_in_domain());
-  }
-  return from_trace(TraceReader(path).read_all(verify_checksum));
+                                   bool /*verify_checksum*/) {
+  return from_trace(TraceV2Reader(path).read_all_in_domain());
 }
 
 TraceSource TraceSource::import_text(const std::string& path) {

@@ -3,7 +3,7 @@
 // The simulator, tools and benches all consume TraceView; a TraceSource
 // pairs such a view with whatever keeps it alive — a generated trace's
 // own anonymous page mapping, or an owned in-RAM Trace (decoded from a
-// SAMT file of either version, or imported). Sweep infrastructure holds
+// SAMT v2 file, or imported). Sweep infrastructure holds
 // `shared_ptr<const TraceSource>` so N workers replaying one program
 // share one copy of its records instead of N.
 #pragma once
@@ -33,20 +33,16 @@ class TraceSource {
                                             std::uint64_t n);
   /// Takes ownership of an existing trace.
   [[nodiscard]] static TraceSource from_trace(Trace t);
-  /// Opens a SAMT file, autodetecting the version by its header, into
-  /// an owned Trace: v2 decodes its guarded blocks through the
-  /// descriptor that read the header (TraceV2Reader::read_all_in_domain),
-  /// v1 converts its 40-byte records as it reads them
-  /// (TraceReader::read_all). Throws TraceFormatError on malformed files
-  /// (TraceCorruptError for damaged v2 files). `verify_checksum = false`
-  /// skips v1's whole-file checksum pass, for replay hot paths that
-  /// re-open an already-verified trace (v2 blocks are always verified —
-  /// their guards are checked as a side effect of decoding). Either
-  /// way, every record is checked against the record domain
-  /// (record_domain_violation in instruction.h, and for v1 the records
-  /// no MicroOp can hold): a record outside it throws
-  /// TraceCorruptError(kInteriorCorrupt) naming it — with its block and
-  /// the block's offset for v2, kNoBlock and its own offset for v1.
+  /// Opens a SAMT v2 file into an owned Trace
+  /// (TraceV2Reader(path).read_all_in_domain()): every block's guard is
+  /// verified as it decodes, and every record is checked against the
+  /// record domain (record_domain_violation in instruction.h). Throws
+  /// TraceFormatError for a file that is not SAMT v2 (a version-1 file
+  /// included), TraceCorruptError for damage, and
+  /// TraceCorruptError(kInteriorCorrupt) naming the record, its block
+  /// and the block's offset for a record outside the domain.
+  /// `verify_checksum` has no effect; it outlives the retired v1 format
+  /// only because the benchmark harness still passes it.
   [[nodiscard]] static TraceSource open_samt(const std::string& path,
                                              bool verify_checksum = true);
   /// Imports a plain-text trace (grammar: docs/TRACE_FORMAT.md).

@@ -117,11 +117,17 @@ TEST(EngineDifferential, PaperConfigAllLsqKindsAllProgramsMatch) {
 TEST(EngineDifferential, MemoryBoundProgramsActuallyFastForward) {
   // On memory-latency-dominated programs the engine must engage — a
   // conservative-but-never-firing ledger would silently revert the PR.
-  const SimResult r = expect_engines_identical(
-      paper_config(LsqChoice::kConventional), "mcf", kInsts);
-  EXPECT_GT(r.core.quiescent_cycles_skipped, r.core.cycles / 10)
-      << "fast-forward never engaged on a memory-bound program";
-  EXPECT_GT(r.core.fast_forwards, 0U);
+  // The unbounded queue of Figure 1 is a ConventionalLsq too, so its
+  // lanes must take the same statically dispatched, skipping core.
+  for (const LsqChoice lsq :
+       {LsqChoice::kConventional, LsqChoice::kUnbounded}) {
+    const SimResult r = expect_engines_identical(paper_config(lsq), "mcf",
+                                                 kInsts);
+    EXPECT_GT(r.core.quiescent_cycles_skipped, r.core.cycles / 10)
+        << lsq_choice_name(lsq)
+        << ": fast-forward never engaged on a memory-bound program";
+    EXPECT_GT(r.core.fast_forwards, 0U) << lsq_choice_name(lsq);
+  }
 }
 
 TEST(EngineDifferential, SamieUnderAddrBufferPressureWithFullFlushes) {

@@ -1,21 +1,15 @@
 // Corrupt-trace fuzz: randomized bit flips and truncations of a valid
-// SAMT file must surface as trace::TraceFormatError — never a crash, a
-// hang, or a silently-wrong replay. The RNG is seeded deterministically
+// SAMT v2 file must surface as trace::TraceFormatError — never a crash,
+// a hang, or a silently-wrong replay. The RNG is seeded deterministically
 // (Xoshiro256), so every failure reproduces.
 //
-// The header layout (src/trace/trace_io.h, 64 bytes) splits into two
-// regions with different guarantees:
-//   [0,24)  magic/version/record_bytes/count — any flip MUST throw
-//           (magic mismatch, bad version/record size, or a count that
-//           contradicts the exact-file-size check)
-//   [32,40) checksum — any flip MUST throw (FNV mismatch)
-//   [24,32) seed and [40,64) name — provenance only; a flip may load
-//           fine, but must never crash
-// Record bytes [64,end) are covered by the FNV-1a checksum, whose
-// byte-step (h ^ b) * prime is bijective in h, so any single-byte change
-// always changes the final hash: a flip anywhere in the records MUST
-// throw. Truncating or extending the file contradicts the exact-size
-// check and MUST throw.
+// Everything after the 64-byte header (src/trace/trace_io.h) — block
+// headers, block payloads, index region, footer — carries its own FNV-1a
+// guard, so a flip at ANY offset >= 64 must surface as a typed error from
+// a full read. In the header, magic/version/record_bytes/count [0,24)
+// and the index-binding checksum [32,40) are guarded; seed [24,32) and
+// name [40,64) are provenance only: a flip there may load fine, but must
+// never crash.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -36,7 +30,6 @@
 #include "src/trace/trace_io.h"
 #include "src/trace/trace_source.h"
 #include "src/trace/workload.h"
-#include "tests/samt_v1_fixture.h"
 #include "tests/trace_thrown.h"
 
 namespace samie {
@@ -44,7 +37,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-class TraceFuzzTest : public ::testing::Test {
+class TraceV2FuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
@@ -52,17 +45,18 @@ class TraceFuzzTest : public ::testing::Test {
             std::to_string(static_cast<unsigned long>(::getpid())) + "_" +
             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(dir_);
-    // One small valid trace, reused (in memory) by every mutation.
+    // One small valid trace, reused (in memory) by every mutation. Small
+    // blocks so the mutation space covers many block boundaries,
+    // interior blocks, and a multi-entry index.
     trace::WorkloadGenerator gen(trace::spec2000_profile("gcc"), 11);
-    trace::Trace t = gen.generate(1500);
-    t.name = "gcc";
-    t.seed = 11;
-    const std::string p = path("seedfile.samt");
-    fixture::write_samt_v1(p, t, t.name, t.seed);
+    ops_ = gen.generate(1500).ops;
+    const std::string p = path("seedfile_v2.samt");
+    trace::write_samt_v2(p, trace::TraceView(ops_.data(), ops_.size()), "gcc",
+                         11, /*block_records=*/256);
     std::ifstream in(p, std::ios::binary);
-    valid_.assign(std::istreambuf_iterator<char>(in),
-                  std::istreambuf_iterator<char>());
-    ASSERT_GT(valid_.size(), 64u);
+    valid_v2_.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    ASSERT_GT(valid_v2_.size(), 96u);
   }
   void TearDown() override {
     std::error_code ec;
@@ -80,132 +74,6 @@ class TraceFuzzTest : public ::testing::Test {
     return p;
   }
 
-  /// Opens via both ingestion paths. Returns true when both succeeded;
-  /// throws whatever they throw. Successful opens are walked end to end
-  /// so a lying header would fault here, under the test harness.
-  static bool open_both(const std::string& p) {
-    std::uint64_t sink = 0;
-    {
-      const trace::TraceSource mapped = trace::TraceSource::open_samt(p);
-      for (std::size_t i = 0; i < mapped.size(); ++i) {
-        sink += mapped.view()[i].pc;
-      }
-    }
-    const trace::Trace copied = trace::TraceReader(p).read_all();
-    for (const auto& op : copied.ops) sink += op.value;
-    return sink != 0xdeadULL;  // defeat optimizing the walks away
-  }
-
-  fs::path dir_;
-  std::vector<char> valid_;
-};
-
-TEST_F(TraceFuzzTest, ValidBaselineOpensCleanly) {
-  EXPECT_NO_THROW((void)open_both(write_mutant(valid_)));
-}
-
-TEST_F(TraceFuzzTest, BitFlipsInGuardedRegionsAlwaysThrow) {
-  Xoshiro256 rng(0x5eedULL);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::vector<char> bytes = valid_;
-    // Guarded offsets: header [0,24) u [32,40), or any record byte.
-    std::size_t off;
-    switch (rng.below(3)) {
-      case 0: off = rng.below(24); break;
-      case 1: off = 32 + rng.below(8); break;
-      default: off = 64 + rng.below(bytes.size() - 64); break;
-    }
-    bytes[off] = static_cast<char>(bytes[off] ^ (1u << rng.below(8)));
-    const std::string p = write_mutant(bytes);
-    EXPECT_THROW((void)open_both(p), trace::TraceFormatError)
-        << "trial " << trial << ": flip at offset " << off
-        << " was accepted";
-  }
-}
-
-TEST_F(TraceFuzzTest, TruncationsAndExtensionsAlwaysThrow) {
-  Xoshiro256 rng(0xacce55ULL);
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<char> bytes = valid_;
-    if (rng.below(2) == 0) {
-      bytes.resize(rng.below(bytes.size()));  // truncate (possibly to 0)
-    } else {
-      const std::size_t extra = 1 + rng.below(80);
-      for (std::size_t i = 0; i < extra; ++i) {
-        bytes.push_back(static_cast<char>(rng()));
-      }
-    }
-    const std::string p = write_mutant(bytes);
-    EXPECT_THROW((void)open_both(p), trace::TraceFormatError)
-        << "trial " << trial << ": size " << bytes.size() << " vs valid "
-        << valid_.size();
-  }
-}
-
-TEST_F(TraceFuzzTest, ProvenanceFlipsNeverCrash) {
-  // seed [24,32) and name [40,64) are provenance, not integrity: a flip
-  // may load fine (different seed/name) — it must never crash or hang.
-  Xoshiro256 rng(0xbadc0deULL);
-  int accepted = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<char> bytes = valid_;
-    const std::size_t off =
-        rng.below(2) == 0 ? 24 + rng.below(8) : 40 + rng.below(24);
-    bytes[off] = static_cast<char>(bytes[off] ^ (1u << rng.below(8)));
-    const std::string p = write_mutant(bytes);
-    try {
-      (void)open_both(p);
-      ++accepted;
-    } catch (const trace::TraceFormatError&) {
-      // Also acceptable — just never a crash.
-    }
-  }
-  // Sanity: these flips are outside every integrity check, so at least
-  // some mutants must have loaded (all-throw would mean the regions
-  // above are mislabeled and the MUST-throw tests are vacuous).
-  EXPECT_GT(accepted, 0);
-}
-
-TEST_F(TraceFuzzTest, RandomGarbageNeverCrashes) {
-  Xoshiro256 rng(0x9a5b7eULL);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t n = rng.below(4096);
-    std::vector<char> bytes(n);
-    for (auto& b : bytes) b = static_cast<char>(rng());
-    const std::string p = write_mutant(bytes);
-    try {
-      (void)open_both(p);
-    } catch (const trace::TraceFormatError&) {
-    }
-  }
-}
-
-// -------------------------------------------------------------- SAMT v2 --
-//
-// v2 integrity coverage differs from v1's: everything after the 64-byte
-// header — block headers, block payloads, index region, footer — carries
-// its own FNV-1a guard, so a flip at ANY offset >= 64 must surface as a
-// typed error from a full read. In the header, [0,24) and the index-
-// binding checksum [32,40) are guarded; seed [24,32) and name [40,64)
-// stay provenance-only, exactly as in v1.
-
-class TraceV2FuzzTest : public TraceFuzzTest {
- protected:
-  void SetUp() override {
-    TraceFuzzTest::SetUp();
-    // Small blocks so the mutation space covers many block boundaries,
-    // interior blocks, and a multi-entry index.
-    trace::WorkloadGenerator gen(trace::spec2000_profile("gcc"), 11);
-    ops_ = gen.generate(1500).ops;
-    const std::string p = path("seedfile_v2.samt");
-    trace::write_samt_v2(p, trace::TraceView(ops_.data(), ops_.size()), "gcc",
-                         11, /*block_records=*/256);
-    std::ifstream in(p, std::ios::binary);
-    valid_v2_.assign(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-    ASSERT_GT(valid_v2_.size(), 96u);
-  }
-
   /// Full verifying read: eager footer/index validation at construction,
   /// then a whole-file block walk.
   static bool open_v2(const std::string& p) {
@@ -215,6 +83,7 @@ class TraceV2FuzzTest : public TraceFuzzTest {
     return sink != 0xdeadULL;
   }
 
+  fs::path dir_;
   std::vector<trace::MicroOp> ops_;
   std::vector<char> valid_v2_;
 };
@@ -286,7 +155,57 @@ TEST_F(TraceV2FuzzTest, TruncationsAndExtensionsAlwaysThrow) {
   }
 }
 
+TEST_F(TraceV2FuzzTest, ProvenanceFlipsNeverCrash) {
+  // seed [24,32) and name [40,64) are provenance, not integrity: a flip
+  // may load fine (different seed/name) — it must never crash or hang.
+  Xoshiro256 rng(0xbadc0deULL);
+  int accepted = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    std::vector<char> bytes = valid_v2_;
+    const std::size_t off =
+        rng.below(2) == 0 ? 24 + rng.below(8) : 40 + rng.below(24);
+    bytes[off] = static_cast<char>(bytes[off] ^ (1u << rng.below(8)));
+    const std::string p = write_mutant(bytes);
+    try {
+      const trace::TraceSource src = trace::TraceSource::open_samt(p);
+      ASSERT_EQ(src.size(), ops_.size());
+      ++accepted;
+    } catch (const trace::TraceFormatError&) {
+      // Also acceptable — just never a crash.
+    }
+  }
+  // Sanity: these flips are outside every integrity check, so at least
+  // some mutants must have loaded (all-throw would mean the regions
+  // above are mislabeled and the MUST-throw tests are vacuous).
+  EXPECT_GT(accepted, 0);
+}
+
+void put_u64(std::vector<char>& bytes, std::size_t off, std::uint64_t v) {
+  std::memcpy(bytes.data() + off, &v, sizeof v);
+}
+
+[[nodiscard]] trace::SamtFooter footer_of(const std::vector<char>& bytes) {
+  trace::SamtFooter footer{};
+  std::memcpy(&footer, bytes.data() + bytes.size() - sizeof footer,
+              sizeof footer);
+  return footer;
+}
+
+/// Re-seals the index region of a v2 file after it was edited: the
+/// index guard and the header checksum that binds the region.
+void reseal_index(std::vector<char>& bytes) {
+  const trace::SamtFooter footer = footer_of(bytes);
+  const auto region = static_cast<std::size_t>(footer.index_offset);
+  const auto region_bytes = static_cast<std::size_t>(footer.index_bytes);
+  put_u64(bytes, region + region_bytes - 8,
+          trace::fnv1a_64(bytes.data() + region, region_bytes - 8));
+  put_u64(bytes, offsetof(trace::SamtHeader, checksum),
+          trace::fnv1a_64(bytes.data() + region, region_bytes));
+}
+
 TEST_F(TraceV2FuzzTest, DamageIsClassifiedByRegion) {
+  const trace::SamtFooter footer = footer_of(valid_v2_);
+  const auto index = static_cast<std::size_t>(footer.index_offset);
   // Torn tail: cut the file mid-blocks (the footer and index are gone).
   {
     std::vector<char> bytes = valid_v2_;
@@ -312,14 +231,85 @@ TEST_F(TraceV2FuzzTest, DamageIsClassifiedByRegion) {
   // Bad index: flip a byte inside the index region (located via the
   // footer at the end of the intact file).
   {
-    trace::SamtFooter footer{};
-    std::memcpy(&footer, valid_v2_.data() + valid_v2_.size() - sizeof footer,
-                sizeof footer);
     std::vector<char> bytes = valid_v2_;
-    const std::size_t off = static_cast<std::size_t>(footer.index_offset) + 9;
+    const std::size_t off = index + 9;
     bytes[off] = static_cast<char>(bytes[off] ^ 0x01);
     const trace::TraceHealth h = trace::trace_health(write_mutant(bytes));
     EXPECT_EQ(h.damage, trace::TraceDamage::kBadIndex);
+  }
+
+  // Each layout verdict, reached with the guards in front of it intact
+  // or resealed, reads as the same damage, offset and note through the
+  // reader and through the damage walk.
+  const auto expect_verdict = [&](const std::vector<char>& bytes,
+                                  trace::TraceDamage damage,
+                                  std::uint64_t offset,
+                                  const std::string& note) {
+    SCOPED_TRACE(note);
+    const std::string p = write_mutant(bytes);
+    const fixture::Thrown e =
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+    EXPECT_EQ(e.type, "TraceCorruptError");
+    EXPECT_EQ(e.damage, damage);
+    EXPECT_EQ(e.block, trace::TraceCorruptError::kNoBlock);
+    EXPECT_EQ(e.offset, offset);
+    EXPECT_EQ(e.what, p + ": " + note);
+    const trace::TraceHealth h = trace::trace_health(p);
+    EXPECT_EQ(h.damage, damage);
+    EXPECT_EQ(h.first_bad_offset, offset);
+    EXPECT_EQ(h.note, note);
+    EXPECT_TRUE(h.blocks.empty());
+  };
+  const std::size_t entries = index + 8;
+  const std::size_t blocks =
+      (footer.index_bytes - 16) / sizeof(trace::SamtIndexEntry);
+  ASSERT_GE(blocks, 3u);
+  // The header plus fewer bytes than the smallest index and a footer.
+  for (const std::size_t tail : {0u, 1u, 47u}) {
+    std::vector<char> bytes(valid_v2_.begin(),
+                            valid_v2_.begin() + 64 + tail);
+    expect_verdict(bytes, trace::TraceDamage::kTornTail, 64 + tail,
+                   "file too short for an index and footer (torn tail)");
+  }
+  {
+    std::vector<char> bytes = valid_v2_;
+    trace::SamtFooter moved = footer;
+    moved.index_offset += 8;
+    moved.guard = trace::fnv1a_64(&moved, sizeof moved - sizeof moved.guard);
+    std::memcpy(bytes.data() + bytes.size() - sizeof moved, &moved,
+                sizeof moved);
+    expect_verdict(bytes, trace::TraceDamage::kBadIndex, moved.index_offset,
+                   "footer index bounds are inconsistent");
+  }
+  {
+    std::vector<char> bytes = valid_v2_;
+    bytes[index] = static_cast<char>(bytes[index] ^ 0x01);  // "SIDX" magic
+    expect_verdict(bytes, trace::TraceDamage::kBadIndex, index,
+                   "index header is inconsistent");
+  }
+  {
+    std::vector<char> bytes = valid_v2_;
+    const std::size_t at = entries + sizeof(trace::SamtIndexEntry) +
+                           offsetof(trace::SamtIndexEntry, first_record);
+    std::uint64_t first = 0;
+    std::memcpy(&first, bytes.data() + at, sizeof first);
+    put_u64(bytes, at, first + 1);
+    reseal_index(bytes);
+    expect_verdict(bytes, trace::TraceDamage::kBadIndex, index,
+                   "index entry 1 is inconsistent");
+  }
+  {
+    std::vector<char> bytes = valid_v2_;
+    const std::size_t at = entries +
+                           (blocks - 1) * sizeof(trace::SamtIndexEntry) +
+                           offsetof(trace::SamtIndexEntry, record_count);
+    std::uint32_t count = 0;
+    std::memcpy(&count, bytes.data() + at, sizeof count);
+    ++count;
+    std::memcpy(bytes.data() + at, &count, sizeof count);
+    reseal_index(bytes);
+    expect_verdict(bytes, trace::TraceDamage::kBadIndex, index,
+                   "index does not cover the file / header count");
   }
 }
 
@@ -348,10 +338,9 @@ TEST_F(TraceV2FuzzTest, RandomGarbageNeverCrashesV2Reader) {
 // corrupt the heap (an 8-byte store straddling a page edge, a register
 // past the 64-entry rename table, an access size that overflows a
 // shift). open_samt rejects every record outside the record domain
-// (trace::record_domain_violation, and for v1 the records no MicroOp can
-// hold) as interior corruption, in every build and with or without v1's
-// checksum pass, while the v2 codec stays format-level and round-trips
-// such records.
+// (trace::record_domain_violation) as interior corruption, in every
+// build, while the v2 codec stays format-level and round-trips such
+// records.
 
 /// A record the model cannot simulate, planted at kBadRecord.
 struct BadRecord {
@@ -387,10 +376,9 @@ const BadRecord kBadRecords[] = {
 /// Asserts that TraceSource::open_samt rejects `p` as interior
 /// corruption at (block, offset), naming the bad record and `rule`.
 void expect_domain_rejected(const std::string& p, std::uint64_t block,
-                            std::uint64_t offset, bool verify_checksum,
-                            const std::string& rule = "") {
+                            std::uint64_t offset) {
   try {
-    (void)trace::TraceSource::open_samt(p, verify_checksum);
+    (void)trace::TraceSource::open_samt(p);
     ADD_FAILURE() << p << " opened despite an out-of-domain record";
   } catch (const trace::TraceCorruptError& e) {
     EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
@@ -400,7 +388,6 @@ void expect_domain_rejected(const std::string& p, std::uint64_t block,
     EXPECT_NE(what.find("record " + std::to_string(kBadRecord)),
               std::string::npos)
         << what;
-    EXPECT_NE(what.find(rule), std::string::npos) << what;
   }
 }
 
@@ -420,8 +407,7 @@ TEST_F(TraceV2FuzzTest, OpenRejectsRecordsOutsideTheDomain) {
                           sizeof(trace::MicroOp)),
               0);
     const std::uint64_t block = kBadRecord / 256;
-    expect_domain_rejected(p, block, r.index()[block].file_offset, true);
-    expect_domain_rejected(p, block, r.index()[block].file_offset, false);
+    expect_domain_rejected(p, block, r.index()[block].file_offset);
   }
 }
 
@@ -482,34 +468,20 @@ TEST_F(TraceV2FuzzTest, ErrorPrecedenceIsLowestBlockThenRecordDomain) {
 }
 
 /// Re-seals a one-block v2 file after its payload was edited: the block
-/// guard, its index copy, the index guard and the header checksum.
+/// guard, its index copy, then the index as reseal_index does.
 void reseal_one_block(std::vector<char>& bytes) {
-  auto u64_at = [&](std::size_t off) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + off, sizeof v);
-    return v;
-  };
-  auto put_u64 = [&](std::size_t off, std::uint64_t v) {
-    std::memcpy(bytes.data() + off, &v, sizeof v);
-  };
   constexpr std::size_t kBlock = sizeof(trace::SamtHeader);
   trace::SamtBlockHeader h{};
   std::memcpy(&h, bytes.data() + kBlock, sizeof h);
   const std::uint64_t guard = trace::fnv1a_64(
       bytes.data() + kBlock + sizeof h, h.payload_bytes,
       trace::fnv1a_64(&h, sizeof h - sizeof h.guard));
-  put_u64(kBlock + offsetof(trace::SamtBlockHeader, guard), guard);
-  const std::size_t footer = bytes.size() - sizeof(trace::SamtFooter);
-  const auto region =
-      static_cast<std::size_t>(u64_at(footer + offsetof(trace::SamtFooter,
-                                                        index_offset)));
-  const auto region_bytes = static_cast<std::size_t>(
-      u64_at(footer + offsetof(trace::SamtFooter, index_bytes)));
-  put_u64(region + 8 + offsetof(trace::SamtIndexEntry, guard), guard);
-  put_u64(region + region_bytes - 8,
-          trace::fnv1a_64(bytes.data() + region, region_bytes - 8));
-  put_u64(offsetof(trace::SamtHeader, checksum),
-          trace::fnv1a_64(bytes.data() + region, region_bytes));
+  put_u64(bytes, kBlock + offsetof(trace::SamtBlockHeader, guard), guard);
+  put_u64(bytes,
+          footer_of(bytes).index_offset + 8 +
+              offsetof(trace::SamtIndexEntry, guard),
+          guard);
+  reseal_index(bytes);
 }
 
 TEST_F(TraceV2FuzzTest, VarintTenthByteIsJudgedAlikeOnBothDecodePaths) {
@@ -566,47 +538,6 @@ TEST_F(TraceV2FuzzTest, VarintTenthByteIsJudgedAlikeOnBothDecodePaths) {
                   std::string::npos)
             << e.what;
       }
-    }
-  }
-}
-
-TEST_F(TraceFuzzTest, OpenRejectsV1RecordsOutsideTheDomain) {
-  struct V1BadRecord {
-    const char* what;
-    const char* rule;
-    void (*plant_op)(trace::MicroOp&);
-    void (*plant_record)(trace::SamtV1Record&);
-  };
-  std::vector<V1BadRecord> cases;
-  for (const BadRecord& bad : kBadRecords) {
-    cases.push_back({bad.what, "", bad.plant, nullptr});
-  }
-  // Two records a v1 file can hold and a MicroOp cannot.
-  cases.push_back({"taken byte 2", "taken flag must be 0 or 1", nullptr,
-                   [](trace::SamtV1Record& r) { r.taken = 2; }});
-  cases.push_back({"memory address and branch target",
-                   "memory address and branch target both set", nullptr,
-                   [](trace::SamtV1Record& r) {
-                     r.op = static_cast<std::uint8_t>(trace::OpClass::kLoad);
-                     r.mem_size = 8;
-                     r.mem_addr = 0x10000000;
-                     r.br_target = 0x00400000;
-                   }});
-  for (const V1BadRecord& bad : cases) {
-    SCOPED_TRACE(bad.what);
-    std::vector<trace::MicroOp> ops = generated_ops();
-    if (bad.plant_op != nullptr) bad.plant_op(ops[kBadRecord]);
-    std::vector<trace::SamtV1Record> records = fixture::v1_records(
-        trace::TraceView(ops.data(), ops.size()));
-    if (bad.plant_record != nullptr) bad.plant_record(records[kBadRecord]);
-    const std::string p = path("bad_v1.samt");
-    fixture::write_samt_v1(p, records, "gcc", 11);
-    const std::uint64_t offset =
-        sizeof(trace::SamtHeader) + kBadRecord * trace::kSamtRecordBytes;
-    // --no-verify-checksum skips only the checksum pass, never this check.
-    for (const bool verify : {true, false}) {
-      expect_domain_rejected(p, trace::TraceCorruptError::kNoBlock, offset,
-                             verify, bad.rule);
     }
   }
 }

@@ -1,10 +1,9 @@
 // Tests for the SAMT binary trace format and the trace-source layer:
-// v2 writes are byte-stable, v1 files (written by the test-only fixture
-// in samt_v1_fixture.h) read back exactly through the converting reader
-// and replay bit-identically to in-memory simulation for every LSQ
-// kind, generated sources hold the generator's records byte for byte,
-// malformed files are rejected with clear errors, and the text importer
-// builds traces that satisfy the generator's invariants.
+// v2 writes are byte-stable, recorded files replay bit-identically to
+// in-memory simulation for every LSQ kind, generated sources hold the
+// generator's records byte for byte, malformed files (a retired
+// version-1 file included) are rejected with clear errors, and the text
+// importer builds traces that satisfy the generator's invariants.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -24,7 +23,7 @@
 #include "src/trace/trace_source.h"
 #include "src/trace/trace_view.h"
 #include "src/trace/workload.h"
-#include "tests/samt_v1_fixture.h"
+#include "tests/trace_thrown.h"
 
 namespace samie {
 namespace {
@@ -61,6 +60,15 @@ class TraceIoTest : public ::testing::Test {
     std::ifstream in(p, std::ios::binary);
     return std::vector<char>(std::istreambuf_iterator<char>(in),
                              std::istreambuf_iterator<char>());
+  }
+
+  /// `bytes` written to `file` in the test directory; returns its path.
+  [[nodiscard]] std::string write_bytes(const std::string& file,
+                                        const std::vector<char>& bytes) const {
+    const std::string p = path(file);
+    std::ofstream(p, std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return p;
   }
 
   fs::path dir_;
@@ -124,23 +132,6 @@ void expect_results_identical(const sim::SimResult& a, const sim::SimResult& b) 
 
 // ------------------------------------------------------------ round trip --
 
-TEST_F(TraceIoTest, WriteReadRoundTripPreservesEverything) {
-  const trace::Trace t = small_trace();
-  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
-
-  trace::TraceReader reader(path("t.samt"));
-  EXPECT_EQ(reader.name(), "gcc");
-  EXPECT_EQ(reader.header().seed, 7U);
-  EXPECT_EQ(reader.header().count, t.size());
-  EXPECT_EQ(reader.header().version, trace::kSamtVersion);
-  EXPECT_EQ(reader.header().record_bytes, trace::kSamtRecordBytes);
-
-  const trace::Trace back = reader.read_all();
-  EXPECT_EQ(back.name, "gcc");
-  EXPECT_EQ(back.seed, 7U);
-  expect_ops_equal(t, back);
-}
-
 TEST_F(TraceIoTest, RoundTripIsByteStable) {
   const trace::Trace t = small_trace();
   trace::write_samt_v2(path("a.samt"), t, t.name, t.seed);
@@ -155,62 +146,84 @@ TEST_F(TraceIoTest, RoundTripIsByteStable) {
 
 TEST_F(TraceIoTest, EmptyTraceRoundTrips) {
   const trace::Trace empty{.name = "void", .seed = 3, .ops = {}};
-  fixture::write_samt_v1(path("e.samt"), empty, empty.name, empty.seed);
-  EXPECT_EQ(trace::TraceReader(path("e.samt")).read_all().size(), 0U);
+  trace::write_samt_v2(path("e.samt"), empty, empty.name, empty.seed);
   const trace::TraceSource opened = trace::TraceSource::open_samt(path("e.samt"));
   EXPECT_EQ(opened.size(), 0U);
   EXPECT_TRUE(opened.view().empty());
+  EXPECT_EQ(opened.name(), "void");
+  EXPECT_EQ(opened.seed(), 3U);
 }
 
 // -------------------------------------------------------- reject corrupt --
 
 TEST_F(TraceIoTest, RejectsBadMagic) {
   const trace::Trace t = small_trace(100);
-  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes[0] = 'X';
-  std::ofstream(path("bad.samt"), std::ios::binary)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(
-      try { trace::TraceReader r(path("bad.samt")); } catch (const trace::TraceFormatError& e) {
-        EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos);
-        throw;
-      },
-      trace::TraceFormatError);
-  EXPECT_THROW((void)trace::TraceSource::open_samt(path("bad.samt")),
-               trace::TraceFormatError);
+  const std::string p = write_bytes("bad.samt", bytes);
+  for (const fixture::Thrown& e :
+       {fixture::thrown_by([&] { return trace::read_samt_header(p); }),
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); })}) {
+    EXPECT_EQ(e.type, "TraceFormatError");
+    EXPECT_NE(e.what.find("bad magic"), std::string::npos) << e.what;
+  }
 }
 
 TEST_F(TraceIoTest, RejectsWrongVersion) {
   const trace::Trace t = small_trace(100);
-  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes[8] = 99;  // version field (offset 8, little-endian u32)
-  std::ofstream(path("v99.samt"), std::ios::binary)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(
-      try { trace::TraceReader r(path("v99.samt")); } catch (const trace::TraceFormatError& e) {
-        EXPECT_NE(std::string(e.what()).find("version 99"), std::string::npos);
-        throw;
-      },
-      trace::TraceFormatError);
+  const std::string p = write_bytes("v99.samt", bytes);
+  for (const fixture::Thrown& e :
+       {fixture::thrown_by([&] { return trace::read_samt_header(p); }),
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); })}) {
+    EXPECT_EQ(e.type, "TraceFormatError");
+    EXPECT_NE(e.what.find("version 99"), std::string::npos) << e.what;
+  }
+}
+
+TEST_F(TraceIoTest, RejectsVersionOneWithTheUpgradeCommit) {
+  // A header that says version 1, as the retired flat-array format
+  // wrote it, followed by three zero 40-byte records. Every library
+  // entry point refuses it with one message naming the commit whose
+  // samt_convert upgrades it; none of them classifies it as damage.
+  trace::SamtHeader h{};
+  std::memcpy(h.magic, trace::kSamtMagic, sizeof h.magic);
+  h.version = trace::kSamtVersion1;
+  h.record_bytes = trace::kSamtRecordBytes;
+  h.count = 3;
+  std::vector<char> bytes(sizeof h + 3 * trace::kSamtRecordBytes, 0);
+  std::memcpy(bytes.data(), &h, sizeof h);
+  const std::string p = write_bytes("v1.samt", bytes);
+  const std::string expected =
+      p + ": SAMT version 1 is no longer read; convert the file to version "
+          "2 with samt_convert built at commit " +
+      trace::kSamtV1ConvertCommit + ", the last that reads version 1";
+  for (const fixture::Thrown& e :
+       {fixture::thrown_by([&] { return trace::read_samt_header(p); }),
+        fixture::thrown_by([&] { return trace::TraceV2Reader(p); }),
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); }),
+        fixture::thrown_by([&] { return trace::trace_health(p); })}) {
+    EXPECT_EQ(e.type, "TraceFormatError");
+    EXPECT_EQ(e.what, expected);
+  }
 }
 
 TEST_F(TraceIoTest, RejectsTruncatedFile) {
   const trace::Trace t = small_trace(100);
-  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
   bytes.resize(bytes.size() - 13);
-  std::ofstream(path("trunc.samt"), std::ios::binary)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(
-      try { trace::TraceReader r(path("trunc.samt")); } catch (const trace::TraceFormatError& e) {
-        EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
-        throw;
-      },
-      trace::TraceFormatError);
-  EXPECT_THROW((void)trace::TraceSource::open_samt(path("trunc.samt")),
-               trace::TraceFormatError);
+  const std::string p = write_bytes("trunc.samt", bytes);
+  // The header is intact; the footer is not.
+  EXPECT_NO_THROW((void)trace::read_samt_header(p));
+  const fixture::Thrown e =
+      fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+  EXPECT_EQ(e.type, "TraceCorruptError");
+  EXPECT_EQ(e.damage, trace::TraceDamage::kTornTail);
+  EXPECT_NE(e.what.find("torn tail"), std::string::npos) << e.what;
 }
 
 TEST_F(TraceIoTest, RejectsHeaderOnlyStub) {
@@ -223,24 +236,27 @@ TEST_F(TraceIoTest, RejectsHeaderOnlyStub) {
 
 TEST_F(TraceIoTest, RejectsChecksumMismatch) {
   const trace::Trace t = small_trace(100);
-  fixture::write_samt_v1(path("t.samt"), t, t.name, t.seed);
+  trace::write_samt_v2(path("t.samt"), t, t.name, t.seed);
   auto bytes = slurp(path("t.samt"));
-  bytes[sizeof(trace::SamtHeader) + 5] ^= 0x40;  // flip a record bit
-  std::ofstream(path("flip.samt"), std::ios::binary)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  // Flip a bit in the first record's payload (after the header and the
+  // 32-byte block header).
+  bytes[sizeof(trace::SamtHeader) + sizeof(trace::SamtBlockHeader) + 5] ^=
+      0x40;
+  const std::string p = write_bytes("flip.samt", bytes);
   // The header itself is fine...
-  EXPECT_NO_THROW((void)trace::read_samt_header(path("flip.samt")));
-  // ...but reading the records notices, unless the pass is skipped.
-  EXPECT_THROW((void)trace::TraceReader(path("flip.samt")).read_all(),
-               trace::TraceFormatError);
-  EXPECT_THROW((void)trace::TraceSource::open_samt(path("flip.samt")),
-               trace::TraceFormatError);
-  EXPECT_NO_THROW((void)trace::TraceSource::open_samt(path("flip.samt"),
-                                                      /*verify_checksum=*/false));
+  EXPECT_NO_THROW((void)trace::read_samt_header(p));
+  // ...but decoding the block checks its guard.
+  const fixture::Thrown e =
+      fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+  EXPECT_EQ(e.type, "TraceCorruptError");
+  EXPECT_EQ(e.damage, trace::TraceDamage::kInteriorCorrupt);
+  EXPECT_NE(e.what.find("guard mismatch"), std::string::npos) << e.what;
 }
 
 TEST_F(TraceIoTest, RejectsMissingFile) {
   EXPECT_THROW((void)trace::read_samt_header(path("absent.samt")),
+               trace::TraceFormatError);
+  EXPECT_THROW((void)trace::TraceSource::open_samt(path("absent.samt")),
                trace::TraceFormatError);
 }
 
@@ -249,9 +265,9 @@ TEST_F(TraceIoTest, RejectsMissingFile) {
 TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("ammp"), 42);
   const trace::Trace t = gen.generate(30000);
-  fixture::write_samt_v1(path("ammp.samt"), t, "ammp", 42);
+  trace::write_samt_v2(path("ammp.samt"), t, "ammp", 42);
 
-  const trace::Trace copied = trace::TraceReader(path("ammp.samt")).read_all();
+  const trace::Trace copied = trace::TraceV2Reader(path("ammp.samt")).read_all();
 
   for (const auto lsq : {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
                          sim::LsqChoice::kSamie}) {
@@ -271,7 +287,7 @@ TEST_F(TraceIoTest, ReplayIsBitIdenticalForEveryLsqKind) {
 TEST_F(TraceIoTest, RunJobsSharesOneSourceAcrossLsqSweep) {
   trace::WorkloadGenerator gen(trace::spec2000_profile("swim"), 9);
   const trace::Trace t = gen.generate(20000);
-  fixture::write_samt_v1(path("swim.samt"), t, "swim", 9);
+  trace::write_samt_v2(path("swim.samt"), t, "swim", 9);
 
   std::vector<sim::Job> jobs;
   for (const auto lsq : {sim::LsqChoice::kConventional, sim::LsqChoice::kArb,
@@ -310,19 +326,12 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   EXPECT_EQ(generated.seed(), 7U);
   EXPECT_EQ(generated.size(), 1000U);
 
-  fixture::write_samt_v1(path("g.samt"), generated.view(), generated.name(),
-                         generated.seed());
-  const trace::TraceSource v1 = trace::TraceSource::open_samt(path("g.samt"));
-  EXPECT_EQ(v1.name(), "gcc");
-  EXPECT_EQ(v1.seed(), 7U);
-  expect_ops_equal(generated.view(), v1.view());
-
-  trace::write_samt_v2(path("g2.samt"), generated.view(), generated.name(),
+  trace::write_samt_v2(path("g.samt"), generated.view(), generated.name(),
                        generated.seed());
-  const trace::TraceSource v2 = trace::TraceSource::open_samt(path("g2.samt"));
-  EXPECT_EQ(v2.name(), "gcc");
-  EXPECT_EQ(v2.seed(), 7U);
-  expect_ops_equal(generated.view(), v2.view());
+  const trace::TraceSource opened = trace::TraceSource::open_samt(path("g.samt"));
+  EXPECT_EQ(opened.name(), "gcc");
+  EXPECT_EQ(opened.seed(), 7U);
+  expect_ops_equal(generated.view(), opened.view());
 }
 
 TEST_F(TraceIoTest, GeneratedSourceIsByteIdenticalToGenerator) {

@@ -12,17 +12,16 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload.h"
-#include "tests/samt_v1_fixture.h"
 
 namespace samie {
 namespace {
@@ -32,10 +31,10 @@ namespace fs = std::filesystem;
 constexpr std::uint64_t kSeed = 42;
 constexpr std::uint64_t kRecords = 20'000;
 
-/// FNV-1a 64 of, per program: the generated records in their 40-byte
-/// SAMT v1 serialization (the layout the records had in memory when
-/// these were pinned), and the write_samt_v2 file at the default block
-/// size and at 512 records.
+/// FNV-1a 64 of, per program: the generated records in the 40-byte
+/// serialization of serialize40 (the layout the records had in memory
+/// when these were pinned), and the write_samt_v2 file at the default
+/// block size and at 512 records.
 struct Pin {
   const char* program;
   std::uint64_t records;
@@ -98,6 +97,31 @@ const Pin kPins[] = {
      0x8606f8e3304a1612ULL},
 };
 
+/// Each record as 40 little-endian bytes: pc, memory address, branch
+/// target, value (8 bytes each; a branch's `addr` is its target, any
+/// other record's its memory address), then op, mem_size, src1, src2,
+/// dst, taken and two zero bytes. This is the pins' own serialization,
+/// fixed so the record hashes never need re-deriving when the in-memory
+/// record changes; no reader parses it.
+[[nodiscard]] std::vector<unsigned char> serialize40(trace::TraceView ops) {
+  std::vector<unsigned char> out(ops.size() * 40);
+  unsigned char* p = out.data();
+  for (const trace::MicroOp& op : ops) {
+    const bool branch = op.op == trace::OpClass::kBranch;
+    const std::uint64_t words[4] = {op.pc, branch ? 0 : op.addr,
+                                    branch ? op.addr : 0, op.value};
+    std::memcpy(p, words, sizeof words);
+    p[32] = static_cast<unsigned char>(op.op);
+    p[33] = op.mem_size;
+    p[34] = op.src1;
+    p[35] = op.src2;
+    p[36] = op.dst;
+    p[37] = op.taken ? 1 : 0;
+    p += 40;  // bytes 38 and 39 stay zero
+  }
+  return out;
+}
+
 [[nodiscard]] std::uint64_t file_hash(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   const std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -106,8 +130,6 @@ const Pin kPins[] = {
 }
 
 TEST(TracePins, GeneratedRecordsAndV2BytesMatchPinnedHashes) {
-  static_assert(
-      std::has_unique_object_representations_v<trace::SamtV1Record>);
   const fs::path dir =
       fs::temp_directory_path() /
       ("samie_pins_" + std::to_string(static_cast<unsigned long>(::getpid())));
@@ -119,10 +141,8 @@ TEST(TracePins, GeneratedRecordsAndV2BytesMatchPinnedHashes) {
   for (const std::string& name : trace::spec2000_names()) {
     trace::WorkloadGenerator gen(trace::spec2000_profile(name), kSeed);
     const trace::Trace t = gen.generate(kRecords);
-    const std::vector<trace::SamtV1Record> v1 = fixture::v1_records(t);
-    Pin pin{nullptr,
-            trace::fnv1a_64(v1.data(), v1.size() * trace::kSamtRecordBytes),
-            0, 0};
+    const std::vector<unsigned char> bytes = serialize40(t);
+    Pin pin{nullptr, trace::fnv1a_64(bytes.data(), bytes.size()), 0, 0};
     trace::write_samt_v2(p, t, name, kSeed);
     pin.v2_default = file_hash(p);
     trace::write_samt_v2(p, t, name, kSeed, /*block_records=*/512);

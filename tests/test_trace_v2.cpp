@@ -98,16 +98,21 @@ TEST_F(TraceV2Test, RoundTripsGeneratedWorkload) {
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
                        512);
   const trace::TraceV2Reader r(p);
-  EXPECT_EQ(r.header().version, trace::kSamtVersion2);
+  // SamtHeader is packed: compare copies, never references to its fields.
+  EXPECT_EQ(std::uint32_t{r.header().version}, trace::kSamtVersion2);
+  EXPECT_EQ(std::uint32_t{r.header().record_bytes}, trace::kSamtRecordBytes);
+  EXPECT_EQ(std::uint64_t{r.header().seed}, 23U);
   EXPECT_EQ(r.name(), "gcc");
   EXPECT_EQ(r.record_count(), ops.size());
   EXPECT_EQ(r.block_count(), (ops.size() + 511) / 512);
   const trace::Trace t = r.read_all();
+  EXPECT_EQ(t.name, "gcc");
+  EXPECT_EQ(t.seed, 23U);
   EXPECT_TRUE(same_ops(t.ops, ops));
-  // read_samt_header works on v2 files too (version sniffing for
-  // replay autodetect).
-  EXPECT_EQ(trace::read_samt_header(p).version, trace::kSamtVersion2);
-  EXPECT_EQ(trace::read_samt_header(p).count, ops.size());
+  // read_samt_header reads the same header without touching the blocks.
+  const trace::SamtHeader h = trace::read_samt_header(p);
+  EXPECT_EQ(std::uint32_t{h.version}, trace::kSamtVersion2);
+  EXPECT_EQ(std::uint64_t{h.count}, ops.size());
 }
 
 TEST_F(TraceV2Test, RoundTripsAdversarialRecords) {
@@ -280,6 +285,34 @@ TEST_F(TraceV2Test, ResumePicksUpIntactBlocksOfATornTmp) {
   const std::string bb((std::istreambuf_iterator<char>(fb)),
                        std::istreambuf_iterator<char>());
   EXPECT_EQ(ba, bb);
+}
+
+TEST_F(TraceV2Test, ResumeRestartsFromAnUnusableTmp) {
+  // A tmp whose header this build cannot append to — here a version-1
+  // header and records — is not resumed: the writer starts a fresh tmp
+  // and the result is the same file a one-shot write produces.
+  const std::vector<trace::MicroOp> ops = workload(2'000);
+  const std::string p = path("stale.samt");
+  {
+    trace::SamtHeader h{};
+    std::memcpy(h.magic, trace::kSamtMagic, sizeof h.magic);
+    h.version = trace::kSamtVersion1;
+    h.record_bytes = trace::kSamtRecordBytes;
+    h.count = 600;
+    std::string bytes(sizeof h + 600 * trace::kSamtRecordBytes, '\0');
+    std::memcpy(bytes.data(), &h, sizeof h);
+    std::ofstream(trace::TraceWriterV2::tmp_path_for(p), std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  trace::TraceWriterV2 w(p, "gcc", 23, 512, trace::TraceWriterV2::Mode::kResume);
+  EXPECT_EQ(w.durable_records(), 0u);
+  w.append(trace::TraceView(ops.data(), ops.size()));
+  w.finish();
+  EXPECT_FALSE(fs::exists(trace::TraceWriterV2::tmp_path_for(p)));
+  const std::string q = path("oneshot.samt");
+  trace::write_samt_v2(q, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
+                       512);
+  EXPECT_EQ(slurp(p), slurp(q));
 }
 
 TEST_F(TraceV2Test, EnospcFaultKeepsTmpNeverFinal) {

@@ -10,7 +10,7 @@
 //   --programs=a,b  comma-separated SPEC2000 subset (default: whole suite)
 //   --lsq=K         restrict to one LSQ (conventional|arb|samie);
 //                   default: all three
-//   --trace-dir=D   sweep the recorded *.samt traces in D (v1 or v2)
+//   --trace-dir=D   sweep the recorded SAMT v2 traces (*.samt) in D
 //                   instead of generating synthetic workloads; replays
 //                   each trace in full (--insts/--seed are ignored)
 //   --no-skip       measure the always-step cycle loop (disables the

@@ -43,9 +43,6 @@
 //   --checkpoint=FILE      journal each completed job to FILE (crash-safe)
 //   --resume=FILE          resume an interrupted sweep from FILE: finished
 //                          jobs are loaded bit-identically, the rest run
-//   --no-verify-checksum   skip the SAMT v1 FNV-1a checksum pass on
-//                          replay (for re-opening an already-verified
-//                          trace; v2 block guards are always checked)
 //   --inject-fault=J:A:KIND[:ARG]  test/CI hook: inject a fault at job J
 //                          (0-based) attempt A (1-based); KIND is flaky
 //                          (transient throw), fail (deterministic throw),
@@ -69,10 +66,12 @@
 //                        trace to DIR/<program>.samt as SAMT v2 (DIR is
 //                        created); combined with --import-trace this
 //                        converts the imported text traces to SAMT v2
-//   --replay-trace=PATH  replay a recorded .samt file — or every .samt
-//                        in a directory — of either version (v2:
-//                        block-decoded; v1: converted as read). Replays
-//                        the full trace unless --insts is given
+//   --replay-trace=PATH  replay a recorded SAMT v2 file — or every .samt
+//                        in a directory — block-decoded, every guard
+//                        checked. Replays the full trace unless --insts
+//                        is given. A version-1 file is refused: convert
+//                        it with samt_convert as built at the commit
+//                        the error names
 //   --import-trace=PATH  import a plain-text trace file (or directory of
 //                        .txt/.trace files; one op per line) and run it
 //
@@ -239,8 +238,6 @@ int main(int argc, char** argv) {
       sweep.resume = true;
     } else if (arg.rfind("--inject-fault=", 0) == 0) {
       fault_plan.faults.push_back(parse_fault(arg.substr(15)));
-    } else if (arg == "--no-verify-checksum") {
-      cfg.verify_trace_checksum = false;
     } else if (parse_u64(arg, "--retries", v)) {
       if (v == 0) usage_error("--retries must be at least 1");
       sweep.retry.max_attempts = static_cast<std::uint32_t>(v);

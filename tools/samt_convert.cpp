@@ -1,22 +1,23 @@
-// samt_convert: converts a SAMT trace of either version to SAMT v2
-// (block-guarded, delta-encoded, indexed) — the only version this build
-// writes — with integrity verification on both ends. A v1 input (flat
-// 40-byte record array) is upgraded; a v2 input is re-blocked.
+// samt_convert: re-blocks a SAMT v2 trace (block-guarded, delta-encoded,
+// indexed), with integrity verification on both ends.
 //
 //   samt_convert [options] <in.samt> <out.samt>
 //
 //   --block-records=N  records per output block (default 4096)
 //   --no-verify        skip the post-write re-read of the output
 //
-// The input is fully decoded through its version's verifying reader
-// (v1: header + whole-file FNV-1a checksum; v2: footer, index and every
-// block guard), so a damaged input fails the conversion with a typed
-// error instead of laundering corruption into a clean-looking output.
-// After writing, the output is re-opened and verified the same way and
-// its record stream compared byte-for-byte against the input's, so a
-// conversion can never silently drop or alter records. The writer
-// publishes atomically (tmp + fsync + rename): a failed conversion
-// leaves no final file at the output path.
+// The input is opened the way a replay opens it (TraceSource::open_samt:
+// footer, index and every block guard verified, every record checked
+// against the record domain), so a damaged input, or one no replay
+// accepts, fails the conversion with a typed error instead of laundering
+// it into a clean-looking output. After writing, the output is re-opened
+// and verified the same way and its record stream compared byte-for-byte
+// against the input's, so a conversion can never silently drop or alter
+// records. The writer publishes atomically (tmp + fsync + rename): a
+// failed conversion leaves no final file at the output path.
+//
+// A version-1 input is refused with the error every reader gives it,
+// which names the last commit whose samt_convert upgrades v1 to v2.
 //
 // Exit status: 0 on success, 1 on any error (usage, unreadable or
 // damaged input, write failure, post-write verification mismatch).
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "src/trace/trace_io.h"
+#include "src/trace/trace_source.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -38,16 +40,6 @@ using namespace samie;
             << "\nusage: samt_convert [--block-records=N] [--no-verify]"
                " <in.samt> <out.samt>\n";
   std::exit(1);
-}
-
-/// Reads and fully verifies `path` with the reader matching its version.
-trace::Trace read_verified(const std::string& path, std::uint32_t& version) {
-  const trace::SamtHeader header = trace::read_samt_header(path);
-  version = header.version;
-  if (header.version == trace::kSamtVersion2) {
-    return trace::TraceV2Reader(path).read_all();
-  }
-  return trace::TraceReader(path).read_all();
 }
 
 }  // namespace
@@ -80,22 +72,21 @@ int main(int argc, char** argv) {
   }
 
   try {
-    std::uint32_t in_version = 0;
-    const trace::Trace t = read_verified(in_path, in_version);
-    trace::write_samt_v2(out_path, t, t.name, t.seed,
+    const trace::TraceSource in = trace::TraceSource::open_samt(in_path);
+    const trace::TraceView ops = in.view();
+    trace::write_samt_v2(out_path, ops, in.name(), in.seed(),
                          static_cast<std::uint32_t>(block_records));
 
     if (verify_output) {
-      std::uint32_t out_version = 0;
-      const trace::Trace back = read_verified(out_path, out_version);
+      const trace::TraceSource back = trace::TraceSource::open_samt(out_path);
       static_assert(
           std::has_unique_object_representations_v<trace::MicroOp>);
       const bool same =
-          out_version == trace::kSamtVersion2 && back.name == t.name &&
-          back.seed == t.seed && back.ops.size() == t.ops.size() &&
-          (t.ops.empty() ||
-           std::memcmp(back.ops.data(), t.ops.data(),
-                       t.ops.size() * sizeof(trace::MicroOp)) == 0);
+          back.name() == in.name() && back.seed() == in.seed() &&
+          back.size() == ops.size() &&
+          (ops.empty() ||
+           std::memcmp(back.view().data(), ops.data(),
+                       ops.size() * sizeof(trace::MicroOp)) == 0);
       if (!same) {
         std::cerr << "samt_convert: post-write verification mismatch: '"
                   << out_path << "' does not round-trip '" << in_path
@@ -103,9 +94,9 @@ int main(int argc, char** argv) {
         return 1;
       }
     }
-    std::cerr << "converted " << in_path << " (v" << in_version << ") -> "
-              << out_path << " (v2), " << t.ops.size()
-              << " records" << (verify_output ? ", verified" : "") << "\n";
+    std::cerr << "converted " << in_path << " -> " << out_path << ", "
+              << ops.size() << " records"
+              << (verify_output ? ", verified" : "") << "\n";
   } catch (const trace::TraceFormatError& e) {
     std::cerr << "samt_convert: " << e.what() << "\n";
     return 1;
