@@ -10,13 +10,14 @@
 // and the same statistics are computed over the block-decoded records.
 // Other arguments are SPEC2000 profile names.
 //
-// --verify mode instead deep-walks each named SAMT file checking every
-// integrity guard (footer, index and every block guard) and prints a
-// per-block status line plus, on damage, the damage class and the file
-// offset of the first corrupt byte. Exit status: 0 when every file
-// verified clean, 2 when any file is damaged, 1 on usage errors or files
-// that are not SAMT v2 traces at all (a version-1 file is refused with
-// the commit whose samt_convert upgrades it).
+// --verify mode instead deep-walks each named SAMT file making every
+// check a replay's open makes (footer, index and every block guard, and
+// every record against the record domain) and prints a per-block status
+// line plus, on damage, the damage class, the file offset of the first
+// corrupt byte and the verdict an open would throw. Exit status: 0 when
+// every file verified clean, 2 when any file is damaged, 1 on usage
+// errors or files that are not SAMT v2 traces at all (a version-1 file
+// is refused with the commit whose samt_convert upgrades it).
 #include <cstring>
 #include <filesystem>
 #include <iomanip>
@@ -75,7 +76,7 @@ int verify_file(const std::string& path) {
             << "), " << h.bad_blocks << " bad block"
             << (h.bad_blocks == 1 ? "" : "s")
             << ", first corrupt byte at offset " << h.first_bad_offset
-            << "\n";
+            << "\n  " << h.note << "\n";
   return 2;
 }
 

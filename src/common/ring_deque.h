@@ -56,6 +56,15 @@ class RingDeque {
     data_[(head_ + size_) & mask_] = std::move(v);
     ++size_;
   }
+  /// Appends a value-initialized element and returns it, so the caller
+  /// fills it in place.
+  T& emplace_back() {
+    if (size_ == data_.size()) regrow(data_.size() * 2);
+    T& slot = data_[(head_ + size_) & mask_];
+    slot = T{};
+    ++size_;
+    return slot;
+  }
   void push_front(T v) {
     if (size_ == data_.size()) regrow(data_.size() * 2);
     head_ = (head_ + data_.size() - 1) & mask_;

@@ -48,7 +48,7 @@
 #include "src/lsq/lsq_interface.h"
 #include "src/mem/hierarchy.h"
 #include "src/trace/instruction.h"
-#include "src/trace/trace_view.h"
+#include "src/trace/trace_window.h"
 
 namespace samie::core {
 
@@ -261,9 +261,11 @@ template <typename LsqT = lsq::LoadStoreQueue,
           typename ObserverT = CycleObserver>
 class Core final : private lsq::PresentBitClearer {
  public:
-  /// `trace` is a borrowed view: the backing storage (an owned Trace, a
-  /// TraceSource, a file mapping) must outlive the core.
-  Core(const CoreConfig& cfg, trace::TraceView trace, LsqT& lsq,
+  /// The core reads its records through `trace`, whose backing storage
+  /// (an owned Trace, a TraceSource) must outlive it. A source window
+  /// must keep at least rob_size + fetch_queue records behind the fetch
+  /// point (std::invalid_argument otherwise).
+  Core(const CoreConfig& cfg, trace::TraceWindow trace, LsqT& lsq,
        mem::MemoryHierarchy& memory, branch::HybridPredictor& predictor,
        branch::Btb& btb, energy::DcacheLedger* dcache_ledger,
        energy::DtlbLedger* dtlb_ledger, ObserverT* observer);
@@ -521,7 +523,10 @@ class Core final : private lsq::PresentBitClearer {
   void clear_present_bit(std::uint32_t set, std::uint32_t way) override;
 
   CoreConfig cfg_;
-  trace::TraceView trace_;
+  /// Every record the core reads: fetch, dispatch and the in-flight
+  /// records behind rob_op_ and store forwarding all lie in
+  /// [head_, fetch_seq_], at most rob_size + fetch_queue records.
+  trace::TraceWindow trace_;
   LsqT& lsq_;
   mem::MemoryHierarchy& mem_;
   branch::HybridPredictor& predictor_;
@@ -626,7 +631,7 @@ class Core final : private lsq::PresentBitClearer {
 /// A literal nullptr observer cannot deduce ObserverT; it means "no
 /// observer", which the type-erased default expresses.
 template <typename LsqT>
-Core(const CoreConfig&, trace::TraceView, LsqT&, mem::MemoryHierarchy&,
+Core(const CoreConfig&, trace::TraceWindow, LsqT&, mem::MemoryHierarchy&,
      branch::HybridPredictor&, branch::Btb&, energy::DcacheLedger*,
      energy::DtlbLedger*, std::nullptr_t) -> Core<LsqT, CycleObserver>;
 

@@ -38,6 +38,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace samie::core {
 
@@ -64,13 +65,13 @@ namespace detail {
 }  // namespace detail
 
 template <typename LsqT, typename ObserverT>
-Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceView trace, LsqT& lsq,
+Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceWindow trace, LsqT& lsq,
                  mem::MemoryHierarchy& memory,
                  branch::HybridPredictor& predictor, branch::Btb& btb,
                  energy::DcacheLedger* dcache_ledger,
                  energy::DtlbLedger* dtlb_ledger, ObserverT* observer)
     : cfg_(cfg),
-      trace_(trace),
+      trace_(std::move(trace)),
       lsq_(lsq),
       mem_(memory),
       predictor_(predictor),
@@ -90,6 +91,14 @@ Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceView trace, LsqT&
       fp_alu_(cfg.n_fp_alu),
       int_muldiv_(cfg.n_int_muldiv),
       fp_muldiv_(cfg.n_fp_muldiv) {
+  if (trace_.behind() <
+      std::uint64_t{cfg.rob_size} + std::uint64_t{cfg.fetch_queue}) {
+    throw std::invalid_argument(
+        "trace window keeps " + std::to_string(trace_.behind()) +
+        " records behind fetch; the core holds up to rob_size + "
+        "fetch_queue = " +
+        std::to_string(std::uint64_t{cfg.rob_size} + cfg.fetch_queue));
+  }
   lsq_.set_present_bit_clearer(this);
   if constexpr (!requires(const LsqT& q) { q.has_pending_work(); }) {
     // Type-erased queue: lsq_has_pending_work() is conservatively true,
@@ -211,6 +220,7 @@ void Core<LsqT, ObserverT>::try_schedule_load(InstSeq seq) {
     case lsq::LoadPlan::Kind::kForwardReady: {
       f.set(SlotStatus::kExecuting);
       ++res_.forwarded_loads;
+      assert(plan.store >= head_);  // in flight, so still in the window
       rob_cold_[rob_index(seq)].load_value =
           forwarded_value(op_of(seq), trace_[plan.store]);
       schedule_completion(seq, cycle_ + 1);
@@ -686,7 +696,12 @@ void Core<LsqT, ObserverT>::fetch_stage() {
   if (cycle_ >= fetch_stall_until_) {
     for (std::uint32_t n = 0; n < cfg_.fetch_width; ++n) {
       if (fetch_queue_.size() >= cfg_.fetch_queue) break;
-      if (fetch_seq_ >= trace_.size()) break;
+      if (fetch_seq_ >= trace_.decoded_end()) {
+        if (fetch_seq_ >= trace_.size()) break;
+        // Fetch reached a block not yet decoded. Every record still read
+        // lies in [head_, fetch_seq_), fewer than rob_size + fetch_queue.
+        trace_.decode_next(head_);
+      }
       const trace::MicroOp& op = trace_[fetch_seq_];
 
       const Addr line = op.pc >> 5U;
@@ -699,23 +714,21 @@ void Core<LsqT, ObserverT>::fetch_stage() {
         }
       }
 
-      Fetched fr;
+      // Built in place: a stack copy stored field by field and then
+      // reloaded whole defeats store-to-load forwarding on every fetch.
+      Fetched& fr = fetch_queue_.emplace_back();
       fr.seq = fetch_seq_;
       fr.dst = op.dst;
       fr.fp = trace::is_fp(op.op);
       fr.mem = trace::is_mem(op.op);
       fr.load = op.op == trace::OpClass::kLoad;
+      ++fetch_seq_;
       if (op.op == trace::OpClass::kBranch) {
         const bool pred = predictor_.predict_and_update(op.pc, op.taken);
         const branch::Btb::Result target = btb_.lookup(op.pc);
         if (op.taken) btb_.update(op.pc, op.addr);
         fr.mispredicted = (pred != op.taken) || (pred && op.taken && !target.hit);
-        fetch_queue_.push_back(fr);
-        ++fetch_seq_;
         if (pred) break;  // a predicted-taken branch ends the fetch group
-      } else {
-        fetch_queue_.push_back(fr);
-        ++fetch_seq_;
       }
     }
   }

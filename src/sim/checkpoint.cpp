@@ -1,6 +1,5 @@
 #include "src/sim/checkpoint.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -10,6 +9,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/common/fsync_dir.h"
 #include "src/trace/trace_io.h"  // fnv1a_64
 
 namespace samie::sim {
@@ -47,22 +47,6 @@ void flush_and_sync(const std::string& path, std::FILE* f) {
   }
 }
 
-/// fsyncs the directory holding `path`, making the directory entry
-/// itself durable: the per-record fsyncs persist the file's *contents*,
-/// but the rename that created the file lives in the directory, and a
-/// machine crash before a directory sync can lose the whole journal.
-[[nodiscard]] bool sync_parent_dir(const std::string& path) noexcept {
-  std::string dir;
-  const std::size_t slash = path.find_last_of('/');
-  dir = slash == std::string::npos ? "." : path.substr(0, slash);
-  if (dir.empty()) dir = "/";
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  const bool ok = ::fsync(fd) == 0;
-  ::close(fd);
-  return ok;
-}
-
 }  // namespace
 
 CheckpointWriter CheckpointWriter::create(const std::string& path,
@@ -91,7 +75,7 @@ CheckpointWriter CheckpointWriter::create(const std::string& path,
     io_fail(path, std::string("cannot rename into place: ") +
                       std::strerror(errno));
   }
-  if (!sync_parent_dir(path)) {
+  if (!fsync_parent_dir(path)) {
     io_fail(path, "cannot fsync parent directory after rename");
   }
   return append_to(path);
@@ -127,7 +111,7 @@ void CheckpointWriter::close() noexcept {
   ::fsync(::fileno(file_));
   std::fclose(file_);
   file_ = nullptr;
-  (void)sync_parent_dir(path_);
+  (void)fsync_parent_dir(path_);
 }
 
 void CheckpointWriter::append_line(char type, const std::string& payload) {

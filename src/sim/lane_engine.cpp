@@ -1,6 +1,7 @@
 #include "src/sim/lane_engine.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "src/branch/predictor.h"
 #include "src/core/core.h"
@@ -76,7 +77,7 @@ struct SamieBundle {
 template <typename Bundle>
 class LaneImpl final : public Lane {
  public:
-  LaneImpl(const SimConfig& cfg, trace::TraceView trace)
+  LaneImpl(const SimConfig& cfg, trace::TraceWindow trace)
       : cfg_(cfg),
         constants_(cfg_.paper_energy_constants
                        ? energy::paper_constants()
@@ -86,8 +87,8 @@ class LaneImpl final : public Lane {
         bundle_(cfg_, constants_),
         memory_(cfg_.memory),
         collector_(cfg_, constants_),
-        core_(cfg_.core, trace, bundle_.get(), memory_, predictor_, btb_,
-              &dcache_ledger_, &dtlb_ledger_, &collector_) {
+        core_(cfg_.core, std::move(trace), bundle_.get(), memory_,
+              predictor_, btb_, &dcache_ledger_, &dtlb_ledger_, &collector_) {
     core_.begin(cfg_.instructions);
   }
 
@@ -129,21 +130,33 @@ class LaneImpl final : public Lane {
   core::Core<typename Bundle::Queue, StatsCollector> core_;
 };
 
+std::unique_ptr<Lane> lane_over(const SimConfig& cfg,
+                                trace::TraceWindow trace) {
+  switch (cfg.lsq) {
+    case LsqChoice::kConventional:
+      return std::make_unique<LaneImpl<ConvBundle>>(cfg, std::move(trace));
+    case LsqChoice::kUnbounded:
+      return std::make_unique<LaneImpl<UnboundedBundle>>(cfg, std::move(trace));
+    case LsqChoice::kArb:
+      return std::make_unique<LaneImpl<ArbBundle>>(cfg, std::move(trace));
+    case LsqChoice::kSamie:
+      return std::make_unique<LaneImpl<SamieBundle>>(cfg, std::move(trace));
+  }
+  throw std::logic_error("make_lane: unknown LsqChoice");
+}
+
 }  // namespace
 
 std::unique_ptr<Lane> make_lane(const SimConfig& cfg,
                                 trace::TraceView trace) {
-  switch (cfg.lsq) {
-    case LsqChoice::kConventional:
-      return std::make_unique<LaneImpl<ConvBundle>>(cfg, trace);
-    case LsqChoice::kUnbounded:
-      return std::make_unique<LaneImpl<UnboundedBundle>>(cfg, trace);
-    case LsqChoice::kArb:
-      return std::make_unique<LaneImpl<ArbBundle>>(cfg, trace);
-    case LsqChoice::kSamie:
-      return std::make_unique<LaneImpl<SamieBundle>>(cfg, trace);
-  }
-  throw std::logic_error("make_lane: unknown LsqChoice");
+  return lane_over(cfg, trace);
+}
+
+std::unique_ptr<Lane> make_lane(const SimConfig& cfg,
+                                const trace::TraceSource& source) {
+  return lane_over(cfg, trace::TraceWindow(
+                            source, std::size_t{cfg.core.rob_size} +
+                                        cfg.core.fetch_queue));
 }
 
 }  // namespace samie::sim

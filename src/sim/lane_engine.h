@@ -39,5 +39,12 @@ class Lane {
 /// run_simulation; cfg is copied into the lane.
 [[nodiscard]] std::unique_ptr<Lane> make_lane(const SimConfig& cfg,
                                               trace::TraceView trace);
+/// The same machine over `source`'s blocks (the source must outlive the
+/// lane): the lane owns a TraceWindow that decodes each block as fetch
+/// reaches it, into a ring of the largest block plus rob_size +
+/// fetch_queue records. Statistics are bit-identical to a lane over
+/// source.view().
+[[nodiscard]] std::unique_ptr<Lane> make_lane(
+    const SimConfig& cfg, const trace::TraceSource& source);
 
 }  // namespace samie::sim

@@ -224,21 +224,18 @@ HotpathReport run_hotpath_measurement(const HotpathOptions& opt) {
       pr.wall_all.reserve(report.repeats);
       try {
         std::optional<trace::TraceSource> source;
-        trace::TraceView view;
         if (opt.trace_dir.empty()) {
           source.emplace(trace::TraceSource::generate(
               trace::spec2000_profile(programs[i]), opt.seed,
               opt.instructions));
-          view = source->view();
           cfg.instructions = opt.instructions;
         } else {
           source.emplace(trace::TraceSource::open_samt(trace_files[i]));
-          view = source->view();
           cfg.instructions = static_cast<std::uint64_t>(source->size());
         }
         for (std::uint32_t r = 0; r < report.repeats; ++r) {
           const auto t0 = Clock::now();
-          SimResult res = run_simulation(cfg, view);
+          SimResult res = run_simulation(cfg, *source);
           const double wall = seconds_since(t0);
           pr.wall_all.push_back(wall);
           // Min-of-repeats, never sum/mean: intermittent host noise only

@@ -186,7 +186,8 @@ void run_child_fault(const SweepFault& f) {
   }
 }
 
-[[noreturn]] void child_main(const SimConfig& cfg_in, trace::TraceView trace,
+[[noreturn]] void child_main(const SimConfig& cfg_in,
+                             const trace::TraceSource& trace,
                              const SweepFault* fault, const ChildLimits& lim,
                              int result_fd, int crash_fd) {
   install_child_handlers(crash_fd);
@@ -302,7 +303,8 @@ ProcessExecutor::~ProcessExecutor() {
 }
 
 void ProcessExecutor::spawn(std::uint64_t key, const SimConfig& cfg,
-                            trace::TraceView trace, const SweepFault* fault,
+                            const trace::TraceSource& trace,
+                            const SweepFault* fault,
                             const ChildLimits& limits) {
   int result_fds[2] = {-1, -1};
   int crash_fds[2] = {-1, -1};

@@ -7,9 +7,9 @@
 // anything a job can *throw*; this one survives anything a job can *do
 // to the process* — SIGSEGV, a glibc abort, an allocation bomb, a
 // runaway loop that never reaches the cooperative cancel check. The
-// child is fork() without exec: it inherits the parent's mappings (the
-// trace view stays valid, and crash backtrace addresses symbolize in
-// the parent), runs exactly the run_simulation the in-thread runner
+// child is fork() without exec: it inherits the parent's memory (the
+// trace's blocks stay readable, and crash backtrace addresses symbolize
+// in the parent), runs exactly the run_simulation the in-thread runner
 // runs, serializes the result through the same hexfloat text as the
 // checkpoint journal, and _exit()s. That round trip is bit-exact, which
 // is what makes isolated sweeps byte-identical to in-thread sweeps.
@@ -40,7 +40,10 @@
 #include <vector>
 
 #include "src/sim/sweep_scheduler.h"
-#include "src/trace/trace_view.h"
+
+namespace samie::trace {
+class TraceSource;
+}  // namespace samie::trace
 
 namespace samie::sim {
 
@@ -81,14 +84,15 @@ class ProcessExecutor {
   /// the scheduler drains via poll()).
   ~ProcessExecutor();
 
-  /// Forks one child for `key`. The trace view must stay valid in the
-  /// parent until the child's Event is returned (the child reads the
-  /// inherited mapping). `fault` may be nullptr; isolation-only fault
-  /// kinds execute inside the child. Throws TransientFault when pipe(2)
+  /// Forks one child for `key`. The trace must stay alive in the parent
+  /// until the child's Event is returned: the child decodes its blocks
+  /// from the memory it inherits. `fault` may be nullptr; isolation-only
+  /// fault kinds execute inside the child. Throws TransientFault when pipe(2)
   /// or fork(2) fail (EAGAIN/ENOMEM are load conditions — the scheduler
   /// retries with backoff).
-  void spawn(std::uint64_t key, const SimConfig& cfg, trace::TraceView trace,
-             const SweepFault* fault, const ChildLimits& limits);
+  void spawn(std::uint64_t key, const SimConfig& cfg,
+             const trace::TraceSource& trace, const SweepFault* fault,
+             const ChildLimits& limits);
 
   [[nodiscard]] std::size_t active() const noexcept { return children_.size(); }
 

@@ -10,15 +10,27 @@
 
 namespace samie::sim {
 
-SimResult run_simulation(const SimConfig& cfg, trace::TraceView trace) {
-  // One lane, stepped to completion in a single turn: every caller that
-  // steps a lane shares this machine construction, cycle loop and
-  // integer-ledger fold, so a stepped lane's statistics are
-  // bit-identical to this run's by construction.
-  const std::unique_ptr<Lane> lane = make_lane(cfg, trace);
-  while (lane->step(std::numeric_limits<std::uint64_t>::max())) {
+namespace {
+
+/// One lane, stepped to completion in a single turn: every caller that
+/// steps a lane shares this machine construction, cycle loop and
+/// integer-ledger fold, so a stepped lane's statistics are bit-identical
+/// to this run's by construction.
+SimResult run_to_completion(Lane& lane) {
+  while (lane.step(std::numeric_limits<std::uint64_t>::max())) {
   }
-  return lane->finish();
+  return lane.finish();
+}
+
+}  // namespace
+
+SimResult run_simulation(const SimConfig& cfg, trace::TraceView trace) {
+  return run_to_completion(*make_lane(cfg, trace));
+}
+
+SimResult run_simulation(const SimConfig& cfg,
+                         const trace::TraceSource& source) {
+  return run_to_completion(*make_lane(cfg, source));
 }
 
 SimResult run_program(const SimConfig& cfg, const std::string& program) {
@@ -32,9 +44,7 @@ SimResult run_trace_file(const SimConfig& cfg) {
   if (cfg.trace_path.empty()) {
     throw std::invalid_argument("run_trace_file: cfg.trace_path is empty");
   }
-  const trace::TraceSource source =
-      trace::TraceSource::open_samt(cfg.trace_path);
-  return run_simulation(cfg, source.view());
+  return run_simulation(cfg, trace::TraceSource::open_samt(cfg.trace_path));
 }
 
 }  // namespace samie::sim

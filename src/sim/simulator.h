@@ -11,6 +11,10 @@
 #include "src/trace/instruction.h"
 #include "src/trace/trace_view.h"
 
+namespace samie::trace {
+class TraceSource;
+}  // namespace samie::trace
+
 namespace samie::sim {
 
 /// Raw integer event counts of every energy ledger, in one flat array,
@@ -73,11 +77,16 @@ struct SimResult {
 };
 
 /// Runs `cfg` over `trace` (a fresh machine per call; deterministic).
-/// The view's backing storage — an owned Trace, a TraceSource, a file
-/// mapping — must stay alive for the duration of the call; `const
+/// The view's backing storage (an owned Trace, or a TraceSource's
+/// view()) must stay alive for the duration of the call; `const
 /// trace::Trace&` call sites convert implicitly.
 [[nodiscard]] SimResult run_simulation(const SimConfig& cfg,
                                        trace::TraceView trace);
+/// The same run over `source`'s blocks, decoded as fetch reaches them
+/// (make_lane's source overload): bit-identical to running
+/// source.view(), without ever decoding the whole trace.
+[[nodiscard]] SimResult run_simulation(const SimConfig& cfg,
+                                       const trace::TraceSource& source);
 
 /// Convenience: generates the named SPEC2000-profile trace and runs it.
 [[nodiscard]] SimResult run_program(const SimConfig& cfg,

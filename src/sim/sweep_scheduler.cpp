@@ -689,7 +689,7 @@ void run_in_threads(Lifecycle& life, const SweepOptions& opt,
         const auto trace = life.traces().get(job);
         SimConfig cfg = job.config;
         cfg.core.should_abort = &cancel;
-        end = completed(run_simulation(cfg, trace->view()));
+        end = completed(run_simulation(cfg, *trace));
       } catch (...) {
         end = failed(std::current_exception());
       }
@@ -793,7 +793,7 @@ void run_forked(Lifecycle& life, const SweepOptions& opt) {
       try {
         const SweepFault* fault = life.pre_run(*t);
         st.trace = life.traces().get(job);
-        exec.spawn(t->index, job.config, st.trace->view(), fault,
+        exec.spawn(t->index, job.config, *st.trace, fault,
                    ChildLimits{opt.job_mem_mb, opt.job_cpu_s});
       } catch (...) {
         life.end_attempt(*t, failed(std::current_exception()));

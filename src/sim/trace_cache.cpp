@@ -82,7 +82,7 @@ void TraceCache::finished(const Job& job) {
     }
   }
   // `done` goes out of scope here, outside the lock: a generated trace
-  // is unmapped, a decoded one freed, once its last worker drops it.
+  // is unmapped, an opened one freed, once its last worker drops it.
 }
 
 std::size_t TraceCache::resident_sources() const {

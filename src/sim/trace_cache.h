@@ -13,10 +13,10 @@
 // (resume-skipped jobs excluded), and finished() counts them back down.
 // When a key's last consumer finishes, the cache drops its own
 // shared_ptr — so a generated trace unmaps its pages (returning them to
-// the OS), a decoded SAMT file frees its buffer, and a mapped one
-// unmaps, the moment the last worker/child over it lets go of its
-// reference. Release alone bounds residency only by the traces whose
-// jobs are spread over the job list: a suite x LSQ sweep submitted
+// the OS) and an opened SAMT file frees its blocks the moment the last
+// worker/child over it lets go of its reference. Release alone bounds
+// residency only by the traces whose jobs are spread over the job
+// list: a suite x LSQ sweep submitted
 // LSQ-major would keep every program's trace until its last LSQ runs.
 // So the cache also hands the sweep its dispatch order, dispatch_order():
 // the registered jobs grouped by this same key, so a trace's jobs run

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cstddef>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/fsync_dir.h"
 #include "src/common/sparse_memory.h"
 
 namespace samie::trace {
@@ -118,21 +120,6 @@ std::unordered_map<std::string, IoFault> g_io_faults;
 [[nodiscard]] std::uint64_t short_read_cut(const IoFault& f) noexcept {
   if (f.kind != IoFault::Kind::kShortRead) return 0;
   return f.param != 0 ? f.param : 64;
-}
-
-/// fsync the directory containing `path`, so the rename that published a
-/// trace is itself durable. Best-effort: a failure here cannot un-publish
-/// the file, so it is not reported.
-void fsync_parent_dir(const std::string& path) noexcept {
-  std::error_code ec;
-  std::filesystem::path dir = std::filesystem::path(path).parent_path();
-  if (dir.empty()) dir = ".";
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-  (void)ec;
 }
 
 }  // namespace
@@ -362,40 +349,47 @@ void encode_record(const MicroOp& op, DeltaState& st,
   if (has_value) put_varint(p, op.value);
 }
 
-/// Decodes one record. False for bytes no record encodes: an op class
-/// past kNop, both address bits (a MicroOp holds one address), or a
-/// malformed varint.
+/// Decodes one record into `out`, each field written in place: no
+/// temporary record is built and copied out. False for bytes no record
+/// encodes: an op class past kNop, both address bits (a MicroOp holds one
+/// address), or a malformed varint; `out` is then partly written.
 template <bool kChecked>
-[[nodiscard]] bool decode_record(const unsigned char* p, std::size_t n,
-                                 std::size_t& pos, DeltaState& st,
-                                 MicroOp& out) noexcept {
+[[nodiscard, gnu::always_inline]] inline bool decode_record(
+    const unsigned char* p, std::size_t n, std::size_t& pos, DeltaState& st,
+    MicroOp& out) noexcept {
   if (kChecked && pos + 5 > n) return false;
-  const unsigned char b0 = p[pos++];
+  const unsigned char b0 = p[pos];
   if ((b0 & 0x0F) > kMaxOpClass) return false;
   if ((b0 & kHasMemBit) != 0 && (b0 & kHasBrBit) != 0) return false;
-  MicroOp op;
-  op.op = static_cast<OpClass>(b0 & 0x0F);
-  op.taken = (b0 & kTakenBit) != 0;
-  op.mem_size = p[pos++];
-  op.src1 = p[pos++];
-  op.src2 = p[pos++];
-  op.dst = p[pos++];
+  out.op = static_cast<OpClass>(b0 & 0x0F);
+  out.mem_size = p[pos + 1];
+  out.src1 = p[pos + 2];
+  out.src2 = p[pos + 3];
+  out.dst = p[pos + 4];
+  out.taken = (b0 & kTakenBit) != 0;
+  out.pad_[0] = 0;
+  out.pad_[1] = 0;
+  pos += 5;
   std::uint64_t u = 0;
   if (!get_varint<kChecked>(p, n, pos, u)) return false;
-  op.pc = st.prev_pc + zigzag_decode(u);
-  st.prev_pc = op.pc;
+  const Addr pc = st.prev_pc + zigzag_decode(u);
+  out.pc = pc;
+  st.prev_pc = pc;
+  Addr addr = 0;
   if ((b0 & kHasMemBit) != 0) {
     if (!get_varint<kChecked>(p, n, pos, u)) return false;
-    op.addr = st.prev_mem + zigzag_decode(u);
-    st.prev_mem = op.addr;
+    addr = st.prev_mem + zigzag_decode(u);
+    st.prev_mem = addr;
   } else if ((b0 & kHasBrBit) != 0) {
     if (!get_varint<kChecked>(p, n, pos, u)) return false;
-    op.addr = op.pc + zigzag_decode(u);
+    addr = pc + zigzag_decode(u);
   }
-  if ((b0 & kHasValueBit) != 0) {
-    if (!get_varint<kChecked>(p, n, pos, op.value)) return false;
+  out.addr = addr;
+  std::uint64_t value = 0;
+  if ((b0 & kHasValueBit) != 0 && !get_varint<kChecked>(p, n, pos, value)) {
+    return false;
   }
-  out = op;
+  out.value = value;
   return true;
 }
 
@@ -482,23 +476,59 @@ void encode_block(const MicroOp* ops, std::uint32_t n,
                          fnv1a_64(&h, kBlockGuardedHeaderBytes)};
 }
 
-/// No record index: no record outside the record domain.
-constexpr std::uint64_t kNoRecord = ~std::uint64_t{0};
+/// How far a block's guard is hashed: `guard` covers its guarded header
+/// bytes and payload bytes [0, hashed).
+struct GuardProgress {
+  std::uint64_t guard = 0;
+  std::size_t hashed = 0;
+};
+
+/// Decodes the `count` records of an `n`-byte block payload, writing
+/// record i field by field to ring[(at + i) & mask]. Returns how many
+/// decoded: fewer than `count` means the record at that index is
+/// undecodable. `pos` ends after the last decoded byte. With kHash, `g`
+/// is hashed kGuardBytesPerRecord payload bytes per decoded record, so
+/// the guard's multiply chain overlaps the decode.
+template <bool kHash>
+[[nodiscard]] std::uint32_t decode_payload(const unsigned char* payload,
+                                           std::size_t n,
+                                           std::uint32_t count,
+                                           MicroOp* ring, std::uint64_t at,
+                                           std::uint64_t mask,
+                                           std::size_t& pos,
+                                           GuardProgress& g) noexcept {
+  DeltaState st;
+  std::uint32_t i = 0;
+  // While a whole record's worth of bytes remains, no read can overrun.
+  for (; i < count && n - pos >= kMaxRecordBytes; ++i) {
+    if (!decode_record<false>(payload, n, pos, st, ring[(at + i) & mask])) {
+      return i;
+    }
+    if constexpr (kHash) {
+      if (n - g.hashed >= kGuardBytesPerRecord) {
+        g.guard = hash_guard_chunk(g.guard, payload + g.hashed);
+        g.hashed += kGuardBytesPerRecord;
+      }
+    }
+  }
+  for (; i < count; ++i) {
+    if (!decode_record<true>(payload, n, pos, st, ring[(at + i) & mask])) {
+      return i;
+    }
+  }
+  return i;
+}
 
 /// Verifies one raw block (header + payload as read from the file)
-/// against its index entry and its own guard, and decodes it, appending
-/// its records [lo, hi) to `out`. Any mismatch throws
+/// against its index entry and its own guard, and decodes its records
+/// to out[0, entry.record_count). Any mismatch throws
 /// TraceCorruptError(kInteriorCorrupt): the footer and index were
 /// already validated, so a bad block is interior damage. A payload that
 /// fails its guard throws the guard mismatch, never a decode error, as
 /// if the guard were checked first; what `out` then holds is unspecified.
-/// With `check_domain`, returns the block-relative index of the first
-/// stored record outside the record domain (kNoRecord if none).
-std::uint64_t decode_block(const std::string& path, const unsigned char* raw,
-                           std::size_t raw_bytes, const SamtIndexEntry& entry,
-                           std::uint64_t block_idx, std::uint32_t lo,
-                           std::uint32_t hi, std::vector<MicroOp>& out,
-                           bool check_domain) {
+void decode_block(const std::string& path, const unsigned char* raw,
+                  const SamtIndexEntry& entry, std::uint64_t block_idx,
+                  MicroOp* out) {
   auto corrupt = [&](const std::string& what) -> TraceCorruptError {
     return TraceCorruptError(
         path + ": block " + std::to_string(block_idx) + " at offset " +
@@ -506,68 +536,33 @@ std::uint64_t decode_block(const std::string& path, const unsigned char* raw,
         TraceDamage::kInteriorCorrupt, block_idx, entry.file_offset);
   };
   SamtBlockHeader h{};
-  if (raw_bytes != sizeof h + entry.payload_bytes) throw corrupt("short read");
   std::memcpy(&h, raw, sizeof h);
-  const unsigned char* payload = raw + sizeof h;
   if (h.magic != kBlockMagic || h.record_count != entry.record_count ||
       h.first_record != entry.first_record ||
       h.payload_bytes != entry.payload_bytes || h.guard != entry.guard) {
     throw corrupt("block header disagrees with the index");
   }
+  const unsigned char* payload = raw + sizeof h;
   const std::size_t n = h.payload_bytes;
-  // The guard is hashed kGuardBytesPerRecord bytes per decoded record
-  // and finished after the last one.
-  std::uint64_t guard = fnv1a_64(&h, kBlockGuardedHeaderBytes);
-  std::size_t hashed = 0;
-  DeltaState st;
+  GuardProgress g{fnv1a_64(&h, kBlockGuardedHeaderBytes), 0};
   std::size_t pos = 0;
-  MicroOp op;
-  std::uint64_t bad = kNoRecord;
-  auto keep = [&](std::uint32_t i) {
-    if (i < lo || i >= hi) return;
-    out.push_back(op);
-    if (check_domain && bad == kNoRecord &&
-        record_domain_violation(op) != nullptr) {
-      bad = i;
-    }
-  };
-  bool decoded = true;
-  std::uint32_t i = 0;
-  // While a whole record's worth of bytes remains, no read can overrun.
-  for (; i < h.record_count && n - pos >= kMaxRecordBytes; ++i) {
-    if (!decode_record<false>(payload, n, pos, st, op)) {
-      decoded = false;
-      break;
-    }
-    keep(i);
-    if (n - hashed >= kGuardBytesPerRecord) {
-      guard = hash_guard_chunk(guard, payload + hashed);
-      hashed += kGuardBytesPerRecord;
-    }
-  }
-  for (; decoded && i < h.record_count; ++i) {
-    if (!decode_record<true>(payload, n, pos, st, op)) {
-      decoded = false;
-      break;
-    }
-    keep(i);
-  }
-  if (fnv1a_64(payload + hashed, n - hashed, guard) != h.guard) {
+  const std::uint32_t decoded = decode_payload<true>(
+      payload, n, h.record_count, out, 0, ~std::uint64_t{0}, pos, g);
+  if (fnv1a_64(payload + g.hashed, n - g.hashed, g.guard) != h.guard) {
     throw corrupt("guard mismatch (corrupt payload)");
   }
-  if (!decoded) throw corrupt("undecodable record " + std::to_string(i));
+  if (decoded != h.record_count) {
+    throw corrupt("undecodable record " + std::to_string(decoded));
+  }
   if (pos != h.payload_bytes) throw corrupt("trailing payload bytes");
-  return bad;
 }
 
 /// Reads one raw block (header + payload) into `raw` with one pread,
-/// applies an armed bit-flip fault to the in-memory copy, and decodes it
-/// via decode_block.
-std::uint64_t read_block(const std::string& path, int fd,
-                         const SamtIndexEntry& entry, std::uint64_t block_idx,
-                         const IoFault& fault, unsigned char* raw,
-                         std::uint32_t lo, std::uint32_t hi,
-                         std::vector<MicroOp>& out, bool check_domain) {
+/// applies an armed bit-flip fault to the in-memory copy, then verifies
+/// and decodes it to `out` (decode_block).
+void read_block(const std::string& path, int fd, const SamtIndexEntry& entry,
+                std::uint64_t block_idx, const IoFault& fault,
+                unsigned char* raw, MicroOp* out) {
   const std::size_t bytes = sizeof(SamtBlockHeader) + entry.payload_bytes;
   if (!read_at(fd, entry.file_offset, raw, bytes)) {
     throw TraceCorruptError(
@@ -579,42 +574,74 @@ std::uint64_t read_block(const std::string& path, int fd,
     raw[bytes > sizeof(SamtBlockHeader) ? sizeof(SamtBlockHeader)
                                         : bytes - 1] ^= 0x01;
   }
-  return decode_block(path, raw, bytes, entry, block_idx, lo, hi, out,
-                      check_domain);
+  decode_block(path, raw, entry, block_idx, out);
+}
+
+/// The records of the largest block in `index`.
+[[nodiscard]] std::uint32_t largest_block(
+    const std::vector<SamtIndexEntry>& index) noexcept {
+  std::uint32_t most = 0;
+  for (const SamtIndexEntry& e : index) most = std::max(most, e.record_count);
+  return most;
+}
+
+/// The first record outside the record domain, as an open throws it and
+/// a damage walk notes it.
+struct DomainViolation {
+  std::uint64_t record = 0;
+  std::uint64_t block = 0;
+  std::uint64_t offset = 0;  ///< file offset of the record's block
+  const char* rule = nullptr;  ///< nullptr: no violation
+
+  [[nodiscard]] bool found() const noexcept { return rule != nullptr; }
+  /// The verdict after the path: "block B at offset O: record R: rule".
+  [[nodiscard]] std::string verdict() const {
+    return "block " + std::to_string(block) + " at offset " +
+           std::to_string(offset) + ": record " + std::to_string(record) +
+           ": " + rule;
+  }
+};
+
+/// The first record of decoded block `block_idx` (ops[0,
+/// entry.record_count)) outside the record domain; none found if there
+/// is no such record.
+[[nodiscard]] DomainViolation first_out_of_domain(
+    const MicroOp* ops, const SamtIndexEntry& entry,
+    std::uint64_t block_idx) noexcept {
+  for (std::uint32_t i = 0; i < entry.record_count; ++i) {
+    if (const char* rule = record_domain_violation(ops[i])) {
+      return {entry.first_record + i, block_idx, entry.file_offset, rule};
+    }
+  }
+  return {};
 }
 
 /// Reads, verifies and decodes blocks [b0, b1) of `index` through `fd`
-/// in index order, through one raw-block buffer, appending records
-/// [begin, end) of the trace to `out`. The first damaged block throws.
-/// With `check_domain`, returns the lowest index of a record outside the
-/// record domain (kNoRecord if none) — only once every block verified,
-/// so block damage anywhere wins.
-std::uint64_t decode_blocks(const std::string& path, int fd,
-                            const std::vector<SamtIndexEntry>& index,
-                            std::size_t b0, std::size_t b1,
-                            const IoFault& fault, std::uint64_t begin,
-                            std::uint64_t end, std::vector<MicroOp>& out,
-                            bool check_domain) {
+/// in index order, appending records [begin, end) of the trace to `out`.
+/// The first damaged block throws.
+void decode_blocks(const std::string& path, int fd,
+                   const std::vector<SamtIndexEntry>& index, std::size_t b0,
+                   std::size_t b1, const IoFault& fault, std::uint64_t begin,
+                   std::uint64_t end, std::vector<MicroOp>& out) {
   std::size_t raw_bytes = 0;
+  std::uint32_t records = 0;
   for (std::size_t b = b0; b < b1; ++b) {
     raw_bytes = std::max<std::size_t>(
         raw_bytes, sizeof(SamtBlockHeader) + index[b].payload_bytes);
+    records = std::max(records, index[b].record_count);
   }
   std::vector<unsigned char> raw(raw_bytes);
+  std::vector<MicroOp> block(records);
   out.reserve(out.size() + static_cast<std::size_t>(end - begin));
-  std::uint64_t bad_record = kNoRecord;
   for (std::size_t b = b0; b < b1; ++b) {
     const SamtIndexEntry& e = index[b];
-    const std::uint64_t lo = std::max(begin, e.first_record);
-    const std::uint64_t hi = std::min(end, e.first_record + e.record_count);
-    const std::uint64_t bad = read_block(
-        path, fd, e, b, fault, raw.data(),
-        static_cast<std::uint32_t>(lo - e.first_record),
-        static_cast<std::uint32_t>(hi - e.first_record), out,
-        check_domain && bad_record == kNoRecord);
-    if (bad != kNoRecord) bad_record = e.first_record + bad;
+    read_block(path, fd, e, b, fault, raw.data(), block.data());
+    const std::uint64_t lo = std::max(begin, e.first_record) - e.first_record;
+    const std::uint64_t hi =
+        std::min(end, e.first_record + e.record_count) - e.first_record;
+    out.insert(out.end(), block.begin() + static_cast<std::ptrdiff_t>(lo),
+               block.begin() + static_cast<std::ptrdiff_t>(hi));
   }
-  return bad_record;
 }
 
 // --- layout (header + footer + index) validation --------------------------
@@ -950,7 +977,9 @@ void TraceWriterV2::finish() {
       std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
     fail(path_, "cannot finalize trace (tmp kept)");
   }
-  fsync_parent_dir(path_);
+  // Best-effort: a failed directory sync cannot un-publish the file, so
+  // it is not reported.
+  (void)fsync_parent_dir(path_);
 }
 
 void TraceWriterV2::abandon() noexcept {
@@ -986,9 +1015,16 @@ TraceV2Reader::TraceV2Reader(const std::string& path)
 
 std::string TraceV2Reader::name() const { return header_name(header_); }
 
-std::uint64_t TraceV2Reader::decode(std::uint64_t begin, std::uint64_t end,
-                                    std::vector<MicroOp>& out,
-                                    bool check_domain) const {
+std::uint32_t TraceV2Reader::max_block_records() const noexcept {
+  return largest_block(index_);
+}
+
+std::vector<MicroOp> TraceV2Reader::read_range(std::uint64_t begin,
+                                               std::uint64_t end) const {
+  if (end > header_.count) end = header_.count;
+  if (begin > end) begin = end;
+  std::vector<MicroOp> out;
+  if (begin == end) return out;
   // First block whose record range reaches `begin`, and the first past
   // `end` (index entries carry contiguous first_record values).
   const auto first = std::partition_point(
@@ -998,18 +1034,10 @@ std::uint64_t TraceV2Reader::decode(std::uint64_t begin, std::uint64_t end,
   const auto last = std::partition_point(
       first, index_.end(),
       [end](const SamtIndexEntry& e) { return e.first_record < end; });
-  return decode_blocks(path_, file_.get(), index_,
-                       static_cast<std::size_t>(first - index_.begin()),
-                       static_cast<std::size_t>(last - index_.begin()),
-                       fault_, begin, end, out, check_domain);
-}
-
-std::vector<MicroOp> TraceV2Reader::read_range(std::uint64_t begin,
-                                               std::uint64_t end) const {
-  if (end > header_.count) end = header_.count;
-  if (begin > end) begin = end;
-  std::vector<MicroOp> out;
-  if (begin != end) (void)decode(begin, end, out, false);
+  decode_blocks(path_, file_.get(), index_,
+                static_cast<std::size_t>(first - index_.begin()),
+                static_cast<std::size_t>(last - index_.begin()), fault_,
+                begin, end, out);
   return out;
 }
 
@@ -1021,24 +1049,30 @@ Trace TraceV2Reader::read_all() const {
   return t;
 }
 
-Trace TraceV2Reader::read_all_in_domain() const {
-  Trace t;
-  t.name = name();
-  t.seed = header_.seed;
-  if (header_.count == 0) return t;
-  const std::uint64_t bad = decode(0, header_.count, t.ops, true);
-  if (bad == kNoRecord) return t;
-  const auto block = std::partition_point(
-      index_.begin(), index_.end(), [bad](const SamtIndexEntry& e) {
-        return e.first_record + e.record_count <= bad;
-      });
-  const auto b = static_cast<std::uint64_t>(block - index_.begin());
-  throw TraceCorruptError(
-      path_ + ": block " + std::to_string(b) + " at offset " +
-          std::to_string(block->file_offset) + ": record " +
-          std::to_string(bad) + ": " +
-          record_domain_violation(t.ops[static_cast<std::size_t>(bad)]),
-      TraceDamage::kInteriorCorrupt, b, block->file_offset);
+std::vector<unsigned char> TraceV2Reader::read_blocks_in_domain() const {
+  // The index tiles [header, index) exactly (load_v2_layout), so each
+  // block lands at its file offset less the header.
+  const std::uint64_t end =
+      index_.empty() ? sizeof(SamtHeader)
+                     : index_.back().file_offset + sizeof(SamtBlockHeader) +
+                           index_.back().payload_bytes;
+  std::vector<unsigned char> blocks(
+      static_cast<std::size_t>(end - sizeof(SamtHeader)));
+  std::vector<MicroOp> records(max_block_records());
+  DomainViolation first;
+  for (std::size_t b = 0; b < index_.size(); ++b) {
+    const SamtIndexEntry& e = index_[b];
+    read_block(path_, file_.get(), e, b, fault_,
+               blocks.data() + (e.file_offset - sizeof(SamtHeader)),
+               records.data());
+    if (!first.found()) first = first_out_of_domain(records.data(), e, b);
+  }
+  if (first.found()) {
+    throw TraceCorruptError(path_ + ": " + first.verdict(),
+                            TraceDamage::kInteriorCorrupt, first.block,
+                            first.offset);
+  }
+  return blocks;
 }
 
 // ---------------------------------------------------------- trace_health --
@@ -1059,26 +1093,85 @@ TraceHealth trace_health(const std::string& path) {
     return h;
   }
   std::vector<unsigned char> raw;
-  std::vector<MicroOp> scratch;
+  std::vector<MicroOp> records(largest_block(L.index));
+  DomainViolation first_outside;
   h.blocks.reserve(L.index.size());
   for (std::size_t i = 0; i < L.index.size(); ++i) {
     const SamtIndexEntry& e = L.index[i];
     BlockHealth blk{e.file_offset, e.first_record, e.record_count, true};
     raw.resize(sizeof(SamtBlockHeader) + e.payload_bytes);
-    scratch.clear();
     try {
-      (void)read_block(path, f.get(), e, i, fault, raw.data(), 0,
-                       e.record_count, scratch, false);
-    } catch (const TraceCorruptError&) {
+      read_block(path, f.get(), e, i, fault, raw.data(), records.data());
+      const DomainViolation v = first_out_of_domain(records.data(), e, i);
+      if (v.found()) {
+        blk.ok = false;
+        if (!first_outside.found()) first_outside = v;
+      }
+    } catch (const TraceCorruptError& err) {
       blk.ok = false;
-      ++h.bad_blocks;
       if (h.damage == TraceDamage::kNone) {
-        h.damage = TraceDamage::kInteriorCorrupt;
-        h.first_bad_offset = e.file_offset;
+        // As the open would throw it: block damage wins over the domain.
+        h.damage = err.damage;
+        h.first_bad_offset = err.offset;
+        h.note = std::string(err.what()).substr(path.size() + 2);
       }
     }
+    if (!blk.ok) ++h.bad_blocks;
     h.blocks.push_back(blk);
   }
+  if (h.damage == TraceDamage::kNone && first_outside.found()) {
+    h.damage = TraceDamage::kInteriorCorrupt;
+    h.first_bad_offset = first_outside.offset;
+    h.note = first_outside.verdict();
+  }
+  return h;
+}
+
+// ------------------------------------------------------- resident blocks --
+
+std::size_t max_encoded_bytes(std::uint64_t n, std::uint32_t block_records) {
+  // Every block holds a record, so no block costs more than its header
+  // once per record.
+  if (n > SIZE_MAX / (sizeof(SamtBlockHeader) + kMaxRecordBytes)) {
+    throw std::length_error("trace of " + std::to_string(n) +
+                            " records exceeds the address space");
+  }
+  const std::uint64_t blocks = n / block_records + (n % block_records != 0);
+  return static_cast<std::size_t>(blocks * sizeof(SamtBlockHeader) +
+                                  n * kMaxRecordBytes);
+}
+
+std::size_t encode_blocks(
+    std::uint64_t n, std::uint32_t block_records, unsigned char* out,
+    const std::function<void(MicroOp*, std::size_t)>& fill) {
+  std::vector<MicroOp> records(
+      static_cast<std::size_t>(std::min<std::uint64_t>(n, block_records)));
+  // Blocks are contiguous, so the previous block stays in place while
+  // its guard finishes under the next one's encode.
+  PendingGuard pending;
+  std::size_t bytes = 0;
+  for (std::uint64_t first = 0; first < n; first += block_records) {
+    const auto k = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(block_records, n - first));
+    fill(records.data(), k);
+    encode_block(records.data(), k, first, out + bytes, pending);
+    bytes += sizeof(SamtBlockHeader) + pending.payload_bytes;
+  }
+  if (pending.block != nullptr) pending.finish();
+  return bytes;
+}
+
+SamtBlockHeader decode_resident_block(const unsigned char* block,
+                                      MicroOp* ring,
+                                      std::uint64_t mask) noexcept {
+  SamtBlockHeader h{};
+  std::memcpy(&h, block, sizeof h);
+  GuardProgress unused;
+  std::size_t pos = 0;
+  [[maybe_unused]] const std::uint32_t decoded =
+      decode_payload<false>(block + sizeof h, h.payload_bytes, h.record_count,
+                            ring, h.first_record, mask, pos, unused);
+  assert(decoded == h.record_count && pos == h.payload_bytes);
   return h;
 }
 

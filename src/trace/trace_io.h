@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -215,8 +216,10 @@ struct TraceHealth {
   /// File offset of the first damaged region (block-granular for block
   /// damage); ~0 when clean.
   std::uint64_t first_bad_offset = ~std::uint64_t{0};
-  /// A torn tail's or bad index's verdict, as a reader's
-  /// TraceCorruptError states it after the path; empty otherwise.
+  /// The damage an open reports, as its TraceCorruptError states it
+  /// after the path: a torn tail's or bad index's verdict, else the
+  /// lowest block that fails its guard, else the first record outside
+  /// the record domain. Empty when clean.
   std::string note;
   std::vector<BlockHealth> blocks;  ///< empty for kTornTail / kBadIndex
 
@@ -225,10 +228,12 @@ struct TraceHealth {
   }
 };
 
-/// Walks the whole file verifying every guard, and reports damage
-/// instead of throwing for it. Throws TraceFormatError only when the
-/// file is not a SAMT v2 trace at all (unopenable, bad magic, version or
-/// record size), with read_samt_header's message.
+/// Walks the whole file making every check an open makes (every guard,
+/// and every record against the record domain), and reports damage
+/// instead of throwing for it: a block that fails its guard or holds a
+/// record outside the domain is a bad block. Throws TraceFormatError
+/// only when the file is not a SAMT v2 trace at all (unopenable, bad
+/// magic, version or record size), with read_samt_header's message.
 [[nodiscard]] TraceHealth trace_health(const std::string& path);
 
 // ------------------------------------------------------------ v2 writer --
@@ -337,6 +342,8 @@ class TraceV2Reader {
   [[nodiscard]] const std::vector<SamtIndexEntry>& index() const noexcept {
     return index_;
   }
+  /// Records in the largest block (0 for an empty trace).
+  [[nodiscard]] std::uint32_t max_block_records() const noexcept;
 
   /// Decodes records [begin, end) (clamped to the trace), verifying each
   /// touched block's guard. Throws TraceCorruptError on damage.
@@ -344,25 +351,55 @@ class TraceV2Reader {
                                                 std::uint64_t end) const;
   /// Decodes the whole trace.
   [[nodiscard]] Trace read_all() const;
-  /// read_all, also checking every record against the record domain
-  /// (record_domain_violation) while its block is decoded. Block damage
-  /// anywhere wins over a domain violation; otherwise the lowest-index
+  /// Reads every block into memory as the file holds it (see "resident
+  /// blocks" below), verifying each block's guard and checking every
+  /// record against the record domain (record_domain_violation) as its
+  /// block decodes. Block damage anywhere wins over a domain violation,
+  /// and the lowest damaged block throws; otherwise the lowest-index
   /// record outside the domain throws TraceCorruptError(kInteriorCorrupt)
   /// naming the record, its block and the block's file offset.
-  [[nodiscard]] Trace read_all_in_domain() const;
+  [[nodiscard]] std::vector<unsigned char> read_blocks_in_domain() const;
 
  private:
-  /// Appends records [begin, end) to `out`; see decode_blocks.
-  [[nodiscard]] std::uint64_t decode(std::uint64_t begin, std::uint64_t end,
-                                     std::vector<MicroOp>& out,
-                                     bool check_domain) const;
-
   std::string path_;
   IoFault fault_;  ///< armed fault consumed at open, applied on reads
   FileHandle file_;
   SamtHeader header_{};
   std::vector<SamtIndexEntry> index_;
 };
+
+// ------------------------------------------------------- resident blocks --
+//
+// A trace held in memory (TraceSource) is its v2 blocks, laid out as a
+// file holds them between its header and its index: each block is a
+// SamtBlockHeader and its payload, guard included, in record order.
+// Readers decode a block where its records are needed (TraceWindow), so
+// a resident trace costs its encoded size, about 9 bytes a record,
+// instead of 32.
+
+/// The most bytes encode_blocks writes for `n` records in blocks of
+/// `block_records`. Throws std::length_error when no address space
+/// holds that many.
+[[nodiscard]] std::size_t max_encoded_bytes(std::uint64_t n,
+                                            std::uint32_t block_records);
+
+/// Encodes `n` records as consecutive blocks of `block_records` (the
+/// last may be short) at `out`, which has room for max_encoded_bytes(n,
+/// block_records), and returns the bytes written: the bytes
+/// write_samt_v2 writes between its header and its index. `fill(dst, k)`
+/// writes each block's k records, the next ones of the trace, to
+/// dst[0, k).
+std::size_t encode_blocks(
+    std::uint64_t n, std::uint32_t block_records, unsigned char* out,
+    const std::function<void(MicroOp*, std::size_t)>& fill);
+
+/// Decodes the block at `block`, which encode_blocks wrote or
+/// read_blocks_in_domain verified, writing global record r field by
+/// field to ring[r & mask]. Returns the block's header: the next block
+/// starts payload_bytes past it.
+SamtBlockHeader decode_resident_block(const unsigned char* block,
+                                      MicroOp* ring,
+                                      std::uint64_t mask) noexcept;
 
 /// Imports a plain-text trace (one op per line: class, addr, size, dep
 /// distances — grammar in docs/TRACE_FORMAT.md). PCs, registers and

@@ -3,100 +3,126 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <cstdint>
+#include <algorithm>
 #include <new>
-#include <stdexcept>
 #include <utility>
 
 namespace samie::trace {
 
 namespace {
 
-/// The transparent huge page size (x86-64 and arm64 with 4 KiB pages).
-constexpr std::size_t kHugePage = std::size_t{2} << 20;
+[[nodiscard]] std::size_t page_size() noexcept {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
+
+[[nodiscard]] std::size_t round_to_pages(std::size_t bytes) noexcept {
+  return (bytes + page_size() - 1) & ~(page_size() - 1);
+}
 
 }  // namespace
 
-TraceSource::PageRecords::PageRecords(std::uint64_t count) {
-  if (count == 0) return;
-  if (count > (SIZE_MAX - 2 * kHugePage) / sizeof(MicroOp)) {
-    throw std::length_error("trace of " + std::to_string(count) +
-                            " records exceeds the address space");
-  }
-  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  const std::size_t len = (count * sizeof(MicroOp) + page - 1) & ~(page - 1);
-  // Map one huge page extra, then trim the head to a 2 MiB boundary and
-  // the tail to `len`.
-  const std::size_t span = len + kHugePage;
-  void* raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+TraceSource::PageBytes::PageBytes(std::size_t capacity) {
+  if (capacity == 0) return;
+  const std::size_t len = round_to_pages(capacity);
+  void* map = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (raw == MAP_FAILED) throw std::bad_alloc();
-  const auto base = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t aligned = (base + kHugePage - 1) & ~(kHugePage - 1);
-  const std::size_t head = aligned - base;  // below kHugePage
-  if (head != 0) ::munmap(raw, head);
-  ::munmap(reinterpret_cast<void*>(aligned + len), kHugePage - head);
-  map_ = reinterpret_cast<void*>(aligned);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  // 4 KiB pages whatever the host's transparent huge page setting: a
+  // huge page would make the untouched rest of its 2 MiB resident.
+  (void)::madvise(map, len, MADV_NOHUGEPAGE);
+  map_ = static_cast<unsigned char*>(map);
   map_len_ = len;
-  count_ = static_cast<std::size_t>(count);
-  // Fewer page faults and TLB misses for the whole 2 MiB extents. A
-  // kernel without transparent huge pages refuses the advice, which
-  // leaves ordinary pages; no error.
-  (void)::madvise(map_, map_len_, MADV_HUGEPAGE);
+  size_ = capacity;
 }
 
-TraceSource::PageRecords::PageRecords(PageRecords&& other) noexcept
+TraceSource::PageBytes::PageBytes(PageBytes&& other) noexcept
     : map_(std::exchange(other.map_, nullptr)),
       map_len_(std::exchange(other.map_len_, 0)),
-      count_(std::exchange(other.count_, 0)) {}
+      size_(std::exchange(other.size_, 0)) {}
 
-TraceSource::PageRecords& TraceSource::PageRecords::operator=(
-    PageRecords&& other) noexcept {
+TraceSource::PageBytes& TraceSource::PageBytes::operator=(
+    PageBytes&& other) noexcept {
   if (this != &other) {
     unmap();
     map_ = std::exchange(other.map_, nullptr);
     map_len_ = std::exchange(other.map_len_, 0);
-    count_ = std::exchange(other.count_, 0);
+    size_ = std::exchange(other.size_, 0);
   }
   return *this;
 }
 
-TraceSource::PageRecords::~PageRecords() { unmap(); }
+TraceSource::PageBytes::~PageBytes() { unmap(); }
 
-void TraceSource::PageRecords::unmap() noexcept {
+void TraceSource::PageBytes::shrink_to(std::size_t size) noexcept {
+  size = std::min(size, size_);
+  const std::size_t len = round_to_pages(size);
+  if (len == 0) {
+    unmap();
+    return;
+  }
+  if (len < map_len_) ::munmap(map_ + len, map_len_ - len);
+  map_len_ = len;
+  size_ = size;
+}
+
+void TraceSource::PageBytes::unmap() noexcept {
   if (map_ != nullptr) ::munmap(map_, map_len_);
   map_ = nullptr;
   map_len_ = 0;
-  count_ = 0;
+  size_ = 0;
 }
+
+TraceSource::TraceSource(Storage storage, std::uint64_t size,
+                         std::uint32_t max_block_records, std::string name,
+                         std::uint64_t seed)
+    : storage_(std::move(storage)),
+      size_(static_cast<std::size_t>(size)),
+      max_block_records_(max_block_records),
+      name_(std::move(name)),
+      seed_(seed),
+      flat_(std::make_unique<Flat>()) {}
 
 TraceSource TraceSource::generate(const WorkloadProfile& profile,
                                   std::uint64_t seed, std::uint64_t n) {
-  PageRecords records(n);
-  WorkloadGenerator(profile, seed).generate_into(records.data(), n);
-  return TraceSource(std::move(records), profile.name, seed);
-}
-
-TraceSource TraceSource::from_trace(Trace t) {
-  std::string name = t.name;
-  const std::uint64_t seed = t.seed;
-  return TraceSource(std::move(t), std::move(name), seed);
+  PageBytes bytes(max_encoded_bytes(n, kDefaultBlockRecords));
+  WorkloadGenerator gen(profile, seed);
+  bytes.shrink_to(encode_blocks(n, kDefaultBlockRecords, bytes.data(),
+                                [&gen](MicroOp* dst, std::size_t k) {
+                                  gen.generate_into(dst, k);
+                                }));
+  return TraceSource(std::move(bytes), n,
+                     static_cast<std::uint32_t>(std::min<std::uint64_t>(
+                         n, kDefaultBlockRecords)),
+                     profile.name, seed);
 }
 
 TraceSource TraceSource::open_samt(const std::string& path,
                                    bool /*verify_checksum*/) {
-  return from_trace(TraceV2Reader(path).read_all_in_domain());
+  const TraceV2Reader reader(path);
+  return TraceSource(reader.read_blocks_in_domain(), reader.record_count(),
+                     reader.max_block_records(), reader.name(),
+                     reader.header().seed);
 }
 
-TraceSource TraceSource::import_text(const std::string& path) {
-  return from_trace(import_text_trace(path));
-}
-
-TraceView TraceSource::view() const noexcept {
-  if (const auto* pages = std::get_if<PageRecords>(&storage_)) {
-    return pages->view();
+std::span<const unsigned char> TraceSource::blocks() const noexcept {
+  if (const auto* pages = std::get_if<PageBytes>(&storage_)) {
+    return pages->bytes();
   }
-  return std::get<Trace>(storage_);
+  return *std::get_if<std::vector<unsigned char>>(&storage_);
+}
+
+TraceView TraceSource::view() const {
+  std::call_once(flat_->once, [this] {
+    flat_->ops.resize(size_);
+    const std::span<const unsigned char> b = blocks();
+    for (std::size_t at = 0; at < b.size();) {
+      const SamtBlockHeader h = decode_resident_block(
+          b.data() + at, flat_->ops.data(), ~std::uint64_t{0});
+      at += sizeof h + h.payload_bytes;
+    }
+  });
+  return {flat_->ops.data(), flat_->ops.size()};
 }
 
 }  // namespace samie::trace

@@ -1,12 +1,11 @@
-// TraceView: a non-owning (pointer, length) window over MicroOps.
+// TraceView: a non-owning (pointer, length) window over flat MicroOps.
 //
-// Every trace producer — the WorkloadGenerator, the SAMT readers, the
-// plain-text importer — converts to a TraceView, and
-// every consumer (Core, run_simulation, the analysis functions, the perf
-// harness) reads through one. The view is two words, passed by value, and
-// the indexing it offers is identical to what Core compiled against when
-// it held `const Trace&`, so the hot fetch path pays nothing for the
-// indirection.
+// A Trace, a SAMT reader's output and TraceSource::view() all convert to
+// a TraceView, and the analysis functions, the writers and the
+// flat-array simulation entry points read through one. The view is two
+// words, passed by value. The core reads through a TraceWindow
+// (trace_window.h), which wraps a TraceView or decodes a TraceSource's
+// blocks on demand.
 #pragma once
 
 #include <cstddef>

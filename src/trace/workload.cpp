@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -109,8 +108,8 @@ RegId WorkloadGenerator::pick_dest(bool fp) {
   return r;
 }
 
-MicroOp WorkloadGenerator::next_op() {
-  MicroOp op;
+void WorkloadGenerator::next_op(MicroOp& op) {
+  op = MicroOp{};
   op.pc = pc_;
 
   // Loop bookkeeping: when inside a loop body, count down to the closing
@@ -131,7 +130,7 @@ MicroOp WorkloadGenerator::next_op() {
       op.taken = false;
       pc_ += 4;
     }
-    return op;
+    return;
   }
 
   if (loop_body_len_ == 0) {
@@ -199,12 +198,6 @@ MicroOp WorkloadGenerator::next_op() {
   }
 
   pc_ += 4;
-  return op;
-}
-
-template <class OutputIt>
-void WorkloadGenerator::emit(OutputIt out, std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) *out++ = next_op();
 }
 
 Trace WorkloadGenerator::generate(std::uint64_t n) {
@@ -214,12 +207,12 @@ Trace WorkloadGenerator::generate(std::uint64_t n) {
   // Appending, not resize-then-overwrite: value-initialising the buffer
   // first is a second pass over every record's memory.
   t.ops.reserve(n);
-  emit(std::back_inserter(t.ops), n);
+  for (std::uint64_t i = 0; i < n; ++i) next_op(t.ops.emplace_back());
   return t;
 }
 
 void WorkloadGenerator::generate_into(MicroOp* out, std::uint64_t n) {
-  emit(out, n);
+  for (std::uint64_t i = 0; i < n; ++i) next_op(out[i]);
 }
 
 }  // namespace samie::trace

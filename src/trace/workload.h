@@ -114,10 +114,9 @@ class WorkloadGenerator {
     std::size_t head = 0;
   };
 
-  /// The one generation loop: the next `n` ops, in order, through `out`.
-  template <class OutputIt>
-  void emit(OutputIt out, std::uint64_t n);
-  [[nodiscard]] MicroOp next_op();
+  /// Writes the next op to `op`, field by field: building it on the
+  /// stack and copying it out stalls store-to-load forwarding.
+  void next_op(MicroOp& op);
   [[nodiscard]] Addr next_mem_addr(std::size_t stream_idx, std::uint32_t bytes);
   [[nodiscard]] RegId pick_source(bool fp);
   [[nodiscard]] RegId pick_dest(bool fp);

@@ -7,8 +7,8 @@
 // is the regression fence for the 458 MB suite RSS leak: before the fix
 // the cache pinned every generated workload until the sweep returned.
 // A dropped generated trace must also leave the address space, not
-// linger in a malloc arena, and a live one keeps no more than its
-// records' pages resident.
+// linger in a malloc arena, and a live one keeps no more than the pages
+// of its encoded blocks resident.
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 #include <unistd.h>
@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,14 +42,13 @@ namespace {
   return j;
 }
 
-/// True when the pages holding the first and the last byte of `v`'s
-/// records are mapped into this process (mincore fails with ENOMEM on
-/// an unmapped page).
-[[nodiscard]] bool records_mapped(trace::TraceView v) {
+/// True when the pages holding the first and the last of `bytes` are
+/// mapped into this process (mincore fails with ENOMEM on an unmapped
+/// page).
+[[nodiscard]] bool bytes_mapped(std::span<const unsigned char> bytes) {
   const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
   unsigned char resident = 0;
-  for (const auto* byte : {reinterpret_cast<const char*>(v.begin()),
-                           reinterpret_cast<const char*>(v.end()) - 1}) {
+  for (const unsigned char* byte : {&bytes.front(), &bytes.back()}) {
     const std::uintptr_t start =
         reinterpret_cast<std::uintptr_t>(byte) & ~(page - 1);
     if (::mincore(reinterpret_cast<void*>(start), page, &resident) != 0) {
@@ -95,12 +95,12 @@ TEST(TraceCache, ReleasesEachSourceWhenItsLastConsumerFinishes) {
 }
 
 TEST(TraceCache, ReleasedGeneratedTraceLeavesTheAddressSpace) {
-  // A 100k-instruction trace is a 3.2 MB record buffer. glibc serves the
-  // first buffer that large with mmap and unmaps it on free, but then
-  // raises its mmap threshold: later ones come from a malloc arena,
-  // which keeps them mapped after free. So each of several traces
-  // built and dropped in turn must leave the address space once its
-  // last holder (here, after the cache) lets go.
+  // A 100k-instruction trace is about 0.9 MB of encoded blocks. glibc
+  // serves the first buffer that large with mmap and unmaps it on free,
+  // but then raises its mmap threshold: later ones come from a malloc
+  // arena, which keeps them mapped after free. So each of several
+  // traces built and dropped in turn must leave the address space once
+  // its last holder (here, after the cache) lets go.
   const std::vector<sim::Job> jobs = {job_for("gcc", 100'000),
                                       job_for("mcf", 100'000),
                                       job_for("art", 100'000)};
@@ -108,14 +108,15 @@ TEST(TraceCache, ReleasedGeneratedTraceLeavesTheAddressSpace) {
   for (const sim::Job& job : jobs) {
     SCOPED_TRACE(job.program);
     std::shared_ptr<const trace::TraceSource> src = cache.get(job);
-    const trace::TraceView records = src->view();
-    ASSERT_EQ(records.size(), 100'000U);
-    ASSERT_TRUE(records_mapped(records));
+    ASSERT_EQ(src->size(), 100'000U);
+    const std::span<const unsigned char> blocks = src->blocks();
+    ASSERT_FALSE(blocks.empty());
+    ASSERT_TRUE(bytes_mapped(blocks));
     cache.finished(job);
-    EXPECT_TRUE(records_mapped(records)) << "a holder still reads them";
+    EXPECT_TRUE(bytes_mapped(blocks)) << "a holder still reads them";
     src.reset();
-    EXPECT_FALSE(records_mapped(records))
-        << "the records stayed mapped after their last holder let go";
+    EXPECT_FALSE(bytes_mapped(blocks))
+        << "the blocks stayed mapped after their last holder let go";
   }
 }
 
@@ -138,30 +139,30 @@ TEST(TraceCache, ReleasedGeneratedTraceLeavesTheAddressSpace) {
 }
 
 TEST(TraceCache, GeneratedTraceKeepsOnlyItsRecordPagesResident) {
-  // A generated trace's mapping ends at the page holding its last record
-  // byte: transparent huge pages back its whole 2 MiB extents and 4 KiB
-  // pages the rest. A 100k-record trace is 3,200,000 bytes, so at most
-  // 782 pages (3.05 MiB) are resident — not the 4 MiB a mapping rounded
-  // up to whole huge pages keeps.
+  // A generated trace is its encoded v2 blocks, in a mapping that ends
+  // at the page holding their last byte: a 100k-record trace keeps at
+  // most 1 MiB resident (its 3.2 MB of 32-byte records are never all
+  // decoded at once), and only pages the encoder wrote.
   constexpr std::uint64_t kRecords = 100'000;
   const trace::TraceSource src = trace::TraceSource::generate(
       trace::spec2000_profile("gcc"), 42, kRecords);
   const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  const auto start = reinterpret_cast<std::uintptr_t>(src.view().data());
-  const std::uintptr_t record_pages =
-      (kRecords * sizeof(trace::MicroOp) + page - 1) & ~(page - 1);
-  EXPECT_EQ(start % (std::uintptr_t{2} << 20), 0U)
-      << "the records start on a 2 MiB boundary";
+  const std::span<const unsigned char> blocks = src.blocks();
+  const auto start = reinterpret_cast<std::uintptr_t>(blocks.data());
+  const std::uintptr_t block_pages = (blocks.size() + page - 1) & ~(page - 1);
+  EXPECT_LE(block_pages, std::uintptr_t{1} << 20);
   const std::uintptr_t end = mapping_end(start);
   ASSERT_GT(end, start);
+  EXPECT_EQ(end - start, block_pages)
+      << "the mapping outlives the encoded bytes";
   std::vector<unsigned char> in_core((end - start) / page);
   ASSERT_EQ(::mincore(reinterpret_cast<void*>(start), end - start,
                       in_core.data()),
             0);
   std::uintptr_t resident = 0;
   for (const unsigned char c : in_core) resident += (c & 1) != 0 ? page : 0;
-  EXPECT_GT(resident, 0U) << "the generator wrote every record";
-  EXPECT_LE(resident, record_pages);
+  EXPECT_GT(resident, 0U) << "the encoder wrote every block";
+  EXPECT_LE(resident, block_pages);
 }
 
 TEST(TraceCache, ResumeSkippedJobsNeverRegisterAsConsumers) {

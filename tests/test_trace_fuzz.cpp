@@ -124,6 +124,11 @@ TEST_F(TraceV2FuzzTest, BitFlipsInGuardedRegionsAlwaysThrow) {
     const std::string p = write_mutant(bytes);
     EXPECT_THROW((void)open_v2(p), trace::TraceFormatError)
         << "trial " << trial << ": flip at offset " << off << " was accepted";
+    // A source keeps the bytes its open verified and lanes decode them
+    // unchecked, so the open itself must refuse every flip.
+    EXPECT_THROW((void)trace::TraceSource::open_samt(p),
+                 trace::TraceFormatError)
+        << "trial " << trial << ": open kept a flip at offset " << off;
     // The damage walk must also notice: it either reports damage, or —
     // for flips that destroy the magic/version/record-size — throws the
     // same typed not-a-SAMT-file error. Never a clean verdict.
@@ -152,6 +157,9 @@ TEST_F(TraceV2FuzzTest, TruncationsAndExtensionsAlwaysThrow) {
     EXPECT_THROW((void)open_v2(p), trace::TraceFormatError)
         << "trial " << trial << ": size " << bytes.size() << " vs valid "
         << valid_v2_.size();
+    EXPECT_THROW((void)trace::TraceSource::open_samt(p),
+                 trace::TraceFormatError)
+        << "trial " << trial << ": size " << bytes.size();
   }
 }
 
@@ -325,6 +333,10 @@ TEST_F(TraceV2FuzzTest, RandomGarbageNeverCrashesV2Reader) {
     } catch (const trace::TraceFormatError&) {
     }
     try {
+      (void)trace::TraceSource::open_samt(p);
+    } catch (const trace::TraceFormatError&) {
+    }
+    try {
       (void)trace::trace_health(p);
     } catch (const trace::TraceFormatError&) {
     }
@@ -409,6 +421,60 @@ TEST_F(TraceV2FuzzTest, OpenRejectsRecordsOutsideTheDomain) {
     const std::uint64_t block = kBadRecord / 256;
     expect_domain_rejected(p, block, r.index()[block].file_offset);
   }
+}
+
+TEST_F(TraceV2FuzzTest, HealthJudgesTheRecordDomainAsOpenDoes) {
+  // trace_inspector --verify must not call clean a file every replay
+  // refuses: the damage walk checks each record against the domain as
+  // the open does, marks the block holding it bad, and notes the verdict
+  // the open throws.
+  for (const BadRecord& bad : kBadRecords) {
+    SCOPED_TRACE(bad.what);
+    std::vector<trace::MicroOp> ops = generated_ops();
+    bad.plant(ops[kBadRecord]);
+    const std::string p = path("bad.samt");
+    trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                         11, /*block_records=*/256);
+    const fixture::Thrown opened =
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+    ASSERT_EQ(opened.type, "TraceCorruptError");
+    const trace::TraceHealth h = trace::trace_health(p);
+    EXPECT_EQ(h.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(h.first_bad_offset, opened.offset);
+    EXPECT_EQ(p + ": " + h.note, opened.what);
+    EXPECT_EQ(h.bad_blocks, 1U);
+    ASSERT_EQ(h.blocks.size(), 6U);
+    for (std::size_t b = 0; b < h.blocks.size(); ++b) {
+      EXPECT_EQ(h.blocks[b].ok, b != kBadRecord / 256) << "block " << b;
+    }
+  }
+  // Block damage wins over the domain, as in the open: a record outside
+  // the domain in block 0 and a corrupt payload in block 3 are two bad
+  // blocks, and the note is block 3's guard verdict.
+  std::vector<trace::MicroOp> ops = ops_;
+  ops[10].dst = 200;
+  const std::string p = path("domain_and_damage.samt");
+  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 11,
+                       /*block_records=*/256);
+  const trace::TraceV2Reader pristine(p);
+  std::ifstream in(p, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t off =
+      static_cast<std::size_t>(pristine.index()[3].file_offset) +
+      sizeof(trace::SamtBlockHeader) + 2;
+  bytes[off] = static_cast<char>(bytes[off] ^ 0x08);
+  const std::string q = write_mutant(bytes);
+  const fixture::Thrown opened =
+      fixture::thrown_by([&] { return trace::TraceSource::open_samt(q); });
+  const trace::TraceHealth h = trace::trace_health(q);
+  EXPECT_EQ(h.damage, trace::TraceDamage::kInteriorCorrupt);
+  EXPECT_EQ(h.bad_blocks, 2U);
+  EXPECT_FALSE(h.blocks[0].ok);
+  EXPECT_FALSE(h.blocks[3].ok);
+  EXPECT_EQ(h.first_bad_offset, pristine.index()[3].file_offset);
+  EXPECT_EQ(q + ": " + h.note, opened.what);
 }
 
 TEST_F(TraceV2FuzzTest, ErrorPrecedenceIsLowestBlockThenRecordDomain) {

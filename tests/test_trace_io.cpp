@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -332,6 +333,17 @@ TEST_F(TraceIoTest, TraceSourceProvenance) {
   EXPECT_EQ(opened.name(), "gcc");
   EXPECT_EQ(opened.seed(), 7U);
   expect_ops_equal(generated.view(), opened.view());
+  // Both hold the trace as the file's blocks: the bytes between its
+  // header and its index.
+  const std::vector<char> file = slurp(path("g.samt"));
+  const std::span<const unsigned char> blocks = generated.blocks();
+  ASSERT_GT(file.size(), sizeof(trace::SamtHeader) + blocks.size());
+  EXPECT_EQ(std::memcmp(file.data() + sizeof(trace::SamtHeader),
+                        blocks.data(), blocks.size()),
+            0);
+  ASSERT_EQ(opened.blocks().size(), blocks.size());
+  EXPECT_EQ(std::memcmp(opened.blocks().data(), blocks.data(), blocks.size()),
+            0);
 }
 
 TEST_F(TraceIoTest, GeneratedSourceIsByteIdenticalToGenerator) {
@@ -455,9 +467,10 @@ TEST_F(TraceIoTest, ImportFileEndToEnd) {
     std::ofstream out(path("k.txt"));
     out << "store 0x800 8\nload 0x800 8\nint_alu 1\n";
   }
-  const trace::TraceSource src = trace::TraceSource::import_text(path("k.txt"));
-  EXPECT_EQ(src.size(), 3U);
-  EXPECT_EQ(src.view()[1].value, src.view()[0].value);
+  const trace::Trace t = trace::import_text_trace(path("k.txt"));
+  EXPECT_EQ(t.name, "k");
+  EXPECT_EQ(t.size(), 3U);
+  EXPECT_EQ(t[1].value, t[0].value);
 }
 
 // ------------------------------------------- hotpath JSON section bound --

@@ -103,7 +103,7 @@
 #include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
-#include "src/trace/trace_source.h"
+#include "src/trace/workload.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -361,7 +361,7 @@ int main(int argc, char** argv) {
     // fatal (exit 1) error, not a sweep outcome.
     std::uint64_t file_idx = 0;
     for (const auto& file : collect_files(import_path, {".txt", ".trace"})) {
-      const trace::TraceSource src = trace::TraceSource::import_text(file);
+      const trace::Trace src = trace::import_text_trace(file);
       if (!record_dir.empty()) {
         const auto out = std::filesystem::path(record_dir) /
                          (std::filesystem::path(file).stem().string() + ".samt");
@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
             arm_import_fault(out.string(), f);
           }
         }
-        trace::write_samt_v2(out.string(), src.view(), src.name(), src.seed());
+        trace::write_samt_v2(out.string(), src, src.name, src.seed);
         std::cerr << "recorded " << out.string() << " (" << src.size()
                   << " ops)\n";
       }
@@ -382,7 +382,7 @@ int main(int argc, char** argv) {
       if (!insts_given) run_cfg.instructions = src.size();
       sim::JobResult jr;
       jr.job = sim::Job{std::filesystem::path(file).stem().string(), run_cfg, tag};
-      jr.result = sim::run_simulation(run_cfg, src.view());
+      jr.result = sim::run_simulation(run_cfg, src);
       results.push_back(std::move(jr));
     }
   } else {
@@ -401,10 +401,11 @@ int main(int argc, char** argv) {
       // must be bit-identical to these results, and the CI smoke step
       // asserts exactly that.
       for (const auto& p : programs) {
-        const trace::TraceSource src = trace::TraceSource::generate(
-            trace::spec2000_profile(p), cfg.seed, cfg.instructions);
+        const trace::Trace src =
+            trace::WorkloadGenerator(trace::spec2000_profile(p), cfg.seed)
+                .generate(cfg.instructions);
         const auto out = std::filesystem::path(record_dir) / (p + ".samt");
-        trace::write_samt_v2(out.string(), src.view(), p, cfg.seed);
+        trace::write_samt_v2(out.string(), src, p, cfg.seed);
         std::cerr << "recorded " << out.string() << " (" << src.size()
                   << " ops)\n";
       }
