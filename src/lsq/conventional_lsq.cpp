@@ -1,12 +1,18 @@
 #include "src/lsq/conventional_lsq.h"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace samie::lsq {
 
 ConventionalLsq::ConventionalLsq(const ConventionalLsqConfig& cfg,
                                  energy::ConvLsqLedger* ledger)
     : cfg_(cfg), ledger_(ledger) {
+  if (cfg_.entries == 0) {
+    // With no entry, can_dispatch() is never true and no memory op ever
+    // dispatches.
+    throw std::invalid_argument("ConventionalLsqConfig: entries must be >= 1");
+  }
   entries_.reserve(cfg_.entries);
   load_seqs_.reserve(cfg_.entries);
   store_seqs_.reserve(cfg_.entries);

@@ -26,6 +26,7 @@ struct ConventionalLsqConfig {
 class ConventionalLsq final : public LoadStoreQueue {
  public:
   /// `ledger` may be null (no energy accounting, e.g. inside ARB sweeps).
+  /// Throws std::invalid_argument when `entries` is 0.
   ConventionalLsq(const ConventionalLsqConfig& cfg,
                   energy::ConvLsqLedger* ledger);
 

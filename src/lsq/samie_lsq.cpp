@@ -17,6 +17,11 @@ SamieLsq::SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger)
   if (cfg_.banks == 0) {
     throw std::invalid_argument("SamieConfig: banks must be >= 1");
   }
+  if (cfg_.addr_buffer_slots == 0) {
+    // With no AddrBuffer slot, can_compute_address() is never true and
+    // no memory op ever issues.
+    throw std::invalid_argument("SamieConfig: addr_buffer_slots must be >= 1");
+  }
   if (cfg_.entries_per_bank == 0 || cfg_.entries_per_bank > 64 ||
       cfg_.slots_per_entry == 0 || cfg_.slots_per_entry > 64) {
     throw std::invalid_argument(
@@ -39,7 +44,7 @@ SamieLsq::SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger)
   for (auto& e : shared_) e.slots.resize(cfg_.slots_per_entry);
   shared_valid_.assign(std::max<std::size_t>(1, (shared_.size() + 63) / 64), 0);
 
-  buffer_.reserve(std::max<std::uint32_t>(1, cfg_.addr_buffer_slots));
+  buffer_.reserve(cfg_.addr_buffer_slots);
 }
 
 template <typename Self, typename Fn>

@@ -72,7 +72,7 @@ class SamieLsq final : public LoadStoreQueue {
  public:
   /// Ledger may be null (no accounting). Throws std::invalid_argument
   /// when entries_per_bank or slots_per_entry exceeds 64 (the bitmask
-  /// width) or banks == 0.
+  /// width), or banks or addr_buffer_slots is 0.
   SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger);
 
   [[nodiscard]] LsqKind kind() const override { return LsqKind::kSamie; }

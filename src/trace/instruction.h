@@ -1,10 +1,12 @@
 // The dynamic instruction (micro-op) record the simulator consumes.
 //
-// Traces are fully materialized, immutable vectors of MicroOp. A MicroOp
-// carries everything the timing model needs (operands, class, address) and
-// everything the *correctness* checks need (store values and the
-// program-order-correct expected value of every load, precomputed by the
-// generator's oracle memory).
+// A MicroOp carries everything the timing model needs (operands, class,
+// address) and everything the *correctness* checks need (store values and
+// the program-order-correct expected value of every load, precomputed by
+// the generator's oracle memory). A resident trace is held encoded, as
+// its SAMT v2 blocks (TraceSource); a lane decodes records into a small
+// ring as fetch reaches them (TraceWindow), and a flat array of records
+// (Trace, TraceView) serves tools, tests and hand-built traces.
 #pragma once
 
 #include <cstdint>
@@ -65,32 +67,47 @@ struct MicroOp {
 // this size is.
 static_assert(sizeof(MicroOp) == 32, "one record is four 8-byte words");
 
+/// record_domain_violation over a record's fields, for a reader that
+/// judges encoded bytes without building a MicroOp: `op` is the class
+/// byte, and only the low three bits of `addr` matter.
+[[nodiscard]] inline const char* record_fields_violation(
+    std::uint8_t op, std::uint8_t mem_size, RegId src1, RegId src2, RegId dst,
+    Addr addr) noexcept {
+  // Every rule is evaluated, with bitwise rather than short-circuit
+  // operators, so a reader judging records of every class branches only
+  // on a rule being broken.
+  const auto bad_reg = [](RegId r) {
+    return (r != kNoReg) & (r >= kNumArchRegs);
+  };
+  const bool mem = is_mem(static_cast<OpClass>(op));
+  const bool bad_size = (mem_size != 4) & (mem_size != 8);
+  // addr % mem_size != 0, for the sizes 4 and 8 that reach that rule.
+  const bool misaligned = (addr & (mem_size - 1U)) != 0;
+  if (op > static_cast<std::uint8_t>(OpClass::kNop)) {
+    return "op class out of range";
+  }
+  if (bad_reg(src1) | bad_reg(src2) | bad_reg(dst)) {
+    return "register out of range";
+  }
+  if (mem & bad_size) return "access size must be 4 or 8";
+  if (mem & misaligned) return "address is not naturally aligned";
+  return nullptr;
+}
+
 /// The record domain: the records the timing model can simulate. A
 /// record is inside it when its op class is a known OpClass; src1, src2
 /// and dst each name an architectural register (below kNumArchRegs) or
 /// are kNoReg; and a load or store accesses 4 or 8 bytes at an address
 /// that is a multiple of its size. Generated traces are inside it by
 /// construction; trace files are checked where they enter
-/// (TraceSource::open_samt), and the text importer checks every line. Returns nullptr
-/// for a record inside the domain, else the first rule the record breaks.
+/// (TraceSource::open_samt), and the text importer checks every line.
+/// Returns nullptr for a record inside the domain, else the first rule
+/// the record breaks.
 [[nodiscard]] inline const char* record_domain_violation(
     const MicroOp& op) noexcept {
-  if (static_cast<std::uint8_t>(op.op) >
-      static_cast<std::uint8_t>(OpClass::kNop)) {
-    return "op class out of range";
-  }
-  for (const RegId r : {op.src1, op.src2, op.dst}) {
-    if (r != kNoReg && r >= kNumArchRegs) return "register out of range";
-  }
-  if (is_mem(op.op)) {
-    if (op.mem_size != 4 && op.mem_size != 8) {
-      return "access size must be 4 or 8";
-    }
-    if (op.addr % op.mem_size != 0) {
-      return "address is not naturally aligned";
-    }
-  }
-  return nullptr;
+  return record_fields_violation(static_cast<std::uint8_t>(op.op),
+                                 op.mem_size, op.src1, op.src2, op.dst,
+                                 op.addr);
 }
 
 /// An immutable dynamic instruction stream plus its provenance.

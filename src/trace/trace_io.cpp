@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -73,20 +74,27 @@ void validate_header(const std::string& path, const SamtHeader& h) {
   return static_cast<std::uint64_t>(st.st_size);
 }
 
-/// Reads exactly `n` bytes at `offset` (pread: the descriptor's file
-/// position is left alone). False on a short read.
+/// Reads up to `n` bytes at `offset` (pread: the descriptor's file
+/// position is left alone), stopping early only at the end of the file
+/// or on an error. Returns the bytes read.
+[[nodiscard]] std::size_t read_upto(int fd, std::uint64_t offset, void* dst,
+                                    std::size_t n) noexcept {
+  auto* p = static_cast<unsigned char*>(dst);
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r =
+        ::pread(fd, p + got, n - got, static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return got;
+}
+
+/// Reads exactly `n` bytes at `offset`. False on a short read.
 [[nodiscard]] bool read_at(int fd, std::uint64_t offset, void* dst,
                            std::size_t n) noexcept {
-  auto* p = static_cast<unsigned char*>(dst);
-  while (n != 0) {
-    const ssize_t got = ::pread(fd, p, n, static_cast<off_t>(offset));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return false;
-    p += got;
-    n -= static_cast<std::size_t>(got);
-    offset += static_cast<std::uint64_t>(got);
-  }
-  return true;
+  return read_upto(fd, offset, dst, n) == n;
 }
 
 /// read_samt_header's checks on an open file of which the first `bytes`
@@ -236,63 +244,44 @@ constexpr std::uint64_t kVarintFlags = 0x8080808080808080ULL;
   *p++ = static_cast<unsigned char>(v);
 }
 
-/// Strict LEB128: at most 10 bytes, the 10th byte may only carry the top
-/// bit of a 64-bit value. Returns false on any malformed input instead
-/// of wrapping, and never reads past `n`.
-[[nodiscard]] bool get_varint_checked(const unsigned char* p, std::size_t n,
-                                      std::size_t& pos,
-                                      std::uint64_t& out) noexcept {
-  std::uint64_t v = 0;
-  for (unsigned shift = 0; shift < 70; shift += 7) {
-    if (pos >= n) return false;
-    const unsigned char b = p[pos++];
-    if (shift == 63 && (b & 0xFE) != 0) return false;  // overflow / junk
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) {
-      out = v;
-      return true;
-    }
+/// The length of the LEB128 varint at `p`, 1 to 10 bytes, or 0 when no
+/// reader accepts the bytes there: a varint is at most 10 bytes, and its
+/// 10th byte may only carry the top bit of a 64-bit value. Reads the ten
+/// bytes at `p`, the first eight as one word.
+[[nodiscard, gnu::always_inline]] inline std::size_t varint_length(
+    const unsigned char* p) noexcept {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof w);
+  const std::uint64_t stops = ~w & kVarintFlags;
+  if (stops != 0) {
+    return static_cast<std::size_t>(std::countr_zero(stops) / 8 + 1);
   }
-  return false;
+  // Random 64-bit values split evenly between 9 and 10 bytes, so the two
+  // lengths take one path.
+  const std::size_t tenth = p[8] >> 7;  // 1 when a 10th byte follows
+  const std::size_t junk = p[9] & 0xFE & (0 - tenth);
+  return junk == 0 ? 9 + tenth : 0;
 }
 
-/// get_varint_checked for a caller that has proved at least ten bytes
-/// remain at `pos`: accepts and returns exactly what the checked form
-/// does there, reading the first eight bytes as one word.
-[[nodiscard, gnu::always_inline]] inline bool get_varint_unchecked(
-    const unsigned char* p, std::size_t& pos, std::uint64_t& out) noexcept {
+/// Reads the varint at p[pos], which varint_length accepted, and
+/// advances `pos`. Reads the ten bytes at `pos` whatever the varint's
+/// length, so the caller must have them; a 9- and a 10-byte value then
+/// take the same path.
+[[nodiscard, gnu::always_inline]] inline std::uint64_t get_varint(
+    const unsigned char* p, std::size_t& pos) noexcept {
   std::uint64_t w;
   std::memcpy(&w, p + pos, sizeof w);
   const std::uint64_t stops = ~w & kVarintFlags;
   if (stops != 0) {  // ends within the word: keep bytes up to the stop
-    out = pack7(w & (stops ^ (stops - 1)));
     pos += static_cast<std::size_t>(std::countr_zero(stops) / 8 + 1);
-    return true;
+    return pack7(w & (stops ^ (stops - 1)));
   }
-  const unsigned char b8 = p[pos + 8];
-  const std::uint64_t v = pack7(w) | static_cast<std::uint64_t>(b8 & 0x7F)
-                                         << 56;
-  if ((b8 & 0x80) == 0) {
-    out = v;
-    pos += 9;
-    return true;
-  }
-  const unsigned char b9 = p[pos + 9];
-  if ((b9 & 0xFE) != 0) return false;  // overflow / junk
-  out = v | static_cast<std::uint64_t>(b9) << 63;
-  pos += 10;
-  return true;
-}
-
-/// The checked or the unchecked varint read, chosen at compile time.
-template <bool kChecked>
-[[nodiscard]] bool get_varint(const unsigned char* p, std::size_t n,
-                              std::size_t& pos, std::uint64_t& out) noexcept {
-  if constexpr (kChecked) {
-    return get_varint_checked(p, n, pos, out);
-  } else {
-    return get_varint_unchecked(p, pos, out);
-  }
+  const std::uint64_t b8 = p[pos + 8];
+  const std::uint64_t tenth = b8 >> 7;  // 1 when a 10th byte follows
+  const std::uint64_t v = pack7(w) | (b8 & 0x7F) << 56 |
+                          (p[pos + 9] & tenth) << 63;
+  pos += 9 + tenth;
+  return v;
 }
 
 // --- record codec ---------------------------------------------------------
@@ -313,7 +302,9 @@ constexpr unsigned char kHasBrBit = 0x40;
 constexpr unsigned char kHasValueBit = 0x80;
 constexpr std::uint8_t kMaxOpClass = static_cast<std::uint8_t>(OpClass::kNop);
 /// The largest encoded record: five raw bytes and three 10-byte varints
-/// (pc, one address, value).
+/// (pc, one address, value). Every byte a record's decode reads, its
+/// varints' ten-byte reads included, lies within this many bytes of the
+/// record's start.
 constexpr std::size_t kMaxRecordBytes = 5 + 3 * 10;
 
 struct DeltaState {
@@ -349,48 +340,46 @@ void encode_record(const MicroOp& op, DeltaState& st,
   if (has_value) put_varint(p, op.value);
 }
 
-/// Decodes one record into `out`, each field written in place: no
-/// temporary record is built and copied out. False for bytes no record
-/// encodes: an op class past kNop, both address bits (a MicroOp holds one
-/// address), or a malformed varint; `out` is then partly written.
-template <bool kChecked>
-[[nodiscard, gnu::always_inline]] inline bool decode_record(
-    const unsigned char* p, std::size_t n, std::size_t& pos, DeltaState& st,
-    MicroOp& out) noexcept {
-  if (kChecked && pos + 5 > n) return false;
-  const unsigned char b0 = p[pos];
-  if ((b0 & 0x0F) > kMaxOpClass) return false;
-  if ((b0 & kHasMemBit) != 0 && (b0 & kHasBrBit) != 0) return false;
-  out.op = static_cast<OpClass>(b0 & 0x0F);
-  out.mem_size = p[pos + 1];
-  out.src1 = p[pos + 2];
-  out.src2 = p[pos + 3];
-  out.dst = p[pos + 4];
-  out.taken = (b0 & kTakenBit) != 0;
-  out.pad_[0] = 0;
-  out.pad_[1] = 0;
+static_assert(offsetof(MicroOp, op) == 24 &&
+                  offsetof(MicroOp, mem_size) == 25 &&
+                  offsetof(MicroOp, src1) == 26 &&
+                  offsetof(MicroOp, src2) == 27 &&
+                  offsetof(MicroOp, dst) == 28 &&
+                  offsetof(MicroOp, taken) == 29 &&
+                  offsetof(MicroOp, pad_) == 30,
+              "the op class, the four raw bytes, taken and the pad are "
+              "MicroOp's bytes 24..31, one word");
+
+/// Decodes the record at p[pos], which the encoder wrote or a block
+/// check accepted, into `out`, each field written in place, and advances
+/// `pos`. Checks nothing, and reads up to kMaxRecordBytes bytes from the
+/// record's start, past its end when it is shorter.
+[[gnu::always_inline]] inline void decode_record(const unsigned char* p,
+                                                 std::size_t& pos,
+                                                 DeltaState& st,
+                                                 MicroOp& out) noexcept {
+  std::uint64_t raw;
+  std::memcpy(&raw, p + pos, sizeof raw);
+  // The op class, the four raw bytes and the taken bit in one store,
+  // which zeroes the pad.
+  const std::uint64_t fields =
+      (raw & 0x000000FFFFFFFF0FULL) | (raw & kTakenBit) << 36;
+  std::memcpy(reinterpret_cast<unsigned char*>(&out) + offsetof(MicroOp, op),
+              &fields, sizeof fields);
+  const auto b0 = static_cast<unsigned char>(raw);
   pos += 5;
-  std::uint64_t u = 0;
-  if (!get_varint<kChecked>(p, n, pos, u)) return false;
-  const Addr pc = st.prev_pc + zigzag_decode(u);
+  const Addr pc = st.prev_pc + zigzag_decode(get_varint(p, pos));
   out.pc = pc;
   st.prev_pc = pc;
   Addr addr = 0;
   if ((b0 & kHasMemBit) != 0) {
-    if (!get_varint<kChecked>(p, n, pos, u)) return false;
-    addr = st.prev_mem + zigzag_decode(u);
+    addr = st.prev_mem + zigzag_decode(get_varint(p, pos));
     st.prev_mem = addr;
   } else if ((b0 & kHasBrBit) != 0) {
-    if (!get_varint<kChecked>(p, n, pos, u)) return false;
-    addr = pc + zigzag_decode(u);
+    addr = pc + zigzag_decode(get_varint(p, pos));
   }
   out.addr = addr;
-  std::uint64_t value = 0;
-  if ((b0 & kHasValueBit) != 0 && !get_varint<kChecked>(p, n, pos, value)) {
-    return false;
-  }
-  out.value = value;
-  return true;
+  out.value = (b0 & kHasValueBit) != 0 ? get_varint(p, pos) : 0;
 }
 
 // --- block codec ----------------------------------------------------------
@@ -405,65 +394,73 @@ constexpr std::size_t kBlockGuardedHeaderBytes =
   return fnv1a_64(payload, payload_bytes, g);
 }
 
-/// Bytes encode_block may write for a block of `n` records.
-[[nodiscard]] constexpr std::size_t max_block_bytes(std::size_t n) noexcept {
-  return sizeof(SamtBlockHeader) + n * kMaxRecordBytes;
+/// Blocks whose guards are hashed together. A guard is one FNV-1a
+/// multiply chain, each step waiting on the one before; four chains in
+/// step keep the multiplier busy where one leaves it idle.
+constexpr std::size_t kGuardLanes = 4;
+
+/// The guards of blocks[0, k), k <= kGuardLanes, whose payloads are
+/// payload_bytes[j] bytes (block_guard's values), hashed in step.
+void hash_guards(const unsigned char* const blocks[],
+                 const std::size_t payload_bytes[], std::size_t k,
+                 std::uint64_t guards[]) noexcept {
+  static_assert(kGuardLanes == 4, "the loop below hashes four chains");
+  const unsigned char* p[kGuardLanes] = {};
+  std::size_t left[kGuardLanes] = {};
+  std::uint64_t g[kGuardLanes] = {};
+  for (std::size_t j = 0; j < k; ++j) {
+    p[j] = blocks[j] + sizeof(SamtBlockHeader);
+    left[j] = payload_bytes[j];
+    g[j] = fnv1a_64(blocks[j], kBlockGuardedHeaderBytes);
+  }
+  // Each round hashes every unfinished chain as far as the shortest one
+  // has left. A finished lane re-reads a live lane's bytes into its dead
+  // chain, which delays no live chain: each waits on its own multiplies.
+  for (;;) {
+    std::size_t run = 0;
+    const unsigned char* live = nullptr;
+    for (std::size_t j = 0; j < kGuardLanes; ++j) {
+      if (left[j] != 0 && (run == 0 || left[j] < run)) {
+        run = left[j];
+        live = p[j];
+      }
+    }
+    if (run == 0) break;
+    const unsigned char* q0 = left[0] != 0 ? p[0] : live;
+    const unsigned char* q1 = left[1] != 0 ? p[1] : live;
+    const unsigned char* q2 = left[2] != 0 ? p[2] : live;
+    const unsigned char* q3 = left[3] != 0 ? p[3] : live;
+    std::uint64_t h0 = g[0];
+    std::uint64_t h1 = g[1];
+    std::uint64_t h2 = g[2];
+    std::uint64_t h3 = g[3];
+    for (std::size_t i = 0; i < run; ++i) {
+      h0 = (h0 ^ q0[i]) * kFnvPrime;
+      h1 = (h1 ^ q1[i]) * kFnvPrime;
+      h2 = (h2 ^ q2[i]) * kFnvPrime;
+      h3 = (h3 ^ q3[i]) * kFnvPrime;
+    }
+    const std::uint64_t h[kGuardLanes] = {h0, h1, h2, h3};
+    for (std::size_t j = 0; j < kGuardLanes; ++j) {
+      if (left[j] == 0) continue;
+      g[j] = h[j];
+      p[j] += run;
+      left[j] -= run;
+    }
+  }
+  for (std::size_t j = 0; j < k; ++j) guards[j] = g[j];
 }
-
-/// Guard bytes hashed per record coded, so a guard's multiply chain
-/// overlaps the record codec instead of running after it.
-constexpr std::size_t kGuardBytesPerRecord = 12;
-
-/// Continues FNV-1a hash `g` over the kGuardBytesPerRecord bytes at `p`.
-[[nodiscard, gnu::always_inline]] inline std::uint64_t hash_guard_chunk(
-    std::uint64_t g, const unsigned char* p) noexcept {
-  for (std::size_t k = 0; k < kGuardBytesPerRecord; ++k) {
-    g = (g ^ p[k]) * kFnvPrime;
-  }
-  return g;
-}
-
-/// An encoded block whose guard is being hashed: `guard` covers its
-/// guarded header bytes and payload bytes [0, hashed).
-struct PendingGuard {
-  unsigned char* block = nullptr;  ///< header + payload; nullptr: none
-  std::size_t payload_bytes = 0;
-  std::size_t hashed = 0;
-  std::uint64_t guard = 0;
-
-  /// Hashes the next kGuardBytesPerRecord payload bytes, if that many
-  /// remain.
-  void step() noexcept {
-    if (payload_bytes - hashed < kGuardBytesPerRecord) return;
-    guard = hash_guard_chunk(guard, block + sizeof(SamtBlockHeader) + hashed);
-    hashed += kGuardBytesPerRecord;
-  }
-
-  /// Hashes the rest of the payload and stores the guard in the header.
-  void finish() noexcept {
-    guard = fnv1a_64(block + sizeof(SamtBlockHeader) + hashed,
-                     payload_bytes - hashed, guard);
-    std::memcpy(block + offsetof(SamtBlockHeader, guard), &guard,
-                sizeof guard);
-  }
-};
 
 /// Encodes `n` records starting at global record `first_record` as one
-/// block (header, then payload) at `out`, which has room for
-/// max_block_bytes(n), and leaves its guard pending in `pending`. A
-/// block already pending there is hashed a fixed number of bytes per
-/// record encoded, so its multiply chain overlaps the encode, and then
-/// finished: its guard is in its header when this returns.
-void encode_block(const MicroOp* ops, std::uint32_t n,
-                  std::uint64_t first_record, unsigned char* out,
-                  PendingGuard& pending) noexcept {
+/// block (header, then payload) at `out`, which has room for a header and
+/// kMaxRecordBytes a record, and returns the block's bytes. The guard is
+/// left zero: encode_group hashes it.
+[[nodiscard]] std::size_t encode_block(const MicroOp* ops, std::uint32_t n,
+                                       std::uint64_t first_record,
+                                       unsigned char* out) noexcept {
   unsigned char* p = out + sizeof(SamtBlockHeader);
   DeltaState st;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    encode_record(ops[i], st, p);
-    pending.step();
-  }
-  if (pending.block != nullptr) pending.finish();
+  for (std::uint32_t i = 0; i < n; ++i) encode_record(ops[i], st, p);
   SamtBlockHeader h;
   h.magic = kBlockMagic;
   h.record_count = n;
@@ -471,118 +468,141 @@ void encode_block(const MicroOp* ops, std::uint32_t n,
   h.payload_bytes =
       static_cast<std::uint32_t>(p - out - sizeof(SamtBlockHeader));
   h.reserved = 0;
+  h.guard = 0;
   std::memcpy(out, &h, sizeof h);
-  pending = PendingGuard{out, h.payload_bytes, 0,
-                         fnv1a_64(&h, kBlockGuardedHeaderBytes)};
+  return sizeof h + h.payload_bytes;
 }
 
-/// How far a block's guard is hashed: `guard` covers its guarded header
-/// bytes and payload bytes [0, hashed).
-struct GuardProgress {
-  std::uint64_t guard = 0;
-  std::size_t hashed = 0;
+/// Encodes records [first, first + count), at most kGuardLanes blocks of
+/// `block_records` (the last may be short), as consecutive blocks at
+/// `out`, which has room for max_encoded_bytes(count, block_records),
+/// and hashes their guards together (hash_guards). `records(k)` returns
+/// the next k records of the trace. Returns the bytes written.
+template <class Records>
+std::size_t encode_group(std::uint64_t first, std::uint64_t count,
+                         std::uint32_t block_records, unsigned char* out,
+                         Records&& records) {
+  unsigned char* blocks[kGuardLanes] = {};
+  std::size_t payload[kGuardLanes] = {};
+  std::size_t k = 0;
+  std::size_t bytes = 0;
+  for (std::uint64_t done = 0; done < count; done += block_records, ++k) {
+    assert(k < kGuardLanes);
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(block_records, count - done));
+    blocks[k] = out + bytes;
+    const std::size_t block = encode_block(records(n), n, first + done,
+                                           blocks[k]);
+    payload[k] = block - sizeof(SamtBlockHeader);
+    bytes += block;
+  }
+  std::uint64_t guards[kGuardLanes] = {};
+  hash_guards(blocks, payload, k, guards);
+  for (std::size_t j = 0; j < k; ++j) {
+    std::memcpy(blocks[j] + offsetof(SamtBlockHeader, guard), &guards[j],
+                sizeof guards[j]);
+  }
+  return bytes;
+}
+
+// --- block checks ---------------------------------------------------------
+//
+// Readers judge a block on the bytes the file holds, without decoding a
+// record: its header against the index, its guard, then every record's
+// decodability and record domain, straight from the raw bytes.
+
+/// The low bits of a payload's delta state. Natural alignment depends
+/// only on an address's low three bits, and zigzag_decode's low six bits
+/// depend only on the low seven bits of its input, which a varint's
+/// first byte holds: so these track the low six bits of the previous pc
+/// and memory address exactly, from first bytes alone.
+struct LowDeltas {
+  std::uint64_t pc = 0;
+  std::uint64_t mem = 0;
 };
 
-/// Decodes the `count` records of an `n`-byte block payload, writing
-/// record i field by field to ring[(at + i) & mask]. Returns how many
-/// decoded: fewer than `count` means the record at that index is
-/// undecodable. `pos` ends after the last decoded byte. With kHash, `g`
-/// is hashed kGuardBytesPerRecord payload bytes per decoded record, so
-/// the guard's multiply chain overlaps the decode.
-template <bool kHash>
-[[nodiscard]] std::uint32_t decode_payload(const unsigned char* payload,
+/// What judge_payload found in a block's payload.
+struct PayloadVerdict {
+  /// Records judged; fewer than the block's count means the record at
+  /// that index is undecodable.
+  std::uint32_t decoded = 0;
+  std::size_t end = 0;  ///< byte after the last record, once all decode
+  /// The first record outside the record domain and the rule it breaks
+  /// (record_fields_violation); `rule` is nullptr when there is none.
+  std::uint32_t outside = 0;
+  const char* rule = nullptr;
+};
+
+/// Judges record v.decoded at p[pos] on its raw bytes and advances `pos`
+/// past it, reading no further than kMaxRecordBytes bytes from `pos`.
+/// False when no record decodes there: an op class past kNop, both
+/// address bits (a MicroOp holds one address), or a malformed varint.
+/// While `v` names no record outside the domain yet, checks this one
+/// against it.
+[[nodiscard, gnu::always_inline]] inline bool judge_record(
+    const unsigned char* p, std::size_t& pos, LowDeltas& st,
+    PayloadVerdict& v) noexcept {
+  const unsigned char* fields = p + pos;
+  const unsigned char b0 = fields[0];
+  if ((b0 & 0x0F) > kMaxOpClass) return false;
+  if ((b0 & kHasMemBit) != 0 && (b0 & kHasBrBit) != 0) return false;
+  pos += 5;
+  std::size_t len = varint_length(p + pos);
+  if (len == 0) return false;
+  st.pc += zigzag_decode(p[pos] & 0x7Fu);
+  pos += len;
+  std::uint64_t addr = 0;
+  if ((b0 & (kHasMemBit | kHasBrBit)) != 0) {
+    len = varint_length(p + pos);
+    if (len == 0) return false;
+    const std::uint64_t delta = zigzag_decode(p[pos] & 0x7Fu);
+    if ((b0 & kHasMemBit) != 0) {
+      st.mem += delta;
+      addr = st.mem;
+    } else {
+      addr = st.pc + delta;
+    }
+    pos += len;
+  }
+  if ((b0 & kHasValueBit) != 0) {
+    len = varint_length(p + pos);
+    if (len == 0) return false;
+    pos += len;
+  }
+  if (v.rule == nullptr) {
+    v.rule = record_fields_violation(b0 & 0x0F, fields[1], fields[2],
+                                     fields[3], fields[4], addr);
+    v.outside = v.decoded;
+  }
+  return true;
+}
+
+/// Judges the `count` records of an `n`-byte block payload.
+[[nodiscard]] PayloadVerdict judge_payload(const unsigned char* p,
                                            std::size_t n,
-                                           std::uint32_t count,
-                                           MicroOp* ring, std::uint64_t at,
-                                           std::uint64_t mask,
-                                           std::size_t& pos,
-                                           GuardProgress& g) noexcept {
-  DeltaState st;
-  std::uint32_t i = 0;
-  // While a whole record's worth of bytes remains, no read can overrun.
-  for (; i < count && n - pos >= kMaxRecordBytes; ++i) {
-    if (!decode_record<false>(payload, n, pos, st, ring[(at + i) & mask])) {
-      return i;
-    }
-    if constexpr (kHash) {
-      if (n - g.hashed >= kGuardBytesPerRecord) {
-        g.guard = hash_guard_chunk(g.guard, payload + g.hashed);
-        g.hashed += kGuardBytesPerRecord;
-      }
-    }
-  }
-  for (; i < count; ++i) {
-    if (!decode_record<true>(payload, n, pos, st, ring[(at + i) & mask])) {
-      return i;
-    }
-  }
-  return i;
-}
-
-/// Verifies one raw block (header + payload as read from the file)
-/// against its index entry and its own guard, and decodes its records
-/// to out[0, entry.record_count). Any mismatch throws
-/// TraceCorruptError(kInteriorCorrupt): the footer and index were
-/// already validated, so a bad block is interior damage. A payload that
-/// fails its guard throws the guard mismatch, never a decode error, as
-/// if the guard were checked first; what `out` then holds is unspecified.
-void decode_block(const std::string& path, const unsigned char* raw,
-                  const SamtIndexEntry& entry, std::uint64_t block_idx,
-                  MicroOp* out) {
-  auto corrupt = [&](const std::string& what) -> TraceCorruptError {
-    return TraceCorruptError(
-        path + ": block " + std::to_string(block_idx) + " at offset " +
-            std::to_string(entry.file_offset) + ": " + what,
-        TraceDamage::kInteriorCorrupt, block_idx, entry.file_offset);
-  };
-  SamtBlockHeader h{};
-  std::memcpy(&h, raw, sizeof h);
-  if (h.magic != kBlockMagic || h.record_count != entry.record_count ||
-      h.first_record != entry.first_record ||
-      h.payload_bytes != entry.payload_bytes || h.guard != entry.guard) {
-    throw corrupt("block header disagrees with the index");
-  }
-  const unsigned char* payload = raw + sizeof h;
-  const std::size_t n = h.payload_bytes;
-  GuardProgress g{fnv1a_64(&h, kBlockGuardedHeaderBytes), 0};
+                                           std::uint32_t count) noexcept {
+  PayloadVerdict v;
+  LowDeltas st;
   std::size_t pos = 0;
-  const std::uint32_t decoded = decode_payload<true>(
-      payload, n, h.record_count, out, 0, ~std::uint64_t{0}, pos, g);
-  if (fnv1a_64(payload + g.hashed, n - g.hashed, g.guard) != h.guard) {
-    throw corrupt("guard mismatch (corrupt payload)");
+  // While a whole record's worth of bytes remains, no read can overrun.
+  for (; v.decoded < count && n - pos >= kMaxRecordBytes; ++v.decoded) {
+    if (!judge_record(p, pos, st, v)) return v;
   }
-  if (decoded != h.record_count) {
-    throw corrupt("undecodable record " + std::to_string(decoded));
+  // The last records, in fewer than kMaxRecordBytes bytes, are judged
+  // from a copy padded with 0x80: a byte that continues a varint and
+  // fails a 10th byte's rule, so no varint ends in the padding. A record
+  // that runs past the payload ends in a varint, so it is undecodable,
+  // as a bounds check would find; each record's reads stay within
+  // kMaxRecordBytes of its start, which lies in the copied bytes.
+  unsigned char tail[2 * kMaxRecordBytes];
+  std::memset(tail, 0x80, sizeof tail);
+  std::memcpy(tail, p + pos, n - pos);
+  std::size_t at = 0;
+  for (; v.decoded < count; ++v.decoded) {
+    if (!judge_record(tail, at, st, v)) return v;
   }
-  if (pos != h.payload_bytes) throw corrupt("trailing payload bytes");
-}
-
-/// Reads one raw block (header + payload) into `raw` with one pread,
-/// applies an armed bit-flip fault to the in-memory copy, then verifies
-/// and decodes it to `out` (decode_block).
-void read_block(const std::string& path, int fd, const SamtIndexEntry& entry,
-                std::uint64_t block_idx, const IoFault& fault,
-                unsigned char* raw, MicroOp* out) {
-  const std::size_t bytes = sizeof(SamtBlockHeader) + entry.payload_bytes;
-  if (!read_at(fd, entry.file_offset, raw, bytes)) {
-    throw TraceCorruptError(
-        path + ": block " + std::to_string(block_idx) + " unreadable",
-        TraceDamage::kTornTail, block_idx, entry.file_offset);
-  }
-  if (fault.kind == IoFault::Kind::kBitFlipBlock &&
-      fault.param == block_idx) {
-    raw[bytes > sizeof(SamtBlockHeader) ? sizeof(SamtBlockHeader)
-                                        : bytes - 1] ^= 0x01;
-  }
-  decode_block(path, raw, entry, block_idx, out);
-}
-
-/// The records of the largest block in `index`.
-[[nodiscard]] std::uint32_t largest_block(
-    const std::vector<SamtIndexEntry>& index) noexcept {
-  std::uint32_t most = 0;
-  for (const SamtIndexEntry& e : index) most = std::max(most, e.record_count);
-  return most;
+  v.end = pos + at;
+  return v;
 }
 
 /// The first record outside the record domain, as an open throws it and
@@ -602,46 +622,115 @@ struct DomainViolation {
   }
 };
 
-/// The first record of decoded block `block_idx` (ops[0,
-/// entry.record_count)) outside the record domain; none found if there
-/// is no such record.
-[[nodiscard]] DomainViolation first_out_of_domain(
-    const MicroOp* ops, const SamtIndexEntry& entry,
-    std::uint64_t block_idx) noexcept {
-  for (std::uint32_t i = 0; i < entry.record_count; ++i) {
-    if (const char* rule = record_domain_violation(ops[i])) {
-      return {entry.first_record + i, block_idx, entry.file_offset, rule};
-    }
+/// What check_blocks found in one block: the damage of the first check
+/// it fails, with the verdict an open states after the path, or else its
+/// first record outside the record domain, if any.
+struct BlockVerdict {
+  TraceDamage damage = TraceDamage::kNone;
+  std::string note;
+  DomainViolation outside;
+};
+
+/// Judges block `b` at `raw`, read for index entry `e`, whose bytes hash
+/// to `guard`: the header against the index, then the guard, then the
+/// payload (judge_payload).
+[[nodiscard]] BlockVerdict judge_block(const unsigned char* raw,
+                                       const SamtIndexEntry& e,
+                                       std::uint64_t b, std::uint64_t guard) {
+  BlockVerdict v;
+  const auto damaged = [&](const std::string& what) {
+    v.damage = TraceDamage::kInteriorCorrupt;
+    v.note = "block " + std::to_string(b) + " at offset " +
+             std::to_string(e.file_offset) + ": " + what;
+    return v;
+  };
+  SamtBlockHeader h{};
+  std::memcpy(&h, raw, sizeof h);
+  if (h.magic != kBlockMagic || h.record_count != e.record_count ||
+      h.first_record != e.first_record ||
+      h.payload_bytes != e.payload_bytes || h.guard != e.guard) {
+    return damaged("block header disagrees with the index");
   }
-  return {};
+  if (guard != h.guard) return damaged("guard mismatch (corrupt payload)");
+  const PayloadVerdict p =
+      judge_payload(raw + sizeof h, h.payload_bytes, h.record_count);
+  if (p.decoded != h.record_count) {
+    return damaged("undecodable record " + std::to_string(p.decoded));
+  }
+  if (p.end != h.payload_bytes) return damaged("trailing payload bytes");
+  if (p.rule != nullptr) {
+    v.outside = {e.first_record + p.outside, b, e.file_offset, p.rule};
+  }
+  return v;
 }
 
-/// Reads, verifies and decodes blocks [b0, b1) of `index` through `fd`
-/// in index order, appending records [begin, end) of the trace to `out`.
-/// The first damaged block throws.
-void decode_blocks(const std::string& path, int fd,
-                   const std::vector<SamtIndexEntry>& index, std::size_t b0,
-                   std::size_t b1, const IoFault& fault, std::uint64_t begin,
-                   std::uint64_t end, std::vector<MicroOp>& out) {
-  std::size_t raw_bytes = 0;
-  std::uint32_t records = 0;
-  for (std::size_t b = b0; b < b1; ++b) {
-    raw_bytes = std::max<std::size_t>(
-        raw_bytes, sizeof(SamtBlockHeader) + index[b].payload_bytes);
-    records = std::max(records, index[b].record_count);
+[[noreturn]] void throw_block_damage(const std::string& path, std::uint64_t b,
+                                     const SamtIndexEntry& e,
+                                     const BlockVerdict& v) {
+  throw TraceCorruptError(path + ": " + v.note, v.damage, b, e.file_offset);
+}
+
+/// Reads the blocks of `index` through `fd` and judges each one
+/// (judge_block). Blocks go in index order, in groups of up to
+/// kGuardLanes: each group, whose bytes are contiguous in the file, is
+/// read with one pread to place(first block, bytes), an armed bit-flip
+/// fault is applied to the bytes read, and the group's guards are hashed
+/// together (hash_guards). Then visit(b, block bytes, verdict) is called
+/// for each block of the group in order; the bytes are nullptr for an
+/// unreadable block. A visit that throws ends the walk, so an open that
+/// throws at the first damage reports the lowest damaged block.
+template <class Place, class Visit>
+void check_blocks(int fd, const std::vector<SamtIndexEntry>& index,
+                  const IoFault& fault, Place&& place, Visit&& visit) {
+  for (std::size_t g = 0; g < index.size(); g += kGuardLanes) {
+    const std::size_t k = std::min(kGuardLanes, index.size() - g);
+    const std::uint64_t start = index[g].file_offset;
+    const SamtIndexEntry& last = index[g + k - 1];
+    const auto bytes = static_cast<std::size_t>(
+        last.file_offset + sizeof(SamtBlockHeader) + last.payload_bytes -
+        start);
+    unsigned char* raw = place(g, bytes);
+    const std::size_t got = read_upto(fd, start, raw, bytes);
+    const unsigned char* blocks[kGuardLanes] = {};
+    std::size_t payload[kGuardLanes] = {};
+    std::size_t readable = 0;
+    for (; readable < k; ++readable) {
+      const SamtIndexEntry& e = index[g + readable];
+      const auto at = static_cast<std::size_t>(e.file_offset - start);
+      if (got < at || got - at < sizeof(SamtBlockHeader) + e.payload_bytes) {
+        break;
+      }
+      if (fault.kind == IoFault::Kind::kBitFlipBlock &&
+          fault.param == g + readable) {
+        raw[at + (e.payload_bytes != 0 ? sizeof(SamtBlockHeader)
+                                       : sizeof(SamtBlockHeader) - 1)] ^= 0x01;
+      }
+      blocks[readable] = raw + at;
+      payload[readable] = e.payload_bytes;
+    }
+    std::uint64_t guards[kGuardLanes] = {};
+    hash_guards(blocks, payload, readable, guards);
+    for (std::size_t j = 0; j < k; ++j) {
+      if (j < readable) {
+        visit(g + j, blocks[j],
+              judge_block(blocks[j], index[g + j], g + j, guards[j]));
+      } else {
+        // A failing pread of bytes the file size says exist.
+        BlockVerdict v;
+        v.damage = TraceDamage::kTornTail;
+        v.note = "block " + std::to_string(g + j) + " unreadable";
+        visit(g + j, nullptr, v);
+      }
+    }
   }
-  std::vector<unsigned char> raw(raw_bytes);
-  std::vector<MicroOp> block(records);
-  out.reserve(out.size() + static_cast<std::size_t>(end - begin));
-  for (std::size_t b = b0; b < b1; ++b) {
-    const SamtIndexEntry& e = index[b];
-    read_block(path, fd, e, b, fault, raw.data(), block.data());
-    const std::uint64_t lo = std::max(begin, e.first_record) - e.first_record;
-    const std::uint64_t hi =
-        std::min(end, e.first_record + e.record_count) - e.first_record;
-    out.insert(out.end(), block.begin() + static_cast<std::ptrdiff_t>(lo),
-               block.begin() + static_cast<std::ptrdiff_t>(hi));
-  }
+}
+
+/// A check_blocks placement that reads every group into `buffer`.
+[[nodiscard]] auto into(std::vector<unsigned char>& buffer) {
+  return [&buffer](std::size_t, std::size_t bytes) {
+    buffer.resize(bytes);
+    return buffer.data();
+  };
 }
 
 // --- layout (header + footer + index) validation --------------------------
@@ -884,40 +973,60 @@ void TraceWriterV2::flush_block() {
 }
 
 void TraceWriterV2::write_blocks(const MicroOp* ops, std::size_t count) {
-  // Two buffers: block k is encoded while block k - 1's guard finishes,
-  // then block k - 1 is written.
-  const std::size_t cap =
-      max_block_bytes(std::min<std::size_t>(count, block_records_));
-  std::vector<unsigned char> buffers(2 * cap);
-  const std::uint64_t base = durable_records_;  // write() advances it
-  PendingGuard pending;
-  auto write = [&](const unsigned char* block) {
+  // Groups of up to kGuardLanes blocks are encoded into one buffer, their
+  // guards hashed together (encode_group), and written with one fwrite.
+  // The buffer is left uninitialized, so no byte of it is touched that an
+  // encode does not write.
+  const std::size_t group =
+      std::min(count, kGuardLanes * std::size_t{block_records_});
+  const std::unique_ptr<unsigned char[]> buffer(
+      new unsigned char[max_encoded_bytes(group, block_records_)]);
+  for (std::size_t first = 0; first < count; first += group) {
+    const MicroOp* next = ops + first;
+    const std::size_t bytes = encode_group(
+        durable_records_, std::min(group, count - first), block_records_,
+        buffer.get(),
+        [&next](std::size_t k) { return std::exchange(next, next + k); });
+    write_indexed(buffer.get(), bytes);
+  }
+}
+
+void TraceWriterV2::append_blocks(std::span<const unsigned char> blocks) {
+  if (file_ == nullptr) fail(path_, "append after finish()");
+  // The whole span is checked before any of it is written.
+  std::uint64_t next = durable_records_;
+  for (std::size_t at = 0; at < blocks.size();) {
     SamtBlockHeader h{};
-    std::memcpy(&h, block, sizeof h);
-    const std::size_t bytes = sizeof h + h.payload_bytes;
-    if (std::fwrite(block, 1, bytes, file_) != bytes ||
-        std::fflush(file_) != 0) {
-      fail(path_, "short write");
+    if (blocks.size() - at >= sizeof h) {
+      std::memcpy(&h, blocks.data() + at, sizeof h);
     }
-    index_.push_back(SamtIndexEntry{write_offset_, h.first_record,
+    if (!pending_.empty() || h.magic != kBlockMagic ||
+        h.first_record != next ||
+        h.payload_bytes > blocks.size() - at - sizeof h) {
+      fail(path_, "appended blocks do not continue the trace");
+    }
+    next += h.record_count;
+    at += sizeof h + h.payload_bytes;
+  }
+  write_indexed(blocks.data(), blocks.size());
+}
+
+void TraceWriterV2::write_indexed(const unsigned char* blocks,
+                                  std::size_t bytes) {
+  if (std::fwrite(blocks, 1, bytes, file_) != bytes ||
+      std::fflush(file_) != 0) {
+    fail(path_, "short write");
+  }
+  for (std::size_t at = 0; at < bytes;) {
+    SamtBlockHeader h{};
+    std::memcpy(&h, blocks + at, sizeof h);
+    index_.push_back(SamtIndexEntry{write_offset_ + at, h.first_record,
                                     h.record_count, h.payload_bytes,
                                     h.guard});
     durable_records_ += h.record_count;
-    write_offset_ += bytes;
-  };
-  for (std::size_t first = 0, k = 0; first < count;
-       first += block_records_, ++k) {
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::size_t>(block_records_, count - first));
-    const unsigned char* previous = pending.block;
-    encode_block(ops + first, n, base + first,
-                 buffers.data() + (k % 2) * cap, pending);
-    if (previous != nullptr) write(previous);
+    at += sizeof h + h.payload_bytes;
   }
-  if (pending.block != nullptr) {
-    pending.finish();
-    write(pending.block);
-  }
+  write_offset_ += bytes;
 }
 
 void TraceWriterV2::finish() {
@@ -1016,36 +1125,28 @@ TraceV2Reader::TraceV2Reader(const std::string& path)
 std::string TraceV2Reader::name() const { return header_name(header_); }
 
 std::uint32_t TraceV2Reader::max_block_records() const noexcept {
-  return largest_block(index_);
-}
-
-std::vector<MicroOp> TraceV2Reader::read_range(std::uint64_t begin,
-                                               std::uint64_t end) const {
-  if (end > header_.count) end = header_.count;
-  if (begin > end) begin = end;
-  std::vector<MicroOp> out;
-  if (begin == end) return out;
-  // First block whose record range reaches `begin`, and the first past
-  // `end` (index entries carry contiguous first_record values).
-  const auto first = std::partition_point(
-      index_.begin(), index_.end(), [begin](const SamtIndexEntry& e) {
-        return e.first_record + e.record_count <= begin;
-      });
-  const auto last = std::partition_point(
-      first, index_.end(),
-      [end](const SamtIndexEntry& e) { return e.first_record < end; });
-  decode_blocks(path_, file_.get(), index_,
-                static_cast<std::size_t>(first - index_.begin()),
-                static_cast<std::size_t>(last - index_.begin()), fault_,
-                begin, end, out);
-  return out;
+  std::uint32_t most = 0;
+  for (const SamtIndexEntry& e : index_) most = std::max(most, e.record_count);
+  return most;
 }
 
 Trace TraceV2Reader::read_all() const {
   Trace t;
   t.name = name();
   t.seed = header_.seed;
-  t.ops = read_range(0, header_.count);
+  std::vector<unsigned char> group;
+  check_blocks(file_.get(), index_, fault_, into(group),
+               [&](std::size_t b, const unsigned char* block,
+                   const BlockVerdict& v) {
+                 if (v.damage != TraceDamage::kNone) {
+                   throw_block_damage(path_, b, index_[b], v);
+                 }
+                 // Grown per verified block: a block's claimed count
+                 // allocates nothing until its records decode.
+                 t.ops.resize(t.ops.size() + index_[b].record_count);
+                 (void)decode_resident_block(block, t.ops.data(),
+                                             ~std::uint64_t{0});
+               });
   return t;
 }
 
@@ -1058,15 +1159,18 @@ std::vector<unsigned char> TraceV2Reader::read_blocks_in_domain() const {
                            index_.back().payload_bytes;
   std::vector<unsigned char> blocks(
       static_cast<std::size_t>(end - sizeof(SamtHeader)));
-  std::vector<MicroOp> records(max_block_records());
   DomainViolation first;
-  for (std::size_t b = 0; b < index_.size(); ++b) {
-    const SamtIndexEntry& e = index_[b];
-    read_block(path_, file_.get(), e, b, fault_,
-               blocks.data() + (e.file_offset - sizeof(SamtHeader)),
-               records.data());
-    if (!first.found()) first = first_out_of_domain(records.data(), e, b);
-  }
+  check_blocks(
+      file_.get(), index_, fault_,
+      [&](std::size_t b, std::size_t) {
+        return blocks.data() + (index_[b].file_offset - sizeof(SamtHeader));
+      },
+      [&](std::size_t b, const unsigned char*, const BlockVerdict& v) {
+        if (v.damage != TraceDamage::kNone) {
+          throw_block_damage(path_, b, index_[b], v);
+        }
+        if (!first.found()) first = v.outside;
+      });
   if (first.found()) {
     throw TraceCorruptError(path_ + ": " + first.verdict(),
                             TraceDamage::kInteriorCorrupt, first.block,
@@ -1092,33 +1196,28 @@ TraceHealth trace_health(const std::string& path) {
     h.note = L.note;
     return h;
   }
-  std::vector<unsigned char> raw;
-  std::vector<MicroOp> records(largest_block(L.index));
+  std::vector<unsigned char> group;
   DomainViolation first_outside;
   h.blocks.reserve(L.index.size());
-  for (std::size_t i = 0; i < L.index.size(); ++i) {
-    const SamtIndexEntry& e = L.index[i];
-    BlockHealth blk{e.file_offset, e.first_record, e.record_count, true};
-    raw.resize(sizeof(SamtBlockHeader) + e.payload_bytes);
-    try {
-      read_block(path, f.get(), e, i, fault, raw.data(), records.data());
-      const DomainViolation v = first_out_of_domain(records.data(), e, i);
-      if (v.found()) {
-        blk.ok = false;
-        if (!first_outside.found()) first_outside = v;
-      }
-    } catch (const TraceCorruptError& err) {
-      blk.ok = false;
-      if (h.damage == TraceDamage::kNone) {
-        // As the open would throw it: block damage wins over the domain.
-        h.damage = err.damage;
-        h.first_bad_offset = err.offset;
-        h.note = std::string(err.what()).substr(path.size() + 2);
-      }
-    }
-    if (!blk.ok) ++h.bad_blocks;
-    h.blocks.push_back(blk);
-  }
+  check_blocks(f.get(), L.index, fault, into(group),
+               [&](std::size_t b, const unsigned char*,
+                   const BlockVerdict& v) {
+                 const SamtIndexEntry& e = L.index[b];
+                 const bool ok =
+                     v.damage == TraceDamage::kNone && !v.outside.found();
+                 if (v.damage != TraceDamage::kNone &&
+                     h.damage == TraceDamage::kNone) {
+                   // As the open would throw it: block damage wins over
+                   // the domain.
+                   h.damage = v.damage;
+                   h.first_bad_offset = e.file_offset;
+                   h.note = v.note;
+                 }
+                 if (!first_outside.found()) first_outside = v.outside;
+                 if (!ok) ++h.bad_blocks;
+                 h.blocks.push_back(BlockHealth{e.file_offset, e.first_record,
+                                                e.record_count, ok});
+               });
   if (h.damage == TraceDamage::kNone && first_outside.found()) {
     h.damage = TraceDamage::kInteriorCorrupt;
     h.first_bad_offset = first_outside.offset;
@@ -1146,18 +1245,15 @@ std::size_t encode_blocks(
     const std::function<void(MicroOp*, std::size_t)>& fill) {
   std::vector<MicroOp> records(
       static_cast<std::size_t>(std::min<std::uint64_t>(n, block_records)));
-  // Blocks are contiguous, so the previous block stays in place while
-  // its guard finishes under the next one's encode.
-  PendingGuard pending;
+  const std::uint64_t group = kGuardLanes * std::uint64_t{block_records};
   std::size_t bytes = 0;
-  for (std::uint64_t first = 0; first < n; first += block_records) {
-    const auto k = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(block_records, n - first));
-    fill(records.data(), k);
-    encode_block(records.data(), k, first, out + bytes, pending);
-    bytes += sizeof(SamtBlockHeader) + pending.payload_bytes;
+  for (std::uint64_t first = 0; first < n; first += group) {
+    bytes += encode_group(first, std::min(group, n - first), block_records,
+                          out + bytes, [&](std::size_t k) {
+                            fill(records.data(), k);
+                            return records.data();
+                          });
   }
-  if (pending.block != nullptr) pending.finish();
   return bytes;
 }
 
@@ -1166,12 +1262,24 @@ SamtBlockHeader decode_resident_block(const unsigned char* block,
                                       std::uint64_t mask) noexcept {
   SamtBlockHeader h{};
   std::memcpy(&h, block, sizeof h);
-  GuardProgress unused;
+  const unsigned char* payload = block + sizeof h;
+  const std::size_t n = h.payload_bytes;
+  DeltaState st;
   std::size_t pos = 0;
-  [[maybe_unused]] const std::uint32_t decoded =
-      decode_payload<false>(block + sizeof h, h.payload_bytes, h.record_count,
-                            ring, h.first_record, mask, pos, unused);
-  assert(decoded == h.record_count && pos == h.payload_bytes);
+  std::uint64_t r = h.first_record;
+  const std::uint64_t end = r + h.record_count;
+  // While a whole record's worth of bytes remains, no read can overrun.
+  for (; r < end && n - pos >= kMaxRecordBytes; ++r) {
+    decode_record(payload, pos, st, ring[r & mask]);
+  }
+  // The last records decode from a copy with room for the reads past
+  // their end: fewer than kMaxRecordBytes bytes are left, and each
+  // record's reads stay within kMaxRecordBytes of its start.
+  unsigned char tail[2 * kMaxRecordBytes] = {};
+  std::memcpy(tail, payload + pos, n - pos);
+  std::size_t at = 0;
+  for (; r < end; ++r) decode_record(tail, at, st, ring[r & mask]);
+  assert(pos + at == n);
   return h;
 }
 

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -239,14 +240,14 @@ struct TraceHealth {
 // ------------------------------------------------------------ v2 writer --
 
 /// Streaming SAMT v2 writer with atomic, resumable publication. All
-/// writes go to `path + ".tmp"`. Blocks are written and flushed strictly
-/// in index order, each as soon as the next one is encoded (its guard
-/// is hashed alongside that encode), so a killed import loses at most
-/// the two blocks in flight and kResume keeps the intact prefix;
-/// `finish()` writes index + footer, patches the header, fsyncs and
-/// renames into place (readers never observe a partial file at `path`).
-/// An unfinished tmp is *kept* on destruction — kResume picks its intact
-/// blocks back up.
+/// writes go to `path + ".tmp"`. Blocks are encoded in groups of up to
+/// four, whose guards are hashed together, and each group is written and
+/// flushed in index order as soon as it is encoded, so a killed import
+/// loses at most the four blocks in flight and kResume keeps the intact
+/// prefix; `finish()` writes index + footer, patches the header, fsyncs
+/// and renames into place (readers never observe a partial file at
+/// `path`). An unfinished tmp is *kept* on destruction — kResume picks
+/// its intact blocks back up.
 class TraceWriterV2 {
  public:
   enum class Mode : std::uint8_t {
@@ -270,6 +271,12 @@ class TraceWriterV2 {
   void append(const MicroOp& op);
   /// Whole blocks are encoded straight from `ops`, without a copy.
   void append(TraceView ops);
+  /// Writes blocks that are already encoded, such as a TraceSource's
+  /// blocks(), as they are, and indexes each from its header. They must
+  /// continue the trace: no single record may be pending, and the first
+  /// block starts at durable_records(). Throws TraceFormatError, writing
+  /// nothing, when they do not.
+  void append_blocks(std::span<const unsigned char> blocks);
   /// Flushes the final block, writes index + footer, patches the header,
   /// fsyncs and atomically renames the tmp into place.
   void finish();
@@ -285,6 +292,8 @@ class TraceWriterV2 {
   /// Encodes `count` records as consecutive blocks of block_records_
   /// (the last may be short) and writes them in index order.
   void write_blocks(const MicroOp* ops, std::size_t count);
+  /// Writes the whole blocks at `blocks` and enters each in the index.
+  void write_indexed(const unsigned char* blocks, std::size_t bytes);
 
   std::string path_;
   std::string tmp_path_;
@@ -321,10 +330,10 @@ class FileHandle {
 /// SAMT v2 reader. Construction opens the file once and validates
 /// header, footer and index eagerly (classifying damage into
 /// TraceCorruptError); every later read goes through that descriptor.
-/// Block payloads are read and guard-verified lazily, on the first read
-/// that touches them — a corrupt block only fails the reads whose range
-/// covers it. A read that spans several blocks walks them in index order
-/// and reports the lowest-index damaged block.
+/// Both reads check every block as an open does, on its raw bytes: in
+/// index order, its header against the index, its guard (hashed four
+/// blocks at a time), then each record's decodability. The lowest
+/// damaged block throws, with the verdict of its first failing check.
 class TraceV2Reader {
  public:
   /// Validates the header exactly as read_samt_header does (same
@@ -345,19 +354,17 @@ class TraceV2Reader {
   /// Records in the largest block (0 for an empty trace).
   [[nodiscard]] std::uint32_t max_block_records() const noexcept;
 
-  /// Decodes records [begin, end) (clamped to the trace), verifying each
-  /// touched block's guard. Throws TraceCorruptError on damage.
-  [[nodiscard]] std::vector<MicroOp> read_range(std::uint64_t begin,
-                                                std::uint64_t end) const;
-  /// Decodes the whole trace.
+  /// Checks every block and decodes the whole trace. The codec is
+  /// format-level: records outside the record domain are returned as
+  /// the file holds them. Throws TraceCorruptError on damage.
   [[nodiscard]] Trace read_all() const;
   /// Reads every block into memory as the file holds it (see "resident
-  /// blocks" below), verifying each block's guard and checking every
-  /// record against the record domain (record_domain_violation) as its
-  /// block decodes. Block damage anywhere wins over a domain violation,
-  /// and the lowest damaged block throws; otherwise the lowest-index
-  /// record outside the domain throws TraceCorruptError(kInteriorCorrupt)
-  /// naming the record, its block and the block's file offset.
+  /// blocks" below), checking each block and every record against the
+  /// record domain (record_domain_violation) without decoding one. Block
+  /// damage anywhere wins over a domain violation, and the lowest damaged
+  /// block throws; otherwise the lowest-index record outside the domain
+  /// throws TraceCorruptError(kInteriorCorrupt) naming the record, its
+  /// block and the block's file offset.
   [[nodiscard]] std::vector<unsigned char> read_blocks_in_domain() const;
 
  private:
@@ -393,10 +400,10 @@ std::size_t encode_blocks(
     std::uint64_t n, std::uint32_t block_records, unsigned char* out,
     const std::function<void(MicroOp*, std::size_t)>& fill);
 
-/// Decodes the block at `block`, which encode_blocks wrote or
-/// read_blocks_in_domain verified, writing global record r field by
-/// field to ring[r & mask]. Returns the block's header: the next block
-/// starts payload_bytes past it.
+/// Decodes the block at `block`, which encode_blocks wrote or a reader
+/// checked, writing global record r field by field to ring[r & mask].
+/// Checks nothing. Returns the block's header: the next block starts
+/// payload_bytes past it.
 SamtBlockHeader decode_resident_block(const unsigned char* block,
                                       MicroOp* ring,
                                       std::uint64_t mask) noexcept;

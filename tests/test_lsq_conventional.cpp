@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "src/energy/ledger.h"
@@ -180,6 +181,15 @@ TEST_F(ConvLsqTest, EnergyEventsFollowTable4) {
   EXPECT_DOUBLE_EQ(ledger_.energy_pj(), 57.1 + 452.0);
   lsq_.on_store_data_ready(1);  // datum write
   EXPECT_DOUBLE_EQ(ledger_.energy_pj(), 57.1 + 452.0 + 93.2);
+}
+
+TEST(ConvLsqConfig, RefusesZeroEntries) {
+  // No entry means can_dispatch() is never true: no memory op could
+  // dispatch, and the pipeline would wedge until the watchdog fired.
+  EXPECT_THROW(ConventionalLsq(ConventionalLsqConfig{.entries = 0}, nullptr),
+               std::invalid_argument);
+  EXPECT_NO_THROW(
+      ConventionalLsq(ConventionalLsqConfig{.entries = 1}, nullptr));
 }
 
 TEST(ConvLsqUnbounded, NeverStalls) {

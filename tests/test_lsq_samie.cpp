@@ -4,6 +4,8 @@
 // invalidation (§3.4), Table 5 energy events, and occupancy accounting.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "src/energy/ledger.h"
 #include "src/lsq/samie_lsq.h"
 
@@ -387,6 +389,16 @@ TEST(SamieUnboundedShared, GrowsBeyondConfiguredEntries) {
   }
   EXPECT_EQ(lsq.occupancy().shared_entries_used, 9U);
   EXPECT_EQ(lsq.occupancy().buffer_used, 0U);
+}
+
+TEST(SamieConfigValidation, RefusesAnEmptyAddrBuffer) {
+  // No slot means can_compute_address() is never true: no memory op
+  // could issue, and the pipeline would wedge until the watchdog fired.
+  SamieConfig cfg = tiny();
+  cfg.addr_buffer_slots = 0;
+  EXPECT_THROW(SamieLsq(cfg, nullptr), std::invalid_argument);
+  cfg.addr_buffer_slots = 1;
+  EXPECT_NO_THROW(SamieLsq(cfg, nullptr));
 }
 
 TEST(SamieConfigDefaults, MatchPaperTable3) {

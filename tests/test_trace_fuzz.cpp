@@ -362,6 +362,11 @@ struct BadRecord {
 
 constexpr std::size_t kBadRecord = 700;  // block 2 at 256 records a block
 
+/// The first, a middle and the last record of kBadRecord's block. An
+/// open judges the first two in place, while a whole record's bytes
+/// remain, and the last in the block's tail, from its padded copy.
+constexpr std::size_t kBadRecordsAt[] = {512, kBadRecord, 767};
+
 const BadRecord kBadRecords[] = {
     {"8-byte store across a page edge",
      [](trace::MicroOp& op) {
@@ -386,9 +391,9 @@ const BadRecord kBadRecords[] = {
 }
 
 /// Asserts that TraceSource::open_samt rejects `p` as interior
-/// corruption at (block, offset), naming the bad record and `rule`.
+/// corruption at (block, offset), naming `record`.
 void expect_domain_rejected(const std::string& p, std::uint64_t block,
-                            std::uint64_t offset) {
+                            std::uint64_t offset, std::size_t record) {
   try {
     (void)trace::TraceSource::open_samt(p);
     ADD_FAILURE() << p << " opened despite an out-of-domain record";
@@ -397,29 +402,30 @@ void expect_domain_rejected(const std::string& p, std::uint64_t block,
     EXPECT_EQ(e.block, block);
     EXPECT_EQ(e.offset, offset);
     const std::string what = e.what();
-    EXPECT_NE(what.find("record " + std::to_string(kBadRecord)),
+    EXPECT_NE(what.find("record " + std::to_string(record)),
               std::string::npos)
         << what;
   }
 }
 
 TEST_F(TraceV2FuzzTest, OpenRejectsRecordsOutsideTheDomain) {
-  for (const BadRecord& bad : kBadRecords) {
-    SCOPED_TRACE(bad.what);
-    std::vector<trace::MicroOp> ops = generated_ops();
-    bad.plant(ops[kBadRecord]);
-    const std::string p = path("bad.samt");
-    trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
-                         11, /*block_records=*/256);
-    // The codec is format-level: the guards hold and the record decodes.
-    const trace::TraceV2Reader r(p);
-    const trace::Trace decoded = r.read_all();
-    ASSERT_EQ(decoded.ops.size(), ops.size());
-    EXPECT_EQ(std::memcmp(&decoded.ops[kBadRecord], &ops[kBadRecord],
-                          sizeof(trace::MicroOp)),
-              0);
-    const std::uint64_t block = kBadRecord / 256;
-    expect_domain_rejected(p, block, r.index()[block].file_offset);
+  for (const std::size_t at : kBadRecordsAt) {
+    for (const BadRecord& bad : kBadRecords) {
+      SCOPED_TRACE(std::string(bad.what) + " at record " + std::to_string(at));
+      std::vector<trace::MicroOp> ops = generated_ops();
+      bad.plant(ops[at]);
+      const std::string p = path("bad.samt");
+      trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                           11, /*block_records=*/256);
+      // The codec is format-level: the guards hold and the record decodes.
+      const trace::TraceV2Reader r(p);
+      const trace::Trace decoded = r.read_all();
+      ASSERT_EQ(decoded.ops.size(), ops.size());
+      EXPECT_EQ(
+          std::memcmp(&decoded.ops[at], &ops[at], sizeof(trace::MicroOp)), 0);
+      const std::uint64_t block = at / 256;
+      expect_domain_rejected(p, block, r.index()[block].file_offset, at);
+    }
   }
 }
 
@@ -428,24 +434,29 @@ TEST_F(TraceV2FuzzTest, HealthJudgesTheRecordDomainAsOpenDoes) {
   // refuses: the damage walk checks each record against the domain as
   // the open does, marks the block holding it bad, and notes the verdict
   // the open throws.
-  for (const BadRecord& bad : kBadRecords) {
-    SCOPED_TRACE(bad.what);
-    std::vector<trace::MicroOp> ops = generated_ops();
-    bad.plant(ops[kBadRecord]);
-    const std::string p = path("bad.samt");
-    trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
-                         11, /*block_records=*/256);
-    const fixture::Thrown opened =
-        fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
-    ASSERT_EQ(opened.type, "TraceCorruptError");
-    const trace::TraceHealth h = trace::trace_health(p);
-    EXPECT_EQ(h.damage, trace::TraceDamage::kInteriorCorrupt);
-    EXPECT_EQ(h.first_bad_offset, opened.offset);
-    EXPECT_EQ(p + ": " + h.note, opened.what);
-    EXPECT_EQ(h.bad_blocks, 1U);
-    ASSERT_EQ(h.blocks.size(), 6U);
-    for (std::size_t b = 0; b < h.blocks.size(); ++b) {
-      EXPECT_EQ(h.blocks[b].ok, b != kBadRecord / 256) << "block " << b;
+  for (const std::size_t at : kBadRecordsAt) {
+    for (const BadRecord& bad : kBadRecords) {
+      SCOPED_TRACE(std::string(bad.what) + " at record " + std::to_string(at));
+      std::vector<trace::MicroOp> ops = generated_ops();
+      bad.plant(ops[at]);
+      const std::string p = path("bad.samt");
+      trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
+                           11, /*block_records=*/256);
+      const fixture::Thrown opened =
+          fixture::thrown_by([&] { return trace::TraceSource::open_samt(p); });
+      ASSERT_EQ(opened.type, "TraceCorruptError");
+      EXPECT_NE(opened.what.find("record " + std::to_string(at) + ": "),
+                std::string::npos)
+          << opened.what;
+      const trace::TraceHealth h = trace::trace_health(p);
+      EXPECT_EQ(h.damage, trace::TraceDamage::kInteriorCorrupt);
+      EXPECT_EQ(h.first_bad_offset, opened.offset);
+      EXPECT_EQ(p + ": " + h.note, opened.what);
+      EXPECT_EQ(h.bad_blocks, 1U);
+      ASSERT_EQ(h.blocks.size(), 6U);
+      for (std::size_t b = 0; b < h.blocks.size(); ++b) {
+        EXPECT_EQ(h.blocks[b].ok, b != at / 256) << "block " << b;
+      }
     }
   }
   // Block damage wins over the domain, as in the open: a record outside
@@ -503,6 +514,15 @@ TEST_F(TraceV2FuzzTest, ErrorPrecedenceIsLowestBlockThenRecordDomain) {
     flip_payload(bytes, 4);
     flip_payload(bytes, 1);
     expect_error(write_mutant(bytes), 1);
+  }
+  {
+    // Blocks 0-3 are read and their guards hashed as one group; the
+    // open still reports the lower block of the group.
+    SCOPED_TRACE("two corrupt blocks in one group of four");
+    std::vector<char> bytes = valid_v2_;
+    flip_payload(bytes, 3);
+    flip_payload(bytes, 2);
+    expect_error(write_mutant(bytes), 2);
   }
   {
     SCOPED_TRACE("out-of-domain record in block 0, corrupt block 3");

@@ -1,10 +1,9 @@
-// SAMT v2 round-trip, random access, importer atomicity/resume and
-// injected-I/O-fault behavior (src/trace/trace_io.h). The fuzz matrix
-// for mutated files lives in test_trace_fuzz.cpp; this file covers the
-// *intended* v2 behaviors: exact decode, O(1) range reads off the
-// index, resumable atomic import, the enospc/torn import faults leaving
-// a tmp but never a final file, and bytes that do not depend on how the
-// records were handed to the writer.
+// SAMT v2 round-trip, importer atomicity/resume and injected-I/O-fault
+// behavior (src/trace/trace_io.h). The fuzz matrix for mutated files
+// lives in test_trace_fuzz.cpp; this file covers the *intended* v2
+// behaviors: exact decode, resumable atomic import, the enospc/torn
+// import faults leaving a tmp but never a final file, and bytes that do
+// not depend on how the records were handed to the writer.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -135,59 +134,6 @@ TEST_F(TraceV2Test, RoundTripsEmptyTrace) {
   EXPECT_TRUE(trace::trace_health(p).ok());
 }
 
-TEST_F(TraceV2Test, RangeReadsMatchReadAll) {
-  const std::vector<trace::MicroOp> ops = workload(5'000);
-  const std::string p = path("r.samt");
-  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
-                       256);
-  const trace::TraceV2Reader r(p);
-  // Ranges chosen to hit: block-aligned, straddling, single-record,
-  // clamped-past-the-end, inverted and empty.
-  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
-      {0, 5'000}, {0, 256},    {256, 512},    {100, 4'900}, {255, 257},
-      {777, 778}, {4'999, 5'000}, {4'000, 99'999}, {42, 42}, {600, 100}};
-  for (const auto& [b, e] : ranges) {
-    const std::vector<trace::MicroOp> got = r.read_range(b, e);
-    const std::uint64_t lo = std::min<std::uint64_t>(b, ops.size());
-    const std::uint64_t hi =
-        std::max(lo, std::min<std::uint64_t>(e, ops.size()));
-    const std::vector<trace::MicroOp> want(
-        ops.begin() + static_cast<std::ptrdiff_t>(lo),
-        ops.begin() + static_cast<std::ptrdiff_t>(hi));
-    EXPECT_TRUE(same_ops(got, want)) << "range [" << b << ", " << e << ")";
-  }
-}
-
-TEST_F(TraceV2Test, IndexSeeksAreBlockLocal) {
-  // A corrupt interior block must only fail reads whose range touches
-  // it — reads over other blocks keep working off the intact index.
-  const std::vector<trace::MicroOp> ops = workload(4'096);
-  const std::string p = path("seek.samt");
-  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
-                       512);
-  {
-    const trace::TraceV2Reader pristine(p);
-    ASSERT_EQ(pristine.block_count(), 8u);
-    const std::size_t off =
-        static_cast<std::size_t>(pristine.index()[5].file_offset) +
-        sizeof(trace::SamtBlockHeader) + 1;
-    std::string bytes = slurp(p);
-    bytes[off] = static_cast<char>(bytes[off] ^ 0x40);
-    std::ofstream out(p, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  const trace::TraceV2Reader r(p);  // index intact: construction succeeds
-  EXPECT_TRUE(same_ops(r.read_range(0, 5 * 512),
-                       {ops.begin(), ops.begin() + 5 * 512}));
-  EXPECT_TRUE(same_ops(r.read_range(6 * 512 + 7, 4'096),
-                       {ops.begin() + 6 * 512 + 7, ops.end()}));
-  const fixture::Thrown bad =
-      fixture::thrown_by([&] { return r.read_range(3 * 512, 8 * 512); });
-  EXPECT_EQ(bad.type, "TraceCorruptError");
-  EXPECT_EQ(bad.damage, trace::TraceDamage::kInteriorCorrupt);
-  EXPECT_EQ(bad.block, 5u);
-}
-
 TEST_F(TraceV2Test, BytesDoNotDependOnHowRecordsAreAppended) {
   // 39 blocks of 512 plus a short one, written from one view, in chunks
   // that straddle blocks, and record by record.
@@ -216,6 +162,26 @@ TEST_F(TraceV2Test, BytesDoNotDependOnHowRecordsAreAppended) {
   EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
   const trace::TraceSource s = trace::TraceSource::open_samt(p);
   EXPECT_TRUE(same_ops({s.view().begin(), s.view().end()}, ops));
+}
+
+TEST_F(TraceV2Test, SourceBlocksAppendAsTheyAre) {
+  // A generated source holds the bytes write_samt_v2 writes between the
+  // header and the index (a group of four blocks and one short block
+  // here), so appending its blocks writes the same file with no encode.
+  const trace::TraceSource src = trace::TraceSource::generate(
+      trace::spec2000_profile("gcc"), 23, 20'000);
+  const std::string p = path("encoded.samt");
+  trace::write_samt_v2(p, src.view(), "gcc", 23);
+  const std::string q = path("appended.samt");
+  trace::TraceWriterV2 w(q, "gcc", 23);
+  w.append_blocks(src.blocks());
+  EXPECT_EQ(w.durable_records(), src.size());
+  // Blocks that do not continue the trace are refused whole: these
+  // start again at record 0.
+  EXPECT_THROW(w.append_blocks(src.blocks()), trace::TraceFormatError);
+  EXPECT_EQ(w.durable_records(), src.size());
+  w.finish();
+  EXPECT_EQ(slurp(q), slurp(p));
 }
 
 TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {

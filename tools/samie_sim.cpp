@@ -103,7 +103,7 @@
 #include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
-#include "src/trace/workload.h"
+#include "src/trace/trace_source.h"
 #include "tools/cli_util.h"
 
 namespace {
@@ -395,17 +395,18 @@ int main(int argc, char** argv) {
       }
     }
     if (!record_dir.empty()) {
-      // Record mode: generate and write each trace, then run the suite
-      // through the normal generated path (the parallel pool's trace
-      // cache regenerates the identical traces) — replaying the files
-      // must be bit-identical to these results, and the CI smoke step
-      // asserts exactly that.
+      // Record mode: generate each trace as its v2 blocks and write them
+      // as they are, then run the suite through the normal generated
+      // path (the parallel pool's trace cache regenerates the identical
+      // traces) — replaying the files must be bit-identical to these
+      // results, and the CI smoke step asserts exactly that.
       for (const auto& p : programs) {
-        const trace::Trace src =
-            trace::WorkloadGenerator(trace::spec2000_profile(p), cfg.seed)
-                .generate(cfg.instructions);
+        const trace::TraceSource src = trace::TraceSource::generate(
+            trace::spec2000_profile(p), cfg.seed, cfg.instructions);
         const auto out = std::filesystem::path(record_dir) / (p + ".samt");
-        trace::write_samt_v2(out.string(), src, p, cfg.seed);
+        trace::TraceWriterV2 writer(out.string(), p, cfg.seed);
+        writer.append_blocks(src.blocks());
+        writer.finish();
         std::cerr << "recorded " << out.string() << " (" << src.size()
                   << " ops)\n";
       }
