@@ -382,6 +382,50 @@ static_assert(offsetof(MicroOp, op) == 24 &&
   out.value = (b0 & kHasValueBit) != 0 ? get_varint(p, pos) : 0;
 }
 
+/// Where walk_records stopped.
+struct RecordWalk {
+  std::uint32_t records = 0;  ///< records stepped over
+  std::size_t end = 0;        ///< byte after the last, once all are
+};
+
+/// Steps over the `count` records of the `n`-byte payload at `p`:
+/// step(q, pos, i) takes record i at q[pos], advances `pos` past it, and
+/// returns false to stop the walk there. A step may read kMaxRecordBytes
+/// bytes from its record's start, past the record's end, so records are
+/// stepped in place only while that many bytes remain, and the last ones
+/// in a copy padded with 0x80: a byte that continues a varint and fails a
+/// 10th byte's rule, so no varint ends in the padding, and a record that
+/// runs past the payload (it ends in a varint) is undecodable, as a
+/// bounds check would find. A step is called from both loops, so a step
+/// lambda must be __attribute__((always_inline)) to be inlined into both
+/// (the GNU spelling: [[gnu::always_inline]] there would apply to the
+/// lambda's type).
+template <class Step>
+[[nodiscard, gnu::always_inline]] inline RecordWalk walk_records(
+    const unsigned char* p, std::size_t n, std::uint32_t count, Step&& step) {
+  RecordWalk w;
+  std::size_t pos = 0;
+  for (; w.records < count && n - pos >= kMaxRecordBytes; ++w.records) {
+    if (!step(p, pos, w.records)) return w;
+  }
+  if (w.records == count) {  // any bytes left are not records'
+    w.end = pos;
+    return w;
+  }
+  // The loop stopped on the byte count: fewer than kMaxRecordBytes bytes
+  // are left, and each record's reads stay within kMaxRecordBytes of its
+  // start, which lies in the copied bytes.
+  unsigned char tail[2 * kMaxRecordBytes];
+  std::memset(tail, 0x80, sizeof tail);
+  std::memcpy(tail, p + pos, n - pos);
+  std::size_t at = 0;
+  for (; w.records < count; ++w.records) {
+    if (!step(tail, at, w.records)) return w;
+  }
+  w.end = pos + at;
+  return w;
+}
+
 // --- block codec ----------------------------------------------------------
 
 constexpr std::size_t kBlockGuardedHeaderBytes =
@@ -400,55 +444,39 @@ constexpr std::size_t kBlockGuardedHeaderBytes =
 constexpr std::size_t kGuardLanes = 4;
 
 /// The guards of blocks[0, k), k <= kGuardLanes, whose payloads are
-/// payload_bytes[j] bytes (block_guard's values), hashed in step.
+/// payload_bytes[j] bytes (block_guard's values). The bytes every payload
+/// has are hashed as four chains in step; each chain then finishes its
+/// own payload alone. Blocks of a group differ in length by a few
+/// percent, so little is left to finish.
 void hash_guards(const unsigned char* const blocks[],
                  const std::size_t payload_bytes[], std::size_t k,
                  std::uint64_t guards[]) noexcept {
   static_assert(kGuardLanes == 4, "the loop below hashes four chains");
+  if (k == 0) return;
+  // A lane past k hashes block 0 again, into a chain that is not read.
   const unsigned char* p[kGuardLanes] = {};
-  std::size_t left[kGuardLanes] = {};
   std::uint64_t g[kGuardLanes] = {};
+  std::size_t shared = payload_bytes[0];
+  for (std::size_t j = 0; j < kGuardLanes; ++j) {
+    const std::size_t b = j < k ? j : 0;
+    p[j] = blocks[b] + sizeof(SamtBlockHeader);
+    g[j] = fnv1a_64(blocks[b], kBlockGuardedHeaderBytes);
+    shared = std::min(shared, payload_bytes[b]);
+  }
+  std::uint64_t h0 = g[0];
+  std::uint64_t h1 = g[1];
+  std::uint64_t h2 = g[2];
+  std::uint64_t h3 = g[3];
+  for (std::size_t i = 0; i < shared; ++i) {
+    h0 = (h0 ^ p[0][i]) * kFnvPrime;
+    h1 = (h1 ^ p[1][i]) * kFnvPrime;
+    h2 = (h2 ^ p[2][i]) * kFnvPrime;
+    h3 = (h3 ^ p[3][i]) * kFnvPrime;
+  }
+  const std::uint64_t h[kGuardLanes] = {h0, h1, h2, h3};
   for (std::size_t j = 0; j < k; ++j) {
-    p[j] = blocks[j] + sizeof(SamtBlockHeader);
-    left[j] = payload_bytes[j];
-    g[j] = fnv1a_64(blocks[j], kBlockGuardedHeaderBytes);
+    guards[j] = fnv1a_64(p[j] + shared, payload_bytes[j] - shared, h[j]);
   }
-  // Each round hashes every unfinished chain as far as the shortest one
-  // has left. A finished lane re-reads a live lane's bytes into its dead
-  // chain, which delays no live chain: each waits on its own multiplies.
-  for (;;) {
-    std::size_t run = 0;
-    const unsigned char* live = nullptr;
-    for (std::size_t j = 0; j < kGuardLanes; ++j) {
-      if (left[j] != 0 && (run == 0 || left[j] < run)) {
-        run = left[j];
-        live = p[j];
-      }
-    }
-    if (run == 0) break;
-    const unsigned char* q0 = left[0] != 0 ? p[0] : live;
-    const unsigned char* q1 = left[1] != 0 ? p[1] : live;
-    const unsigned char* q2 = left[2] != 0 ? p[2] : live;
-    const unsigned char* q3 = left[3] != 0 ? p[3] : live;
-    std::uint64_t h0 = g[0];
-    std::uint64_t h1 = g[1];
-    std::uint64_t h2 = g[2];
-    std::uint64_t h3 = g[3];
-    for (std::size_t i = 0; i < run; ++i) {
-      h0 = (h0 ^ q0[i]) * kFnvPrime;
-      h1 = (h1 ^ q1[i]) * kFnvPrime;
-      h2 = (h2 ^ q2[i]) * kFnvPrime;
-      h3 = (h3 ^ q3[i]) * kFnvPrime;
-    }
-    const std::uint64_t h[kGuardLanes] = {h0, h1, h2, h3};
-    for (std::size_t j = 0; j < kGuardLanes; ++j) {
-      if (left[j] == 0) continue;
-      g[j] = h[j];
-      p[j] += run;
-      left[j] -= run;
-    }
-  }
-  for (std::size_t j = 0; j < k; ++j) guards[j] = g[j];
 }
 
 /// Encodes `n` records starting at global record `first_record` as one
@@ -521,27 +549,22 @@ struct LowDeltas {
   std::uint64_t mem = 0;
 };
 
-/// What judge_payload found in a block's payload.
-struct PayloadVerdict {
-  /// Records judged; fewer than the block's count means the record at
-  /// that index is undecodable.
-  std::uint32_t decoded = 0;
-  std::size_t end = 0;  ///< byte after the last record, once all decode
-  /// The first record outside the record domain and the rule it breaks
-  /// (record_fields_violation); `rule` is nullptr when there is none.
-  std::uint32_t outside = 0;
+/// A payload's first record outside the record domain and the rule it
+/// breaks (record_fields_violation); `rule` is nullptr when there is none.
+struct FirstOutside {
+  std::uint32_t record = 0;
   const char* rule = nullptr;
 };
 
-/// Judges record v.decoded at p[pos] on its raw bytes and advances `pos`
-/// past it, reading no further than kMaxRecordBytes bytes from `pos`.
-/// False when no record decodes there: an op class past kNop, both
-/// address bits (a MicroOp holds one address), or a malformed varint.
-/// While `v` names no record outside the domain yet, checks this one
-/// against it.
+/// Judges record `i` at p[pos] on its raw bytes and advances `pos` past
+/// it, reading no further than kMaxRecordBytes bytes from `pos` (a
+/// walk_records step). False when no record decodes there: an op class
+/// past kNop, both address bits (a MicroOp holds one address), or a
+/// malformed varint. While `first` names no record outside the domain
+/// yet, checks this one against it.
 [[nodiscard, gnu::always_inline]] inline bool judge_record(
-    const unsigned char* p, std::size_t& pos, LowDeltas& st,
-    PayloadVerdict& v) noexcept {
+    const unsigned char* p, std::size_t& pos, std::uint32_t i, LowDeltas& st,
+    FirstOutside& first) noexcept {
   const unsigned char* fields = p + pos;
   const unsigned char b0 = fields[0];
   if ((b0 & 0x0F) > kMaxOpClass) return false;
@@ -569,40 +592,12 @@ struct PayloadVerdict {
     if (len == 0) return false;
     pos += len;
   }
-  if (v.rule == nullptr) {
-    v.rule = record_fields_violation(b0 & 0x0F, fields[1], fields[2],
-                                     fields[3], fields[4], addr);
-    v.outside = v.decoded;
+  if (first.rule == nullptr) {
+    first.rule = record_fields_violation(b0 & 0x0F, fields[1], fields[2],
+                                         fields[3], fields[4], addr);
+    first.record = i;
   }
   return true;
-}
-
-/// Judges the `count` records of an `n`-byte block payload.
-[[nodiscard]] PayloadVerdict judge_payload(const unsigned char* p,
-                                           std::size_t n,
-                                           std::uint32_t count) noexcept {
-  PayloadVerdict v;
-  LowDeltas st;
-  std::size_t pos = 0;
-  // While a whole record's worth of bytes remains, no read can overrun.
-  for (; v.decoded < count && n - pos >= kMaxRecordBytes; ++v.decoded) {
-    if (!judge_record(p, pos, st, v)) return v;
-  }
-  // The last records, in fewer than kMaxRecordBytes bytes, are judged
-  // from a copy padded with 0x80: a byte that continues a varint and
-  // fails a 10th byte's rule, so no varint ends in the padding. A record
-  // that runs past the payload ends in a varint, so it is undecodable,
-  // as a bounds check would find; each record's reads stay within
-  // kMaxRecordBytes of its start, which lies in the copied bytes.
-  unsigned char tail[2 * kMaxRecordBytes];
-  std::memset(tail, 0x80, sizeof tail);
-  std::memcpy(tail, p + pos, n - pos);
-  std::size_t at = 0;
-  for (; v.decoded < count; ++v.decoded) {
-    if (!judge_record(tail, at, st, v)) return v;
-  }
-  v.end = pos + at;
-  return v;
 }
 
 /// The first record outside the record domain, as an open throws it and
@@ -632,8 +627,8 @@ struct BlockVerdict {
 };
 
 /// Judges block `b` at `raw`, read for index entry `e`, whose bytes hash
-/// to `guard`: the header against the index, then the guard, then the
-/// payload (judge_payload).
+/// to `guard`: the header against the index, then the guard, then each
+/// record on its raw bytes (judge_record).
 [[nodiscard]] BlockVerdict judge_block(const unsigned char* raw,
                                        const SamtIndexEntry& e,
                                        std::uint64_t b, std::uint64_t guard) {
@@ -652,14 +647,20 @@ struct BlockVerdict {
     return damaged("block header disagrees with the index");
   }
   if (guard != h.guard) return damaged("guard mismatch (corrupt payload)");
-  const PayloadVerdict p =
-      judge_payload(raw + sizeof h, h.payload_bytes, h.record_count);
-  if (p.decoded != h.record_count) {
-    return damaged("undecodable record " + std::to_string(p.decoded));
+  LowDeltas st;
+  FirstOutside first;
+  const RecordWalk w = walk_records(
+      raw + sizeof h, h.payload_bytes, h.record_count,
+      [&](const unsigned char* q, std::size_t& pos,
+          std::uint32_t i) __attribute__((always_inline)) {
+        return judge_record(q, pos, i, st, first);
+      });
+  if (w.records != h.record_count) {
+    return damaged("undecodable record " + std::to_string(w.records));
   }
-  if (p.end != h.payload_bytes) return damaged("trailing payload bytes");
-  if (p.rule != nullptr) {
-    v.outside = {e.first_record + p.outside, b, e.file_offset, p.rule};
+  if (w.end != h.payload_bytes) return damaged("trailing payload bytes");
+  if (first.rule != nullptr) {
+    v.outside = {e.first_record + first.record, b, e.file_offset, first.rule};
   }
   return v;
 }
@@ -1262,24 +1263,16 @@ SamtBlockHeader decode_resident_block(const unsigned char* block,
                                       std::uint64_t mask) noexcept {
   SamtBlockHeader h{};
   std::memcpy(&h, block, sizeof h);
-  const unsigned char* payload = block + sizeof h;
-  const std::size_t n = h.payload_bytes;
   DeltaState st;
-  std::size_t pos = 0;
-  std::uint64_t r = h.first_record;
-  const std::uint64_t end = r + h.record_count;
-  // While a whole record's worth of bytes remains, no read can overrun.
-  for (; r < end && n - pos >= kMaxRecordBytes; ++r) {
-    decode_record(payload, pos, st, ring[r & mask]);
-  }
-  // The last records decode from a copy with room for the reads past
-  // their end: fewer than kMaxRecordBytes bytes are left, and each
-  // record's reads stay within kMaxRecordBytes of its start.
-  unsigned char tail[2 * kMaxRecordBytes] = {};
-  std::memcpy(tail, payload + pos, n - pos);
-  std::size_t at = 0;
-  for (; r < end; ++r) decode_record(tail, at, st, ring[r & mask]);
-  assert(pos + at == n);
+  const std::uint64_t first = h.first_record;
+  [[maybe_unused]] const RecordWalk w = walk_records(
+      block + sizeof h, h.payload_bytes, h.record_count,
+      [&](const unsigned char* q, std::size_t& pos,
+          std::uint32_t i) __attribute__((always_inline)) {
+        decode_record(q, pos, st, ring[(first + i) & mask]);
+        return true;
+      });
+  assert(w.end == h.payload_bytes);
   return h;
 }
 

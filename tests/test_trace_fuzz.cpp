@@ -192,6 +192,10 @@ void put_u64(std::vector<char>& bytes, std::size_t off, std::uint64_t v) {
   std::memcpy(bytes.data() + off, &v, sizeof v);
 }
 
+void put_u32(std::vector<char>& bytes, std::size_t off, std::uint32_t v) {
+  std::memcpy(bytes.data() + off, &v, sizeof v);
+}
+
 [[nodiscard]] trace::SamtFooter footer_of(const std::vector<char>& bytes) {
   trace::SamtFooter footer{};
   std::memcpy(&footer, bytes.data() + bytes.size() - sizeof footer,
@@ -733,6 +737,70 @@ TEST_F(TraceV2FuzzTest, BothAddressBitsAreAnUndecodableRecord) {
       EXPECT_EQ(oc.damage_block, 0u);
       EXPECT_EQ(sim::load_checkpoint(ckpt).damaged.size(), 1U);
     }
+  }
+}
+
+TEST_F(TraceV2FuzzTest, TrailingPayloadBytesAreDamage) {
+  // A block whose records end before its payload does is damaged, however
+  // many bytes are left over. Eight loads with 10-byte values are written
+  // as one block; then the block header, its index entry and the file
+  // header claim fewer records, and every guard is resealed. Keeping one
+  // record leaves more bytes after it than a padded tail holds (the walk
+  // judges that record in place); keeping seven judges the last one in
+  // the padded tail. An open, read_all and trace_health all report the
+  // block.
+  trace::MicroOp load;
+  load.op = trace::OpClass::kLoad;
+  load.mem_size = 8;
+  load.addr = 0x10000000;
+  load.value = ~std::uint64_t{0};
+  std::vector<trace::MicroOp> ops(8, load);
+  for (std::size_t i = 0; i < ops.size(); ++i) ops[i].pc = 4 * i;
+  const std::string p = path("trailing.samt");
+  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 11,
+                       /*block_records=*/8);
+  std::vector<char> pristine;
+  {
+    std::ifstream in(p, std::ios::binary);
+    pristine.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  trace::SamtBlockHeader h{};
+  std::memcpy(&h, pristine.data() + sizeof(trace::SamtHeader), sizeof h);
+  ASSERT_EQ(h.record_count, 8u);
+  // Record 0: five raw bytes, a 1-byte pc delta, a 5-byte address delta
+  // and the value; the others' deltas are one byte each.
+  ASSERT_EQ(h.payload_bytes, 21u + 7u * 17u);
+  const std::size_t entry = static_cast<std::size_t>(
+      footer_of(pristine).index_offset + 8);
+  for (const std::uint32_t kept : {1u, 7u}) {
+    SCOPED_TRACE(std::to_string(kept) + " records kept");
+    std::vector<char> bytes = pristine;
+    put_u32(bytes,
+            sizeof(trace::SamtHeader) +
+                offsetof(trace::SamtBlockHeader, record_count),
+            kept);
+    put_u32(bytes, entry + offsetof(trace::SamtIndexEntry, record_count),
+            kept);
+    put_u64(bytes, offsetof(trace::SamtHeader, count), kept);
+    reseal_one_block(bytes);
+    const std::string q = write_mutant(bytes);
+    const fixture::Thrown opened =
+        fixture::thrown_by([&] { return trace::TraceSource::open_samt(q); });
+    EXPECT_EQ(opened.type, "TraceCorruptError");
+    EXPECT_EQ(opened.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(opened.block, 0u);
+    EXPECT_EQ(opened.offset, sizeof(trace::SamtHeader));
+    EXPECT_EQ(opened.what,
+              q + ": block 0 at offset 64: trailing payload bytes");
+    EXPECT_EQ(
+        fixture::thrown_by([&] { return trace::TraceV2Reader(q).read_all(); }),
+        opened);
+    const trace::TraceHealth health = trace::trace_health(q);
+    EXPECT_EQ(health.damage, trace::TraceDamage::kInteriorCorrupt);
+    EXPECT_EQ(health.first_bad_offset, sizeof(trace::SamtHeader));
+    EXPECT_EQ(health.bad_blocks, 1u);
+    EXPECT_EQ(q + ": " + health.note, opened.what);
   }
 }
 
