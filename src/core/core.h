@@ -264,7 +264,10 @@ class Core final : private lsq::PresentBitClearer {
   /// The core reads its records through `trace`, whose backing storage
   /// (an owned Trace, a TraceSource) must outlive it. A source window
   /// must keep at least rob_size + fetch_queue records behind the fetch
-  /// point (std::invalid_argument otherwise).
+  /// point (std::invalid_argument otherwise). Throws
+  /// std::invalid_argument naming the field when a width, a capacity, a
+  /// register count, the D-cache ports or a functional-unit count of
+  /// `cfg` is zero.
   Core(const CoreConfig& cfg, trace::TraceWindow trace, LsqT& lsq,
        mem::MemoryHierarchy& memory, branch::HybridPredictor& predictor,
        branch::Btb& btb, energy::DcacheLedger* dcache_ledger,

@@ -62,6 +62,38 @@ namespace detail {
   return static_cast<std::size_t>(std::bit_ceil(worst + 2));
 }
 
+/// `cfg`, or std::invalid_argument naming a field that is zero among
+/// those every instruction needs: a width, a capacity, a register count,
+/// the D-cache ports or a functional-unit count. With any of them zero
+/// the pipeline wedges and steps until the commit watchdog fires.
+[[nodiscard]] inline const CoreConfig& checked_config(const CoreConfig& cfg) {
+  const std::pair<const char*, std::uint32_t> fields[] = {
+      {"fetch_width", cfg.fetch_width},
+      {"dispatch_width", cfg.dispatch_width},
+      {"issue_width_int", cfg.issue_width_int},
+      {"issue_width_fp", cfg.issue_width_fp},
+      {"commit_width", cfg.commit_width},
+      {"rob_size", cfg.rob_size},
+      {"iq_int", cfg.iq_int},
+      {"iq_fp", cfg.iq_fp},
+      {"fetch_queue", cfg.fetch_queue},
+      {"int_regs", cfg.int_regs},
+      {"fp_regs", cfg.fp_regs},
+      {"dcache_ports", cfg.dcache_ports},
+      {"n_int_alu", cfg.n_int_alu},
+      {"n_int_muldiv", cfg.n_int_muldiv},
+      {"n_fp_alu", cfg.n_fp_alu},
+      {"n_fp_muldiv", cfg.n_fp_muldiv},
+  };
+  for (const auto& [name, value] : fields) {
+    if (value == 0) {
+      throw std::invalid_argument(std::string("CoreConfig: ") + name +
+                                  " must be >= 1");
+    }
+  }
+  return cfg;
+}
+
 }  // namespace detail
 
 template <typename LsqT, typename ObserverT>
@@ -70,7 +102,7 @@ Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceWindow trace, Lsq
                  branch::HybridPredictor& predictor, branch::Btb& btb,
                  energy::DcacheLedger* dcache_ledger,
                  energy::DtlbLedger* dtlb_ledger, ObserverT* observer)
-    : cfg_(cfg),
+    : cfg_(detail::checked_config(cfg)),
       trace_(std::move(trace)),
       lsq_(lsq),
       mem_(memory),

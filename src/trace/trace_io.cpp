@@ -203,7 +203,8 @@ namespace {
 // continuation flag in its top bit. spread7 and pack7 move the 7-bit
 // groups between a value and such a word, so the common lengths encode
 // and decode without a loop (words are little-endian, like the raw
-// headers of the format).
+// headers of the format). A longer value is that word for its low 56
+// bits, every flag set, then one or two bytes for bits 56..63.
 
 constexpr std::uint64_t kVarintFlags = 0x8080808080808080ULL;
 
@@ -222,26 +223,34 @@ constexpr std::uint64_t kVarintFlags = 0x8080808080808080ULL;
   return (w & 0x000000000FFFFFFFULL) | ((w & 0x0FFFFFFF00000000ULL) >> 4);
 }
 
-/// Writes `v` as LEB128 at `p` and advances `p`. Always stores eight
-/// bytes at `p`, of which the encoding (at most 10 bytes) is a prefix,
-/// so `p` needs room for max(8, encoded length) bytes.
-[[gnu::always_inline]] inline void put_varint(unsigned char*& p,
-                                              std::uint64_t v) noexcept {
+/// Writes `v` as LEB128 at `p` and returns the byte after it. Stores
+/// one byte for a value below 2^7, else eight bytes at `p` for a value
+/// below 2^56 and ten for a larger one, of which the encoding is a
+/// prefix: `p` needs room for that many bytes.
+[[nodiscard, gnu::always_inline]] inline unsigned char* put_varint(
+    unsigned char* p, std::uint64_t v) noexcept {
+  if (v < 0x80) {  // one byte: almost every pc delta
+    *p = static_cast<unsigned char>(v);
+    return p + 1;
+  }
   if (v < (std::uint64_t{1} << 56)) {
-    const auto len =
-        static_cast<unsigned>(std::bit_width(v | 1) + 6) / 7;  // 1..8
+    const auto len = static_cast<unsigned>(std::bit_width(v) + 6) / 7;  // 2..8
     const std::uint64_t flags =
         kVarintFlags & ((std::uint64_t{1} << (8 * (len - 1))) - 1);
     const std::uint64_t w = spread7(v) | flags;
     std::memcpy(p, &w, sizeof w);
-    p += len;
-    return;
+    return p + len;
   }
-  while (v >= 0x80) {
-    *p++ = static_cast<unsigned char>(v) | 0x80;
-    v >>= 7;
-  }
-  *p++ = static_cast<unsigned char>(v);
+  // Nine or ten bytes: eight flagged groups, then bits 56..62 with bit 63
+  // as the flag (a 10th byte follows exactly when bit 63 is set), then
+  // bit 63.
+  const std::uint64_t w =
+      spread7(v & ((std::uint64_t{1} << 56) - 1)) | kVarintFlags;
+  std::memcpy(p, &w, sizeof w);
+  const std::uint64_t top = v >> 56;
+  p[8] = static_cast<unsigned char>(top);
+  p[9] = static_cast<unsigned char>(top >> 7);
+  return p + 9 + (top >> 7);
 }
 
 /// The length of the LEB128 varint at `p`, 1 to 10 bytes, or 0 when no
@@ -311,34 +320,6 @@ struct DeltaState {
   std::uint64_t prev_pc = 0;
   std::uint64_t prev_mem = 0;
 };
-
-/// Encodes `op` at `p` (room for kMaxRecordBytes) and advances `p`.
-void encode_record(const MicroOp& op, DeltaState& st,
-                   unsigned char*& p) noexcept {
-  const bool is_branch = op.op == OpClass::kBranch;
-  const bool has_addr = op.addr != 0;
-  const bool has_value = op.value != 0;
-  unsigned char b0 = static_cast<unsigned char>(op.op) & 0x0F;
-  if (op.taken) b0 |= kTakenBit;
-  if (has_addr) b0 |= is_branch ? kHasBrBit : kHasMemBit;
-  if (has_value) b0 |= kHasValueBit;
-  *p++ = b0;
-  *p++ = op.mem_size;
-  *p++ = op.src1;
-  *p++ = op.src2;
-  *p++ = op.dst;
-  put_varint(p, zigzag_encode(op.pc - st.prev_pc));
-  st.prev_pc = op.pc;
-  if (has_addr) {
-    if (is_branch) {
-      put_varint(p, zigzag_encode(op.addr - op.pc));
-    } else {
-      put_varint(p, zigzag_encode(op.addr - st.prev_mem));
-      st.prev_mem = op.addr;
-    }
-  }
-  if (has_value) put_varint(p, op.value);
-}
 
 static_assert(offsetof(MicroOp, op) == 24 &&
                   offsetof(MicroOp, mem_size) == 25 &&
@@ -482,13 +463,47 @@ void hash_guards(const unsigned char* const blocks[],
 /// Encodes `n` records starting at global record `first_record` as one
 /// block (header, then payload) at `out`, which has room for a header and
 /// kMaxRecordBytes a record, and returns the block's bytes. The guard is
-/// left zero: encode_group hashes it.
+/// left zero: encode_group hashes it. A record's fields are read into
+/// locals before any byte of it is written: the cursor is an unsigned
+/// char*, whose stores the compiler must assume alias the records.
 [[nodiscard]] std::size_t encode_block(const MicroOp* ops, std::uint32_t n,
                                        std::uint64_t first_record,
                                        unsigned char* out) noexcept {
   unsigned char* p = out + sizeof(SamtBlockHeader);
   DeltaState st;
-  for (std::uint32_t i = 0; i < n; ++i) encode_record(ops[i], st, p);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const MicroOp& op = ops[i];
+    const Addr pc = op.pc;
+    const Addr addr = op.addr;
+    const std::uint64_t value = op.value;
+    // The op class, the four raw bytes and the taken bit: MicroOp's
+    // bytes 24..29.
+    std::uint64_t raw;
+    std::memcpy(&raw, reinterpret_cast<const unsigned char*>(&op) +
+                          offsetof(MicroOp, op),
+                sizeof raw);
+    const bool is_branch =
+        static_cast<OpClass>(raw & 0xFF) == OpClass::kBranch;
+    std::uint64_t b0 = raw & 0x0F;
+    if ((raw >> 40 & 0xFF) != 0) b0 |= kTakenBit;
+    if (addr != 0) b0 |= is_branch ? kHasBrBit : kHasMemBit;
+    if (value != 0) b0 |= kHasValueBit;
+    // The presence byte and the four raw bytes in one store; the three
+    // bytes past them are the pc varint's to overwrite.
+    const std::uint64_t head = (raw & 0x000000FFFFFFFF00ULL) | b0;
+    std::memcpy(p, &head, sizeof head);
+    p = put_varint(p + 5, zigzag_encode(pc - st.prev_pc));
+    st.prev_pc = pc;
+    if (addr != 0) {
+      if (is_branch) {
+        p = put_varint(p, zigzag_encode(addr - pc));
+      } else {
+        p = put_varint(p, zigzag_encode(addr - st.prev_mem));
+        st.prev_mem = addr;
+      }
+    }
+    if (value != 0) p = put_varint(p, value);
+  }
   SamtBlockHeader h;
   h.magic = kBlockMagic;
   h.record_count = n;

@@ -60,15 +60,16 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadProfile& profile,
   }
 }
 
-Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t bytes) {
+[[gnu::always_inline]] inline Addr WorkloadGenerator::next_mem_addr(
+    Xoshiro256& rng, std::size_t stream_idx, std::uint32_t bytes) {
   const StreamComponent& sc = profile_.streams[stream_idx];
   StreamState& st = streams_[stream_idx];
   const std::uint64_t footprint = std::max<std::uint64_t>(1, sc.footprint_lines);
 
   if (st.line_left == 0) {
     // Advance the walk to the next line.
-    if (sc.jump_p > 0.0 && rng_.chance(sc.jump_p)) {
-      st.cursor_line = rng_.below(footprint);
+    if (sc.jump_p > 0.0 && rng.chance(sc.jump_p)) {
+      st.cursor_line = rng.below(footprint);
     } else if (++st.cursor_line == footprint) {
       st.cursor_line = 0;
     }
@@ -90,27 +91,29 @@ Addr WorkloadGenerator::next_mem_addr(std::size_t stream_idx, std::uint32_t byte
   return addr & ~static_cast<Addr>(bytes - 1);
 }
 
-RegId WorkloadGenerator::pick_source(bool fp) {
+[[gnu::always_inline]] inline RegId WorkloadGenerator::pick_source(
+    Xoshiro256& rng, bool fp) {
   const RecentRing& ring = fp ? recent_fp_ : recent_int_;
-  // rng_.geometric(profile_.dep_mean), without its per-call division.
+  // rng.geometric(profile_.dep_mean), without its per-call division.
   const std::uint64_t dist =
-      profile_.dep_mean > 1.0 ? rng_.geometric_below(dep_threshold_) : 1;
+      profile_.dep_mean > 1.0 ? rng.geometric_below(dep_threshold_) : 1;
   return ring.regs[(ring.head + dist - 1) % RecentRing::kSize];
 }
 
-RegId WorkloadGenerator::pick_dest(bool fp) {
+[[gnu::always_inline]] inline RegId WorkloadGenerator::pick_dest(
+    Xoshiro256& rng, bool fp) {
   // Avoid register 0 (hardwired zero in most ISAs) for realism.
   const RegId base = fp ? static_cast<RegId>(kNumIntRegs) : RegId{0};
-  const RegId r = static_cast<RegId>(base + 1 + rng_.below(kNumIntRegs - 1));
+  const RegId r = static_cast<RegId>(base + 1 + rng.below(kNumIntRegs - 1));
   RecentRing& ring = fp ? recent_fp_ : recent_int_;
   ring.head = (ring.head + RecentRing::kSize - 1) % RecentRing::kSize;
   ring.regs[ring.head] = r;
   return r;
 }
 
-void WorkloadGenerator::next_op(MicroOp& op) {
-  op = MicroOp{};
-  op.pc = pc_;
+[[gnu::always_inline]] inline void WorkloadGenerator::next_op(
+    Xoshiro256& rng, MicroOp* __restrict op) {
+  const Addr pc = pc_;
 
   // Loop bookkeeping: when inside a loop body, count down to the closing
   // branch; the closing branch is taken while iterations remain.
@@ -118,53 +121,65 @@ void WorkloadGenerator::next_op(MicroOp& op) {
   if (at_loop_end) {
     // Loop-closing branch: tests the induction variable, which is ready
     // early in real codes — no deep data dependency.
-    op.op = OpClass::kBranch;
-    op.addr = loop_start_pc_;
-    if (loop_iters_left_ > 1) {
+    const bool taken = loop_iters_left_ > 1;
+    if (taken) {
       --loop_iters_left_;
       loop_body_left_ = loop_body_len_;
-      op.taken = true;
       pc_ = loop_start_pc_;
     } else {
       loop_body_len_ = 0;
-      op.taken = false;
       pc_ += 4;
     }
+    *op = MicroOp{.pc = pc,
+                  .addr = loop_start_pc_,
+                  .op = OpClass::kBranch,
+                  .taken = taken};
     return;
   }
 
   if (loop_body_len_ == 0) {
     // Start a fresh loop nest.
-    loop_body_len_ = std::max<std::uint64_t>(4, rng_.geometric(profile_.avg_loop_body));
-    loop_iters_left_ = std::max<std::uint64_t>(1, rng_.geometric(profile_.avg_loop_iters));
-    loop_start_pc_ = pc_;
+    loop_body_len_ = std::max<std::uint64_t>(4, rng.geometric(profile_.avg_loop_body));
+    loop_iters_left_ = std::max<std::uint64_t>(1, rng.geometric(profile_.avg_loop_iters));
+    loop_start_pc_ = pc;
     loop_body_left_ = loop_body_len_;
   }
   --loop_body_left_;
+  pc_ = pc + 4;
 
-  const double roll = rng_.uniform();
+  const double roll = rng.uniform();
 
   if (roll < mem_frac_ && !profile_.streams.empty()) {
-    const bool is_load = rng_.uniform() < load_share_;
-    const double pick = rng_.uniform();
+    const bool is_load = rng.uniform() < load_share_;
+    const double pick = rng.uniform();
     std::size_t si = 0;
     while (si + 1 < stream_cdf_.size() && pick > stream_cdf_[si]) ++si;
     const std::uint32_t bytes = profile_.streams[si].access_bytes;
-    const Addr addr = next_mem_addr(si, bytes);
-    op.addr = addr;
-    op.mem_size = static_cast<std::uint8_t>(bytes);
+    const Addr addr = next_mem_addr(rng, si, bytes);
     // Address base register: early-ready induction variable unless this
     // profile chases pointers.
-    op.src1 = rng_.chance(profile_.addr_dep_p) ? pick_source(false) : kNoReg;
+    const RegId base =
+        rng.chance(profile_.addr_dep_p) ? pick_source(rng, false) : kNoReg;
     if (is_load) {
-      op.op = OpClass::kLoad;
-      op.dst = pick_dest(false);
-      op.value = oracle_.read(addr, bytes);
+      const RegId dst = pick_dest(rng, false);
+      *op = MicroOp{.pc = pc,
+                    .addr = addr,
+                    .value = oracle_.read(addr, bytes),
+                    .op = OpClass::kLoad,
+                    .mem_size = static_cast<std::uint8_t>(bytes),
+                    .src1 = base,
+                    .dst = dst};
     } else {
-      op.op = OpClass::kStore;
-      op.src2 = pick_source(false);  // data register
-      op.value = rng_();
-      oracle_.write(addr, bytes, op.value);
+      const RegId data = pick_source(rng, false);
+      const std::uint64_t value = rng();
+      oracle_.write(addr, bytes, value);
+      *op = MicroOp{.pc = pc,
+                    .addr = addr,
+                    .value = value,
+                    .op = OpClass::kStore,
+                    .mem_size = static_cast<std::uint8_t>(bytes),
+                    .src1 = base,
+                    .src2 = data};
     }
   } else if (roll < mem_frac_ + profile_.branch_frac) {
     // Data-dependent branch (entropy) or a forward, mostly-not-taken one.
@@ -172,32 +187,32 @@ void WorkloadGenerator::next_op(MicroOp& op) {
     // so loop-branch PCs remain stable across iterations (trace-driven
     // convention: the fetch unit follows the trace and charges redirects /
     // squashes based on predicted-vs-actual direction).
-    op.op = OpClass::kBranch;
-    op.src1 = pick_source(false);
-    op.addr = pc_ + 4 + 4 * (1 + (op.pc >> 2) % 16);
-    if (rng_.chance(profile_.branch_entropy)) {
-      op.taken = rng_.chance(0.5);
-    } else {
-      op.taken = rng_.chance(0.08);
-    }
+    const RegId src = pick_source(rng, false);
+    const bool taken = rng.chance(profile_.branch_entropy) ? rng.chance(0.5)
+                                                           : rng.chance(0.08);
+    *op = MicroOp{.pc = pc,
+                  .addr = pc + 4 + 4 * (1 + (pc >> 2) % 16),
+                  .op = OpClass::kBranch,
+                  .src1 = src,
+                  .taken = taken};
   } else {
-    const bool fp = rng_.chance(profile_.fp_frac);
-    double kind = rng_.uniform();
-    if (fp) {
-      if (kind < profile_.fp_div_frac) op.op = OpClass::kFpDiv;
-      else if (kind < profile_.fp_div_frac + profile_.fp_mul_frac) op.op = OpClass::kFpMul;
-      else op.op = OpClass::kFpAlu;
-    } else {
-      if (kind < profile_.int_div_frac) op.op = OpClass::kIntDiv;
-      else if (kind < profile_.int_div_frac + profile_.int_mul_frac) op.op = OpClass::kIntMul;
-      else op.op = OpClass::kIntAlu;
-    }
-    op.src1 = pick_source(fp);
-    op.src2 = pick_source(fp);
-    op.dst = pick_dest(fp);
+    const bool fp = rng.chance(profile_.fp_frac);
+    const double kind = rng.uniform();
+    const OpClass cls =
+        fp ? (kind < profile_.fp_div_frac ? OpClass::kFpDiv
+              : kind < profile_.fp_div_frac + profile_.fp_mul_frac
+                  ? OpClass::kFpMul
+                  : OpClass::kFpAlu)
+           : (kind < profile_.int_div_frac ? OpClass::kIntDiv
+              : kind < profile_.int_div_frac + profile_.int_mul_frac
+                  ? OpClass::kIntMul
+                  : OpClass::kIntAlu);
+    const RegId src1 = pick_source(rng, fp);
+    const RegId src2 = pick_source(rng, fp);
+    const RegId dst = pick_dest(rng, fp);
+    *op = MicroOp{
+        .pc = pc, .op = cls, .src1 = src1, .src2 = src2, .dst = dst};
   }
-
-  pc_ += 4;
 }
 
 Trace WorkloadGenerator::generate(std::uint64_t n) {
@@ -207,12 +222,16 @@ Trace WorkloadGenerator::generate(std::uint64_t n) {
   // Appending, not resize-then-overwrite: value-initialising the buffer
   // first is a second pass over every record's memory.
   t.ops.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) next_op(t.ops.emplace_back());
+  Xoshiro256 rng = rng_;
+  for (std::uint64_t i = 0; i < n; ++i) next_op(rng, &t.ops.emplace_back());
+  rng_ = rng;
   return t;
 }
 
 void WorkloadGenerator::generate_into(MicroOp* out, std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) next_op(out[i]);
+  Xoshiro256 rng = rng_;
+  for (std::uint64_t i = 0; i < n; ++i) next_op(rng, out + i);
+  rng_ = rng;
 }
 
 }  // namespace samie::trace

@@ -88,6 +88,18 @@ struct WorkloadProfile {
 
 /// Deterministic trace generator. Not copyable while generating; cheap to
 /// construct per (profile, seed).
+///
+/// generate and generate_into each run one loop over next_op, written so
+/// that the compiler keeps its state in registers:
+///   * state local to the call: the RNG is copied out of rng_ when a call
+///     starts and back when it ends. Were it a member, its four words
+///     would be stored and reloaded around every store through a byte
+///     type (a RegId, mem_size), which may alias any object;
+///   * helpers inlinable: next_op, next_mem_addr, pick_source and
+///     pick_dest are always inlined into the loop and take the call's RNG
+///     by reference, so its address never escapes;
+///   * record unaliased: next_op builds a record's fields in locals and
+///     stores the record once, at its end.
 class WorkloadGenerator {
  public:
   WorkloadGenerator(const WorkloadProfile& profile, std::uint64_t seed);
@@ -114,12 +126,14 @@ class WorkloadGenerator {
     std::size_t head = 0;
   };
 
-  /// Writes the next op to `op`, field by field: building it on the
-  /// stack and copying it out stalls store-to-load forwarding.
-  void next_op(MicroOp& op);
-  [[nodiscard]] Addr next_mem_addr(std::size_t stream_idx, std::uint32_t bytes);
-  [[nodiscard]] RegId pick_source(bool fp);
-  [[nodiscard]] RegId pick_dest(bool fp);
+  // The hot loop's helpers (see the class comment); `rng` is the call's
+  // copy of rng_.
+  /// Writes the next op to `*op`.
+  void next_op(Xoshiro256& rng, MicroOp* __restrict op);
+  [[nodiscard]] Addr next_mem_addr(Xoshiro256& rng, std::size_t stream_idx,
+                                   std::uint32_t bytes);
+  [[nodiscard]] RegId pick_source(Xoshiro256& rng, bool fp);
+  [[nodiscard]] RegId pick_dest(Xoshiro256& rng, bool fp);
 
   const WorkloadProfile profile_;
   Xoshiro256 rng_;

@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "src/branch/predictor.h"
 #include "src/core/core.h"
@@ -157,6 +159,47 @@ TEST(Lane, SourceWindowRefusesACoreItCannotHold) {
   };
   EXPECT_THROW(build(cfg.core.rob_size), std::invalid_argument);
   EXPECT_NO_THROW(build(cfg.core.rob_size + cfg.core.fetch_queue));
+}
+
+TEST(Lane, RefusesACoreConfigWithAZeroWidthCapacityOrUnitCount) {
+  // Each of these at zero wedges the pipeline: the lane must be refused
+  // when it is built, naming the field, not after the commit watchdog's
+  // 200,000 cycles.
+  const sim::SimConfig base = small_config(sim::LsqChoice::kSamie);
+  const trace::TraceSource src = trace_for(base, "gcc");
+  const std::pair<const char*, std::uint32_t core::CoreConfig::*> fields[] = {
+      {"fetch_width", &core::CoreConfig::fetch_width},
+      {"dispatch_width", &core::CoreConfig::dispatch_width},
+      {"issue_width_int", &core::CoreConfig::issue_width_int},
+      {"issue_width_fp", &core::CoreConfig::issue_width_fp},
+      {"commit_width", &core::CoreConfig::commit_width},
+      {"rob_size", &core::CoreConfig::rob_size},
+      {"iq_int", &core::CoreConfig::iq_int},
+      {"iq_fp", &core::CoreConfig::iq_fp},
+      {"fetch_queue", &core::CoreConfig::fetch_queue},
+      {"int_regs", &core::CoreConfig::int_regs},
+      {"fp_regs", &core::CoreConfig::fp_regs},
+      {"dcache_ports", &core::CoreConfig::dcache_ports},
+      {"n_int_alu", &core::CoreConfig::n_int_alu},
+      {"n_int_muldiv", &core::CoreConfig::n_int_muldiv},
+      {"n_fp_alu", &core::CoreConfig::n_fp_alu},
+      {"n_fp_muldiv", &core::CoreConfig::n_fp_muldiv},
+  };
+  for (const auto& [name, field] : fields) {
+    SCOPED_TRACE(name);
+    sim::SimConfig cfg = base;
+    cfg.core.*field = 0;
+    try {
+      (void)sim::make_lane(cfg, src.view());
+      ADD_FAILURE() << "make_lane accepted " << name << " = 0";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const sim::LsqChoice lsq : kAllLsqs) {
+    EXPECT_NO_THROW((void)sim::make_lane(small_config(lsq), src.view()));
+  }
 }
 
 }  // namespace

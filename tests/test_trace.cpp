@@ -4,8 +4,11 @@
 // profiles.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/trace/analysis.h"
 #include "src/trace/instruction.h"
@@ -36,6 +39,33 @@ TEST(Workload, DeterministicForSameSeed) {
     EXPECT_EQ(ta[i].addr, tb[i].addr);
     EXPECT_EQ(ta[i].value, tb[i].value);
     EXPECT_EQ(static_cast<int>(ta[i].op), static_cast<int>(tb[i].op));
+  }
+}
+
+TEST(Workload, GenerateIntoInChunksMatchesOneGenerate) {
+  // Each call keeps the generator's RNG in a local and stores it back at
+  // its end: records drawn over many calls of any length must equal one
+  // generate() of them all.
+  constexpr std::uint64_t kRecords = 10'000;
+  const std::uint64_t chunks[] = {1, 2, 63, 4095, 4097};
+  for (const char* program : {"gcc", "ammp", "mcf"}) {
+    for (const std::uint64_t seed : {42ULL, 7ULL}) {
+      SCOPED_TRACE(std::string(program) + " seed " + std::to_string(seed));
+      const WorkloadProfile profile = spec2000_profile(program);
+      const Trace whole = WorkloadGenerator(profile, seed).generate(kRecords);
+      ASSERT_EQ(whole.size(), kRecords);
+      std::vector<MicroOp> pieces(kRecords);
+      WorkloadGenerator g(profile, seed);
+      std::uint64_t done = 0;
+      for (const std::uint64_t k : chunks) {
+        g.generate_into(pieces.data() + done, k);
+        done += k;
+      }
+      g.generate_into(pieces.data() + done, kRecords - done);  // the rest
+      EXPECT_EQ(std::memcmp(pieces.data(), whole.ops.data(),
+                            kRecords * sizeof(MicroOp)),
+                0);
+    }
   }
 }
 

@@ -188,7 +188,9 @@ TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
   // Field values at both edges of every LEB128 length (1..10 bytes), in
   // pc, addr (a load's memory address and a branch's target) and value,
   // decoded both while a whole record's bytes remain and in the
-  // bounds-checked tail of the block.
+  // bounds-checked tail of the block. The file's bytes are pinned too: a
+  // writer that encodes an edge value differently, yet decodably, is a
+  // format change.
   std::vector<std::uint64_t> values{0, ~std::uint64_t{0}};
   for (unsigned k = 1; k < 10; ++k) {
     const std::uint64_t edge = std::uint64_t{1} << (7 * k);
@@ -215,6 +217,10 @@ TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "v", 1,
                        97);
   EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
+  const std::string bytes = slurp(p);
+  EXPECT_EQ(bytes.size(), 28'033u);
+  EXPECT_EQ(trace::fnv1a_64(bytes.data(), bytes.size()),
+            0x25456602200526e3ULL);
 }
 
 TEST_F(TraceV2Test, ResumePicksUpIntactBlocksOfATornTmp) {

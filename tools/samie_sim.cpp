@@ -64,7 +64,9 @@
 // Trace modes (SAMT format: docs/TRACE_FORMAT.md):
 //   --record-trace=DIR   additionally write each program's generated
 //                        trace to DIR/<program>.samt as SAMT v2 (DIR is
-//                        created); combined with --import-trace this
+//                        created), the programs on the sweep's worker
+//                        count (--threads or --isolate's N) before the
+//                        sweep starts; combined with --import-trace this
 //                        converts the imported text traces to SAMT v2
 //   --replay-trace=PATH  replay a recorded SAMT v2 file — or every .samt
 //                        in a directory — block-decoded, every guard
@@ -86,14 +88,18 @@
 // still print), 1 on usage or fatal errors (bad flags, unreadable
 // checkpoint, import failure).
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <initializer_list>
 #include <iostream>
 #include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "src/common/table.h"
@@ -181,6 +187,51 @@ void arm_import_fault(const std::string& out_path, const sim::SweepFault& f) {
                 ? trace::IoFault::Kind::kEnospcOnImport
                 : trace::IoFault::Kind::kTornImport;
   trace::set_io_fault(out_path, io);
+}
+
+/// Writes each program's generated trace to DIR/<program>.samt (its v2
+/// blocks as TraceSource::generate holds them) on `workers` threads, the
+/// calling one among them, and prints the "recorded" lines in program
+/// order. Every thread is joined before it returns, so the forked-child
+/// runner starts from a single-threaded parent; the first failure in
+/// program order is rethrown once all are joined.
+void record_programs(const std::vector<std::string>& programs,
+                     const sim::SimConfig& cfg, const std::string& dir,
+                     unsigned workers) {
+  std::vector<std::string> paths(programs.size());
+  std::vector<std::uint64_t> sizes(programs.size());
+  std::vector<std::exception_ptr> errors(programs.size());
+  std::atomic<std::size_t> next{0};
+  const auto record = [&] {
+    for (std::size_t i = next++; i < programs.size(); i = next++) {
+      try {
+        const std::string& p = programs[i];
+        const trace::TraceSource src = trace::TraceSource::generate(
+            trace::spec2000_profile(p), cfg.seed, cfg.instructions);
+        paths[i] = (std::filesystem::path(dir) / (p + ".samt")).string();
+        trace::TraceWriterV2 writer(paths[i], p, cfg.seed);
+        writer.append_blocks(src.blocks());
+        writer.finish();
+        sizes[i] = src.size();
+      } catch (...) {
+        errors[i] = std::current_exception();
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    const std::size_t threads = std::min<std::size_t>(workers, programs.size());
+    try {
+      for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(record);
+    } catch (const std::system_error&) {
+      // A worker that cannot start leaves its programs to the others.
+    }
+    record();
+  }  // the helpers join here
+  for (std::size_t i = 0; i < programs.size(); ++i) {
+    if (errors[i]) std::rethrow_exception(errors[i]);
+    std::cerr << "recorded " << paths[i] << " (" << sizes[i] << " ops)\n";
+  }
 }
 
 /// Collects PATH itself (a file) or the files under it (a directory)
@@ -395,21 +446,16 @@ int main(int argc, char** argv) {
       }
     }
     if (!record_dir.empty()) {
-      // Record mode: generate each trace as its v2 blocks and write them
-      // as they are, then run the suite through the normal generated
-      // path (the parallel pool's trace cache regenerates the identical
-      // traces) — replaying the files must be bit-identical to these
-      // results, and the CI smoke step asserts exactly that.
-      for (const auto& p : programs) {
-        const trace::TraceSource src = trace::TraceSource::generate(
-            trace::spec2000_profile(p), cfg.seed, cfg.instructions);
-        const auto out = std::filesystem::path(record_dir) / (p + ".samt");
-        trace::TraceWriterV2 writer(out.string(), p, cfg.seed);
-        writer.append_blocks(src.blocks());
-        writer.finish();
-        std::cerr << "recorded " << out.string() << " (" << src.size()
-                  << " ops)\n";
-      }
+      // Record mode: write every program's trace on the sweep's worker
+      // count, then run the suite through the normal generated path (the
+      // sweep's trace cache regenerates the identical traces) —
+      // replaying the files must be bit-identical to these results, and
+      // the CI smoke step asserts exactly that.
+      const unsigned workers =
+          sweep.isolate_procs != 0 ? sweep.isolate_procs
+          : sweep.threads != 0     ? sweep.threads
+                                   : sim::bench_threads();
+      record_programs(programs, cfg, record_dir, workers);
     }
     std::vector<sim::Job> jobs;
     jobs.reserve(programs.size());
