@@ -146,7 +146,7 @@ struct QuiescenceRig {
   mem::MemoryHierarchy memory{mem::HierarchyConfig{}};
   branch::HybridPredictor pred;
   branch::Btb btb;
-  core::Core<lsq::SamieLsq> core;
+  core::Core<lsq::SamieLsq, core::NullObserver> core;
 
   QuiescenceRig()
       : trace(trace::WorkloadGenerator(trace::spec2000_profile("gcc"), 9)

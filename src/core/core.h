@@ -8,16 +8,13 @@
 // penalty, which models the recovery cost without wrong-path execution
 // (DESIGN.md §4.2).
 //
-// `Core` is a template over the concrete LSQ type *and* the per-cycle
-// observer type: instantiating it with final classes
-// (Core<lsq::SamieLsq, StatsCollector>) devirtualizes every LSQ call on
-// the per-memory-op hot path and inlines the once-per-cycle occupancy
-// hook, leaving the steady-state cycle loop with zero virtual dispatch.
-// The default arguments Core<lsq::LoadStoreQueue, CycleObserver> are the
-// type-erased variant kept for tools, examples and tests that pick the
-// queue at runtime — CTAD from a LoadStoreQueue& (and a nullptr or
-// CycleObserver* observer) selects it automatically, so
-// `Core c(cfg, trace, *queue, ...)` keeps working.
+// `Core` is a template over the concrete LSQ type (any class modelling
+// the lsq::LoadStoreQueue concept) *and* the per-cycle observer type:
+// Core<lsq::SamieLsq, StatsCollector> calls the queue and inlines the
+// once-per-cycle occupancy hook directly, so the cycle loop makes no
+// indirect call. Both are bound at compile time; the one dynamic
+// dispatch on the simulation path is sim::Lane::step, once per turn. A
+// nullptr observer deduces NullObserver.
 //
 // In-flight state is laid out for the access pattern, not the object
 // model (the same argument SAMIE-LSQ makes for the queue itself): the
@@ -121,24 +118,15 @@ struct CoreConfig {
   const std::atomic<bool>* should_abort = nullptr;
 };
 
-/// Per-cycle hook for occupancy sampling (area integration, Figures 3/4).
-/// This is the *type-erased* observer: Core is templated over the
-/// observer type, so a concrete non-virtual class (the simulator's
-/// StatsCollector) gets its on_cycle inlined into the cycle loop; this
-/// interface exists for call sites that need a runtime-chosen observer.
-class CycleObserver {
- public:
-  virtual ~CycleObserver() = default;
-  virtual void on_cycle(Cycle cycle, const lsq::OccupancySample& occ) = 0;
-  /// Batched form used by the fast-forward: `count` consecutive cycles
-  /// starting at `first`, all with the same occupancy (nothing ran, so
-  /// nothing could change it). The default replays the per-cycle hook so
-  /// any observer stays bit-identical; run-length collectors (the
-  /// simulator's StatsCollector) override with a counter bump.
-  virtual void on_cycles(Cycle first, std::uint64_t count,
-                         const lsq::OccupancySample& occ) {
-    for (std::uint64_t i = 0; i < count; ++i) on_cycle(first + i, occ);
-  }
+/// An observer that records nothing; a nullptr observer deduces it.
+/// Observer types provide on_cycle(cycle, occupancy), called once per
+/// stepped cycle, and on_cycles(first, count, occupancy) for the `count`
+/// cycles of a fast-forward, which share one sample (nothing ran, so
+/// nothing could change it). sim::StatsCollector is the one that records.
+struct NullObserver {
+  void on_cycle(Cycle /*cycle*/, const lsq::OccupancySample& /*occ*/) {}
+  void on_cycles(Cycle /*first*/, std::uint64_t /*count*/,
+                 const lsq::OccupancySample& /*occ*/) {}
 };
 
 /// Aggregate outcome of a simulation run.
@@ -257,9 +245,8 @@ class SlotStatus {
   std::uint32_t w_ = 0;
 };
 
-template <typename LsqT = lsq::LoadStoreQueue,
-          typename ObserverT = CycleObserver>
-class Core final : private lsq::PresentBitClearer {
+template <lsq::LoadStoreQueue LsqT, typename ObserverT>
+class Core final {
  public:
   /// The core reads its records through `trace`, whose backing storage
   /// (an owned Trace, a TraceSource) must outlive it. A source window
@@ -272,9 +259,6 @@ class Core final : private lsq::PresentBitClearer {
        mem::MemoryHierarchy& memory, branch::HybridPredictor& predictor,
        branch::Btb& btb, energy::DcacheLedger* dcache_ledger,
        energy::DtlbLedger* dtlb_ledger, ObserverT* observer);
-  /// The queue outlives the core (see run_with_queue): unregister the
-  /// present-bit clearer so it never holds a dangling receiver.
-  ~Core() override { lsq_.set_present_bit_clearer(nullptr); }
 
   /// Runs until `max_insts` instructions commit (or the trace ends).
   /// Equivalent to begin(max_insts); while (step(...)) {}; finish() —
@@ -391,7 +375,7 @@ class Core final : private lsq::PresentBitClearer {
   enum WakeBit : std::uint32_t {
     kWakeCommitHead = 1U << 0,  ///< head completed or §3.3 flush pending
     kWakeReady = 1U << 1,       ///< some ready queue is non-empty
-    kWakeLsq = 1U << 2,         ///< lsq_has_pending_work()
+    kWakeLsq = 1U << 2,         ///< lsq_.has_pending_work()
     kWakeDispatch = 1U << 3,    ///< fetch queue head passes resource checks
     kWakeFetch = 1U << 4,       ///< fetch could act at the checked cycle
   };
@@ -467,33 +451,18 @@ class Core final : private lsq::PresentBitClearer {
   /// itself breaks on this same predicate, so the quiescence ledger and
   /// the stage agree by construction.
   [[nodiscard]] bool dispatch_blocked() const;
-  /// Drain-work hook, statically bound for concrete queues; the
-  /// type-erased LoadStoreQueue has no hook and conservatively reports
-  /// pending work (the type-erased core simply never fast-forwards).
-  [[nodiscard]] bool lsq_has_pending_work() const {
-    if constexpr (requires(const LsqT& q) { q.has_pending_work(); }) {
-      return lsq_.has_pending_work();
-    } else {
-      return true;
-    }
-  }
   /// The once-per-cycle occupancy sample, cached behind the LSQ's
   /// occupancy epoch: most stepped cycles change nothing the sample
   /// reads (the run-length StatsCollector would compare-and-fold it
   /// anyway), so the rebuild happens only when a placement, free,
   /// buffer move or dispatch actually moved a counter.
   [[nodiscard]] const lsq::OccupancySample& sampled_occupancy() {
-    if constexpr (requires(const LsqT& q) { q.occupancy_epoch(); }) {
-      const std::uint64_t e = lsq_.occupancy_epoch();
-      if (e != occ_epoch_seen_) {
-        occ_cache_ = lsq_.occupancy();
-        occ_epoch_seen_ = e;
-      }
-      return occ_cache_;
-    } else {
+    const std::uint64_t e = lsq_.occupancy_epoch();
+    if (e != occ_epoch_seen_) {
       occ_cache_ = lsq_.occupancy();
-      return occ_cache_;
+      occ_epoch_seen_ = e;
     }
+    return occ_cache_;
   }
   // -- wake-ledger maintenance (see core_impl.h for the proof) ---------------
   void wake_set(std::uint32_t bit) noexcept { wake_ledger_ |= bit; }
@@ -521,9 +490,6 @@ class Core final : private lsq::PresentBitClearer {
   void try_fast_forward();
   /// The fast-forward jump target: earliest cycle any wake source fires.
   [[nodiscard]] Cycle wake_horizon() const;
-  /// lsq::PresentBitClearer — the queue tells us a cached L1D location
-  /// was released; clear the cache-side presentBit.
-  void clear_present_bit(std::uint32_t set, std::uint32_t way) override;
 
   CoreConfig cfg_;
   /// Every record the core reads: fetch, dispatch and the in-flight
@@ -619,8 +585,7 @@ class Core final : private lsq::PresentBitClearer {
   std::uint32_t agens_outstanding_ = 0;
 
   // Per-cycle occupancy sampling cache: rebuilt only when the LSQ's
-  // occupancy_epoch() moved (type-erased queues have no epoch hook and
-  // rebuild every cycle, as before).
+  // occupancy_epoch() moved.
   lsq::OccupancySample occ_cache_;
   std::uint64_t occ_epoch_seen_ = ~0ULL;
 
@@ -632,18 +597,12 @@ class Core final : private lsq::PresentBitClearer {
 };
 
 /// A literal nullptr observer cannot deduce ObserverT; it means "no
-/// observer", which the type-erased default expresses.
-template <typename LsqT>
+/// observer".
+template <lsq::LoadStoreQueue LsqT>
 Core(const CoreConfig&, trace::TraceWindow, LsqT&, mem::MemoryHierarchy&,
      branch::HybridPredictor&, branch::Btb&, energy::DcacheLedger*,
-     energy::DtlbLedger*, std::nullptr_t) -> Core<LsqT, CycleObserver>;
+     energy::DtlbLedger*, std::nullptr_t) -> Core<LsqT, NullObserver>;
 
 }  // namespace samie::core
 
 #include "src/core/core_impl.h"  // template member definitions
-
-namespace samie::core {
-/// The type-erased instantiation is compiled once in core.cpp; every
-/// other TU links against it instead of re-instantiating.
-extern template class Core<lsq::LoadStoreQueue, CycleObserver>;
-}  // namespace samie::core

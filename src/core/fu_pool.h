@@ -3,7 +3,6 @@
 // for the whole operation.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -16,22 +15,13 @@ class PipelinedPool {
  public:
   explicit PipelinedPool(std::uint32_t units) : units_(units) {}
 
+  /// Saturation lasts one cycle (new_cycle resets it), so a pipelined
+  /// pool is never what a quiescent core waits on.
   void new_cycle() noexcept { issued_ = 0; }
-  [[nodiscard]] bool can_issue() const noexcept { return issued_ < units_; }
   bool try_issue() noexcept {
-    if (!can_issue()) return false;
+    if (issued_ >= units_) return false;
     ++issued_;
     return true;
-  }
-  [[nodiscard]] std::uint32_t units() const noexcept { return units_; }
-
-  // -- work-ledger hooks (event-driven engine) -------------------------------
-  /// A pipelined pool holds no cross-cycle state: saturation lasts one
-  /// cycle (new_cycle resets it), so it can never be the thing a
-  /// quiescent core is waiting on.
-  [[nodiscard]] bool has_pending_work() const noexcept { return false; }
-  [[nodiscard]] Cycle next_ready_cycle(Cycle now) const noexcept {
-    return can_issue() ? now : now + 1;
   }
 
  private:
@@ -47,32 +37,19 @@ class OccupyingPool {
     free_scratch_.reserve(units);
   }
 
-  [[nodiscard]] bool can_issue(Cycle now) const noexcept {
-    for (Cycle b : busy_until_) {
-      if (b <= now) return true;
-    }
-    return false;
-  }
-  bool try_issue(Cycle now, Cycle busy) noexcept {
-    for (Cycle& b : busy_until_) {
-      if (b <= now) {
-        b = now + busy;
-        return true;
-      }
-    }
-    return false;
-  }
   void reset() noexcept {
     for (Cycle& b : busy_until_) b = 0;
   }
 
   // -- batch arbitration (issue_stage) ---------------------------------------
   /// Snapshots the free units once per cycle; try_issue_batched then
-  /// takes them in ascending-index order without rescanning. This is
-  /// exactly try_issue's first-fit policy — busy state only changes
-  /// through takes within the cycle (a reset() mid-cycle, the
-  /// full-flush path, happens before issue runs), so the snapshot
-  /// cannot go stale.
+  /// takes them in ascending-index order without rescanning (first fit
+  /// by unit index). Busy state only changes through takes within the
+  /// cycle (a reset() mid-cycle, the full-flush path, happens before
+  /// issue runs), so the snapshot cannot go stale. A busy unit never
+  /// blocks the fast-forward: the operation occupying it already has its
+  /// completion on the calendar wheel, and any instruction waiting for
+  /// the unit sits in a ready queue.
   void begin_arbitration(Cycle now) noexcept {
     free_scratch_.clear();
     for (std::uint32_t i = 0; i < busy_until_.size(); ++i) {
@@ -84,26 +61,6 @@ class OccupyingPool {
     if (taken_ >= free_scratch_.size()) return false;
     busy_until_[free_scratch_[taken_++]] = now + busy;
     return true;
-  }
-
-  // -- work-ledger hooks (event-driven engine) -------------------------------
-  /// Units still occupied at `now`. A busy unit by itself never blocks
-  /// the fast-forward: the operation occupying it already has its
-  /// completion on the calendar wheel, and any instruction *waiting* for
-  /// the unit sits in a ready queue (a non-empty ready ledger).
-  [[nodiscard]] std::uint32_t busy_units(Cycle now) const noexcept {
-    std::uint32_t n = 0;
-    for (Cycle b : busy_until_) n += b > now ? 1 : 0;
-    return n;
-  }
-  [[nodiscard]] bool has_pending_work(Cycle now) const noexcept {
-    return busy_units(now) != 0;
-  }
-  /// Earliest cycle a unit frees up (`now` when one is already free).
-  [[nodiscard]] Cycle next_ready_cycle(Cycle now) const noexcept {
-    Cycle first = kNeverCycle;
-    for (Cycle b : busy_until_) first = std::min(first, b);
-    return std::max(first, now);
   }
 
  private:

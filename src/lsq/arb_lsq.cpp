@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/bit_scan.h"
 
@@ -17,6 +18,12 @@ ArbLsq::ArbLsq(const ArbConfig& cfg)
   if (cfg_.banks == 0 || cfg_.rows_per_bank == 0 || cfg_.max_inflight == 0) {
     throw std::invalid_argument(
         "ArbConfig: banks, rows_per_bank and max_inflight must be >= 1");
+  }
+  if (!is_pow2(cfg_.line_bytes) || cfg_.line_bytes > 256) {
+    // A slot keeps its offset within the line in one byte.
+    throw std::invalid_argument(
+        "ArbConfig: line_bytes must be a power of two <= 256 (got " +
+        std::to_string(cfg_.line_bytes) + ")");
   }
   rows_.resize(static_cast<std::size_t>(cfg_.banks) * cfg_.rows_per_bank);
   for (auto& r : rows_) {

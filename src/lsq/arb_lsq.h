@@ -42,39 +42,40 @@ struct ArbConfig {
   std::uint32_t line_bytes = 32;
 };
 
-class ArbLsq final : public LoadStoreQueue {
+class ArbLsq final {
  public:
   /// Throws std::invalid_argument when banks, rows_per_bank or
-  /// max_inflight is zero.
+  /// max_inflight is zero, or line_bytes is not a power of two <= 256.
   explicit ArbLsq(const ArbConfig& cfg);
 
-  [[nodiscard]] LsqKind kind() const override { return LsqKind::kArb; }
+  [[nodiscard]] bool can_dispatch(bool is_load) const;
+  void on_dispatch(InstSeq seq, bool is_load);
+  /// A conflicting placement waits in the retry FIFO: nothing is ever
+  /// rejected.
+  [[nodiscard]] std::uint32_t placement_headroom() const { return ~0U; }
 
-  [[nodiscard]] bool can_dispatch(bool is_load) const override;
-  void on_dispatch(InstSeq seq, bool is_load) override;
-  [[nodiscard]] bool can_compute_address() const override { return true; }
+  Placement on_address_ready(const MemOpDesc& op);
+  void drain(std::vector<InstSeq>& newly_placed);
+  [[nodiscard]] bool is_placed(InstSeq seq) const;
 
-  Placement on_address_ready(const MemOpDesc& op) override;
-  void drain(std::vector<InstSeq>& newly_placed) override;
-  [[nodiscard]] bool is_placed(InstSeq seq) const override;
-
-  [[nodiscard]] LoadPlan plan_load(InstSeq seq) const override;
-  [[nodiscard]] CacheHints cache_hints(InstSeq /*seq*/) const override {
+  [[nodiscard]] LoadPlan plan_load(InstSeq seq) const;
+  /// The ARB caches no L1D location or translation.
+  [[nodiscard]] CacheHints cache_hints(InstSeq /*seq*/) const {
     return CacheHints{};
   }
-  void on_cache_access_complete(InstSeq /*seq*/, std::uint32_t /*set*/,
-                                std::uint32_t /*way*/) override {}
-  void on_load_complete(InstSeq /*seq*/) override {}
-  void on_store_data_ready(InstSeq seq) override;
+  bool on_cache_access_complete(InstSeq /*seq*/, std::uint32_t /*set*/,
+                                std::uint32_t /*way*/) {
+    return false;
+  }
+  void on_load_complete(InstSeq /*seq*/) {}
+  void on_store_data_ready(InstSeq seq);
 
-  void on_commit(InstSeq seq) override;
-  void squash_from(InstSeq seq) override;
-  void on_cache_line_replaced(std::uint32_t /*set*/) override {}
+  void on_commit(InstSeq seq);
+  void squash_from(InstSeq seq);
+  void on_cache_line_replaced(std::uint32_t /*set*/) {}
 
-  [[nodiscard]] OccupancySample occupancy() const override;
+  [[nodiscard]] OccupancySample occupancy() const;
 
-  // -- work-ledger hooks (event-driven engine; non-virtual by design:
-  //    Core<ArbLsq> binds them statically) ------------------------------------
   /// True when next cycle's drain() could differ from a no-op. A failed
   /// retry mutates nothing (try_place is read-only on failure and the ARB
   /// charges no retry energy), so once the FIFO head has been retried
@@ -83,13 +84,6 @@ class ArbLsq final : public LoadStoreQueue {
   [[nodiscard]] bool has_pending_work() const noexcept {
     return !waiting_.empty() && !drain_blocked_;
   }
-  /// The ARB holds no time-triggered state: work appears only through
-  /// core calls, which themselves wake the engine.
-  [[nodiscard]] Cycle next_ready_cycle(Cycle /*now*/) const noexcept {
-    return kNeverCycle;
-  }
-  /// Bumped by every mutation that can change occupancy(); the core's
-  /// per-cycle sampling rebuilds the sample only when this moved.
   [[nodiscard]] std::uint64_t occupancy_epoch() const noexcept {
     return occ_epoch_;
   }
@@ -169,5 +163,7 @@ class ArbLsq final : public LoadStoreQueue {
   std::uint32_t slots_placed_ = 0;
   std::uint64_t occ_epoch_ = 0;  ///< see occupancy_epoch()
 };
+
+static_assert(LoadStoreQueue<ArbLsq>);
 
 }  // namespace samie::lsq

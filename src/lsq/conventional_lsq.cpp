@@ -129,14 +129,6 @@ LoadPlan ConventionalLsq::plan_load(InstSeq seq) const {
   return p;
 }
 
-CacheHints ConventionalLsq::cache_hints(InstSeq /*seq*/) const {
-  return CacheHints{};  // the conventional LSQ caches nothing
-}
-
-void ConventionalLsq::on_cache_access_complete(InstSeq /*seq*/,
-                                               std::uint32_t /*set*/,
-                                               std::uint32_t /*way*/) {}
-
 void ConventionalLsq::on_load_complete(InstSeq seq) {
   assert(find(seq) != nullptr);
   if (ledger_ != nullptr) ledger_->on_datum_write();
@@ -229,13 +221,6 @@ OccupancySample ConventionalLsq::recount_occupancy() const {
   (void)stores;
   assert(sample.entries_used == occupancy().entries_used);
   return sample;
-}
-
-std::unique_ptr<ConventionalLsq> make_unbounded_lsq(std::uint32_t window) {
-  ConventionalLsqConfig cfg;
-  cfg.entries = window;
-  cfg.unbounded = true;
-  return std::make_unique<ConventionalLsq>(cfg, nullptr);
 }
 
 }  // namespace samie::lsq

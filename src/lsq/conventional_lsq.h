@@ -4,11 +4,10 @@
 // addresses; matching loads forward from stores).
 //
 // With `entries >= rob_size` this doubles as the *unbounded* LSQ used as
-// the normalization baseline of Figure 1 (`make_unbounded_lsq`).
+// the normalization baseline of Figure 1 (sim's UnboundedBundle).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/ring_deque.h"
@@ -20,51 +19,45 @@ namespace samie::lsq {
 
 struct ConventionalLsqConfig {
   std::uint32_t entries = 128;
-  bool unbounded = false;  ///< report kind()==kUnbounded (Figure 1 baseline)
 };
 
-class ConventionalLsq final : public LoadStoreQueue {
+class ConventionalLsq final {
  public:
   /// `ledger` may be null (no energy accounting, e.g. inside ARB sweeps).
   /// Throws std::invalid_argument when `entries` is 0.
   ConventionalLsq(const ConventionalLsqConfig& cfg,
                   energy::ConvLsqLedger* ledger);
 
-  [[nodiscard]] LsqKind kind() const override {
-    return cfg_.unbounded ? LsqKind::kUnbounded : LsqKind::kConventional;
+  [[nodiscard]] bool can_dispatch(bool is_load) const;
+  void on_dispatch(InstSeq seq, bool is_load);
+  /// Every address computation places at once: nothing is ever rejected.
+  [[nodiscard]] std::uint32_t placement_headroom() const { return ~0U; }
+
+  Placement on_address_ready(const MemOpDesc& op);
+  void drain(std::vector<InstSeq>& newly_placed);
+  [[nodiscard]] bool is_placed(InstSeq seq) const;
+
+  [[nodiscard]] LoadPlan plan_load(InstSeq seq) const;
+  /// The conventional LSQ caches no L1D location or translation.
+  [[nodiscard]] CacheHints cache_hints(InstSeq /*seq*/) const {
+    return CacheHints{};
   }
+  bool on_cache_access_complete(InstSeq /*seq*/, std::uint32_t /*set*/,
+                                std::uint32_t /*way*/) {
+    return false;
+  }
+  void on_load_complete(InstSeq seq);
+  void on_store_data_ready(InstSeq seq);
 
-  [[nodiscard]] bool can_dispatch(bool is_load) const override;
-  void on_dispatch(InstSeq seq, bool is_load) override;
-  [[nodiscard]] bool can_compute_address() const override { return true; }
+  void on_commit(InstSeq seq);
+  void squash_from(InstSeq seq);
+  void on_cache_line_replaced(std::uint32_t /*set*/) {}
 
-  Placement on_address_ready(const MemOpDesc& op) override;
-  void drain(std::vector<InstSeq>& newly_placed) override;
-  [[nodiscard]] bool is_placed(InstSeq seq) const override;
+  [[nodiscard]] OccupancySample occupancy() const;
 
-  [[nodiscard]] LoadPlan plan_load(InstSeq seq) const override;
-  [[nodiscard]] CacheHints cache_hints(InstSeq seq) const override;
-  void on_cache_access_complete(InstSeq seq, std::uint32_t set,
-                                std::uint32_t way) override;
-  void on_load_complete(InstSeq seq) override;
-  void on_store_data_ready(InstSeq seq) override;
-
-  void on_commit(InstSeq seq) override;
-  void squash_from(InstSeq seq) override;
-  void on_cache_line_replaced(std::uint32_t /*set*/) override {}
-
-  [[nodiscard]] OccupancySample occupancy() const override;
-
-  // -- work-ledger hooks (event-driven engine; non-virtual by design:
-  //    Core<ConventionalLsq> binds them statically) --------------------------
   /// Placement is immediate (drain() is a no-op), so the conventional
   /// queue never holds deferred work.
   [[nodiscard]] bool has_pending_work() const noexcept { return false; }
-  [[nodiscard]] Cycle next_ready_cycle(Cycle /*now*/) const noexcept {
-    return kNeverCycle;
-  }
-  /// Bumped by every mutation that can change occupancy(); the core's
-  /// per-cycle sampling rebuilds the sample only when this moved.
   [[nodiscard]] std::uint64_t occupancy_epoch() const noexcept {
     return occ_epoch_;
   }
@@ -124,9 +117,6 @@ class ConventionalLsq final : public LoadStoreQueue {
   RingDeque<InstSeq> store_seqs_;
 };
 
-/// The unbounded LSQ of Figure 1: never stalls dispatch or placement.
-/// `window` should be at least the ROB size.
-[[nodiscard]] std::unique_ptr<ConventionalLsq> make_unbounded_lsq(
-    std::uint32_t window);
+static_assert(LoadStoreQueue<ConventionalLsq>);
 
 }  // namespace samie::lsq

@@ -1,4 +1,8 @@
-// The load/store-queue contract the out-of-order core drives.
+// The load/store-queue contract the out-of-order core drives: the
+// `LoadStoreQueue` concept at the bottom of this file lists exactly the
+// calls core::Core makes. ConventionalLsq, ArbLsq and SamieLsq satisfy
+// it with plain member functions (each static_asserts it), and the core
+// binds its queue at compile time — the queues share no base class.
 //
 // Protocol (enforced by the core, tested in tests/test_lsq_*):
 //   1. `can_dispatch` / `on_dispatch` at rename time (the conventional LSQ
@@ -19,24 +23,13 @@
 //      branch-mispredict and deadlock-avoidance flushes.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <vector>
 
 #include "src/common/types.h"
 
 namespace samie::lsq {
-
-/// Receiver for cache-side presentBit clears (see
-/// LoadStoreQueue::set_present_bit_clearer). A plain interface pointer —
-/// not std::function — so the per-release call on the hot path is a
-/// single indirect call with no type-erasure overhead.
-class PresentBitClearer {
- public:
-  virtual ~PresentBitClearer() = default;
-  virtual void clear_present_bit(std::uint32_t set, std::uint32_t way) = 0;
-};
-
-enum class LsqKind : std::uint8_t { kConventional, kUnbounded, kArb, kSamie };
 
 /// A memory instruction as the LSQ sees it at address-ready time.
 struct MemOpDesc {
@@ -158,62 +151,61 @@ struct OccupancySample {
   return b <= a && a + asz <= b + bsz;
 }
 
-class LoadStoreQueue {
- public:
-  virtual ~LoadStoreQueue() = default;
-
-  [[nodiscard]] virtual LsqKind kind() const = 0;
-
-  // -- dispatch stage --------------------------------------------------------
-  [[nodiscard]] virtual bool can_dispatch(bool is_load) const = 0;
-  virtual void on_dispatch(InstSeq seq, bool is_load) = 0;
-  /// Gate for issuing an address computation (SAMIE: AddrBuffer must have
-  /// a free slot so placement can never be rejected — paper §3.3).
-  [[nodiscard]] virtual bool can_compute_address() const = 0;
+/// The queue contract: every call core::Core makes, with the result
+/// type it relies on. Nothing else is required — accessors the core never
+/// calls (is_placed, recount_occupancy, per-queue counters) are the
+/// queues' own business and tests'.
+template <typename Q>
+concept LoadStoreQueue = requires(Q& q, const Q& cq, InstSeq seq,
+                                  bool is_load, const MemOpDesc& op,
+                                  std::vector<InstSeq>& newly_placed,
+                                  std::uint32_t set, std::uint32_t way) {
+  // -- dispatch stage ---------------------------------------------------------
+  { cq.can_dispatch(is_load) } -> std::same_as<bool>;
+  q.on_dispatch(seq, is_load);
   /// How many additional address computations may safely be in flight:
   /// the number of placements guaranteed not to be rejected. The core
   /// reserves one unit per issued-but-unresolved address computation so
-  /// several agens completing together can never overflow the AddrBuffer.
-  [[nodiscard]] virtual std::uint32_t placement_headroom() const {
-    return ~0U;
-  }
+  /// several agens completing together can never overflow the AddrBuffer
+  /// (paper §3.3). ~0U for queues that never reject a placement.
+  { cq.placement_headroom() } -> std::same_as<std::uint32_t>;
 
-  // -- address-ready / placement ---------------------------------------------
-  virtual Placement on_address_ready(const MemOpDesc& op) = 0;
+  // -- address-ready / placement ----------------------------------------------
+  { q.on_address_ready(op) } -> std::same_as<Placement>;
   /// Retry buffered instructions (called once per cycle, before issue);
   /// appends the seqs that became placed this cycle.
-  virtual void drain(std::vector<InstSeq>& newly_placed) = 0;
-  [[nodiscard]] virtual bool is_placed(InstSeq seq) const = 0;
+  q.drain(newly_placed);
+  /// True when the next drain() could differ from a no-op. The core skips
+  /// drain() and lets the cycle loop fast-forward only while this is
+  /// false, so it must never be false while a drain would place or
+  /// charge anything.
+  { cq.has_pending_work() } -> std::same_as<bool>;
 
-  // -- load execution ----------------------------------------------------------
-  [[nodiscard]] virtual LoadPlan plan_load(InstSeq seq) const = 0;
-  [[nodiscard]] virtual CacheHints cache_hints(InstSeq seq) const = 0;
-  /// The load/store touched the L1D at (set, way); SAMIE caches the
-  /// location and the translation in the owning entry.
-  virtual void on_cache_access_complete(InstSeq seq, std::uint32_t set,
-                                        std::uint32_t way) = 0;
+  // -- load execution ---------------------------------------------------------
+  { cq.plan_load(seq) } -> std::same_as<LoadPlan>;
+  { cq.cache_hints(seq) } -> std::same_as<CacheHints>;
+  /// The load/store touched the L1D at (set, way). Returns true when the
+  /// queue now caches that location (SAMIE: the owning entry keeps the
+  /// location and the translation), so the core sets the cache-side
+  /// presentBit (§3.4).
+  { q.on_cache_access_complete(seq, set, way) } -> std::same_as<bool>;
   /// A load finished (its datum is written into the queue).
-  virtual void on_load_complete(InstSeq seq) = 0;
+  q.on_load_complete(seq);
   /// A store's data became available.
-  virtual void on_store_data_ready(InstSeq seq) = 0;
+  q.on_store_data_ready(seq);
 
-  // -- retirement / recovery ----------------------------------------------------
-  virtual void on_commit(InstSeq seq) = 0;
+  // -- retirement / recovery --------------------------------------------------
+  q.on_commit(seq);
   /// Remove `seq` and everything younger (squash).
-  virtual void squash_from(InstSeq seq) = 0;
+  q.squash_from(seq);
   /// L1D replaced a line in `set`: reset potentially-affected presentBits.
-  virtual void on_cache_line_replaced(std::uint32_t set) = 0;
-  /// Registers a receiver that clears the *cache-side* presentBit of
-  /// (set, way) when the LSQ entry that cached that location is released.
-  /// Without this, stale cache bits would trigger spurious invalidation
-  /// sweeps on every later eviction of those lines. The registered
-  /// receiver must stay valid for as long as the queue may release
-  /// entries; pass nullptr to unregister (the core does this in its
-  /// destructor, since the queue outlives it).
-  virtual void set_present_bit_clearer(PresentBitClearer* /*clearer*/) {}
+  q.on_cache_line_replaced(set);
 
-  // -- observability -------------------------------------------------------------
-  [[nodiscard]] virtual OccupancySample occupancy() const = 0;
+  // -- observability ----------------------------------------------------------
+  { cq.occupancy() } -> std::same_as<OccupancySample>;
+  /// Bumped by every mutation that can change occupancy(); the core's
+  /// per-cycle sampling rebuilds the sample only when this moved.
+  { cq.occupancy_epoch() } -> std::same_as<std::uint64_t>;
 };
 
 }  // namespace samie::lsq

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "src/common/bit_scan.h"
 
@@ -18,9 +19,18 @@ SamieLsq::SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger)
     throw std::invalid_argument("SamieConfig: banks must be >= 1");
   }
   if (cfg_.addr_buffer_slots == 0) {
-    // With no AddrBuffer slot, can_compute_address() is never true and
+    // With no AddrBuffer slot, placement_headroom() is never positive and
     // no memory op ever issues.
     throw std::invalid_argument("SamieConfig: addr_buffer_slots must be >= 1");
+  }
+  if (!is_pow2(cfg_.line_bytes) || cfg_.line_bytes > 256) {
+    // A slot keeps its offset within the line in one byte.
+    throw std::invalid_argument(
+        "SamieConfig: line_bytes must be a power of two <= 256 (got " +
+        std::to_string(cfg_.line_bytes) + ")");
+  }
+  if (cfg_.l1d_sets == 0) {
+    throw std::invalid_argument("SamieConfig: l1d_sets must be >= 1");
   }
   if (cfg_.entries_per_bank == 0 || cfg_.entries_per_bank > 64 ||
       cfg_.slots_per_entry == 0 || cfg_.slots_per_entry > 64) {
@@ -310,7 +320,7 @@ CacheHints SamieLsq::cache_hints(InstSeq seq) const {
   return h;
 }
 
-void SamieLsq::on_cache_access_complete(InstSeq seq, std::uint32_t set,
+bool SamieLsq::on_cache_access_complete(InstSeq seq, std::uint32_t set,
                                         std::uint32_t way) {
   const Loc* loc = where_find(seq);
   assert(loc != nullptr);
@@ -331,6 +341,7 @@ void SamieLsq::on_cache_access_complete(InstSeq seq, std::uint32_t set,
               : ledger_->on_shared_translation_rw();
     }
   }
+  return true;
 }
 
 void SamieLsq::on_load_complete(InstSeq seq) {
@@ -393,16 +404,6 @@ void SamieLsq::free_slot(const Loc& loc, InstSeq seq) {
   }
   if (e.used == 0) {
     e.valid = false;
-    if (e.present && cfg_.clear_stale_present_bits &&
-        clear_cache_bit_ != nullptr) {
-      // Only clear the cache-side bit if no sibling entry (same line,
-      // slots-full overflow) still relies on the cached location.
-      bool sibling_present = false;
-      for_each_same_line(e.line, [&](Entry& other) {
-        if (&other != &e && other.present) sibling_present = true;
-      });
-      if (!sibling_present) clear_cache_bit_->clear_present_bit(e.set, e.way);
-    }
     e.present = false;
     e.translation = false;
     if (distrib) {

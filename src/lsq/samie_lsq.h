@@ -53,70 +53,58 @@ struct SamieConfig {
   /// Buffered placements attempted per cycle (FIFO order, stop at first
   /// failure; they have priority over newly computed addresses).
   std::uint32_t drain_width = 4;
+  /// Must equal the L1D's line size (sim::make_lane checks).
   std::uint32_t line_bytes = 32;
-  /// L1D set count, for the presentBit invalidation protocol.
+  /// L1D set count, for the presentBit invalidation protocol (must equal
+  /// the L1D's; sim::make_lane checks).
   std::uint32_t l1d_sets = 64;
-  /// Clear the cache-side presentBit when the last entry caching a
-  /// location is released. The paper's design leaves stale bits in the
-  /// cache (§3.4 describes only the conservative reset), which makes later
-  /// evictions of those lines trigger spurious bank-wide resets; this
-  /// flag is the ablation that removes them (bench_ablation_sizing).
-  bool clear_stale_present_bits = false;
   /// Initial size of the ring-indexed in-flight table (rounded up to a
   /// power of two). Collisions between live InstSeqs grow it; any value
   /// >= the core's ROB size never grows.
   std::uint32_t seq_window_hint = 1024;
 };
 
-class SamieLsq final : public LoadStoreQueue {
+class SamieLsq final {
  public:
   /// Ledger may be null (no accounting). Throws std::invalid_argument
   /// when entries_per_bank or slots_per_entry exceeds 64 (the bitmask
-  /// width), or banks or addr_buffer_slots is 0.
+  /// width), banks, addr_buffer_slots or l1d_sets is 0, or line_bytes is
+  /// not a power of two <= 256.
   SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger);
 
-  [[nodiscard]] LsqKind kind() const override { return LsqKind::kSamie; }
-
-  [[nodiscard]] bool can_dispatch(bool) const override { return true; }
-  void on_dispatch(InstSeq, bool) override {}
-  /// The paper's §3.3 alternative: agen issues only when the AddrBuffer is
-  /// guaranteed to have room, so placement can never be rejected.
-  [[nodiscard]] bool can_compute_address() const override {
-    return placement_headroom() > 0;
-  }
-  /// Free AddrBuffer slots. Guarded against underflow: a configuration
-  /// change or squash-ordering bug can leave more buffered ops than
-  /// `addr_buffer_slots`; the headroom saturates at zero (and
-  /// can_compute_address() goes false) instead of wrapping around.
-  [[nodiscard]] std::uint32_t placement_headroom() const override {
+  [[nodiscard]] bool can_dispatch(bool) const { return true; }
+  void on_dispatch(InstSeq, bool) {}
+  /// Free AddrBuffer slots — the paper's §3.3 alternative: agen issues
+  /// only while this is positive, so placement can never be rejected.
+  /// Guarded against underflow: a configuration change or squash-ordering
+  /// bug can leave more buffered ops than `addr_buffer_slots`; the
+  /// headroom saturates at zero instead of wrapping around.
+  [[nodiscard]] std::uint32_t placement_headroom() const {
     const auto used = static_cast<std::uint32_t>(buffer_.size());
     return used >= cfg_.addr_buffer_slots ? 0 : cfg_.addr_buffer_slots - used;
   }
 
-  Placement on_address_ready(const MemOpDesc& op) override;
-  void drain(std::vector<InstSeq>& newly_placed) override;
-  [[nodiscard]] bool is_placed(InstSeq seq) const override {
+  Placement on_address_ready(const MemOpDesc& op);
+  void drain(std::vector<InstSeq>& newly_placed);
+  [[nodiscard]] bool is_placed(InstSeq seq) const {
     return where_find(seq) != nullptr;
   }
 
-  [[nodiscard]] LoadPlan plan_load(InstSeq seq) const override;
-  [[nodiscard]] CacheHints cache_hints(InstSeq seq) const override;
-  void on_cache_access_complete(InstSeq seq, std::uint32_t set,
-                                std::uint32_t way) override;
-  void on_load_complete(InstSeq seq) override;
-  void on_store_data_ready(InstSeq seq) override;
+  [[nodiscard]] LoadPlan plan_load(InstSeq seq) const;
+  [[nodiscard]] CacheHints cache_hints(InstSeq seq) const;
+  /// Caches (set, way) and the translation in the owning entry; always
+  /// true.
+  bool on_cache_access_complete(InstSeq seq, std::uint32_t set,
+                                std::uint32_t way);
+  void on_load_complete(InstSeq seq);
+  void on_store_data_ready(InstSeq seq);
 
-  void on_commit(InstSeq seq) override;
-  void squash_from(InstSeq seq) override;
-  void on_cache_line_replaced(std::uint32_t set) override;
-  void set_present_bit_clearer(PresentBitClearer* clearer) override {
-    clear_cache_bit_ = clearer;
-  }
+  void on_commit(InstSeq seq);
+  void squash_from(InstSeq seq);
+  void on_cache_line_replaced(std::uint32_t set);
 
-  [[nodiscard]] OccupancySample occupancy() const override;
+  [[nodiscard]] OccupancySample occupancy() const;
 
-  // -- work-ledger hooks (event-driven engine; non-virtual by design:
-  //    Core<SamieLsq> binds them statically) ---------------------------------
   /// A non-empty AddrBuffer is always pending work: every drain() retry
   /// charges an AddrBuffer read (paper Table 5) even when the head fails
   /// to place, so cycles with buffered instructions can never be
@@ -124,13 +112,6 @@ class SamieLsq final : public LoadStoreQueue {
   [[nodiscard]] bool has_pending_work() const noexcept {
     return !buffer_.empty();
   }
-  /// SAMIE holds no time-triggered state: work appears only through core
-  /// calls, which themselves wake the engine.
-  [[nodiscard]] Cycle next_ready_cycle(Cycle /*now*/) const noexcept {
-    return kNeverCycle;
-  }
-  /// Bumped by every mutation that can change occupancy(); the core's
-  /// per-cycle sampling rebuilds the sample only when this moved.
   [[nodiscard]] std::uint64_t occupancy_epoch() const noexcept {
     return occ_epoch_;
   }
@@ -232,7 +213,6 @@ class SamieLsq final : public LoadStoreQueue {
 
   SamieConfig cfg_;
   energy::SamieLsqLedger* ledger_;
-  PresentBitClearer* clear_cache_bit_ = nullptr;
   std::uint32_t line_shift_;
   std::uint64_t bank_mask_plus1_ = 0;  ///< banks when pow2 (mask = banks-1)
   std::uint64_t full_entry_mask_;  ///< (1 << entries_per_bank) - 1
@@ -268,5 +248,7 @@ class SamieLsq final : public LoadStoreQueue {
   std::uint64_t gated_ = 0;
   std::uint64_t occ_epoch_ = 0;  ///< see occupancy_epoch()
 };
+
+static_assert(LoadStoreQueue<SamieLsq>);
 
 }  // namespace samie::lsq

@@ -1,17 +1,38 @@
 #include "src/mem/cache.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace samie::mem {
 
+namespace {
+
+/// `cfg`, or std::invalid_argument naming the first field that breaks
+/// the index math: set_index masks and tag_of shifts assume power-of-two
+/// line and set counts.
+const CacheConfig& checked(const CacheConfig& cfg) {
+  const std::string who = "CacheConfig " + cfg.name + ": ";
+  if (!is_pow2(cfg.line_bytes)) {
+    throw std::invalid_argument(who + "line_bytes must be a power of two (got " +
+                                std::to_string(cfg.line_bytes) + ")");
+  }
+  if (cfg.associativity == 0) {
+    throw std::invalid_argument(who + "associativity must be >= 1");
+  }
+  if (!is_pow2(cfg.sets())) {
+    throw std::invalid_argument(
+        who + "set count size_bytes / (associativity * line_bytes) must be "
+              "a power of two (got " + std::to_string(cfg.sets()) + ")");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 Cache::Cache(const CacheConfig& cfg)
-    : cfg_(cfg),
-      num_sets_(static_cast<std::uint32_t>(
-          cfg.size_bytes / (static_cast<std::uint64_t>(cfg.associativity) *
-                            cfg.line_bytes))),
-      line_shift_(log2_floor(cfg.line_bytes)),
+    : cfg_(checked(cfg)),
+      num_sets_(static_cast<std::uint32_t>(cfg_.sets())),
+      line_shift_(log2_floor(cfg_.line_bytes)),
       set_shift_(log2_floor(num_sets_)) {
-  assert(is_pow2(num_sets_) && is_pow2(cfg.line_bytes));
   lines_.resize(static_cast<std::size_t>(num_sets_) * cfg_.associativity);
 }
 

@@ -22,6 +22,12 @@ struct CacheConfig {
   std::uint32_t line_bytes = 32;
   /// Latency of a hit, in cycles.
   Cycle hit_latency = 2;
+
+  /// size_bytes / (associativity * line_bytes); 0 when either is 0.
+  [[nodiscard]] std::uint64_t sets() const {
+    const std::uint64_t way_bytes = std::uint64_t{associativity} * line_bytes;
+    return way_bytes == 0 ? 0 : size_bytes / way_bytes;
+  }
 };
 
 /// Result of one cache access.
@@ -39,6 +45,8 @@ struct CacheAccess {
 
 class Cache {
  public:
+  /// Throws std::invalid_argument naming the field when line_bytes or the
+  /// set count is not a power of two, or associativity is 0.
   explicit Cache(const CacheConfig& cfg);
 
   /// Performs an access (allocate-on-miss, LRU update). `addr` is a byte

@@ -1,6 +1,7 @@
 #include "src/sim/lane_engine.h"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "src/branch/predictor.h"
@@ -33,12 +34,15 @@ struct ConvBundle {
   }
 };
 
+/// Figure 1's normalizer: a conventional queue with an entry per ROB
+/// slot never stalls dispatch or placement.
 struct UnboundedBundle {
   using Queue = lsq::ConventionalLsq;
-  std::unique_ptr<Queue> queue;
+  Queue queue;
   UnboundedBundle(const SimConfig& cfg, const energy::LsqEnergyConstants&)
-      : queue(lsq::make_unbounded_lsq(cfg.core.rob_size)) {}
-  Queue& get() { return *queue; }
+      : queue(lsq::ConventionalLsqConfig{.entries = cfg.core.rob_size},
+              nullptr) {}
+  Queue& get() { return queue; }
   void fold(SimResult&) const {}
   void save_counts(LedgerCounts&) const {}
 };
@@ -53,12 +57,33 @@ struct ArbBundle {
   void save_counts(LedgerCounts&) const {}
 };
 
+/// `cfg.samie`, or std::invalid_argument when its copy of the L1D
+/// geometry differs from the L1D's: SAMIE caches an L1D (set, way) per
+/// entry of one line and resets presentBits by L1D set (§3.4), so a
+/// different line size or set count can break the presentBit protocol.
+const lsq::SamieConfig& samie_config_matching_l1d(const SimConfig& cfg) {
+  const mem::CacheConfig& l1d = cfg.memory.l1d;
+  if (cfg.samie.line_bytes != l1d.line_bytes) {
+    throw std::invalid_argument(
+        "SimConfig: samie.line_bytes (" + std::to_string(cfg.samie.line_bytes) +
+        ") must equal the L1D's line_bytes (" +
+        std::to_string(l1d.line_bytes) + ")");
+  }
+  if (cfg.samie.l1d_sets != l1d.sets()) {
+    throw std::invalid_argument(
+        "SimConfig: samie.l1d_sets (" + std::to_string(cfg.samie.l1d_sets) +
+        ") must equal the L1D's set count (" + std::to_string(l1d.sets()) +
+        ")");
+  }
+  return cfg.samie;
+}
+
 struct SamieBundle {
   using Queue = lsq::SamieLsq;
   energy::SamieLsqLedger ledger;
   Queue queue;
   SamieBundle(const SimConfig& cfg, const energy::LsqEnergyConstants& k)
-      : ledger(k), queue(cfg.samie, &ledger) {}
+      : ledger(k), queue(samie_config_matching_l1d(cfg), &ledger) {}
   Queue& get() { return queue; }
   void fold(SimResult& r) const {
     r.lsq_energy_nj = ledger.energy_pj() / 1e3;

@@ -19,10 +19,7 @@ SimConfig paper_config(LsqChoice lsq) {
   SimConfig cfg;  // struct defaults already encode Tables 2 and 3
   cfg.lsq = lsq;
   // The SAMIE invalidation protocol needs the L1D set count.
-  cfg.samie.l1d_sets = static_cast<std::uint32_t>(
-      cfg.memory.l1d.size_bytes /
-      (static_cast<std::uint64_t>(cfg.memory.l1d.associativity) *
-       cfg.memory.l1d.line_bytes));
+  cfg.samie.l1d_sets = static_cast<std::uint32_t>(cfg.memory.l1d.sets());
   return cfg;
 }
 

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "src/core/fu_pool.h"
 #include "src/lsq/arb_lsq.h"
 #include "src/lsq/conventional_lsq.h"
 #include "src/lsq/samie_lsq.h"
@@ -168,47 +167,16 @@ TEST(EngineDifferential, ConventionalUnderCapacityPressure) {
   }
 }
 
-// Work-ledger hook contracts. The engine's quiescence proof leans on
-// these invariants even where it does not *call* the hook: a busy
-// OccupyingPool must never be a hidden wake source (its operation's
-// completion is already on the wheel, and any waiter sits in a ready
-// queue), and the LSQs must be purely call-driven (next_ready_cycle ==
-// kNeverCycle — a time-triggered LSQ would need wiring into
+// Work-ledger hook contract. The engine's quiescence proof leans on it:
+// the LSQs are purely call-driven (the LoadStoreQueue concept has no
+// time hook — a time-triggered queue would need wiring into
 // try_fast_forward's wake computation, like
-// MemoryHierarchy::pending_completion_cycle).
-TEST(EngineWorkLedger, FuPoolHooksReportBusynessAndFreeCycles) {
-  core::OccupyingPool pool(2);
-  EXPECT_FALSE(pool.has_pending_work(0));
-  EXPECT_EQ(pool.busy_units(0), 0U);
-  EXPECT_EQ(pool.next_ready_cycle(5), 5U) << "a free unit is ready now";
-  ASSERT_TRUE(pool.try_issue(10, 20));  // busy until 30
-  ASSERT_TRUE(pool.try_issue(10, 3));   // busy until 13
-  EXPECT_FALSE(pool.try_issue(10, 1));
-  EXPECT_EQ(pool.busy_units(10), 2U);
-  EXPECT_TRUE(pool.has_pending_work(10));
-  EXPECT_EQ(pool.next_ready_cycle(10), 13U) << "earliest unit to free";
-  EXPECT_EQ(pool.busy_units(13), 1U) << "busy_until <= now means free";
-  EXPECT_EQ(pool.next_ready_cycle(13), 13U);
-  EXPECT_EQ(pool.busy_units(30), 0U);
-  pool.reset();
-  EXPECT_EQ(pool.busy_units(11), 0U);
-
-  core::PipelinedPool pipe(1);
-  EXPECT_FALSE(pipe.has_pending_work()) << "saturation lasts one cycle";
-  EXPECT_EQ(pipe.next_ready_cycle(7), 7U);
-  ASSERT_TRUE(pipe.try_issue());
-  EXPECT_EQ(pipe.next_ready_cycle(7), 8U) << "full this cycle, free next";
-  pipe.new_cycle();
-  EXPECT_EQ(pipe.next_ready_cycle(8), 8U);
-}
-
+// MemoryHierarchy::pending_completion_cycle), and has_pending_work
+// reports exactly the deferred work a drain() would act on.
 TEST(EngineWorkLedger, LsqsAreCallDrivenNotTimeTriggered) {
   lsq::ConventionalLsq conv(lsq::ConventionalLsqConfig{}, nullptr);
   lsq::ArbLsq arb(lsq::ArbConfig{});
   lsq::SamieLsq samie(lsq::SamieConfig{}, nullptr);
-  EXPECT_EQ(conv.next_ready_cycle(123), kNeverCycle);
-  EXPECT_EQ(arb.next_ready_cycle(123), kNeverCycle);
-  EXPECT_EQ(samie.next_ready_cycle(123), kNeverCycle);
   EXPECT_FALSE(conv.has_pending_work());
   EXPECT_FALSE(arb.has_pending_work());
   EXPECT_FALSE(samie.has_pending_work());

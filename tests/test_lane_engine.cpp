@@ -202,5 +202,65 @@ TEST(Lane, RefusesACoreConfigWithAZeroWidthCapacityOrUnitCount) {
   }
 }
 
+TEST(Lane, RefusesANonPowerOfTwoOrMismatchedGeometry) {
+  // Each of these describes a broken machine: a cache whose line or set
+  // count is not a power of two indexes with wrong masks, a queue line
+  // that is not a power of two or exceeds 256 bytes (a slot keeps its
+  // line offset in one byte) forwards wrong values, and a SAMIE line or
+  // set count other than the L1D's can break the presentBit protocol
+  // (§3.4). The lane must be refused when it is built, naming the field.
+  struct Case {
+    const char* field;  ///< must appear in the refusal
+    sim::LsqChoice lsq;
+    void (*edit)(sim::SimConfig&);
+  };
+  using L = sim::LsqChoice;
+  const Case cases[] = {
+      {"L1D: line_bytes", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.l1d.line_bytes = 24; }},
+      {"L1D: line_bytes", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.l1d.line_bytes = 0; }},
+      {"L1D: set count", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.l1d.associativity = 3; }},
+      {"L1D: set count", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.l1d.size_bytes = 12 * 1024; }},
+      {"L1I: associativity", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.l1i.associativity = 0; }},
+      {"L2: line_bytes", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.l2.line_bytes = 48; }},
+      {"ArbConfig: line_bytes", L::kArb,
+       [](sim::SimConfig& c) { c.arb.line_bytes = 24; }},
+      {"ArbConfig: line_bytes", L::kArb,
+       [](sim::SimConfig& c) { c.arb.line_bytes = 0; }},
+      {"ArbConfig: line_bytes", L::kArb,
+       [](sim::SimConfig& c) { c.arb.line_bytes = 512; }},
+      {"samie.line_bytes", L::kSamie,
+       [](sim::SimConfig& c) { c.samie.line_bytes = 64; }},
+      {"samie.line_bytes", L::kSamie,
+       [](sim::SimConfig& c) { c.samie.line_bytes = 16; }},
+      {"samie.l1d_sets", L::kSamie,
+       [](sim::SimConfig& c) { c.samie.l1d_sets = 32; }},
+      {"samie.l1d_sets", L::kSamie,
+       [](sim::SimConfig& c) { c.samie.l1d_sets = 0; }},
+  };
+  const trace::TraceSource src =
+      trace_for(small_config(sim::LsqChoice::kSamie), "gcc");
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.field);
+    sim::SimConfig cfg = small_config(k.lsq);
+    k.edit(cfg);
+    try {
+      (void)sim::make_lane(cfg, src.view());
+      ADD_FAILURE() << "make_lane accepted a bad " << k.field;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+          << e.what();
+    }
+  }
+  for (const sim::LsqChoice lsq : kAllLsqs) {
+    EXPECT_NO_THROW((void)sim::make_lane(small_config(lsq), src.view()));
+  }
+}
+
 }  // namespace
 }  // namespace samie

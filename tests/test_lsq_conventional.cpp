@@ -28,7 +28,7 @@ class ConvLsqTest : public ::testing::Test {
   ConvLsqTest()
       : constants_(energy::paper_constants()),
         ledger_(constants_),
-        lsq_(ConventionalLsqConfig{.entries = 8, .unbounded = false}, &ledger_) {}
+        lsq_(ConventionalLsqConfig{.entries = 8}, &ledger_) {}
 
   energy::LsqEnergyConstants constants_;
   energy::ConvLsqLedger ledger_;
@@ -193,13 +193,13 @@ TEST(ConvLsqConfig, RefusesZeroEntries) {
 }
 
 TEST(ConvLsqUnbounded, NeverStalls) {
-  auto u = make_unbounded_lsq(256);
-  EXPECT_EQ(u->kind(), LsqKind::kUnbounded);
+  // Figure 1's unbounded queue: one entry per ROB slot.
+  ConventionalLsq u(ConventionalLsqConfig{.entries = 256}, nullptr);
   for (InstSeq s = 0; s < 256; ++s) {
-    ASSERT_TRUE(u->can_dispatch(true));
-    u->on_dispatch(s, s % 2 == 0);
+    ASSERT_TRUE(u.can_dispatch(true));
+    u.on_dispatch(s, s % 2 == 0);
   }
-  EXPECT_EQ(u->occupancy().entries_used, 256U);
+  EXPECT_EQ(u.occupancy().entries_used, 256U);
 }
 
 // O(1)-lookup-vs-recount regression for the SeqRingTable port (mirrors
@@ -209,7 +209,7 @@ TEST(ConvLsqUnbounded, NeverStalls) {
 // absolute-index arithmetic stayed consistent.
 TEST(ConvLsqRingTable, RandomizedRecountStaysConsistent) {
   std::mt19937_64 rng(4242);
-  ConventionalLsq lsq(ConventionalLsqConfig{.entries = 32, .unbounded = false},
+  ConventionalLsq lsq(ConventionalLsqConfig{.entries = 32},
                       nullptr);
   std::vector<InstSeq> queued;  // age order, mirrors the ring
   InstSeq next_seq = 0;
@@ -255,7 +255,7 @@ TEST(ConvLsqRingTable, RandomizedRecountStaysConsistent) {
 // The table survives the squash-then-refill pattern that rewinds and
 // reuses absolute indices.
 TEST(ConvLsqRingTable, SquashRewindsAllocationIndices) {
-  ConventionalLsq lsq(ConventionalLsqConfig{.entries = 8, .unbounded = false},
+  ConventionalLsq lsq(ConventionalLsqConfig{.entries = 8},
                       nullptr);
   for (InstSeq s = 0; s < 6; ++s) lsq.on_dispatch(s, true);
   lsq.squash_from(2);  // pops 2..5, rewinding four indices

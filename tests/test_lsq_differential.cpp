@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -72,22 +71,27 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
 
   // Generous geometries so capacity never interferes with the semantics
   // under test (capacity behaviour has its own suites).
-  auto conv = std::make_unique<ConventionalLsq>(
-      ConventionalLsqConfig{.entries = 256, .unbounded = false}, nullptr);
-  auto arb = std::make_unique<ArbLsq>(ArbConfig{
+  ConventionalLsq conv(ConventionalLsqConfig{.entries = 256}, nullptr);
+  ArbLsq arb(ArbConfig{
       .banks = 4, .rows_per_bank = 64, .max_inflight = 256, .line_bytes = 32});
-  auto samie = std::make_unique<SamieLsq>(
-      SamieConfig{.banks = 4,
-                  .entries_per_bank = 8,
-                  .slots_per_entry = 8,
-                  .shared_entries = 16,
-                  .unbounded_shared = false,
-                  .addr_buffer_slots = 64,
-                  .drain_width = 4,
-                  .line_bytes = 32,
-                  .l1d_sets = 4},
-      nullptr);
-  std::vector<LoadStoreQueue*> queues = {conv.get(), arb.get(), samie.get()};
+  SamieLsq samie(SamieConfig{.banks = 4,
+                             .entries_per_bank = 8,
+                             .slots_per_entry = 8,
+                             .shared_entries = 16,
+                             .unbounded_shared = false,
+                             .addr_buffer_slots = 64,
+                             .drain_width = 4,
+                             .line_bytes = 32,
+                             .l1d_sets = 4},
+                 nullptr);
+  // Every event reaches the three queues through one generic body; the
+  // walk stops at the first fatal failure, so a mismatch is reported
+  // once, for the queue that showed it first.
+  auto each = [&](auto&& fn) {
+    fn(conv);
+    if (!HasFatalFailure()) fn(arb);
+    if (!HasFatalFailure()) fn(samie);
+  };
 
   Reference ref;
   InstSeq next_seq = 1;
@@ -99,18 +103,19 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
       const RefOp& op = ref.ops.at(s);
       if (!op.is_load) continue;
       const LoadPlan expect = ref.plan(s);
-      for (LoadStoreQueue* q : queues) {
-        if (!q->is_placed(s)) continue;  // buffered in SAMIE/ARB: no plan yet
-        const LoadPlan got = q->plan_load(s);
+      each([&](const auto& q) {
+        if (!q.is_placed(s)) return;  // buffered in SAMIE/ARB: no plan yet
         // The plan may only be compared when the queue has the same
         // information as the reference: the reference store must be
         // placed in this queue too (SAMIE can buffer a store the
         // reference already counts).
-        if (expect.store != kNoInst && !q->is_placed(expect.store)) continue;
+        if (expect.store != kNoInst && !q.is_placed(expect.store)) return;
+        const LoadPlan got = q.plan_load(s);
         ASSERT_EQ(static_cast<int>(got.kind), static_cast<int>(expect.kind))
             << "load " << s << " seed " << GetParam();
         ASSERT_EQ(got.store, expect.store) << "load " << s;
-      }
+      });
+      if (HasFatalFailure()) return;
     }
   };
 
@@ -126,17 +131,17 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
       const Addr addr = line * 32 + offset;
       const InstSeq seq = next_seq++;
       bool ok = true;
-      for (LoadStoreQueue* q : queues) ok = ok && q->can_dispatch(is_load);
+      each([&](const auto& q) { ok = ok && q.can_dispatch(is_load); });
       if (!ok) continue;
-      for (LoadStoreQueue* q : queues) q->on_dispatch(seq, is_load);
       RefOp op{seq, addr, size, is_load, false, false};
       const MemOpDesc desc{seq, addr, size, is_load, false};
       bool placed_everywhere = true;
-      for (LoadStoreQueue* q : queues) {
-        if (q->on_address_ready(desc).status != Placement::Status::kPlaced) {
+      each([&](auto& q) {
+        q.on_dispatch(seq, is_load);
+        if (q.on_address_ready(desc).status != Placement::Status::kPlaced) {
           placed_everywhere = false;
         }
-      }
+      });
       op.placed = true;  // the reference sees the address immediately
       ref.ops[seq] = op;
       if (placed_everywhere) {
@@ -151,7 +156,7 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
       RefOp& op = ref.ops.at(placed_uncommitted[i]);
       if (!op.is_load && !op.data_ready) {
         op.data_ready = true;
-        for (LoadStoreQueue* q : queues) q->on_store_data_ready(op.seq);
+        each([&](auto& q) { q.on_store_data_ready(op.seq); });
       }
     } else if (roll < 0.85 && !placed_uncommitted.empty() &&
                (dispatched_unplaced.empty() ||
@@ -159,17 +164,18 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
       // Commit the globally oldest op (in-order; stores need data first).
       const InstSeq oldest = placed_uncommitted.front();
       RefOp& op = ref.ops.at(oldest);
-      if (!op.is_load && !op.data_ready) {
-        op.data_ready = true;
-        for (LoadStoreQueue* q : queues) q->on_store_data_ready(oldest);
-      }
-      for (LoadStoreQueue* q : queues) q->on_commit(oldest);
+      const bool data_arrives = !op.is_load && !op.data_ready;
+      op.data_ready = op.data_ready || data_arrives;
+      each([&](auto& q) {
+        if (data_arrives) q.on_store_data_ready(oldest);
+        q.on_commit(oldest);
+      });
       placed_uncommitted.erase(placed_uncommitted.begin());
       ref.ops.erase(oldest);
     } else if (!placed_uncommitted.empty() || !dispatched_unplaced.empty()) {
       // Squash a random suffix.
       const InstSeq cut = 1 + rng.below(next_seq);
-      for (LoadStoreQueue* q : queues) q->squash_from(cut);
+      each([&](auto& q) { q.squash_from(cut); });
       std::erase_if(placed_uncommitted, [&](InstSeq s) { return s >= cut; });
       std::erase_if(dispatched_unplaced, [&](InstSeq s) { return s >= cut; });
       for (auto it = ref.ops.lower_bound(cut); it != ref.ops.end();) {
@@ -179,9 +185,9 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
     }
 
     // Drain buffered ops each step.
-    for (LoadStoreQueue* q : queues) {
+    each([&](auto& q) {
       std::vector<InstSeq> placed;
-      q->drain(placed);
+      q.drain(placed);
       for (InstSeq s : placed) {
         auto it = std::find(dispatched_unplaced.begin(),
                             dispatched_unplaced.end(), s);
@@ -193,8 +199,9 @@ TEST_P(LsqDifferential, AllQueuesMatchTheReferenceModel) {
               s);
         }
       }
-    }
+    });
     check_all_loads();
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -238,7 +245,7 @@ void expect_occupancy_counters_match(const SamieLsq& samie) {
 TEST_P(SamieVsConventional, RandomizedEquivalenceUnderPressure) {
   Xoshiro256 rng(GetParam());
 
-  ConventionalLsq conv(ConventionalLsqConfig{.entries = 512, .unbounded = false},
+  ConventionalLsq conv(ConventionalLsqConfig{.entries = 512},
                        nullptr);
   SamieLsq samie(SamieConfig{.banks = 2,
                              .entries_per_bank = 1,
@@ -249,7 +256,6 @@ TEST_P(SamieVsConventional, RandomizedEquivalenceUnderPressure) {
                              .drain_width = 2,
                              .line_bytes = 32,
                              .l1d_sets = 2,
-                             .clear_stale_present_bits = false,
                              // Tiny window: the ring-indexed table must
                              // grow on live-residue collisions and stay
                              // correct.
@@ -263,9 +269,7 @@ TEST_P(SamieVsConventional, RandomizedEquivalenceUnderPressure) {
   auto samie_headroom_ok = [&] {
     // Headroom is consistent with the gate at every step (the former
     // underflow bug made it wrap to ~4e9 when the buffer was full).
-    const std::uint32_t headroom = samie.placement_headroom();
-    EXPECT_LE(headroom, samie.config().addr_buffer_slots);
-    EXPECT_EQ(headroom > 0, samie.can_compute_address());
+    EXPECT_LE(samie.placement_headroom(), samie.config().addr_buffer_slots);
   };
 
   auto check_plans = [&] {
@@ -288,7 +292,7 @@ TEST_P(SamieVsConventional, RandomizedEquivalenceUnderPressure) {
     if (roll < 0.50) {
       // New memory op; SAMIE may buffer (kBuffered) where the generous
       // conventional queue always places.
-      if (!samie.can_compute_address()) {
+      if (samie.placement_headroom() == 0) {
         // The agen gate: headroom exhausted, no new address computations.
         samie.note_agen_gated();
       } else if (conv.can_dispatch(true)) {
@@ -391,7 +395,7 @@ TEST(SamieOccupancyCounters, MatchRecountAcrossLifecycle) {
   InstSeq next_seq = 1;
   for (int step = 0; step < 2000; ++step) {
     const double roll = rng.uniform();
-    if (roll < 0.55 && samie.can_compute_address()) {
+    if (roll < 0.55 && samie.placement_headroom() > 0) {
       const MemOpDesc desc{next_seq, rng.below(16) * 8,
                            8, rng.chance(0.5), false};
       const auto p = samie.on_address_ready(desc);
@@ -429,7 +433,7 @@ TEST(SamieOccupancyCounters, MatchRecountAcrossLifecycle) {
 
 // The former placement_headroom() underflowed when the buffer held more
 // ops than a (shrunken) addr_buffer_slots claims; it must saturate at 0
-// and agree with can_compute_address().
+// and so close the agen gate.
 TEST(SamiePlacementHeadroom, SaturatesWhenBufferFull) {
   SamieLsq samie(SamieConfig{.banks = 1,
                              .entries_per_bank = 1,
@@ -450,7 +454,6 @@ TEST(SamiePlacementHeadroom, SaturatesWhenBufferFull) {
               static_cast<int>(Placement::Status::kRejected));
   }
   EXPECT_EQ(samie.placement_headroom(), 0U);
-  EXPECT_FALSE(samie.can_compute_address());
   // A fifth placement must be rejected, not wrapped into a huge headroom.
   EXPECT_EQ(static_cast<int>(
                 samie.on_address_ready(MemOpDesc{5, 5 * 64, 8, true, false})

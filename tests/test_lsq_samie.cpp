@@ -4,7 +4,9 @@
 // invalidation (§3.4), Table 5 energy events, and occupancy accounting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "src/energy/ledger.h"
 #include "src/lsq/samie_lsq.h"
@@ -102,11 +104,11 @@ TEST_F(SamieTest, CanComputeAddressGateTracksBufferSpace) {
   lsq_.on_address_ready(load(2, at(4)));
   lsq_.on_address_ready(load(3, at(8)));
   for (InstSeq s = 4; s < 8; ++s) {
-    ASSERT_TRUE(lsq_.can_compute_address());
+    ASSERT_GT(lsq_.placement_headroom(), 0U);
     ASSERT_EQ(lsq_.on_address_ready(load(s, at(4 * s))).status,
               Status::kBuffered);
   }
-  EXPECT_FALSE(lsq_.can_compute_address()) << "AddrBuffer is full";
+  EXPECT_EQ(lsq_.placement_headroom(), 0U) << "AddrBuffer is full";
 }
 
 TEST_F(SamieTest, DrainPlacesBufferedWithPriorityInFifoOrder) {
@@ -392,13 +394,39 @@ TEST(SamieUnboundedShared, GrowsBeyondConfiguredEntries) {
 }
 
 TEST(SamieConfigValidation, RefusesAnEmptyAddrBuffer) {
-  // No slot means can_compute_address() is never true: no memory op
+  // No slot means placement_headroom() is never positive: no memory op
   // could issue, and the pipeline would wedge until the watchdog fired.
   SamieConfig cfg = tiny();
   cfg.addr_buffer_slots = 0;
   EXPECT_THROW(SamieLsq(cfg, nullptr), std::invalid_argument);
   cfg.addr_buffer_slots = 1;
   EXPECT_NO_THROW(SamieLsq(cfg, nullptr));
+}
+
+TEST(SamieConfigValidation, RefusesALineThatIsNotAPowerOfTwoOrZeroL1dSets) {
+  // A line of 24 bytes splits the same L1D line over two entries, and a
+  // line above 256 bytes overflows a slot's one-byte offset: either way
+  // disambiguation misses overlaps and forwards wrong values. With no
+  // L1D set the presentBit reset has no bank to aim at.
+  const auto refusal = [](const SamieConfig& cfg) -> std::string {
+    try {
+      SamieLsq lsq(cfg, nullptr);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  for (const std::uint32_t line : {0U, 24U, 48U, 512U}) {
+    SamieConfig cfg = tiny();
+    cfg.line_bytes = line;
+    EXPECT_NE(refusal(cfg).find("line_bytes"), std::string::npos)
+        << "line_bytes=" << line << ": " << refusal(cfg);
+  }
+  SamieConfig cfg = tiny();
+  cfg.l1d_sets = 0;
+  EXPECT_NE(refusal(cfg).find("l1d_sets"), std::string::npos) << refusal(cfg);
+  cfg.l1d_sets = 1;
+  EXPECT_EQ(refusal(cfg), "accepted");
 }
 
 TEST(SamieConfigDefaults, MatchPaperTable3) {

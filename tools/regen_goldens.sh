@@ -26,7 +26,7 @@ fi
 
 out="$repo/tests/golden/stats_mini_suite.csv"
 tmp="$out.tmp"
-for lsq in conventional arb samie; do
+for lsq in conventional unbounded arb samie; do
   "$sim" --lsq="$lsq" --insts=20000 --csv gcc ammp mcf
 done > "$tmp"
 mv "$tmp" "$out"
