@@ -7,8 +7,8 @@ MemoryHierarchy::MemoryHierarchy(const HierarchyConfig& cfg)
       l1i_(cfg.l1i),
       l1d_(cfg.l1d),
       l2_(cfg.l2),
-      itlb_(cfg.itlb),
-      dtlb_(cfg.dtlb) {}
+      itlb_(cfg.itlb, "ITLB"),
+      dtlb_(cfg.dtlb, "DTLB") {}
 
 void MemoryHierarchy::reset() {
   l1i_.reset();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace samie::mem {
@@ -18,11 +20,26 @@ namespace {
 constexpr std::uint64_t kTickRenormalize =
     std::numeric_limits<std::uint64_t>::max() - (1ULL << 32);
 
+/// `cfg`, or std::invalid_argument naming the first field that breaks
+/// the model: access() shifts by log2(page_bytes), and a miss evicts
+/// from a resident set that must hold at least one page.
+const TlbConfig& checked(const TlbConfig& cfg, std::string_view name) {
+  const std::string who = "TlbConfig " + std::string(name) + ": ";
+  if (!is_pow2(cfg.page_bytes)) {
+    throw std::invalid_argument(who +
+                                "page_bytes must be a power of two (got " +
+                                std::to_string(cfg.page_bytes) + ")");
+  }
+  if (cfg.entries == 0) {
+    throw std::invalid_argument(who + "entries must be >= 1");
+  }
+  return cfg;
+}
+
 }  // namespace
 
-Tlb::Tlb(const TlbConfig& cfg)
-    : cfg_(cfg), page_shift_(log2_floor(cfg.page_bytes)) {
-  assert(is_pow2(cfg.page_bytes));
+Tlb::Tlb(const TlbConfig& cfg, std::string_view name)
+    : cfg_(checked(cfg, name)), page_shift_(log2_floor(cfg_.page_bytes)) {
   entries_.reserve(cfg_.entries);
   index_.reserve(cfg_.entries);
 }

@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstdint>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -46,7 +47,10 @@ struct TlbConfig {
 
 class Tlb {
  public:
-  explicit Tlb(const TlbConfig& cfg);
+  /// Throws std::invalid_argument naming the TLB (`name`, e.g. "DTLB")
+  /// and the field for zero `entries` or a `page_bytes` that is not a
+  /// power of two.
+  explicit Tlb(const TlbConfig& cfg, std::string_view name = "TLB");
 
   /// Translates; returns true on hit. Misses install the page (LRU evict).
   bool access(Addr vaddr);

@@ -21,10 +21,9 @@
 // child, so a resume never re-runs a known-poison job); 'D' lines are
 // trace-damage records (jobs whose replay range touched corrupt trace
 // blocks — deterministic, so a resume seals rather than retries them).
-// Payload contents
-// are the caller's (the sweep scheduler journals job outcomes, the perf
-// harness journals program measurements); this module only guarantees
-// integrity and atomicity.
+// Payload contents are the caller's (the sweep scheduler, its only
+// client, journals job outcomes); this module only guarantees integrity
+// and atomicity.
 //
 // Durability covers the *directory entry* too: creation fsyncs the
 // journal's parent directory after the atomic tmp+rename (a machine
@@ -120,11 +119,11 @@ struct CheckpointContents {
 [[nodiscard]] CheckpointContents load_checkpoint(const std::string& path);
 
 // -- SimResult round-trip ----------------------------------------------------
-// Bit-exact text serialization shared by the sweep scheduler and the
-// perf harness: integers in decimal, doubles as C99 hexfloats ("%a"),
-// space-separated in a fixed field order. A resumed sweep reconstructs
-// the exact SimResult bits, so its CSV/JSON output is byte-identical to
-// an uninterrupted run's.
+// Bit-exact text serialization shared by the sweep journal and the
+// forked child's result frame: integers in decimal, doubles as C99
+// hexfloats ("%a"), space-separated in a fixed field order. A resumed
+// sweep reconstructs the exact SimResult bits, so its CSV/JSON output is
+// byte-identical to an uninterrupted run's.
 
 /// Space-separated field list (kSimResultFields tokens).
 [[nodiscard]] std::string serialize_sim_result(const SimResult& r);

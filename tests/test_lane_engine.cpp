@@ -208,7 +208,9 @@ TEST(Lane, RefusesANonPowerOfTwoOrMismatchedGeometry) {
   // that is not a power of two or exceeds 256 bytes (a slot keeps its
   // line offset in one byte) forwards wrong values, and a SAMIE line or
   // set count other than the L1D's can break the presentBit protocol
-  // (§3.4). The lane must be refused when it is built, naming the field.
+  // (§3.4), and a TLB page that is not a power of two translates with a
+  // wrong shift, while a TLB with no entries has nothing to evict. The
+  // lane must be refused when it is built, naming the field.
   struct Case {
     const char* field;  ///< must appear in the refusal
     sim::LsqChoice lsq;
@@ -242,6 +244,14 @@ TEST(Lane, RefusesANonPowerOfTwoOrMismatchedGeometry) {
        [](sim::SimConfig& c) { c.samie.l1d_sets = 32; }},
       {"samie.l1d_sets", L::kSamie,
        [](sim::SimConfig& c) { c.samie.l1d_sets = 0; }},
+      {"DTLB: page_bytes", L::kSamie,
+       [](sim::SimConfig& c) { c.memory.dtlb.page_bytes = 3000; }},
+      {"ITLB: page_bytes", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.itlb.page_bytes = 0; }},
+      {"DTLB: entries", L::kConventional,
+       [](sim::SimConfig& c) { c.memory.dtlb.entries = 0; }},
+      {"ITLB: entries", L::kArb,
+       [](sim::SimConfig& c) { c.memory.itlb.entries = 0; }},
   };
   const trace::TraceSource src =
       trace_for(small_config(sim::LsqChoice::kSamie), "gcc");

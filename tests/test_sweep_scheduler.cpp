@@ -1,15 +1,21 @@
 // Tests for the supervised sweep scheduler and the crash-safe checkpoint
 // layer: failure classification and isolation, transient retry with
 // capped backoff, cooperative deadline cancellation, max-failures drain,
-// checkpoint/resume bit-identity (including torn-tail tolerance and
-// wrong-sweep refusal), and the exact SimResult text round-trip. Faults
-// are injected deterministically via SweepFaultPlan — no test here
-// depends on timing races to reproduce.
+// checkpoint/resume bit-identity (including torn-tail tolerance, a
+// journal that dies mid-run and wrong-sweep refusal), and the exact
+// SimResult text round-trip. Faults are injected deterministically via
+// SweepFaultPlan or a file-size limit — no test here depends on timing
+// races to reproduce.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -340,6 +346,109 @@ TEST_F(SweepSchedulerTest, ResumeRefusesADifferentSweep) {
   auto fewer = three_jobs();
   fewer.pop_back();
   EXPECT_THROW((void)sim::run_sweep(fewer, res), sim::CheckpointError);
+}
+
+/// Runs `opt`'s sweep in a forked child that ignores SIGXFSZ and may
+/// write files of at most `file_limit` bytes, so a journal write past the
+/// limit fails with EFBIG instead of killing the child. Returns what the
+/// child saw: "CheckpointError: <what>", "returned" or "other: <what>".
+[[nodiscard]] std::string sweep_with_file_limit(
+    const std::vector<sim::Job>& jobs, const sim::SweepOptions& opt,
+    std::size_t file_limit) {
+  int fds[2];
+  if (::pipe(fds) != 0) return "pipe failed";
+  const pid_t pid = ::fork();
+  if (pid < 0) return "fork failed";
+  if (pid == 0) {
+    ::close(fds[0]);
+    std::string seen;
+    std::signal(SIGXFSZ, SIG_IGN);
+    const rlimit lim{file_limit, file_limit};
+    if (::setrlimit(RLIMIT_FSIZE, &lim) != 0) {
+      seen = "setrlimit failed";
+    } else {
+      try {
+        (void)sim::run_sweep(jobs, opt);
+        seen = "returned";
+      } catch (const sim::CheckpointError& e) {
+        seen = std::string("CheckpointError: ") + e.what();
+      } catch (const std::exception& e) {
+        seen = std::string("other: ") + e.what();
+      }
+    }
+    // A pipe is not a file: the size limit does not apply to it.
+    (void)!::write(fds[1], seen.data(), seen.size());
+    ::_exit(0);
+  }
+  ::close(fds[1]);
+  std::string seen;
+  char buf[256];
+  for (ssize_t n; (n = ::read(fds[0], buf, sizeof buf)) > 0;) {
+    seen.append(buf, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  if (WIFSIGNALED(status)) {
+    seen += "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return seen;
+}
+
+TEST_F(SweepSchedulerTest, JournalThatDiesMidRunStopsTheSweepAndResumes) {
+  // A journal whose disk fills after its first record: the next append
+  // is torn and its fsync fails. Both runners must stop the sweep with
+  // the CheckpointError (the in-thread runner through Lifecycle::abort),
+  // and a resume must keep the durable record, ignore the torn line and
+  // finish with the results of a run that never journaled.
+  const auto jobs = three_jobs();
+  const auto clean = sim::run_jobs(jobs, 1);
+
+  // A whole journal of this sweep gives the header and record lengths.
+  std::size_t header_bytes = 0;
+  std::vector<std::size_t> record_bytes;
+  {
+    sim::SweepOptions opt;
+    opt.threads = 2;
+    opt.checkpoint_path = path("whole.ckpt");
+    (void)sim::run_sweep(jobs, opt);
+    std::ifstream in(opt.checkpoint_path);
+    for (std::string line; std::getline(in, line);) {
+      if (line[0] == 'R') {
+        record_bytes.push_back(line.size() + 1);
+      } else {
+        header_bytes += line.size() + 1;
+      }
+    }
+  }
+  ASSERT_EQ(record_bytes.size(), jobs.size());
+  const auto [shortest, longest] =
+      std::minmax_element(record_bytes.begin(), record_bytes.end());
+  // A record's wall time is a hexfloat, whose length varies run to run.
+  constexpr std::size_t kWallSlack = 32;
+  const std::size_t limit = header_bytes + *longest + kWallSlack;
+  ASSERT_LT(*longest + kWallSlack, 2 * *shortest)
+      << "the second record would fit whole";
+
+  for (const bool isolate : {false, true}) {
+    SCOPED_TRACE(isolate ? "forked-child runner" : "in-thread runner");
+    sim::SweepOptions opt;
+    (isolate ? opt.isolate_procs : opt.threads) = 2;
+    opt.checkpoint_path = path(isolate ? "isolate.ckpt" : "threads.ckpt");
+    EXPECT_EQ(sweep_with_file_limit(jobs, opt, limit),
+              "CheckpointError: " + opt.checkpoint_path +
+                  ": cannot sync: File too large");
+
+    sim::SweepOptions res = opt;
+    res.resume = true;
+    const sim::SweepReport rep = sim::run_sweep(jobs, res);
+    ASSERT_TRUE(rep.all_completed());
+    EXPECT_EQ(rep.checkpoint_lines_ignored, 1u);
+    EXPECT_EQ(rep.resumed, 1u);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_results_identical(rep.jobs[i].result, clean[i].result);
+    }
+  }
 }
 
 TEST_F(SweepSchedulerTest, MiniSuiteFingerprintIsPinned) {

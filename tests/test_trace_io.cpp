@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/sim/experiment.h"
-#include "src/sim/perf_harness.h"
 #include "src/sim/simulator.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
@@ -471,28 +470,6 @@ TEST_F(TraceIoTest, ImportFileEndToEnd) {
   EXPECT_EQ(t.name, "k");
   EXPECT_EQ(t.size(), 3U);
   EXPECT_EQ(t[1].value, t[0].value);
-}
-
-// ------------------------------------------- hotpath JSON section bound --
-
-TEST(HotpathJson, KeySearchIsBoundedToItsSection) {
-  const std::string json =
-      "{\n"
-      "  \"lsqs\": {\n"
-      "    \"conventional\": {\n"
-      "      \"total_sim_cycles\": 5,\n"
-      "      \"programs\": [{\"program\": \"gcc\"}]\n"
-      "    },\n"
-      "    \"samie\": {\n"
-      "      \"sim_cycles_per_second\": 123.5,\n"
-      "      \"programs\": []\n"
-      "    }\n"
-      "  }\n"
-      "}\n";
-  // "conventional" lacks the key: must yield 0, not samie's 123.5.
-  EXPECT_EQ(sim::hotpath_cycles_per_second_from_json(json, "conventional"), 0.0);
-  EXPECT_EQ(sim::hotpath_cycles_per_second_from_json(json, "samie"), 123.5);
-  EXPECT_EQ(sim::hotpath_cycles_per_second_from_json(json, "arb"), 0.0);
 }
 
 }  // namespace

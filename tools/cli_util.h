@@ -1,4 +1,4 @@
-// Shared command-line helpers for the tools (samie_sim, perf_report).
+// Shared command-line helpers for the tools (samie_sim, samt_convert).
 #pragma once
 
 #include <cerrno>
