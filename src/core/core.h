@@ -277,23 +277,19 @@ class Core final {
   /// returned false.
   CoreResult finish();
 
-  // -- observability / microbenchmark probes ---------------------------------
-  /// The legacy from-scratch quiescence predicate: true iff no stage can
-  /// change architectural state at the current cycle (see core_impl.h
-  /// for the stage-by-stage proof obligations). The cycle loop itself
-  /// tests the incremental `wake_ledger()` word instead; this predicate
-  /// is kept as the cross-check (`CoreConfig::check_quiescence`,
-  /// SAMIE_CHECK_QUIESCENCE builds) and for bench_micro_structures'
-  /// ledger-vs-predicate microbenchmark. All O(1).
-  [[nodiscard]] bool quiescent() const;
-  /// The incremental wake ledger word (0 == quiescent); see WakeBit.
-  [[nodiscard]] std::uint32_t wake_ledger() const noexcept {
-    return wake_ledger_;
-  }
+  // -- observability probes --------------------------------------------------
   /// The shared dependence-ref arena (leak/reuse regression hooks).
   [[nodiscard]] const DepSlab& dep_slab() const noexcept { return dep_slab_; }
 
  private:
+  /// The legacy from-scratch quiescence predicate: true iff no stage can
+  /// change architectural state at the current cycle (see core_impl.h
+  /// for the stage-by-stage proof obligations). The cycle loop itself
+  /// tests the incremental `wake_ledger_` word instead; this predicate
+  /// is kept as the cross-check (`CoreConfig::check_quiescence`,
+  /// SAMIE_CHECK_QUIESCENCE builds). All O(1).
+  [[nodiscard]] bool quiescent() const;
+
   enum class SrcRole : std::uint8_t { kAgen = 0, kData = 1 };
 
   /// A (seq, ROB-slot incarnation) token. Everything that *refers* to an

@@ -23,6 +23,11 @@ SamieLsq::SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger)
     // no memory op ever issues.
     throw std::invalid_argument("SamieConfig: addr_buffer_slots must be >= 1");
   }
+  if (cfg_.drain_width == 0) {
+    // drain() would never place a buffered op; only a squash or a
+    // deadlock-avoidance flush would empty the AddrBuffer.
+    throw std::invalid_argument("SamieConfig: drain_width must be >= 1");
+  }
   if (!is_pow2(cfg_.line_bytes) || cfg_.line_bytes > 256) {
     // A slot keeps its offset within the line in one byte.
     throw std::invalid_argument(

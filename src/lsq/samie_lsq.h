@@ -68,8 +68,8 @@ class SamieLsq final {
  public:
   /// Ledger may be null (no accounting). Throws std::invalid_argument
   /// when entries_per_bank or slots_per_entry exceeds 64 (the bitmask
-  /// width), banks, addr_buffer_slots or l1d_sets is 0, or line_bytes is
-  /// not a power of two <= 256.
+  /// width), banks, addr_buffer_slots, drain_width or l1d_sets is 0, or
+  /// line_bytes is not a power of two <= 256.
   SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger);
 
   [[nodiscard]] bool can_dispatch(bool) const { return true; }

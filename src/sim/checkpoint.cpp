@@ -22,23 +22,11 @@ constexpr char kMagicLine[] = "# samie-sweep-checkpoint v1";
   throw CheckpointError(path + ": " + what);
 }
 
-[[nodiscard]] std::string fnv_hex(const std::string& payload) {
+[[nodiscard]] std::string fnv_hex(std::string_view payload) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016" PRIx64,
                 trace::fnv1a_64(payload.data(), payload.size()));
   return buf;
-}
-
-/// Splits "TYPE\t<fnv64>\t<payload>" and validates the guard. Returns
-/// false (torn line) on any mismatch.
-[[nodiscard]] bool parse_guarded(const std::string& line, char type,
-                                 std::string& payload) {
-  if (line.size() < 20 || line[0] != type || line[1] != '\t' ||
-      line[18] != '\t') {
-    return false;
-  }
-  payload = line.substr(19);
-  return line.compare(2, 16, fnv_hex(payload)) == 0;
 }
 
 void flush_and_sync(const std::string& path, std::FILE* f) {
@@ -61,8 +49,8 @@ CheckpointWriter CheckpointWriter::create(const std::string& path,
   char fp[17];
   std::snprintf(fp, sizeof fp, "%016" PRIx64, fingerprint);
   header << njobs << '\t' << fp;
-  const std::string line = std::string(kMagicLine) + "\nH\t" +
-                           fnv_hex(header.str()) + '\t' + header.str() + '\n';
+  const std::string line =
+      std::string(kMagicLine) + '\n' + guarded_line('H', header.str());
   if (std::fwrite(line.data(), 1, line.size(), f) != line.size()) {
     std::fclose(f);
     std::remove(tmp.c_str());
@@ -119,8 +107,7 @@ void CheckpointWriter::append_line(char type, const std::string& payload) {
   if (payload.find('\n') != std::string::npos) {
     io_fail(path_, "record payload contains a newline");
   }
-  const std::string line =
-      std::string(1, type) + '\t' + fnv_hex(payload) + '\t' + payload + '\n';
+  const std::string line = guarded_line(type, payload);
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
     io_fail(path_, "short write");
   }
@@ -149,33 +136,59 @@ CheckpointContents load_checkpoint(const std::string& path) {
   if (!std::getline(in, line) || line != kMagicLine) {
     io_fail(path, "not a sweep checkpoint (bad magic line)");
   }
-  std::string payload;
-  if (!std::getline(in, line) || !parse_guarded(line, 'H', payload)) {
+  // Each line keeps the newline getline strips, when it had one: the
+  // writer puts it last, so a line without it was cut short.
+  const auto next_line = [&in, &line] {
+    if (!std::getline(in, line)) return false;
+    if (!in.eof()) line += '\n';
+    return true;
+  };
+  std::optional<std::string> header;
+  if (!next_line() || !(header = parse_guarded_line(line, 'H'))) {
     io_fail(path, "torn or missing checkpoint header");
   }
   {
-    std::istringstream hs(payload);
+    std::istringstream hs(*header);
     std::string fp;
     if (!(hs >> out.njobs >> fp) || fp.size() != 16) {
       io_fail(path, "malformed checkpoint header fields");
     }
     out.fingerprint = std::strtoull(fp.c_str(), nullptr, 16);
   }
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (parse_guarded(line, 'R', payload)) {
-      out.records.push_back(std::move(payload));
-    } else if (parse_guarded(line, 'Q', payload)) {
-      out.quarantined.push_back(std::move(payload));
-    } else if (parse_guarded(line, 'D', payload)) {
-      out.damaged.push_back(std::move(payload));
+  while (next_line()) {
+    if (line == "\n") continue;
+    if (std::optional<std::string> p = parse_guarded_line(line, 'R')) {
+      out.records.push_back(std::move(*p));
+    } else if ((p = parse_guarded_line(line, 'Q'))) {
+      out.quarantined.push_back(std::move(*p));
+    } else if ((p = parse_guarded_line(line, 'D'))) {
+      out.damaged.push_back(std::move(*p));
     } else {
-      // A torn tail after a kill mid-append, or bit rot: the FNV guard
-      // rejects it and the job simply re-runs on resume.
+      // A torn tail after a kill mid-append, or bit rot: the newline or
+      // the FNV guard rejects it and the job simply re-runs on resume.
       ++out.ignored_lines;
     }
   }
   return out;
+}
+
+std::string guarded_line(char type, std::string_view payload) {
+  return std::string(1, type) + '\t' + fnv_hex(payload) + '\t' +
+         std::string(payload) + '\n';
+}
+
+std::optional<std::string> parse_guarded_line(std::string_view line,
+                                              char type) {
+  if (line.size() < 20 || line[0] != type || line[1] != '\t' ||
+      line[18] != '\t' || line.back() != '\n') {
+    return std::nullopt;
+  }
+  const std::string_view payload = line.substr(19, line.size() - 20);
+  if (payload.find('\n') != std::string_view::npos ||
+      line.substr(2, 16) != fnv_hex(payload)) {
+    return std::nullopt;
+  }
+  return std::string(payload);
 }
 
 // -- SimResult round-trip ----------------------------------------------------

@@ -15,15 +15,20 @@
 // must match on resume, so a checkpoint can never silently graft results
 // from a different sweep. Records are appended — flushed and fsync'd —
 // one per completed job, so a crash or OOM kill loses at most the job
-// that was in flight; a torn final line fails its FNV guard and is
-// ignored on load. 'R' lines are results; 'Q' lines are quarantine
-// records (the process-isolated executor journals jobs that crashed a
-// child, so a resume never re-runs a known-poison job); 'D' lines are
-// trace-damage records (jobs whose replay range touched corrupt trace
-// blocks — deterministic, so a resume seals rather than retries them).
-// Payload contents are the caller's (the sweep scheduler, its only
-// client, journals job outcomes); this module only guarantees integrity
-// and atomicity.
+// that was in flight; a torn final line (its newline missing, or its FNV
+// guard failing) is ignored on load. 'R' lines are results; 'Q' lines
+// are quarantine records (the process-isolated executor journals jobs
+// that crashed a child, so a resume never re-runs a known-poison job);
+// 'D' lines are trace-damage records (jobs whose replay range touched
+// corrupt trace blocks — deterministic, so a resume seals rather than
+// retries them). Payload contents are the caller's (the sweep scheduler,
+// its only client, journals job outcomes); this module only guarantees
+// integrity and atomicity.
+//
+// The guarded line is also the wire format between a forked child and
+// the sweep that forked it (guarded_line / parse_guarded_line): a child
+// answers with one line, an 'R' line carrying the serialize_sim_result
+// text exactly as the journal does, or a line naming its failure.
 //
 // Durability covers the *directory entry* too: creation fsyncs the
 // journal's parent directory after the atomic tmp+rename (a machine
@@ -35,8 +40,10 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/sim/simulator.h"
@@ -118,9 +125,20 @@ struct CheckpointContents {
 /// record lines are skipped and counted, never fatal.
 [[nodiscard]] CheckpointContents load_checkpoint(const std::string& path);
 
+/// One guarded line, newline included: "TYPE\t<fnv64>\t<payload>\n".
+/// `payload` must not contain '\n'.
+[[nodiscard]] std::string guarded_line(char type, std::string_view payload);
+
+/// The payload of `line`, which must be exactly one guarded_line of
+/// `type`, newline included; nullopt when the line is of another type,
+/// cut short anywhere (the newline goes last), has bytes after its
+/// newline or fails its guard.
+[[nodiscard]] std::optional<std::string> parse_guarded_line(
+    std::string_view line, char type);
+
 // -- SimResult round-trip ----------------------------------------------------
 // Bit-exact text serialization shared by the sweep journal and the
-// forked child's result frame: integers in decimal, doubles as C99
+// forked child's answer: integers in decimal, doubles as C99
 // hexfloats ("%a"), space-separated in a fixed field order. A resumed
 // sweep reconstructs the exact SimResult bits, so its CSV/JSON output is
 // byte-identical to an uninterrupted run's.

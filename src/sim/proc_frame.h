@@ -1,114 +1,20 @@
-// Wire format between an isolated child process and its parent
-// supervisor (src/sim/process_executor.h): a versioned, length-prefixed
-// frame with an FNV-1a guard over the payload, written once down the
-// result pipe before the child exits.
-//
-// Frame layout (little-endian, 16-byte header):
-//
-//   u32 magic    "SMFR"
-//   u16 version  kFrameVersion
-//   u16 kind     FrameKind
-//   u64 payload_bytes
-//   ... payload ...
-//   u64 fnv1a_64(payload)
-//
-// A result frame's payload is the serialize_sim_result text (hexfloat
-// doubles — the parent reconstructs the exact SimResult bits, which is
-// what makes isolated sweeps bit-identical to in-process ones). An
-// error frame's payload is "<class>\x1f<what>" where class is one of
-// the kErr* strings below. decode_frame returns nullopt on ANY defect —
-// short buffer, bad magic/version, length mismatch, guard mismatch — so
-// a child killed mid-write surfaces as a structured failure, never as
-// garbage statistics.
+// The crash-forensics wire record between an isolated child and its
+// parent supervisor (src/sim/process_executor.h).
 //
 // CrashWire is the fixed-size binary record the child's async-signal-
 // safe crash handler writes to its pre-opened crash pipe: plain stores
-// and one write(2), nothing that allocates.
+// and one write(2), nothing that allocates — which is why it is binary
+// while everything else the child sends is a guarded text line
+// (src/sim/checkpoint.h).
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <optional>
 #include <string>
-
-#include "src/trace/trace_io.h"  // fnv1a_64
+#include <type_traits>
 
 namespace samie::sim {
-
-enum class FrameKind : std::uint16_t { kResult = 1, kError = 2 };
-
-inline constexpr std::uint32_t kFrameMagic = 0x52464d53u;  // "SMFR"
-inline constexpr std::uint16_t kFrameVersion = 1;
-inline constexpr std::size_t kFrameHeaderBytes = 16;
-/// Sanity cap: a serialized SimResult is ~1 KB; anything near this is a
-/// corrupt length field, not a real payload.
-inline constexpr std::uint64_t kFrameMaxPayload = 1u << 20;
-
-/// Error-frame class tags (payload = class + '\x1f' + what).
-inline constexpr char kErrTransient[] = "transient";
-inline constexpr char kErrDeterministic[] = "deterministic";
-inline constexpr char kErrResource[] = "resource";
-inline constexpr char kErrAborted[] = "aborted";
-
-[[nodiscard]] inline std::string encode_frame(FrameKind kind,
-                                              const std::string& payload) {
-  std::string out;
-  out.resize(kFrameHeaderBytes + payload.size() + 8);
-  char* p = out.data();
-  const std::uint32_t magic = kFrameMagic;
-  const std::uint16_t version = kFrameVersion;
-  const std::uint16_t k = static_cast<std::uint16_t>(kind);
-  const std::uint64_t len = payload.size();
-  std::memcpy(p + 0, &magic, 4);
-  std::memcpy(p + 4, &version, 2);
-  std::memcpy(p + 6, &k, 2);
-  std::memcpy(p + 8, &len, 8);
-  std::memcpy(p + 16, payload.data(), payload.size());
-  const std::uint64_t guard = trace::fnv1a_64(payload.data(), payload.size());
-  std::memcpy(p + 16 + payload.size(), &guard, 8);
-  return out;
-}
-
-struct DecodedFrame {
-  FrameKind kind = FrameKind::kError;
-  std::string payload;
-};
-
-/// Strict decode of one frame occupying `bytes` exactly (trailing junk
-/// is a defect too: the child writes one frame and exits).
-[[nodiscard]] inline std::optional<DecodedFrame> decode_frame(
-    const std::string& bytes) {
-  if (bytes.size() < kFrameHeaderBytes + 8) return std::nullopt;
-  std::uint32_t magic = 0;
-  std::uint16_t version = 0;
-  std::uint16_t kind = 0;
-  std::uint64_t len = 0;
-  std::memcpy(&magic, bytes.data() + 0, 4);
-  std::memcpy(&version, bytes.data() + 4, 2);
-  std::memcpy(&kind, bytes.data() + 6, 2);
-  std::memcpy(&len, bytes.data() + 8, 8);
-  if (magic != kFrameMagic || version != kFrameVersion) return std::nullopt;
-  if (kind != static_cast<std::uint16_t>(FrameKind::kResult) &&
-      kind != static_cast<std::uint16_t>(FrameKind::kError)) {
-    return std::nullopt;
-  }
-  if (len > kFrameMaxPayload ||
-      bytes.size() != kFrameHeaderBytes + len + 8) {
-    return std::nullopt;
-  }
-  DecodedFrame out;
-  out.kind = static_cast<FrameKind>(kind);
-  out.payload.assign(bytes.data() + kFrameHeaderBytes,
-                     static_cast<std::size_t>(len));
-  std::uint64_t guard = 0;
-  std::memcpy(&guard, bytes.data() + kFrameHeaderBytes + len, 8);
-  if (guard != trace::fnv1a_64(out.payload.data(), out.payload.size())) {
-    return std::nullopt;
-  }
-  return out;
-}
-
-// -- crash forensics wire record ---------------------------------------------
 
 inline constexpr int kCrashMaxFrames = 32;
 inline constexpr std::uint64_t kCrashMagic = 0x48535243494d4153ULL;  // "SAMICRSH"

@@ -13,24 +13,22 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
-#include <new>
-#include <thread>
 
-#include "src/core/core.h"
-#include "src/sim/checkpoint.h"  // serialize_sim_result / parse_sim_result
 #include "src/sim/proc_frame.h"
-#include "src/sim/simulator.h"
-#include "src/trace/trace_io.h"
 
 namespace samie::sim {
 
 namespace {
 
+/// Sanity cap on what the parent reads from either pipe: a child's
+/// answer is one journal-sized line (~1 KB) and a crash record 280
+/// bytes, so anything near this is a runaway writer.
+constexpr std::size_t kMaxReadBytes = 1u << 20;
+
 // -- child side --------------------------------------------------------------
 
-/// Cooperative cancel token: the SIGTERM handler flips it, the core's
-/// cycle loop polls it, and the child unwinds into an "aborted" frame.
+/// Cooperative cancel token: the SIGTERM handler flips it, and the work
+/// the child runs polls it (the core's cycle loop does) and unwinds.
 std::atomic<bool> g_cancel{false};
 
 /// Crash pipe write end, opened before the handlers are installed so
@@ -39,6 +37,20 @@ int g_crash_fd = -1;
 
 extern "C" void sigterm_handler(int) {
   g_cancel.store(true, std::memory_order_relaxed);
+}
+
+/// Async-signal-safe: write(2) and errno only.
+[[nodiscard]] bool write_all(int fd, const char* p, std::size_t n) {
+  while (n > 0) {
+    const ssize_t r = ::write(fd, p, n);
+    if (r <= 0) {
+      if (r < 0 && errno == EINTR) continue;
+      return false;
+    }
+    p += r;
+    n -= static_cast<std::size_t>(r);
+  }
+  return true;
 }
 
 /// Async-signal-safe by construction: plain stores into a stack
@@ -59,17 +71,7 @@ extern "C" void crash_handler(int sig, siginfo_t* si, void*) {
     w.frames[i] = reinterpret_cast<std::uint64_t>(frames[i]);
   }
   if (g_crash_fd >= 0) {
-    const char* p = reinterpret_cast<const char*>(&w);
-    std::size_t left = sizeof w;
-    while (left > 0) {
-      const ssize_t r = ::write(g_crash_fd, p, left);
-      if (r <= 0) {
-        if (r < 0 && errno == EINTR) continue;
-        break;
-      }
-      p += r;
-      left -= static_cast<std::size_t>(r);
-    }
+    (void)write_all(g_crash_fd, reinterpret_cast<const char*>(&w), sizeof w);
   }
   ::signal(sig, SIG_DFL);
   ::raise(sig);
@@ -117,130 +119,32 @@ void apply_limits(const ChildLimits& lim) {
   }
 }
 
-[[nodiscard]] bool write_all(int fd, const char* p, std::size_t n) {
-  while (n > 0) {
-    const ssize_t r = ::write(fd, p, n);
-    if (r <= 0) {
-      if (r < 0 && errno == EINTR) continue;
-      return false;
-    }
-    p += r;
-    n -= static_cast<std::size_t>(r);
-  }
-  return true;
-}
-
-[[nodiscard]] std::string error_payload(const char* cls,
-                                        const std::string& what) {
-  return std::string(cls) + '\x1f' + what;
-}
-
-/// Executes an isolation-only (or generic) injected fault inside the
-/// child. kCrash/kOom/kSpin deliberately take the process down — the
-/// whole point is proving the parent contains them.
-void run_child_fault(const SweepFault& f) {
-  switch (f.kind) {
-    case SweepFault::Kind::kThrowTransient:
-      throw TransientFault("injected transient fault (job " +
-                           std::to_string(f.job) + ", attempt " +
-                           std::to_string(f.attempt) + ")");
-    case SweepFault::Kind::kThrowDeterministic:
-      throw std::logic_error("injected deterministic fault (job " +
-                             std::to_string(f.job) + ", attempt " +
-                             std::to_string(f.attempt) + ")");
-    case SweepFault::Kind::kDelay:
-      std::this_thread::sleep_for(f.delay);
-      break;
-    case SweepFault::Kind::kSpuriousWake:
-      break;  // no supervisor thread exists in isolate mode
-    case SweepFault::Kind::kCrash: {
-      // Poisoned, non-null address so the forensics record carries a
-      // recognizable si_addr. The volatile reload of the address keeps
-      // the compiler from proving (and flagging) the bad store.
-      volatile std::uintptr_t addr = 0x2a;
-      volatile int* poison = reinterpret_cast<volatile int*>(addr);
-      *poison = 1;
-      break;
-    }
-    case SweepFault::Kind::kOom: {
-      // Allocation bomb: 8 MiB chunks, touched so overcommit cannot
-      // defer the failure, until the RLIMIT_AS jail throws bad_alloc.
-      std::vector<std::unique_ptr<char[]>> bomb;
-      constexpr std::size_t kChunk = 8u << 20;
-      for (;;) {
-        bomb.push_back(std::make_unique<char[]>(kChunk));
-        std::memset(bomb.back().get(), 0xab, kChunk);
-      }
-    }
-    case SweepFault::Kind::kSpin:
-      // Ignores the cancel token on purpose: only the parent's
-      // SIGKILL (or the RLIMIT_CPU jail) can end this.
-      for (volatile std::uint64_t n = 0;;) n = n + 1;
-    case SweepFault::Kind::kTornFrame:
-      break;  // handled in child_main (needs the result fd)
-    case SweepFault::Kind::kShortRead:
-    case SweepFault::Kind::kBitFlipBlock:
-    case SweepFault::Kind::kEnospcOnImport:
-    case SweepFault::Kind::kTornImport:
-      break;  // I/O kinds: the pre-run hook consumed them before the fork
-  }
-}
-
-[[noreturn]] void child_main(const SimConfig& cfg_in,
-                             const trace::TraceSource& trace,
-                             const SweepFault* fault, const ChildLimits& lim,
-                             int result_fd, int crash_fd) {
+[[noreturn]] void child_main(const ProcessExecutor::Work& work,
+                             const ChildLimits& lim, int answer_fd,
+                             int crash_fd) {
   install_child_handlers(crash_fd);
   apply_limits(lim);
-  FrameKind kind = FrameKind::kError;
-  std::string payload;
+  std::string answer;
   try {
-    if (fault != nullptr && fault->kind == SweepFault::Kind::kTornFrame) {
-      // Simulate a child dying mid-write: half a valid frame, clean exit.
-      const std::string full =
-          encode_frame(FrameKind::kResult, std::string(64, 'x'));
-      (void)write_all(result_fd, full.data(), full.size() / 2);
-      ::_exit(0);
-    }
-    if (fault != nullptr) run_child_fault(*fault);
-    SimConfig cfg = cfg_in;
-    cfg.core.should_abort = &g_cancel;
-    const SimResult r = run_simulation(cfg, trace);
-    kind = FrameKind::kResult;
-    payload = serialize_sim_result(r);
-  } catch (const core::SimulationAborted& e) {
-    payload = error_payload(kErrAborted, e.what());
-  } catch (const TransientFault& e) {
-    payload = error_payload(kErrTransient, e.what());
-  } catch (const trace::TraceFormatError& e) {
-    payload = error_payload(kErrTransient, e.what());
-  } catch (const std::bad_alloc&) {
-    payload =
-        lim.mem_mb != 0
-            ? error_payload(kErrResource,
-                            "allocation failed inside the RLIMIT_AS jail (" +
-                                std::to_string(lim.mem_mb) + " MiB)")
-            : error_payload(kErrTransient, "std::bad_alloc");
-  } catch (const std::exception& e) {
-    payload = error_payload(kErrDeterministic, e.what());
+    answer = work(g_cancel);
   } catch (...) {
-    payload = error_payload(kErrDeterministic, "non-standard exception");
+    // Never unwind out of the child: the frames above are the parent's
+    // scheduler, which must run in one process only.
+    ::_exit(120);
   }
-  const std::string frame = encode_frame(kind, payload);
   // _exit, never exit: the child must not run the parent's atexit
   // handlers or flush its copies of the parent's stdio buffers.
-  ::_exit(write_all(result_fd, frame.data(), frame.size()) ? 0 : 121);
+  ::_exit(write_all(answer_fd, answer.data(), answer.size()) ? 0 : 121);
 }
 
 // -- parent side -------------------------------------------------------------
 
 /// Drains a pipe to EOF. Only called after the child is reaped, so the
-/// write end is gone and this never blocks indefinitely. Capped well
-/// above kFrameMaxPayload; a corrupt frame length cannot balloon this.
+/// write end is gone and this never blocks indefinitely.
 [[nodiscard]] std::string read_all(int fd) {
   std::string out;
   char buf[4096];
-  while (out.size() < kFrameMaxPayload + 64 * 1024) {
+  while (out.size() < kMaxReadBytes) {
     const ssize_t r = ::read(fd, buf, sizeof buf);
     if (r < 0 && errno == EINTR) continue;
     if (r <= 0) break;
@@ -297,24 +201,22 @@ ProcessExecutor::~ProcessExecutor() {
     int status = 0;
     while (::waitpid(ch.pid, &status, 0) < 0 && errno == EINTR) {
     }
-    ::close(ch.result_fd);
+    ::close(ch.answer_fd);
     ::close(ch.crash_fd);
   }
 }
 
-void ProcessExecutor::spawn(std::uint64_t key, const SimConfig& cfg,
-                            const trace::TraceSource& trace,
-                            const SweepFault* fault,
+void ProcessExecutor::spawn(std::uint64_t key, const Work& work,
                             const ChildLimits& limits) {
-  int result_fds[2] = {-1, -1};
+  int answer_fds[2] = {-1, -1};
   int crash_fds[2] = {-1, -1};
-  if (::pipe(result_fds) != 0) {
+  if (::pipe(answer_fds) != 0) {
     throw TransientFault(std::string("pipe failed: ") + std::strerror(errno));
   }
   if (::pipe(crash_fds) != 0) {
     const int e = errno;
-    ::close(result_fds[0]);
-    ::close(result_fds[1]);
+    ::close(answer_fds[0]);
+    ::close(answer_fds[1]);
     throw TransientFault(std::string("pipe failed: ") + std::strerror(e));
   }
   // The child shares our stdio buffers; flush so it cannot re-emit them.
@@ -322,24 +224,24 @@ void ProcessExecutor::spawn(std::uint64_t key, const SimConfig& cfg,
   const pid_t pid = ::fork();
   if (pid < 0) {
     const int e = errno;
-    for (int fd : {result_fds[0], result_fds[1], crash_fds[0], crash_fds[1]}) {
+    for (int fd : {answer_fds[0], answer_fds[1], crash_fds[0], crash_fds[1]}) {
       ::close(fd);
     }
     throw TransientFault(std::string("fork failed: ") + std::strerror(e));
   }
   if (pid == 0) {
-    ::close(result_fds[0]);
+    ::close(answer_fds[0]);
     ::close(crash_fds[0]);
-    child_main(cfg, trace, fault, limits, result_fds[1], crash_fds[1]);
+    child_main(work, limits, answer_fds[1], crash_fds[1]);
   }
   // Close the write ends immediately: EOF on the read ends must mean
   // "this child is done", even with later children inheriting our fds.
-  ::close(result_fds[1]);
+  ::close(answer_fds[1]);
   ::close(crash_fds[1]);
   Child ch;
   ch.key = key;
   ch.pid = pid;
-  ch.result_fd = result_fds[0];
+  ch.answer_fd = answer_fds[0];
   ch.crash_fd = crash_fds[0];
   children_.push_back(ch);
 }
@@ -354,7 +256,7 @@ std::optional<ProcessExecutor::Event> ProcessExecutor::poll() {
     } while (r < 0 && errno == EINTR);
     if (r == 0) continue;
     Event ev = decode_fate(ch, r < 0 ? -1 : status);
-    ::close(ch.result_fd);
+    ::close(ch.answer_fd);
     ::close(ch.crash_fd);
     children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(i));
     return ev;
@@ -385,7 +287,7 @@ ProcessExecutor::Event ProcessExecutor::decode_fate(const Child& ch,
   Event ev;
   ev.key = ch.key;
   // The child is reaped: both pipes drain to EOF without blocking.
-  const std::string frame_bytes = read_all(ch.result_fd);
+  std::string answer = read_all(ch.answer_fd);
   const std::string crash_bytes = read_all(ch.crash_fd);
   if (status < 0) {
     ev.fate = FateKind::kBadExit;
@@ -424,38 +326,14 @@ ProcessExecutor::Event ProcessExecutor::decode_fate(const Child& ch,
     return ev;
   }
   const int code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  ev.exit_code = code;
   if (code != 0) {
     ev.fate = FateKind::kBadExit;
     ev.what = "child exited with code " + std::to_string(code) +
               " without a usable result";
     return ev;
   }
-  const std::optional<DecodedFrame> frame = decode_frame(frame_bytes);
-  if (!frame) {
-    ev.fate = FateKind::kBadFrame;
-    ev.what = "truncated or corrupt result frame (" +
-              std::to_string(frame_bytes.size()) + " bytes)";
-    return ev;
-  }
-  if (frame->kind == FrameKind::kResult) {
-    if (!parse_sim_result(frame->payload, ev.result)) {
-      ev.fate = FateKind::kBadFrame;
-      ev.what = "result frame payload failed to parse";
-      return ev;
-    }
-    ev.fate = FateKind::kResult;
-    return ev;
-  }
-  const std::size_t sep = frame->payload.find('\x1f');
-  if (sep == std::string::npos) {
-    ev.fate = FateKind::kBadFrame;
-    ev.what = "error frame payload missing its class separator";
-    return ev;
-  }
-  ev.fate = FateKind::kError;
-  ev.error_class = frame->payload.substr(0, sep);
-  ev.what = frame->payload.substr(sep + 1);
+  ev.fate = FateKind::kAnswered;
+  ev.answer = std::move(answer);
   return ev;
 }
 

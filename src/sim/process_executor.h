@@ -1,6 +1,5 @@
 // Process-isolated job execution: fork a child per job, jail it with
-// rlimits, and read its SimResult back over a guarded pipe frame
-// (src/sim/proc_frame.h).
+// rlimits, and hand back what the child answered down its pipe.
 //
 // This is the containment layer under `samie_sim --isolate` /
 // SweepOptions::isolate_procs. The in-thread runner survives
@@ -8,19 +7,20 @@
 // to the process* — SIGSEGV, a glibc abort, an allocation bomb, a
 // runaway loop that never reaches the cooperative cancel check. The
 // child is fork() without exec: it inherits the parent's memory (the
-// trace's blocks stay readable, and crash backtrace addresses symbolize
-// in the parent), runs exactly the run_simulation the in-thread runner
-// runs, serializes the result through the same hexfloat text as the
-// checkpoint journal, and _exit()s. That round trip is bit-exact, which
-// is what makes isolated sweeps byte-identical to in-thread sweeps.
+// work it is handed reads what the parent prepared, and crash backtrace
+// addresses symbolize in the parent), runs that work, writes the bytes
+// the work returns, and _exit()s. The executor never reads those bytes:
+// the sweep scheduler, its only client, hands each child the same
+// attempt body its in-thread workers run and decodes the one guarded
+// line (src/sim/checkpoint.h) the child answers with.
 //
 // Child lifecycle:
 //   1. install async-signal-safe crash handlers (SIGSEGV/SIGBUS/SIGILL/
 //      SIGFPE/SIGABRT) writing a CrashWire record to a pre-opened pipe,
 //      and a SIGTERM handler that flips the cooperative cancel token
 //   2. apply ChildLimits (RLIMIT_AS / RLIMIT_CPU)
-//   3. run the injected fault, if any, then run_simulation
-//   4. write one result or error frame, _exit(0)
+//   3. run the work under the cancel token
+//   4. write the work's answer, _exit(0)
 //
 // The parent polls children with waitpid(WNOHANG) and decodes each fate
 // into an Event; policy (retry, quarantine, outcome taxonomy) stays in
@@ -34,16 +34,14 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/sim/sweep_scheduler.h"
-
-namespace samie::trace {
-class TraceSource;
-}  // namespace samie::trace
 
 namespace samie::sim {
 
@@ -57,25 +55,27 @@ class ProcessExecutor {
  public:
   /// How a child ended, before sweep policy is applied.
   enum class FateKind : std::uint8_t {
-    kResult,            ///< exit 0 with a valid result frame
-    kError,             ///< exit 0 with a valid error frame (see error_class)
+    kAnswered,          ///< exit 0: `answer` holds what the child wrote
     kCrashed,           ///< fatal signal not sent by us (SIGSEGV, ...)
     kResourceExceeded,  ///< SIGXCPU, or a SIGKILL we did not send (OOM killer)
     kKilled,            ///< our own SIGTERM/SIGKILL landed (deadline path)
-    kBadFrame,          ///< exit 0 but the result frame is torn or corrupt
-    kBadExit,           ///< nonzero exit without a usable frame
+    kBadExit,           ///< nonzero exit: the child's answer is not usable
   };
 
   struct Event {
     std::uint64_t key = 0;
     FateKind fate = FateKind::kBadExit;
-    SimResult result;         ///< kResult only
-    std::string error_class;  ///< kError only: a kErr* tag from proc_frame.h
-    std::string what;         ///< human-readable fate description
-    int signal = 0;           ///< terminating signal, if any
-    int exit_code = 0;        ///< kBadExit only
-    CrashRecord crash;        ///< kCrashed only, best effort
+    std::string answer;  ///< kAnswered only: every byte the child wrote
+    std::string what;    ///< human-readable fate description
+    int signal = 0;      ///< terminating signal, if any
+    CrashRecord crash;   ///< kCrashed only, best effort
   };
+
+  /// A child's work: runs inside the child with the cooperative cancel
+  /// token its SIGTERM handler flips, and returns the bytes the child
+  /// answers with. A work that throws ends its child with exit code 120
+  /// and no answer.
+  using Work = std::function<std::string(const std::atomic<bool>& cancel)>;
 
   ProcessExecutor() = default;
   ProcessExecutor(const ProcessExecutor&) = delete;
@@ -84,25 +84,20 @@ class ProcessExecutor {
   /// the scheduler drains via poll()).
   ~ProcessExecutor();
 
-  /// Forks one child for `key`. The trace must stay alive in the parent
-  /// until the child's Event is returned: the child decodes its blocks
-  /// from the memory it inherits. `fault` may be nullptr; isolation-only
-  /// fault kinds execute inside the child. Throws TransientFault when pipe(2)
-  /// or fork(2) fail (EAGAIN/ENOMEM are load conditions — the scheduler
-  /// retries with backoff).
-  void spawn(std::uint64_t key, const SimConfig& cfg,
-             const trace::TraceSource& trace, const SweepFault* fault,
-             const ChildLimits& limits);
-
-  [[nodiscard]] std::size_t active() const noexcept { return children_.size(); }
+  /// Forks one child for `key` that runs `work` under `limits`. Whatever
+  /// the work reads must stay alive in the parent until the child's Event
+  /// is returned: the child reads it from the memory it inherits. Throws
+  /// TransientFault when pipe(2) or fork(2) fail (EAGAIN/ENOMEM are load
+  /// conditions — the scheduler retries with backoff).
+  void spawn(std::uint64_t key, const Work& work, const ChildLimits& limits);
 
   /// Reaps at most one exited child (non-blocking) and decodes its fate.
   /// Returns nullopt when every child is still running.
   [[nodiscard]] std::optional<Event> poll();
 
   /// Deadline escalation: SIGTERM (the child's handler flips its cancel
-  /// token and it unwinds into an "aborted" error frame), then — for
-  /// children that ignore it — kill() after the grace period.
+  /// token, and the work unwinds and answers), then — for children that
+  /// ignore it — kill() after the grace period.
   void term(std::uint64_t key) noexcept;
   void kill(std::uint64_t key) noexcept;
 
@@ -110,7 +105,7 @@ class ProcessExecutor {
   struct Child {
     std::uint64_t key = 0;
     pid_t pid = -1;
-    int result_fd = -1;  ///< read end of the result-frame pipe
+    int answer_fd = -1;  ///< read end of the answer pipe
     int crash_fd = -1;   ///< read end of the crash-forensics pipe
     bool sent_term = false;
     bool sent_kill = false;

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -20,7 +21,6 @@
 
 #include "src/core/core.h"
 #include "src/sim/checkpoint.h"
-#include "src/sim/proc_frame.h"
 #include "src/sim/process_executor.h"
 #include "src/sim/trace_cache.h"
 #include "src/trace/trace_io.h"
@@ -327,12 +327,6 @@ void arm_io_fault(const Job& job, const SweepFault& f) {
       break;
     case SweepFault::Kind::kBitFlipBlock:
       io.kind = trace::IoFault::Kind::kBitFlipBlock;
-      break;
-    case SweepFault::Kind::kEnospcOnImport:
-      io.kind = trace::IoFault::Kind::kEnospcOnImport;
-      break;
-    case SweepFault::Kind::kTornImport:
-      io.kind = trace::IoFault::Kind::kTornImport;
       break;
     default:
       return;
@@ -644,9 +638,10 @@ class Lifecycle {
 
 // -- runners -------------------------------------------------------------------
 
-/// Performs an in-thread attempt's injected fault. run_sweep rejects the
-/// isolation-only and import-only kinds before any runner starts, and
-/// the pre-run hook already armed the I/O kinds.
+/// Performs an attempt's injected fault where the attempt runs. The
+/// pre-run hook armed the I/O kinds instead of returning them, and
+/// run_sweep hands the kinds that take the process down (crash, oom,
+/// spin) only to the forked-child runner, whose child they end.
 void perform_fault(const SweepFault& f, const Ticket& t,
                    DeadlineSupervisor* supervisor) {
   const std::string where = "(job " + std::to_string(t.index) + ", attempt " +
@@ -660,10 +655,53 @@ void perform_fault(const SweepFault& f, const Ticket& t,
       std::this_thread::sleep_for(f.delay);
       return;
     case SweepFault::Kind::kSpuriousWake:
+      // The forked-child runner has no supervisor thread to wake.
       if (supervisor != nullptr) supervisor->spurious_wake();
       return;
-    default:
+    case SweepFault::Kind::kCrash: {
+      // Poisoned, non-null address so the forensics record carries a
+      // recognizable si_addr. The volatile reload of the address keeps
+      // the compiler from proving (and flagging) the bad store.
+      volatile std::uintptr_t addr = 0x2a;
+      volatile int* poison = reinterpret_cast<volatile int*>(addr);
+      *poison = 1;
       return;
+    }
+    case SweepFault::Kind::kOom: {
+      // Allocation bomb: 8 MiB chunks, touched so overcommit cannot
+      // defer the failure, until the RLIMIT_AS jail throws bad_alloc.
+      std::vector<std::unique_ptr<char[]>> bomb;
+      constexpr std::size_t kChunk = 8u << 20;
+      for (;;) {
+        bomb.push_back(std::make_unique<char[]>(kChunk));
+        std::memset(bomb.back().get(), 0xab, kChunk);
+      }
+    }
+    case SweepFault::Kind::kSpin:
+      // Ignores the cancel token on purpose: only the parent's
+      // SIGKILL (or the RLIMIT_CPU jail) can end this.
+      for (volatile std::uint64_t n = 0;;) n = n + 1;
+    default:
+      return;  // torn-frame acts on the child's answer (child_answer)
+  }
+}
+
+/// One attempt, whichever runner drives it: performs the injected fault,
+/// runs the simulation under the attempt's cancel token, and turns
+/// anything thrown into its ending through failed(). The in-thread
+/// worker calls it on its thread; the forked-child runner hands it to
+/// the child.
+[[nodiscard]] Ending attempt(const Job& job, const trace::TraceSource& trace,
+                             const SweepFault* fault, const Ticket& t,
+                             const std::atomic<bool>& cancel,
+                             DeadlineSupervisor* supervisor) {
+  try {
+    if (fault != nullptr) perform_fault(*fault, t, supervisor);
+    SimConfig cfg = job.config;
+    cfg.core.should_abort = &cancel;
+    return completed(run_simulation(cfg, trace));
+  } catch (...) {
+    return failed(std::current_exception());
   }
 }
 
@@ -683,13 +721,9 @@ void run_in_threads(Lifecycle& life, const SweepOptions& opt,
         if (supervisor != nullptr && opt.job_deadline.count() > 0) {
           supervisor->arm(slot, &cancel, Clock::now() + opt.job_deadline);
         }
-        if (const SweepFault* f = life.pre_run(*t)) {
-          perform_fault(*f, *t, supervisor);
-        }
+        const SweepFault* fault = life.pre_run(*t);
         const auto trace = life.traces().get(job);
-        SimConfig cfg = job.config;
-        cfg.core.should_abort = &cancel;
-        end = completed(run_simulation(cfg, *trace));
+        end = attempt(job, *trace, fault, *t, cancel, supervisor);
       } catch (...) {
         end = failed(std::current_exception());
       }
@@ -717,29 +751,80 @@ void run_in_threads(Lifecycle& life, const SweepOptions& opt,
   life.rethrow_if_aborted();
 }
 
-/// A reaped child's fate as the attempt's ending. An error frame names
-/// the child's failure class; it is rebuilt here as the exception that
-/// class stands for, so both runners' endings go through failed().
+// A forked child answers its parent with one guarded line (checkpoint.h):
+//   R  the serialize_sim_result text, as a journal R line carries it;
+//   E  "<status>\t<class>\t<what>", the JobStatus and FailureClass as
+//      their one-digit values, for every other ending.
+static_assert(static_cast<int>(JobStatus::kTraceDamaged) < 10);
+
+/// The attempt as the forked child runs it, and the line it answers
+/// with. Two endings are the child's own: a bad_alloc inside the
+/// job_mem_mb jail is the jail firing (ResourceExceeded), and torn-frame
+/// sends the first half of the line.
+[[nodiscard]] std::string child_answer(const Job& job,
+                                       const trace::TraceSource& trace,
+                                       const SweepFault* fault,
+                                       const Ticket& t,
+                                       const std::atomic<bool>& cancel,
+                                       std::uint64_t mem_jail_mb) {
+  Ending e = attempt(job, trace, fault, t, cancel, nullptr);
+  if (mem_jail_mb != 0 && e.error) {
+    try {
+      std::rethrow_exception(e.error);
+    } catch (const std::bad_alloc&) {
+      e = observed(JobStatus::kResourceExceeded, FailureClass::kDeterministic,
+                   "allocation failed inside the RLIMIT_AS jail (" +
+                       std::to_string(mem_jail_mb) + " MiB)");
+    } catch (...) {
+    }
+  }
+  std::string line;
+  if (e.oc.status == JobStatus::kCompleted) {
+    line = guarded_line('R', serialize_sim_result(e.result));
+  } else {
+    std::replace(e.oc.what.begin(), e.oc.what.end(), '\n', ' ');
+    line = guarded_line(
+        'E', std::to_string(static_cast<int>(e.oc.status)) + '\t' +
+                 std::to_string(static_cast<int>(e.oc.failure)) + '\t' +
+                 e.oc.what);
+  }
+  if (fault != nullptr && fault->kind == SweepFault::Kind::kTornFrame) {
+    line.resize(line.size() / 2);
+  }
+  return line;
+}
+
+/// Reads a child's answer back as the attempt's ending. An answer that
+/// is torn, corrupt or not one of child_answer's lines fails the job
+/// deterministically: a half-written answer is never half-parsed.
+[[nodiscard]] Ending answered(const std::string& bytes) {
+  SimResult result;
+  if (const std::optional<std::string> r = parse_guarded_line(bytes, 'R');
+      r && parse_sim_result(*r, result)) {
+    return completed(result);
+  }
+  if (const std::optional<std::string> p = parse_guarded_line(bytes, 'E');
+      p && p->size() >= 4 && (*p)[1] == '\t' && (*p)[3] == '\t') {
+    const int status = (*p)[0] - '0';
+    const int cls = (*p)[2] - '0';
+    if (status >= 1 && status <= static_cast<int>(JobStatus::kTraceDamaged) &&
+        cls >= 0 && cls <= static_cast<int>(FailureClass::kDeterministic)) {
+      return observed(static_cast<JobStatus>(status),
+                      static_cast<FailureClass>(cls), p->substr(4));
+    }
+  }
+  return observed(JobStatus::kFailed, FailureClass::kDeterministic,
+                  "truncated or corrupt result frame (" +
+                      std::to_string(bytes.size()) + " bytes)");
+}
+
+/// A reaped child's fate as the attempt's ending.
 [[nodiscard]] Ending ending_of(const ProcessExecutor::Event& ev) {
   using Fate = ProcessExecutor::FateKind;
   Ending e;
   switch (ev.fate) {
-    case Fate::kResult:
-      e = completed(ev.result);
-      break;
-    case Fate::kError:
-      if (ev.error_class == kErrResource) {
-        e = observed(JobStatus::kResourceExceeded,
-                     FailureClass::kDeterministic, ev.what);
-      } else if (ev.error_class == kErrAborted) {
-        // Only the deadline SIGTERM flips the child's token, so an
-        // aborted frame is a deadline expiry that unwound cleanly.
-        e = failed(std::make_exception_ptr(core::SimulationAborted(ev.what)));
-      } else if (ev.error_class == kErrTransient) {
-        e = failed(std::make_exception_ptr(TransientFault(ev.what)));
-      } else {
-        e = failed(std::make_exception_ptr(std::runtime_error(ev.what)));
-      }
+    case Fate::kAnswered:
+      e = answered(ev.answer);
       break;
     case Fate::kKilled:
       e = observed(JobStatus::kTimedOut, FailureClass::kNone, ev.what);
@@ -752,7 +837,6 @@ void run_in_threads(Lifecycle& life, const SweepOptions& opt,
       e = observed(JobStatus::kResourceExceeded, FailureClass::kDeterministic,
                    ev.what);
       break;
-    case Fate::kBadFrame:
     case Fate::kBadExit:
       e = observed(JobStatus::kFailed, FailureClass::kDeterministic, ev.what);
       break;
@@ -793,8 +877,13 @@ void run_forked(Lifecycle& life, const SweepOptions& opt) {
       try {
         const SweepFault* fault = life.pre_run(*t);
         st.trace = life.traces().get(job);
-        exec.spawn(t->index, job.config, *st.trace, fault,
-                   ChildLimits{opt.job_mem_mb, opt.job_cpu_s});
+        exec.spawn(
+            t->index,
+            [&](const std::atomic<bool>& cancel) {
+              return child_answer(job, *st.trace, fault, *t, cancel,
+                                  opt.job_mem_mb);
+            },
+            ChildLimits{opt.job_mem_mb, opt.job_cpu_s});
       } catch (...) {
         life.end_attempt(*t, failed(std::current_exception()));
         continue;
@@ -932,13 +1021,6 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
         throw std::invalid_argument(
             "an oom fault requires a job_mem_mb jail (without RLIMIT_AS the "
             "bomb runs into host memory)");
-      }
-      if (SweepFault::import_only(f.kind)) {
-        throw std::invalid_argument(
-            "fault kind for job " + std::to_string(f.job) +
-            " is import-only (enospc-on-import / torn-import) — a sweep "
-            "replays traces, it never imports one; arm it on samie_sim "
-            "--import-trace instead");
       }
       if (SweepFault::is_io_fault(f.kind) && f.job < jobs.size() &&
           jobs[f.job].config.trace_path.empty()) {

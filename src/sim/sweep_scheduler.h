@@ -178,7 +178,7 @@ struct SweepFault {
     kCrash,      ///< dereference a poisoned pointer (SIGSEGV + forensics)
     kOom,        ///< allocation bomb into the RLIMIT_AS jail
     kSpin,       ///< busy loop that ignores the cancel token (hard kill)
-    kTornFrame,  ///< write a truncated result frame, then exit 0
+    kTornFrame,  ///< answer with the first half of the line, then exit 0
     // I/O fault kinds: armed on the job's trace path via
     // trace::set_io_fault right before the attempt acquires its trace,
     // consumed by the next open of that path (trace_io.h). They drive
@@ -186,11 +186,6 @@ struct SweepFault {
     // on disk.
     kShortRead,      ///< hide the last `param` bytes (0 = 64) of the file
     kBitFlipBlock,   ///< flip one payload bit of v2 block `param` in memory
-    // Import-only kinds (consumed by TraceWriterV2::finish, not by a
-    // read): rejected by run_sweep — a sweep replays traces, it never
-    // imports one. samie_sim --import-trace arms them directly.
-    kEnospcOnImport,  ///< importer finalize fails as if the disk filled
-    kTornImport,      ///< importer dies mid-block, torn tmp left behind
   };
 
   /// True for kinds that only make sense inside an isolated child.
@@ -201,12 +196,7 @@ struct SweepFault {
   /// True for kinds that arm a trace::set_io_fault on the job's trace
   /// path instead of acting inside the runner.
   [[nodiscard]] static constexpr bool is_io_fault(Kind k) noexcept {
-    return k == Kind::kShortRead || k == Kind::kBitFlipBlock ||
-           k == Kind::kEnospcOnImport || k == Kind::kTornImport;
-  }
-  /// True for I/O kinds only a trace *import* can consume.
-  [[nodiscard]] static constexpr bool import_only(Kind k) noexcept {
-    return k == Kind::kEnospcOnImport || k == Kind::kTornImport;
+    return k == Kind::kShortRead || k == Kind::kBitFlipBlock;
   }
   std::size_t job = 0;
   std::uint32_t attempt = 1;  ///< 1-based attempt the fault fires on
@@ -234,9 +224,9 @@ struct SweepOptions {
   /// child under resource jails (src/sim/process_executor.h) with up to
   /// `isolate_procs` children alive at once — the only runner that
   /// survives a job that SIGSEGVs, aborts, or spins past the cooperative
-  /// cancel check. Results come back over a guarded pipe frame and are
-  /// bit-identical to the in-thread runner's. `threads` is ignored (the
-  /// parent supervisor is single-threaded).
+  /// cancel check. Each child answers with one guarded journal line, so
+  /// results are bit-identical to the in-thread runner's. `threads` is
+  /// ignored (the parent supervisor is single-threaded).
   unsigned isolate_procs = 0;
   /// RLIMIT_AS cap per child, in MiB (0 = no cap). The cap covers the
   /// whole child address space, inherited image included. Allocation
@@ -305,9 +295,8 @@ struct SweepReport {
 /// outcomes. Throws CheckpointError (bad/mismatched journal on resume)
 /// and std::invalid_argument (unjournalable job names, an
 /// isolation-only fault kind without `isolate_procs`, an oom fault
-/// without a `job_mem_mb` jail, an import-only I/O fault kind, or an
-/// I/O fault aimed at a job with no trace file) before any job has
-/// started.
+/// without a `job_mem_mb` jail, or an I/O fault aimed at a job with no
+/// trace file) before any job has started.
 [[nodiscard]] SweepReport run_sweep(const std::vector<Job>& jobs,
                                     const SweepOptions& opt = {});
 

@@ -1107,14 +1107,6 @@ void TraceWriterV2::finish() {
   (void)fsync_parent_dir(path_);
 }
 
-void TraceWriterV2::abandon() noexcept {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  std::remove(tmp_path_.c_str());
-}
-
 void write_samt_v2(const std::string& path, TraceView ops,
                    const std::string& name, std::uint64_t seed,
                    std::uint32_t block_records) {

@@ -280,8 +280,6 @@ class TraceWriterV2 {
   /// Flushes the final block, writes index + footer, patches the header,
   /// fsyncs and atomically renames the tmp into place.
   void finish();
-  /// Explicitly discards the tmp file (the destructor never does).
-  void abandon() noexcept;
 
   [[nodiscard]] static std::string tmp_path_for(const std::string& path) {
     return path + ".tmp";

@@ -393,14 +393,19 @@ TEST(SamieUnboundedShared, GrowsBeyondConfiguredEntries) {
   EXPECT_EQ(lsq.occupancy().buffer_used, 0U);
 }
 
-TEST(SamieConfigValidation, RefusesAnEmptyAddrBuffer) {
+TEST(SamieConfigValidation, RefusesAnAddrBufferThatCannotFillOrDrain) {
   // No slot means placement_headroom() is never positive: no memory op
   // could issue, and the pipeline would wedge until the watchdog fired.
-  SamieConfig cfg = tiny();
-  cfg.addr_buffer_slots = 0;
-  EXPECT_THROW(SamieLsq(cfg, nullptr), std::invalid_argument);
-  cfg.addr_buffer_slots = 1;
-  EXPECT_NO_THROW(SamieLsq(cfg, nullptr));
+  // A drain width of 0 places no buffered op: the AddrBuffer would empty
+  // only through squashes and deadlock-avoidance flushes.
+  for (std::uint32_t SamieConfig::*field :
+       {&SamieConfig::addr_buffer_slots, &SamieConfig::drain_width}) {
+    SamieConfig cfg = tiny();
+    cfg.*field = 0;
+    EXPECT_THROW(SamieLsq(cfg, nullptr), std::invalid_argument);
+    cfg.*field = 1;
+    EXPECT_NO_THROW(SamieLsq(cfg, nullptr));
+  }
 }
 
 TEST(SamieConfigValidation, RefusesALineThatIsNotAPowerOfTwoOrZeroL1dSets) {

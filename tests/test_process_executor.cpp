@@ -1,12 +1,14 @@
-// Tests for process-isolated sweep execution: the pipe frame codec and
-// crash-forensics wire record, isolated-vs-pool bit-identity across
-// every LSQ kind, containment of the isolation-only fault kinds (crash,
-// oom, spin, torn-frame), deadline escalation (cooperative SIGTERM
-// unwind and the SIGKILL hard kill), in-child transient retry,
-// quarantine on resume in both directions (isolate journal → pool
-// resume and pool journal → isolate resume), drain semantics, and the
-// run_sweep pre-flight validation. Faults are injected via
-// SweepFaultPlan — nothing here depends on a real bug to crash.
+// Tests for process-isolated sweep execution: the guarded line a child
+// answers with and the crash-forensics wire record, isolated-vs-pool
+// bit-identity across every LSQ kind, equal outcomes for the same
+// faults under both runners, containment of the isolation-only fault
+// kinds (crash, oom, spin, torn-frame), deadline escalation
+// (cooperative SIGTERM unwind and the SIGKILL hard kill), in-child
+// transient retry, quarantine on resume in both directions (isolate
+// journal → pool resume and pool journal → isolate resume), drain
+// semantics, and the run_sweep pre-flight validation. Faults are
+// injected via SweepFaultPlan — nothing here depends on a real bug to
+// crash.
 //
 // The crash and oom tests are skipped under AddressSanitizer: ASan owns
 // SIGSEGV reporting, and its 20 TB shadow reservation cannot coexist
@@ -17,13 +19,13 @@
 #include <csignal>
 #include <cstring>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
 #include "src/sim/proc_frame.h"
-#include "src/sim/process_executor.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
@@ -86,53 +88,32 @@ void expect_results_identical(const sim::SimResult& a,
   EXPECT_EQ(sim::serialize_sim_result(a), sim::serialize_sim_result(b));
 }
 
-// -- frame codec -------------------------------------------------------------
+// -- wire records ------------------------------------------------------------
 
-TEST(ProcFrame, ResultAndErrorFramesRoundTrip) {
-  const std::string payload = "12 34 0x1.8p+1";
-  const std::string bytes = sim::encode_frame(sim::FrameKind::kResult, payload);
-  const auto dec = sim::decode_frame(bytes);
-  ASSERT_TRUE(dec.has_value());
-  EXPECT_EQ(dec->kind, sim::FrameKind::kResult);
-  EXPECT_EQ(dec->payload, payload);
+TEST(GuardedLine, RoundTripsAndRefusesEveryDefect) {
+  const std::string payload = "12 34 0x1.8p+1\twith a tab";
+  const std::string line = sim::guarded_line('R', payload);
+  ASSERT_EQ(line.back(), '\n');
+  EXPECT_EQ(sim::parse_guarded_line(line, 'R'), payload);
 
-  const auto err = sim::decode_frame(
-      sim::encode_frame(sim::FrameKind::kError, "transient\x1fnfs flaked"));
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->kind, sim::FrameKind::kError);
-  EXPECT_EQ(err->payload, "transient\x1fnfs flaked");
-}
-
-TEST(ProcFrame, EveryTruncationPrefixIsRejectedNotMisread) {
-  const std::string bytes = sim::encode_frame(sim::FrameKind::kResult, "data");
-  for (std::size_t n = 0; n < bytes.size(); ++n) {
-    EXPECT_FALSE(sim::decode_frame(bytes.substr(0, n)).has_value())
-        << "prefix of " << n << " bytes decoded";
+  // Cut anywhere, the newline included: refused, never misread.
+  for (std::size_t n = 0; n < line.size(); ++n) {
+    EXPECT_EQ(sim::parse_guarded_line(line.substr(0, n), 'R'), std::nullopt)
+        << "prefix of " << n << " bytes";
   }
-  EXPECT_TRUE(sim::decode_frame(bytes).has_value());
-}
-
-TEST(ProcFrame, CorruptionAnywhereFailsTheGuardOrHeader) {
-  const std::string good = sim::encode_frame(sim::FrameKind::kResult, "data");
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    std::string bad = good;
+  for (std::size_t i = 0; i < line.size(); ++i) {
+    std::string bad = line;
     bad[i] = static_cast<char>(bad[i] ^ 0x5a);
-    EXPECT_FALSE(sim::decode_frame(bad).has_value()) << "flip at byte " << i;
+    EXPECT_EQ(sim::parse_guarded_line(bad, 'R'), std::nullopt)
+        << "flip at byte " << i;
   }
-}
-
-TEST(ProcFrame, TrailingJunkAndOversizeLengthAreRejected) {
-  std::string bytes = sim::encode_frame(sim::FrameKind::kError, "x\x1fy");
-  EXPECT_FALSE(sim::decode_frame(bytes + "junk").has_value());
-  // A length field claiming more than the sanity cap must be rejected
-  // even if the buffer were large enough to contain it.
-  std::string huge(sim::kFrameHeaderBytes + 64, '\0');
-  huge.replace(0, sim::kFrameHeaderBytes,
-               sim::encode_frame(sim::FrameKind::kResult, ""),
-               0, sim::kFrameHeaderBytes);
-  const std::uint64_t len = sim::kFrameMaxPayload + 1;
-  std::memcpy(huge.data() + 8, &len, 8);
-  EXPECT_FALSE(sim::decode_frame(huge).has_value());
+  for (const char* tail : {"x", "\n", "R\t", "\nR"}) {
+    EXPECT_EQ(sim::parse_guarded_line(line + tail, 'R'), std::nullopt)
+        << "trailing '" << tail << "'";
+  }
+  EXPECT_EQ(sim::parse_guarded_line(line, 'E'), std::nullopt);
+  EXPECT_EQ(sim::parse_guarded_line(sim::guarded_line('E', payload), 'R'),
+            std::nullopt);
 }
 
 TEST(ProcFrame, CrashWireRoundTripsAndClampsFrameCount) {
@@ -219,6 +200,45 @@ TEST_F(ProcessExecutorTest, IsolatedResultsAreBitIdenticalAcrossLsqKinds) {
     ASSERT_TRUE(a.all_completed());
     ASSERT_TRUE(b.all_completed());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_results_identical(a.jobs[i].result, b.jobs[i].result);
+    }
+  }
+}
+
+TEST_F(ProcessExecutorTest, BothRunnersEndTheSameFaultsTheSameWay) {
+  // One sweep with a job retried to success, one failed for good and one
+  // cancelled at its deadline. The two runners classify failures in one
+  // place, so every outcome field a report prints must agree.
+  const auto jobs = three_jobs();
+  sim::SweepFaultPlan plan;
+  plan.faults.push_back({0, 1, sim::SweepFault::Kind::kThrowTransient, 0ms});
+  plan.faults.push_back({1, 1, sim::SweepFault::Kind::kThrowDeterministic, 0ms});
+  plan.faults.push_back({2, 1, sim::SweepFault::Kind::kDelay, 800ms});
+  sim::SweepOptions pool;
+  pool.threads = 2;
+  pool.faults = &plan;
+  pool.retry.backoff_base = 1ms;
+  pool.job_deadline = 300ms;
+  pool.kill_grace = 30s;  // the deadline must unwind, not kill
+  sim::SweepOptions iso = pool;
+  iso.threads = 0;
+  iso.isolate_procs = 2;
+  const sim::SweepReport a = sim::run_sweep(jobs, pool);
+  const sim::SweepReport b = sim::run_sweep(jobs, iso);
+
+  EXPECT_EQ(a.jobs[0].outcome.status, sim::JobStatus::kCompleted);
+  EXPECT_EQ(a.jobs[0].outcome.attempts, 2u);
+  EXPECT_EQ(a.jobs[1].outcome.status, sim::JobStatus::kFailed);
+  EXPECT_EQ(a.jobs[2].outcome.status, sim::JobStatus::kTimedOut);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE("job " + std::to_string(i));
+    const sim::JobOutcome& x = a.jobs[i].outcome;
+    const sim::JobOutcome& y = b.jobs[i].outcome;
+    EXPECT_EQ(x.status, y.status);
+    EXPECT_EQ(x.failure, y.failure);
+    EXPECT_EQ(x.attempts, y.attempts);
+    EXPECT_EQ(x.what, y.what);
+    if (a.jobs[i].completed() && b.jobs[i].completed()) {
       expect_results_identical(a.jobs[i].result, b.jobs[i].result);
     }
   }

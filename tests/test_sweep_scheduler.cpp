@@ -684,29 +684,17 @@ TEST_F(TraceDamageSweepTest, DamageIsJournaledAndSealedOnResume) {
   }
 }
 
-TEST_F(TraceDamageSweepTest, RejectsImportOnlyAndTracelessIoFaults) {
-  // Import-only kinds never belong in a sweep (a sweep replays, it does
-  // not import) ...
-  {
-    sim::SweepFaultPlan plan;
-    plan.faults = {{0, 1, sim::SweepFault::Kind::kEnospcOnImport, 0ms, 0}};
-    sim::SweepOptions opt;
-    opt.faults = &plan;
-    EXPECT_THROW((void)sim::run_sweep(trace_jobs(), opt),
-                 std::invalid_argument);
-  }
-  // ... and a read-side I/O fault aimed at a job with no trace file has
-  // nothing to corrupt: misconfiguration, fail fast.
-  {
-    sim::SimConfig cfg = sim::paper_config(sim::LsqChoice::kSamie);
-    cfg.instructions = 1000;
-    const std::vector<sim::Job> generated{sim::Job{"gcc", cfg, "samie"}};
-    sim::SweepFaultPlan plan;
-    plan.faults = {{0, 1, sim::SweepFault::Kind::kShortRead, 0ms, 0}};
-    sim::SweepOptions opt;
-    opt.faults = &plan;
-    EXPECT_THROW((void)sim::run_sweep(generated, opt), std::invalid_argument);
-  }
+TEST_F(TraceDamageSweepTest, RejectsTracelessIoFaults) {
+  // A read-side I/O fault aimed at a job with no trace file has nothing
+  // to corrupt: misconfiguration, fail fast.
+  sim::SimConfig cfg = sim::paper_config(sim::LsqChoice::kSamie);
+  cfg.instructions = 1000;
+  const std::vector<sim::Job> generated{sim::Job{"gcc", cfg, "samie"}};
+  sim::SweepFaultPlan plan;
+  plan.faults = {{0, 1, sim::SweepFault::Kind::kShortRead, 0ms, 0}};
+  sim::SweepOptions opt;
+  opt.faults = &plan;
+  EXPECT_THROW((void)sim::run_sweep(generated, opt), std::invalid_argument);
 }
 
 }  // namespace

@@ -51,9 +51,9 @@
 //                          crash (SIGSEGV in the child), oom (allocation
 //                          bomb into the --job-mem-mb jail), spin (busy
 //                          loop ignoring the cancel token) and torn-frame
-//                          (truncated result frame). I/O kinds (armed on
-//                          the job's trace path, consumed by the next
-//                          open): short-read (hide the last ARG bytes;
+//                          (the child's answer cut in half). I/O kinds
+//                          (armed on the job's trace path, consumed by the
+//                          next open): short-read (hide the last ARG bytes;
 //                          0 = 64) and bit-flip (flip one payload bit of
 //                          v2 block ARG in memory). Import-only kinds —
 //                          J indexes the imported file: enospc-on-import
@@ -126,8 +126,16 @@ bool parse_u64(const std::string& arg, const char* key, std::uint64_t& out) {
                           [](const std::string& what) { usage_error(what); });
 }
 
-/// Parses --inject-fault=J:A:KIND[:MS].
-sim::SweepFault parse_fault(const std::string& spec) {
+/// An import-only injected fault, armed on the J-th imported file.
+struct ImportFault {
+  std::uint64_t file = 0;
+  trace::IoFault io;
+};
+
+/// Parses --inject-fault=J:A:KIND[:ARG] into the sweep's fault plan, or,
+/// for the import-only kinds, into `imports`.
+void parse_fault(const std::string& spec, sim::SweepFaultPlan& plan,
+                 std::vector<ImportFault>& imports) {
   std::vector<std::string> parts;
   std::size_t at = 0;
   while (true) {
@@ -150,6 +158,7 @@ sim::SweepFault parse_fault(const std::string& spec) {
     usage_error("bad (1-based) attempt in --inject-fault '" + spec + "'");
   }
   const std::string& kind = parts[2];
+  trace::IoFault import;
   if (kind == "flaky") f.kind = sim::SweepFault::Kind::kThrowTransient;
   else if (kind == "fail") f.kind = sim::SweepFault::Kind::kThrowDeterministic;
   else if (kind == "delay") f.kind = sim::SweepFault::Kind::kDelay;
@@ -161,32 +170,26 @@ sim::SweepFault parse_fault(const std::string& spec) {
   else if (kind == "short-read") f.kind = sim::SweepFault::Kind::kShortRead;
   else if (kind == "bit-flip") f.kind = sim::SweepFault::Kind::kBitFlipBlock;
   else if (kind == "enospc-on-import")
-    f.kind = sim::SweepFault::Kind::kEnospcOnImport;
-  else if (kind == "torn-import") f.kind = sim::SweepFault::Kind::kTornImport;
+    import.kind = trace::IoFault::Kind::kEnospcOnImport;
+  else if (kind == "torn-import") import.kind = trace::IoFault::Kind::kTornImport;
   else usage_error("unknown fault kind '" + kind + "' in --inject-fault");
+  std::uint64_t arg = 0;
   if (parts.size() == 4) {
-    const std::uint64_t arg = std::strtoull(parts[3].c_str(), &end, 10);
+    arg = std::strtoull(parts[3].c_str(), &end, 10);
     if (end != parts[3].c_str() + parts[3].size()) {
       usage_error("bad argument in --inject-fault '" + spec + "'");
     }
-    if (sim::SweepFault::is_io_fault(f.kind)) {
-      f.param = arg;
-    } else {
-      f.delay = std::chrono::milliseconds(arg);
-    }
   }
-  return f;
-}
-
-/// Arms an import-only I/O fault on the importer's *final* output path
-/// (the writer checks the fault map under the final name, not the .tmp).
-void arm_import_fault(const std::string& out_path, const sim::SweepFault& f) {
-  trace::IoFault io;
-  io.param = f.param;
-  io.kind = f.kind == sim::SweepFault::Kind::kEnospcOnImport
-                ? trace::IoFault::Kind::kEnospcOnImport
-                : trace::IoFault::Kind::kTornImport;
-  trace::set_io_fault(out_path, io);
+  if (import.kind != trace::IoFault::Kind::kNone) {
+    import.param = arg;
+    imports.push_back({f.job, import});
+  } else if (sim::SweepFault::is_io_fault(f.kind)) {
+    f.param = arg;
+    plan.faults.push_back(f);
+  } else {
+    f.delay = std::chrono::milliseconds(arg);
+    plan.faults.push_back(f);
+  }
 }
 
 /// Writes each program's generated trace to DIR/<program>.samt (its v2
@@ -272,6 +275,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> programs;
   sim::SweepOptions sweep;
   sim::SweepFaultPlan fault_plan;
+  std::vector<ImportFault> import_faults;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -288,7 +292,7 @@ int main(int argc, char** argv) {
       sweep.checkpoint_path = arg.substr(9);
       sweep.resume = true;
     } else if (arg.rfind("--inject-fault=", 0) == 0) {
-      fault_plan.faults.push_back(parse_fault(arg.substr(15)));
+      parse_fault(arg.substr(15), fault_plan, import_faults);
     } else if (parse_u64(arg, "--retries", v)) {
       if (v == 0) usage_error("--retries must be at least 1");
       sweep.retry.max_attempts = static_cast<std::uint32_t>(v);
@@ -374,6 +378,10 @@ int main(int argc, char** argv) {
   if (sweep.isolate_procs != 0 && !import_path.empty()) {
     usage_error("--isolate applies to sweep modes, not --import-trace");
   }
+  if (!import_faults.empty() && import_path.empty()) {
+    usage_error("enospc-on-import and torn-import apply to --import-trace "
+                "(a sweep replays traces, it never imports one)");
+  }
   if (!record_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(record_dir, ec);
@@ -419,10 +427,8 @@ int main(int argc, char** argv) {
         // Import-only injected faults target this file by index; arm
         // them on the *final* path — the writer consumes the fault at
         // finalize time keyed by the name it renames into.
-        for (const sim::SweepFault& f : fault_plan.faults) {
-          if (f.job == file_idx && sim::SweepFault::import_only(f.kind)) {
-            arm_import_fault(out.string(), f);
-          }
+        for (const ImportFault& f : import_faults) {
+          if (f.file == file_idx) trace::set_io_fault(out.string(), f.io);
         }
         trace::write_samt_v2(out.string(), src, src.name, src.seed);
         std::cerr << "recorded " << out.string() << " (" << src.size()
