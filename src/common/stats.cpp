@@ -1,65 +1,8 @@
 #include "src/common/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace samie {
-
-void RunningStat::merge(const RunningStat& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const double na = static_cast<double>(n_);
-  const double nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  const double nt = na + nb;
-  mean_ += delta * nb / nt;
-  m2_ += other.m2_ + delta * delta * na * nb / nt;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  n_ += other.n_;
-}
-
-double RunningStat::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStat::stddev() const noexcept { return std::sqrt(variance()); }
-
-void Histogram::add(std::uint64_t value, std::uint64_t weight) noexcept {
-  if (counts_.empty()) return;
-  const std::size_t bucket =
-      std::min<std::size_t>(static_cast<std::size_t>(value), counts_.size() - 1);
-  counts_[bucket] += weight;
-  total_ += weight;
-}
-
-double Histogram::mean() const noexcept {
-  if (total_ == 0) return 0.0;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += static_cast<double>(i) * static_cast<double>(counts_[i]);
-  }
-  return acc / static_cast<double>(total_);
-}
-
-std::uint64_t Histogram::quantile(double fraction) const noexcept {
-  if (total_ == 0) return 0;
-  const double target = fraction * static_cast<double>(total_);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    acc += static_cast<double>(counts_[i]);
-    if (acc >= target) return i;
-  }
-  return counts_.size() - 1;
-}
-
-double Histogram::fraction_at_zero() const noexcept {
-  if (total_ == 0) return 1.0;
-  return static_cast<double>(counts_[0]) / static_cast<double>(total_);
-}
 
 double percent_delta(double value, double baseline) noexcept {
   if (baseline == 0.0) return 0.0;

@@ -1,18 +1,16 @@
 // Lightweight statistics primitives used by the simulator and the
-// experiment harness: counters, running means, and bounded histograms.
-// Everything is instance-local (no global registries) so that concurrent
-// simulations never share mutable state (Core Guidelines CP.1).
+// experiment harness: a running mean, and percentages and means over
+// finished results. Everything is instance-local (no global registries)
+// so that concurrent simulations never share mutable state (Core
+// Guidelines CP.1).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace samie {
 
-/// Running mean / min / max / variance over a stream of doubles
-/// (Welford's algorithm, numerically stable).
+/// Running mean over a stream of doubles (Welford's update).
 ///
 /// add() is header-inline: the occupancy collectors call it twice per
 /// simulated cycle, and the out-of-line call was measurable in the
@@ -21,57 +19,17 @@ namespace samie {
 class RunningStat {
  public:
   void add(double x) noexcept {
-    if (n_ == 0) {
-      min_ = max_ = x;
-    } else {
-      min_ = std::min(min_, x);
-      max_ = std::max(max_, x);
-    }
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
   }
-  void merge(const RunningStat& other) noexcept;
 
   [[nodiscard]] std::uint64_t count() const noexcept { return n_; }
   [[nodiscard]] double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
-  [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  [[nodiscard]] double variance() const noexcept;
-  [[nodiscard]] double stddev() const noexcept;
-  [[nodiscard]] double sum() const noexcept { return mean_ * static_cast<double>(n_); }
 
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Fixed-width histogram over [0, buckets); values beyond the last bucket
-/// are clamped into it. Used for occupancy distributions (Figures 3/4).
-class Histogram {
- public:
-  explicit Histogram(std::size_t buckets) : counts_(buckets, 0) {}
-
-  void add(std::uint64_t value, std::uint64_t weight = 1) noexcept;
-
-  [[nodiscard]] std::size_t buckets() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::uint64_t count(std::size_t bucket) const noexcept {
-    return bucket < counts_.size() ? counts_[bucket] : 0;
-  }
-  [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
-  [[nodiscard]] double mean() const noexcept;
-  /// Smallest v such that at least `fraction` of the mass lies in [0, v].
-  [[nodiscard]] std::uint64_t quantile(double fraction) const noexcept;
-  /// Fraction of mass at bucket 0 (e.g. "cycles with an empty AddrBuffer").
-  [[nodiscard]] double fraction_at_zero() const noexcept;
-
- private:
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 /// Percent difference of `value` vs `baseline` ((value-baseline)/baseline,

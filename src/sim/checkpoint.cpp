@@ -6,6 +6,7 @@
 #include <cinttypes>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -32,6 +33,22 @@ constexpr char kMagicLine[] = "# samie-sweep-checkpoint v1";
 void flush_and_sync(const std::string& path, std::FILE* f) {
   if (std::fflush(f) != 0 || ::fsync(::fileno(f)) != 0) {
     io_fail(path, std::string("cannot sync: ") + std::strerror(errno));
+  }
+}
+
+/// Truncates the journal at `path`, open for writing as `fd`, after its
+/// last newline: the bytes past it are a line whose append was cut
+/// short, which load_checkpoint ignores and an append would extend.
+void cut_torn_tail(const std::string& path, int fd) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) io_fail(path, std::string("cannot read: ") + std::strerror(errno));
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const std::size_t keep = bytes.rfind('\n') + 1;  // 0: no newline at all
+  if (keep != 0 && keep != bytes.size() &&
+      ::ftruncate(fd, static_cast<off_t>(keep)) != 0) {
+    io_fail(path, std::string("cannot cut the torn tail: ") +
+                      std::strerror(errno));
   }
 }
 
@@ -75,7 +92,9 @@ CheckpointWriter CheckpointWriter::append_to(const std::string& path) {
     io_fail(path, std::string("cannot open for append: ") +
                       std::strerror(errno));
   }
-  return CheckpointWriter(path, f);
+  CheckpointWriter w(path, f);
+  cut_torn_tail(path, ::fileno(f));
+  return w;
 }
 
 CheckpointWriter::CheckpointWriter(CheckpointWriter&& other) noexcept

@@ -69,7 +69,9 @@ class CheckpointWriter {
                                                std::uint64_t njobs,
                                                std::uint64_t fingerprint);
   /// Reopens an existing journal for appending (resume). The caller is
-  /// expected to have validated it with load_checkpoint first.
+  /// expected to have validated it with load_checkpoint first. A torn
+  /// final line (an append cut short: no newline) is cut off, so the
+  /// first append starts a line of its own.
   [[nodiscard]] static CheckpointWriter append_to(const std::string& path);
 
   CheckpointWriter(CheckpointWriter&& other) noexcept;

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cerrno>
 #include <cstddef>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -110,7 +111,7 @@ void validate_header(const std::string& path, const SamtHeader& h) {
 }
 
 // Armed I/O faults, keyed by path. Consumed (erased) by the first reader
-// open / writer finish that looks its path up.
+// open / write that looks its path up.
 std::mutex g_io_fault_mu;
 std::unordered_map<std::string, IoFault> g_io_faults;
 
@@ -412,23 +413,17 @@ template <class Step>
 constexpr std::size_t kBlockGuardedHeaderBytes =
     sizeof(SamtBlockHeader) - sizeof(std::uint64_t);  // all but the guard
 
-[[nodiscard]] std::uint64_t block_guard(const SamtBlockHeader& h,
-                                        const unsigned char* payload,
-                                        std::size_t payload_bytes) noexcept {
-  std::uint64_t g = fnv1a_64(&h, kBlockGuardedHeaderBytes);
-  return fnv1a_64(payload, payload_bytes, g);
-}
-
 /// Blocks whose guards are hashed together. A guard is one FNV-1a
 /// multiply chain, each step waiting on the one before; four chains in
 /// step keep the multiplier busy where one leaves it idle.
 constexpr std::size_t kGuardLanes = 4;
 
 /// The guards of blocks[0, k), k <= kGuardLanes, whose payloads are
-/// payload_bytes[j] bytes (block_guard's values). The bytes every payload
-/// has are hashed as four chains in step; each chain then finishes its
-/// own payload alone. Blocks of a group differ in length by a few
-/// percent, so little is left to finish.
+/// payload_bytes[j] bytes: each block's FNV-1a over its header's first
+/// kBlockGuardedHeaderBytes bytes, continued over its payload. The bytes
+/// every payload has are hashed as four chains in step; each chain then
+/// finishes its own payload alone. Blocks of a group differ in length by
+/// a few percent, so little is left to finish.
 void hash_guards(const unsigned char* const blocks[],
                  const std::size_t payload_bytes[], std::size_t k,
                  std::uint64_t guards[]) noexcept {
@@ -781,7 +776,7 @@ struct V2Layout {
     return L;
   };
 
-  // Footer: the last thing a successful finish() writes, so a file that
+  // Footer: the last thing a successful write appends, so a file that
   // lacks one is a torn tail by definition.
   constexpr std::uint64_t kMinIndexBytes = 16;  // magic+count+guard, 0 blocks
   if (bytes < sizeof(SamtHeader) + kMinIndexBytes + sizeof(SamtFooter)) {
@@ -873,246 +868,143 @@ struct V2Layout {
 
 }  // namespace
 
-// --------------------------------------------------------- TraceWriterV2 --
+// -------------------------------------------------------------- v2 writer --
 
-TraceWriterV2::TraceWriterV2(const std::string& path, const std::string& name,
-                             std::uint64_t seed, std::uint32_t block_records,
-                             Mode mode)
-    : path_(path),
-      tmp_path_(tmp_path_for(path)),
-      block_records_(block_records != 0 ? block_records
-                                        : kDefaultBlockRecords) {
-  std::memcpy(header_.magic, kSamtMagic, sizeof kSamtMagic);
-  header_.version = kSamtVersion2;
-  header_.record_bytes = kSamtRecordBytes;
-  header_.seed = seed;
-  std::memcpy(header_.name, name.data(),
-              std::min(name.size(), sizeof header_.name - 1));
+namespace {
 
-  if (mode == Mode::kResume) {
-    // Keep the intact leading blocks of an existing tmp: scan forward
-    // verifying every guard, truncate at the first break, append there.
-    std::FILE* f = std::fopen(tmp_path_.c_str(), "r+b");
-    if (f != nullptr) {
-      const int fd = ::fileno(f);
-      SamtHeader h{};
-      struct stat st{};
-      const std::uint64_t bytes =
-          ::fstat(fd, &st) == 0 ? static_cast<std::uint64_t>(st.st_size) : 0;
-      bool usable = bytes >= sizeof h && read_at(fd, 0, &h, sizeof h) &&
-                    std::memcmp(h.magic, kSamtMagic, sizeof kSamtMagic) == 0 &&
-                    h.version == kSamtVersion2 &&
-                    h.record_bytes == kSamtRecordBytes;
-      if (usable) {
-        std::uint64_t off = sizeof h;
-        std::vector<unsigned char> raw;
-        while (off + sizeof(SamtBlockHeader) <= bytes) {
-          SamtBlockHeader bh{};
-          if (!read_at(fd, off, &bh, sizeof bh) || bh.magic != kBlockMagic ||
-              bh.first_record != durable_records_ || bh.record_count == 0 ||
-              bh.payload_bytes > bytes - off - sizeof bh) {
-            break;
-          }
-          raw.resize(bh.payload_bytes);
-          if (!read_at(fd, off + sizeof bh, raw.data(), raw.size()) ||
-              block_guard(bh, raw.data(), raw.size()) != bh.guard) {
-            break;
-          }
-          index_.push_back(SamtIndexEntry{off, bh.first_record,
-                                          bh.record_count, bh.payload_bytes,
-                                          bh.guard});
-          durable_records_ += bh.record_count;
-          off += sizeof bh + bh.payload_bytes;
-        }
-        usable = ::ftruncate(fd, static_cast<off_t>(off)) == 0 &&
-                 std::fseek(f, static_cast<long>(off), SEEK_SET) == 0;
-        if (usable) {
-          file_ = f;
-          write_offset_ = off;
-          header_.count = durable_records_;
-          return;
-        }
-      }
-      std::fclose(f);
-      index_.clear();
-      durable_records_ = 0;
-    }
-  }
-
-  file_ = std::fopen(tmp_path_.c_str(), "wb");
-  if (file_ == nullptr) {
+/// Publishes a v2 trace at `path` through `path + ".tmp"`: writes the
+/// header, then every whole block that `blocks(put)` hands to put(bytes,
+/// n), indexing each from its own header, then the index and the footer;
+/// patches the header's count and checksum, fsyncs, and renames the tmp
+/// into place. A step that fails removes the tmp and throws.
+template <class Blocks>
+void publish(const std::string& path, const std::string& name,
+             std::uint64_t seed, Blocks&& blocks) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
+  if (file == nullptr) {
     fail(path, std::string("cannot open for writing: ") + std::strerror(errno));
   }
-  if (std::fwrite(&header_, sizeof header_, 1, file_) != 1) {
-    std::fclose(file_);
-    file_ = nullptr;
-    std::remove(tmp_path_.c_str());
-    fail(path, "cannot write header");
+  try {
+    const auto write = [&](const void* bytes, std::size_t n) {
+      if (std::fwrite(bytes, 1, n, file) != n) fail(path, "short write");
+    };
+    SamtHeader header{};
+    std::memcpy(header.magic, kSamtMagic, sizeof kSamtMagic);
+    header.version = kSamtVersion2;
+    header.record_bytes = kSamtRecordBytes;
+    header.seed = seed;
+    std::memcpy(header.name, name.data(),
+                std::min(name.size(), sizeof header.name - 1));
+    write(&header, sizeof header);
+
+    std::vector<SamtIndexEntry> index;
+    std::uint64_t offset = sizeof header;
+    std::uint64_t records = 0;
+    blocks([&](const unsigned char* bytes, std::size_t n) {
+      write(bytes, n);
+      for (std::size_t at = 0; at < n;) {
+        SamtBlockHeader h{};
+        std::memcpy(&h, bytes + at, sizeof h);
+        index.push_back(SamtIndexEntry{offset + at, h.first_record,
+                                       h.record_count, h.payload_bytes,
+                                       h.guard});
+        records += h.record_count;
+        at += sizeof h + h.payload_bytes;
+      }
+      offset += n;
+    });
+    if (take_io_fault(path).kind == IoFault::Kind::kEnospcOnImport) {
+      fail(path, "injected import fault: no space left on device");
+    }
+
+    // Index region: magic + count + entries + guard; the header checksum
+    // binds the whole region, the footer guard covers the footer.
+    std::vector<unsigned char> region(16 +
+                                      index.size() * sizeof(SamtIndexEntry));
+    const auto block_count = static_cast<std::uint32_t>(index.size());
+    std::memcpy(region.data(), &kIndexMagic, 4);
+    std::memcpy(region.data() + 4, &block_count, 4);
+    if (!index.empty()) {
+      std::memcpy(region.data() + 8, index.data(),
+                  index.size() * sizeof(SamtIndexEntry));
+    }
+    const std::uint64_t iguard = fnv1a_64(region.data(), region.size() - 8);
+    std::memcpy(region.data() + region.size() - 8, &iguard, 8);
+
+    SamtFooter footer{};
+    std::memcpy(footer.magic, kFooterMagic, sizeof kFooterMagic);
+    footer.index_offset = offset;
+    footer.index_bytes = region.size();
+    footer.guard = fnv1a_64(&footer, sizeof footer - sizeof footer.guard);
+
+    header.count = records;
+    header.checksum = fnv1a_64(region.data(), region.size());
+    write(region.data(), region.size());
+    write(&footer, sizeof footer);
+    if (std::fseek(file, 0, SEEK_SET) != 0) fail(path, "cannot seek");
+    write(&header, sizeof header);
+    const bool synced =
+        std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+    const bool closed = std::fclose(std::exchange(file, nullptr)) == 0;
+    if (!synced || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
+      fail(path, "cannot finalize trace");
+    }
+  } catch (...) {
+    if (file != nullptr) std::fclose(file);
+    std::remove(tmp.c_str());
+    throw;
   }
-  write_offset_ = sizeof header_;
+  // Best-effort: a failed directory sync cannot un-publish the file, so
+  // it is not reported.
+  (void)fsync_parent_dir(path);
 }
 
-TraceWriterV2::~TraceWriterV2() {
-  // An unfinished tmp is deliberately KEPT: its flushed blocks are
-  // intact, and Mode::kResume picks them back up.
-  if (file_ != nullptr) std::fclose(file_);
-}
+}  // namespace
 
-std::uint64_t TraceWriterV2::durable_records() const noexcept {
-  return durable_records_;
-}
-
-void TraceWriterV2::append(const MicroOp& op) {
-  append(TraceView{&op, 1});
-}
-
-void TraceWriterV2::append(TraceView ops) {
-  if (file_ == nullptr) fail(path_, "append after finish()");
-  const MicroOp* p = ops.data();
-  std::size_t n = ops.size();
-  if (!pending_.empty()) {
-    const std::size_t take = std::min(n, block_records_ - pending_.size());
-    pending_.insert(pending_.end(), p, p + take);
-    p += take;
-    n -= take;
-    if (pending_.size() == block_records_) flush_block();
-  }
-  const std::size_t whole = n - n % block_records_;
-  if (whole != 0) write_blocks(p, whole);
-  pending_.insert(pending_.end(), p + whole, p + n);
-}
-
-void TraceWriterV2::flush_block() {
-  if (pending_.empty()) return;
-  write_blocks(pending_.data(), pending_.size());
-  pending_.clear();
-}
-
-void TraceWriterV2::write_blocks(const MicroOp* ops, std::size_t count) {
+void write_samt_v2(const std::string& path, TraceView ops,
+                   const std::string& name, std::uint64_t seed,
+                   std::uint32_t block_records) {
+  if (block_records == 0) block_records = kDefaultBlockRecords;
   // Groups of up to kGuardLanes blocks are encoded into one buffer, their
   // guards hashed together (encode_group), and written with one fwrite.
   // The buffer is left uninitialized, so no byte of it is touched that an
   // encode does not write.
   const std::size_t group =
-      std::min(count, kGuardLanes * std::size_t{block_records_});
+      std::min(ops.size(), kGuardLanes * std::size_t{block_records});
   const std::unique_ptr<unsigned char[]> buffer(
-      new unsigned char[max_encoded_bytes(group, block_records_)]);
-  for (std::size_t first = 0; first < count; first += group) {
-    const MicroOp* next = ops + first;
-    const std::size_t bytes = encode_group(
-        durable_records_, std::min(group, count - first), block_records_,
-        buffer.get(),
-        [&next](std::size_t k) { return std::exchange(next, next + k); });
-    write_indexed(buffer.get(), bytes);
-  }
+      new unsigned char[max_encoded_bytes(group, block_records)]);
+  publish(path, name, seed, [&](auto&& put) {
+    const MicroOp* next = ops.data();
+    for (std::size_t first = 0; first < ops.size(); first += group) {
+      put(buffer.get(),
+          encode_group(first, std::min(group, ops.size() - first),
+                       block_records, buffer.get(), [&next](std::size_t k) {
+                         return std::exchange(next, next + k);
+                       }));
+    }
+  });
 }
 
-void TraceWriterV2::append_blocks(std::span<const unsigned char> blocks) {
-  if (file_ == nullptr) fail(path_, "append after finish()");
-  // The whole span is checked before any of it is written.
-  std::uint64_t next = durable_records_;
+void write_samt_v2(const std::string& path,
+                   std::span<const unsigned char> blocks,
+                   const std::string& name, std::uint64_t seed) {
+  // The whole span is checked before the tmp is opened.
+  std::uint64_t next = 0;
   for (std::size_t at = 0; at < blocks.size();) {
     SamtBlockHeader h{};
-    if (blocks.size() - at >= sizeof h) {
-      std::memcpy(&h, blocks.data() + at, sizeof h);
-    }
-    if (!pending_.empty() || h.magic != kBlockMagic ||
-        h.first_record != next ||
-        h.payload_bytes > blocks.size() - at - sizeof h) {
-      fail(path_, "appended blocks do not continue the trace");
+    const std::size_t left = blocks.size() - at;
+    if (left >= sizeof h) std::memcpy(&h, blocks.data() + at, sizeof h);
+    if (left < sizeof h || h.magic != kBlockMagic || h.record_count == 0 ||
+        h.first_record != next || h.payload_bytes > left - sizeof h) {
+      fail(path, "blocks are not one trace's from record 0");
     }
     next += h.record_count;
     at += sizeof h + h.payload_bytes;
   }
-  write_indexed(blocks.data(), blocks.size());
-}
-
-void TraceWriterV2::write_indexed(const unsigned char* blocks,
-                                  std::size_t bytes) {
-  if (std::fwrite(blocks, 1, bytes, file_) != bytes ||
-      std::fflush(file_) != 0) {
-    fail(path_, "short write");
-  }
-  for (std::size_t at = 0; at < bytes;) {
-    SamtBlockHeader h{};
-    std::memcpy(&h, blocks + at, sizeof h);
-    index_.push_back(SamtIndexEntry{write_offset_ + at, h.first_record,
-                                    h.record_count, h.payload_bytes,
-                                    h.guard});
-    durable_records_ += h.record_count;
-    at += sizeof h + h.payload_bytes;
-  }
-  write_offset_ += bytes;
-}
-
-void TraceWriterV2::finish() {
-  if (file_ == nullptr) fail(path_, "finish() called twice");
-  const IoFault fault = take_io_fault(path_);
-  if (fault.kind == IoFault::Kind::kTornImport) {
-    // Die mid-block, as a SIGKILL would: half a block header lands in the
-    // tmp, no index, no rename. The tmp survives for kResume.
-    flush_block();
-    const SamtBlockHeader torn{};
-    std::fwrite(&torn, 1, sizeof torn / 2, file_);
-    std::fflush(file_);
-    std::fclose(file_);
-    file_ = nullptr;
-    fail(path_, "injected import fault: killed mid-block (torn tmp kept)");
-  }
-  if (fault.kind == IoFault::Kind::kEnospcOnImport) {
-    flush_block();
-    std::fclose(file_);
-    file_ = nullptr;
-    fail(path_, "injected import fault: no space left on device (tmp kept)");
-  }
-  flush_block();
-
-  // Index region: magic + count + entries + guard; the header checksum
-  // binds the whole region, footer guard covers the footer.
-  std::vector<unsigned char> region(
-      16 + index_.size() * sizeof(SamtIndexEntry));
-  const std::uint32_t block_count = static_cast<std::uint32_t>(index_.size());
-  std::memcpy(region.data(), &kIndexMagic, 4);
-  std::memcpy(region.data() + 4, &block_count, 4);
-  if (!index_.empty()) {
-    std::memcpy(region.data() + 8, index_.data(),
-                index_.size() * sizeof(SamtIndexEntry));
-  }
-  const std::uint64_t iguard = fnv1a_64(region.data(), region.size() - 8);
-  std::memcpy(region.data() + region.size() - 8, &iguard, 8);
-
-  SamtFooter footer{};
-  std::memcpy(footer.magic, kFooterMagic, sizeof kFooterMagic);
-  footer.index_offset = write_offset_;
-  footer.index_bytes = region.size();
-  footer.guard = fnv1a_64(&footer, sizeof footer - sizeof footer.guard);
-
-  header_.count = durable_records_;
-  header_.checksum = fnv1a_64(region.data(), region.size());
-
-  const bool ok =
-      std::fwrite(region.data(), 1, region.size(), file_) == region.size() &&
-      std::fwrite(&footer, sizeof footer, 1, file_) == 1 &&
-      std::fseek(file_, 0, SEEK_SET) == 0 &&
-      std::fwrite(&header_, sizeof header_, 1, file_) == 1 &&
-      std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
-  const bool closed = std::fclose(file_) == 0;
-  file_ = nullptr;
-  if (!ok || !closed ||
-      std::rename(tmp_path_.c_str(), path_.c_str()) != 0) {
-    fail(path_, "cannot finalize trace (tmp kept)");
-  }
-  // Best-effort: a failed directory sync cannot un-publish the file, so
-  // it is not reported.
-  (void)fsync_parent_dir(path_);
-}
-
-void write_samt_v2(const std::string& path, TraceView ops,
-                   const std::string& name, std::uint64_t seed,
-                   std::uint32_t block_records) {
-  TraceWriterV2 w(path, name, seed, block_records);
-  w.append(ops);
-  w.finish();
+  publish(path, name, seed, [&](auto&& put) {
+    put(blocks.data(), blocks.size());
+  });
 }
 
 // --------------------------------------------------------- TraceV2Reader --

@@ -13,7 +13,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <span>
 #include <stdexcept>
@@ -34,7 +33,7 @@ class TraceFormatError : public std::runtime_error {
 
 /// How a damaged-but-recognizable SAMT v2 file is broken. The taxonomy is
 /// what the sweep scheduler keys quarantine decisions on (torn tails are
-/// what a killed import leaves behind; interior corruption and a bad
+/// what a copy cut short leaves behind; interior corruption and a bad
 /// index point at damaged media).
 enum class TraceDamage : std::uint8_t {
   kNone = 0,
@@ -170,8 +169,8 @@ static_assert(sizeof(SamtFooter) == 32);
 
 /// Deterministic I/O fault injection for the robustness test matrix. A
 /// fault armed against a path is consumed by the next reader open
-/// (kShortRead, kBitFlipBlock) or writer finish (kEnospcOnImport,
-/// kTornImport) touching that path, then disarms itself.
+/// (kShortRead, kBitFlipBlock) or write (kEnospcOnImport) touching that
+/// path, then disarms itself.
 struct IoFault {
   enum class Kind : std::uint8_t {
     kNone = 0,
@@ -181,12 +180,9 @@ struct IoFault {
     /// Reader flips one bit in block `param`'s payload after reading it:
     /// interior corruption without touching the media.
     kBitFlipBlock,
-    /// Writer finish() fails as if the disk filled before the trace was
-    /// sealed. The final path is untouched; the tmp is kept for resume.
+    /// The write fails after its blocks, as if the disk filled before
+    /// the trace was sealed: it leaves neither the file nor its tmp.
     kEnospcOnImport,
-    /// Writer finish() dies mid-block: a torn tmp file survives (no
-    /// index, no rename) exactly as a SIGKILLed import would leave it.
-    kTornImport,
   };
   Kind kind = Kind::kNone;
   std::uint64_t param = 0;
@@ -238,76 +234,27 @@ struct TraceHealth {
 [[nodiscard]] TraceHealth trace_health(const std::string& path);
 
 // ------------------------------------------------------------ v2 writer --
+//
+// Both writers publish atomically through one routine: the header and
+// the blocks go to `path + ".tmp"`, each block indexed from its own
+// header, then the index and footer; the header is patched, the tmp
+// fsynced and renamed into place, so readers never observe a partial
+// file at `path`. A write that fails removes its tmp and throws
+// TraceFormatError.
 
-/// Streaming SAMT v2 writer with atomic, resumable publication. All
-/// writes go to `path + ".tmp"`. Blocks are encoded in groups of up to
-/// four, whose guards are hashed together, and each group is written and
-/// flushed in index order as soon as it is encoded, so a killed import
-/// loses at most the four blocks in flight and kResume keeps the intact
-/// prefix; `finish()` writes index + footer, patches the header, fsyncs
-/// and renames into place (readers never observe a partial file at
-/// `path`). An unfinished tmp is *kept* on destruction — kResume picks
-/// its intact blocks back up.
-class TraceWriterV2 {
- public:
-  enum class Mode : std::uint8_t {
-    kTruncate,  ///< start a fresh tmp
-    kResume,    ///< keep the intact leading blocks of an existing tmp
-  };
-
-  TraceWriterV2(const std::string& path, const std::string& name,
-                std::uint64_t seed,
-                std::uint32_t block_records = kDefaultBlockRecords,
-                Mode mode = Mode::kTruncate);
-  TraceWriterV2(const TraceWriterV2&) = delete;
-  TraceWriterV2& operator=(const TraceWriterV2&) = delete;
-  /// Keeps the tmp file if finish() was never called (resumable).
-  ~TraceWriterV2();
-
-  /// Records already durable in the resumed tmp (0 for kTruncate). The
-  /// caller appends from this record onward.
-  [[nodiscard]] std::uint64_t durable_records() const noexcept;
-
-  void append(const MicroOp& op);
-  /// Whole blocks are encoded straight from `ops`, without a copy.
-  void append(TraceView ops);
-  /// Writes blocks that are already encoded, such as a TraceSource's
-  /// blocks(), as they are, and indexes each from its header. They must
-  /// continue the trace: no single record may be pending, and the first
-  /// block starts at durable_records(). Throws TraceFormatError, writing
-  /// nothing, when they do not.
-  void append_blocks(std::span<const unsigned char> blocks);
-  /// Flushes the final block, writes index + footer, patches the header,
-  /// fsyncs and atomically renames the tmp into place.
-  void finish();
-
-  [[nodiscard]] static std::string tmp_path_for(const std::string& path) {
-    return path + ".tmp";
-  }
-
- private:
-  void flush_block();
-  /// Encodes `count` records as consecutive blocks of block_records_
-  /// (the last may be short) and writes them in index order.
-  void write_blocks(const MicroOp* ops, std::size_t count);
-  /// Writes the whole blocks at `blocks` and enters each in the index.
-  void write_indexed(const unsigned char* blocks, std::size_t bytes);
-
-  std::string path_;
-  std::string tmp_path_;
-  std::FILE* file_ = nullptr;
-  SamtHeader header_{};
-  std::uint32_t block_records_ = kDefaultBlockRecords;
-  std::uint64_t durable_records_ = 0;
-  std::vector<MicroOp> pending_;       ///< records of the open block
-  std::vector<SamtIndexEntry> index_;  ///< blocks written so far
-  std::uint64_t write_offset_ = 0;     ///< next block's file offset
-};
-
-/// Convenience: writes a whole v2 trace in one call.
+/// Writes `ops` as a v2 trace in blocks of `block_records` (0: the
+/// default), encoded straight from the view four blocks at a time.
 void write_samt_v2(const std::string& path, TraceView ops,
                    const std::string& name, std::uint64_t seed,
                    std::uint32_t block_records = kDefaultBlockRecords);
+
+/// Writes blocks that are already encoded, such as a TraceSource's
+/// blocks(), as they are. They must be one trace's blocks from record 0,
+/// each starting at the record after the last of the block before it;
+/// otherwise throws TraceFormatError, writing nothing.
+void write_samt_v2(const std::string& path,
+                   std::span<const unsigned char> blocks,
+                   const std::string& name, std::uint64_t seed);
 
 // ------------------------------------------------------------ v2 reader --
 

@@ -1,6 +1,5 @@
-// Unit tests for src/common: RNG determinism and distributions,
-// FixedVector semantics, the sparse memory image, statistics primitives,
-// table rendering.
+// Unit tests for src/common: RNG determinism and distributions, the
+// sparse memory image, statistics primitives, table rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/common/fixed_vector.h"
 #include "src/common/rng.h"
 #include "src/common/sparse_memory.h"
 #include "src/common/stats.h"
@@ -112,7 +110,6 @@ TEST(Rng, GeometricNeverBelowOne) {
   }
 }
 
-// --------------------------------------------------------- fixed_vector ---
 TEST(Rng, ChanceThresholdSplitsDrawsExactlyLikeChance) {
   // chance(p) on a raw draw x is uniform() < p; the threshold must put
   // every x on the same side, so check the draws either side of it.
@@ -138,51 +135,6 @@ TEST(Rng, ChanceThresholdSplitsDrawsExactlyLikeChance) {
     while (n < 4096 && !a.chance(1.0 / 5.0)) ++n;
     ASSERT_EQ(b.geometric(5.0), n);
   }
-}
-
-TEST(FixedVector, PushPopAndCapacity) {
-  FixedVector<int, 4> v;
-  EXPECT_TRUE(v.empty());
-  EXPECT_TRUE(v.push_back(1));
-  EXPECT_TRUE(v.push_back(2));
-  EXPECT_TRUE(v.push_back(3));
-  EXPECT_TRUE(v.push_back(4));
-  EXPECT_TRUE(v.full());
-  EXPECT_FALSE(v.push_back(5));
-  EXPECT_EQ(v.size(), 4U);
-  v.pop_back();
-  EXPECT_EQ(v.size(), 3U);
-  EXPECT_EQ(v.back(), 3);
-}
-
-TEST(FixedVector, EraseUnorderedMovesLast) {
-  FixedVector<int, 8> v;
-  for (int i = 0; i < 5; ++i) v.push_back(i);
-  v.erase_unordered(1);
-  EXPECT_EQ(v.size(), 4U);
-  EXPECT_EQ(v[1], 4);
-}
-
-TEST(FixedVector, EraseOrderedPreservesOrder) {
-  FixedVector<int, 8> v;
-  for (int i = 0; i < 5; ++i) v.push_back(i);
-  v.erase_ordered(1);
-  ASSERT_EQ(v.size(), 4U);
-  EXPECT_EQ(v[0], 0);
-  EXPECT_EQ(v[1], 2);
-  EXPECT_EQ(v[2], 3);
-  EXPECT_EQ(v[3], 4);
-}
-
-TEST(FixedVector, IterationMatchesContents) {
-  FixedVector<int, 16> v;
-  for (int i = 0; i < 10; ++i) v.push_back(i * i);
-  int idx = 0;
-  for (int x : v) {
-    EXPECT_EQ(x, idx * idx);
-    ++idx;
-  }
-  EXPECT_EQ(idx, 10);
 }
 
 // -------------------------------------------------------- sparse_memory ---
@@ -247,63 +199,13 @@ TEST(SparseMemory, MatchesAByteReferenceAcrossTableGrowth) {
 }
 
 // ---------------------------------------------------------------- stats ---
-TEST(RunningStat, BasicMoments) {
-  RunningStat s;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
-  EXPECT_EQ(s.count(), 8U);
-  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(RunningStat, MergeEqualsSequential) {
-  RunningStat a, b, all;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10;
-    (i % 2 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStat, EmptyIsZero) {
+TEST(RunningStat, MeanAndCount) {
   RunningStat s;
   EXPECT_EQ(s.count(), 0U);
   EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(Histogram, ClampsMassAndComputesMean) {
-  Histogram h(4);
-  h.add(0);
-  h.add(1);
-  h.add(2);
-  h.add(99);  // clamps into the last bucket (3)
-  EXPECT_EQ(h.total(), 4U);
-  EXPECT_EQ(h.count(3), 1U);
-  EXPECT_DOUBLE_EQ(h.mean(), (0 + 1 + 2 + 3) / 4.0);
-}
-
-TEST(Histogram, QuantileAndZeroFraction) {
-  Histogram h(16);
-  for (int i = 0; i < 90; ++i) h.add(0);
-  for (int i = 0; i < 10; ++i) h.add(5);
-  EXPECT_DOUBLE_EQ(h.fraction_at_zero(), 0.9);
-  EXPECT_EQ(h.quantile(0.5), 0U);
-  EXPECT_EQ(h.quantile(0.95), 5U);
-}
-
-TEST(Histogram, WeightedAdd) {
-  Histogram h(4);
-  h.add(1, 10);
-  EXPECT_EQ(h.total(), 10U);
-  EXPECT_EQ(h.count(1), 10U);
+  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  EXPECT_EQ(s.count(), 8U);
+  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
 }
 
 TEST(StatsHelpers, PercentDeltaAndSaved) {

@@ -400,7 +400,9 @@ TEST_F(SweepSchedulerTest, JournalThatDiesMidRunStopsTheSweepAndResumes) {
   // is torn and its fsync fails. Both runners must stop the sweep with
   // the CheckpointError (the in-thread runner through Lifecycle::abort),
   // and a resume must keep the durable record, ignore the torn line and
-  // finish with the results of a run that never journaled.
+  // finish with the results of a run that never journaled. The resume's
+  // own records must start on lines of their own, so a second resume
+  // finds every job journaled.
   const auto jobs = three_jobs();
   const auto clean = sim::run_jobs(jobs, 1);
 
@@ -447,6 +449,14 @@ TEST_F(SweepSchedulerTest, JournalThatDiesMidRunStopsTheSweepAndResumes) {
     EXPECT_EQ(rep.resumed, 1u);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       expect_results_identical(rep.jobs[i].result, clean[i].result);
+    }
+
+    const sim::SweepReport again = sim::run_sweep(jobs, res);
+    ASSERT_TRUE(again.all_completed());
+    EXPECT_EQ(again.checkpoint_lines_ignored, 0u);
+    EXPECT_EQ(again.resumed, jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_results_identical(again.jobs[i].result, clean[i].result);
     }
   }
 }

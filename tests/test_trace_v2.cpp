@@ -1,14 +1,15 @@
-// SAMT v2 round-trip, importer atomicity/resume and injected-I/O-fault
-// behavior (src/trace/trace_io.h). The fuzz matrix for mutated files
-// lives in test_trace_fuzz.cpp; this file covers the *intended* v2
-// behaviors: exact decode, resumable atomic import, the enospc/torn
-// import faults leaving a tmp but never a final file, and bytes that do
-// not depend on how the records were handed to the writer.
+// SAMT v2 round-trip, writer atomicity and injected-I/O-fault behavior
+// (src/trace/trace_io.h). The fuzz matrix for mutated files lives in
+// test_trace_fuzz.cpp; this file covers the *intended* v2 behaviors:
+// exact decode, a failed write (the enospc fault, refused blocks)
+// leaving neither a final file nor a tmp, and encoded blocks writing the
+// bytes their records do.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -134,54 +135,32 @@ TEST_F(TraceV2Test, RoundTripsEmptyTrace) {
   EXPECT_TRUE(trace::trace_health(p).ok());
 }
 
-TEST_F(TraceV2Test, BytesDoNotDependOnHowRecordsAreAppended) {
-  // 39 blocks of 512 plus a short one, written from one view, in chunks
-  // that straddle blocks, and record by record.
-  const std::vector<trace::MicroOp> ops = workload(20'000);
-  const std::string p = path("whole.samt");
-  trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
-                       512);
-  const std::string whole = slurp(p);
-  {
-    const std::string q = path("chunks.samt");
-    trace::TraceWriterV2 w(q, "gcc", 23, 512);
-    for (std::size_t at = 0; at < ops.size(); at += 1'700) {
-      w.append(trace::TraceView(ops.data() + at,
-                                std::min<std::size_t>(1'700, ops.size() - at)));
-    }
-    w.finish();
-    EXPECT_EQ(slurp(q), whole);
-  }
-  {
-    const std::string q = path("singles.samt");
-    trace::TraceWriterV2 w(q, "gcc", 23, 512);
-    for (const trace::MicroOp& op : ops) w.append(op);
-    w.finish();
-    EXPECT_EQ(slurp(q), whole);
-  }
-  EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
-  const trace::TraceSource s = trace::TraceSource::open_samt(p);
-  EXPECT_TRUE(same_ops({s.view().begin(), s.view().end()}, ops));
-}
-
-TEST_F(TraceV2Test, SourceBlocksAppendAsTheyAre) {
+TEST_F(TraceV2Test, SourceBlocksWriteTheBytesOfTheirRecords) {
   // A generated source holds the bytes write_samt_v2 writes between the
   // header and the index (a group of four blocks and one short block
-  // here), so appending its blocks writes the same file with no encode.
+  // here), so writing its blocks as they are gives the same file.
   const trace::TraceSource src = trace::TraceSource::generate(
       trace::spec2000_profile("gcc"), 23, 20'000);
   const std::string p = path("encoded.samt");
   trace::write_samt_v2(p, src.view(), "gcc", 23);
-  const std::string q = path("appended.samt");
-  trace::TraceWriterV2 w(q, "gcc", 23);
-  w.append_blocks(src.blocks());
-  EXPECT_EQ(w.durable_records(), src.size());
-  // Blocks that do not continue the trace are refused whole: these
-  // start again at record 0.
-  EXPECT_THROW(w.append_blocks(src.blocks()), trace::TraceFormatError);
-  EXPECT_EQ(w.durable_records(), src.size());
-  w.finish();
+  const std::string q = path("blocks.samt");
+  trace::write_samt_v2(q, src.blocks(), "gcc", 23);
   EXPECT_EQ(slurp(q), slurp(p));
+
+  // Blocks that are not one trace's from record 0 are refused whole,
+  // leaving no file and no tmp: the same blocks from the second one on,
+  // and all of them with the last one cut short.
+  trace::SamtBlockHeader first{};
+  std::memcpy(&first, src.blocks().data(), sizeof first);
+  const std::string r = path("refused.samt");
+  for (const std::span<const unsigned char> blocks :
+       {src.blocks().subspan(sizeof first + first.payload_bytes),
+        src.blocks().first(src.blocks().size() - 1)}) {
+    EXPECT_THROW(trace::write_samt_v2(r, blocks, "gcc", 23),
+                 trace::TraceFormatError);
+    EXPECT_FALSE(fs::exists(r));
+    EXPECT_FALSE(fs::exists(r + ".tmp"));
+  }
 }
 
 TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
@@ -223,71 +202,7 @@ TEST_F(TraceV2Test, VarintsOfEveryLengthRoundTrip) {
             0x25456602200526e3ULL);
 }
 
-TEST_F(TraceV2Test, ResumePicksUpIntactBlocksOfATornTmp) {
-  const std::vector<trace::MicroOp> ops = workload(2'000);
-  const std::string p = path("resume.samt");
-  // First attempt dies between block flushes (writer destroyed without
-  // finish(), as a SIGKILL would): the flushed whole blocks survive in
-  // the tmp, the 464-record partial block is lost, and no final file is
-  // ever published.
-  {
-    trace::TraceWriterV2 w(p, "gcc", 23, 512);
-    w.append(trace::TraceView(ops.data(), ops.size()));
-  }
-  EXPECT_FALSE(fs::exists(p));
-  ASSERT_TRUE(fs::exists(trace::TraceWriterV2::tmp_path_for(p)));
-
-  // Resume: only the records past the durable prefix are re-appended.
-  trace::TraceWriterV2 w(p, "gcc", 23, 512, trace::TraceWriterV2::Mode::kResume);
-  EXPECT_EQ(w.durable_records(), 1536u);  // 3 whole blocks of 512
-  w.append(trace::TraceView(ops.data() + w.durable_records(),
-                            ops.size() - w.durable_records()));
-  w.finish();
-  EXPECT_FALSE(fs::exists(trace::TraceWriterV2::tmp_path_for(p)));
-  EXPECT_TRUE(same_ops(trace::TraceV2Reader(p).read_all().ops, ops));
-
-  // The resumed file is byte-identical to a never-interrupted write.
-  const std::string q = path("oneshot.samt");
-  trace::write_samt_v2(q, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
-                       512);
-  std::ifstream fa(p, std::ios::binary);
-  std::ifstream fb(q, std::ios::binary);
-  const std::string ba((std::istreambuf_iterator<char>(fa)),
-                       std::istreambuf_iterator<char>());
-  const std::string bb((std::istreambuf_iterator<char>(fb)),
-                       std::istreambuf_iterator<char>());
-  EXPECT_EQ(ba, bb);
-}
-
-TEST_F(TraceV2Test, ResumeRestartsFromAnUnusableTmp) {
-  // A tmp whose header this build cannot append to — here a version-1
-  // header and records — is not resumed: the writer starts a fresh tmp
-  // and the result is the same file a one-shot write produces.
-  const std::vector<trace::MicroOp> ops = workload(2'000);
-  const std::string p = path("stale.samt");
-  {
-    trace::SamtHeader h{};
-    std::memcpy(h.magic, trace::kSamtMagic, sizeof h.magic);
-    h.version = trace::kSamtVersion1;
-    h.record_bytes = trace::kSamtRecordBytes;
-    h.count = 600;
-    std::string bytes(sizeof h + 600 * trace::kSamtRecordBytes, '\0');
-    std::memcpy(bytes.data(), &h, sizeof h);
-    std::ofstream(trace::TraceWriterV2::tmp_path_for(p), std::ios::binary)
-        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  trace::TraceWriterV2 w(p, "gcc", 23, 512, trace::TraceWriterV2::Mode::kResume);
-  EXPECT_EQ(w.durable_records(), 0u);
-  w.append(trace::TraceView(ops.data(), ops.size()));
-  w.finish();
-  EXPECT_FALSE(fs::exists(trace::TraceWriterV2::tmp_path_for(p)));
-  const std::string q = path("oneshot.samt");
-  trace::write_samt_v2(q, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
-                       512);
-  EXPECT_EQ(slurp(p), slurp(q));
-}
-
-TEST_F(TraceV2Test, EnospcFaultKeepsTmpNeverFinal) {
+TEST_F(TraceV2Test, EnospcFaultLeavesNeitherFileNorTmp) {
   const std::vector<trace::MicroOp> ops = workload(600);
   const std::string p = path("enospc.samt");
   trace::set_io_fault(p, {trace::IoFault::Kind::kEnospcOnImport, 0});
@@ -295,8 +210,8 @@ TEST_F(TraceV2Test, EnospcFaultKeepsTmpNeverFinal) {
       trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc",
                            23, 256),
       trace::TraceFormatError);
-  EXPECT_FALSE(fs::exists(p)) << "a failed import must not publish a file";
-  EXPECT_TRUE(fs::exists(trace::TraceWriterV2::tmp_path_for(p)));
+  EXPECT_FALSE(fs::exists(p)) << "a failed write must not publish a file";
+  EXPECT_FALSE(fs::exists(p + ".tmp")) << "a failed write removes its tmp";
   // The fault was consumed: a retry on the same path succeeds.
   trace::write_samt_v2(p, trace::TraceView(ops.data(), ops.size()), "gcc", 23,
                        256);

@@ -55,19 +55,21 @@
 //                          (armed on the job's trace path, consumed by the
 //                          next open): short-read (hide the last ARG bytes;
 //                          0 = 64) and bit-flip (flip one payload bit of
-//                          v2 block ARG in memory). Import-only kinds —
+//                          v2 block ARG in memory). Import-only kind —
 //                          J indexes the imported file: enospc-on-import
-//                          (finalize fails as if the disk filled) and
-//                          torn-import (importer dies mid-block, torn
-//                          .tmp kept). Repeatable.
+//                          (the write fails as if the disk filled,
+//                          leaving neither the file nor its .tmp).
+//                          Repeatable.
 //
 // Trace modes (SAMT format: docs/TRACE_FORMAT.md):
 //   --record-trace=DIR   additionally write each program's generated
 //                        trace to DIR/<program>.samt as SAMT v2 (DIR is
-//                        created), the programs on the sweep's worker
-//                        count (--threads or --isolate's N) before the
-//                        sweep starts; combined with --import-trace this
-//                        converts the imported text traces to SAMT v2
+//                        created): its blocks as generated, published
+//                        atomically by write_samt_v2. The programs are
+//                        recorded on the sweep's worker count (--threads
+//                        or --isolate's N) before the sweep starts;
+//                        combined with --import-trace this converts the
+//                        imported text traces to SAMT v2
 //   --replay-trace=PATH  replay a recorded SAMT v2 file — or every .samt
 //                        in a directory — block-decoded, every guard
 //                        checked. Replays the full trace unless --insts
@@ -133,7 +135,7 @@ struct ImportFault {
 };
 
 /// Parses --inject-fault=J:A:KIND[:ARG] into the sweep's fault plan, or,
-/// for the import-only kinds, into `imports`.
+/// for the import-only kind, into `imports`.
 void parse_fault(const std::string& spec, sim::SweepFaultPlan& plan,
                  std::vector<ImportFault>& imports) {
   std::vector<std::string> parts;
@@ -171,7 +173,6 @@ void parse_fault(const std::string& spec, sim::SweepFaultPlan& plan,
   else if (kind == "bit-flip") f.kind = sim::SweepFault::Kind::kBitFlipBlock;
   else if (kind == "enospc-on-import")
     import.kind = trace::IoFault::Kind::kEnospcOnImport;
-  else if (kind == "torn-import") import.kind = trace::IoFault::Kind::kTornImport;
   else usage_error("unknown fault kind '" + kind + "' in --inject-fault");
   std::uint64_t arg = 0;
   if (parts.size() == 4) {
@@ -212,9 +213,7 @@ void record_programs(const std::vector<std::string>& programs,
         const trace::TraceSource src = trace::TraceSource::generate(
             trace::spec2000_profile(p), cfg.seed, cfg.instructions);
         paths[i] = (std::filesystem::path(dir) / (p + ".samt")).string();
-        trace::TraceWriterV2 writer(paths[i], p, cfg.seed);
-        writer.append_blocks(src.blocks());
-        writer.finish();
+        trace::write_samt_v2(paths[i], src.blocks(), p, cfg.seed);
         sizes[i] = src.size();
       } catch (...) {
         errors[i] = std::current_exception();
@@ -379,7 +378,7 @@ int main(int argc, char** argv) {
     usage_error("--isolate applies to sweep modes, not --import-trace");
   }
   if (!import_faults.empty() && import_path.empty()) {
-    usage_error("enospc-on-import and torn-import apply to --import-trace "
+    usage_error("enospc-on-import applies to --import-trace "
                 "(a sweep replays traces, it never imports one)");
   }
   if (!record_dir.empty()) {
@@ -425,8 +424,8 @@ int main(int argc, char** argv) {
         const auto out = std::filesystem::path(record_dir) /
                          (std::filesystem::path(file).stem().string() + ".samt");
         // Import-only injected faults target this file by index; arm
-        // them on the *final* path — the writer consumes the fault at
-        // finalize time keyed by the name it renames into.
+        // them on the *final* path — the writer consumes the fault
+        // after the blocks, keyed by the name it renames into.
         for (const ImportFault& f : import_faults) {
           if (f.file == file_idx) trace::set_io_fault(out.string(), f.io);
         }
