@@ -27,7 +27,6 @@
 // docs/BENCH_hotpath.md "Engine structures".
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -48,15 +47,6 @@
 #include "src/trace/trace_window.h"
 
 namespace samie::core {
-
-/// Thrown by Core::run when the cooperative cancellation token
-/// (CoreConfig::should_abort) is observed set. The machine state is
-/// abandoned, not drained — the caller owns what to do with the
-/// aborted job (the sweep scheduler reports it TimedOut).
-class SimulationAborted : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 struct CoreConfig {
   std::uint32_t fetch_width = 8;
@@ -109,13 +99,6 @@ struct CoreConfig {
 #else
   bool check_quiescence = false;
 #endif
-
-  /// Cooperative cancellation token (borrowed; null = never cancel).
-  /// Polled with a relaxed load once per *stepped* cycle at the bottom
-  /// of the run loop — never inside a fast-forward span, whose length is
-  /// already bounded by the watchdog horizon — so wiring a token changes
-  /// no statistic. When observed set, run() throws SimulationAborted.
-  const std::atomic<bool>* should_abort = nullptr;
 };
 
 /// An observer that records nothing; a nullptr observer deduces it.
@@ -270,8 +253,11 @@ class Core final {
   /// Arms a run targeting `max_insts` committed instructions.
   void begin(std::uint64_t max_insts);
   /// Advances up to `max_cycles` stepped cycles. Returns false once the
-  /// run is over (target reached or trace drained); the watchdog /
-  /// quiescence-check / abort exceptions of run() propagate from here.
+  /// run is over (target reached or trace drained); the watchdog and
+  /// quiescence-check exceptions of run() propagate from here. The core
+  /// reads no clock: a caller with a wall-clock deadline checks it
+  /// between calls (the sweep's attempt body does, every few thousand
+  /// cycles).
   bool step(std::uint64_t max_cycles);
   /// Seals the run and returns the result. Call once, after step()
   /// returned false.

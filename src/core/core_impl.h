@@ -1146,14 +1146,6 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
       throw std::runtime_error("commit watchdog fired: pipeline wedged at cycle " +
                                std::to_string(cycle_));
     }
-    // Cooperative cancellation: one relaxed load per stepped iteration,
-    // after the fast-forward so a deadline expiring mid-span still
-    // aborts within commit_timeout cycles of wall-clock work.
-    if (cfg_.should_abort != nullptr &&
-        cfg_.should_abort->load(std::memory_order_relaxed)) [[unlikely]] {
-      throw SimulationAborted("simulation aborted by cancellation token at cycle " +
-                              std::to_string(cycle_));
-    }
   }
   return res_.committed < target_;
 }

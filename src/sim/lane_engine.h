@@ -11,6 +11,10 @@
 // statistic. The per-lane energy fold is the integer-event ledger fold
 // (src/energy/ledger.h) — O(1) regardless of event count.
 // docs/ENERGY_LEDGER.md gives the bit-identity argument.
+//
+// Turns are also where a caller's wall-clock deadline lives: the sweep's
+// attempt body steps its lane a fixed number of cycles at a time and
+// reads the clock between turns; the core itself reads no clock.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +26,7 @@
 namespace samie::sim {
 
 /// One resumable simulation. Exceptions from the underlying core
-/// (commit watchdog, SimulationAborted, quiescence cross-check)
-/// propagate out of step().
+/// (commit watchdog, quiescence cross-check) propagate out of step().
 class Lane {
  public:
   virtual ~Lane() = default;

@@ -7,7 +7,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -27,17 +26,9 @@ constexpr std::size_t kMaxReadBytes = 1u << 20;
 
 // -- child side --------------------------------------------------------------
 
-/// Cooperative cancel token: the SIGTERM handler flips it, and the work
-/// the child runs polls it (the core's cycle loop does) and unwinds.
-std::atomic<bool> g_cancel{false};
-
 /// Crash pipe write end, opened before the handlers are installed so
 /// the handler itself never opens anything.
 int g_crash_fd = -1;
-
-extern "C" void sigterm_handler(int) {
-  g_cancel.store(true, std::memory_order_relaxed);
-}
 
 /// Async-signal-safe: write(2) and errno only.
 [[nodiscard]] bool write_all(int fd, const char* p, std::size_t n) {
@@ -96,10 +87,6 @@ void install_child_handlers(int crash_fd) {
   for (int sig : {SIGSEGV, SIGBUS, SIGILL, SIGFPE, SIGABRT}) {
     (void)::sigaction(sig, &sa, nullptr);
   }
-  struct sigaction term{};
-  term.sa_handler = sigterm_handler;
-  sigemptyset(&term.sa_mask);
-  (void)::sigaction(SIGTERM, &term, nullptr);
 }
 
 void apply_limits(const ChildLimits& lim) {
@@ -126,7 +113,7 @@ void apply_limits(const ChildLimits& lim) {
   apply_limits(lim);
   std::string answer;
   try {
-    answer = work(g_cancel);
+    answer = work();
   } catch (...) {
     // Never unwind out of the child: the frames above are the parent's
     // scheduler, which must run in one process only.
@@ -264,15 +251,6 @@ std::optional<ProcessExecutor::Event> ProcessExecutor::poll() {
   return std::nullopt;
 }
 
-void ProcessExecutor::term(std::uint64_t key) noexcept {
-  for (Child& ch : children_) {
-    if (ch.key == key && !ch.sent_term) {
-      ch.sent_term = true;
-      (void)::kill(ch.pid, SIGTERM);
-    }
-  }
-}
-
 void ProcessExecutor::kill(std::uint64_t key) noexcept {
   for (Child& ch : children_) {
     if (ch.key == key && !ch.sent_kill) {
@@ -296,12 +274,15 @@ ProcessExecutor::Event ProcessExecutor::decode_fate(const Child& ch,
   }
   if (WIFSIGNALED(status)) {
     ev.signal = WTERMSIG(status);
-    if ((ev.signal == SIGTERM && ch.sent_term) ||
-        (ev.signal == SIGKILL && ch.sent_kill)) {
+    // The supervisor sends no SIGTERM, so one came from outside (an
+    // operator, a shutdown): the work was healthy, and a resume must
+    // re-run it rather than quarantine it as a crash.
+    if (ev.signal == SIGTERM || (ev.signal == SIGKILL && ch.sent_kill)) {
       ev.fate = FateKind::kKilled;
       ev.what = ev.signal == SIGKILL
-                    ? "hard-killed (SIGKILL) after the SIGTERM grace expired"
-                    : "terminated (SIGTERM) at the deadline";
+                    ? "hard-killed (SIGKILL): still running a grace period "
+                      "past its deadline"
+                    : "terminated (SIGTERM not sent by the supervisor)";
       return ev;
     }
     if (ev.signal == SIGXCPU) {

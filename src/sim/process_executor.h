@@ -5,7 +5,7 @@
 // SweepOptions::isolate_procs. The in-thread runner survives
 // anything a job can *throw*; this one survives anything a job can *do
 // to the process* — SIGSEGV, a glibc abort, an allocation bomb, a
-// runaway loop that never reaches the cooperative cancel check. The
+// runaway loop that never reaches its deadline check. The
 // child is fork() without exec: it inherits the parent's memory (the
 // work it is handed reads what the parent prepared, and crash backtrace
 // addresses symbolize in the parent), runs that work, writes the bytes
@@ -16,10 +16,10 @@
 //
 // Child lifecycle:
 //   1. install async-signal-safe crash handlers (SIGSEGV/SIGBUS/SIGILL/
-//      SIGFPE/SIGABRT) writing a CrashWire record to a pre-opened pipe,
-//      and a SIGTERM handler that flips the cooperative cancel token
+//      SIGFPE/SIGABRT) writing a CrashWire record to a pre-opened pipe
 //   2. apply ChildLimits (RLIMIT_AS / RLIMIT_CPU)
-//   3. run the work under the cancel token
+//   3. run the work (the sweep's attempt body, which stops itself at its
+//      deadline)
 //   4. write the work's answer, _exit(0)
 //
 // The parent polls children with waitpid(WNOHANG) and decodes each fate
@@ -29,12 +29,11 @@
 // multi-threaded process clones only the calling thread, so a child
 // forked while another thread holds (say) the malloc lock can deadlock.
 // The sweep scheduler guarantees this: its forked-child runner starts
-// no thread, the deadline supervisor included.
+// no thread.
 #pragma once
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -58,7 +57,7 @@ class ProcessExecutor {
     kAnswered,          ///< exit 0: `answer` holds what the child wrote
     kCrashed,           ///< fatal signal not sent by us (SIGSEGV, ...)
     kResourceExceeded,  ///< SIGXCPU, or a SIGKILL we did not send (OOM killer)
-    kKilled,            ///< our own SIGTERM/SIGKILL landed (deadline path)
+    kKilled,            ///< our deadline SIGKILL, or a SIGTERM from anyone
     kBadExit,           ///< nonzero exit: the child's answer is not usable
   };
 
@@ -71,11 +70,10 @@ class ProcessExecutor {
     CrashRecord crash;   ///< kCrashed only, best effort
   };
 
-  /// A child's work: runs inside the child with the cooperative cancel
-  /// token its SIGTERM handler flips, and returns the bytes the child
-  /// answers with. A work that throws ends its child with exit code 120
-  /// and no answer.
-  using Work = std::function<std::string(const std::atomic<bool>& cancel)>;
+  /// A child's work: runs inside the child and returns the bytes the
+  /// child answers with. A work that throws ends its child with exit
+  /// code 120 and no answer.
+  using Work = std::function<std::string()>;
 
   ProcessExecutor() = default;
   ProcessExecutor(const ProcessExecutor&) = delete;
@@ -95,10 +93,9 @@ class ProcessExecutor {
   /// Returns nullopt when every child is still running.
   [[nodiscard]] std::optional<Event> poll();
 
-  /// Deadline escalation: SIGTERM (the child's handler flips its cancel
-  /// token, and the work unwinds and answers), then — for children that
-  /// ignore it — kill() after the grace period.
-  void term(std::uint64_t key) noexcept;
+  /// SIGKILLs the child for `key`: the scheduler's last resort for one
+  /// still alive a grace period after its deadline, spinning where the
+  /// work's own deadline check never runs.
   void kill(std::uint64_t key) noexcept;
 
  private:
@@ -107,7 +104,6 @@ class ProcessExecutor {
     pid_t pid = -1;
     int answer_fd = -1;  ///< read end of the answer pipe
     int crash_fd = -1;   ///< read end of the crash-forensics pipe
-    bool sent_term = false;
     bool sent_kill = false;
   };
 

@@ -1,7 +1,6 @@
 #include "src/sim/sweep_scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
@@ -19,8 +18,8 @@
 #include <sstream>
 #include <thread>
 
-#include "src/core/core.h"
 #include "src/sim/checkpoint.h"
+#include "src/sim/lane_engine.h"
 #include "src/sim/process_executor.h"
 #include "src/sim/trace_cache.h"
 #include "src/trace/trace_io.h"
@@ -35,81 +34,6 @@ using Clock = std::chrono::steady_clock;
 [[nodiscard]] double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
-
-/// Enforces per-job wall-clock deadlines by flipping each job's
-/// cooperative cancellation token when its deadline passes. One thread
-/// serves the whole pool: it sleeps until the earliest armed deadline
-/// and rescans on every wake. Spurious wake-ups (which the fault plan
-/// can inject) are harmless by construction — the loop recomputes the
-/// earliest deadline from scratch each iteration and only fires tokens
-/// whose deadline has genuinely passed.
-class DeadlineSupervisor {
- public:
-  explicit DeadlineSupervisor(unsigned slots) : entries_(slots) {
-    thread_ = std::thread([this] { loop(); });
-  }
-  DeadlineSupervisor(const DeadlineSupervisor&) = delete;
-  DeadlineSupervisor& operator=(const DeadlineSupervisor&) = delete;
-  ~DeadlineSupervisor() {
-    {
-      std::scoped_lock lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  void arm(unsigned slot, std::atomic<bool>* token, Clock::time_point deadline) {
-    {
-      std::scoped_lock lock(mu_);
-      entries_[slot] = Entry{token, deadline, true};
-    }
-    cv_.notify_all();
-  }
-
-  void disarm(unsigned slot) {
-    std::scoped_lock lock(mu_);
-    entries_[slot].armed = false;
-  }
-
-  /// Fault-injection hook: wake the supervisor with nothing expired.
-  void spurious_wake() { cv_.notify_all(); }
-
- private:
-  struct Entry {
-    std::atomic<bool>* token = nullptr;
-    Clock::time_point deadline{};
-    bool armed = false;
-  };
-
-  void loop() {
-    std::unique_lock lock(mu_);
-    while (!stop_) {
-      Clock::time_point next = Clock::time_point::max();
-      const Clock::time_point now = Clock::now();
-      for (Entry& e : entries_) {
-        if (!e.armed) continue;
-        if (e.deadline <= now) {
-          e.token->store(true, std::memory_order_relaxed);
-          e.armed = false;
-        } else {
-          next = std::min(next, e.deadline);
-        }
-      }
-      if (next == Clock::time_point::max()) {
-        cv_.wait(lock);
-      } else {
-        cv_.wait_until(lock, next);
-      }
-    }
-  }
-
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Entry> entries_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 [[nodiscard]] std::string what_of(const std::exception_ptr& error) {
   if (!error) return "unknown error";
@@ -381,6 +305,7 @@ struct Ticket {
   std::uint32_t attempts = 0;  ///< attempts started, the current one included
   Clock::time_point t0{};      ///< first attempt's start
   Clock::time_point due{};     ///< a queued retry's earliest start
+  Clock::time_point started{};  ///< the current attempt's start
 };
 
 /// How one attempt ended: the outcome the job seals with if this was its
@@ -398,8 +323,8 @@ struct Ending {
   return e;
 }
 
-/// An ending whose status the runner observed directly (a process
-/// boundary fate) rather than through a thrown exception.
+/// An ending observed directly (a passed deadline, a process boundary
+/// fate) rather than through a thrown exception.
 [[nodiscard]] Ending observed(JobStatus status, FailureClass cls,
                              const std::string& what) {
   Ending e;
@@ -410,19 +335,14 @@ struct Ending {
   return e;
 }
 
-/// A thrown failure as the attempt's ending. Only the deadline sets a
-/// job's cancellation token, so a cooperative abort is a deadline
-/// expiry; verified trace damage seals as TraceDamaged with its
-/// location; anything else is Failed with its failure class.
+/// A thrown failure as the attempt's ending: verified trace damage
+/// seals as TraceDamaged with its location; anything else is Failed
+/// with its failure class.
 [[nodiscard]] Ending failed(const std::exception_ptr& error) {
   Ending e;
   e.error = error;
   try {
     std::rethrow_exception(error);
-  } catch (const core::SimulationAborted& x) {
-    e.oc.status = JobStatus::kTimedOut;
-    e.oc.what = x.what();
-    return e;
   } catch (const trace::TraceCorruptError& x) {
     e.oc.status = JobStatus::kTraceDamaged;
     e.oc.failure = FailureClass::kDeterministic;
@@ -565,7 +485,7 @@ class Lifecycle {
     if (due != retries_.end()) {
       Ticket t = *due;
       retries_.erase(due);
-      return start_locked(t);
+      return start_locked(t, now);
     }
     while (cursor_ < todo_.size()) {
       const std::size_t i = todo_[cursor_++];
@@ -579,14 +499,18 @@ class Lifecycle {
       Ticket t;
       t.index = i;
       t.t0 = now;
-      return start_locked(t);
+      return start_locked(t, now);
     }
     return std::nullopt;
   }
 
-  [[nodiscard]] Ticket start_locked(Ticket t) {
+  /// Starts an attempt at `now`, the one time both runners take as its
+  /// start: the attempt's deadline counts from here, before its trace
+  /// is acquired.
+  [[nodiscard]] Ticket start_locked(Ticket t, Clock::time_point now) {
     ++t.attempts;
     ++active_;
+    t.started = now;
     return t;
   }
 
@@ -642,8 +566,7 @@ class Lifecycle {
 /// pre-run hook armed the I/O kinds instead of returning them, and
 /// run_sweep hands the kinds that take the process down (crash, oom,
 /// spin) only to the forked-child runner, whose child they end.
-void perform_fault(const SweepFault& f, const Ticket& t,
-                   DeadlineSupervisor* supervisor) {
+void perform_fault(const SweepFault& f, const Ticket& t) {
   const std::string where = "(job " + std::to_string(t.index) + ", attempt " +
                             std::to_string(t.attempts) + ")";
   switch (f.kind) {
@@ -653,10 +576,6 @@ void perform_fault(const SweepFault& f, const Ticket& t,
       throw std::logic_error("injected deterministic fault " + where);
     case SweepFault::Kind::kDelay:
       std::this_thread::sleep_for(f.delay);
-      return;
-    case SweepFault::Kind::kSpuriousWake:
-      // The forked-child runner has no supervisor thread to wake.
-      if (supervisor != nullptr) supervisor->spurious_wake();
       return;
     case SweepFault::Kind::kCrash: {
       // Poisoned, non-null address so the forensics record carries a
@@ -678,7 +597,7 @@ void perform_fault(const SweepFault& f, const Ticket& t,
       }
     }
     case SweepFault::Kind::kSpin:
-      // Ignores the cancel token on purpose: only the parent's
+      // Never reaches the attempt's deadline check: only the parent's
       // SIGKILL (or the RLIMIT_CPU jail) can end this.
       for (volatile std::uint64_t n = 0;;) n = n + 1;
     default:
@@ -686,48 +605,54 @@ void perform_fault(const SweepFault& f, const Ticket& t,
   }
 }
 
+/// Stepped cycles an attempt runs between two reads of the clock: a few
+/// milliseconds of simulation, so an attempt ends that soon after its
+/// deadline passes for one clock read per turn.
+constexpr std::uint64_t kTurnCycles = 4096;
+
 /// One attempt, whichever runner drives it: performs the injected fault,
-/// runs the simulation under the attempt's cancel token, and turns
-/// anything thrown into its ending through failed(). The in-thread
-/// worker calls it on its thread; the forked-child runner hands it to
-/// the child.
+/// then steps the job's lane in turns of kTurnCycles, checking before
+/// each turn whether `job_deadline` (0 = none) has passed since the
+/// attempt started, and turns anything thrown into its ending through
+/// failed(). Turns cannot move a statistic: a lane stepped in turns is
+/// bit-identical to one run to completion. The in-thread worker calls it
+/// on its thread; the forked-child runner hands it to the child.
 [[nodiscard]] Ending attempt(const Job& job, const trace::TraceSource& trace,
                              const SweepFault* fault, const Ticket& t,
-                             const std::atomic<bool>& cancel,
-                             DeadlineSupervisor* supervisor) {
+                             std::chrono::milliseconds job_deadline) {
   try {
-    if (fault != nullptr) perform_fault(*fault, t, supervisor);
-    SimConfig cfg = job.config;
-    cfg.core.should_abort = &cancel;
-    return completed(run_simulation(cfg, trace));
+    if (fault != nullptr) perform_fault(*fault, t);
+    const Clock::time_point deadline = job_deadline.count() > 0
+                                           ? t.started + job_deadline
+                                           : Clock::time_point::max();
+    const std::unique_ptr<Lane> lane = make_lane(job.config, trace);
+    while (Clock::now() < deadline) {
+      if (!lane->step(kTurnCycles)) return completed(lane->finish());
+    }
+    return observed(JobStatus::kTimedOut, FailureClass::kNone,
+                    "stopped at its job deadline (" +
+                        std::to_string(job_deadline.count()) + " ms)");
   } catch (...) {
     return failed(std::current_exception());
   }
 }
 
 /// The in-thread runner: `threads` workers, each running one attempt at
-/// a time under the shared DeadlineSupervisor (slot = worker index). A
-/// worker never sleeps out a retry backoff: the retry waits on the queue
-/// while the worker takes the next ready job.
+/// a time. A worker never sleeps out a retry backoff: the retry waits on
+/// the queue while the worker takes the next ready job.
 void run_in_threads(Lifecycle& life, const SweepOptions& opt,
-                    unsigned threads, DeadlineSupervisor* supervisor) {
-  const auto worker = [&life, &opt, supervisor](unsigned slot) {
-    std::atomic<bool> cancel{false};
+                    unsigned threads) {
+  const auto worker = [&life, &opt] {
     while (std::optional<Ticket> t = life.take()) {
       const Job& job = life.job(*t);
-      cancel.store(false, std::memory_order_relaxed);
       Ending end;
       try {
-        if (supervisor != nullptr && opt.job_deadline.count() > 0) {
-          supervisor->arm(slot, &cancel, Clock::now() + opt.job_deadline);
-        }
         const SweepFault* fault = life.pre_run(*t);
         const auto trace = life.traces().get(job);
-        end = attempt(job, *trace, fault, *t, cancel, supervisor);
+        end = attempt(job, *trace, fault, *t, opt.job_deadline);
       } catch (...) {
         end = failed(std::current_exception());
       }
-      if (supervisor != nullptr) supervisor->disarm(slot);
       life.end_attempt(*t, std::move(end));
     }
   };
@@ -735,9 +660,9 @@ void run_in_threads(Lifecycle& life, const SweepOptions& opt,
   pool.reserve(threads);
   try {
     for (unsigned s = 0; s < threads; ++s) {
-      pool.emplace_back([&life, &worker, s] {
+      pool.emplace_back([&life, &worker] {
         try {
-          worker(s);
+          worker();
         } catch (...) {
           life.abort(std::current_exception());
         }
@@ -765,9 +690,9 @@ static_assert(static_cast<int>(JobStatus::kTraceDamaged) < 10);
                                        const trace::TraceSource& trace,
                                        const SweepFault* fault,
                                        const Ticket& t,
-                                       const std::atomic<bool>& cancel,
+                                       std::chrono::milliseconds job_deadline,
                                        std::uint64_t mem_jail_mb) {
-  Ending e = attempt(job, trace, fault, t, cancel, nullptr);
+  Ending e = attempt(job, trace, fault, t, job_deadline);
   if (mem_jail_mb != 0 && e.error) {
     try {
       std::rethrow_exception(e.error);
@@ -848,21 +773,18 @@ static_assert(static_cast<int>(JobStatus::kTraceDamaged) < 10);
 /// The forked-child runner: each attempt runs in a forked child under
 /// rlimit jails (src/sim/process_executor.h), at most `isolate_procs`
 /// alive at once, supervised by this single-threaded loop — the parent
-/// starts no thread, so fork() stays safe. That is also why deadlines
-/// are enforced here by escalation (SIGTERM at the deadline, SIGKILL
-/// once the grace expires) instead of by the DeadlineSupervisor: a stuck
-/// child needs signals, not a token it will never poll. The parent
-/// acquires each trace before forking (the child reads the inherited
-/// mapping), so trace damage is found parent-side without forking, and
-/// it drops its reference when it reaps the child, so a job that
-/// crashes or is killed cannot pin its mapping.
+/// starts no thread, so fork() stays safe. A child stops itself at its
+/// deadline, as a worker thread does; the parent SIGKILLs only a child
+/// still alive `kill_grace` later, one spinning where no deadline check
+/// runs. The parent acquires each trace before forking (the child reads
+/// the inherited mapping), so trace damage is found parent-side without
+/// forking, and it drops its reference when it reaps the child, so a job
+/// that crashes or is killed cannot pin its mapping.
 void run_forked(Lifecycle& life, const SweepOptions& opt) {
   struct InFlight {
     Ticket ticket;
     std::shared_ptr<const trace::TraceSource> trace;
-    Clock::time_point deadline = Clock::time_point::max();
     Clock::time_point kill_at = Clock::time_point::max();
-    bool termed = false;
   };
   ProcessExecutor exec;
   std::map<std::uint64_t, InFlight> inflight;
@@ -879,8 +801,8 @@ void run_forked(Lifecycle& life, const SweepOptions& opt) {
         st.trace = life.traces().get(job);
         exec.spawn(
             t->index,
-            [&](const std::atomic<bool>& cancel) {
-              return child_answer(job, *st.trace, fault, *t, cancel,
+            [&] {
+              return child_answer(job, *st.trace, fault, *t, opt.job_deadline,
                                   opt.job_mem_mb);
             },
             ChildLimits{opt.job_mem_mb, opt.job_cpu_s});
@@ -889,20 +811,14 @@ void run_forked(Lifecycle& life, const SweepOptions& opt) {
         continue;
       }
       if (opt.job_deadline.count() > 0) {
-        st.deadline = Clock::now() + opt.job_deadline;
+        st.kill_at = t->started + opt.job_deadline + opt.kill_grace;
       }
       inflight.emplace(t->index, std::move(st));
     }
     if (inflight.empty() && life.done()) return;
     const Clock::time_point now = Clock::now();
     for (auto& [key, st] : inflight) {
-      if (!st.termed && now >= st.deadline) {
-        st.termed = true;
-        st.kill_at = now + opt.kill_grace;
-        exec.term(key);
-      } else if (st.termed && now >= st.kill_at) {
-        exec.kill(key);
-      }
+      if (now >= st.kill_at) exec.kill(key);
     }
     if (const std::optional<ProcessExecutor::Event> ev = exec.poll()) {
       const auto node = inflight.extract(ev->key);
@@ -1067,17 +983,7 @@ SweepReport run_sweep(const std::vector<Job>& jobs, const SweepOptions& opt) {
   if (opt.isolate_procs != 0) {
     run_forked(life, opt);
   } else {
-    const bool wants_wake_faults =
-        opt.faults != nullptr &&
-        std::any_of(opt.faults->faults.begin(), opt.faults->faults.end(),
-                    [](const SweepFault& f) {
-                      return f.kind == SweepFault::Kind::kSpuriousWake;
-                    });
-    std::optional<DeadlineSupervisor> supervisor;
-    if (opt.job_deadline.count() > 0 || wants_wake_faults) {
-      supervisor.emplace(threads);
-    }
-    run_in_threads(life, opt, threads, supervisor ? &*supervisor : nullptr);
+    run_in_threads(life, opt, threads);
   }
 
   rep.trace_resident_high_water = traces.resident_high_water();

@@ -10,10 +10,10 @@
 //   Completed — result is valid (run live, or loaded from a checkpoint)
 //   Failed    — all attempts exhausted; carries the failure class,
 //               error text and the exception for programmatic rethrow
-//   TimedOut  — the per-job wall-clock deadline fired; the core observed
-//               the cooperative cancellation token and unwound (or, under
-//               process isolation, the parent hard-killed the child after
-//               the SIGTERM grace expired)
+//   TimedOut  — the per-job wall-clock deadline passed and the attempt
+//               stopped itself at its next deadline check (or, under
+//               process isolation, the parent SIGKILLed a child still
+//               alive a grace period later, or someone else SIGTERMed it)
 //   Skipped   — never attempted (the sweep drained after max_failures)
 //   Crashed   — process isolation only: the child died on a fatal signal
 //               (SIGSEGV/SIGBUS/SIGABRT/...); deterministic by
@@ -42,18 +42,18 @@
 // sweep's due-time queue, never on a worker, which takes the next ready
 // job meanwhile; deterministic ones fail immediately. Two runners drive
 // the lifecycle: in-thread workers (SweepOptions::threads) and forked
-// children (SweepOptions::isolate_procs). In-thread deadlines are
-// cooperative: a supervisor thread sets a per-job atomic token when the
-// deadline passes, and the core's cycle loop polls it on stepped cycles
-// (off the fast-forward path — statistics stay bit-identical whether or
-// not a token is wired).
+// children (SweepOptions::isolate_procs). Both run one attempt body,
+// which owns the deadline: it steps the job's lane a few thousand cycles
+// at a time and reads the clock between turns. Statistics are
+// bit-identical with or without a deadline (a lane stepped in turns is
+// one run).
 //
 // Completed jobs are journaled incrementally to a crash-safe checkpoint
 // (src/sim/checkpoint.h) so an interrupted sweep resumes with
 // SweepOptions::resume, skipping finished jobs and reproducing their
 // results bit-identically. SweepFaultPlan injects throws, delays and
-// spurious supervisor wake-ups at (job, attempt) for the deterministic
-// fault-injection tests and the CI job that drives them.
+// the isolation-only and I/O faults at (job, attempt) for the
+// deterministic fault-injection tests and the CI jobs that drive them.
 //
 // Taxonomy, policies and file format: docs/SWEEP_ROBUSTNESS.md.
 #pragma once
@@ -171,13 +171,12 @@ struct SweepFault {
     kThrowTransient,      ///< throw TransientFault (retried)
     kThrowDeterministic,  ///< throw std::logic_error (not retried)
     kDelay,               ///< sleep `delay` first (drives deadline tests)
-    kSpuriousWake,        ///< wake the deadline supervisor for no reason
     // The kinds below run inside a forked child and are rejected by
     // the in-thread runner (they would take the whole sweep down —
     // which is exactly the failure mode isolation exists to contain).
     kCrash,      ///< dereference a poisoned pointer (SIGSEGV + forensics)
     kOom,        ///< allocation bomb into the RLIMIT_AS jail
-    kSpin,       ///< busy loop that ignores the cancel token (hard kill)
+    kSpin,       ///< busy loop that never reaches a deadline check (hard kill)
     kTornFrame,  ///< answer with the first half of the line, then exit 0
     // I/O fault kinds: armed on the job's trace path via
     // trace::set_io_fault right before the attempt acquires its trace,
@@ -223,8 +222,8 @@ struct SweepOptions {
   /// Forked-child runner: when nonzero, each attempt runs in a forked
   /// child under resource jails (src/sim/process_executor.h) with up to
   /// `isolate_procs` children alive at once — the only runner that
-  /// survives a job that SIGSEGVs, aborts, or spins past the cooperative
-  /// cancel check. Each child answers with one guarded journal line, so
+  /// survives a job that SIGSEGVs, aborts, or spins where no deadline
+  /// check runs. Each child answers with one guarded journal line, so
   /// results are bit-identical to the in-thread runner's. `threads` is
   /// ignored (the parent supervisor is single-threaded).
   unsigned isolate_procs = 0;
@@ -235,13 +234,15 @@ struct SweepOptions {
   /// RLIMIT_CPU backstop per child, in seconds (0 = no cap). SIGXCPU
   /// maps to ResourceExceeded.
   std::uint64_t job_cpu_s = 0;
-  /// Isolation only: grace between the deadline SIGTERM (cooperative —
-  /// the child's handler flips its cancel token and it unwinds with its
-  /// outcome intact) and the SIGKILL hard kill for children that ignore
-  /// it. Both fates map to TimedOut.
+  /// Isolation only: grace between a child's deadline and the SIGKILL
+  /// for a child still alive then (one spinning where its deadline check
+  /// never runs; a simulating child stops itself at the deadline). Both
+  /// endings map to TimedOut.
   std::chrono::milliseconds kill_grace{500};
   RetryPolicy retry;
-  /// Per-job wall-clock deadline; zero disables the supervisor.
+  /// Per-job wall-clock deadline, counted afresh from each attempt's
+  /// start (before its trace is acquired); zero = none. An attempt past
+  /// it stops at its next check between lane turns, TimedOut.
   std::chrono::milliseconds job_deadline{0};
   /// Drain after this many jobs sealed without completing (0 = never):
   /// the queue stops starting fresh jobs, which then report Skipped.

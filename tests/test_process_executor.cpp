@@ -2,13 +2,13 @@
 // answers with and the crash-forensics wire record, isolated-vs-pool
 // bit-identity across every LSQ kind, equal outcomes for the same
 // faults under both runners, containment of the isolation-only fault
-// kinds (crash, oom, spin, torn-frame), deadline escalation
-// (cooperative SIGTERM unwind and the SIGKILL hard kill), in-child
-// transient retry, quarantine on resume in both directions (isolate
-// journal → pool resume and pool journal → isolate resume), drain
-// semantics, and the run_sweep pre-flight validation. Faults are
-// injected via SweepFaultPlan — nothing here depends on a real bug to
-// crash.
+// kinds (crash, oom, spin, torn-frame), deadlines (the child stops
+// itself; a spinning one is SIGKILLed after the grace; an outside
+// SIGTERM is a kill, not a crash), in-child transient retry, quarantine
+// on resume in both directions (isolate journal → pool resume and pool
+// journal → isolate resume), drain semantics, and the run_sweep
+// pre-flight validation. Faults are injected via SweepFaultPlan —
+// nothing here depends on a real bug to crash.
 //
 // The crash and oom tests are skipped under AddressSanitizer: ASan owns
 // SIGSEGV reporting, and its 20 TB shadow reservation cannot coexist
@@ -21,11 +21,13 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
 #include "src/sim/proc_frame.h"
+#include "src/sim/process_executor.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
@@ -314,7 +316,7 @@ TEST_F(ProcessExecutorTest, OomBombHitsTheJailNotTheHost) {
   EXPECT_NE(oc.what.find("RLIMIT_AS"), std::string::npos) << oc.what;
 }
 
-TEST_F(ProcessExecutorTest, SpinIgnoringTheTokenIsHardKilled) {
+TEST_F(ProcessExecutorTest, SpinPastTheDeadlineIsHardKilledAfterTheGrace) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults.push_back({1, 1, sim::SweepFault::Kind::kSpin, 0ms});
@@ -330,8 +332,9 @@ TEST_F(ProcessExecutorTest, SpinIgnoringTheTokenIsHardKilled) {
   const sim::JobOutcome& oc = rep.jobs[1].outcome;
   EXPECT_EQ(oc.status, sim::JobStatus::kTimedOut);
   EXPECT_EQ(oc.term_signal, SIGKILL);
-  EXPECT_NE(oc.what.find("SIGTERM grace"), std::string::npos) << oc.what;
-  EXPECT_GE(oc.wall_seconds, 1.0);
+  EXPECT_NE(oc.what.find("grace period past its deadline"), std::string::npos)
+      << oc.what;
+  EXPECT_GE(oc.wall_seconds, 1.3);  // the grace counts from the deadline
 }
 
 TEST_F(ProcessExecutorTest, SpinDiesOnTheCpuJailWithoutADeadline) {
@@ -351,7 +354,7 @@ TEST_F(ProcessExecutorTest, SpinDiesOnTheCpuJailWithoutADeadline) {
   EXPECT_EQ(oc.term_signal, SIGXCPU);
 }
 
-TEST_F(ProcessExecutorTest, DeadlineSigtermUnwindsCooperatively) {
+TEST_F(ProcessExecutorTest, ChildStopsItselfAtItsDeadline) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
   plan.faults.push_back({1, 1, sim::SweepFault::Kind::kDelay, 1200ms});
@@ -359,17 +362,36 @@ TEST_F(ProcessExecutorTest, DeadlineSigtermUnwindsCooperatively) {
   iso.isolate_procs = 2;
   iso.faults = &plan;
   iso.job_deadline = 150ms;
-  iso.kill_grace = 30s;  // generous: the child must unwind on its own
+  iso.kill_grace = 30s;  // generous: the child must stop on its own
   const sim::SweepReport rep = sim::run_sweep(jobs, iso);
 
   EXPECT_EQ(rep.completed, 2u);
   EXPECT_EQ(rep.timed_out, 1u);
   const sim::JobOutcome& oc = rep.jobs[1].outcome;
   EXPECT_EQ(oc.status, sim::JobStatus::kTimedOut);
-  // Exit 0 with an "aborted" frame, not a kill: the cancellation token
-  // did its job inside the child.
+  // Exit 0 with a timed-out answer, not a kill: the child's own check
+  // between lane turns stopped it.
   EXPECT_EQ(oc.term_signal, 0);
-  EXPECT_NE(oc.what.find("cancellation token"), std::string::npos) << oc.what;
+  EXPECT_EQ(oc.what, "stopped at its job deadline (150 ms)");
+}
+
+TEST(ProcessExecutor, SigtermFromOutsideIsAKillNotACrash) {
+  // The supervisor never sends SIGTERM; one from an operator or a
+  // shutdown must not quarantine a healthy job as a crash.
+  sim::ProcessExecutor exec;
+  exec.spawn(
+      7,
+      [] {
+        ::raise(SIGTERM);
+        return std::string("unreachable");
+      },
+      sim::ChildLimits{});
+  std::optional<sim::ProcessExecutor::Event> ev;
+  while (!(ev = exec.poll())) std::this_thread::sleep_for(1ms);
+  EXPECT_EQ(ev->key, 7u);
+  EXPECT_EQ(ev->fate, sim::ProcessExecutor::FateKind::kKilled);
+  EXPECT_EQ(ev->signal, SIGTERM);
+  EXPECT_TRUE(ev->answer.empty());
 }
 
 TEST_F(ProcessExecutorTest, TornFrameIsAStructuredFailureNotAHang) {

@@ -1,9 +1,10 @@
 // Tests for the supervised sweep scheduler and the crash-safe checkpoint
 // layer: failure classification and isolation, transient retry with
-// capped backoff, cooperative deadline cancellation, max-failures drain,
-// checkpoint/resume bit-identity (including torn-tail tolerance, a
-// journal that dies mid-run and wrong-sweep refusal), and the exact
-// SimResult text round-trip. Faults are injected deterministically via
+// capped backoff, deadlines checked between lane turns, max-failures
+// drain, checkpoint/resume bit-identity (including torn-tail tolerance,
+// a journal that dies mid-run and wrong-sweep refusal), the journal's
+// create/append/header failures, and the exact SimResult text
+// round-trip. Faults are injected deterministically via
 // SweepFaultPlan or a file-size limit — no test here depends on timing
 // races to reproduce.
 #include <gtest/gtest.h>
@@ -12,7 +13,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -23,14 +23,12 @@
 #include <string>
 #include <vector>
 
-#include "src/core/core.h"
 #include "src/sim/checkpoint.h"
 #include "src/sim/experiment.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sweep_scheduler.h"
 #include "src/trace/spec2000.h"
 #include "src/trace/trace_io.h"
-#include "src/trace/trace_source.h"
 #include "src/trace/workload.h"
 
 namespace samie {
@@ -221,8 +219,8 @@ TEST_F(SweepSchedulerTest, DeterministicFaultIsolatesOnlyThatJob) {
 }
 
 TEST_F(SweepSchedulerTest, DeadlineCancelsOverrunningJob) {
-  // The injected 200ms delay runs inside the armed 30ms deadline, so the
-  // token is set before the simulation's first stepped cycle: the
+  // The injected 200ms delay runs inside the 30ms deadline, so the
+  // deadline has passed at the check before the lane's first turn: the
   // timeout is deterministic, not a race on simulation speed.
   auto jobs = three_jobs(200'000);
   jobs.resize(1);
@@ -237,21 +235,39 @@ TEST_F(SweepSchedulerTest, DeadlineCancelsOverrunningJob) {
   const sim::SweepJobResult& jr = rep.jobs[0];
   EXPECT_EQ(jr.outcome.status, sim::JobStatus::kTimedOut);
   EXPECT_EQ(jr.outcome.attempts, 1u);  // terminal: no retry
+  EXPECT_EQ(jr.outcome.failure, sim::FailureClass::kNone);
+  EXPECT_EQ(jr.outcome.what, "stopped at its job deadline (30 ms)");
   ASSERT_TRUE(jr.error);
-  EXPECT_THROW(std::rethrow_exception(jr.error), core::SimulationAborted);
+  try {
+    std::rethrow_exception(jr.error);
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), jr.outcome.what);
+  }
 }
 
-TEST_F(SweepSchedulerTest, SpuriousSupervisorWakeIsHarmless) {
-  const auto jobs = three_jobs();
-  sim::SweepFaultPlan plan;
-  plan.faults = {{0, 1, sim::SweepFault::Kind::kSpuriousWake, 0ms},
-                 {2, 1, sim::SweepFault::Kind::kSpuriousWake, 0ms}};
-  sim::SweepOptions opt;
-  opt.threads = 2;
-  opt.job_deadline = 60s;  // generous: nothing should actually expire
-  opt.faults = &plan;
-  const sim::SweepReport rep = sim::run_sweep(jobs, opt);
-  EXPECT_TRUE(rep.all_completed());
+TEST_F(SweepSchedulerTest, DeadlineThatNeverFiresChangesNoStatistic) {
+  // 50k instructions take several turns of stepping, each preceded by a
+  // deadline check; under both runners the results must be bit for bit
+  // those of one uninterrupted run_simulation, which shares no code with
+  // the attempt body's turn loop (run_jobs runs through it).
+  const auto jobs = three_jobs(50'000);
+  std::vector<sim::SimResult> direct;
+  for (const sim::Job& job : jobs) {
+    direct.push_back(sim::run_program(job.config, job.program));
+  }
+  sim::SweepOptions pool;
+  pool.threads = 2;
+  pool.job_deadline = 60s;
+  sim::SweepOptions iso = pool;
+  iso.isolate_procs = 2;
+  for (const sim::SweepOptions* opt : {&pool, &iso}) {
+    SCOPED_TRACE(opt->isolate_procs != 0 ? "forked" : "in-thread");
+    const sim::SweepReport rep = sim::run_sweep(jobs, *opt);
+    ASSERT_TRUE(rep.all_completed());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      expect_results_identical(rep.jobs[i].result, direct[i]);
+    }
+  }
 }
 
 TEST_F(SweepSchedulerTest, MaxFailuresDrainsRemainingJobsToSkipped) {
@@ -469,24 +485,6 @@ TEST_F(SweepSchedulerTest, MiniSuiteFingerprintIsPinned) {
   EXPECT_EQ(sim::sweep_fingerprint(three_jobs(20'000)), 0x17566cd02aec9d23ULL);
 }
 
-TEST_F(SweepSchedulerTest, CancellationTokenAbortsASimulationDirectly) {
-  sim::SimConfig cfg = sim::paper_config(sim::LsqChoice::kSamie);
-  cfg.instructions = 50'000;
-  const trace::TraceSource src = trace::TraceSource::generate(
-      trace::spec2000_profile("gcc"), cfg.seed, cfg.instructions);
-  std::atomic<bool> cancel{true};  // pre-set: aborts on the first cycle
-  cfg.core.should_abort = &cancel;
-  EXPECT_THROW((void)sim::run_simulation(cfg, src.view()),
-               core::SimulationAborted);
-
-  // An unset token changes nothing — bit-identical to no token at all.
-  cancel.store(false);
-  const sim::SimResult with_token = sim::run_simulation(cfg, src.view());
-  cfg.core.should_abort = nullptr;
-  const sim::SimResult without = sim::run_simulation(cfg, src.view());
-  expect_results_identical(with_token, without);
-}
-
 TEST_F(SweepSchedulerTest, FailureReportNamesEveryNonCompletedJob) {
   const auto jobs = three_jobs();
   sim::SweepFaultPlan plan;
@@ -546,6 +544,58 @@ TEST_F(SweepSchedulerTest, CheckpointRejectsCorruptGuardAndBadHeader) {
   EXPECT_THROW((void)sim::load_checkpoint(bad), sim::CheckpointError);
   EXPECT_THROW((void)sim::load_checkpoint(path("missing.ckpt")),
                sim::CheckpointError);
+}
+
+/// The CheckpointError text `fn` throws, or "" when it throws none.
+template <typename Fn>
+[[nodiscard]] std::string checkpoint_error(const Fn& fn) {
+  try {
+    (void)fn();
+  } catch (const sim::CheckpointError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(SweepSchedulerTest, CheckpointCreateAndAppendFailuresNameTheirStep) {
+  std::string err = checkpoint_error(
+      [&] { return sim::CheckpointWriter::create(path("absent/j.ckpt"), 1, 1); });
+  EXPECT_NE(err.find("cannot create"), std::string::npos) << err;
+
+  // The tmp is written, but a directory holds the journal's name: the
+  // rename fails, and the tmp goes with it.
+  fs::create_directory(path("taken"));
+  err = checkpoint_error(
+      [&] { return sim::CheckpointWriter::create(path("taken"), 1, 1); });
+  EXPECT_NE(err.find("cannot rename into place"), std::string::npos) << err;
+  EXPECT_FALSE(fs::exists(path("taken.tmp")));
+  EXPECT_TRUE(fs::is_directory(path("taken")));
+
+  err = checkpoint_error(
+      [&] { return sim::CheckpointWriter::append_to(path("taken")); });
+  EXPECT_NE(err.find("cannot open for append"), std::string::npos) << err;
+}
+
+TEST_F(SweepSchedulerTest, CheckpointRefusesAMalformedOrMissingHeader) {
+  const std::string magic = "# samie-sweep-checkpoint v1\n";
+  // Guard-intact H lines whose fields do not parse: njobs is not a
+  // number, or the fingerprint is not 16 hex digits.
+  for (const char* fields : {"many\t00000000000000ff", "3\tff"}) {
+    SCOPED_TRACE(fields);
+    const std::string ck = path("fields.ckpt");
+    std::ofstream(ck) << magic << sim::guarded_line('H', fields);
+    const std::string err =
+        checkpoint_error([&] { return sim::load_checkpoint(ck); });
+    EXPECT_NE(err.find("malformed checkpoint header fields"), std::string::npos)
+        << err;
+  }
+  // A record where the header belongs.
+  const std::string ck = path("headless.ckpt");
+  std::ofstream(ck) << magic << sim::guarded_line('R', "payload");
+  const std::string err =
+      checkpoint_error([&] { return sim::load_checkpoint(ck); });
+  EXPECT_NE(err.find("torn or missing checkpoint header"), std::string::npos)
+      << err;
 }
 
 TEST(SimResultRoundTrip, IsBitExactForAwkwardDoubles) {

@@ -33,11 +33,14 @@
 //                          runner's
 //   --job-mem-mb=N         RLIMIT_AS jail per child, MiB (isolation only)
 //   --job-cpu-s=N          RLIMIT_CPU backstop per child, seconds
-//   --kill-grace-ms=N      grace between the deadline SIGTERM and the
-//                          SIGKILL hard kill (default 500)
+//   --kill-grace-ms=N      isolation only: grace between a job's deadline
+//                          and the SIGKILL for a child still alive then
+//                          (one spinning where no deadline check runs;
+//                          default 500)
 //   --retries=N            attempts per transiently-failing job (default 3)
-//   --job-deadline-ms=N    per-job wall-clock deadline; an overrunning job
-//                          is cancelled cooperatively and reported timed-out
+//   --job-deadline-ms=N    per-job wall-clock deadline, counted from each
+//                          attempt's start; an overrunning job stops itself
+//                          at its next check and is reported timed-out
 //   --max-failures=N       drain the sweep after N failed/timed-out jobs
 //                          (remaining jobs report skipped; default: run all)
 //   --checkpoint=FILE      journal each completed job to FILE (crash-safe)
@@ -45,17 +48,17 @@
 //                          jobs are loaded bit-identically, the rest run
 //   --inject-fault=J:A:KIND[:ARG]  test/CI hook: inject a fault at job J
 //                          (0-based) attempt A (1-based); KIND is flaky
-//                          (transient throw), fail (deterministic throw),
-//                          delay (sleep ARG ms first) or wake (spurious
-//                          supervisor wake-up). Under --isolate only:
-//                          crash (SIGSEGV in the child), oom (allocation
-//                          bomb into the --job-mem-mb jail), spin (busy
-//                          loop ignoring the cancel token) and torn-frame
-//                          (the child's answer cut in half). I/O kinds
-//                          (armed on the job's trace path, consumed by the
-//                          next open): short-read (hide the last ARG bytes;
-//                          0 = 64) and bit-flip (flip one payload bit of
-//                          v2 block ARG in memory). Import-only kind —
+//                          (transient throw), fail (deterministic throw)
+//                          or delay (sleep ARG ms first). Under --isolate
+//                          only: crash (SIGSEGV in the child), oom
+//                          (allocation bomb into the --job-mem-mb jail),
+//                          spin (busy loop that never reaches a deadline
+//                          check) and torn-frame (the child's answer cut
+//                          in half). I/O kinds (armed on the job's trace
+//                          path, consumed by the next open): short-read
+//                          (hide the last ARG bytes; 0 = 64) and bit-flip
+//                          (flip one payload bit of v2 block ARG in
+//                          memory). Import-only kind —
 //                          J indexes the imported file: enospc-on-import
 //                          (the write fails as if the disk filled,
 //                          leaving neither the file nor its .tmp).
@@ -164,7 +167,6 @@ void parse_fault(const std::string& spec, sim::SweepFaultPlan& plan,
   if (kind == "flaky") f.kind = sim::SweepFault::Kind::kThrowTransient;
   else if (kind == "fail") f.kind = sim::SweepFault::Kind::kThrowDeterministic;
   else if (kind == "delay") f.kind = sim::SweepFault::Kind::kDelay;
-  else if (kind == "wake") f.kind = sim::SweepFault::Kind::kSpuriousWake;
   else if (kind == "crash") f.kind = sim::SweepFault::Kind::kCrash;
   else if (kind == "oom") f.kind = sim::SweepFault::Kind::kOom;
   else if (kind == "spin") f.kind = sim::SweepFault::Kind::kSpin;
