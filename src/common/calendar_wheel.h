@@ -6,17 +6,15 @@
 // ahead (a functional-unit or memory latency), so a wheel whose span
 // exceeds that bound serves schedule and pop in O(1): bucket index is
 // `at & (span - 1)`, and the per-cycle pop drains exactly the bucket of
-// the current cycle. Events beyond the horizon — possible only under
-// configurations with latencies larger than the constructor's sizing
-// bound — fall into an overflow list that is sorted lazily when its
-// earliest event comes within the horizon.
+// the current cycle. The owner sizes the span above its largest latency
+// (core::detail::completion_wheel_span); schedule() throws
+// std::logic_error for an event at or beyond the span rather than let it
+// land in the bucket of an earlier cycle.
 //
 // Ordering contract (the reason this can replace a (cycle, order)
 // min-heap bit-identically): events due the same cycle pop in schedule
-// order. In-horizon events get this for free — bucket appends are
-// monotonic in the order counter — and overflow events carry the counter
-// so the lazy drain can merge them in front of (or between) direct
-// appends.
+// order. Each event goes straight into its cycle's bucket, so bucket
+// appends are in schedule order by construction.
 //
 // Invalidation is the caller's job: popped payloads may be stale (the
 // instruction completed another way, was squashed, or its ROB slot was
@@ -40,6 +38,8 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/common/types.h"
@@ -50,8 +50,7 @@ template <typename Payload>
 class CalendarWheel {
  public:
   /// `min_span` must exceed the largest (at - now) the caller will ever
-  /// schedule for events that should stay on the O(1) path; it is rounded
-  /// up to a power of two. Larger deltas are still correct (overflow).
+  /// schedule; it is rounded up to a power of two.
   explicit CalendarWheel(std::size_t min_span = 256)
       : span_(std::bit_ceil(std::max<std::size_t>(min_span, 2))),
         mask_(span_ - 1),
@@ -61,29 +60,17 @@ class CalendarWheel {
   [[nodiscard]] std::size_t span() const noexcept { return span_; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
-  [[nodiscard]] std::size_t overflow_size() const noexcept {
-    return overflow_.size();
-  }
-
-  void clear() noexcept {
-    for (auto& b : buckets_) b.clear();
-    for (auto& w : occupancy_) w = 0;
-    overflow_.clear();
-    overflow_min_ = kNeverCycle;
-    size_ = 0;
-  }
 
   /// Cycle of the earliest scheduled event at or after `now` (including
   /// events due exactly at `now`), or kNeverCycle when the wheel is
-  /// empty. O(span/64): a wrapped scan over the occupancy bitmask, plus
-  /// the tracked overflow minimum. Precondition (the pop_due contract):
-  /// every non-empty bucket holds a cycle in [now, now + span), which
-  /// holds as long as the caller popped — or fast-forwarded over
-  /// provably-empty cycles to — every cycle before `now`.
+  /// empty. O(span/64): a wrapped scan over the occupancy bitmask.
+  /// Precondition (the pop_due contract): every non-empty bucket holds a
+  /// cycle in [now, now + span), which holds as long as the caller popped
+  /// — or fast-forwarded over provably-empty cycles to — every cycle
+  /// before `now`.
   [[nodiscard]] Cycle next_event_cycle(Cycle now) const noexcept {
     const std::size_t delta = next_nonempty_bucket(now);
-    const Cycle in_wheel = delta == span_ ? kNeverCycle : now + delta;
-    return std::min(in_wheel, overflow_min_);
+    return delta == span_ ? kNeverCycle : now + delta;
   }
 
   /// Distance (in cycles) from `now` to the first non-empty bucket,
@@ -114,34 +101,29 @@ class CalendarWheel {
   /// An `at` in the past or present is clamped to `now + 1` — the same
   /// cycle the heap this replaced would have delivered it, since events
   /// scheduled after the current pop were only ever seen by the next one.
+  /// Throws std::logic_error when `at - now` is span() or more: that
+  /// event's bucket belongs to an earlier cycle.
   void schedule(Cycle now, Cycle at, Payload payload) {
     if (at <= now) at = now + 1;
-    const Event ev{at, order_++, payload};
-    if (at - now >= span_) {
-      overflow_.push_back(ev);
-      overflow_min_ = std::min(overflow_min_, at);
-    } else {
-      buckets_[at & mask_].push_back(ev);
-      mark_bucket(at & mask_);
-    }
+    if (at - now >= span_) refuse(at - now);
+    buckets_[at & mask_].push_back(Event{at, payload});
+    mark_bucket(at & mask_);
     ++size_;
   }
 
-  /// O(1): an event is due at (or has entered the horizon before)
-  /// `now`. The cycle loop gates the writeback stage on this, so
-  /// event-free stepped cycles skip the bucket machinery entirely.
+  /// O(1): an event is due at `now`. The cycle loop gates the writeback
+  /// stage on this, so event-free stepped cycles skip the bucket
+  /// machinery entirely.
   [[nodiscard]] bool has_due(Cycle now) const noexcept {
     return ((occupancy_[(now & mask_) / 64] >> ((now & mask_) % 64)) & 1ULL) !=
-               0 ||
-           overflow_min_ < now + span_;
+           0;
   }
 
   /// Delivers every event due at `now` (in schedule order) to
   /// `fn(payload)`. `fn` may schedule new events; they land in other
-  /// buckets (or the overflow) because schedule() never targets `now`.
+  /// buckets because schedule() never targets `now`.
   template <typename Fn>
   void pop_due(Cycle now, Fn&& fn) {
-    if (overflow_min_ < now + span_) drain_overflow(now);
     std::vector<Event>& b = buckets_[now & mask_];
     for (const Event& ev : b) {
       assert(ev.at == now && "wheel invariant: bucket holds one cycle");
@@ -154,49 +136,15 @@ class CalendarWheel {
 
  private:
   struct Event {
-    Cycle at = 0;
-    std::uint64_t order = 0;
+    Cycle at = 0;  ///< checked against the popping cycle (assert only)
     Payload payload{};
   };
 
-  /// Moves overflow events whose cycle entered the horizon into their
-  /// buckets. Rare by construction (span > max latency), so the sort and
-  /// the per-bucket order merge are off the steady-state path.
-  void drain_overflow(Cycle now) {
-    std::sort(overflow_.begin(), overflow_.end(),
-              [](const Event& a, const Event& b) {
-                return a.at < b.at || (a.at == b.at && a.order < b.order);
-              });
-    std::size_t moved = 0;
-    while (moved < overflow_.size() && overflow_[moved].at < now + span_) {
-      const Event& ev = overflow_[moved];
-      // A fast-forwarding caller may jump straight to an overflow event's
-      // cycle, so `at == now` is legal here (the pop delivers it below);
-      // only a cycle already behind `now` would be a contract violation.
-      assert(ev.at >= now && "overflow drains no later than its cycle");
-      buckets_[ev.at & mask_].push_back(ev);
-      mark_bucket(ev.at & mask_);
-      ++moved;
-    }
-    overflow_.erase(overflow_.begin(),
-                    overflow_.begin() + static_cast<std::ptrdiff_t>(moved));
-    overflow_min_ = kNeverCycle;
-    for (const Event& ev : overflow_) overflow_min_ = std::min(overflow_min_, ev.at);
-    // A drained event may interleave with direct appends already in its
-    // bucket; restore schedule order (the order counter is global).
-    if (moved != 0) {
-      for (auto& b : buckets_) {
-        if (!std::is_sorted(b.begin(), b.end(), by_order)) {
-          std::sort(b.begin(), b.end(), by_order);
-        }
-      }
-    }
+  [[noreturn, gnu::cold, gnu::noinline]] void refuse(Cycle ahead) const {
+    throw std::logic_error("CalendarWheel: an event " + std::to_string(ahead) +
+                           " cycles ahead is beyond the span of " +
+                           std::to_string(span_));
   }
-
-  static bool by_order(const Event& a, const Event& b) noexcept {
-    return a.order < b.order;
-  }
-
   void mark_bucket(std::size_t b) noexcept {
     occupancy_[b / 64] |= 1ULL << (b % 64);
   }
@@ -213,9 +161,6 @@ class CalendarWheel {
   std::vector<std::vector<Event>> buckets_;
   /// Bit b <=> buckets_[b] non-empty (the next_event_cycle scan).
   std::vector<std::uint64_t> occupancy_;
-  std::vector<Event> overflow_;
-  Cycle overflow_min_ = kNeverCycle;
-  std::uint64_t order_ = 0;
   std::size_t size_ = 0;
 };
 

@@ -6,14 +6,15 @@
 // live sequence numbers span at most the ROB window, indexing a
 // power-of-two table by `seq & mask` is collision-free in practice:
 // two live seqs share a cell only when the table is smaller than the
-// spread of live seqs, a cold configuration case handled by doubling the
-// table until every live entry relocates cleanly.
+// spread of live seqs. Every table starts at kInitialCells (1024), which
+// covers the paper's 256-entry ROB four times over; a wider spread (a
+// ROB above 1024) is handled by doubling the table until every live
+// entry relocates cleanly.
 //
-// Extracted from SamieLsq's in-flight table (PR 1) so ArbLsq can share
-// the exact layout; the growth strategy is unchanged.
+// ConventionalLsq, ArbLsq and SamieLsq share the exact layout.
 #pragma once
 
-#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,12 +25,7 @@ namespace samie {
 template <typename Loc>
 class SeqRingTable {
  public:
-  explicit SeqRingTable(std::uint64_t size_hint = 1024) {
-    const std::uint64_t size =
-        std::bit_ceil(std::max<std::uint64_t>(64, size_hint));
-    cells_.resize(size);
-    mask_ = size - 1;
-  }
+  static constexpr std::uint64_t kInitialCells = 1024;
 
   /// Pointer to the payload for `seq`, or nullptr when absent.
   [[nodiscard]] const Loc* find(InstSeq seq) const noexcept {
@@ -56,10 +52,6 @@ class SeqRingTable {
   void erase(InstSeq seq) noexcept {
     Cell& c = cells_[seq & mask_];
     if (c.seq == seq) c.seq = kNoInst;
-  }
-
-  void clear() noexcept {
-    for (Cell& c : cells_) c.seq = kNoInst;
   }
 
  private:
@@ -93,8 +85,8 @@ class SeqRingTable {
     }
   }
 
-  std::vector<Cell> cells_;
-  std::uint64_t mask_ = 0;
+  std::vector<Cell> cells_ = std::vector<Cell>(kInitialCells);
+  std::uint64_t mask_ = kInitialCells - 1;
 };
 
 }  // namespace samie

@@ -11,8 +11,9 @@
 // `Core` is a template over the concrete LSQ type (any class modelling
 // the lsq::LoadStoreQueue concept) *and* the per-cycle observer type:
 // Core<lsq::SamieLsq, StatsCollector> calls the queue and inlines the
-// once-per-cycle occupancy hook directly, so the cycle loop makes no
-// indirect call. Both are bound at compile time; the one dynamic
+// observer's one hook (on_cycles, fed the queue's occupancy() after
+// every stepped cycle and once per fast-forward), so the cycle loop
+// makes no indirect call. Both are bound at compile time; the one dynamic
 // dispatch on the simulation path is sim::Lane::step, once per turn. A
 // nullptr observer deduces NullObserver.
 //
@@ -102,13 +103,12 @@ struct CoreConfig {
 };
 
 /// An observer that records nothing; a nullptr observer deduces it.
-/// Observer types provide on_cycle(cycle, occupancy), called once per
-/// stepped cycle, and on_cycles(first, count, occupancy) for the `count`
-/// cycles of a fast-forward, which share one sample (nothing ran, so
-/// nothing could change it). sim::StatsCollector is the one that records.
+/// Observer types provide one hook, on_cycles(count, occupancy): the core
+/// calls it with 1 after each stepped cycle and with the span of a
+/// fast-forward, whose cycles share one sample (nothing ran, so nothing
+/// could change it). sim::StatsCollector is the one that records.
 struct NullObserver {
-  void on_cycle(Cycle /*cycle*/, const lsq::OccupancySample& /*occ*/) {}
-  void on_cycles(Cycle /*first*/, std::uint64_t /*count*/,
+  void on_cycles(std::uint64_t /*count*/,
                  const lsq::OccupancySample& /*occ*/) {}
 };
 
@@ -433,19 +433,6 @@ class Core final {
   /// itself breaks on this same predicate, so the quiescence ledger and
   /// the stage agree by construction.
   [[nodiscard]] bool dispatch_blocked() const;
-  /// The once-per-cycle occupancy sample, cached behind the LSQ's
-  /// occupancy epoch: most stepped cycles change nothing the sample
-  /// reads (the run-length StatsCollector would compare-and-fold it
-  /// anyway), so the rebuild happens only when a placement, free,
-  /// buffer move or dispatch actually moved a counter.
-  [[nodiscard]] const lsq::OccupancySample& sampled_occupancy() {
-    const std::uint64_t e = lsq_.occupancy_epoch();
-    if (e != occ_epoch_seen_) {
-      occ_cache_ = lsq_.occupancy();
-      occ_epoch_seen_ = e;
-    }
-    return occ_cache_;
-  }
   // -- wake-ledger maintenance (see core_impl.h for the proof) ---------------
   void wake_set(std::uint32_t bit) noexcept { wake_ledger_ |= bit; }
   void wake_assign(std::uint32_t bit, bool on) noexcept {
@@ -533,9 +520,10 @@ class Core final {
   SortedSeqSet ordering_waiting_loads_;
 
   // Completion events: O(1) calendar wheel indexed by cycle & (span-1),
-  // span sized above the worst-case completion latency (overflow bucket
-  // for anything beyond the horizon). Squashed/flushed events are not
-  // removed; they die by (seq, gen) token mismatch at pop time.
+  // span sized above the worst-case completion latency, so no completion
+  // is ever scheduled beyond it (the wheel would throw). Squashed/flushed
+  // events are not removed; they die by (seq, gen) token mismatch at pop
+  // time.
   CalendarWheel<CompletionRef> completions_;
 
   /// Incremental quiescence ledger: bitwise OR of the WakeBit sources.
@@ -565,11 +553,6 @@ class Core final {
   /// Address computations issued but not yet resolved into a placement —
   /// each reserves one unit of the LSQ's placement headroom.
   std::uint32_t agens_outstanding_ = 0;
-
-  // Per-cycle occupancy sampling cache: rebuilt only when the LSQ's
-  // occupancy_epoch() moved.
-  lsq::OccupancySample occ_cache_;
-  std::uint64_t occ_epoch_seen_ = ~0ULL;
 
   // Results.
   CoreResult res_;

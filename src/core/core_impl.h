@@ -51,7 +51,10 @@ namespace detail {
 /// Calendar-wheel span sizing rule: one power of two above the largest
 /// latency any completion can be scheduled with — the worst-case data
 /// access (TLB walk + L1D + L2 + memory fill) or the slowest functional
-/// unit — so steady-state scheduling never touches the overflow list.
+/// unit. Every completion lands inside the span: a store whose data is
+/// ready and a forwarded load complete at +1, a cache access at its
+/// data-access latency and an issued op at its unit's latency, so the
+/// wheel never refuses one.
 [[nodiscard]] inline std::size_t completion_wheel_span(
     const CoreConfig& cfg, const mem::MemoryHierarchy& memory) {
   Cycle worst = memory.worst_case_data_latency();
@@ -1073,9 +1076,7 @@ void Core<LsqT, ObserverT>::try_fast_forward() {
   // The skipped cycles are observable only through the per-cycle
   // occupancy hook; nothing ran, so the sample is constant over the span
   // and the run-length observer folds it in one call, bit-identically.
-  if (observer_ != nullptr) {
-    observer_->on_cycles(cycle_, span, sampled_occupancy());
-  }
+  if (observer_ != nullptr) observer_->on_cycles(span, lsq_.occupancy());
   res_.quiescent_cycles_skipped += span;
   ++res_.fast_forwards;
   cycle_ = wake;
@@ -1120,7 +1121,7 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
     dispatch_stage();
     fetch_stage();
 
-    if (observer_ != nullptr) observer_->on_cycle(cycle_, sampled_occupancy());
+    if (observer_ != nullptr) observer_->on_cycles(1, lsq_.occupancy());
 
     ++cycle_;
     // Trace exhausted. Checked before the fast-forward so a quiescent,

@@ -13,8 +13,7 @@ ArbLsq::ArbLsq(const ArbConfig& cfg)
     : cfg_(cfg),
       line_shift_(log2_floor(cfg.line_bytes)),
       slot_words_((cfg.max_inflight + 63) / 64),
-      row_words_((cfg.rows_per_bank + 63) / 64),
-      where_(1024) {
+      row_words_((cfg.rows_per_bank + 63) / 64) {
   if (cfg_.banks == 0 || cfg_.rows_per_bank == 0 || cfg_.max_inflight == 0) {
     throw std::invalid_argument(
         "ArbConfig: banks, rows_per_bank and max_inflight must be >= 1");
@@ -56,7 +55,6 @@ bool ArbLsq::can_dispatch(bool /*is_load*/) const {
 
 void ArbLsq::on_dispatch(InstSeq seq, bool /*is_load*/) {
   assert(dispatched_.empty() || dispatched_.back() < seq);
-  ++occ_epoch_;
   dispatched_.push_back(seq);
 }
 
@@ -116,7 +114,6 @@ bool ArbLsq::try_place(const MemOpDesc& op) {
   // The global in-flight cap bounds slots per row, so a valid row always
   // has a free slot.
   assert(slot_idx < cfg_.max_inflight);
-  ++occ_epoch_;
   Slot& s = row.slots[slot_idx];
   s.seq = op.seq;
   s.offset = static_cast<std::uint8_t>(op.addr & (cfg_.line_bytes - 1));
@@ -138,7 +135,6 @@ bool ArbLsq::try_place(const MemOpDesc& op) {
 Placement ArbLsq::on_address_ready(const MemOpDesc& op) {
   if (try_place(op)) return Placement{Placement::Status::kPlaced};
   ++conflicts_;
-  ++occ_epoch_;
   waiting_.push_back(op);
   return Placement{Placement::Status::kBuffered};
 }
@@ -148,7 +144,6 @@ void ArbLsq::drain(std::vector<InstSeq>& newly_placed) {
     const MemOpDesc op = waiting_.front();
     if (!try_place(op)) break;
     newly_placed.push_back(op.seq);
-    ++occ_epoch_;
     waiting_.pop_front();
   }
   // A head left in the FIFO just failed against current state; until a
@@ -196,7 +191,6 @@ void ArbLsq::on_store_data_ready(InstSeq seq) {
 }
 
 void ArbLsq::free_slot(const Loc& loc) {
-  ++occ_epoch_;
   Row& row = row_at(loc.bank, loc.row);
   Slot& s = row.slots[loc.slot];
   assert(s.flags.valid());
@@ -234,7 +228,6 @@ void ArbLsq::on_commit(InstSeq seq) {
   free_slot(loc);
   where_.erase(seq);
   assert(!dispatched_.empty() && dispatched_.front() == seq);
-  ++occ_epoch_;
   dispatched_.pop_front();
   drain_blocked_ = false;  // a freed slot can unblock the retry FIFO
 }
@@ -247,7 +240,6 @@ void ArbLsq::squash_from(InstSeq seq) {
   // rows holding squashed *stores* are the only places a stale ref can
   // survive — collect them while popping and clear just those instead
   // of sweeping every row of every bank. O(squashed) end to end.
-  ++occ_epoch_;
   squash_rows_scratch_.clear();
   while (!dispatched_.empty() && dispatched_.back() >= seq) {
     const InstSeq s = dispatched_.back();

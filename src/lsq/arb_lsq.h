@@ -84,9 +84,6 @@ class ArbLsq final {
   [[nodiscard]] bool has_pending_work() const noexcept {
     return !waiting_.empty() && !drain_blocked_;
   }
-  [[nodiscard]] std::uint64_t occupancy_epoch() const noexcept {
-    return occ_epoch_;
-  }
 
   [[nodiscard]] std::uint64_t placement_conflicts() const { return conflicts_; }
   [[nodiscard]] std::uint32_t rows_used() const { return rows_used_; }
@@ -161,7 +158,6 @@ class ArbLsq final {
   // O(1) occupancy counters, cross-checked by recount_occupancy().
   std::uint32_t rows_used_ = 0;
   std::uint32_t slots_placed_ = 0;
-  std::uint64_t occ_epoch_ = 0;  ///< see occupancy_epoch()
 };
 
 static_assert(LoadStoreQueue<ArbLsq>);

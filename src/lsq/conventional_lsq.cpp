@@ -43,7 +43,6 @@ void ConventionalLsq::on_dispatch(InstSeq seq, bool is_load) {
   e.seq = seq;
   e.flags.set_is_load(is_load);
   where_.insert(seq, next_abs_++);
-  ++occ_epoch_;
   (is_load ? load_seqs_ : store_seqs_).push_back(seq);
   entries_.push_back(e);
 }
@@ -159,7 +158,6 @@ void ConventionalLsq::on_commit(InstSeq seq) {
   // their references go stale and store_live() filters them at read time,
   // so commit is O(1) instead of an O(n) ref sweep + front erase.
   where_.erase(seq);
-  ++occ_epoch_;
   {
     RingDeque<InstSeq>& ring = e.flags.is_load() ? load_seqs_ : store_seqs_;
     assert(!ring.empty() && ring.front() == seq);
@@ -170,7 +168,6 @@ void ConventionalLsq::on_commit(InstSeq seq) {
 }
 
 void ConventionalLsq::squash_from(InstSeq seq) {
-  ++occ_epoch_;
   while (!entries_.empty() && entries_.back().seq >= seq) {
     where_.erase(entries_.back().seq);
     entries_.pop_back();

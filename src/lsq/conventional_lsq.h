@@ -58,9 +58,6 @@ class ConventionalLsq final {
   /// Placement is immediate (drain() is a no-op), so the conventional
   /// queue never holds deferred work.
   [[nodiscard]] bool has_pending_work() const noexcept { return false; }
-  [[nodiscard]] std::uint64_t occupancy_epoch() const noexcept {
-    return occ_epoch_;
-  }
 
   /// Test hook: recomputes the occupancy sample by walking the age ring
   /// and cross-checks the seq ring table against it — every queued entry
@@ -105,7 +102,6 @@ class ConventionalLsq final {
   SeqRingTable<std::uint64_t> where_;
   std::uint64_t front_abs_ = 0;  ///< absolute index of entries_.front()
   std::uint64_t next_abs_ = 0;   ///< absolute index of the next allocation
-  std::uint64_t occ_epoch_ = 0;  ///< see occupancy_epoch()
   /// Age-ordered seqs by kind. Disambiguation only ever compares a load
   /// against *older stores* and a store against *younger loads*, so the
   /// placement walk visits exactly the relevant kind — the store walk

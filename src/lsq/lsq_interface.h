@@ -202,10 +202,8 @@ concept LoadStoreQueue = requires(Q& q, const Q& cq, InstSeq seq,
   q.on_cache_line_replaced(set);
 
   // -- observability ----------------------------------------------------------
+  /// O(1); the core samples it once per stepped cycle.
   { cq.occupancy() } -> std::same_as<OccupancySample>;
-  /// Bumped by every mutation that can change occupancy(); the core's
-  /// per-cycle sampling rebuilds the sample only when this moved.
-  { cq.occupancy_epoch() } -> std::same_as<std::uint64_t>;
 };
 
 }  // namespace samie::lsq

@@ -13,8 +13,7 @@ namespace samie::lsq {
 SamieLsq::SamieLsq(const SamieConfig& cfg, energy::SamieLsqLedger* ledger)
     : cfg_(cfg),
       ledger_(ledger),
-      line_shift_(log2_floor(cfg.line_bytes)),
-      where_(cfg.seq_window_hint) {
+      line_shift_(log2_floor(cfg.line_bytes)) {
   if (cfg_.banks == 0) {
     throw std::invalid_argument("SamieConfig: banks must be >= 1");
   }
@@ -109,7 +108,6 @@ void SamieLsq::fill_slot(const MemOpDesc& op, const Loc& loc, bool new_entry) {
     }
   }
 
-  ++occ_epoch_;
   Slot& s = e.slots[loc.slot];
   s.seq = op.seq;
   s.offset = static_cast<std::uint8_t>(op.addr & (cfg_.line_bytes - 1));
@@ -259,7 +257,6 @@ Placement SamieLsq::on_address_ready(const MemOpDesc& op) {
     return Placement{Placement::Status::kRejected};
   }
   ++buffered_;
-  ++occ_epoch_;
   buffer_.push_back(op);
   if (ledger_ != nullptr) ledger_->on_addrbuf_write();
   return Placement{Placement::Status::kBuffered};
@@ -277,7 +274,6 @@ void SamieLsq::drain(std::vector<InstSeq>& newly_placed) {
     if (ledger_ != nullptr) ledger_->on_addrbuf_read();
     if (!try_place(op, /*from_buffer=*/true)) break;
     newly_placed.push_back(op.seq);
-    ++occ_epoch_;
     buffer_.pop_front();
   }
 }
@@ -390,7 +386,6 @@ void SamieLsq::clear_forward_refs(Entry& e, InstSeq store) {
 }
 
 void SamieLsq::free_slot(const Loc& loc, InstSeq seq) {
-  ++occ_epoch_;
   Entry& e = entry_at(loc);
   const bool distrib = loc.where == Where::kDistrib;
   assert(e.slots[loc.slot].flags.valid() && e.slots[loc.slot].seq == seq);
@@ -491,7 +486,6 @@ void SamieLsq::squash_from(InstSeq seq) {
   }
 
   // Compact the AddrBuffer ring in place, preserving FIFO order.
-  ++occ_epoch_;
   buffer_.erase_if([seq](const MemOpDesc& op) { return op.seq >= seq; });
 }
 

@@ -58,10 +58,6 @@ struct SamieConfig {
   /// L1D set count, for the presentBit invalidation protocol (must equal
   /// the L1D's; sim::make_lane checks).
   std::uint32_t l1d_sets = 64;
-  /// Initial size of the ring-indexed in-flight table (rounded up to a
-  /// power of two). Collisions between live InstSeqs grow it; any value
-  /// >= the core's ROB size never grows.
-  std::uint32_t seq_window_hint = 1024;
 };
 
 class SamieLsq final {
@@ -112,15 +108,10 @@ class SamieLsq final {
   [[nodiscard]] bool has_pending_work() const noexcept {
     return !buffer_.empty();
   }
-  [[nodiscard]] std::uint64_t occupancy_epoch() const noexcept {
-    return occ_epoch_;
-  }
 
   // -- SAMIE-specific observability ------------------------------------------
   [[nodiscard]] std::uint64_t buffered_placements() const { return buffered_; }
   [[nodiscard]] std::uint64_t present_bit_resets() const { return present_resets_; }
-  [[nodiscard]] std::uint64_t agen_gated_cycles() const { return gated_; }
-  void note_agen_gated() { ++gated_; }
   [[nodiscard]] const SamieConfig& config() const { return cfg_; }
   /// Test hook: recomputes every occupancy counter from scratch and
   /// returns it, for cross-checking the O(1) bitmask bookkeeping.
@@ -245,8 +236,6 @@ class SamieLsq final {
 
   std::uint64_t buffered_ = 0;
   std::uint64_t present_resets_ = 0;
-  std::uint64_t gated_ = 0;
-  std::uint64_t occ_epoch_ = 0;  ///< see occupancy_epoch()
 };
 
 static_assert(LoadStoreQueue<SamieLsq>);

@@ -274,15 +274,18 @@ ProcessExecutor::Event ProcessExecutor::decode_fate(const Child& ch,
   }
   if (WIFSIGNALED(status)) {
     ev.signal = WTERMSIG(status);
-    // The supervisor sends no SIGTERM, so one came from outside (an
-    // operator, a shutdown): the work was healthy, and a resume must
-    // re-run it rather than quarantine it as a crash.
-    if (ev.signal == SIGTERM || (ev.signal == SIGKILL && ch.sent_kill)) {
+    // The supervisor sends no SIGTERM, SIGINT or SIGHUP, so one came from
+    // outside (an operator, a shutdown, a closed terminal): the work was
+    // healthy, and a resume must re-run it rather than quarantine it as
+    // a crash.
+    if (ev.signal == SIGTERM || ev.signal == SIGINT || ev.signal == SIGHUP ||
+        (ev.signal == SIGKILL && ch.sent_kill)) {
       ev.fate = FateKind::kKilled;
       ev.what = ev.signal == SIGKILL
                     ? "hard-killed (SIGKILL): still running a grace period "
                       "past its deadline"
-                    : "terminated (SIGTERM not sent by the supervisor)";
+                    : "terminated (" + signal_name(ev.signal) +
+                          " not sent by the supervisor)";
       return ev;
     }
     if (ev.signal == SIGXCPU) {

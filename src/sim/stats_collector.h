@@ -4,14 +4,16 @@
 // Integrates occupancy-dependent statistics once per cycle: the paper's
 // active-area policy (Section 4.2) and the Figure 3/4 occupancy series.
 //
-// Core is templated over this concrete type, so on_cycle is a direct,
-// inlinable call — no virtual dispatch in the cycle loop. The per-cycle
-// work itself is batched: occupancy changes much slower than cycles, so
-// identical consecutive samples are run-length collected and the area /
-// occupancy math runs once per distinct sample at flush time. The
-// flush replays the accumulator updates once per covered cycle in the
-// original order, so every statistic stays bit-identical to the
-// unbatched per-cycle version.
+// Core is templated over this concrete type, so its one hook, on_cycles,
+// is a direct, inlinable call — no virtual dispatch in the cycle loop.
+// The core reads the queue's occupancy() after every stepped cycle and
+// passes it here with a count of 1 (a fast-forward passes its span). The
+// per-cycle work itself is batched: occupancy changes much slower than
+// cycles, so identical consecutive samples are run-length collected (one
+// compare per stepped cycle) and the area / occupancy math runs once per
+// distinct sample at flush time. The flush replays the accumulator
+// updates once per covered cycle in the original order, so every
+// statistic stays bit-identical to the unbatched per-cycle version.
 #pragma once
 
 #include <algorithm>
@@ -35,23 +37,11 @@ class StatsCollector final {
         samie_slot_area_(energy::samie_slot_area_um2(k)),
         addrbuf_slot_area_(energy::addrbuf_slot_area_um2(k)) {}
 
-  void on_cycle(Cycle /*cycle*/, const lsq::OccupancySample& occ) {
-    if (run_len_ != 0 && occ == run_sample_) {
-      ++run_len_;
-      return;
-    }
-    flush_run();
-    run_sample_ = occ;
-    run_len_ = 1;
-  }
-
-  /// Batched hook for the engine's quiescent-cycle fast-forward: `count`
-  /// cycles sharing one occupancy sample extend the run-length directly.
-  /// Identical by construction to `count` on_cycle calls — the flush
-  /// still replays the accumulator updates once per covered cycle.
-  void on_cycles(Cycle /*first*/, std::uint64_t count,
-                 const lsq::OccupancySample& occ) {
-    if (count == 0) return;
+  /// The core's one hook: `count` cycles that share the occupancy
+  /// sample `occ` (1 after a stepped cycle, the span of a fast-forward).
+  /// They extend the current run when the sample is unchanged; the flush
+  /// replays the accumulator updates once per covered cycle either way.
+  void on_cycles(std::uint64_t count, const lsq::OccupancySample& occ) {
     if (run_len_ != 0 && occ == run_sample_) {
       run_len_ += count;
       return;

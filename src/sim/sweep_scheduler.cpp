@@ -854,6 +854,7 @@ std::string signal_name(int sig) {
     case SIGKILL: return "SIGKILL";
     case SIGTERM: return "SIGTERM";
     case SIGINT: return "SIGINT";
+    case SIGHUP: return "SIGHUP";
     case SIGXCPU: return "SIGXCPU";
     case SIGXFSZ: return "SIGXFSZ";
     default: return "SIG" + std::to_string(sig);

@@ -1,12 +1,13 @@
 // Tests for the completion calendar wheel: O(1) schedule/pop with
-// wrap-around, overflow-horizon events, and — the property the core's
-// bit-identity depends on — same-cycle FIFO delivery identical to the
-// (cycle, order) min-heap it replaced.
+// wrap-around, the refusal of an event beyond the span, and — the
+// property the core's bit-identity depends on — same-cycle FIFO delivery
+// identical to the (cycle, order) min-heap it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "src/common/calendar_wheel.h"
@@ -67,30 +68,17 @@ TEST(CalendarWheel, WrapsAroundItsSpanRepeatedly) {
   EXPECT_TRUE(w.empty());
 }
 
-TEST(CalendarWheel, OverflowEventsBeyondTheHorizonArriveOnTime) {
-  CalendarWheel<int> w(8);
-  w.schedule(0, 100, 7);  // far beyond the 8-cycle horizon
-  w.schedule(0, 9, 1);    // also beyond (delta 9 > span 8)
-  EXPECT_EQ(w.overflow_size(), 2U);
-  for (Cycle c = 1; c < 9; ++c) EXPECT_TRUE(pop_cycle(w, c).empty());
-  EXPECT_EQ(pop_cycle(w, 9), (Popped{1}));
-  for (Cycle c = 10; c < 100; ++c) EXPECT_TRUE(pop_cycle(w, c).empty());
-  EXPECT_EQ(pop_cycle(w, 100), (Popped{7}));
+TEST(CalendarWheel, RefusesAnEventBeyondItsSpan) {
+  // Bucket (at & 15) of an event 16 or more cycles ahead belongs to an
+  // earlier cycle; the wheel throws instead of delivering it there.
+  CalendarWheel<int> w(16);
+  w.schedule(100, 115, 1);  // span - 1 ahead: the last cycle it holds
+  EXPECT_THROW(w.schedule(100, 116, 2), std::logic_error);
+  EXPECT_THROW(w.schedule(100, 1100, 3), std::logic_error);
+  EXPECT_EQ(w.size(), 1U) << "a refused event is not scheduled";
+  for (Cycle c = 101; c < 115; ++c) EXPECT_TRUE(pop_cycle(w, c).empty());
+  EXPECT_EQ(pop_cycle(w, 115), (Popped{1}));
   EXPECT_TRUE(w.empty());
-  EXPECT_EQ(w.overflow_size(), 0U);
-}
-
-TEST(CalendarWheel, OverflowMergesInScheduleOrderWithDirectEvents) {
-  CalendarWheel<int> w(8);
-  // Event 0 goes through the overflow (delta 20 >= span), events 1 and 2
-  // are scheduled later, directly into the bucket for cycle 20. The heap
-  // contract: same-cycle pops follow schedule order, so 0 comes first.
-  w.schedule(0, 20, 0);
-  for (Cycle c = 1; c <= 15; ++c) (void)pop_cycle(w, c);
-  w.schedule(15, 20, 1);
-  w.schedule(15, 20, 2);
-  for (Cycle c = 16; c < 20; ++c) EXPECT_TRUE(pop_cycle(w, c).empty());
-  EXPECT_EQ(pop_cycle(w, 20), (Popped{0, 1, 2}));
 }
 
 TEST(CalendarWheel, PopCallbackMaySchedule) {
@@ -104,16 +92,6 @@ TEST(CalendarWheel, PopCallbackMaySchedule) {
     });
   }
   EXPECT_EQ(all, (Popped{1, 2}));
-}
-
-TEST(CalendarWheel, ClearDropsEverything) {
-  CalendarWheel<int> w(8);
-  w.schedule(0, 3, 1);
-  w.schedule(0, 50, 2);
-  EXPECT_EQ(w.size(), 2U);
-  w.clear();
-  EXPECT_TRUE(w.empty());
-  for (Cycle c = 1; c <= 50; ++c) EXPECT_TRUE(pop_cycle(w, c).empty());
 }
 
 // The decisive property: against a reference (cycle, order) min-heap —
@@ -130,7 +108,7 @@ TEST(CalendarWheel, MatchesReferenceHeapOnRandomSchedules) {
   };
 
   std::mt19937_64 rng(1234);
-  CalendarWheel<int> wheel(16);  // small span: exercises wrap + overflow
+  CalendarWheel<int> wheel(16);  // small span: exercises the wrap
   std::vector<Ref> heap;
   std::uint64_t order = 0;
   int payload = 0;
@@ -146,12 +124,12 @@ TEST(CalendarWheel, MatchesReferenceHeapOnRandomSchedules) {
     }
     ASSERT_EQ(from_wheel, from_heap) << "divergence at cycle " << now;
 
-    // Schedule a random burst: mostly short latencies, occasionally far
-    // beyond the 16-cycle span (overflow path).
+    // Schedule a random burst: mostly short latencies, occasionally up
+    // to the last cycle of the 16-cycle span.
     const int n = static_cast<int>(rng() % 4);
     for (int i = 0; i < n; ++i) {
       const Cycle delta =
-          (rng() % 16 == 0) ? 20 + rng() % 200 : 1 + rng() % 12;
+          (rng() % 16 == 0) ? 13 + rng() % 3 : 1 + rng() % 12;
       wheel.schedule(now, now + delta, payload);
       heap.push_back(Ref{now + delta, order++, payload});
       std::push_heap(heap.begin(), heap.end(), later);
@@ -179,16 +157,6 @@ TEST(CalendarWheel, NextEventCycleWrapsTheBitmask) {
   EXPECT_EQ(w.next_event_cycle(14), 29U);
   EXPECT_EQ(w.next_event_cycle(20), 29U);
   EXPECT_EQ(w.next_event_cycle(29), 29U);
-}
-
-TEST(CalendarWheel, NextEventCycleSeesOverflowEvents) {
-  CalendarWheel<int> w(8);
-  w.schedule(0, 100, 7);  // far beyond the 8-cycle horizon
-  EXPECT_EQ(w.next_event_cycle(0), 100U);
-  // Jump straight to the overflow event's cycle: pop_due must drain the
-  // overflow in the same call and deliver it.
-  EXPECT_EQ(pop_cycle(w, 100), (Popped{7}));
-  EXPECT_TRUE(w.empty());
 }
 
 TEST(CalendarWheel, NextEventCycleSpansLargerThanOneWord) {
@@ -233,7 +201,7 @@ TEST(CalendarWheel, JumpPoppingMatchesTheReferenceHeap) {
     const int n = 1 + static_cast<int>(rng() % 3);
     for (int i = 0; i < n; ++i) {
       const Cycle delta =
-          (rng() % 8 == 0) ? 17 + rng() % 100 : 1 + rng() % 12;
+          (rng() % 8 == 0) ? 13 + rng() % 3 : 1 + rng() % 12;
       wheel.schedule(now, now + delta, payload);
       heap.push_back(Ref{now + delta, order++, payload});
       std::push_heap(heap.begin(), heap.end(), later);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/seq_ring_table.h"
 #include "src/common/sparse_memory.h"
 #include "src/common/stats.h"
 #include "src/common/table.h"
@@ -196,6 +197,39 @@ TEST(SparseMemory, MatchesAByteReferenceAcrossTableGrowth) {
   EXPECT_GT(zero_reads, 10'000U) << "too few reads of never-written words";
   EXPECT_GE(mem.capacity(), initial_capacity * 16)
       << "the run must force several table growths";
+}
+
+// ------------------------------------------------------- seq_ring_table ---
+TEST(SeqRingTable, GrowsWhenLiveSeqsSpreadWiderThanTheTable) {
+  // A ROB above kInitialCells keeps live seqs further apart than the
+  // table is wide: seq s and s + kInitialCells share a cell until the
+  // table doubles. Three tables' worth of live seqs force two doublings.
+  constexpr std::uint64_t kCells = SeqRingTable<std::uint64_t>::kInitialCells;
+  SeqRingTable<std::uint64_t> table;
+  const auto payload = [](InstSeq s) { return s * 3 + 1; };
+  const auto expect_live = [&](InstSeq from, InstSeq to) {
+    for (InstSeq s = from; s < to; ++s) {
+      const std::uint64_t* loc = table.find(s);
+      ASSERT_NE(loc, nullptr) << "seq " << s;
+      ASSERT_EQ(*loc, payload(s)) << "seq " << s;
+    }
+  };
+  InstSeq oldest = 5 * kCells + 7;
+  InstSeq next = oldest;
+  for (; next < oldest + 3 * kCells; ++next) table.insert(next, payload(next));
+  expect_live(oldest, next);
+  EXPECT_EQ(table.find(oldest - 1), nullptr);
+  EXPECT_EQ(table.find(next), nullptr);
+
+  // After growth the window rolls on as a ROB's does: retire the oldest
+  // table's worth, dispatch as many younger seqs, and every lookup still
+  // resolves, retired seqs included (to nothing).
+  for (; oldest < 6 * kCells + 7; ++oldest) table.erase(oldest);
+  for (; next < oldest + 3 * kCells; ++next) table.insert(next, payload(next));
+  expect_live(oldest, next);
+  for (InstSeq s = 5 * kCells + 7; s < oldest; ++s) {
+    EXPECT_EQ(table.find(s), nullptr) << "retired seq " << s;
+  }
 }
 
 // ---------------------------------------------------------------- stats ---

@@ -132,7 +132,6 @@ void draw_tlb(Xoshiro256& r, mem::TlbConfig& t) {
   s.line_bytes = r.chance(kOdd) ? one_of(r, {16, 64}) : m.l1d.line_bytes;
   s.l1d_sets = r.chance(kOdd) ? size_or_zero(r, 1, 128)
                               : static_cast<std::uint32_t>(m.l1d.sets());
-  s.seq_window_hint = size_or_zero(r, 1, 2048);
   return cfg;
 }
 

@@ -255,11 +255,7 @@ TEST_P(SamieVsConventional, RandomizedEquivalenceUnderPressure) {
                              .addr_buffer_slots = 16,
                              .drain_width = 2,
                              .line_bytes = 32,
-                             .l1d_sets = 2,
-                             // Tiny window: the ring-indexed table must
-                             // grow on live-residue collisions and stay
-                             // correct.
-                             .seq_window_hint = 8},
+                             .l1d_sets = 2},
                  nullptr);
 
   std::map<InstSeq, RefOp> ops;  // in flight (placed in conv = addr known)
@@ -292,10 +288,9 @@ TEST_P(SamieVsConventional, RandomizedEquivalenceUnderPressure) {
     if (roll < 0.50) {
       // New memory op; SAMIE may buffer (kBuffered) where the generous
       // conventional queue always places.
-      if (samie.placement_headroom() == 0) {
-        // The agen gate: headroom exhausted, no new address computations.
-        samie.note_agen_gated();
-      } else if (conv.can_dispatch(true)) {
+      // The agen gate: with the headroom exhausted, no new address
+      // computations.
+      if (samie.placement_headroom() > 0 && conv.can_dispatch(true)) {
         const bool is_load = rng.chance(0.5);
         const Addr line = rng.below(6);
         const Addr offset = rng.below(4) * 8;

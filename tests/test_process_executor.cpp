@@ -376,22 +376,31 @@ TEST_F(ProcessExecutorTest, ChildStopsItselfAtItsDeadline) {
 }
 
 TEST(ProcessExecutor, SigtermFromOutsideIsAKillNotACrash) {
-  // The supervisor never sends SIGTERM; one from an operator or a
-  // shutdown must not quarantine a healthy job as a crash.
-  sim::ProcessExecutor exec;
-  exec.spawn(
-      7,
-      [] {
-        ::raise(SIGTERM);
-        return std::string("unreachable");
-      },
-      sim::ChildLimits{});
-  std::optional<sim::ProcessExecutor::Event> ev;
-  while (!(ev = exec.poll())) std::this_thread::sleep_for(1ms);
-  EXPECT_EQ(ev->key, 7u);
-  EXPECT_EQ(ev->fate, sim::ProcessExecutor::FateKind::kKilled);
-  EXPECT_EQ(ev->signal, SIGTERM);
-  EXPECT_TRUE(ev->answer.empty());
+  // The supervisor never sends SIGTERM, SIGINT or SIGHUP; one from an
+  // operator, a shutdown or a closed terminal must not quarantine a
+  // healthy job as a crash.
+  for (const int sig : {SIGTERM, SIGINT, SIGHUP}) {
+    SCOPED_TRACE(sim::signal_name(sig));
+    sim::ProcessExecutor exec;
+    exec.spawn(
+        7,
+        [sig] {
+          // A child inherits an ignored disposition (a background job's
+          // SIGINT); restore the default so the signal ends it.
+          ::signal(sig, SIG_DFL);
+          ::raise(sig);
+          return std::string("unreachable");
+        },
+        sim::ChildLimits{});
+    std::optional<sim::ProcessExecutor::Event> ev;
+    while (!(ev = exec.poll())) std::this_thread::sleep_for(1ms);
+    EXPECT_EQ(ev->key, 7u);
+    EXPECT_EQ(ev->fate, sim::ProcessExecutor::FateKind::kKilled);
+    EXPECT_EQ(ev->signal, sig);
+    EXPECT_EQ(ev->what, "terminated (" + sim::signal_name(sig) +
+                            " not sent by the supervisor)");
+    EXPECT_TRUE(ev->answer.empty());
+  }
 }
 
 TEST_F(ProcessExecutorTest, TornFrameIsAStructuredFailureNotAHang) {
