@@ -111,14 +111,6 @@ class CalendarWheel {
     ++size_;
   }
 
-  /// O(1): an event is due at `now`. The cycle loop gates the writeback
-  /// stage on this, so event-free stepped cycles skip the bucket
-  /// machinery entirely.
-  [[nodiscard]] bool has_due(Cycle now) const noexcept {
-    return ((occupancy_[(now & mask_) / 64] >> ((now & mask_) % 64)) & 1ULL) !=
-           0;
-  }
-
   /// Delivers every event due at `now` (in schedule order) to
   /// `fn(payload)`. `fn` may schedule new events; they land in other
   /// buckets because schedule() never targets `now`.

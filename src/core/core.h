@@ -83,23 +83,11 @@ struct CoreConfig {
   /// Watchdog: abort if no instruction commits for this many cycles.
   Cycle commit_timeout = 200000;
 
-  /// Escape hatch (`samie_sim --no-skip`): run every cycle through the
-  /// six-stage walk even when the work ledgers prove it a no-op. The
-  /// event-driven fast-forward is bit-identical to this by construction;
-  /// the differential suite runs both and asserts it.
+  /// Escape hatch (`samie_sim --no-skip`): step every cycle, even those
+  /// `quiescent()` proves a no-op. The event-driven fast-forward is
+  /// bit-identical to this by construction; the differential suite runs
+  /// both and asserts it.
   bool always_step = false;
-
-  /// Cross-check the incremental wake ledger against the from-scratch
-  /// `quiescent()` predicate after every stepped cycle (throws
-  /// std::logic_error on disagreement). Costs one branch per cycle when
-  /// off; the differential tests turn it on, and building with
-  /// -DSAMIE_CHECK_QUIESCENCE (the CI sanitizer job) defaults it on for
-  /// every run in the process.
-#ifdef SAMIE_CHECK_QUIESCENCE
-  bool check_quiescence = true;
-#else
-  bool check_quiescence = false;
-#endif
 };
 
 /// An observer that records nothing; a nullptr observer deduces it.
@@ -253,8 +241,8 @@ class Core final {
   /// Arms a run targeting `max_insts` committed instructions.
   void begin(std::uint64_t max_insts);
   /// Advances up to `max_cycles` stepped cycles. Returns false once the
-  /// run is over (target reached or trace drained); the watchdog and
-  /// quiescence-check exceptions of run() propagate from here. The core
+  /// run is over (target reached or trace drained); the watchdog
+  /// exception of run() propagates from here. The core
   /// reads no clock: a caller with a wall-clock deadline checks it
   /// between calls (the sweep's attempt body does, every few thousand
   /// cycles).
@@ -268,12 +256,9 @@ class Core final {
   [[nodiscard]] const DepSlab& dep_slab() const noexcept { return dep_slab_; }
 
  private:
-  /// The legacy from-scratch quiescence predicate: true iff no stage can
-  /// change architectural state at the current cycle (see core_impl.h
-  /// for the stage-by-stage proof obligations). The cycle loop itself
-  /// tests the incremental `wake_ledger_` word instead; this predicate
-  /// is kept as the cross-check (`CoreConfig::check_quiescence`,
-  /// SAMIE_CHECK_QUIESCENCE builds). All O(1).
+  /// True iff no stage can change architectural state at the current
+  /// cycle (see core_impl.h for the stage-by-stage proof obligations):
+  /// the fast-forward's condition. All O(1).
   [[nodiscard]] bool quiescent() const;
 
   enum class SrcRole : std::uint8_t { kAgen = 0, kData = 1 };
@@ -329,8 +314,8 @@ class Core final {
 
   /// A fetched instruction plus the decode facts dispatch's resource
   /// checks need. dispatch_blocked() runs for every dispatch attempt
-  /// *and* closes the quiescence ledger's dispatch clause, so it reads
-  /// this hot 16-byte ring entry instead of the 32-byte trace record.
+  /// *and* for quiescent()'s dispatch clause, so it reads this hot
+  /// 16-byte ring entry instead of the 32-byte trace record.
   struct Fetched {
     InstSeq seq = kNoInst;
     RegId dst = kNoReg;
@@ -347,19 +332,6 @@ class Core final {
   struct CompletionRef {
     InstSeq seq = kNoInst;
     std::uint32_t gen = 0;
-  };
-
-  /// Wake ledger bits (the non-quiescence sources). Each bit mirrors one
-  /// clause of `quiescent()`'s negation; the stages that can change a
-  /// clause re-derive its bit (see core_impl.h "Wake-ledger maintenance"
-  /// for the site-by-site argument), so the post-cycle quiescence check
-  /// is the single word test `wake_ledger_ == 0`.
-  enum WakeBit : std::uint32_t {
-    kWakeCommitHead = 1U << 0,  ///< head completed or §3.3 flush pending
-    kWakeReady = 1U << 1,       ///< some ready queue is non-empty
-    kWakeLsq = 1U << 2,         ///< lsq_.has_pending_work()
-    kWakeDispatch = 1U << 3,    ///< fetch queue head passes resource checks
-    kWakeFetch = 1U << 4,       ///< fetch could act at the checked cycle
   };
 
   // -- stages (called commit-first each cycle) -------------------------------
@@ -414,44 +386,27 @@ class Core final {
   }
   /// §3.3 deadlock-avoidance predicate on the ROB head: the oldest
   /// instruction can never be placed without a flush. One definition
-  /// shared by commit_stage (which flushes on it), quiescent() and the
-  /// wake ledger, so they can never drift apart.
+  /// shared by commit_stage (which flushes on it) and quiescent(), so
+  /// they can never drift apart.
   [[nodiscard]] bool deadlock_flush_pending(std::size_t idx) const {
     const SlotStatus s = rob_status_[idx];
     return s.is_mem() && !s.placed() &&
            (s.agen_done() || (!s.agen_issued() && s.wait_agen() == 0 &&
                               lsq_.placement_headroom() == 0));
   }
-  /// The commit clause of the wake ledger / quiescence predicate: the
-  /// head exists and commit_stage would act on it (retire or flush).
+  /// The commit clause of the quiescence predicate: the head exists and
+  /// commit_stage would act on it (retire or flush).
   [[nodiscard]] bool commit_head_actionable() const {
     if (head_ == tail_) return false;
     const std::size_t idx = rob_index(head_);
     return rob_status_[idx].completed() || deadlock_flush_pending(idx);
   }
   /// The dispatch stage's head-of-queue resource checks, O(1). The stage
-  /// itself breaks on this same predicate, so the quiescence ledger and
-  /// the stage agree by construction.
+  /// itself breaks on this same predicate, so quiescent() and the stage
+  /// agree by construction.
   [[nodiscard]] bool dispatch_blocked() const;
-  // -- wake-ledger maintenance (see core_impl.h for the proof) ---------------
-  void wake_set(std::uint32_t bit) noexcept { wake_ledger_ |= bit; }
-  void wake_assign(std::uint32_t bit, bool on) noexcept {
-    wake_ledger_ = on ? (wake_ledger_ | bit) : (wake_ledger_ & ~bit);
-  }
   [[nodiscard]] bool any_ready_queue() const noexcept {
     return !ready_int_.empty() || !ready_fp_.empty() || !ready_mem_.empty();
-  }
-  void push_ready_int(SeqRef r) {
-    ready_int_.push_back(r);
-    wake_set(kWakeReady);
-  }
-  void push_ready_fp(SeqRef r) {
-    ready_fp_.push_back(r);
-    wake_set(kWakeReady);
-  }
-  void push_ready_mem(SeqRef r) {
-    ready_mem_.push_back(r);
-    wake_set(kWakeReady);
   }
   /// When quiescent, jumps cycle_ to the next wake source (wheel event,
   /// fetch re-enable, hierarchy completion, watchdog), replaying the
@@ -526,23 +481,11 @@ class Core final {
   // time.
   CalendarWheel<CompletionRef> completions_;
 
-  /// Incremental quiescence ledger: bitwise OR of the WakeBit sources.
-  /// Non-zero means some stage could act; the post-cycle check is this
-  /// single word against zero. kWakeFetch starts set: cycle 0 fetches.
-  std::uint32_t wake_ledger_ = kWakeFetch;
-  /// dispatch_stage exhausted its width with the queue non-empty, so it
-  /// could not decide the dispatch clause; fetch_stage (the only later
-  /// mutator of fetch/dispatch state) re-derives it. In every other exit
-  /// the stage assigns kWakeDispatch itself — the expensive resource
-  /// predicate is then never evaluated on a cycle that proved it moot.
-  bool dispatch_clause_open_ = false;
-
   // Reused per-cycle scratch — cleared, never reallocated in steady state.
   std::vector<InstSeq> drain_scratch_;     ///< memory_stage: drained seqs
   std::vector<InstSeq> eligible_scratch_;  ///< on_store_placed: readyBit sweep
-  std::vector<SeqRef> issue_batch_;  ///< issue_stage: the cycle's ready set,
-                                     ///< collected once and arbitrated in
-                                     ///< one pass over the FU pools
+  std::vector<SeqRef> issue_batch_;  ///< issue_stage: entries skipped this
+                                     ///< cycle, re-queued in order
 
   // Functional units.
   PipelinedPool int_alu_;

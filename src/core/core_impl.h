@@ -2,35 +2,6 @@
 // by core.h). Keep this file free of non-template code; shared helpers
 // live in the anonymous-namespace-free `detail` namespace so every
 // instantiation compiles from one source of truth.
-//
-// Wake-ledger maintenance (the incremental quiescence check). Each
-// WakeBit mirrors one clause of `quiescent()`'s negation; the post-cycle
-// check is `wake_ledger_ == 0`, and `CoreConfig::check_quiescence`
-// cross-checks it against the from-scratch predicate every stepped
-// cycle. Site-by-site:
-//   kWakeCommitHead — recomputed at the end of commit_stage; set by
-//     complete() on the head; recomputed by on_agen_complete on the head
-//     (a kBuffered placement makes the §3.3 predicate true), by
-//     memory_stage when a drain placed anything (placement can flip the
-//     predicate either way, for the head directly or via AddrBuffer
-//     headroom), and at the end of squash_after/full_flush (an LSQ
-//     squash can raise headroom). The remaining transition — the
-//     headroom/wait-counter disjunct becoming true for a head that is
-//     not agen-issued — is always accompanied by that head sitting in a
-//     ready queue (it entered when wait_agen hit 0 and agen gating only
-//     re-queues), so kWakeReady covers the verdict.
-//   kWakeReady — set by every ready-queue push (push_ready_*);
-//     recomputed at the end of issue_stage (the only stage that pops)
-//     and cleared by full_flush (the only other consumer).
-//   kWakeLsq — recomputed wherever LSQ deferred work can change: end of
-//     commit_stage (on_commit can unblock the ARB retry FIFO), after
-//     on_address_ready in on_agen_complete (kBuffered grows a buffer),
-//     end of memory_stage (drain consumes / proves itself blocked), and
-//     after squash_from in the recovery paths.
-//   kWakeDispatch / kWakeFetch — recomputed at the end of fetch_stage;
-//     no later code in a cycle mutates the fetch queue, the dispatch
-//     resources, or the stall state. kWakeFetch is evaluated for
-//     cycle_ + 1 because the quiescence check runs after the increment.
 #pragma once
 
 #include <algorithm>
@@ -177,18 +148,7 @@ void Core<LsqT, ObserverT>::wake_dependents(std::size_t idx) {
     if (static_cast<SrcRole>(ref.role) == SrcRole::kAgen) {
       assert(dep.wait_agen() > 0);
       if (dep.dec_wait_agen() && dep.in_iq()) {
-        const SeqRef r = ref_of(d);
-        if (dep.is_fp()) {
-          push_ready_fp(r);
-        } else {
-          push_ready_int(r);
-        }
-        // A head whose last address source just arrived can satisfy the
-        // §3.3 predicate's headroom disjunct — re-derive its clause so
-        // the commit gate cannot sit on a stale bit.
-        if (d == head_) {
-          wake_assign(kWakeCommitHead, commit_head_actionable());
-        }
+        (dep.is_fp() ? ready_fp_ : ready_int_).push_back(ref_of(d));
       }
     } else {
       assert(dep.wait_data() > 0);
@@ -236,7 +196,7 @@ void Core<LsqT, ObserverT>::try_schedule_load(InstSeq seq) {
   switch (plan.kind) {
     case lsq::LoadPlan::Kind::kCacheAccess:
       f.set(SlotStatus::kExecuting);
-      push_ready_mem(ref_of(seq));
+      ready_mem_.push_back(ref_of(seq));
       break;
     case lsq::LoadPlan::Kind::kForwardReady: {
       f.set(SlotStatus::kExecuting);
@@ -323,18 +283,6 @@ void Core<LsqT, ObserverT>::on_agen_complete(InstSeq seq) {
       // configuration bugs surface loudly.
       throw std::logic_error("LSQ rejected a placement despite the agen gate");
   }
-  // Ledger: only a kBuffered placement changes deferred work (kPlaced
-  // touches neither the AddrBuffer nor the retry FIFO). The head clause
-  // is re-derived for a placement of the head itself (either way) and
-  // for *any* buffered placement — the AddrBuffer just shrank the
-  // placement headroom, which can make the §3.3 predicate true for a
-  // head that is still waiting to compute its address.
-  if (p.status == lsq::Placement::Status::kBuffered) {
-    wake_assign(kWakeLsq, lsq_.has_pending_work());
-    wake_assign(kWakeCommitHead, commit_head_actionable());
-  } else if (seq == head_) {
-    wake_assign(kWakeCommitHead, commit_head_actionable());
-  }
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
@@ -407,9 +355,6 @@ void Core<LsqT, ObserverT>::complete(InstSeq seq) {
     lsq_.on_load_complete(seq);
   }
   wake_dependents(idx);
-  // Ledger: a completed head is commit work (commit already ran this
-  // cycle); the bit holds until commit retires it.
-  if (seq == head_) wake_set(kWakeCommitHead);
   if (cls == trace::OpClass::kBranch && f.mispredicted()) {
     ++res_.mispredict_squashes;
     squash_after(seq);
@@ -442,12 +387,7 @@ void Core<LsqT, ObserverT>::memory_stage() {
   // cases drain() would mutate nothing and charge nothing, so not
   // calling it is bit-identical and saves the provably-failing retry
   // the always-walk loop used to pay every stepped cycle.
-  if (!lsq_.has_pending_work()) {
-    // Every pending-work transition to false re-derives the bit at its
-    // site, so it must already be clear here.
-    assert((wake_ledger_ & kWakeLsq) == 0);
-    return;
-  }
+  if (!lsq_.has_pending_work()) return;
   drain_scratch_.clear();
   lsq_.drain(drain_scratch_);
   for (InstSeq seq : drain_scratch_) {
@@ -458,18 +398,6 @@ void Core<LsqT, ObserverT>::memory_stage() {
       try_schedule_load(seq);
     } else {
       on_store_placed(seq);
-    }
-  }
-  // Ledger: a clear kWakeLsq proves drain() was a no-op (nothing since
-  // the last re-derivation could have added deferred work), so the bit
-  // is re-derived only when it was set — drain consumed work or proved
-  // itself blocked (the ARB sets drain_blocked_ on a failed retry). A
-  // successful placement can also flip the head's §3.3 predicate —
-  // directly, or through the AddrBuffer headroom it freed.
-  if ((wake_ledger_ & kWakeLsq) != 0) {
-    wake_assign(kWakeLsq, lsq_.has_pending_work());
-    if (!drain_scratch_.empty()) {
-      wake_assign(kWakeCommitHead, commit_head_actionable());
     }
   }
 }
@@ -488,16 +416,9 @@ void Core<LsqT, ObserverT>::issue_stage() {
   }
 
   // INT side: agen, integer compute, branches. One pass over the ready
-  // ring, stopping at the issue width exactly as the stage's width gate
-  // demands (entries beyond it are never examined — the ledger proof
-  // requires re-arbitration of *examined* entries only). Skipped entries
-  // collect in the scratch ring and re-enter at the front in original
-  // order; the occupying pools arbitrate against a per-cycle snapshot of
-  // their free units (taken lazily on the first mul/div) instead of
-  // rescanning every unit per entry.
-  if (!ready_int_.empty()) {
+  // ring, stopping at the issue width; skipped entries collect in the
+  // scratch ring and re-enter at the front in original order.
   std::uint32_t issued = 0;
-  bool int_arb_begun = false;
   issue_batch_.clear();
   while (!ready_int_.empty() && issued < cfg_.issue_width_int) {
     const SeqRef ref = ready_int_.front();
@@ -521,18 +442,10 @@ void Core<LsqT, ObserverT>::issue_stage() {
         ++agens_outstanding_;
       }
     } else if (op == trace::OpClass::kIntMul) {
-      if (!int_arb_begun) {
-        int_muldiv_.begin_arbitration(cycle_);
-        int_arb_begun = true;
-      }
-      ok = int_muldiv_.try_issue_batched(cycle_, 1);
+      ok = int_muldiv_.try_issue(cycle_, 1);
       latency = cfg_.lat_int_mul;
     } else if (op == trace::OpClass::kIntDiv) {
-      if (!int_arb_begun) {
-        int_muldiv_.begin_arbitration(cycle_);
-        int_arb_begun = true;
-      }
-      ok = int_muldiv_.try_issue_batched(cycle_, cfg_.lat_int_div);
+      ok = int_muldiv_.try_issue(cycle_, cfg_.lat_int_div);
       latency = cfg_.lat_int_div;
     } else {
       ok = int_alu_.try_issue();
@@ -550,12 +463,9 @@ void Core<LsqT, ObserverT>::issue_stage() {
   for (auto it = issue_batch_.rbegin(); it != issue_batch_.rend(); ++it) {
     ready_int_.push_front(*it);
   }
-  }
 
   // FP side (same structure).
-  if (!ready_fp_.empty()) {
-  std::uint32_t issued = 0;
-  bool fp_arb_begun = false;
+  issued = 0;
   issue_batch_.clear();
   while (!ready_fp_.empty() && issued < cfg_.issue_width_fp) {
     const SeqRef ref = ready_fp_.front();
@@ -568,18 +478,10 @@ void Core<LsqT, ObserverT>::issue_stage() {
     bool ok = false;
     Cycle latency = cfg_.lat_fp_alu;
     if (op == trace::OpClass::kFpMul) {
-      if (!fp_arb_begun) {
-        fp_muldiv_.begin_arbitration(cycle_);
-        fp_arb_begun = true;
-      }
-      ok = fp_muldiv_.try_issue_batched(cycle_, 1);
+      ok = fp_muldiv_.try_issue(cycle_, 1);
       latency = cfg_.lat_fp_mul;
     } else if (op == trace::OpClass::kFpDiv) {
-      if (!fp_arb_begun) {
-        fp_muldiv_.begin_arbitration(cycle_);
-        fp_arb_begun = true;
-      }
-      ok = fp_muldiv_.try_issue_batched(cycle_, cfg_.lat_fp_div);
+      ok = fp_muldiv_.try_issue(cycle_, cfg_.lat_fp_div);
       latency = cfg_.lat_fp_div;
     } else {
       ok = fp_alu_.try_issue();
@@ -597,24 +499,14 @@ void Core<LsqT, ObserverT>::issue_stage() {
   for (auto it = issue_batch_.rbegin(); it != issue_batch_.rend(); ++it) {
     ready_fp_.push_front(*it);
   }
-  }
-
-  // Ledger: issue is the only stage that pops the ready rings, so their
-  // end-of-stage emptiness is final up to later pushes (which set the
-  // bit themselves). A clear bit proves the rings were already empty —
-  // nothing to re-derive.
-  if ((wake_ledger_ & kWakeReady) != 0) {
-    wake_assign(kWakeReady, any_ready_queue());
-  }
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::dispatch_stage() {
-  const bool rob_was_empty = head_ == tail_;
-  std::uint32_t n = 0;
-  for (; n < cfg_.dispatch_width && !fetch_queue_.empty(); ++n) {
-    // Head-of-queue resource checks: the same predicate the quiescence
-    // ledger consults (in-order dispatch: a blocked head blocks all).
+  for (std::uint32_t n = 0; n < cfg_.dispatch_width && !fetch_queue_.empty();
+       ++n) {
+    // Head-of-queue resource checks: the same predicate quiescent()
+    // consults (in-order dispatch: a blocked head blocks all).
     if (dispatch_blocked()) break;
     const Fetched fr = fetch_queue_.front();
     const trace::MicroOp& op = trace_[fr.seq];
@@ -683,36 +575,13 @@ void Core<LsqT, ObserverT>::dispatch_stage() {
 
     (fp ? iq_fp_used_ : iq_int_used_)++;
     if (f.wait_agen() == 0) {
-      const SeqRef r{seq, tok.gen};
-      if (fp) {
-        push_ready_fp(r);
-      } else {
-        push_ready_int(r);
-      }
+      (fp ? ready_fp_ : ready_int_).push_back(SeqRef{seq, tok.gen});
     }
-  }
-  // Ledger: a dispatch into an empty ROB created a brand-new head whose
-  // §3.3 clause nobody else derives (a dep-free memory op against a full
-  // AddrBuffer is flush-pending immediately).
-  if (rob_was_empty && head_ != tail_) {
-    wake_assign(kWakeCommitHead, commit_head_actionable());
-  }
-  // Ledger: the stage decides the dispatch clause from its own exit —
-  // empty queue or a blocked head is a settled "no work" (only fetch
-  // runs later, and appending to the queue cannot unblock its head); an
-  // exhausted width with instructions still queued leaves the clause
-  // open for fetch_stage to re-derive.
-  if (fetch_queue_.empty() || n < cfg_.dispatch_width) {
-    wake_assign(kWakeDispatch, false);
-    dispatch_clause_open_ = false;
-  } else {
-    dispatch_clause_open_ = true;
   }
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::fetch_stage() {
-  const bool was_empty = fetch_queue_.empty();
   if (cycle_ >= fetch_stall_until_) {
     for (std::uint32_t n = 0; n < cfg_.fetch_width; ++n) {
       if (fetch_queue_.size() >= cfg_.fetch_queue) break;
@@ -750,32 +619,6 @@ void Core<LsqT, ObserverT>::fetch_stage() {
         fr.mispredicted = (pred != op.taken) || (pred && op.taken && !target.hit);
         if (pred) break;  // a predicted-taken branch ends the fetch group
       }
-    }
-  }
-  // Ledger: fetch is the last stage, so the dispatch and fetch clauses
-  // are final here. The resource predicate is evaluated only when
-  // dispatch left the clause open (width exhausted) or this stage gave
-  // the queue a new head (pushed into an empty queue) — appending
-  // behind a head dispatch already proved blocked changes nothing. The
-  // fetch clause is evaluated for cycle_ + 1 — the cycle the
-  // post-increment quiescence check (and the first skipped cycle of a
-  // fast-forward) actually asks about.
-  const bool fetch_able = fetch_queue_.size() < cfg_.fetch_queue &&
-                          fetch_seq_ < trace_.size();
-  wake_assign(kWakeFetch, fetch_able && cycle_ + 1 >= fetch_stall_until_);
-  if (dispatch_clause_open_ || (was_empty && !fetch_queue_.empty())) {
-    // Fetch is the last stage, so every other bit is final for the
-    // upcoming check. When one of them already proves the cycle
-    // non-quiescent, the resource predicate's answer cannot change the
-    // verdict — defer it (assign false; the clause is re-derived next
-    // cycle, so a deferred false can never outlive the bits that
-    // justified it). Only a potentially-quiescent cycle pays for the
-    // full evaluation, exactly like the short-circuiting predicate.
-    if ((wake_ledger_ & ~static_cast<std::uint32_t>(kWakeDispatch)) != 0) {
-      wake_assign(kWakeDispatch, false);
-    } else {
-      wake_assign(kWakeDispatch,
-                  !fetch_queue_.empty() && !dispatch_blocked());
     }
   }
 }
@@ -836,11 +679,6 @@ void Core<LsqT, ObserverT>::squash_after(InstSeq last_kept) {
   fetch_seq_ = first_bad;
   fetch_stall_until_ = cycle_ + cfg_.redirect_penalty;
   last_fetch_line_ = ~0ULL;
-
-  // Ledger: the LSQ squash dropped deferred work (and can raise the
-  // AddrBuffer headroom, flipping the head's §3.3 predicate).
-  wake_assign(kWakeLsq, lsq_.has_pending_work());
-  wake_assign(kWakeCommitHead, commit_head_actionable());
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
@@ -882,23 +720,10 @@ void Core<LsqT, ObserverT>::full_flush() {
   fetch_seq_ = head_;
   fetch_stall_until_ = cycle_ + cfg_.redirect_penalty;
   last_fetch_line_ = ~0ULL;
-
-  // Ledger: the ready rings were just cleared (the one consumer besides
-  // issue_stage), nothing is in flight, and the LSQ was squashed empty.
-  wake_assign(kWakeReady, false);
-  wake_assign(kWakeCommitHead, false);
-  wake_assign(kWakeLsq, lsq_.has_pending_work());
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::commit_stage() {
-  // Wake-ledger bookkeeping: every exit path below decides the commit
-  // clause from state it already examined, so the §3.3 predicate is
-  // never re-evaluated at stage end; kWakeLsq is re-derived only when
-  // an on_commit actually ran (the only LSQ mutation in this stage).
-  bool head_clause_known = false;
-  bool head_clause = false;
-  bool committed_any = false;
   for (std::uint32_t n = 0; n < cfg_.commit_width && head_ < tail_; ++n) {
     const std::size_t idx = rob_index(head_);
     assert(rob_token_[idx].seq == head_);
@@ -909,21 +734,13 @@ void Core<LsqT, ObserverT>::commit_stage() {
       // is held by younger instructions, or its address computation is
       // gated by a full AddrBuffer. Flush the pipeline; the oldest
       // instruction re-enters first and is guaranteed a slot.
-      if (deadlock_flush_pending(idx)) {
-        full_flush();  // assigns the ledger itself (nothing in flight)
-      } else {
-        head_clause_known = true;  // head blocked: not completed, no flush
-      }
+      if (deadlock_flush_pending(idx)) full_flush();
       break;
     }
 
     const trace::OpClass cls = h.op_class();
     if (cls == trace::OpClass::kStore) {
-      if (dcache_ports_used_ >= cfg_.dcache_ports) {
-        head_clause_known = true;
-        head_clause = true;  // completed head held only by the port limit
-        break;
-      }
+      if (dcache_ports_used_ >= cfg_.dcache_ports) break;
       ++dcache_ports_used_;
       const trace::MicroOp& op = *rob_op_[idx];
       const Addr addr = op.addr;
@@ -954,7 +771,6 @@ void Core<LsqT, ObserverT>::commit_stage() {
       }
       memory_state_.write(addr, op.mem_size, op.value);
       ++res_.stores_committed;
-      committed_any = true;
       SlotLists& hl = rob_lists_[idx];
       if (!dep_slab_.empty(hl.commit_waiters)) {
         DepSlab::List w = dep_slab_.detach(hl.commit_waiters);
@@ -968,7 +784,6 @@ void Core<LsqT, ObserverT>::commit_stage() {
       }
     } else if (cls == trace::OpClass::kLoad) {
       lsq_.on_commit(head_);
-      committed_any = true;
     }
 
     const RegId dst = rob_cold_[idx].dst;
@@ -990,14 +805,9 @@ void Core<LsqT, ObserverT>::commit_stage() {
     ++head_;
     last_commit_cycle_ = cycle_;
   }
-  wake_assign(kWakeCommitHead,
-              head_clause_known ? head_clause : commit_head_actionable());
-  // on_commit can unblock the ARB retry FIFO; without one the stage
-  // never touched the LSQ and the bit stands.
-  if (committed_any) wake_assign(kWakeLsq, lsq_.has_pending_work());
 }
 
-// The from-scratch quiescence predicate: proves no stage can change
+// The quiescence predicate: proves no stage can change
 // architectural state at cycle_ — and, because every clause below
 // depends only on state that stages themselves mutate, at any later
 // cycle until a wake source (calendar-wheel event, fetch re-enable,
@@ -1009,7 +819,7 @@ void Core<LsqT, ObserverT>::commit_stage() {
 //   memory    — drain() is provably a no-op (the queue's has_pending_work;
 //               SAMIE reports work whenever the AddrBuffer is non-empty
 //               because failed retries still charge energy).
-//   issue     — the ready ledgers are empty. A non-empty ledger is never
+//   issue     — the ready queues are empty. A non-empty queue is never
 //               skippable: gated agens count agen_gated per cycle, and
 //               FU-blocked entries re-arbitrate. (A *busy* FU alone
 //               never blocks skipping: the operation occupying it has
@@ -1018,10 +828,12 @@ void Core<LsqT, ObserverT>::commit_stage() {
 //   dispatch  — the fetch queue is empty or its head fails the same
 //               resource checks dispatch_stage would apply.
 //   fetch     — stalled (wake at fetch_stall_until_), the queue is full,
-//               or the trace is exhausted.
-// The cycle loop tests the incremental wake_ledger_ word instead of
-// calling this; CoreConfig::check_quiescence asserts the two agree after
-// every stepped cycle.
+//               or the trace is exhausted. wake_horizon() guards this
+//               clause too: whenever fetch could act it returns a cycle
+//               no later than cycle_, so the jump would be refused anyway.
+// try_fast_forward jumps only when this holds. The always-step loop is
+// its check: the differential tests run both engine modes and compare
+// every statistic.
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 bool Core<LsqT, ObserverT>::quiescent() const {
   if (commit_head_actionable()) return false;
@@ -1068,7 +880,7 @@ Cycle Core<LsqT, ObserverT>::wake_horizon() const {
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::try_fast_forward() {
-  if (wake_ledger_ != 0) return;
+  if (!quiescent()) return;
   const Cycle wake = wake_horizon();
   if (wake <= cycle_) return;
 
@@ -1099,25 +911,13 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
     int_alu_.new_cycle();
     fp_alu_.new_cycle();
 
-    // Stage gates: at the top of a cycle the commit and ready bits are
-    // exact (commit's clause only moves through writeback/placement
-    // sites, and nothing pops a ready ring outside issue), so a clear
-    // bit proves the stage a no-op and the event-driven loop skips the
-    // call. The always-step escape hatch stays an ungated reference
-    // walk — the differential suite comparing both modes is then a
-    // tripwire for the gates themselves, on top of the quiescence
-    // cross-check.
-    if (cfg_.always_step || (wake_ledger_ & kWakeCommitHead) != 0) {
-      commit_stage();
-      if (res_.committed >= target_) return false;
-    }
-    if (cfg_.always_step || completions_.has_due(cycle_)) {
-      writeback_stage();
-    }
+    // Every stage runs on every stepped cycle and returns at once when it
+    // has nothing to do; the engine modes differ only in the fast-forward.
+    commit_stage();
+    if (res_.committed >= target_) return false;
+    writeback_stage();
     memory_stage();
-    if (cfg_.always_step || (wake_ledger_ & kWakeReady) != 0) {
-      issue_stage();
-    }
+    issue_stage();
     dispatch_stage();
     fetch_stage();
 
@@ -1130,14 +930,6 @@ bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
     // of the final commit, 200k cycles before the watchdog could.
     if (head_ == tail_ && fetch_queue_.empty() && fetch_seq_ >= trace_.size()) {
       return false;
-    }
-    // Differential cross-check (tests, SAMIE_CHECK_QUIESCENCE builds):
-    // the incremental ledger and the from-scratch predicate must agree
-    // after *every* stepped cycle, in both engine modes.
-    if (cfg_.check_quiescence && (wake_ledger_ == 0) != quiescent()) {
-      throw std::logic_error(
-          "wake ledger (word=" + std::to_string(wake_ledger_) +
-          ") disagrees with quiescent() at cycle " + std::to_string(cycle_));
     }
     if (!cfg_.always_step) try_fast_forward();
     // Watchdog, both engine modes: a fast-forward is clamped at this

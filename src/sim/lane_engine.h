@@ -26,7 +26,8 @@
 namespace samie::sim {
 
 /// One resumable simulation. Exceptions from the underlying core
-/// (commit watchdog, quiescence cross-check) propagate out of step().
+/// (commit watchdog, presentBit protocol violation) propagate out of
+/// step().
 class Lane {
  public:
   virtual ~Lane() = default;

@@ -1,12 +1,15 @@
 // Unit tests for src/common: RNG determinism and distributions, the
-// sparse memory image, statistics primitives, table rendering.
+// sparse memory image, statistics primitives, table rendering; and the
+// tools' number parsing (tools/cli_util.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -15,6 +18,7 @@
 #include "src/common/stats.h"
 #include "src/common/table.h"
 #include "src/common/types.h"
+#include "tools/cli_util.h"
 
 namespace samie {
 namespace {
@@ -271,6 +275,42 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::pct(-1.5, 1), "-1.5%");
   EXPECT_EQ(Table::pct(2.0, 1), "+2.0%");
+}
+
+// ------------------------------------------------------------ cli_util ---
+TEST(CliUtil, ParseDecimalTakesOnlyWholeNumbersWithinTheMaximum) {
+  constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  std::uint64_t v = 7;
+  EXPECT_TRUE(tools::parse_decimal("4294967295", kU32, v));
+  EXPECT_EQ(v, kU32);
+  EXPECT_TRUE(tools::parse_decimal("0", kU32, v));
+  EXPECT_EQ(v, 0U);
+  v = 7;
+  for (const char* bad : {"4294967296", "4294967297", "", "-1", " 1", "+1",
+                          "1e5", "12abc", "99999999999999999999"}) {
+    EXPECT_FALSE(tools::parse_decimal(bad, kU32, v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7U) << "a refused value must leave the output alone";
+  }
+  EXPECT_TRUE(tools::parse_decimal(
+      "18446744073709551615", std::numeric_limits<std::uint64_t>::max(), v));
+  EXPECT_EQ(v, std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(CliUtil, ParseU64RefusesAboveTheMaximumNamingTheOption) {
+  std::string failure;
+  const auto fail = [&](const std::string& what) { failure = what; };
+  std::uint64_t v = 0;
+  EXPECT_FALSE(tools::parse_u64("--slots=3", "--banks", v, fail));
+  EXPECT_TRUE(failure.empty());
+  EXPECT_TRUE(tools::parse_u64("--banks=4294967297", "--banks", v, fail,
+                               std::numeric_limits<std::uint32_t>::max()));
+  EXPECT_EQ(failure,
+            "value of --banks must be an unsigned integer no greater than "
+            "4294967295, got '4294967297'");
+  failure.clear();
+  EXPECT_TRUE(tools::parse_u64("--insts=4294967297", "--insts", v, fail));
+  EXPECT_TRUE(failure.empty());
+  EXPECT_EQ(v, 4294967297U);
 }
 
 }  // namespace

@@ -5,10 +5,10 @@
 // queues' geometries and the cache and TLB geometries, zeros and
 // non-power-of-two sizes included. Each draw must do one of two things:
 //   * sim::make_lane throws std::invalid_argument; or
-//   * the run completes with no load value mismatch, with the quiescence
-//     cross-check on, and the event-driven and always-step engines give
-//     the same serialize_sim_result once the two engine-only counts
-//     (quiescent_cycles_skipped, fast_forwards) are zeroed.
+//   * the run completes with no load value mismatch, and the event-driven
+//     and always-step engines give the same serialize_sim_result once the
+//     two engine-only counts (quiescent_cycles_skipped, fast_forwards) are
+//     zeroed.
 // Anything else (a watchdog wedge, a crash, a wrong value, a divergence)
 // is a model bug that no single-parameter test would have found.
 #include <gtest/gtest.h>
@@ -101,7 +101,6 @@ void draw_tlb(Xoshiro256& r, mem::TlbConfig& t) {
   c.lat_fp_mul = size_or_zero(r, 1, 8);
   c.lat_fp_div = size_or_zero(r, 1, 30);
   c.exploit_known_line_latency = r.chance(0.5);
-  c.check_quiescence = true;
 
   mem::HierarchyConfig& m = cfg.memory;
   draw_cache(r, m.l1i, 10);

@@ -116,14 +116,12 @@ CoreResult run_once(const Trace& t, Which which, const CoreConfig& cfg,
 }
 
 /// Runs `t` in both engine modes — every cycle stepped, then the
-/// event-driven loop — with the wake ledger cross-checked against
-/// quiescent() after every stepped cycle. The two must agree on every
-/// statistic (only the engine metrics quiescent_cycles_skipped and
-/// fast_forwards may differ); returns the event-driven result.
+/// event-driven loop. The two must agree on every statistic (only the
+/// engine metrics quiescent_cycles_skipped and fast_forwards may
+/// differ); returns the event-driven result.
 CoreResult run_trace(const Trace& t, Which which = Which::kConventional,
                      CoreConfig cfg = CoreConfig{},
                      lsq::SamieConfig samie_cfg = lsq::SamieConfig{}) {
-  cfg.check_quiescence = true;
   cfg.always_step = true;
   const CoreResult stepped = run_once(t, which, cfg, samie_cfg);
   cfg.always_step = false;

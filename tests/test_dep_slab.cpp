@@ -172,9 +172,7 @@ TEST(DepSlabIntegration, CoreReclaimsEveryRefAfterSquashHeavyRun) {
   mem::MemoryHierarchy memory{mem::HierarchyConfig{}};
   branch::HybridPredictor pred;
   branch::Btb btb;
-  CoreConfig cfg;
-  cfg.check_quiescence = true;  // ride along: ledger agreement too
-  Core c(cfg, t, q, memory, pred, btb, nullptr, nullptr, nullptr);
+  Core c(CoreConfig{}, t, q, memory, pred, btb, nullptr, nullptr, nullptr);
   const CoreResult r = c.run(t.size());
 
   EXPECT_EQ(r.committed, t.size());

@@ -5,8 +5,8 @@
 // area double — across all three LSQ organizations and under squash /
 // full-flush / drain pressure.
 //
-// The engine skips a cycle only when the work ledgers prove every stage
-// a no-op, so any divergence here means a ledger lied (a stage could
+// The engine skips a cycle only when Core::quiescent() proves every stage
+// a no-op, so any divergence here means the predicate lied (a stage could
 // have acted) or a wake source was missed (the jump overshot an event).
 // The pressure configurations deliberately shrink queue geometries so
 // mispredict squashes, deadlock-avoidance full flushes and AddrBuffer /
@@ -31,14 +31,9 @@ namespace {
 /// Runs `cfg` twice — event-driven and always-step — and asserts every
 /// simulation statistic matches exactly (doubles compared bit-for-bit).
 /// Returns the event-driven result for scenario-specific assertions.
-/// Both runs enable CoreConfig::check_quiescence, so every stepped cycle
-/// of every scenario also asserts the incremental wake ledger against
-/// the from-scratch quiescent() predicate (the core throws on the first
-/// disagreement, failing the test loudly).
 SimResult expect_engines_identical(SimConfig cfg, const std::string& program,
                                    std::uint64_t insts) {
   cfg.instructions = insts;
-  cfg.core.check_quiescence = true;
   cfg.core.always_step = false;
   const SimResult fast = run_program(cfg, program);
   cfg.core.always_step = true;
@@ -115,7 +110,8 @@ TEST(EngineDifferential, PaperConfigAllLsqKindsAllProgramsMatch) {
 
 TEST(EngineDifferential, MemoryBoundProgramsActuallyFastForward) {
   // On memory-latency-dominated programs the engine must engage — a
-  // conservative-but-never-firing ledger would silently revert the PR.
+  // conservative-but-never-true predicate would silently lose the
+  // fast-forward.
   // The unbounded queue of Figure 1 is a ConventionalLsq too, so its
   // lanes must take the same statically dispatched, skipping core.
   for (const LsqChoice lsq :
@@ -198,17 +194,14 @@ TEST(EngineWorkLedger, LsqsAreCallDrivenNotTimeTriggered) {
   EXPECT_TRUE(pressed.has_pending_work());
 }
 
-// Quiescence-ledger differential: the incremental dirty-bit ledger must
-// agree with the legacy from-scratch predicate on *every stepped cycle*
-// (expect_engines_identical turns the in-core cross-check on, so the
-// core throws at the first divergent cycle). This sweep drives it
-// through the hard cases explicitly: all three LSQ kinds under shrunken
-// geometries where mispredict squashes, §3.3 full flushes and
-// AddrBuffer / retry-FIFO drain pressure all fire, in both engine
-// modes, across randomized workload seeds.
-class QuiescenceLedgerSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+// Quiescence under pressure: drives the predicate through the hard cases
+// explicitly — all three LSQ kinds under shrunken geometries where
+// mispredict squashes, §3.3 full flushes and AddrBuffer / retry-FIFO
+// drain pressure all fire, in both engine modes, across randomized
+// workload seeds.
+class QuiescenceSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(QuiescenceLedgerSeeds, LedgerAgreesWithPredicateUnderPressure) {
+TEST_P(QuiescenceSeeds, EnginesAgreeUnderPressure) {
   const std::uint64_t seed = GetParam();
   // SAMIE, tiny geometry: constant AddrBuffer pressure + full flushes.
   SimConfig samie = paper_config(LsqChoice::kSamie);
@@ -239,7 +232,7 @@ TEST_P(QuiescenceLedgerSeeds, LedgerAgreesWithPredicateUnderPressure) {
   EXPECT_GT(cr.core.mispredict_squashes, 0U) << "squash not exercised";
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, QuiescenceLedgerSeeds,
+INSTANTIATE_TEST_SUITE_P(Seeds, QuiescenceSeeds,
                          ::testing::Values(3U, 911U, 424242U));
 
 // Randomized sweep: seeds perturb the generated workloads (different

@@ -90,8 +90,9 @@
 // damage=/block=/offset= fields in the per-job report), 2 when the
 // sweep was partial for any other reason (jobs failed, timed out or
 // were skipped — the failure report goes to stderr, completed rows
-// still print), 1 on usage or fatal errors (bad flags, unreadable
-// checkpoint, import failure).
+// still print), 1 on usage or fatal errors (bad flags, a value above
+// 4294967295 for an option stored in 32 bits, unreadable checkpoint,
+// import failure).
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
@@ -102,6 +103,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -131,6 +133,19 @@ bool parse_u64(const std::string& arg, const char* key, std::uint64_t& out) {
                           [](const std::string& what) { usage_error(what); });
 }
 
+/// parse_u64 for an option stored in 32 bits: a value above the field's
+/// maximum is refused, not truncated.
+bool parse_u32(const std::string& arg, const char* key, std::uint32_t& out) {
+  std::uint64_t v = 0;
+  if (!tools::parse_u64(
+          arg, key, v, [](const std::string& what) { usage_error(what); },
+          std::numeric_limits<std::uint32_t>::max())) {
+    return false;
+  }
+  out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
 /// An import-only injected fault, armed on the J-th imported file.
 struct ImportFault {
   std::uint64_t file = 0;
@@ -152,16 +167,21 @@ void parse_fault(const std::string& spec, sim::SweepFaultPlan& plan,
   if (parts.size() < 3 || parts.size() > 4) {
     usage_error("--inject-fault wants J:A:KIND[:MS], got '" + spec + "'");
   }
+  constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
   sim::SweepFault f;
-  char* end = nullptr;
-  f.job = std::strtoull(parts[0].c_str(), &end, 10);
-  if (end != parts[0].c_str() + parts[0].size()) {
+  std::uint64_t job = 0;
+  if (!tools::parse_decimal(parts[0].c_str(), kAny, job)) {
     usage_error("bad job index in --inject-fault '" + spec + "'");
   }
-  f.attempt = static_cast<std::uint32_t>(std::strtoul(parts[1].c_str(), &end, 10));
-  if (end != parts[1].c_str() + parts[1].size() || f.attempt == 0) {
+  f.job = job;
+  std::uint64_t attempt = 0;
+  if (!tools::parse_decimal(parts[1].c_str(),
+                            std::numeric_limits<std::uint32_t>::max(),
+                            attempt) ||
+      attempt == 0) {
     usage_error("bad (1-based) attempt in --inject-fault '" + spec + "'");
   }
+  f.attempt = static_cast<std::uint32_t>(attempt);
   const std::string& kind = parts[2];
   trace::IoFault import;
   if (kind == "flaky") f.kind = sim::SweepFault::Kind::kThrowTransient;
@@ -177,11 +197,8 @@ void parse_fault(const std::string& spec, sim::SweepFaultPlan& plan,
     import.kind = trace::IoFault::Kind::kEnospcOnImport;
   else usage_error("unknown fault kind '" + kind + "' in --inject-fault");
   std::uint64_t arg = 0;
-  if (parts.size() == 4) {
-    arg = std::strtoull(parts[3].c_str(), &end, 10);
-    if (end != parts[3].c_str() + parts[3].size()) {
-      usage_error("bad argument in --inject-fault '" + spec + "'");
-    }
+  if (parts.size() == 4 && !tools::parse_decimal(parts[3].c_str(), kAny, arg)) {
+    usage_error("bad argument in --inject-fault '" + spec + "'");
   }
   if (import.kind != trace::IoFault::Kind::kNone) {
     import.param = arg;
@@ -294,9 +311,10 @@ int main(int argc, char** argv) {
       sweep.resume = true;
     } else if (arg.rfind("--inject-fault=", 0) == 0) {
       parse_fault(arg.substr(15), fault_plan, import_faults);
-    } else if (parse_u64(arg, "--retries", v)) {
-      if (v == 0) usage_error("--retries must be at least 1");
-      sweep.retry.max_attempts = static_cast<std::uint32_t>(v);
+    } else if (parse_u32(arg, "--retries", sweep.retry.max_attempts)) {
+      if (sweep.retry.max_attempts == 0) {
+        usage_error("--retries must be at least 1");
+      }
     } else if (parse_u64(arg, "--job-deadline-ms", v)) {
       sweep.job_deadline = std::chrono::milliseconds(v);
     } else if (parse_u64(arg, "--max-failures", v)) {
@@ -313,26 +331,17 @@ int main(int argc, char** argv) {
       insts_given = true;
     } else if (parse_u64(arg, "--seed", v)) {
       cfg.seed = v;
-    } else if (parse_u64(arg, "--banks", v)) {
-      cfg.samie.banks = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--entries", v)) {
-      cfg.samie.entries_per_bank = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--slots", v)) {
-      cfg.samie.slots_per_entry = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--shared", v)) {
-      cfg.samie.shared_entries = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--addrbuf", v)) {
-      cfg.samie.addr_buffer_slots = static_cast<std::uint32_t>(v);
+    } else if (parse_u32(arg, "--banks", cfg.samie.banks)) {
+    } else if (parse_u32(arg, "--entries", cfg.samie.entries_per_bank)) {
+    } else if (parse_u32(arg, "--slots", cfg.samie.slots_per_entry)) {
+    } else if (parse_u32(arg, "--shared", cfg.samie.shared_entries)) {
+    } else if (parse_u32(arg, "--addrbuf", cfg.samie.addr_buffer_slots)) {
     } else if (arg == "--unbounded-shared") {
       cfg.samie.unbounded_shared = true;
-    } else if (parse_u64(arg, "--arb-banks", v)) {
-      cfg.arb.banks = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--arb-rows", v)) {
-      cfg.arb.rows_per_bank = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--arb-inflight", v)) {
-      cfg.arb.max_inflight = static_cast<std::uint32_t>(v);
-    } else if (parse_u64(arg, "--conv-entries", v)) {
-      cfg.conventional.entries = static_cast<std::uint32_t>(v);
+    } else if (parse_u32(arg, "--arb-banks", cfg.arb.banks)) {
+    } else if (parse_u32(arg, "--arb-rows", cfg.arb.rows_per_bank)) {
+    } else if (parse_u32(arg, "--arb-inflight", cfg.arb.max_inflight)) {
+    } else if (parse_u32(arg, "--conv-entries", cfg.conventional.entries)) {
     } else if (arg == "--fast-way-known") {
       cfg.core.exploit_known_line_latency = true;
     } else if (arg == "--no-skip") {
@@ -341,13 +350,11 @@ int main(int argc, char** argv) {
       cfg.paper_energy_constants = false;
     } else if (arg == "--csv") {
       csv = true;
-    } else if (parse_u64(arg, "--threads", v)) {
-      sweep.threads = static_cast<unsigned>(v);
+    } else if (parse_u32(arg, "--threads", sweep.threads)) {
     } else if (arg == "--isolate") {
       sweep.isolate_procs = sim::bench_threads();
-    } else if (parse_u64(arg, "--isolate", v)) {
-      if (v == 0) usage_error("--isolate must be at least 1");
-      sweep.isolate_procs = static_cast<unsigned>(v);
+    } else if (parse_u32(arg, "--isolate", sweep.isolate_procs)) {
+      if (sweep.isolate_procs == 0) usage_error("--isolate must be at least 1");
     } else if (parse_u64(arg, "--job-mem-mb", v)) {
       sweep.job_mem_mb = v;
     } else if (parse_u64(arg, "--job-cpu-s", v)) {
