@@ -41,7 +41,6 @@
 #include "src/common/sparse_memory.h"
 #include "src/core/dep_slab.h"
 #include "src/core/fu_pool.h"
-#include "src/energy/ledger.h"
 #include "src/lsq/lsq_interface.h"
 #include "src/mem/hierarchy.h"
 #include "src/trace/instruction.h"
@@ -115,6 +114,8 @@ struct CoreResult {
   /// Loads whose observed value differed from the trace oracle — any
   /// nonzero value is a memory-ordering bug in the LSQ under test.
   std::uint64_t value_mismatches = 0;
+  /// Each L1D and DTLB access, counted once (access_dcache); the lane
+  /// folds the Figure 9 and 10 energies from these.
   std::uint64_t dcache_way_known = 0;
   std::uint64_t dcache_full = 0;
   std::uint64_t dtlb_accesses = 0;
@@ -228,21 +229,18 @@ class Core final {
   /// `cfg` is zero.
   Core(const CoreConfig& cfg, trace::TraceWindow trace, LsqT& lsq,
        mem::MemoryHierarchy& memory, branch::HybridPredictor& predictor,
-       branch::Btb& btb, energy::DcacheLedger* dcache_ledger,
-       energy::DtlbLedger* dtlb_ledger, ObserverT* observer);
-
-  /// Runs until `max_insts` instructions commit (or the trace ends).
-  /// Equivalent to begin(max_insts); while (step(...)) {}; finish() —
-  /// the stepped decomposition is what sim::Lane drives; results are
-  /// bit-identical by construction (the cycle loop body is shared).
-  CoreResult run(std::uint64_t max_insts);
+       branch::Btb& btb, ObserverT* observer);
 
   // -- resumable stepping (sim::Lane) ----------------------------------------
+  // A run is begin(max_insts), then step() until it returns false, then
+  // finish(). Stepping in turns of any size commits the same
+  // instructions at the same cycles as one uninterrupted turn.
   /// Arms a run targeting `max_insts` committed instructions.
   void begin(std::uint64_t max_insts);
   /// Advances up to `max_cycles` stepped cycles. Returns false once the
-  /// run is over (target reached or trace drained); the watchdog
-  /// exception of run() propagates from here. The core
+  /// run is over (target reached or trace drained). The commit watchdog
+  /// (std::runtime_error) and a presentBit protocol violation
+  /// (std::logic_error) propagate from here. The core
   /// reads no clock: a caller with a wall-clock deadline checks it
   /// between calls (the sweep's attempt body does, every few thousand
   /// cycles).
@@ -263,23 +261,17 @@ class Core final {
 
   enum class SrcRole : std::uint8_t { kAgen = 0, kData = 1 };
 
-  /// A (seq, ROB-slot incarnation) token. Everything that *refers* to an
-  /// in-flight instruction across cycles — completion events, dependent
-  /// lists, waiter lists, ready-queue entries — carries one; a consumer
-  /// whose token no longer matches the slot is stale (squash, flush or
-  /// slot reuse after refetch of the same trace index) and drops it in
-  /// O(1). This is what makes squash recovery O(squashed): no survivor
-  /// scrubbing, no ready-queue filtering.
+  /// A (seq, ROB-slot incarnation) token. Each ROB slot holds its own in
+  /// the hot SoA token array: `seq` is set to the occupant at dispatch
+  /// and to kNoInst when the slot is released (commit, squash, flush),
+  /// and `gen` counts the slot's incarnations. Everything that *refers*
+  /// to an in-flight instruction across cycles — completion events,
+  /// dependent lists, waiter lists, ready-queue entries — carries a copy;
+  /// a consumer whose copy no longer matches the slot's token is stale
+  /// (squash, flush or slot reuse after refetch of the same trace index)
+  /// and drops it in O(1). This is what makes squash recovery
+  /// O(squashed): no survivor scrubbing, no ready-queue filtering.
   struct SeqRef {
-    InstSeq seq = kNoInst;
-    std::uint32_t gen = 0;
-  };
-
-  /// The (seq, gen) incarnation token of a ROB slot — one entry of the
-  /// hot SoA token array. `seq` is bumped to the occupant at dispatch
-  /// and to kNoInst at commit/squash; `gen` counts incarnations so
-  /// cross-cycle references die on slot reuse (see SeqRef).
-  struct SlotToken {
     InstSeq seq = kNoInst;
     std::uint32_t gen = 0;
   };
@@ -325,15 +317,6 @@ class Core final {
     bool mispredicted = false;
   };
 
-  /// A scheduled completion event: the instruction plus its ROB-slot
-  /// incarnation at schedule time (see SlotToken::gen). Delivery order is
-  /// the calendar wheel's contract: same-cycle events pop in schedule
-  /// order, identical to the (cycle, order) min-heap this replaced.
-  struct CompletionRef {
-    InstSeq seq = kNoInst;
-    std::uint32_t gen = 0;
-  };
-
   // -- stages (called commit-first each cycle) -------------------------------
   void commit_stage();
   void writeback_stage();
@@ -368,8 +351,17 @@ class Core final {
   void on_store_placed(InstSeq seq);
   void try_schedule_load(InstSeq seq);
   void execute_load_access(InstSeq seq);
+  /// The one L1D access, of a load at issue or a store at commit: takes
+  /// a port, follows the queue's hints, counts the access once, keeps
+  /// the presentBits, and returns the latency. Throws std::logic_error
+  /// naming the kind when a way-known line is not resident.
+  Cycle access_dcache(InstSeq seq, Addr addr, bool is_store);
   [[nodiscard]] bool load_ordering_clear(InstSeq seq) const;
-  void handle_eviction(bool evicted, std::uint32_t set, bool had_present_bit);
+  /// Ends the incarnation in ROB slot `idx` (commit, squash, flush): its
+  /// token dies, so every cross-cycle ref to it goes stale, and its
+  /// three dependence lists go back to the slab, so the slab never
+  /// carries refs for dead slots.
+  void release_slot(std::size_t idx);
   void squash_after(InstSeq last_kept);
   void full_flush();
   [[nodiscard]] std::uint64_t forwarded_value(const trace::MicroOp& load,
@@ -378,7 +370,7 @@ class Core final {
   // -- event-driven engine ---------------------------------------------------
   /// True when `ref` still names the incarnation it was created for.
   [[nodiscard]] bool ref_live(InstSeq seq, std::uint32_t gen) const {
-    const SlotToken& t = rob_token_[rob_index(seq)];
+    const SeqRef& t = rob_token_[rob_index(seq)];
     return seq >= head_ && seq < tail_ && t.seq == seq && t.gen == gen;
   }
   [[nodiscard]] SeqRef ref_of(InstSeq seq) const {
@@ -424,8 +416,6 @@ class Core final {
   mem::MemoryHierarchy& mem_;
   branch::HybridPredictor& predictor_;
   branch::Btb& btb_;
-  energy::DcacheLedger* dcache_ledger_;
-  energy::DtlbLedger* dtlb_ledger_;
   ObserverT* observer_;
   /// Committed architectural memory: stores write it at commit, loads
   /// that reach the cache read it. Checked against the trace's oracle
@@ -449,7 +439,7 @@ class Core final {
   // validation touches the 16-byte token array, and the cold array is
   // only read at completion and squash.
   std::vector<SlotStatus> rob_status_;
-  std::vector<SlotToken> rob_token_;
+  std::vector<SeqRef> rob_token_;
   std::vector<const trace::MicroOp*> rob_op_;
   std::vector<SlotLists> rob_lists_;
   std::vector<SlotCold> rob_cold_;
@@ -476,10 +466,11 @@ class Core final {
 
   // Completion events: O(1) calendar wheel indexed by cycle & (span-1),
   // span sized above the worst-case completion latency, so no completion
-  // is ever scheduled beyond it (the wheel would throw). Squashed/flushed
-  // events are not removed; they die by (seq, gen) token mismatch at pop
-  // time.
-  CalendarWheel<CompletionRef> completions_;
+  // is ever scheduled beyond it (the wheel would throw). Each event is
+  // the instruction's SeqRef at schedule time; same-cycle events pop in
+  // schedule order. Squashed/flushed events are not removed; they die by
+  // (seq, gen) token mismatch at pop time.
+  CalendarWheel<SeqRef> completions_;
 
   // Reused per-cycle scratch — cleared, never reallocated in steady state.
   std::vector<InstSeq> drain_scratch_;     ///< memory_stage: drained seqs
@@ -508,8 +499,8 @@ class Core final {
 /// observer".
 template <lsq::LoadStoreQueue LsqT>
 Core(const CoreConfig&, trace::TraceWindow, LsqT&, mem::MemoryHierarchy&,
-     branch::HybridPredictor&, branch::Btb&, energy::DcacheLedger*,
-     energy::DtlbLedger*, std::nullptr_t) -> Core<LsqT, NullObserver>;
+     branch::HybridPredictor&, branch::Btb&, std::nullptr_t)
+    -> Core<LsqT, NullObserver>;
 
 }  // namespace samie::core
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -74,16 +73,13 @@ template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 Core<LsqT, ObserverT>::Core(const CoreConfig& cfg, trace::TraceWindow trace, LsqT& lsq,
                  mem::MemoryHierarchy& memory,
                  branch::HybridPredictor& predictor, branch::Btb& btb,
-                 energy::DcacheLedger* dcache_ledger,
-                 energy::DtlbLedger* dtlb_ledger, ObserverT* observer)
+                 ObserverT* observer)
     : cfg_(detail::checked_config(cfg)),
       trace_(std::move(trace)),
       lsq_(lsq),
       mem_(memory),
       predictor_(predictor),
       btb_(btb),
-      dcache_ledger_(dcache_ledger),
-      dtlb_ledger_(dtlb_ledger),
       observer_(observer),
       rob_status_(cfg.rob_size),
       rob_token_(cfg.rob_size),
@@ -128,8 +124,7 @@ std::uint64_t Core<LsqT, ObserverT>::forwarded_value(const trace::MicroOp& load,
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::schedule_completion(InstSeq seq, Cycle at) {
-  completions_.schedule(cycle_, at,
-                        CompletionRef{seq, rob_token_[rob_index(seq)].gen});
+  completions_.schedule(cycle_, at, ref_of(seq));
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
@@ -286,9 +281,34 @@ void Core<LsqT, ObserverT>::on_agen_complete(InstSeq seq) {
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
-void Core<LsqT, ObserverT>::handle_eviction(bool evicted, std::uint32_t set,
-                                 bool had_present_bit) {
-  if (evicted && had_present_bit) lsq_.on_cache_line_replaced(set);
+Cycle Core<LsqT, ObserverT>::access_dcache(InstSeq seq, Addr addr,
+                                           bool is_store) {
+  ++dcache_ports_used_;
+  const lsq::CacheHints hints = lsq_.cache_hints(seq);
+  if (hints.translation_known) ++res_.dtlb_cached;
+  if (hints.way_known) {
+    const auto k = mem_.data_access_known(hints.set, hints.way, addr);
+    // The presentBit protocol guarantees residency; a violation is a bug.
+    if (!k.ok) {
+      throw std::logic_error(is_store ? "presentBit protocol violation (store)"
+                                      : "presentBit protocol violation (load)");
+    }
+    ++res_.dcache_way_known;
+    return cfg_.exploit_known_line_latency && k.latency > 1 ? k.latency - 1
+                                                             : k.latency;
+  }
+  const mem::DataAccess a = hints.translation_known
+                                ? mem_.data_access_translated(addr)
+                                : mem_.data_access(addr);
+  if (!hints.translation_known) ++res_.dtlb_accesses;
+  ++res_.dcache_full;
+  if (lsq_.on_cache_access_complete(seq, a.set, a.way)) {
+    mem_.l1d().set_present_bit(a.set, a.way, true);
+  }
+  if (a.evicted && a.evicted_present_bit) {
+    lsq_.on_cache_line_replaced(a.evicted_set);
+  }
+  return a.latency;
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
@@ -303,39 +323,8 @@ void Core<LsqT, ObserverT>::execute_load_access(InstSeq seq) {
     try_schedule_load(seq);
     return;
   }
-  ++dcache_ports_used_;
-  const Addr addr = op.addr;
-  const lsq::CacheHints hints = lsq_.cache_hints(seq);
-  Cycle lat = 0;
-  if (hints.translation_known) {
-    ++res_.dtlb_cached;
-    if (dtlb_ledger_ != nullptr) dtlb_ledger_->on_cached_translation();
-  }
-  if (hints.way_known) {
-    const auto k = mem_.data_access_known(hints.set, hints.way, addr);
-    // The presentBit protocol guarantees residency; a violation is a bug.
-    if (!k.ok) throw std::logic_error("presentBit protocol violation (load)");
-    lat = k.latency;
-    if (cfg_.exploit_known_line_latency && lat > 1) --lat;
-    ++res_.dcache_way_known;
-    if (dcache_ledger_ != nullptr) dcache_ledger_->on_way_known_access();
-  } else {
-    const mem::DataAccess a = hints.translation_known
-                                  ? mem_.data_access_translated(addr)
-                                  : mem_.data_access(addr);
-    if (!hints.translation_known) {
-      ++res_.dtlb_accesses;
-      if (dtlb_ledger_ != nullptr) dtlb_ledger_->on_access();
-    }
-    lat = a.latency;
-    ++res_.dcache_full;
-    if (dcache_ledger_ != nullptr) dcache_ledger_->on_full_access();
-    if (lsq_.on_cache_access_complete(seq, a.set, a.way)) {
-      mem_.l1d().set_present_bit(a.set, a.way, true);
-    }
-    handle_eviction(a.evicted, a.evicted_set, a.evicted_present_bit);
-  }
-  rob_cold_[idx].load_value = memory_state_.read(addr, op.mem_size);
+  const Cycle lat = access_dcache(seq, op.addr, /*is_store=*/false);
+  rob_cold_[idx].load_value = memory_state_.read(op.addr, op.mem_size);
   ++res_.loads_executed;
   schedule_completion(seq, cycle_ + lat);
 }
@@ -363,12 +352,12 @@ void Core<LsqT, ObserverT>::complete(InstSeq seq) {
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::writeback_stage() {
-  completions_.pop_due(cycle_, [this](const CompletionRef& c) {
+  completions_.pop_due(cycle_, [this](const SeqRef& c) {
     const std::size_t idx = rob_index(c.seq);
     // Stale events (squashed instruction, flushed pipeline, re-dispatched
     // slot) fail the (seq, gen) token match and are dropped here — the
     // squash paths never walk the wheel.
-    const SlotToken t = rob_token_[idx];
+    const SeqRef t = rob_token_[idx];
     if (t.seq != c.seq || t.gen != c.gen) return;
     const SlotStatus s = rob_status_[idx];
     if (s.is_mem() && !s.agen_done()) {
@@ -517,7 +506,7 @@ void Core<LsqT, ObserverT>::dispatch_stage() {
     const InstSeq seq = fr.seq;
     assert(seq == tail_);
     const std::size_t idx = rob_index(seq);
-    SlotToken& tok = rob_token_[idx];
+    SeqRef& tok = rob_token_[idx];
     tok.seq = seq;
     ++tok.gen;  // new incarnation: completion events of prior occupants die
     rob_op_[idx] = &op;
@@ -528,9 +517,9 @@ void Core<LsqT, ObserverT>::dispatch_stage() {
             (fp ? SlotStatus::kIsFp : 0U) |
             (static_cast<std::uint32_t>(op.op) << SlotStatus::kOpShift));
     rob_cold_[idx] = SlotCold{};
-    // The slot's lists were returned to the slab at commit/squash/flush
-    // (every way a slot dies frees them), so dispatch has nothing to
-    // clear — the invariant the dep-slab leak test pins down.
+    // The slot's lists were returned to the slab when it was released
+    // (release_slot, on every way a slot dies), so dispatch has nothing
+    // to clear — the invariant the dep-slab leak test pins down.
     assert(dep_slab_.empty(rob_lists_[idx].dependents) &&
            dep_slab_.empty(rob_lists_[idx].fwd_waiters) &&
            dep_slab_.empty(rob_lists_[idx].commit_waiters));
@@ -624,6 +613,15 @@ void Core<LsqT, ObserverT>::fetch_stage() {
 }
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
+void Core<LsqT, ObserverT>::release_slot(std::size_t idx) {
+  rob_token_[idx].seq = kNoInst;
+  SlotLists& lists = rob_lists_[idx];
+  dep_slab_.free(lists.dependents);
+  dep_slab_.free(lists.fwd_waiters);
+  dep_slab_.free(lists.commit_waiters);
+}
+
+template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 void Core<LsqT, ObserverT>::squash_after(InstSeq last_kept) {
   const InstSeq first_bad = last_kept + 1;
   if (first_bad >= tail_) {
@@ -662,11 +660,7 @@ void Core<LsqT, ObserverT>::squash_after(InstSeq last_kept) {
       assert(used > 0);
       --used;
     }
-    rob_token_[idx].seq = kNoInst;
-    SlotLists& lists = rob_lists_[idx];
-    dep_slab_.free(lists.dependents);
-    dep_slab_.free(lists.fwd_waiters);
-    dep_slab_.free(lists.commit_waiters);
+    release_slot(idx);
   }
   tail_ = first_bad;
 
@@ -696,11 +690,7 @@ void Core<LsqT, ObserverT>::full_flush() {
     assert(rob_token_[idx].seq == s);
     const SlotCold& cold = rob_cold_[idx];
     if (cold.dst != kNoReg) rename_[cold.dst] = cold.prev_rename;
-    rob_token_[idx].seq = kNoInst;
-    SlotLists& lists = rob_lists_[idx];
-    dep_slab_.free(lists.dependents);
-    dep_slab_.free(lists.fwd_waiters);
-    dep_slab_.free(lists.commit_waiters);
+    release_slot(idx);
   }
   tail_ = head_;
   int_regs_used_ = 0;
@@ -741,35 +731,9 @@ void Core<LsqT, ObserverT>::commit_stage() {
     const trace::OpClass cls = h.op_class();
     if (cls == trace::OpClass::kStore) {
       if (dcache_ports_used_ >= cfg_.dcache_ports) break;
-      ++dcache_ports_used_;
       const trace::MicroOp& op = *rob_op_[idx];
-      const Addr addr = op.addr;
-      const lsq::CacheHints hints = lsq_.cache_hints(head_);
-      if (hints.translation_known) {
-        ++res_.dtlb_cached;
-        if (dtlb_ledger_ != nullptr) dtlb_ledger_->on_cached_translation();
-      }
-      if (hints.way_known) {
-        const auto k = mem_.data_access_known(hints.set, hints.way, addr);
-        if (!k.ok) throw std::logic_error("presentBit protocol violation (store)");
-        ++res_.dcache_way_known;
-        if (dcache_ledger_ != nullptr) dcache_ledger_->on_way_known_access();
-      } else {
-        const mem::DataAccess a = hints.translation_known
-                                      ? mem_.data_access_translated(addr)
-                                      : mem_.data_access(addr);
-        if (!hints.translation_known) {
-          ++res_.dtlb_accesses;
-          if (dtlb_ledger_ != nullptr) dtlb_ledger_->on_access();
-        }
-        ++res_.dcache_full;
-        if (dcache_ledger_ != nullptr) dcache_ledger_->on_full_access();
-        if (lsq_.on_cache_access_complete(head_, a.set, a.way)) {
-          mem_.l1d().set_present_bit(a.set, a.way, true);
-        }
-        handle_eviction(a.evicted, a.evicted_set, a.evicted_present_bit);
-      }
-      memory_state_.write(addr, op.mem_size, op.value);
+      access_dcache(head_, op.addr, /*is_store=*/true);
+      memory_state_.write(op.addr, op.mem_size, op.value);
       ++res_.stores_committed;
       SlotLists& hl = rob_lists_[idx];
       if (!dep_slab_.empty(hl.commit_waiters)) {
@@ -793,14 +757,9 @@ void Core<LsqT, ObserverT>::commit_stage() {
       --used;
       if (rename_[dst] == head_) rename_[dst] = kNoInst;
     }
-    rob_token_[idx].seq = kNoInst;
-    // Return the slot's dependence chunks now (they are empty in the
-    // common case: completion woke the dependents, data-ready woke the
-    // forward waiters) so the slab never carries refs for dead slots.
-    SlotLists& lists = rob_lists_[idx];
-    dep_slab_.free(lists.dependents);
-    dep_slab_.free(lists.fwd_waiters);
-    dep_slab_.free(lists.commit_waiters);
+    // The slot's lists are empty in the common case: completion woke the
+    // dependents, data-ready woke the forward waiters.
+    release_slot(idx);
     ++res_.committed;
     ++head_;
     last_commit_cycle_ = cycle_;
@@ -874,7 +833,7 @@ Cycle Core<LsqT, ObserverT>::wake_horizon() const {
   }
   // Clamp to the cycle the watchdog would fire at: if no wake source
   // exists before it, the always-step loop would have spun there and
-  // thrown — jump to the same cycle and let run() throw identically.
+  // thrown — jump to the same cycle and let step() throw identically.
   return std::min(wake, last_commit_cycle_ + cfg_.commit_timeout + 1);
 }
 
@@ -902,9 +861,9 @@ void Core<LsqT, ObserverT>::begin(std::uint64_t max_insts) {
 
 template <lsq::LoadStoreQueue LsqT, typename ObserverT>
 bool Core<LsqT, ObserverT>::step(std::uint64_t max_cycles) {
-  // One iteration here is one iteration of the legacy run() loop — the
-  // body is verbatim, so stepping in blocks of any size commits the same
-  // instructions at the same cycles as one uninterrupted run.
+  // Each iteration is one cycle and keeps no state outside the machine,
+  // so stepping in blocks of any size commits the same instructions at
+  // the same cycles as one uninterrupted turn.
   for (std::uint64_t stepped = 0; stepped < max_cycles; ++stepped) {
     if (res_.committed >= target_) return false;
     dcache_ports_used_ = 0;
@@ -950,14 +909,6 @@ CoreResult Core<LsqT, ObserverT>::finish() {
                               static_cast<double>(cycle_)
                         : 0.0;
   return res_;
-}
-
-template <lsq::LoadStoreQueue LsqT, typename ObserverT>
-CoreResult Core<LsqT, ObserverT>::run(std::uint64_t max_insts) {
-  begin(max_insts);
-  while (step(std::numeric_limits<std::uint64_t>::max())) {
-  }
-  return finish();
 }
 
 }  // namespace samie::core

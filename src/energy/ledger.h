@@ -1,6 +1,7 @@
-// Runtime energy and active-area accounting.
+// Runtime energy and active-area accounting for the two LSQ
+// organizations.
 //
-// The simulator emits one ledger event per microarchitectural activity.
+// Each queue emits one ledger event per microarchitectural activity.
 // Hooks are pure 64-bit counter increments — no floating point runs on
 // the hot path. Variable-cost associative searches keep a sufficient
 // statistic (search count, total operands compared), which makes the
@@ -12,7 +13,9 @@
 // constants in lsq_model.h; the fold is O(1) in the number of events.
 // docs/ENERGY_LEDGER.md documents the fold semantics and why the golden
 // statistics were re-frozen when this scheme replaced per-event FP
-// accumulation.
+// accumulation. The D-cache and DTLB energies (Figures 9 and 10) have no
+// ledger: the lane folds them from the four access counts
+// core::CoreResult keeps (LaneImpl::finish in src/sim/lane_engine.cpp).
 #pragma once
 
 #include <cstddef>
@@ -203,60 +206,6 @@ class SamieLsqLedger {
   std::uint64_t s_translation_rw_ = 0;
   std::uint64_t s_line_id_rw_ = 0;
   std::uint64_t addrbuf_accesses_ = 0;
-};
-
-/// L1 data cache access energy (full vs way-known accesses, Figure 9).
-class DcacheLedger {
- public:
-  explicit DcacheLedger(const LsqEnergyConstants& k) : k_(&k) {}
-
-  void on_full_access() { ++full_; }
-  void on_way_known_access() { ++known_; }
-
-  [[nodiscard]] double energy_pj() const {
-    return static_cast<double>(full_) * k_->mem.dcache_full_access_pj +
-           static_cast<double>(known_) * k_->mem.dcache_way_known_pj;
-  }
-  [[nodiscard]] std::uint64_t full_accesses() const { return full_; }
-  [[nodiscard]] std::uint64_t way_known_accesses() const { return known_; }
-
-  static constexpr std::size_t kSavedCounts = 2;
-  void save(std::uint64_t* out) const {
-    out[0] = full_;
-    out[1] = known_;
-  }
-
- private:
-  const LsqEnergyConstants* k_;
-  std::uint64_t full_ = 0;
-  std::uint64_t known_ = 0;
-};
-
-/// Data TLB access energy (Figure 10). Cached translations cost nothing in
-/// the DTLB (the LSQ-side read is booked by SamieLsqLedger).
-class DtlbLedger {
- public:
-  explicit DtlbLedger(const LsqEnergyConstants& k) : k_(&k) {}
-
-  void on_access() { ++accesses_; }
-  void on_cached_translation() { ++cached_; }
-
-  [[nodiscard]] double energy_pj() const {
-    return static_cast<double>(accesses_) * k_->mem.dtlb_access_pj;
-  }
-  [[nodiscard]] std::uint64_t accesses() const { return accesses_; }
-  [[nodiscard]] std::uint64_t cached_translations() const { return cached_; }
-
-  static constexpr std::size_t kSavedCounts = 2;
-  void save(std::uint64_t* out) const {
-    out[0] = accesses_;
-    out[1] = cached_;
-  }
-
- private:
-  const LsqEnergyConstants* k_;
-  std::uint64_t accesses_ = 0;
-  std::uint64_t cached_ = 0;
 };
 
 /// Integrates active area over cycles (Figures 11 and 12). Units are

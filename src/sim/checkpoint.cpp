@@ -214,9 +214,55 @@ std::optional<std::string> parse_guarded_line(std::string_view line,
 
 namespace {
 
-void put_u64(std::ostringstream& os, std::uint64_t v) { os << v << ' '; }
+/// Calls `f` on every field the result text carries, in its order; both
+/// serialize_sim_result and parse_sim_result walk this one list.
+template <typename Result, typename F>
+void for_each_field(Result& r, F&& f) {
+  auto& c = r.core;
+  f(c.cycles);
+  f(c.committed);
+  f(c.ipc);
+  f(c.mispredict_squashes);
+  f(c.deadlock_flushes);
+  f(c.loads_executed);
+  f(c.stores_committed);
+  f(c.forwarded_loads);
+  f(c.partial_forward_waits);
+  f(c.agen_gated);
+  f(c.value_mismatches);
+  f(c.dcache_way_known);
+  f(c.dcache_full);
+  f(c.dtlb_accesses);
+  f(c.dtlb_cached);
+  f(c.quiescent_cycles_skipped);
+  f(c.fast_forwards);
+  f(r.lsq_energy_nj);
+  f(r.lsq_distrib_nj);
+  f(r.lsq_shared_nj);
+  f(r.lsq_addrbuf_nj);
+  f(r.lsq_bus_nj);
+  f(r.dcache_energy_nj);
+  f(r.dtlb_energy_nj);
+  f(r.area_total);
+  f(r.area_distrib);
+  f(r.area_shared);
+  f(r.area_addrbuf);
+  f(r.shared_occupancy_mean);
+  f(r.shared_occupancy_max);
+  f(r.buffer_nonempty_frac);
+  f(r.buffer_occupancy_mean);
+  f(r.l1d_hits);
+  f(r.l1d_misses);
+  f(r.dtlb_hits);
+  f(r.dtlb_misses);
+  f(r.branch_mispredicts);
+  f(r.branch_lookups);
+  for (auto& v : r.ledgers.v) f(v);
+}
 
-void put_f64(std::ostringstream& os, double v) {
+void put(std::ostringstream& os, std::uint64_t v) { os << v << ' '; }
+
+void put(std::ostringstream& os, double v) {
   // C99 hexfloat: exact round-trip through strtod, independent of
   // locale and precision settings.
   char buf[48];
@@ -227,7 +273,7 @@ void put_f64(std::ostringstream& os, double v) {
 class TokenReader {
  public:
   explicit TokenReader(const std::string& text) : in_(text) {}
-  bool u64(std::uint64_t& v) {
+  bool read(std::uint64_t& v) {
     std::string t;
     if (!(in_ >> t) || t.empty()) return false;
     char* end = nullptr;
@@ -235,7 +281,7 @@ class TokenReader {
     v = std::strtoull(t.c_str(), &end, 10);
     return errno == 0 && end == t.c_str() + t.size();
   }
-  bool f64(double& v) {
+  bool read(double& v) {
     std::string t;
     if (!(in_ >> t) || t.empty()) return false;
     char* end = nullptr;
@@ -255,48 +301,7 @@ class TokenReader {
 
 std::string serialize_sim_result(const SimResult& r) {
   std::ostringstream os;
-  const core::CoreResult& c = r.core;
-  put_u64(os, c.cycles);
-  put_u64(os, c.committed);
-  put_f64(os, c.ipc);
-  put_u64(os, c.mispredict_squashes);
-  put_u64(os, c.deadlock_flushes);
-  put_u64(os, c.loads_executed);
-  put_u64(os, c.stores_committed);
-  put_u64(os, c.forwarded_loads);
-  put_u64(os, c.partial_forward_waits);
-  put_u64(os, c.agen_gated);
-  put_u64(os, c.value_mismatches);
-  put_u64(os, c.dcache_way_known);
-  put_u64(os, c.dcache_full);
-  put_u64(os, c.dtlb_accesses);
-  put_u64(os, c.dtlb_cached);
-  put_u64(os, c.quiescent_cycles_skipped);
-  put_u64(os, c.fast_forwards);
-  put_f64(os, r.lsq_energy_nj);
-  put_f64(os, r.lsq_distrib_nj);
-  put_f64(os, r.lsq_shared_nj);
-  put_f64(os, r.lsq_addrbuf_nj);
-  put_f64(os, r.lsq_bus_nj);
-  put_f64(os, r.dcache_energy_nj);
-  put_f64(os, r.dtlb_energy_nj);
-  put_f64(os, r.area_total);
-  put_f64(os, r.area_distrib);
-  put_f64(os, r.area_shared);
-  put_f64(os, r.area_addrbuf);
-  put_f64(os, r.shared_occupancy_mean);
-  put_u64(os, r.shared_occupancy_max);
-  put_f64(os, r.buffer_nonempty_frac);
-  put_f64(os, r.buffer_occupancy_mean);
-  put_u64(os, r.l1d_hits);
-  put_u64(os, r.l1d_misses);
-  put_u64(os, r.dtlb_hits);
-  put_u64(os, r.dtlb_misses);
-  put_u64(os, r.branch_mispredicts);
-  put_u64(os, r.branch_lookups);
-  for (std::size_t i = 0; i < LedgerCounts::kCount; ++i) {
-    put_u64(os, r.ledgers.v[i]);
-  }
+  for_each_field(r, [&os](auto v) { put(os, v); });
   std::string s = os.str();
   if (!s.empty() && s.back() == ' ') s.pop_back();
   return s;
@@ -305,31 +310,9 @@ std::string serialize_sim_result(const SimResult& r) {
 bool parse_sim_result(const std::string& text, SimResult& out) {
   TokenReader in(text);
   SimResult r;
-  core::CoreResult& c = r.core;
-  const bool ok =
-      in.u64(c.cycles) && in.u64(c.committed) && in.f64(c.ipc) &&
-      in.u64(c.mispredict_squashes) && in.u64(c.deadlock_flushes) &&
-      in.u64(c.loads_executed) && in.u64(c.stores_committed) &&
-      in.u64(c.forwarded_loads) && in.u64(c.partial_forward_waits) &&
-      in.u64(c.agen_gated) && in.u64(c.value_mismatches) &&
-      in.u64(c.dcache_way_known) && in.u64(c.dcache_full) &&
-      in.u64(c.dtlb_accesses) && in.u64(c.dtlb_cached) &&
-      in.u64(c.quiescent_cycles_skipped) && in.u64(c.fast_forwards) &&
-      in.f64(r.lsq_energy_nj) && in.f64(r.lsq_distrib_nj) &&
-      in.f64(r.lsq_shared_nj) && in.f64(r.lsq_addrbuf_nj) &&
-      in.f64(r.lsq_bus_nj) && in.f64(r.dcache_energy_nj) &&
-      in.f64(r.dtlb_energy_nj) && in.f64(r.area_total) &&
-      in.f64(r.area_distrib) && in.f64(r.area_shared) &&
-      in.f64(r.area_addrbuf) && in.f64(r.shared_occupancy_mean) &&
-      in.u64(r.shared_occupancy_max) && in.f64(r.buffer_nonempty_frac) &&
-      in.f64(r.buffer_occupancy_mean) && in.u64(r.l1d_hits) &&
-      in.u64(r.l1d_misses) && in.u64(r.dtlb_hits) && in.u64(r.dtlb_misses) &&
-      in.u64(r.branch_mispredicts) && in.u64(r.branch_lookups);
-  if (!ok) return false;
-  for (std::size_t i = 0; i < LedgerCounts::kCount; ++i) {
-    if (!in.u64(r.ledgers.v[i])) return false;
-  }
-  if (!in.exhausted()) return false;
+  bool ok = true;
+  for_each_field(r, [&](auto& v) { ok = ok && in.read(v); });
+  if (!ok || !in.exhausted()) return false;
   out = r;
   return true;
 }

@@ -143,19 +143,17 @@ struct CheckpointContents {
 // forked child's answer: integers in decimal, doubles as C99
 // hexfloats ("%a"), space-separated in a fixed field order. A resumed
 // sweep reconstructs the exact SimResult bits, so its CSV/JSON output is
-// byte-identical to an uninterrupted run's.
+// byte-identical to an uninterrupted run's. Both directions walk one
+// field list (for_each_field in checkpoint.cpp): 38 scalar fields, then
+// the 24 raw ledger counts of SimResult::ledgers.
 
-/// Space-separated field list (kSimResultFields tokens).
+/// Space-separated field list, one token per field.
 [[nodiscard]] std::string serialize_sim_result(const SimResult& r);
 
-/// Parses serialize_sim_result output. Returns false on wrong field
-/// count or an unparseable token (caller treats the record as torn).
+/// Parses serialize_sim_result output. Returns false unless `text` holds
+/// exactly one parseable token per field, so a line from a build with a
+/// different field count parses as torn instead of silently
+/// misassigning fields (the caller re-runs its job).
 [[nodiscard]] bool parse_sim_result(const std::string& text, SimResult& out);
-
-/// Number of tokens serialize_sim_result emits; bumped in lockstep with
-/// SimResult so a stale checkpoint from an older build parses as torn
-/// instead of silently misassigning fields (38 legacy fields plus the
-/// 28 raw ledger counts of SimResult::ledgers).
-inline constexpr std::size_t kSimResultFields = 66;
 
 }  // namespace samie::sim

@@ -107,13 +107,11 @@ class LaneImpl final : public Lane {
         constants_(cfg_.paper_energy_constants
                        ? energy::paper_constants()
                        : energy::derived_constants(energy::tech_100nm())),
-        dcache_ledger_(constants_),
-        dtlb_ledger_(constants_),
         bundle_(cfg_, constants_),
         memory_(cfg_.memory),
         collector_(cfg_, constants_),
         core_(cfg_.core, std::move(trace), bundle_.get(), memory_,
-              predictor_, btb_, &dcache_ledger_, &dtlb_ledger_, &collector_) {
+              predictor_, btb_, &collector_) {
     core_.begin(cfg_.instructions);
   }
 
@@ -125,8 +123,14 @@ class LaneImpl final : public Lane {
     SimResult r;
     r.core = core_.finish();
     collector_.fold_into(r);
-    r.dcache_energy_nj = dcache_ledger_.energy_pj() / 1e3;
-    r.dtlb_energy_nj = dtlb_ledger_.energy_pj() / 1e3;
+    // Figures 9 and 10, folded from the core's own access counts.
+    const energy::MemSystemEnergy& k = constants_.mem;
+    r.dcache_energy_nj =
+        (static_cast<double>(r.core.dcache_full) * k.dcache_full_access_pj +
+         static_cast<double>(r.core.dcache_way_known) * k.dcache_way_known_pj) /
+        1e3;
+    r.dtlb_energy_nj =
+        static_cast<double>(r.core.dtlb_accesses) * k.dtlb_access_pj / 1e3;
     r.l1d_hits = memory_.l1d().hits();
     r.l1d_misses = memory_.l1d().misses();
     r.dtlb_hits = memory_.dtlb().hits();
@@ -134,8 +138,6 @@ class LaneImpl final : public Lane {
     r.branch_mispredicts = predictor_.mispredicts();
     r.branch_lookups = predictor_.lookups();
     bundle_.fold(r);
-    dcache_ledger_.save(r.ledgers.v + LedgerCounts::kDcache);
-    dtlb_ledger_.save(r.ledgers.v + LedgerCounts::kDtlb);
     bundle_.save_counts(r.ledgers);
     return r;
   }
@@ -145,8 +147,6 @@ class LaneImpl final : public Lane {
   // hold references into the members above them.
   SimConfig cfg_;
   energy::LsqEnergyConstants constants_;
-  energy::DcacheLedger dcache_ledger_;
-  energy::DtlbLedger dtlb_ledger_;
   Bundle bundle_;
   mem::MemoryHierarchy memory_;
   branch::HybridPredictor predictor_;

@@ -6,10 +6,11 @@
 // cycle.
 //
 // run_simulation *is* a single lane stepped to completion in one turn
-// (see simulator.cpp), and Core::step() shares the run() loop body
-// verbatim, so slicing a run into turns of any size cannot change a
+// (see simulator.cpp), and Core::step() resumes exactly where the last
+// call stopped, so slicing a run into turns of any size cannot change a
 // statistic. The per-lane energy fold is the integer-event ledger fold
-// (src/energy/ledger.h) — O(1) regardless of event count.
+// (src/energy/ledger.h) plus the D-cache/DTLB fold over the core's own
+// access counts — O(1) regardless of event count.
 // docs/ENERGY_LEDGER.md gives the bit-identity argument.
 //
 // Turns are also where a caller's wall-clock deadline lives: the sweep's

@@ -1,6 +1,7 @@
 // The simulator façade: builds core + memory + predictor + LSQ + ledgers
 // from a SimConfig, runs a trace, and folds everything the paper's figures
-// need into one SimResult.
+// need into one SimResult. The D-cache and DTLB energies are folded from
+// the core's own access counts (SimResult::core), which no ledger repeats.
 #pragma once
 
 #include <cstddef>
@@ -17,18 +18,16 @@ class TraceSource;
 
 namespace samie::sim {
 
-/// Raw integer event counts of every energy ledger, in one flat array,
-/// carried beside the folded energies: the checkpoint journal
+/// Raw integer event counts of the two LSQ energy ledgers, in one flat
+/// array, carried beside the folded energies: the checkpoint journal
 /// round-trips them with the rest of the result, and work-count
 /// reporting (placement searches, addresses compared) reads them.
-/// Layout: [kConv..) ConvLsqLedger, [kSamie..) SamieLsqLedger,
-/// [kDcache..) DcacheLedger, [kDtlb..) DtlbLedger.
+/// Layout: [kConv..) ConvLsqLedger, [kSamie..) SamieLsqLedger. The
+/// D-cache and DTLB access counts live in core::CoreResult alone.
 struct LedgerCounts {
-  static constexpr std::size_t kConv = 0;     ///< 4 counts
-  static constexpr std::size_t kSamie = 4;    ///< 20 counts
-  static constexpr std::size_t kDcache = 24;  ///< 2 counts
-  static constexpr std::size_t kDtlb = 26;    ///< 2 counts
-  static constexpr std::size_t kCount = 28;
+  static constexpr std::size_t kConv = 0;   ///< 4 counts
+  static constexpr std::size_t kSamie = 4;  ///< 20 counts
+  static constexpr std::size_t kCount = 24;
   std::uint64_t v[kCount] = {};
 };
 
@@ -42,8 +41,8 @@ struct SimResult {
   double lsq_shared_nj = 0.0;
   double lsq_addrbuf_nj = 0.0;
   double lsq_bus_nj = 0.0;
-  double dcache_energy_nj = 0.0;   ///< Figure 9
-  double dtlb_energy_nj = 0.0;     ///< Figure 10
+  double dcache_energy_nj = 0.0;   ///< Figure 9, from core.dcache_*
+  double dtlb_energy_nj = 0.0;     ///< Figure 10, from core.dtlb_accesses
 
   // -- active area integrals (um^2 * cycles) -----------------------------------
   double area_total = 0.0;         ///< Figure 11

@@ -35,6 +35,18 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// `from + after`, saturated at Clock::time_point::max(): a deadline or
+/// grace too long for the clock to add (10^13 ms overflows its signed
+/// nanosecond count) means "never", not a time in the past. Compared in
+/// milliseconds, since a huge millisecond count overflows by itself when
+/// converted to nanoseconds.
+[[nodiscard]] Clock::time_point saturating_add(Clock::time_point from,
+                                               std::chrono::milliseconds after) {
+  const auto room = std::chrono::duration_cast<std::chrono::milliseconds>(
+      Clock::time_point::max() - from);
+  return after >= room ? Clock::time_point::max() : from + after;
+}
+
 [[nodiscard]] std::string what_of(const std::exception_ptr& error) {
   if (!error) return "unknown error";
   try {
@@ -622,9 +634,9 @@ constexpr std::uint64_t kTurnCycles = 4096;
                              std::chrono::milliseconds job_deadline) {
   try {
     if (fault != nullptr) perform_fault(*fault, t);
-    const Clock::time_point deadline = job_deadline.count() > 0
-                                           ? t.started + job_deadline
-                                           : Clock::time_point::max();
+    const Clock::time_point deadline =
+        job_deadline.count() > 0 ? saturating_add(t.started, job_deadline)
+                                 : Clock::time_point::max();
     const std::unique_ptr<Lane> lane = make_lane(job.config, trace);
     while (Clock::now() < deadline) {
       if (!lane->step(kTurnCycles)) return completed(lane->finish());
@@ -811,7 +823,8 @@ void run_forked(Lifecycle& life, const SweepOptions& opt) {
         continue;
       }
       if (opt.job_deadline.count() > 0) {
-        st.kill_at = t->started + opt.job_deadline + opt.kill_grace;
+        st.kill_at = saturating_add(saturating_add(t->started, opt.job_deadline),
+                                    opt.kill_grace);
       }
       inflight.emplace(t->index, std::move(st));
     }

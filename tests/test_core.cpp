@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/branch/predictor.h"
 #include "src/core/core.h"
@@ -104,15 +106,23 @@ CoreResult with_queue(Which which, const lsq::SamieConfig& samie_cfg, Fn&& fn) {
   throw std::logic_error("unknown Which");
 }
 
+/// Steps a core over `q` through all of `t`, as sim::Lane does.
+template <lsq::LoadStoreQueue Q>
+CoreResult run_core(const Trace& t, Q& q, const CoreConfig& cfg) {
+  mem::MemoryHierarchy memory{mem::HierarchyConfig{}};
+  branch::HybridPredictor pred;
+  branch::Btb btb;
+  Core c(cfg, t, q, memory, pred, btb, nullptr);
+  c.begin(t.size());
+  while (c.step(std::numeric_limits<std::uint64_t>::max())) {
+  }
+  return c.finish();
+}
+
 CoreResult run_once(const Trace& t, Which which, const CoreConfig& cfg,
                     const lsq::SamieConfig& samie_cfg) {
-  return with_queue(which, samie_cfg, [&](auto& q) {
-    mem::MemoryHierarchy memory{mem::HierarchyConfig{}};
-    branch::HybridPredictor pred;
-    branch::Btb btb;
-    Core c(cfg, t, q, memory, pred, btb, nullptr, nullptr, nullptr);
-    return c.run(t.size());
-  });
+  return with_queue(which, samie_cfg,
+                    [&](auto& q) { return run_core(t, q, cfg); });
 }
 
 /// Runs `t` in both engine modes — every cycle stepped, then the
@@ -447,6 +457,123 @@ TEST(Core, KnownLineLatencyAblationHelps) {
   EXPECT_GT(base.dcache_way_known, base.dcache_full);
   EXPECT_LE(abl.cycles, base.cycles);
   EXPECT_GT(abl.dcache_way_known, 0U);
+}
+
+// ---------------------------------------------- buffered placements ---
+// A placement the queue had to buffer must be retried once it can
+// succeed, in both engine modes.
+
+TEST(Core, SamieAddrBufferDrainsBetweenWakeEvents) {
+  // The fast-forward may jump only while the queue has no pending work
+  // (quiescent()'s LSQ clause). One bank entry and one SharedLSQ entry,
+  // draining one buffered op a cycle: loads A and B take both entries;
+  // C and D, to a third line, wait in the AddrBuffer until A commits. A
+  // divide on A's value is then the ROB head, so only the AddrBuffer has
+  // work: C drains in A's commit cycle and D in the next one, which a
+  // jump to the divide's completion would skip. D heads a divide chain,
+  // so the cycle it places in sets the run's length.
+  lsq::SamieConfig cfg;
+  cfg.banks = 1;
+  cfg.entries_per_bank = 1;
+  cfg.slots_per_entry = 2;
+  cfg.shared_entries = 1;
+  cfg.addr_buffer_slots = 4;
+  cfg.drain_width = 1;
+  TraceBuilder b;
+  b.load(0x100000, 0, /*dst=*/1);  // A
+  b.load(0x200000, 0, /*dst=*/2);  // B
+  b.div(/*dst=*/3, /*s1=*/1);
+  b.load(0x300000, 0, /*dst=*/4);  // C
+  b.load(0x300008, 0, /*dst=*/5);  // D
+  for (int i = 0; i < 8; ++i) b.div(/*dst=*/5, /*s1=*/5);
+  const Trace t = b.take();
+  const CoreResult r = run_trace(t, Which::kSamie, CoreConfig{}, cfg);
+  EXPECT_EQ(r.committed, t.size());
+  EXPECT_EQ(r.deadlock_flushes, 0U);
+  EXPECT_EQ(r.value_mismatches, 0U);
+  EXPECT_EQ(r.dcache_way_known, 1U) << "D must find C's line cached";
+}
+
+TEST(Core, ArbRetryFifoUnblocksOnCommit) {
+  // 17 loads to lines of one ARB bank (16 rows): the last waits in the
+  // retry FIFO until the first commits and frees its row, and drains in
+  // that commit's cycle. Its value heads a divide chain, so the wait
+  // shows in the run's length: the same trace with the last load in
+  // another bank runs shorter.
+  const auto trace_ending_with_load_at = [](Addr last) {
+    TraceBuilder b;
+    for (int i = 0; i < 16; ++i) {
+      b.load(0xC0000 + static_cast<Addr>(i) * 256, 0,
+             static_cast<RegId>(1 + i % 8));
+    }
+    b.load(last, 0, /*dst=*/20);
+    for (int i = 0; i < 4; ++i) b.div(/*dst=*/20, /*s1=*/20);
+    return b.take();
+  };
+  const Trace same_bank = trace_ending_with_load_at(0xC0000 + 16 * 256);
+  const Trace next_bank = trace_ending_with_load_at(0xC0000 + 16 * 256 + 32);
+  const CoreResult blocked = run_trace(same_bank, Which::kArb);
+  const CoreResult placed = run_trace(next_bank, Which::kArb);
+  EXPECT_EQ(blocked.committed, same_bank.size());
+  EXPECT_EQ(blocked.value_mismatches, 0U);
+  // Placed by the commit, not rescued by a §3.3 flush once it is the head.
+  EXPECT_EQ(blocked.deadlock_flushes, 0U);
+  EXPECT_GT(blocked.cycles, placed.cycles + 50);
+}
+
+// ------------------------------------------------- presentBit protocol ---
+/// A queue that places every op at once, never forwards, and claims
+/// each access's line at L1D set 0, way 0, translation included: a line
+/// the cold L1D does not hold.
+class ClaimsAnUnheldWay {
+ public:
+  bool can_dispatch(bool) const { return true; }
+  void on_dispatch(InstSeq, bool) {}
+  std::uint32_t placement_headroom() const { return ~0U; }
+  lsq::Placement on_address_ready(const lsq::MemOpDesc&) {
+    return lsq::Placement{lsq::Placement::Status::kPlaced};
+  }
+  void drain(std::vector<InstSeq>&) {}
+  bool has_pending_work() const { return false; }
+  lsq::LoadPlan plan_load(InstSeq) const { return lsq::LoadPlan{}; }
+  lsq::CacheHints cache_hints(InstSeq) const {
+    return lsq::CacheHints{
+        .way_known = true, .set = 0, .way = 0, .translation_known = true};
+  }
+  bool on_cache_access_complete(InstSeq, std::uint32_t, std::uint32_t) {
+    return false;
+  }
+  void on_load_complete(InstSeq) {}
+  void on_store_data_ready(InstSeq) {}
+  void on_commit(InstSeq) {}
+  void squash_from(InstSeq) {}
+  void on_cache_line_replaced(std::uint32_t) {}
+  lsq::OccupancySample occupancy() const { return lsq::OccupancySample{}; }
+};
+static_assert(lsq::LoadStoreQueue<ClaimsAnUnheldWay>);
+
+TEST(Core, WayKnownAccessToAnUnheldLineThrowsNamingItsKind) {
+  for (const bool store : {false, true}) {
+    TraceBuilder b;
+    if (store) {
+      b.store(0xB0000, 1);
+    } else {
+      b.load(0xB0000, 0, /*dst=*/1);
+    }
+    const Trace t = b.take();
+    for (const bool always_step : {true, false}) {
+      CoreConfig cfg;
+      cfg.always_step = always_step;
+      ClaimsAnUnheldWay q;
+      try {
+        run_core(t, q, cfg);
+        ADD_FAILURE() << "no presentBit violation, store=" << store;
+      } catch (const std::logic_error& e) {
+        EXPECT_STREQ(e.what(), store ? "presentBit protocol violation (store)"
+                                     : "presentBit protocol violation (load)");
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "src/branch/predictor.h"
@@ -172,8 +173,11 @@ TEST(DepSlabIntegration, CoreReclaimsEveryRefAfterSquashHeavyRun) {
   mem::MemoryHierarchy memory{mem::HierarchyConfig{}};
   branch::HybridPredictor pred;
   branch::Btb btb;
-  Core c(CoreConfig{}, t, q, memory, pred, btb, nullptr, nullptr, nullptr);
-  const CoreResult r = c.run(t.size());
+  Core c(CoreConfig{}, t, q, memory, pred, btb, nullptr);
+  c.begin(t.size());
+  while (c.step(std::numeric_limits<std::uint64_t>::max())) {
+  }
+  const CoreResult r = c.finish();
 
   EXPECT_EQ(r.committed, t.size());
   EXPECT_GT(r.mispredict_squashes, 0U) << "squash path not exercised";

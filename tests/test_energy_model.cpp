@@ -217,23 +217,6 @@ TEST(SamieLedger, BreakdownSumsToTotal) {
   EXPECT_DOUBLE_EQ(l.addrbuf_pj(), 2 * (31.6 + 15.7));
 }
 
-TEST(MemLedgers, CountAndWeighAccesses) {
-  const LsqEnergyConstants k = paper_constants();
-  DcacheLedger dc(k);
-  dc.on_full_access();
-  dc.on_way_known_access();
-  dc.on_way_known_access();
-  EXPECT_DOUBLE_EQ(dc.energy_pj(), 1009.0 + 2 * 276.0);
-  EXPECT_EQ(dc.full_accesses(), 1U);
-  EXPECT_EQ(dc.way_known_accesses(), 2U);
-
-  DtlbLedger tl(k);
-  tl.on_access();
-  tl.on_cached_translation();
-  EXPECT_DOUBLE_EQ(tl.energy_pj(), 273.0);
-  EXPECT_EQ(tl.cached_translations(), 1U);
-}
-
 TEST(AreaIntegrator, AccumulatesComponents) {
   AreaIntegrator a;
   a.add_cycle(10, 5, 1);

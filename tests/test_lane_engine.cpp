@@ -16,6 +16,8 @@
 
 #include "src/branch/predictor.h"
 #include "src/core/core.h"
+#include "src/energy/lsq_model.h"
+#include "src/energy/technology.h"
 #include "src/lsq/samie_lsq.h"
 #include "src/mem/hierarchy.h"
 #include "src/sim/checkpoint.h"
@@ -48,7 +50,7 @@ const sim::LsqChoice kAllLsqs[] = {
 
 TEST(Lane, SteppedLaneIsBitIdenticalToRunSimulation) {
   // Slicing the cycle loop into turns of any size must not change a
-  // single statistic: step() shares run()'s loop body verbatim.
+  // single statistic: step() resumes exactly where the last call stopped.
   for (const sim::LsqChoice lsq : kAllLsqs) {
     const sim::SimConfig cfg = small_config(lsq);
     const trace::TraceSource src = trace_for(cfg, "gcc");
@@ -61,6 +63,44 @@ TEST(Lane, SteppedLaneIsBitIdenticalToRunSimulation) {
       EXPECT_EQ(sim::serialize_sim_result(sliced),
                 sim::serialize_sim_result(whole))
           << sim::lsq_choice_name(lsq) << " turn=" << turn;
+    }
+  }
+}
+
+TEST(Lane, DcacheAndDtlbEnergiesFoldTheCoresOwnCounts) {
+  // Figures 9 and 10 are folds over four counts the core keeps, with the
+  // lane's own constant set; no ledger counts those accesses again. The
+  // core counts each L1D and DTLB access once: its counts equal the
+  // cache's and the TLB's own.
+  const energy::LsqEnergyConstants paper = energy::paper_constants();
+  const energy::LsqEnergyConstants derived =
+      energy::derived_constants(energy::tech_100nm());
+  ASSERT_NE(paper.mem.dcache_full_access_pj, derived.mem.dcache_full_access_pj);
+  ASSERT_NE(paper.mem.dcache_way_known_pj, derived.mem.dcache_way_known_pj);
+  ASSERT_NE(paper.mem.dtlb_access_pj, derived.mem.dtlb_access_pj);
+  for (const bool use_paper : {true, false}) {
+    const energy::MemSystemEnergy& k = (use_paper ? paper : derived).mem;
+    for (const sim::LsqChoice lsq : kAllLsqs) {
+      SCOPED_TRACE(std::string(sim::lsq_choice_name(lsq)) +
+                   (use_paper ? ", paper constants" : ", derived constants"));
+      sim::SimConfig cfg = small_config(lsq);
+      cfg.paper_energy_constants = use_paper;
+      const sim::SimResult r = sim::run_simulation(cfg, trace_for(cfg, "ammp"));
+      const core::CoreResult& c = r.core;
+      EXPECT_GT(c.dcache_full, 0U);
+      if (lsq == sim::LsqChoice::kSamie) {
+        EXPECT_GT(c.dcache_way_known, 0U);
+        EXPECT_GT(c.dtlb_cached, 0U);
+      }
+      EXPECT_EQ(r.dcache_energy_nj,
+                (static_cast<double>(c.dcache_full) * k.dcache_full_access_pj +
+                 static_cast<double>(c.dcache_way_known) *
+                     k.dcache_way_known_pj) /
+                    1e3);
+      EXPECT_EQ(r.dtlb_energy_nj,
+                static_cast<double>(c.dtlb_accesses) * k.dtlb_access_pj / 1e3);
+      EXPECT_EQ(c.dcache_way_known + c.dcache_full, r.l1d_hits + r.l1d_misses);
+      EXPECT_EQ(c.dtlb_accesses, r.dtlb_hits + r.dtlb_misses);
     }
   }
 }
@@ -155,7 +195,7 @@ TEST(Lane, SourceWindowRefusesACoreItCannotHold) {
   branch::Btb btb;
   const auto build = [&](std::size_t behind) {
     core::Core core(cfg.core, trace::TraceWindow(src, behind), queue, memory,
-                    predictor, btb, nullptr, nullptr, nullptr);
+                    predictor, btb, nullptr);
   };
   EXPECT_THROW(build(cfg.core.rob_size), std::invalid_argument);
   EXPECT_NO_THROW(build(cfg.core.rob_size + cfg.core.fetch_queue));

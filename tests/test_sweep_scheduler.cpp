@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/checkpoint.h"
@@ -249,23 +250,38 @@ TEST_F(SweepSchedulerTest, DeadlineThatNeverFiresChangesNoStatistic) {
   // 50k instructions take several turns of stepping, each preceded by a
   // deadline check; under both runners the results must be bit for bit
   // those of one uninterrupted run_simulation, which shares no code with
-  // the attempt body's turn loop (run_jobs runs through it).
+  // the attempt body's turn loop (run_jobs runs through it). A deadline
+  // or kill grace too long for the clock to add to an attempt's start
+  // (10^13 ms overflows its nanosecond count) never fires either: it
+  // must not wrap into the past and end every attempt at once.
   const auto jobs = three_jobs(50'000);
   std::vector<sim::SimResult> direct;
   for (const sim::Job& job : jobs) {
     direct.push_back(sim::run_program(job.config, job.program));
   }
-  sim::SweepOptions pool;
-  pool.threads = 2;
-  pool.job_deadline = 60s;
-  sim::SweepOptions iso = pool;
-  iso.isolate_procs = 2;
-  for (const sim::SweepOptions* opt : {&pool, &iso}) {
-    SCOPED_TRACE(opt->isolate_procs != 0 ? "forked" : "in-thread");
-    const sim::SweepReport rep = sim::run_sweep(jobs, *opt);
-    ASSERT_TRUE(rep.all_completed());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      expect_results_identical(rep.jobs[i].result, direct[i]);
+  using std::chrono::milliseconds;
+  const std::pair<milliseconds, milliseconds> limits[] = {
+      // {job deadline, kill grace}
+      {60s, 500ms},
+      {milliseconds::max(), milliseconds::max()},
+      {60s, milliseconds(10'000'000'000'000)},
+  };
+  for (const auto& [deadline, grace] : limits) {
+    sim::SweepOptions pool;
+    pool.threads = 2;
+    pool.job_deadline = deadline;
+    pool.kill_grace = grace;
+    sim::SweepOptions iso = pool;
+    iso.isolate_procs = 2;
+    for (const sim::SweepOptions* opt : {&pool, &iso}) {
+      SCOPED_TRACE(std::string(opt->isolate_procs != 0 ? "forked" : "in-thread") +
+                   ", deadline " + std::to_string(deadline.count()) +
+                   " ms, grace " + std::to_string(grace.count()) + " ms");
+      const sim::SweepReport rep = sim::run_sweep(jobs, *opt);
+      ASSERT_TRUE(rep.all_completed());
+      for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expect_results_identical(rep.jobs[i].result, direct[i]);
+      }
     }
   }
 }

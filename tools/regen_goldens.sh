@@ -3,7 +3,9 @@
 #
 # Rebuilds tests/golden/stats_mini_suite.csv — the 3-program mini-suite
 # under every LSQ kind that CI (stats-identity job) and perf PRs compare
-# against byte for byte. Run this ONLY when a PR intentionally changes
+# against byte for byte — and tests/golden/stats_mini_suite_derived.csv,
+# the same matrix accounted with the analytical energy constants
+# (--derived-energy). Run this ONLY when a PR intentionally changes
 # simulated behavior; for pure performance/refactor PRs the suite must
 # reproduce the existing golden unchanged. The regenerated file is
 # reviewed like code: the diff IS the behavioral change.
@@ -24,11 +26,17 @@ if [ ! -x "$sim" ]; then
   exit 1
 fi
 
-out="$repo/tests/golden/stats_mini_suite.csv"
-tmp="$out.tmp"
-for lsq in conventional unbounded arb samie; do
-  "$sim" --lsq="$lsq" --insts=20000 --csv gcc ammp mcf
-done > "$tmp"
-mv "$tmp" "$out"
-echo "regen_goldens: wrote $out ($(wc -l < "$out") lines)" >&2
+# regen <golden file> [extra samie_sim option]
+regen() {
+  out="$repo/tests/golden/$1"
+  tmp="$out.tmp"
+  for lsq in conventional unbounded arb samie; do
+    "$sim" --lsq="$lsq" ${2:+"$2"} --insts=20000 --csv gcc ammp mcf
+  done > "$tmp"
+  mv "$tmp" "$out"
+  echo "regen_goldens: wrote $out ($(wc -l < "$out") lines)" >&2
+}
+
+regen stats_mini_suite.csv
+regen stats_mini_suite_derived.csv --derived-energy
 echo "regen_goldens: review the diff — it is the behavioral change" >&2

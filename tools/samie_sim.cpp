@@ -40,7 +40,10 @@
 //   --retries=N            attempts per transiently-failing job (default 3)
 //   --job-deadline-ms=N    per-job wall-clock deadline, counted from each
 //                          attempt's start; an overrunning job stops itself
-//                          at its next check and is reported timed-out
+//                          at its next check and is reported timed-out.
+//                          Either millisecond option refuses a value above
+//                          9223372036854775807; one too far for the clock
+//                          to reach never fires
 //   --max-failures=N       drain the sweep after N failed/timed-out jobs
 //                          (remaining jobs report skipped; default: run all)
 //   --checkpoint=FILE      journal each completed job to FILE (crash-safe)
@@ -128,21 +131,34 @@ using namespace samie;
   std::exit(1);
 }
 
-bool parse_u64(const std::string& arg, const char* key, std::uint64_t& out) {
-  return tools::parse_u64(arg, key, out,
-                          [](const std::string& what) { usage_error(what); });
+bool parse_u64(const std::string& arg, const char* key, std::uint64_t& out,
+               std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  return tools::parse_u64(
+      arg, key, out, [](const std::string& what) { usage_error(what); }, max);
 }
 
 /// parse_u64 for an option stored in 32 bits: a value above the field's
 /// maximum is refused, not truncated.
 bool parse_u32(const std::string& arg, const char* key, std::uint32_t& out) {
   std::uint64_t v = 0;
-  if (!tools::parse_u64(
-          arg, key, v, [](const std::string& what) { usage_error(what); },
-          std::numeric_limits<std::uint32_t>::max())) {
+  if (!parse_u64(arg, key, v, std::numeric_limits<std::uint32_t>::max())) {
     return false;
   }
   out = static_cast<std::uint32_t>(v);
+  return true;
+}
+
+/// parse_u64 for a millisecond option: a value std::chrono::milliseconds
+/// cannot hold is refused, not wrapped negative (which means "none").
+bool parse_ms(const std::string& arg, const char* key,
+              std::chrono::milliseconds& out) {
+  std::uint64_t v = 0;
+  if (!parse_u64(arg, key, v,
+                 static_cast<std::uint64_t>(
+                     std::chrono::milliseconds::max().count()))) {
+    return false;
+  }
+  out = std::chrono::milliseconds(v);
   return true;
 }
 
@@ -315,8 +331,7 @@ int main(int argc, char** argv) {
       if (sweep.retry.max_attempts == 0) {
         usage_error("--retries must be at least 1");
       }
-    } else if (parse_u64(arg, "--job-deadline-ms", v)) {
-      sweep.job_deadline = std::chrono::milliseconds(v);
+    } else if (parse_ms(arg, "--job-deadline-ms", sweep.job_deadline)) {
     } else if (parse_u64(arg, "--max-failures", v)) {
       sweep.max_failures = static_cast<std::size_t>(v);
     } else if (arg.rfind("--lsq=", 0) == 0) {
@@ -359,8 +374,7 @@ int main(int argc, char** argv) {
       sweep.job_mem_mb = v;
     } else if (parse_u64(arg, "--job-cpu-s", v)) {
       sweep.job_cpu_s = v;
-    } else if (parse_u64(arg, "--kill-grace-ms", v)) {
-      sweep.kill_grace = std::chrono::milliseconds(v);
+    } else if (parse_ms(arg, "--kill-grace-ms", sweep.kill_grace)) {
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "see the header of tools/samie_sim.cpp for options\n";
       return 0;
